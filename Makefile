@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: check build test race vet fuzz bench bench-audit bench-recovery bench-fleet bench-overload bench-multitenant bench-threshold bench-chaos bench-daemon
+.PHONY: check build test race vet loc fuzz bench bench-audit bench-recovery bench-fleet bench-overload bench-multitenant bench-threshold bench-chaos bench-daemon
 
 check: vet build race
 
@@ -20,6 +20,18 @@ race:
 
 vet:
 	$(GO) vet ./...
+
+# Non-test and test Go lines per package directory, with a total — the
+# two numbers every PR reports separately (bench/ is a module of its own
+# and is listed too).
+loc:
+	@for d in $$(find . -name '*.go' -exec dirname {} \; | sort -u); do \
+		echo $$d \
+			$$(cat /dev/null $$(ls $$d/*.go | grep -v _test.go) | wc -l) \
+			$$(cat /dev/null $$(ls $$d/*_test.go 2>/dev/null) | wc -l); \
+	done | awk 'BEGIN { printf "%-28s %7s %7s\n", "package", "code", "test" } \
+		{ printf "%-28s %7d %7d\n", $$1, $$2, $$3; code += $$2; test += $$3 } \
+		END { printf "%-28s %7d %7d\n", "total", code, test }'
 
 # Short fuzz pass over the wire codec (the corruption injector's attack
 # surface), the WAL record decoder (what a torn or bit-rotted log feeds

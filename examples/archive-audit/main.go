@@ -85,7 +85,7 @@ func run() error {
 		return err
 	}
 	for _, t := range []int{5, 10, 20} {
-		report, err := auditor.AuditStorage(link, user.ID(), warrant, seccloud.StorageAuditConfig{
+		report, err := auditor.AuditStorage(link, user.ID(), warrant, seccloud.AuditConfig{
 			DatasetSize:     numBlocks,
 			SampleSize:      t,
 			Rng:             rand.New(rand.NewSource(int64(t))),
@@ -106,7 +106,7 @@ func run() error {
 	// re-check fails again). The rational response after detection is
 	// migration: re-upload to a fresh, honest server and confirm with a
 	// full audit.
-	fullReport, err := auditor.AuditStorage(link, user.ID(), warrant, seccloud.StorageAuditConfig{
+	fullReport, err := auditor.AuditStorage(link, user.ID(), warrant, seccloud.AuditConfig{
 		DatasetSize: numBlocks, SampleSize: numBlocks,
 		Rng: rand.New(rand.NewSource(99)),
 	})
@@ -128,7 +128,7 @@ func run() error {
 	if err := user.Store(honestLink, req2); err != nil {
 		return err
 	}
-	recheck, err := auditor.AuditStorage(honestLink, user.ID(), warrant, seccloud.StorageAuditConfig{
+	recheck, err := auditor.AuditStorage(honestLink, user.ID(), warrant, seccloud.AuditConfig{
 		DatasetSize: numBlocks, SampleSize: numBlocks,
 		Rng:             rand.New(rand.NewSource(7)),
 		BatchSignatures: true,

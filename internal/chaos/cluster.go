@@ -434,7 +434,7 @@ func (c *cluster) auditRetrier(ep, pi int) *netsim.Retrier {
 func (c *cluster) runAudit(ep, pi int) auditOutcome {
 	out := auditOutcome{Epoch: ep, Primary: pi, CleanFleet: c.fleetClean()}
 	fcfg := core.FleetAuditConfig{
-		Storage: core.StorageAuditConfig{
+		Storage: core.AuditConfig{
 			DatasetSize:     c.cfg.Blocks,
 			SampleSize:      c.cfg.SampleSize,
 			Rounds:          2,

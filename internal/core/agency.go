@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"io"
 	"math/rand"
@@ -181,16 +180,6 @@ type AuditCheckpoint struct {
 func (r *AuditReport) Checkpoint() *AuditCheckpoint {
 	return &AuditCheckpoint{
 		JobID:     r.JobID,
-		Sampled:   append([]uint64(nil), r.Sampled...),
-		Rounds:    append([]RoundRecord(nil), r.Rounds...),
-		Failures:  append([]AuditFailure(nil), r.Failures...),
-		Threshold: r.Threshold,
-	}
-}
-
-// Checkpoint extracts the resumable state of a storage audit.
-func (r *StorageAuditReport) Checkpoint() *AuditCheckpoint {
-	return &AuditCheckpoint{
 		UserID:    r.UserID,
 		Sampled:   append([]uint64(nil), r.Sampled...),
 		Rounds:    append([]RoundRecord(nil), r.Rounds...),
@@ -199,41 +188,18 @@ func (r *StorageAuditReport) Checkpoint() *AuditCheckpoint {
 	}
 }
 
-// plannedRound is one round of an audit run: either a fresh challenge or
-// a verdict carried over from an interrupted run's checkpoint.
-type plannedRound struct {
-	indices []uint64
-	carry   *RoundRecord
-}
-
-// planRounds lays out the rounds for a run: from the checkpoint when
-// resuming (lost rounds re-challenged with their original indices), from
-// splitRounds otherwise.
-func planRounds(sample []uint64, rounds int, resume *AuditCheckpoint) []plannedRound {
-	if resume == nil {
-		chunks := splitRounds(sample, rounds)
-		plan := make([]plannedRound, len(chunks))
-		for i, c := range chunks {
-			plan[i] = plannedRound{indices: c}
-		}
-		return plan
-	}
-	plan := make([]plannedRound, len(resume.Rounds))
-	for i := range resume.Rounds {
-		rr := &resume.Rounds[i]
-		plan[i] = plannedRound{indices: rr.Indices}
-		if !rr.Outcome.Lost() {
-			plan[i].carry = rr
-		}
-	}
-	return plan
-}
-
-// AuditReport is the outcome of one audit run: the paper's Algorithm 1
-// return value enriched with per-check attribution, per-round fault
-// accounting, and traffic stats.
+// AuditReport is the outcome of one audit run — a computation audit
+// (the paper's Algorithm 1 return value) or a stored-data audit (Protocol
+// II verification, eq. 5/7, over sampled positions) — enriched with
+// per-check attribution, per-round fault accounting, and traffic stats.
 type AuditReport struct {
-	JobID      string
+	// JobID is the audited job ("" for storage audits).
+	JobID string
+	// UserID is the audited user (storage audits; "" for job audits, whose
+	// delegation names the user).
+	UserID string
+	// SampleSize is len(Sampled): the challenge set after any overload
+	// degradation.
 	SampleSize int
 	Sampled    []uint64
 	Failures   []AuditFailure
@@ -280,35 +246,25 @@ func (r *AuditReport) Degraded() bool { return r.EffectiveSampleSize < r.SampleS
 
 // NetworkFaultRounds counts rounds lost to transport faults or timeouts.
 func (r *AuditReport) NetworkFaultRounds() int {
-	n := 0
-	for _, rr := range r.Rounds {
-		if rr.Outcome == RoundNetworkFault || rr.Outcome == RoundTimeout {
-			n++
-		}
-	}
-	return n
+	return r.countRounds(func(rr *RoundRecord) bool {
+		return rr.Outcome == RoundNetworkFault || rr.Outcome == RoundTimeout
+	})
 }
 
 // ShedRounds counts rounds refused by server admission control.
-func (r *AuditReport) ShedRounds() int { return shedRounds(r.Rounds) }
-
-// HedgedRounds counts rounds won by a hedged duplicate.
-func (r *AuditReport) HedgedRounds() int { return hedgedRounds(r.Rounds) }
-
-func shedRounds(rounds []RoundRecord) int {
-	n := 0
-	for _, rr := range rounds {
-		if rr.Outcome == RoundShed {
-			n++
-		}
-	}
-	return n
+func (r *AuditReport) ShedRounds() int {
+	return r.countRounds(func(rr *RoundRecord) bool { return rr.Outcome == RoundShed })
 }
 
-func hedgedRounds(rounds []RoundRecord) int {
+// HedgedRounds counts rounds won by a hedged duplicate.
+func (r *AuditReport) HedgedRounds() int {
+	return r.countRounds(func(rr *RoundRecord) bool { return rr.Hedged })
+}
+
+func (r *AuditReport) countRounds(match func(*RoundRecord) bool) int {
 	n := 0
-	for _, rr := range rounds {
-		if rr.Hedged {
+	for i := range r.Rounds {
+		if match(&r.Rounds[i]) {
 			n++
 		}
 	}
@@ -329,16 +285,22 @@ type JobDelegation struct {
 	Warrant  wire.Warrant
 }
 
-// AuditConfig shapes one audit run.
+// AuditConfig shapes one audit run, of a job or of stored data.
 type AuditConfig struct {
-	// SampleSize is the number of sampled sub-tasks t; it is clamped to
-	// the job size (sampling is without replacement, t ≤ |X|, eq. 2).
+	// DatasetSize is the number of addressable positions |X| a storage
+	// audit samples from. Job audits ignore it: their population is the
+	// delegation's task list.
+	DatasetSize int
+	// SampleSize is the number of sampled indices t; it is clamped to the
+	// population (sampling is without replacement, t ≤ |X|, eq. 2).
 	SampleSize int
-	// Rng drives the sample choice; nil derives a time-seeded PRNG.
+	// Rng drives the sample choice (deterministic tests, seeded
+	// simulations); nil seeds a fresh PRNG from the agency's randomness
+	// source — crypto/rand in production.
 	Rng *rand.Rand
 	// BatchSignatures enables the §VI aggregate verification for the
-	// per-item block-signature checks, with individual fallback to
-	// attribute failures.
+	// block-signature checks, with individual fallback to attribute
+	// failures.
 	BatchSignatures bool
 	// Rounds splits the sample across this many challenge round trips so
 	// a transport fault costs one round, not the whole audit; ≤ 1 sends a
@@ -379,83 +341,14 @@ type AuditConfig struct {
 	// Resume continues an interrupted audit from its checkpoint: the
 	// sampled challenge set is reused byte-for-byte, completed rounds'
 	// verdicts are carried over, and only network-lost rounds are
-	// re-challenged. SampleSize, Rng, and Rounds are ignored when set.
+	// re-challenged. DatasetSize, SampleSize, Rng, and Rounds are ignored
+	// when set.
 	Resume *AuditCheckpoint
 }
 
-// splitRounds chunks the sample into ≈equal contiguous rounds.
-func splitRounds(sample []uint64, rounds int) [][]uint64 {
-	if rounds <= 1 || len(sample) <= 1 {
-		return [][]uint64{sample}
-	}
-	if rounds > len(sample) {
-		rounds = len(sample)
-	}
-	out := make([][]uint64, 0, rounds)
-	per := (len(sample) + rounds - 1) / rounds
-	for start := 0; start < len(sample); start += per {
-		end := start + per
-		if end > len(sample) {
-			end = len(sample)
-		}
-		out = append(out, sample[start:end])
-	}
-	return out
-}
-
-// roundTrip performs one (possibly retried, possibly deadlined) challenge
-// round trip and reports how many attempts it took. ctx is the audit-level
-// context: its deadline (cfg.Deadline) and cancellation propagate into
-// every attempt, so an expired audit stops issuing network work instead of
-// finishing rounds whose report is already forfeit. A nil ctx means no
-// audit-level bound.
-func roundTrip(ctx context.Context, client netsim.Client, retry *netsim.Retrier, timeout time.Duration, req wire.Message) (wire.Message, int, error) {
-	attempts := 0
-	op := func(ctx context.Context) (wire.Message, error) {
-		attempts++
-		if timeout > 0 {
-			var cancel context.CancelFunc
-			ctx, cancel = context.WithTimeout(ctx, timeout)
-			defer cancel()
-		}
-		return client.RoundTripContext(ctx, req)
-	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if retry == nil {
-		resp, err := op(ctx)
-		return resp, attempts, err
-	}
-	var resp wire.Message
-	err := retry.Do(ctx, func(ctx context.Context) error {
-		var err error
-		resp, err = op(ctx)
-		return err
-	})
-	if err != nil {
-		return nil, attempts, err
-	}
-	return resp, attempts, nil
-}
-
-// classifyTransport maps a failed round trip to its outcome. Terminal
-// (non-transport) errors return ok=false: they abort the audit rather
-// than degrade it. Overload sheds are checked first: a typed shed is
-// deliberately neither retryable nor a timeout (so the Retrier stops
-// immediately), which would otherwise drop it into the terminal default.
-func classifyTransport(err error) (RoundOutcome, bool) {
-	switch {
-	case netsim.IsOverloaded(err):
-		return RoundShed, true
-	case netsim.IsTimeout(err), errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
-		return RoundTimeout, true
-	case netsim.IsRetryable(err):
-		return RoundNetworkFault, true
-	default:
-		return 0, false
-	}
-}
+// StorageAuditConfig is AuditConfig under the name storage audits used
+// before the two configs merged.
+type StorageAuditConfig = AuditConfig
 
 // Agency is the Designated Agency (DA): the third-party auditor holding
 // its own identity key, to which users delegate storage and computation
@@ -612,265 +505,78 @@ func SampleIndices(rng *rand.Rand, n, t int) []uint64 {
 // AuditJob runs the full Probabilistic Sampling Cloud Computation Auditing
 // Protocol (Algorithm 1) against the server behind client. It returns a
 // report listing every detected failure; a report with no failures means
-// the server passed all sampled checks.
-//
-// Fault awareness: the sample is split into cfg.Rounds challenge rounds;
-// each round is retried under cfg.Retry and bounded by cfg.RoundTimeout.
-// A round that still fails with a transport-class error is recorded as
-// NetworkFault (or Timeout) and its indices leave the effective sample —
-// they produce NO cheating evidence, because a lost message says nothing
-// about the server. Only cryptographic/protocol check failures on rounds
-// that actually completed become Failures. An audit where every round is
-// lost returns a valid-but-empty report with EffectiveSampleSize 0.
-//
-// Pipelining: with cfg.Workers > 1 the rounds fly concurrently and each
-// completed round's per-index checks fan out across the same pool, so the
-// DA verifies one round's proofs while later rounds are still in flight.
-// All randomness is drawn before the fan-out and every task writes only
-// its own slot; the report is then assembled sequentially in round order,
-// so its contents are bit-identical for every worker count.
+// the server passed all sampled checks. An audit where every round is lost
+// to the network returns a valid-but-empty report with EffectiveSampleSize
+// 0 (see auditRun.rounds for the fault and pipelining contracts).
 func (a *Agency) AuditJob(client netsim.Client, d *JobDelegation, cfg AuditConfig) (*AuditReport, error) {
-	start := a.clock()
-	root := a.obs.startAudit("job", "job", d.JobID, "user", d.UserID)
-	defer root.End()
+	run := a.startRun(auditRun{
+		typ: "job", jobID: d.JobID, cfg: &cfg, disp: direct{client},
+		kind: &jobKind{a: a, d: d, deferSigs: cfg.BatchSignatures || a.thr != nil},
+		// Whatever checkItem deferred is meant for the aggregate equation.
+		batched: true,
+	}, "job", d.JobID, "user", d.UserID)
+	defer run.close()
 	if err := a.AcceptDelegation(d); err != nil {
 		return nil, fmt.Errorf("core: delegation rejected: %w", err)
 	}
-	var sample []uint64
-	if cfg.Resume != nil {
-		if cfg.Resume.JobID != d.JobID {
-			return nil, fmt.Errorf("core: resume checkpoint is for job %q, not %q", cfg.Resume.JobID, d.JobID)
-		}
-		sample = append([]uint64(nil), cfg.Resume.Sampled...)
-	} else {
-		rng, err := a.challengeRNG(cfg.Rng)
-		if err != nil {
-			return nil, err
-		}
-		sample = SampleIndices(rng, len(d.Tasks), cfg.SampleSize)
+	if err := run.draw(len(d.Tasks)); err != nil {
+		return nil, err
 	}
-	plannedSample := len(sample)
-	degraded := false
-	if cfg.Resume == nil && cfg.Overload != nil {
-		if reduced, ok := cfg.Overload.PlanSample(len(sample)); ok {
-			// Graceful degradation: under sustained shed/timeout pressure a
-			// smaller challenge set keeps audits completing inside their
-			// deadlines; the confidence loss is explicit, recomputed below
-			// and stamped into any evidence sealed from this report.
-			sample = sample[:reduced]
-			degraded = true
-			a.obs.degradedAudit("job")
-		}
-	}
-	report := &AuditReport{
-		JobID:              d.JobID,
-		SampleSize:         len(sample),
-		Sampled:            sample,
-		PlannedSampleSize:  plannedSample,
-		DegradedByOverload: degraded,
-		SigChecksBatched:   cfg.BatchSignatures,
-	}
-	if cfg.Resume != nil {
-		// Verdicts already reached before the interruption stand as-is.
-		report.Failures = append(report.Failures, cfg.Resume.Failures...)
-	}
-	if len(sample) == 0 {
-		report.Elapsed = a.clock().Sub(start)
-		a.obs.finishAudit("job", report.Rounds, report.Failures, report.Valid(), report.Elapsed)
-		return report, nil
-	}
+	return run.audit()
+}
 
-	type roundResult struct {
-		rec       RoundRecord
-		ok        bool          // round completed with outcome OK
-		respFail  *AuditFailure // round-level structural failure
-		fails     []AuditFailure
-		sigChecks []sigCheck
-		err       error // terminal (non-transport) error
+// jobKind challenges sub-task results: Algorithm 1's three checks per
+// sampled index.
+type jobKind struct {
+	a *Agency
+	d *JobDelegation
+	// deferSigs defers block-signature pairings to the settle stage.
+	// Threshold mode always defers: the quorum round that replaces the
+	// ê(·, sk_DA) pairing is batched audit-wide, never per item.
+	deferSigs bool
+}
+
+func (k *jobKind) request(chunk []uint64) wire.Message {
+	return &wire.ChallengeRequest{JobID: k.d.JobID, Indices: chunk, Warrant: k.d.Warrant}
+}
+
+func (k *jobKind) check(ctx context.Context, p *pool, rs *obs.Span, chunk []uint64, resp wire.Message) (string, []AuditFailure, []sigCheck) {
+	ch, ok := resp.(*wire.ChallengeResponse)
+	switch {
+	case !ok:
+		return fmt.Sprintf("unexpected challenge response %T", resp), nil, nil
+	case ch.Error != "":
+		return "server refused challenge: " + ch.Error, nil, nil
+	case len(ch.Items) != len(chunk):
+		return fmt.Sprintf("server answered %d of %d challenges", len(ch.Items), len(chunk)), nil, nil
 	}
-	plan := planRounds(sample, cfg.Rounds, cfg.Resume)
-	results := make([]roundResult, len(plan))
-	p := a.auditPool(cfg.Workers)
-	// actx governs dispatch and network rounds: it dies on the audit
-	// deadline or the first terminal error, so an expired audit stops
-	// issuing work. verifyCtx dies ONLY on terminal errors — rounds the
-	// server already answered are always verified in full, so a deadline
-	// can never silently convert unchecked items into effective sample.
-	ctx := context.Background()
-	if cfg.Deadline > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, cfg.Deadline)
-		defer cancel()
-	}
-	actx, abort := context.WithCancel(ctx)
-	defer abort()
-	verifyCtx, vabort := context.WithCancel(context.Background())
-	defer vabort()
-	retry := cfg.Retry
-	if retry != nil && cfg.Budget != nil {
-		retry = retry.WithBudget(cfg.Budget)
-	}
-	var deniedBefore uint64
-	if cfg.Budget != nil {
-		deniedBefore = cfg.Budget.Denied()
-	}
-	p.forEach(actx, len(plan), func(ri int) {
-		chunk := plan[ri].indices
-		rr := &results[ri]
-		if cr := plan[ri].carry; cr != nil {
-			// Completed before the interruption: the verdict stands, no
-			// re-challenge (the server never gets a second draw).
-			rr.rec = *cr
-			rr.ok = cr.Completed
-			return
+	itemFails := make([][]AuditFailure, len(ch.Items))
+	itemSigs := make([][]sigCheck, len(ch.Items))
+	p.forEach(ctx, len(ch.Items), func(i int) {
+		is := rs.Child("check.item", "index", strconv.FormatUint(chunk[i], 10))
+		itemFails[i], itemSigs[i] = k.a.checkItem(k.d, chunk[i], ch.Items[i], k.deferSigs)
+		if len(itemFails[i]) > 0 {
+			is.Annotate("failed", "true")
 		}
-		rs := roundSpan(root, ri)
-		defer endRound(rs, &rr.rec)
-		rr.rec = RoundRecord{Indices: append([]uint64(nil), chunk...)}
-		resp, attempts, err := roundTrip(actx, client, retry, cfg.RoundTimeout, &wire.ChallengeRequest{
-			JobID:   d.JobID,
-			Indices: chunk,
-			Warrant: d.Warrant,
-		})
-		rr.rec.Attempts = attempts
-		if err != nil {
-			outcome, transport := classifyTransport(err)
-			if !transport {
-				rr.err = fmt.Errorf("core: challenge round trip: %w", err)
-				abort()
-				vabort()
-				return
-			}
-			rr.rec.Outcome = outcome
-			rr.rec.Detail = err.Error()
-			return
-		}
-		ch, ok := resp.(*wire.ChallengeResponse)
-		badProof := func(detail string) {
-			rr.rec.Outcome = RoundBadProof
-			rr.rec.Detail = detail
-			rr.respFail = &AuditFailure{Check: CheckResponse, Detail: detail}
-		}
-		switch {
-		case !ok:
-			badProof(fmt.Sprintf("unexpected challenge response %T", resp))
-		case ch.Error != "":
-			// A server that decodes our challenge but cannot answer it is
-			// treated as detected cheating (e.g. it lost the data it
-			// claims to store). This is a *protocol-level* refusal, not a
-			// transport fault: the round trip itself completed.
-			badProof("server refused challenge: " + ch.Error)
-		case len(ch.Items) != len(chunk):
-			badProof(fmt.Sprintf("server answered %d of %d challenges", len(ch.Items), len(chunk)))
-		default:
-			rr.rec.Outcome = RoundOK
-			rr.rec.Completed = true
-			rr.ok = true
-			itemFails := make([][]AuditFailure, len(ch.Items))
-			itemSigs := make([][]sigCheck, len(ch.Items))
-			p.forEach(verifyCtx, len(ch.Items), func(i int) {
-				is := rs.Child("check.item", "index", strconv.FormatUint(chunk[i], 10))
-				itemFails[i], itemSigs[i] = a.checkItem(d, chunk[i], ch.Items[i], cfg.BatchSignatures)
-				if len(itemFails[i]) > 0 {
-					is.Annotate("failed", "true")
-				}
-				is.End()
-			})
-			for i := range ch.Items {
-				rr.fails = append(rr.fails, itemFails[i]...)
-				rr.sigChecks = append(rr.sigChecks, itemSigs[i]...)
-			}
-		}
+		is.End()
 	})
-
-	// Sequential assembly in round order: identical report for any pool.
-	for ri := range results {
-		if results[ri].err != nil {
-			return nil, results[ri].err
-		}
+	var fails []AuditFailure
+	var sigs []sigCheck
+	for i := range ch.Items {
+		fails = append(fails, itemFails[i]...)
+		sigs = append(sigs, itemSigs[i]...)
 	}
-	for ri := range results {
-		rr := &results[ri]
-		if rr.rec.Outcome != 0 {
-			continue
-		}
-		// Never dispatched: the audit deadline (or an abort) fired before
-		// this round's task ran. A checkpointed verdict still stands;
-		// fresh rounds are recorded as deadline-lost, never accusatory.
-		if cr := plan[ri].carry; cr != nil {
-			rr.rec = *cr
-			rr.ok = cr.Completed
-			continue
-		}
-		rr.rec = RoundRecord{
-			Indices: append([]uint64(nil), plan[ri].indices...),
-			Outcome: RoundTimeout,
-			Detail:  "audit deadline expired before dispatch",
-		}
-	}
-	var effective []uint64
-	for ri := range results {
-		rr := &results[ri]
-		if rr.respFail != nil {
-			report.Failures = append(report.Failures, *rr.respFail)
-		}
-		report.Rounds = append(report.Rounds, rr.rec)
-		if rr.ok {
-			effective = append(effective, plan[ri].indices...)
-		}
-	}
-	report.EffectiveSampleSize = len(effective)
-	if cfg.Budget != nil {
-		report.BudgetDenied = int(cfg.Budget.Denied() - deniedBefore)
-	}
-	observeOverload(cfg.Overload, plan, report.Rounds)
-
-	preCheck := len(report.Failures)
-	var sigChecks []sigCheck
-	for ri := range results {
-		report.Failures = append(report.Failures, results[ri].fails...)
-		sigChecks = append(sigChecks, results[ri].sigChecks...)
-	}
-	// Batched signature verification (§VI): one aggregate check; on
-	// failure, fall back to individual verification to attribute blame.
-	// In threshold mode the aggregate pairing is reconstructed from a
-	// share quorum and the trail lands in the report; a quorum that
-	// cannot be reached aborts the audit — it never accuses the server.
-	trail := a.newTrail()
-	sigErrs, _, terr := a.verifySigBatch(verifyCtx, sigChecks, true, p, thresholdAvoid(cfg.Resume), trail)
-	if terr != nil {
-		return nil, terr
-	}
-	report.Threshold = trail
-	for i, err := range sigErrs {
-		if err != nil {
-			report.Failures = append(report.Failures, AuditFailure{
-				Index: sigChecks[i].index, Check: CheckSignature, Detail: err.Error(),
-			})
-		}
-	}
-	// Downgrade tentatively-OK rounds whose indices drew check failures.
-	downgradeRounds(report.Rounds, report.Failures[preCheck:])
-	if cfg.Analysis != nil {
-		conf, err := sampling.DetectionConfidence(*cfg.Analysis, report.EffectiveSampleSize)
-		if err != nil {
-			return nil, fmt.Errorf("core: recomputing detection confidence: %w", err)
-		}
-		report.AchievedConfidence = conf
-	}
-	report.Elapsed = a.clock().Sub(start)
-	a.obs.finishAudit("job", report.Rounds, report.Failures, report.Valid(), report.Elapsed)
-	return report, nil
+	return "", fails, sigs
 }
 
 // checkItem runs the three per-sample checks of Algorithm 1 plus
 // structural validation for one challenged index, returning its failures
-// in check order. With batchSigs set, block-signature verifications that
+// in check order. With deferSigs set, block-signature verifications that
 // pass the structural stage are deferred as sigChecks for an aggregate
 // §VI verification instead of being paired individually. checkItem shares
 // no state with other items, so calls may run concurrently.
 func (a *Agency) checkItem(
-	d *JobDelegation, idx uint64, item wire.ChallengeItem, batchSigs bool,
+	d *JobDelegation, idx uint64, item wire.ChallengeItem, deferSigs bool,
 ) (fails []AuditFailure, sigChecks []sigCheck) {
 	if item.Index != idx {
 		return []AuditFailure{{
@@ -917,9 +623,7 @@ func (a *Agency) checkItem(
 			continue
 		}
 		msg := BlockMessage(pos, item.Blocks[k])
-		// Threshold mode always defers: the quorum round that replaces
-		// the ê(·, sk_DA) pairing is batched audit-wide, never per item.
-		if batchSigs || a.thr != nil {
+		if deferSigs {
 			sigChecks = append(sigChecks, sigCheck{index: idx, msg: msg, des: des})
 		} else if err := a.scheme.Verify(des, msg, a.key); err != nil {
 			fails = append(fails, AuditFailure{
@@ -991,352 +695,64 @@ func taskSpecEqual(a, b wire.TaskSpec) bool {
 	return true
 }
 
-// StorageAuditReport is the outcome of a stored-data audit (Protocol II
-// verification, eq. 5/7, run by the DA over sampled positions).
-type StorageAuditReport struct {
-	UserID           string
-	Sampled          []uint64
-	Failures         []AuditFailure
-	SigChecksBatched bool
-	// Rounds is the per-round evidence trail.
-	Rounds []RoundRecord
-	// EffectiveSampleSize counts positions whose round completed (k ≤ t).
-	EffectiveSampleSize int
-	// AchievedConfidence is 1 − Pr[cheat success] for the effective
-	// sample when Analysis is set; 0 otherwise.
-	AchievedConfidence float64
-	// PlannedSampleSize is the pre-degradation sample size (= len(Sampled)
-	// unless the overload controller shrank the challenge set).
-	PlannedSampleSize int
-	// DegradedByOverload records a deliberate overload-driven reduction of
-	// the challenge set (see AuditReport.DegradedByOverload).
-	DegradedByOverload bool
-	// BudgetDenied counts retries refused by the shared retry budget.
-	BudgetDenied int
-	// Threshold is the quorum trail when the agency verifies through a
-	// t-of-n share quorum; nil for single-key agencies.
-	Threshold *ThresholdTrail
-}
-
-// Valid reports whether every sampled block verified. Rounds lost to the
-// network are not failures.
-func (r *StorageAuditReport) Valid() bool { return len(r.Failures) == 0 }
-
-// Degraded reports whether network faults shrank the effective sample.
-func (r *StorageAuditReport) Degraded() bool { return r.EffectiveSampleSize < len(r.Sampled) }
-
-// NetworkFaultRounds counts rounds lost to transport faults or timeouts.
-func (r *StorageAuditReport) NetworkFaultRounds() int {
-	n := 0
-	for _, rr := range r.Rounds {
-		if rr.Outcome == RoundNetworkFault || rr.Outcome == RoundTimeout {
-			n++
-		}
-	}
-	return n
-}
-
-// ShedRounds counts rounds refused by server admission control.
-func (r *StorageAuditReport) ShedRounds() int { return shedRounds(r.Rounds) }
-
-// HedgedRounds counts rounds won by a hedged duplicate.
-func (r *StorageAuditReport) HedgedRounds() int { return hedgedRounds(r.Rounds) }
-
-// StorageAuditConfig shapes a stored-data audit.
-type StorageAuditConfig struct {
-	// DatasetSize is the number of addressable positions |X|.
-	DatasetSize int
-	// SampleSize is the number of sampled positions t.
-	SampleSize int
-	// Rng drives the sample choice; nil derives a time-seeded PRNG.
-	Rng *rand.Rand
-	// BatchSignatures verifies all sampled signatures with the §VI
-	// aggregate equation (one pairing), falling back to individual
-	// verification to attribute failures.
-	BatchSignatures bool
-	// Rounds splits the sample across challenge round trips (≤ 1 = one).
-	Rounds int
-	// Retry retries transport-failed rounds; nil means one attempt.
-	Retry *netsim.Retrier
-	// RoundTimeout bounds each round-trip attempt; 0 means no deadline.
-	RoundTimeout time.Duration
-	// Deadline bounds the whole audit, exactly as AuditConfig.Deadline.
-	Deadline time.Duration
-	// Budget is the audit's shared retry token bucket (see AuditConfig).
-	Budget *netsim.RetryBudget
-	// Overload enables graceful sample degradation (see AuditConfig).
-	Overload *OverloadController
-	// Analysis recomputes achieved confidence for the effective sample.
-	Analysis *sampling.Params
-	// Workers bounds the audit's verification concurrency, exactly as
-	// AuditConfig.Workers does for computation audits.
-	Workers int
-	// Resume continues an interrupted storage audit from its checkpoint,
-	// exactly as AuditConfig.Resume does for computation audits.
-	Resume *AuditCheckpoint
-}
-
 // AuditStorage samples t positions out of the dataset and verifies the
-// designated signatures over the returned (position ‖ data) strings. It
-// applies the same fault-aware round machinery as AuditJob: transport
-// failures shrink the effective sample, they never accuse the server.
+// designated signatures over the returned (position ‖ data) strings
+// (Protocol II verification, eq. 5/7). It runs on the same round engine as
+// AuditJob: transport failures shrink the effective sample, they never
+// accuse the server.
 func (a *Agency) AuditStorage(
-	client netsim.Client, userID string, warrant wire.Warrant, cfg StorageAuditConfig,
-) (*StorageAuditReport, error) {
-	start := a.clock()
-	root := a.obs.startAudit("storage", "user", userID)
-	defer root.End()
-	var sample []uint64
-	if cfg.Resume != nil {
-		if cfg.Resume.UserID != userID {
-			return nil, fmt.Errorf("core: resume checkpoint is for user %q, not %q", cfg.Resume.UserID, userID)
-		}
-		sample = append([]uint64(nil), cfg.Resume.Sampled...)
-	} else {
-		rng, err := a.challengeRNG(cfg.Rng)
-		if err != nil {
-			return nil, err
-		}
-		sample = SampleIndices(rng, cfg.DatasetSize, cfg.SampleSize)
+	client netsim.Client, userID string, warrant wire.Warrant, cfg AuditConfig,
+) (*AuditReport, error) {
+	run := a.startRun(auditRun{
+		typ: "storage", userID: userID, cfg: &cfg, disp: direct{client},
+		kind:    &storageKind{a: a, userID: userID, warrant: warrant},
+		batched: cfg.BatchSignatures,
+	}, "user", userID)
+	defer run.close()
+	if err := run.draw(cfg.DatasetSize); err != nil {
+		return nil, err
 	}
-	plannedSample := len(sample)
-	degraded := false
-	if cfg.Resume == nil && cfg.Overload != nil {
-		if reduced, ok := cfg.Overload.PlanSample(len(sample)); ok {
-			sample = sample[:reduced]
-			degraded = true
-			a.obs.degradedAudit("storage")
-		}
-	}
-	report := &StorageAuditReport{
-		UserID:             userID,
-		Sampled:            sample,
-		PlannedSampleSize:  plannedSample,
-		DegradedByOverload: degraded,
-		SigChecksBatched:   cfg.BatchSignatures,
-	}
-	if cfg.Resume != nil {
-		report.Failures = append(report.Failures, cfg.Resume.Failures...)
-	}
-	if len(sample) == 0 {
-		a.obs.finishAudit("storage", report.Rounds, report.Failures, report.Valid(), a.clock().Sub(start))
-		return report, nil
-	}
-
-	type roundResult struct {
-		rec      RoundRecord
-		ok       bool
-		carried  bool // verdict from the checkpoint; blocks were checked then
-		respFail *AuditFailure
-		blocks   [][]byte
-		sigs     []wire.BlockSig
-		err      error
-	}
-	plan := planRounds(sample, cfg.Rounds, cfg.Resume)
-	results := make([]roundResult, len(plan))
-	p := a.auditPool(cfg.Workers)
-	// Same two-context scheme as AuditJob: deadline/terminal aborts stop
-	// network dispatch; completed rounds still verify in full.
-	ctx := context.Background()
-	if cfg.Deadline > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, cfg.Deadline)
-		defer cancel()
-	}
-	actx, abort := context.WithCancel(ctx)
-	defer abort()
-	verifyCtx, vabort := context.WithCancel(context.Background())
-	defer vabort()
-	retry := cfg.Retry
-	if retry != nil && cfg.Budget != nil {
-		retry = retry.WithBudget(cfg.Budget)
-	}
-	var deniedBefore uint64
-	if cfg.Budget != nil {
-		deniedBefore = cfg.Budget.Denied()
-	}
-	p.forEach(actx, len(plan), func(ri int) {
-		chunk := plan[ri].indices
-		rr := &results[ri]
-		if cr := plan[ri].carry; cr != nil {
-			rr.rec = *cr
-			rr.carried = true
-			return
-		}
-		rs := roundSpan(root, ri)
-		defer endRound(rs, &rr.rec)
-		rr.rec = RoundRecord{Indices: append([]uint64(nil), chunk...)}
-		resp, attempts, err := roundTrip(actx, client, retry, cfg.RoundTimeout, &wire.StorageAuditRequest{
-			UserID:    userID,
-			Positions: chunk,
-			Warrant:   warrant,
-		})
-		rr.rec.Attempts = attempts
-		if err != nil {
-			outcome, transport := classifyTransport(err)
-			if !transport {
-				rr.err = fmt.Errorf("core: storage audit round trip: %w", err)
-				abort()
-				vabort()
-				return
-			}
-			rr.rec.Outcome = outcome
-			rr.rec.Detail = err.Error()
-			return
-		}
-		sa, ok := resp.(*wire.StorageAuditResponse)
-		badProof := func(detail string) {
-			rr.rec.Outcome = RoundBadProof
-			rr.rec.Detail = detail
-			rr.respFail = &AuditFailure{Check: CheckResponse, Detail: detail}
-		}
-		switch {
-		case !ok:
-			badProof(fmt.Sprintf("unexpected storage audit response %T", resp))
-		case sa.Error != "":
-			badProof("server refused storage audit: " + sa.Error)
-		case len(sa.Blocks) != len(chunk) || len(sa.Sigs) != len(chunk):
-			badProof("wrong number of blocks in storage audit answer")
-		default:
-			rr.rec.Outcome = RoundOK
-			rr.rec.Completed = true
-			rr.ok = true
-			rr.blocks = sa.Blocks
-			rr.sigs = sa.Sigs
-		}
-	})
-
-	// Sequential assembly in round order (see AuditJob).
-	for ri := range results {
-		if results[ri].err != nil {
-			return nil, results[ri].err
-		}
-	}
-	for ri := range results {
-		rr := &results[ri]
-		if rr.rec.Outcome != 0 {
-			continue
-		}
-		if cr := plan[ri].carry; cr != nil {
-			rr.rec = *cr
-			rr.carried = true
-			continue
-		}
-		rr.rec = RoundRecord{
-			Indices: append([]uint64(nil), plan[ri].indices...),
-			Outcome: RoundTimeout,
-			Detail:  "audit deadline expired before dispatch",
-		}
-	}
-	var positions []uint64
-	var blocks [][]byte
-	var sigs []wire.BlockSig
-	carriedEffective := 0
-	for ri := range results {
-		rr := &results[ri]
-		if rr.respFail != nil {
-			report.Failures = append(report.Failures, *rr.respFail)
-		}
-		report.Rounds = append(report.Rounds, rr.rec)
-		switch {
-		case rr.carried:
-			// Verified before the interruption; its verdicts came in with
-			// the checkpoint's failure list.
-			if rr.rec.Completed {
-				carriedEffective += len(plan[ri].indices)
-			}
-		case rr.ok:
-			positions = append(positions, plan[ri].indices...)
-			blocks = append(blocks, rr.blocks...)
-			sigs = append(sigs, rr.sigs...)
-		}
-	}
-	report.EffectiveSampleSize = carriedEffective + len(positions)
-	if cfg.Budget != nil {
-		report.BudgetDenied = int(cfg.Budget.Denied() - deniedBefore)
-	}
-	observeOverload(cfg.Overload, plan, report.Rounds)
-	if cfg.Analysis != nil {
-		conf, err := sampling.DetectionConfidence(*cfg.Analysis, report.EffectiveSampleSize)
-		if err != nil {
-			return nil, fmt.Errorf("core: recomputing detection confidence: %w", err)
-		}
-		report.AchievedConfidence = conf
-	}
-
-	preCheck := len(report.Failures)
-	checks := make([]sigCheck, 0, len(positions))
-	for i, pos := range positions {
-		des, err := DecodeBlockSig(a.scheme.Params(), &sigs[i], a.verifierID())
-		if err != nil {
-			report.Failures = append(report.Failures, AuditFailure{
-				Index: pos, Check: CheckSignature, Detail: err.Error(),
-			})
-			continue
-		}
-		if des.SignerID != userID {
-			report.Failures = append(report.Failures, AuditFailure{
-				Index: pos, Check: CheckSignature,
-				Detail: fmt.Sprintf("block signed by %q, want %q", des.SignerID, userID),
-			})
-			continue
-		}
-		checks = append(checks, sigCheck{index: pos, msg: BlockMessage(pos, blocks[i]), des: des})
-	}
-	trail := a.newTrail()
-	checkErrs, _, terr := a.verifySigBatch(verifyCtx, checks, cfg.BatchSignatures, p, thresholdAvoid(cfg.Resume), trail)
-	if terr != nil {
-		return nil, terr
-	}
-	report.Threshold = trail
-	for i, err := range checkErrs {
-		if err != nil {
-			report.Failures = append(report.Failures, AuditFailure{
-				Index: checks[i].index, Check: CheckSignature, Detail: err.Error(),
-			})
-		}
-	}
-	downgradeRounds(report.Rounds, report.Failures[preCheck:])
-	a.obs.finishAudit("storage", report.Rounds, report.Failures, report.Valid(), a.clock().Sub(start))
-	return report, nil
+	return run.audit()
 }
 
-// observeOverload feeds this run's fresh rounds (not checkpoint carries —
-// their pressure was observed by the original run) into the overload
-// controller: sheds and timeouts count as overload losses, everything else
-// as healthy. Nil controller no-ops.
-func observeOverload(oc *OverloadController, plan []plannedRound, rounds []RoundRecord) {
-	if oc == nil {
-		return
-	}
-	for ri := range rounds {
-		if ri < len(plan) && plan[ri].carry != nil {
-			continue
-		}
-		out := rounds[ri].Outcome
-		oc.Observe(out == RoundShed || out == RoundTimeout)
-	}
+// storageKind challenges stored blocks: each returned block's designated
+// signature must verify for its position and owner.
+type storageKind struct {
+	a       *Agency
+	userID  string
+	warrant wire.Warrant
 }
 
-// downgradeRounds marks OK rounds whose indices drew per-item failures as
-// BadProof, keeping the evidence trail consistent with the failure list.
-func downgradeRounds(rounds []RoundRecord, failures []AuditFailure) {
-	if len(failures) == 0 {
-		return
+func (k *storageKind) request(chunk []uint64) wire.Message {
+	return &wire.StorageAuditRequest{UserID: k.userID, Positions: chunk, Warrant: k.warrant}
+}
+
+// accept checks that resp answers a challenge of n positions in shape; a
+// non-empty refusal says why not.
+func (k *storageKind) accept(resp wire.Message, n int) (*wire.StorageAuditResponse, string) {
+	sa, ok := resp.(*wire.StorageAuditResponse)
+	switch {
+	case !ok:
+		return nil, fmt.Sprintf("unexpected storage audit response %T", resp)
+	case sa.Error != "":
+		return nil, "server refused storage audit: " + sa.Error
+	case len(sa.Blocks) != n || len(sa.Sigs) != n:
+		return nil, "wrong number of blocks in storage audit answer"
 	}
-	failed := make(map[uint64]bool, len(failures))
-	for _, f := range failures {
-		failed[f.Index] = true
+	return sa, ""
+}
+
+func (k *storageKind) check(_ context.Context, _ *pool, _ *obs.Span, chunk []uint64, resp wire.Message) (string, []AuditFailure, []sigCheck) {
+	sa, refusal := k.accept(resp, len(chunk))
+	if refusal != "" {
+		return refusal, nil, nil
 	}
-	for ri := range rounds {
-		if rounds[ri].Outcome != RoundOK {
-			continue
+	var fails []AuditFailure
+	sigs := make([]sigCheck, 0, len(chunk))
+	for i, pos := range chunk {
+		if err := k.a.decodeStoredSig(k.userID, pos, sa.Blocks[i], sa.Sigs[i], &sigs); err != nil {
+			fails = append(fails, AuditFailure{Index: pos, Check: CheckSignature, Detail: err.Error()})
 		}
-		for _, idx := range rounds[ri].Indices {
-			if failed[idx] {
-				rounds[ri].Outcome = RoundBadProof
-				break
-			}
-		}
 	}
+	return "", fails, sigs
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"sort"
 	"strconv"
@@ -239,42 +240,46 @@ func applyThresholdTrail(e *Evidence, tr *ThresholdTrail) {
 	e.ThresholdCombined = tr.CombinedDigest
 }
 
-// IssueEvidence signs an audit report into transferable evidence.
+var errNilReport = errors.New("core: nil audit report")
+
+// IssueEvidence signs a job audit report into transferable evidence.
 func (a *Agency) IssueEvidence(d *JobDelegation, report *AuditReport) (*Evidence, error) {
 	if report == nil {
-		return nil, fmt.Errorf("core: nil audit report")
+		return nil, errNilReport
 	}
-	e := &Evidence{
-		Version:             EvidenceVersion,
-		AuditorID:           a.key.ID,
-		JobID:               report.JobID,
-		UserID:              d.UserID,
-		ServerID:            d.ServerID,
-		Sampled:             append([]uint64(nil), report.Sampled...),
-		Valid:               report.Valid(),
-		FailureSummary:      summarizeFailures(report.Failures),
-		EffectiveSampleSize: report.EffectiveSampleSize,
-		NetworkFaultRounds:  report.NetworkFaultRounds(),
-		PlannedSampleSize:   report.PlannedSampleSize,
-		DegradedByOverload:  report.DegradedByOverload,
-		ShedRounds:          report.ShedRounds(),
-		HedgedRounds:        report.HedgedRounds(),
-		DetectionConfidence: report.AchievedConfidence,
-	}
-	applyThresholdTrail(e, report.Threshold)
-	return a.signEvidence(e)
+	return a.issueEvidence(report, d.UserID, d.ServerID, nil)
 }
 
 // IssueStorageEvidence signs a storage audit report into transferable
 // evidence, the stored-data twin of IssueEvidence.
-func (a *Agency) IssueStorageEvidence(serverID string, report *StorageAuditReport) (*Evidence, error) {
+func (a *Agency) IssueStorageEvidence(serverID string, report *AuditReport) (*Evidence, error) {
 	if report == nil {
-		return nil, fmt.Errorf("core: nil storage audit report")
+		return nil, errNilReport
 	}
+	return a.issueEvidence(report, report.UserID, serverID, nil)
+}
+
+// IssueFleetEvidence signs a fleet storage audit into transferable
+// evidence. The verdict names the PRIMARY replica (the server the audit
+// was aimed at); the failover summary records which rounds other
+// replicas answered, so a crashed primary shows up as moved rounds —
+// never as a bad proof — and the quorum summary carries the
+// localized-vs-provider-wide classification of any accusation.
+func (a *Agency) IssueFleetEvidence(f *Fleet, fr *FleetStorageReport) (*Evidence, error) {
+	if fr == nil || fr.Report == nil {
+		return nil, errNilReport
+	}
+	return a.issueEvidence(fr.Report, fr.UserID, f.ServerID(fr.Primary), fr)
+}
+
+// issueEvidence is the one report → Evidence builder: every audit flavor
+// signs the same fields; fr, when set, adds the fleet trail.
+func (a *Agency) issueEvidence(report *AuditReport, userID, serverID string, fr *FleetStorageReport) (*Evidence, error) {
 	e := &Evidence{
 		Version:             EvidenceVersion,
 		AuditorID:           a.key.ID,
-		UserID:              report.UserID,
+		JobID:               report.JobID,
+		UserID:              userID,
 		ServerID:            serverID,
 		Sampled:             append([]uint64(nil), report.Sampled...),
 		Valid:               report.Valid(),
@@ -287,39 +292,11 @@ func (a *Agency) IssueStorageEvidence(serverID string, report *StorageAuditRepor
 		HedgedRounds:        report.HedgedRounds(),
 		DetectionConfidence: report.AchievedConfidence,
 	}
+	if fr != nil {
+		e.FailoverSummary = summarizeFailovers(fr.Failovers)
+		e.QuorumSummary = summarizeQuorums(fr.Quorums)
+	}
 	applyThresholdTrail(e, report.Threshold)
-	return a.signEvidence(e)
-}
-
-// IssueFleetEvidence signs a fleet storage audit into transferable
-// evidence. The verdict names the PRIMARY replica (the server the audit
-// was aimed at); the failover summary records which rounds other
-// replicas answered, so a crashed primary shows up as moved rounds —
-// never as a bad proof — and the quorum summary carries the
-// localized-vs-provider-wide classification of any accusation.
-func (a *Agency) IssueFleetEvidence(f *Fleet, fr *FleetStorageReport) (*Evidence, error) {
-	if fr == nil || fr.Report == nil {
-		return nil, fmt.Errorf("core: nil fleet audit report")
-	}
-	e := &Evidence{
-		Version:             EvidenceVersion,
-		AuditorID:           a.key.ID,
-		UserID:              fr.UserID,
-		ServerID:            f.ServerID(fr.Primary),
-		Sampled:             append([]uint64(nil), fr.Report.Sampled...),
-		Valid:               fr.Report.Valid(),
-		FailureSummary:      summarizeFailures(fr.Report.Failures),
-		EffectiveSampleSize: fr.Report.EffectiveSampleSize,
-		NetworkFaultRounds:  fr.Report.NetworkFaultRounds(),
-		FailoverSummary:     summarizeFailovers(fr.Failovers),
-		QuorumSummary:       summarizeQuorums(fr.Quorums),
-		PlannedSampleSize:   fr.Report.PlannedSampleSize,
-		DegradedByOverload:  fr.Report.DegradedByOverload,
-		ShedRounds:          fr.Report.ShedRounds(),
-		HedgedRounds:        fr.Report.HedgedRounds(),
-		DetectionConfidence: fr.Report.AchievedConfidence,
-	}
-	applyThresholdTrail(e, fr.Report.Threshold)
 	return a.signEvidence(e)
 }
 

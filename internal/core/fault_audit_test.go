@@ -39,21 +39,22 @@ func (s *system) faultyLink(dropRate float64, seed int64) *netsim.Loopback {
 	})
 }
 
-func TestFaultMatrixHonestNeverAccused(t *testing.T) {
-	// Sweep loss rates up to 30%: with retries enabled the audit must
-	// complete and emit ZERO cheating evidence, no matter how many rounds
-	// the network eats.
+// testHonestNeverAccusedUnderLoss sweeps loss rates up to 30%: with retries
+// enabled the audit must complete and emit ZERO cheating evidence, no
+// matter how many rounds the network eats.
+func testHonestNeverAccusedUnderLoss(t *testing.T, storage bool) {
 	sys := newSystem(t, nil)
-	gen := workload.NewGenerator(40)
-	ds := gen.GenDataset(sys.user.ID(), 16, 8)
-	sys.storeDataset(t, ds)
-	job := workload.UniformJob(sys.user.ID(), funcs.Spec{Name: "digest"}, 16)
-	d := sys.runJob(t, "fault-honest", job)
+	ds := workload.NewGenerator(40).GenDataset(sys.user.ID(), 16, 8)
+	tg := sys.target(t, storage, ds, funcs.Spec{Name: "digest"}, "fault-honest")
 
 	analysis := &sampling.Params{CSC: 0.5, SSC: 0, R: math.Inf(1)}
+	if storage {
+		analysis = &sampling.Params{CSC: 0, SSC: 0.5, R: math.Inf(1)}
+	}
+	var drops int64
 	for _, drop := range []float64{0, 0.1, 0.2, 0.3} {
 		link := sys.faultyLink(drop, int64(1000+int(drop*100)))
-		report, err := sys.agency.AuditJob(link, d, AuditConfig{
+		report, err := tg.audit(link, AuditConfig{
 			SampleSize: 6,
 			Rng:        mrand.New(mrand.NewSource(int64(50 + drop*100))),
 			Rounds:     6, // one index per round: losses are granular
@@ -63,6 +64,7 @@ func TestFaultMatrixHonestNeverAccused(t *testing.T) {
 		if err != nil {
 			t.Fatalf("drop=%.1f: audit aborted instead of degrading: %v", drop, err)
 		}
+		drops += link.Stats().Faults.Drops
 		if !report.Valid() {
 			t.Fatalf("drop=%.1f: honest server accused: %+v", drop, report.Failures)
 		}
@@ -74,14 +76,14 @@ func TestFaultMatrixHonestNeverAccused(t *testing.T) {
 			t.Fatalf("drop=%.1f: fault rounds %d inconsistent with effective sample %d/%d",
 				drop, report.NetworkFaultRounds(), report.EffectiveSampleSize, report.SampleSize)
 		}
-		// Confidence must be recomputed for the achieved sample: 1 − CSC^k.
-		wantConf := 1 - math.Pow(analysis.CSC, float64(report.EffectiveSampleSize))
+		// Confidence must be recomputed for the achieved sample: 1 − 0.5^k.
+		wantConf := 1 - math.Pow(0.5, float64(report.EffectiveSampleSize))
 		if math.Abs(report.AchievedConfidence-wantConf) > 1e-9 {
 			t.Fatalf("drop=%.1f: achieved confidence %v, want %v for k=%d",
 				drop, report.AchievedConfidence, wantConf, report.EffectiveSampleSize)
 		}
 		// The signed verdict carries the degradation, and it verifies.
-		ev, err := sys.agency.IssueEvidence(d, report)
+		ev, err := tg.evidence(report)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -96,71 +98,65 @@ func TestFaultMatrixHonestNeverAccused(t *testing.T) {
 			t.Fatalf("drop=%.1f: evidence does not verify: %v", drop, err)
 		}
 	}
-}
-
-func TestFaultMatrixHonestStorageAuditUnderLoss(t *testing.T) {
-	sys := newSystem(t, nil)
-	gen := workload.NewGenerator(41)
-	ds := gen.GenDataset(sys.user.ID(), 12, 4)
-	sys.storeDataset(t, ds)
-	warrant, err := sys.user.Delegate(sys.agency.ID(), "", time.Now().Add(time.Hour))
-	if err != nil {
-		t.Fatal(err)
-	}
-	link := sys.faultyLink(0.3, 77)
-	report, err := sys.agency.AuditStorage(link, sys.user.ID(), warrant, StorageAuditConfig{
-		DatasetSize: 12,
-		SampleSize:  6,
-		Rng:         mrand.New(mrand.NewSource(9)),
-		Rounds:      6,
-		Retry:       faultRetrier(8, 4),
-		Analysis:    &sampling.Params{CSC: 0, SSC: 0.5, R: math.Inf(1)},
-	})
-	if err != nil {
-		t.Fatalf("storage audit aborted under loss: %v", err)
-	}
-	if !report.Valid() {
-		t.Fatalf("honest storage accused under loss: %+v", report.Failures)
-	}
-	if link.Stats().Faults.Drops == 0 {
+	if drops == 0 {
 		t.Fatal("no drops injected; test is vacuous")
 	}
 }
 
-func TestFaultMatrixStorageCheaterStillCaught(t *testing.T) {
-	// A total storage cheater is caught by ANY completed challenge; 30%
-	// loss only matters if the whole sample is lost, which retries make
-	// vanishingly unlikely.
-	sys := newSystem(t, &StorageCheater{KeepFraction: 0, Rng: mrand.New(mrand.NewSource(42))})
-	gen := workload.NewGenerator(42)
-	ds := gen.GenDataset(sys.user.ID(), 10, 4)
-	sys.storeDataset(t, ds)
-	warrant, err := sys.user.Delegate(sys.agency.ID(), "", time.Now().Add(time.Hour))
-	if err != nil {
-		t.Fatal(err)
+func TestFaultMatrixHonestNeverAccused(t *testing.T) { testHonestNeverAccusedUnderLoss(t, false) }
+func TestFaultMatrixHonestStorageAuditUnderLoss(t *testing.T) {
+	testHonestNeverAccusedUnderLoss(t, true)
+}
+
+// testCheaterStillCaughtUnderLoss is the dual of the honest sweep: loss
+// must not LAUNDER cheating either. A total cheater is caught by ANY
+// completed challenge; rounds that complete yield BadProof entries and a
+// false verdict even while other rounds are being dropped.
+func testCheaterStillCaughtUnderLoss(t *testing.T, storage bool) {
+	var policy CheatPolicy = &ComputationCheater{CSC: 0, Rng: mrand.New(mrand.NewSource(45))}
+	if storage {
+		policy = &StorageCheater{KeepFraction: 0, Rng: mrand.New(mrand.NewSource(42))}
 	}
-	link := sys.faultyLink(0.3, 101)
-	report, err := sys.agency.AuditStorage(link, sys.user.ID(), warrant, StorageAuditConfig{
-		DatasetSize: 10,
-		SampleSize:  5,
-		Rng:         mrand.New(mrand.NewSource(10)),
-		Rounds:      5,
-		Retry:       faultRetrier(11, 4),
+	sys := newSystem(t, policy)
+	ds := workload.NewGenerator(45).GenDataset(sys.user.ID(), 8, 4)
+	tg := sys.target(t, storage, ds, funcs.Spec{Name: "digest"}, "fault-badproof")
+
+	report, err := tg.audit(sys.faultyLink(0.3, 17), AuditConfig{
+		SampleSize: 6,
+		Rng:        mrand.New(mrand.NewSource(14)),
+		Rounds:     6,
+		Retry:      faultRetrier(15, 4),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if report.EffectiveSampleSize == 0 {
-		t.Skip("entire sample lost to the network (improbable seed); nothing to judge")
+		t.Skip("entire sample lost (improbable seed)")
 	}
 	if report.Valid() {
-		t.Fatal("total storage cheater escaped despite completed challenge rounds")
+		t.Fatal("total cheater escaped with completed rounds")
 	}
-	for _, f := range report.Failures {
-		if f.Check != CheckSignature {
-			t.Fatalf("unexpected failure kind %v", f.Check)
+	if storage {
+		for _, f := range report.Failures {
+			if f.Check != CheckSignature {
+				t.Fatalf("unexpected failure kind %v", f.Check)
+			}
 		}
 	}
+	sawBadProof := false
+	for _, rr := range report.Rounds {
+		if rr.Outcome == RoundBadProof {
+			sawBadProof = true
+		}
+	}
+	if !sawBadProof {
+		t.Fatalf("failures recorded but no round marked BadProof: %+v", report.Rounds)
+	}
+}
+
+func TestFaultMatrixStorageCheaterStillCaught(t *testing.T) { testCheaterStillCaughtUnderLoss(t, true) }
+func TestFaultMatrixBadProofStillAccusatoryUnderLoss(t *testing.T) {
+	testCheaterStillCaughtUnderLoss(t, false)
 }
 
 func TestFaultMatrixCheaterDetectionWithinBounds(t *testing.T) {
@@ -224,81 +220,42 @@ func TestFaultMatrixTimeoutRecordedNotAccused(t *testing.T) {
 	// A modeled hour-long delay against a 50ms round deadline: every round
 	// times out, the audit completes with zero coverage and zero
 	// accusations, and the trail says Timeout — not BadProof.
-	sys := newSystem(t, nil)
-	gen := workload.NewGenerator(44)
-	ds := gen.GenDataset(sys.user.ID(), 8, 4)
-	sys.storeDataset(t, ds)
-	job := workload.UniformJob(sys.user.ID(), funcs.Spec{Name: "sum"}, 8)
-	d := sys.runJob(t, "fault-slow", job)
+	for _, kind := range challengeKinds {
+		sys := newSystem(t, nil)
+		ds := workload.NewGenerator(44).GenDataset(sys.user.ID(), 8, 4)
+		tg := sys.target(t, kind.storage, ds, funcs.Spec{Name: "sum"}, "fault-slow")
 
-	link := netsim.NewLoopback(sys.servers[0], netsim.LinkConfig{}).WithFaults(netsim.FaultConfig{
-		Seed:      5,
-		DelayRate: 1,
-		Delay:     time.Hour,
-	})
-	report, err := sys.agency.AuditJob(link, d, AuditConfig{
-		SampleSize:   3,
-		Rng:          mrand.New(mrand.NewSource(12)),
-		Rounds:       3,
-		Retry:        faultRetrier(13, 2),
-		RoundTimeout: 50 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatalf("audit aborted on timeouts: %v", err)
-	}
-	if !report.Valid() {
-		t.Fatalf("timeouts converted into accusations: %+v", report.Failures)
-	}
-	if report.EffectiveSampleSize != 0 {
-		t.Fatalf("effective sample %d, want 0 under total delay", report.EffectiveSampleSize)
-	}
-	if len(report.Rounds) != 3 {
-		t.Fatalf("round trail has %d entries, want 3", len(report.Rounds))
-	}
-	for i, rr := range report.Rounds {
-		if rr.Outcome != RoundTimeout {
-			t.Fatalf("round %d outcome %v, want timeout", i, rr.Outcome)
+		link := netsim.NewLoopback(sys.servers[0], netsim.LinkConfig{}).WithFaults(netsim.FaultConfig{
+			Seed:      5,
+			DelayRate: 1,
+			Delay:     time.Hour,
+		})
+		report, err := tg.audit(link, AuditConfig{
+			SampleSize:   3,
+			Rng:          mrand.New(mrand.NewSource(12)),
+			Rounds:       3,
+			Retry:        faultRetrier(13, 2),
+			RoundTimeout: 50 * time.Millisecond,
+		})
+		if err != nil {
+			t.Fatalf("%s: audit aborted on timeouts: %v", kind.name, err)
 		}
-		if rr.Outcome.Accusatory() {
-			t.Fatalf("timeout outcome marked accusatory")
+		if !report.Valid() {
+			t.Fatalf("%s: timeouts converted into accusations: %+v", kind.name, report.Failures)
 		}
-	}
-}
-
-func TestFaultMatrixBadProofStillAccusatoryUnderLoss(t *testing.T) {
-	// The dual of the honest test: loss must not LAUNDER cheating either.
-	// Rounds that complete against a cheater yield BadProof entries and a
-	// false verdict even while other rounds are being dropped.
-	sys := newSystem(t, &ComputationCheater{CSC: 0, Rng: mrand.New(mrand.NewSource(45))})
-	gen := workload.NewGenerator(45)
-	ds := gen.GenDataset(sys.user.ID(), 8, 4)
-	sys.storeDataset(t, ds)
-	job := workload.UniformJob(sys.user.ID(), funcs.Spec{Name: "digest"}, 8)
-	d := sys.runJob(t, "fault-badproof", job)
-
-	link := sys.faultyLink(0.3, 17)
-	report, err := sys.agency.AuditJob(link, d, AuditConfig{
-		SampleSize: 6,
-		Rng:        mrand.New(mrand.NewSource(14)),
-		Rounds:     6,
-		Retry:      faultRetrier(15, 4),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if report.EffectiveSampleSize == 0 {
-		t.Skip("entire sample lost (improbable seed)")
-	}
-	if report.Valid() {
-		t.Fatal("CSC=0 cheater escaped with completed rounds")
-	}
-	sawBadProof := false
-	for _, rr := range report.Rounds {
-		if rr.Outcome == RoundBadProof {
-			sawBadProof = true
+		if report.EffectiveSampleSize != 0 {
+			t.Fatalf("%s: effective sample %d, want 0 under total delay", kind.name, report.EffectiveSampleSize)
 		}
-	}
-	if !sawBadProof {
-		t.Fatalf("failures recorded but no round marked BadProof: %+v", report.Rounds)
+		if len(report.Rounds) != 3 {
+			t.Fatalf("%s: round trail has %d entries, want 3", kind.name, len(report.Rounds))
+		}
+		for i, rr := range report.Rounds {
+			if rr.Outcome != RoundTimeout {
+				t.Fatalf("%s: round %d outcome %v, want timeout", kind.name, i, rr.Outcome)
+			}
+			if rr.Outcome.Accusatory() {
+				t.Fatalf("timeout outcome marked accusatory")
+			}
+		}
 	}
 }

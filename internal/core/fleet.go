@@ -11,7 +11,7 @@ import (
 	"time"
 
 	"seccloud/internal/netsim"
-	"seccloud/internal/sampling"
+	"seccloud/internal/obs"
 	"seccloud/internal/wire"
 )
 
@@ -337,14 +337,13 @@ func (f *Fleet) hedgeDelay(override time.Duration) time.Duration {
 	return 5 * time.Millisecond
 }
 
-// tripClient adapts the audit roundTrip machinery (retry policy plus
-// per-attempt timeout) into a netsim.Client so a hedge can race two fully
-// retried legs. Attempts are counted atomically: the losing leg may still
-// be draining when the winner returns.
+// tripClient adapts the engine's round trip (retry policy plus per-attempt
+// timeout) into a netsim.Client so a hedge can race two fully retried
+// legs. Attempts are counted atomically: the losing leg may still be
+// draining when the winner returns.
 type tripClient struct {
 	inner    netsim.Client
-	retry    *netsim.Retrier
-	timeout  time.Duration
+	ln       *link
 	attempts int64
 }
 
@@ -353,7 +352,7 @@ func (c *tripClient) RoundTrip(m wire.Message) (wire.Message, error) {
 }
 
 func (c *tripClient) RoundTripContext(ctx context.Context, m wire.Message) (wire.Message, error) {
-	resp, n, err := roundTrip(ctx, c.inner, c.retry, c.timeout, m)
+	resp, n, err := c.ln.trip(ctx, c.inner, m)
 	atomic.AddInt64(&c.attempts, int64(n))
 	return resp, err
 }
@@ -367,10 +366,10 @@ func (c *tripClient) Close() error { return nil }
 // set and one exists. It reports the total attempts across both legs, and
 // hedgeTo ≥ 0 when the duplicate's answer won.
 func (f *Fleet) hedgedTrip(
-	ctx context.Context, primary int, tried map[int]bool, retry *netsim.Retrier,
+	ctx context.Context, ln *link, primary int, tried map[int]bool,
 	cfg *FleetAuditConfig, req wire.Message,
 ) (resp wire.Message, attempts int, hedgeTo int, err error) {
-	pc := &tripClient{inner: f.clients[primary], retry: retry, timeout: cfg.Storage.RoundTimeout}
+	pc := &tripClient{inner: f.clients[primary], ln: ln}
 	sec := -1
 	if cfg.Hedge {
 		sec = f.hedgeTarget(primary, tried)
@@ -383,7 +382,7 @@ func (f *Fleet) hedgedTrip(
 		}
 		return resp, int(atomic.LoadInt64(&pc.attempts)), -1, err
 	}
-	sc := &tripClient{inner: f.clients[sec], retry: retry, timeout: cfg.Storage.RoundTimeout}
+	sc := &tripClient{inner: f.clients[sec], ln: ln}
 	start := time.Now()
 	resp, won, err := netsim.HedgedRoundTrip(ctx, pc, sc, f.hedgeDelay(cfg.HedgeDelay), req, f.hedge)
 	if err == nil && !won {
@@ -471,17 +470,7 @@ type QuorumResult struct {
 // across replicas; strictly fewer means the corruption is localized to
 // the accused; a tie — including zero completed votes — is inconclusive.
 func classifyVotes(votes []ReplicaVote) QuorumClass {
-	good, bad := 0, 0
-	for _, v := range votes {
-		if !v.Completed {
-			continue
-		}
-		if v.Bad {
-			bad++
-		} else {
-			good++
-		}
-	}
+	good, bad := tallyVotes(votes)
 	switch {
 	case good == 0 && bad == 0:
 		return QuorumInconclusive
@@ -492,6 +481,21 @@ func classifyVotes(votes []ReplicaVote) QuorumClass {
 	default:
 		return QuorumInconclusive
 	}
+}
+
+// tallyVotes counts the completed votes by verdict; abstentions count for
+// neither side.
+func tallyVotes(votes []ReplicaVote) (good, bad int) {
+	for _, v := range votes {
+		switch {
+		case !v.Completed:
+		case v.Bad:
+			bad++
+		default:
+			good++
+		}
+	}
+	return good, bad
 }
 
 // RepairPlan names exactly what audit-driven repair will copy: the
@@ -526,7 +530,7 @@ type FleetAuditConfig struct {
 	// Storage is the underlying per-round audit shape (sample size,
 	// rounds, retry, timeout, batching, workers). Resume is not
 	// supported here and must be nil.
-	Storage StorageAuditConfig
+	Storage AuditConfig
 	// Primary is the replica the audit challenges first.
 	Primary int
 	// QuorumK is how many witness replicas a BadProof is cross-examined
@@ -561,270 +565,135 @@ type FleetStorageReport struct {
 	// Primary is the replica the audit was aimed at.
 	Primary int
 	// Report is the fault-aware audit report; its RoundRecords carry the
-	// serving replica of every round.
-	Report *StorageAuditReport
+	// serving replica of every round and its Elapsed covers the whole
+	// pipeline, cross-examination and repair included.
+	Report *AuditReport
 	// Failovers is the round re-issue trail.
 	Failovers []FailoverEvent
 	// Quorums holds one cross-examination per accused replica.
 	Quorums []*QuorumResult
 	// Repairs holds the executed repair plans.
 	Repairs []*RepairResult
-	// Elapsed is the DA-side wall-clock duration of the whole pipeline.
-	Elapsed time.Duration
 }
 
 // FailedOver reports whether any round left the primary.
 func (r *FleetStorageReport) FailedOver() bool { return len(r.Failovers) > 0 }
 
-// AuditStorageFleet runs a storage audit against a replicated fleet.
+// fleetDispatch is the fleet dispatcher: each round is aimed at the
+// primary and re-issued to the next replica in index order — same
+// positions, so the paper's sampling game is unchanged; only the responder
+// moves — when the current one's breaker is open or the round trip fails
+// with a transport-class error. A round completes against the FIRST
+// replica that answers and is lost only when every replica is unreachable.
+type fleetDispatch struct {
+	f   *Fleet
+	cfg *FleetAuditConfig
+	fr  *FleetStorageReport // failover trail
+}
+
+// sequential: the breaker state a round observes depends on the rounds
+// before it, and running them in order makes the whole pipeline — and the
+// evidence it signs — a deterministic function of the challenge RNG and
+// the fault schedule.
+func (d *fleetDispatch) sequential() bool { return true }
+
+func (d *fleetDispatch) send(ctx context.Context, ln *link, ri int, rs *obs.Span, req wire.Message, rec *RoundRecord) (wire.Message, *roundLoss, error) {
+	f := d.f
+	tried := make(map[int]bool)
+	server := d.cfg.Primary
+	loss := &roundLoss{outcome: RoundNetworkFault, detail: "no replica available"}
+	failTo := func(reason string) {
+		tried[server] = true
+		next := f.nextReplica(tried)
+		if next >= 0 {
+			d.fr.Failovers = append(d.fr.Failovers, FailoverEvent{Round: ri, From: server, To: next, Reason: reason})
+			rec.FailedOver = true
+			hop := rs.Child("failover", "from", strconv.Itoa(server), "to", strconv.Itoa(next), "reason", reason)
+			hop.End()
+		}
+		server = next
+	}
+	for server >= 0 {
+		if !f.health.Breaker(server).Allow() {
+			loss.detail = "no replica available: breakers open"
+			failTo("breaker-open")
+			continue
+		}
+		resp, attempts, hedgeTo, err := f.hedgedTrip(ctx, ln, server, tried, d.cfg, req)
+		rec.Attempts += attempts
+		if err != nil {
+			if loss, err = ln.lost(err); err != nil {
+				return nil, nil, err
+			}
+			failTo(loss.outcome.String())
+			continue
+		}
+		rec.Replica = server
+		if hedgeTo >= 0 {
+			rec.Replica = hedgeTo
+			rec.Hedged = true
+		}
+		return resp, nil, nil
+	}
+	return nil, loss, nil
+}
+
+// AuditStorageFleet runs a storage audit against a replicated fleet: the
+// rounds of AuditStorage, dispatched through fleetDispatch so a crashed or
+// shedding replica moves the round instead of losing it — transport
+// failures stay non-accusatory exactly as in AuditStorage.
 //
-// Each challenge round is aimed at cfg.Primary. If the primary's breaker
-// is open, or the round fails with a transport-class error, the round is
-// re-issued to the next replica in index order — same positions, so the
-// paper's sampling game is unchanged; only the responder moves. A round
-// completes against the FIRST replica that answers; it is recorded as
-// lost (never as BadProof) only when every replica is unreachable, which
-// keeps transport failures non-accusatory exactly as in AuditStorage.
-//
-// Completed rounds' blocks then run the eq. 5/7 designated-signature
-// checks. Failures are attributed to the replica that SERVED the failing
-// round (RoundRecord.Replica), cross-examined on quorumK witnesses, and
-// — when the quorum localizes the corruption and cfg.Repair is set —
-// healed from a witness whose signatures verified.
-//
-// Rounds run sequentially, deliberately: the breaker state a round
-// observes depends on the rounds before it, and sequential execution
-// makes the whole pipeline — and the evidence it signs — a deterministic
-// function of the challenge RNG and the fault schedule.
+// Failures are attributed to the replica that SERVED the failing round
+// (RoundRecord.Replica), cross-examined on quorumK witnesses, and — when
+// the quorum localizes the corruption and cfg.Repair is set — healed from
+// a witness whose signatures verified.
 func (a *Agency) AuditStorageFleet(
 	f *Fleet, userID string, warrant wire.Warrant, cfg FleetAuditConfig,
 ) (*FleetStorageReport, error) {
-	start := a.clock()
-	root := a.obs.startAudit("fleet", "user", userID, "primary", strconv.Itoa(cfg.Primary))
-	defer root.End()
+	fr := &FleetStorageReport{UserID: userID, Primary: cfg.Primary}
+	kind := &storageKind{a: a, userID: userID, warrant: warrant}
+	run := a.startRun(auditRun{
+		typ: "fleet", userID: userID, cfg: &cfg.Storage, kind: kind,
+		disp:    &fleetDispatch{f: f, cfg: &cfg, fr: fr},
+		batched: cfg.Storage.BatchSignatures,
+	}, "user", userID, "primary", strconv.Itoa(cfg.Primary))
+	defer run.close()
 	if cfg.Primary < 0 || cfg.Primary >= f.NumServers() {
 		return nil, fmt.Errorf("core: fleet audit primary %d out of range [0,%d)", cfg.Primary, f.NumServers())
 	}
 	if cfg.Storage.Resume != nil {
 		return nil, fmt.Errorf("core: fleet audits do not support checkpoint resume")
 	}
-	rng, err := a.challengeRNG(cfg.Storage.Rng)
-	if err != nil {
+	if err := run.draw(cfg.Storage.DatasetSize); err != nil {
 		return nil, err
 	}
-	sample := SampleIndices(rng, cfg.Storage.DatasetSize, cfg.Storage.SampleSize)
-	plannedSample := len(sample)
-	degraded := false
-	if cfg.Storage.Overload != nil {
-		if reduced, ok := cfg.Storage.Overload.PlanSample(len(sample)); ok {
-			sample = sample[:reduced]
-			degraded = true
-			a.obs.degradedAudit("fleet")
+	report := run.report
+	fr.Report = report
+	if err := run.rounds(); err != nil {
+		return nil, err
+	}
+	for ri := range report.Rounds {
+		if report.Rounds[ri].Outcome.Lost() {
+			report.Rounds[ri].Replica = -1 // nobody answered
 		}
 	}
-	report := &StorageAuditReport{
-		UserID:             userID,
-		Sampled:            sample,
-		PlannedSampleSize:  plannedSample,
-		DegradedByOverload: degraded,
-		SigChecksBatched:   cfg.Storage.BatchSignatures,
-	}
-	fr := &FleetStorageReport{UserID: userID, Primary: cfg.Primary, Report: report}
-	if len(sample) == 0 {
-		fr.Elapsed = a.clock().Sub(start)
-		a.obs.finishAudit("fleet", report.Rounds, report.Failures, report.Valid(), fr.Elapsed)
-		a.obs.finishFleet(fr)
-		return fr, nil
+	if err := run.settle(); err != nil {
+		return nil, err
 	}
 
-	type served struct {
-		blocks [][]byte
-		sigs   []wire.BlockSig
+	// Attribute accusations to serving replicas: a failed index accuses
+	// the replica that served its round, a structurally refused round
+	// accuses the refusing replica of every position it was asked for.
+	failed := make(map[uint64]bool)
+	for _, fail := range report.Failures[run.preCheck:] {
+		failed[fail.Index] = true
 	}
-	chunks := splitRounds(sample, cfg.Storage.Rounds)
-	answers := make([]served, len(chunks))
-	ctx := context.Background()
-	if cfg.Storage.Deadline > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, cfg.Storage.Deadline)
-		defer cancel()
-	}
-	retry := cfg.Storage.Retry
-	if retry != nil && cfg.Storage.Budget != nil {
-		retry = retry.WithBudget(cfg.Storage.Budget)
-	}
-	var deniedBefore uint64
-	if cfg.Storage.Budget != nil {
-		deniedBefore = cfg.Storage.Budget.Denied()
-	}
-	for ri, chunk := range chunks {
-		rec := RoundRecord{Indices: append([]uint64(nil), chunk...), Replica: -1}
-		if ctx.Err() != nil {
-			// Audit deadline expired: remaining rounds are deadline-lost,
-			// never accusatory, and never hit the network.
-			rec.Outcome = RoundTimeout
-			rec.Detail = "audit deadline expired before dispatch"
-			report.Rounds = append(report.Rounds, rec)
-			continue
-		}
-		rs := roundSpan(root, ri)
-		tried := make(map[int]bool)
-		server := cfg.Primary
-		lastOutcome, lastDetail := RoundNetworkFault, "no replica available"
-		for server >= 0 {
-			failTo := func(reason string) {
-				tried[server] = true
-				next := f.nextReplica(tried)
-				if next >= 0 {
-					fr.Failovers = append(fr.Failovers, FailoverEvent{Round: ri, From: server, To: next, Reason: reason})
-					rec.FailedOver = true
-					hop := rs.Child("failover", "from", strconv.Itoa(server), "to", strconv.Itoa(next), "reason", reason)
-					hop.End()
-				}
-				server = next
-			}
-			if !f.health.Breaker(server).Allow() {
-				lastDetail = "no replica available: breakers open"
-				failTo("breaker-open")
-				continue
-			}
-			resp, attempts, hedgeTo, err := f.hedgedTrip(ctx, server, tried, retry, &cfg, &wire.StorageAuditRequest{
-				UserID:    userID,
-				Positions: chunk,
-				Warrant:   warrant,
-			})
-			rec.Attempts += attempts
-			if err != nil {
-				outcome, transport := classifyTransport(err)
-				if !transport {
-					return nil, fmt.Errorf("core: fleet audit round trip: %w", err)
-				}
-				lastOutcome, lastDetail = outcome, err.Error()
-				failTo(outcome.String())
-				continue
-			}
-			rec.Replica = server
-			if hedgeTo >= 0 {
-				rec.Replica = hedgeTo
-				rec.Hedged = true
-			}
-			sa, ok := resp.(*wire.StorageAuditResponse)
-			badProof := func(detail string) {
-				rec.Outcome = RoundBadProof
-				rec.Detail = detail
-				report.Failures = append(report.Failures, AuditFailure{Check: CheckResponse, Detail: detail})
-			}
-			switch {
-			case !ok:
-				badProof(fmt.Sprintf("unexpected storage audit response %T", resp))
-			case sa.Error != "":
-				badProof("server refused storage audit: " + sa.Error)
-			case len(sa.Blocks) != len(chunk) || len(sa.Sigs) != len(chunk):
-				badProof("wrong number of blocks in storage audit answer")
-			default:
-				rec.Outcome = RoundOK
-				rec.Completed = true
-				answers[ri] = served{blocks: sa.Blocks, sigs: sa.Sigs}
-			}
-			break
-		}
-		if server < 0 {
-			rec.Outcome = lastOutcome
-			rec.Detail = lastDetail
-		}
-		endRound(rs, &rec)
-		report.Rounds = append(report.Rounds, rec)
-	}
-
-	// Signature verification over the completed rounds, exactly as in
-	// AuditStorage, but with a position → serving-replica map so every
-	// failure can be attributed to the replica that answered it.
-	var positions []uint64
-	var blocks [][]byte
-	var sigs []wire.BlockSig
-	servedBy := make(map[uint64]int, len(sample))
-	for ri := range chunks {
-		rec := &report.Rounds[ri]
-		if rec.Replica >= 0 {
-			for _, pos := range chunks[ri] {
-				servedBy[pos] = rec.Replica
-			}
-		}
-		if rec.Outcome == RoundOK {
-			positions = append(positions, chunks[ri]...)
-			blocks = append(blocks, answers[ri].blocks...)
-			sigs = append(sigs, answers[ri].sigs...)
-		}
-	}
-	report.EffectiveSampleSize = len(positions)
-	if cfg.Storage.Budget != nil {
-		report.BudgetDenied = int(cfg.Storage.Budget.Denied() - deniedBefore)
-	}
-	if oc := cfg.Storage.Overload; oc != nil {
-		for i := range report.Rounds {
-			out := report.Rounds[i].Outcome
-			oc.Observe(out == RoundShed || out == RoundTimeout)
-		}
-	}
-	if cfg.Storage.Analysis != nil {
-		conf, err := sampling.DetectionConfidence(*cfg.Storage.Analysis, report.EffectiveSampleSize)
-		if err != nil {
-			return nil, fmt.Errorf("core: recomputing detection confidence: %w", err)
-		}
-		report.AchievedConfidence = conf
-	}
-
-	p := a.auditPool(cfg.Storage.Workers)
-	preCheck := len(report.Failures)
-	checks := make([]sigCheck, 0, len(positions))
-	for i, pos := range positions {
-		if err := a.decodeStoredSig(userID, pos, blocks[i], sigs[i], &checks); err != nil {
-			report.Failures = append(report.Failures, AuditFailure{
-				Index: pos, Check: CheckSignature, Detail: err.Error(),
-			})
-		}
-	}
-	trail := a.newTrail()
-	checkErrs, _, terr := a.verifySigBatch(context.Background(), checks, cfg.Storage.BatchSignatures, p, nil, trail)
-	if terr != nil {
-		return nil, terr
-	}
-	report.Threshold = trail
-	for i, err := range checkErrs {
-		if err != nil {
-			report.Failures = append(report.Failures, AuditFailure{
-				Index: checks[i].index, Check: CheckSignature, Detail: err.Error(),
-			})
-		}
-	}
-	downgradeRounds(report.Rounds, report.Failures[preCheck:])
-
-	// Attribute accusations to serving replicas. Round-level structural
-	// refusals (respFail) accuse the whole round's positions.
 	accused := make(map[int][]uint64)
-	seen := make(map[int]map[uint64]bool)
-	accuse := func(replica int, pos uint64) {
-		if replica < 0 {
-			return
-		}
-		if seen[replica] == nil {
-			seen[replica] = make(map[uint64]bool)
-		}
-		if !seen[replica][pos] {
-			seen[replica][pos] = true
-			accused[replica] = append(accused[replica], pos)
-		}
-	}
-	for _, fail := range report.Failures[preCheck:] {
-		if replica, ok := servedBy[fail.Index]; ok {
-			accuse(replica, fail.Index)
-		}
-	}
-	for ri := range chunks {
-		rec := &report.Rounds[ri]
-		if rec.Outcome == RoundBadProof && !rec.Completed {
-			for _, pos := range chunks[ri] {
-				accuse(rec.Replica, pos)
+	for _, rec := range report.Rounds {
+		refused := rec.Outcome == RoundBadProof && !rec.Completed
+		for _, pos := range rec.Indices {
+			if rec.Replica >= 0 && (refused || failed[pos]) {
+				accused[rec.Replica] = append(accused[rec.Replica], pos)
 			}
 		}
 	}
@@ -840,14 +709,14 @@ func (a *Agency) AuditStorageFleet(
 		for _, acc := range replicas {
 			pos := accused[acc]
 			sort.Slice(pos, func(i, j int) bool { return pos[i] < pos[j] })
-			qs := root.Child("quorum", "accused", strconv.Itoa(acc))
-			q, witnesses := a.crossExamine(ctx, f, userID, warrant, cfg, acc, pos)
+			qs := run.root.Child("quorum", "accused", strconv.Itoa(acc))
+			q, witnesses := a.crossExamine(run.ctx, f, kind, cfg, acc, pos)
 			qs.Annotate("class", q.Class.String())
 			qs.End()
 			fr.Quorums = append(fr.Quorums, q)
 			if cfg.Repair && q.Class == QuorumLocalized {
-				ps := root.Child("repair", "target", strconv.Itoa(acc))
-				rr := a.executeRepair(ctx, f, userID, warrant, cfg, acc, pos, witnesses)
+				ps := run.root.Child("repair", "target", strconv.Itoa(acc))
+				rr := a.executeRepair(run.ctx, f, kind, cfg, acc, pos, witnesses)
 				ps.Annotate("applied", strconv.FormatBool(rr.Applied))
 				ps.Annotate("confirmed", strconv.FormatBool(rr.Confirmed))
 				ps.End()
@@ -855,8 +724,7 @@ func (a *Agency) AuditStorageFleet(
 			}
 		}
 	}
-	fr.Elapsed = a.clock().Sub(start)
-	a.obs.finishAudit("fleet", report.Rounds, report.Failures, report.Valid(), fr.Elapsed)
+	run.finish()
 	a.obs.finishFleet(fr)
 	return fr, nil
 }
@@ -905,6 +773,17 @@ func (a *Agency) verifyStoredBlock(userID string, pos uint64, block []byte, sig 
 	return nil
 }
 
+// verifyStoredBlocks runs verifyStoredBlock over a shape-checked answer
+// for positions, stopping at the first block that fails.
+func (a *Agency) verifyStoredBlocks(userID string, positions []uint64, sa *wire.StorageAuditResponse) error {
+	for i, pos := range positions {
+		if err := a.verifyStoredBlock(userID, pos, sa.Blocks[i], sa.Sigs[i]); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // witnessAnswer is a witness's verified payload, kept as a repair source.
 type witnessAnswer struct {
 	server int
@@ -917,7 +796,7 @@ type witnessAnswer struct {
 // classifies the accusation. Witnesses whose answers verify are returned
 // as candidate repair sources.
 func (a *Agency) crossExamine(
-	ctx context.Context, f *Fleet, userID string, warrant wire.Warrant,
+	ctx context.Context, f *Fleet, kind *storageKind,
 	cfg FleetAuditConfig, accused int, positions []uint64,
 ) (*QuorumResult, []*witnessAnswer) {
 	q := &QuorumResult{Accused: accused, Positions: positions}
@@ -933,11 +812,7 @@ func (a *Agency) crossExamine(
 			q.Votes = append(q.Votes, vote)
 			continue
 		}
-		resp, _, err := roundTrip(ctx, f.clients[w], cfg.Storage.Retry, cfg.Storage.RoundTimeout, &wire.StorageAuditRequest{
-			UserID:    userID,
-			Positions: positions,
-			Warrant:   warrant,
-		})
+		resp, _, err := roundTrip(ctx, f.clients[w], cfg.Storage.Retry, cfg.Storage.RoundTimeout, kind.request(positions))
 		if err != nil {
 			// Transport or terminal: either way the witness abstains —
 			// cross-examination gathers evidence, it must not abort the
@@ -946,29 +821,14 @@ func (a *Agency) crossExamine(
 			q.Votes = append(q.Votes, vote)
 			continue
 		}
-		sa, ok := resp.(*wire.StorageAuditResponse)
-		switch {
-		case !ok:
-			vote.Completed, vote.Bad = true, true
-			vote.Detail = fmt.Sprintf("unexpected storage audit response %T", resp)
-		case sa.Error != "":
-			vote.Completed, vote.Bad = true, true
-			vote.Detail = "witness refused storage audit: " + sa.Error
-		case len(sa.Blocks) != len(positions) || len(sa.Sigs) != len(positions):
-			vote.Completed, vote.Bad = true, true
-			vote.Detail = "wrong number of blocks in witness answer"
-		default:
-			vote.Completed = true
-			for i, pos := range positions {
-				if err := a.verifyStoredBlock(userID, pos, sa.Blocks[i], sa.Sigs[i]); err != nil {
-					vote.Bad = true
-					vote.Detail = err.Error()
-					break
-				}
-			}
-			if !vote.Bad {
-				good = append(good, &witnessAnswer{server: w, blocks: sa.Blocks, sigs: sa.Sigs})
-			}
+		vote.Completed = true
+		sa, refusal := kind.accept(resp, len(positions))
+		if refusal != "" {
+			vote.Bad, vote.Detail = true, refusal
+		} else if err := a.verifyStoredBlocks(kind.userID, positions, sa); err != nil {
+			vote.Bad, vote.Detail = true, err.Error()
+		} else {
+			good = append(good, &witnessAnswer{server: w, blocks: sa.Blocks, sigs: sa.Sigs})
 		}
 		q.Votes = append(q.Votes, vote)
 	}
@@ -986,7 +846,7 @@ func (a *Agency) crossExamine(
 // The copy goes through the target's ordinary store path, so it inherits
 // log-before-ack durability when the server runs with a WAL.
 func (a *Agency) executeRepair(
-	ctx context.Context, f *Fleet, userID string, warrant wire.Warrant, cfg FleetAuditConfig,
+	ctx context.Context, f *Fleet, kind *storageKind, cfg FleetAuditConfig,
 	target int, positions []uint64, witnesses []*witnessAnswer,
 ) *RepairResult {
 	start := a.clock()
@@ -1000,14 +860,12 @@ func (a *Agency) executeRepair(
 	rr.Plan.Source = src.server
 	// Re-gate defensively: only blocks whose eq. 5/7 signature verifies
 	// may cross replicas, even if the witness already passed.
-	for i, pos := range positions {
-		if err := a.verifyStoredBlock(userID, pos, src.blocks[i], src.sigs[i]); err != nil {
-			rr.Detail = fmt.Sprintf("source block failed verification: %v", err)
-			return rr
-		}
+	if err := a.verifyStoredBlocks(kind.userID, positions, &wire.StorageAuditResponse{Blocks: src.blocks, Sigs: src.sigs}); err != nil {
+		rr.Detail = fmt.Sprintf("source block failed verification: %v", err)
+		return rr
 	}
 	resp, _, err := roundTrip(ctx, f.clients[target], cfg.Storage.Retry, cfg.Storage.RoundTimeout, &wire.StoreRequest{
-		UserID:    userID,
+		UserID:    kind.userID,
 		Positions: positions,
 		Blocks:    src.blocks,
 		Sigs:      src.sigs,
@@ -1029,25 +887,19 @@ func (a *Agency) executeRepair(
 
 	// Confirm: the target must now answer the exact repaired positions
 	// with verifying signatures.
-	resp, _, err = roundTrip(ctx, f.clients[target], cfg.Storage.Retry, cfg.Storage.RoundTimeout, &wire.StorageAuditRequest{
-		UserID:    userID,
-		Positions: positions,
-		Warrant:   warrant,
-	})
+	resp, _, err = roundTrip(ctx, f.clients[target], cfg.Storage.Retry, cfg.Storage.RoundTimeout, kind.request(positions))
 	if err != nil {
 		rr.Detail = fmt.Sprintf("re-audit after repair: %v", err)
 		return rr
 	}
-	sa, ok := resp.(*wire.StorageAuditResponse)
-	if !ok || sa.Error != "" || len(sa.Blocks) != len(positions) || len(sa.Sigs) != len(positions) {
+	sa, refusal := kind.accept(resp, len(positions))
+	if refusal != "" {
 		rr.Detail = "re-audit after repair returned a malformed answer"
 		return rr
 	}
-	for i, pos := range positions {
-		if err := a.verifyStoredBlock(userID, pos, sa.Blocks[i], sa.Sigs[i]); err != nil {
-			rr.Detail = fmt.Sprintf("re-audit after repair: %v", err)
-			return rr
-		}
+	if err := a.verifyStoredBlocks(kind.userID, positions, sa); err != nil {
+		rr.Detail = fmt.Sprintf("re-audit after repair: %v", err)
+		return rr
 	}
 	rr.Confirmed = true
 	return rr
@@ -1068,17 +920,7 @@ func summarizeFailovers(events []FailoverEvent) string {
 func summarizeQuorums(quorums []*QuorumResult) string {
 	parts := make([]string, len(quorums))
 	for i, q := range quorums {
-		good, bad := 0, 0
-		for _, v := range q.Votes {
-			if !v.Completed {
-				continue
-			}
-			if v.Bad {
-				bad++
-			} else {
-				good++
-			}
-		}
+		good, bad := tallyVotes(q.Votes)
 		parts[i] = fmt.Sprintf("accused=%d/%s/good=%d/bad=%d", q.Accused, q.Class, good, bad)
 	}
 	return strings.Join(parts, ",")

@@ -28,24 +28,28 @@ type fleetSystem struct {
 // server plus the DA), and issues a storage-audit warrant.
 func newFleetSystem(t testing.TB, n, blocks int) *fleetSystem {
 	t.Helper()
-	sys := newSystem(t, make([]CheatPolicy, n)...)
+	return newFleetSystemOn(t, newSystem(t, make([]CheatPolicy, n)...), blocks, nil, BreakerConfig{})
+}
+
+// newFleetSystemOn is newFleetSystem over an existing system's servers.
+// wrap, when set, decorates replica i's link after the dataset is stored.
+func newFleetSystemOn(
+	t testing.TB, sys *system, blocks int,
+	wrap func(i int, c netsim.Client) netsim.Client, bcfg BreakerConfig,
+) *fleetSystem {
+	t.Helper()
 	fs := &fleetSystem{system: sys}
-	clients := make([]netsim.Client, n)
-	ids := make([]string, n)
+	clients := make([]netsim.Client, len(sys.servers))
+	ids := make([]string, len(sys.servers))
 	for i, srv := range sys.servers {
 		dh := netsim.NewDownableHandler(srv)
 		fs.downs = append(fs.downs, dh)
 		clients[i] = netsim.NewLoopback(dh, netsim.LinkConfig{})
 		ids[i] = srv.ID()
 	}
-	fleet, err := NewFleet(clients, ids, BreakerConfig{})
-	if err != nil {
-		t.Fatalf("NewFleet: %v", err)
-	}
-	fs.fleet = fleet
-
 	fs.ds = workload.NewGenerator(7).GenDataset(sys.user.ID(), blocks, 4)
 	verifiers := append(append([]string(nil), ids...), sys.agency.ID())
+	var err error
 	fs.req, err = sys.user.PrepareStore(fs.ds, verifiers...)
 	if err != nil {
 		t.Fatalf("PrepareStore: %v", err)
@@ -54,6 +58,12 @@ func newFleetSystem(t testing.TB, n, blocks int) *fleetSystem {
 		if err := sys.user.Store(clients[i], fs.req); err != nil {
 			t.Fatalf("Store to server %d: %v", i, err)
 		}
+		if wrap != nil {
+			clients[i] = wrap(i, clients[i])
+		}
+	}
+	if fs.fleet, err = NewFleet(clients, ids, bcfg); err != nil {
+		t.Fatalf("NewFleet: %v", err)
 	}
 	fs.warrant, err = sys.user.Delegate(sys.agency.ID(), "", time.Now().Add(time.Hour))
 	if err != nil {
@@ -64,7 +74,7 @@ func newFleetSystem(t testing.TB, n, blocks int) *fleetSystem {
 
 func (fs *fleetSystem) auditCfg(sampleSize, rounds int, seed int64) FleetAuditConfig {
 	return FleetAuditConfig{
-		Storage: StorageAuditConfig{
+		Storage: AuditConfig{
 			DatasetSize:     fs.ds.NumBlocks(),
 			SampleSize:      sampleSize,
 			Rounds:          rounds,
@@ -304,7 +314,7 @@ func TestFleetQuorumLocalizedRepair(t *testing.T) {
 	}
 
 	// A follow-up audit of the repaired server must pass.
-	after, err := fs.agency.AuditStorage(fs.fleet.Client(bad), fs.user.ID(), fs.warrant, StorageAuditConfig{
+	after, err := fs.agency.AuditStorage(fs.fleet.Client(bad), fs.user.ID(), fs.warrant, AuditConfig{
 		DatasetSize: fs.ds.NumBlocks(),
 		SampleSize:  fs.ds.NumBlocks(),
 		Rng:         mrand.New(mrand.NewSource(6)),

@@ -2,7 +2,6 @@ package core
 
 import (
 	"strconv"
-	"time"
 
 	"seccloud/internal/obs"
 )
@@ -117,25 +116,25 @@ func endRound(rs *obs.Span, rec *RoundRecord) {
 // finishAudit records the instruments shared by every audit flavor:
 // per-round verdict counters, per-check failure attribution, the overall
 // result, and the DA-side duration.
-func (o *auditObs) finishAudit(typ string, rounds []RoundRecord, fails []AuditFailure, valid bool, elapsed time.Duration) {
+func (o *auditObs) finishAudit(typ string, r *AuditReport) {
 	if o == nil {
 		return
 	}
-	for i := range rounds {
-		o.rounds.With(typ, rounds[i].Outcome.String()).Inc()
-		if rounds[i].Hedged {
+	for i := range r.Rounds {
+		o.rounds.With(typ, r.Rounds[i].Outcome.String()).Inc()
+		if r.Rounds[i].Hedged {
 			o.hedges.With(typ).Inc()
 		}
 	}
-	for i := range fails {
-		o.checkFails.With(fails[i].Check.String()).Inc()
+	for i := range r.Failures {
+		o.checkFails.With(r.Failures[i].Check.String()).Inc()
 	}
 	result := "valid"
-	if !valid {
+	if !r.Valid() {
 		result = "invalid"
 	}
 	o.audits.With(typ, result).Inc()
-	o.duration.With(typ).Observe(elapsed.Seconds())
+	o.duration.With(typ).Observe(r.Elapsed.Seconds())
 }
 
 // finishFleet records the fleet-specific trail of one returned report:

@@ -100,7 +100,7 @@ func TestAuditObsNilHub(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	report, err := sys.agency.AuditStorage(sys.clients[0], sys.user.ID(), warrant, StorageAuditConfig{
+	report, err := sys.agency.AuditStorage(sys.clients[0], sys.user.ID(), warrant, AuditConfig{
 		DatasetSize: 8, SampleSize: 4, Rng: mrand.New(mrand.NewSource(3)), Workers: 4,
 	})
 	if err != nil {

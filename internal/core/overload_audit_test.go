@@ -72,75 +72,77 @@ func (c *latentCtxClient) Close() error                { return nil }
 // are recorded as RoundShed — never BadProof — leave the effective sample,
 // show up in v3 evidence, and are re-challenged on resume.
 func TestAuditJobShedRoundsNonAccusatory(t *testing.T) {
-	sys := newSystem(t, nil)
-	ds := workload.NewGenerator(61).GenDataset(sys.user.ID(), 16, 8)
-	sys.storeDataset(t, ds)
-	job := workload.UniformJob(sys.user.ID(), funcs.Spec{Name: "digest"}, 16)
-	d := sys.runJob(t, "shed-job", job)
+	for _, kind := range challengeKinds {
+		t.Run(kind.name, func(t *testing.T) {
+			sys := newSystem(t, nil)
+			ds := workload.NewGenerator(61).GenDataset(sys.user.ID(), 16, 8)
+			tg := sys.target(t, kind.storage, ds, funcs.Spec{Name: "digest"}, "shed-job")
 
-	link := &shedClient{
-		inner: netsim.NewLoopback(sys.servers[0], netsim.LinkConfig{}),
-		shed:  func(n int) bool { return n%2 == 1 }, // odd calls shed
-	}
-	analysis := &sampling.Params{CSC: 0.5, SSC: 0, R: math.Inf(1)}
-	report, err := sys.agency.AuditJob(link, d, AuditConfig{
-		SampleSize: 6,
-		Rng:        mrand.New(mrand.NewSource(11)),
-		Rounds:     6,
-		Analysis:   analysis,
-	})
-	if err != nil {
-		t.Fatalf("audit aborted on shed responses: %v", err)
-	}
-	if !report.Valid() {
-		t.Fatalf("shed rounds accused an honest server: %+v", report.Failures)
-	}
-	if got := report.ShedRounds(); got != 3 {
-		t.Fatalf("ShedRounds = %d, want 3", got)
-	}
-	if report.EffectiveSampleSize != 3 {
-		t.Fatalf("effective sample = %d, want 3", report.EffectiveSampleSize)
-	}
-	if report.NetworkFaultRounds() != 0 {
-		t.Fatalf("sheds leaked into NetworkFaultRounds: %d", report.NetworkFaultRounds())
-	}
-	for _, rr := range report.Rounds {
-		if rr.Outcome == RoundShed {
-			if rr.Outcome.Accusatory() {
-				t.Fatal("RoundShed claims to be accusatory")
+			link := &shedClient{
+				inner: netsim.NewLoopback(sys.servers[0], netsim.LinkConfig{}),
+				shed:  func(n int) bool { return n%2 == 1 }, // odd calls shed
 			}
-			if !rr.Outcome.Lost() {
-				t.Fatal("RoundShed not counted as lost")
+			analysis := &sampling.Params{CSC: 0.5, SSC: 0.5, R: math.Inf(1)}
+			report, err := tg.audit(link, AuditConfig{
+				SampleSize: 6,
+				Rng:        mrand.New(mrand.NewSource(11)),
+				Rounds:     6,
+				Analysis:   analysis,
+			})
+			if err != nil {
+				t.Fatalf("audit aborted on shed responses: %v", err)
 			}
-			if rr.Completed {
-				t.Fatal("shed round marked completed")
+			if !report.Valid() {
+				t.Fatalf("shed rounds accused an honest server: %+v", report.Failures)
 			}
-		}
-	}
+			if got := report.ShedRounds(); got != 3 {
+				t.Fatalf("ShedRounds = %d, want 3", got)
+			}
+			if report.EffectiveSampleSize != 3 {
+				t.Fatalf("effective sample = %d, want 3", report.EffectiveSampleSize)
+			}
+			if report.NetworkFaultRounds() != 0 {
+				t.Fatalf("sheds leaked into NetworkFaultRounds: %d", report.NetworkFaultRounds())
+			}
+			for _, rr := range report.Rounds {
+				if rr.Outcome == RoundShed {
+					if rr.Outcome.Accusatory() {
+						t.Fatal("RoundShed claims to be accusatory")
+					}
+					if !rr.Outcome.Lost() {
+						t.Fatal("RoundShed not counted as lost")
+					}
+					if rr.Completed {
+						t.Fatal("shed round marked completed")
+					}
+				}
+			}
 
-	// The signed verdict records the sheds and survives public verification.
-	ev, err := sys.agency.IssueEvidence(d, report)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ev.Version != EvidenceVersion || ev.ShedRounds != 3 || !ev.Valid {
-		t.Fatalf("evidence overload section wrong: %+v", ev)
-	}
-	if err := VerifyEvidence(sys.agency.scheme, ev); err != nil {
-		t.Fatalf("VerifyEvidence: %v", err)
-	}
+			// The signed verdict records the sheds and survives public verification.
+			ev, err := tg.evidence(report)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ev.Version != EvidenceVersion || ev.ShedRounds != 3 || !ev.Valid {
+				t.Fatalf("evidence overload section wrong: %+v", ev)
+			}
+			if err := VerifyEvidence(sys.agency.scheme, ev); err != nil {
+				t.Fatalf("VerifyEvidence: %v", err)
+			}
 
-	// Resume over a healthy link re-challenges exactly the shed rounds.
-	resumed, err := sys.agency.AuditJob(sys.clients[0], d, AuditConfig{
-		Resume:   report.Checkpoint(),
-		Analysis: analysis,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !resumed.Valid() || resumed.EffectiveSampleSize != 6 {
-		t.Fatalf("resume after sheds: valid=%v effective=%d, want 6",
-			resumed.Valid(), resumed.EffectiveSampleSize)
+			// Resume over a healthy link re-challenges exactly the shed rounds.
+			resumed, err := tg.audit(sys.clients[0], AuditConfig{
+				Resume:   report.Checkpoint(),
+				Analysis: analysis,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !resumed.Valid() || resumed.EffectiveSampleSize != 6 {
+				t.Fatalf("resume after sheds: valid=%v effective=%d, want 6",
+					resumed.Valid(), resumed.EffectiveSampleSize)
+			}
+		})
 	}
 }
 
@@ -148,42 +150,44 @@ func TestAuditJobShedRoundsNonAccusatory(t *testing.T) {
 // stops the retry loop across all rounds instead of multiplying offered
 // load, and the denials are recorded in the report.
 func TestRetryBudgetStopsAmplification(t *testing.T) {
-	sys := newSystem(t, nil)
-	ds := workload.NewGenerator(62).GenDataset(sys.user.ID(), 16, 8)
-	sys.storeDataset(t, ds)
-	job := workload.UniformJob(sys.user.ID(), funcs.Spec{Name: "digest"}, 16)
-	d := sys.runJob(t, "budget-job", job)
+	for _, kind := range challengeKinds {
+		t.Run(kind.name, func(t *testing.T) {
+			sys := newSystem(t, nil)
+			ds := workload.NewGenerator(62).GenDataset(sys.user.ID(), 16, 8)
+			tg := sys.target(t, kind.storage, ds, funcs.Spec{Name: "digest"}, "budget-job")
 
-	link := sys.faultyLink(1.0, 99) // the link eats everything
-	budget := netsim.NewRetryBudget(2, 0)
-	report, err := sys.agency.AuditJob(link, d, AuditConfig{
-		SampleSize: 4,
-		Rng:        mrand.New(mrand.NewSource(12)),
-		Rounds:     4,
-		Retry:      faultRetrier(7, 4),
-		Budget:     budget,
-	})
-	if err != nil {
-		t.Fatalf("budget exhaustion aborted the audit: %v", err)
-	}
-	if !report.Valid() {
-		t.Fatalf("budget-denied rounds accused the server: %+v", report.Failures)
-	}
-	// Round 1 burns the 2 tokens (attempts 1-2 retried, attempt 3 denied);
-	// every later round is denied its first retry. Without the budget this
-	// schedule sends 4×4 = 16 attempts; with it, 3+1+1+1 = 6.
-	total := 0
-	for _, rr := range report.Rounds {
-		total += rr.Attempts
-	}
-	if total != 6 {
-		t.Fatalf("total attempts = %d, want 6 (retry amplification not stopped)", total)
-	}
-	if report.BudgetDenied != 4 {
-		t.Fatalf("report.BudgetDenied = %d, want 4", report.BudgetDenied)
-	}
-	if budget.Denied() != 4 || budget.Spent() != 2 {
-		t.Fatalf("budget counters denied=%d spent=%d, want 4/2", budget.Denied(), budget.Spent())
+			link := sys.faultyLink(1.0, 99) // the link eats everything
+			budget := netsim.NewRetryBudget(2, 0)
+			report, err := tg.audit(link, AuditConfig{
+				SampleSize: 4,
+				Rng:        mrand.New(mrand.NewSource(12)),
+				Rounds:     4,
+				Retry:      faultRetrier(7, 4),
+				Budget:     budget,
+			})
+			if err != nil {
+				t.Fatalf("budget exhaustion aborted the audit: %v", err)
+			}
+			if !report.Valid() {
+				t.Fatalf("budget-denied rounds accused the server: %+v", report.Failures)
+			}
+			// Round 1 burns the 2 tokens (attempts 1-2 retried, attempt 3 denied);
+			// every later round is denied its first retry. Without the budget this
+			// schedule sends 4×4 = 16 attempts; with it, 3+1+1+1 = 6.
+			total := 0
+			for _, rr := range report.Rounds {
+				total += rr.Attempts
+			}
+			if total != 6 {
+				t.Fatalf("total attempts = %d, want 6 (retry amplification not stopped)", total)
+			}
+			if report.BudgetDenied != 4 {
+				t.Fatalf("report.BudgetDenied = %d, want 4", report.BudgetDenied)
+			}
+			if budget.Denied() != 4 || budget.Spent() != 2 {
+				t.Fatalf("budget counters denied=%d spent=%d, want 4/2", budget.Denied(), budget.Spent())
+			}
+		})
 	}
 }
 
@@ -191,53 +195,55 @@ func TestRetryBudgetStopsAmplification(t *testing.T) {
 // rounds and skips never-dispatched ones; lost coverage is recorded as
 // timeouts, never as cheating evidence.
 func TestAuditDeadlineBoundsAudit(t *testing.T) {
-	sys := newSystem(t, nil)
-	ds := workload.NewGenerator(63).GenDataset(sys.user.ID(), 16, 8)
-	sys.storeDataset(t, ds)
-	job := workload.UniformJob(sys.user.ID(), funcs.Spec{Name: "digest"}, 16)
-	d := sys.runJob(t, "deadline-job", job)
+	for _, kind := range challengeKinds {
+		t.Run(kind.name, func(t *testing.T) {
+			sys := newSystem(t, nil)
+			ds := workload.NewGenerator(63).GenDataset(sys.user.ID(), 16, 8)
+			tg := sys.target(t, kind.storage, ds, funcs.Spec{Name: "digest"}, "deadline-job")
 
-	link := &latentCtxClient{inner: netsim.NewLoopback(sys.servers[0], netsim.LinkConfig{}), d: 50 * time.Millisecond}
-	start := time.Now()
-	report, err := sys.agency.AuditJob(link, d, AuditConfig{
-		SampleSize: 6,
-		Rng:        mrand.New(mrand.NewSource(13)),
-		Rounds:     6,
-		Deadline:   125 * time.Millisecond,
-	})
-	elapsed := time.Since(start)
-	if err != nil {
-		t.Fatalf("deadline expiry aborted the audit: %v", err)
-	}
-	if elapsed > time.Second {
-		t.Fatalf("deadlined audit ran %v — deadline did not bound the run", elapsed)
-	}
-	if !report.Valid() {
-		t.Fatalf("deadline losses accused the server: %+v", report.Failures)
-	}
-	if report.EffectiveSampleSize == 0 || report.EffectiveSampleSize >= report.SampleSize {
-		t.Fatalf("effective sample = %d of %d; want partial completion",
-			report.EffectiveSampleSize, report.SampleSize)
-	}
-	undispatched := 0
-	for _, rr := range report.Rounds {
-		switch rr.Outcome {
-		case RoundOK, RoundTimeout:
-		default:
-			t.Fatalf("unexpected outcome %v under deadline: %+v", rr.Outcome, rr)
-		}
-		if rr.Detail == "audit deadline expired before dispatch" {
-			undispatched++
-			if rr.Attempts != 0 {
-				t.Fatalf("undispatched round hit the network: %+v", rr)
+			link := &latentCtxClient{inner: netsim.NewLoopback(sys.servers[0], netsim.LinkConfig{}), d: 50 * time.Millisecond}
+			start := time.Now()
+			report, err := tg.audit(link, AuditConfig{
+				SampleSize: 6,
+				Rng:        mrand.New(mrand.NewSource(13)),
+				Rounds:     6,
+				Deadline:   125 * time.Millisecond,
+			})
+			elapsed := time.Since(start)
+			if err != nil {
+				t.Fatalf("deadline expiry aborted the audit: %v", err)
 			}
-		}
-	}
-	if undispatched == 0 {
-		t.Fatal("no round recorded as never-dispatched; deadline did not stop dispatch")
-	}
-	if got := report.NetworkFaultRounds() + report.EffectiveSampleSize; got != report.SampleSize {
-		t.Fatalf("timeout accounting inconsistent: faults+effective = %d, want %d", got, report.SampleSize)
+			if elapsed > time.Second {
+				t.Fatalf("deadlined audit ran %v — deadline did not bound the run", elapsed)
+			}
+			if !report.Valid() {
+				t.Fatalf("deadline losses accused the server: %+v", report.Failures)
+			}
+			if report.EffectiveSampleSize == 0 || report.EffectiveSampleSize >= report.SampleSize {
+				t.Fatalf("effective sample = %d of %d; want partial completion",
+					report.EffectiveSampleSize, report.SampleSize)
+			}
+			undispatched := 0
+			for _, rr := range report.Rounds {
+				switch rr.Outcome {
+				case RoundOK, RoundTimeout:
+				default:
+					t.Fatalf("unexpected outcome %v under deadline: %+v", rr.Outcome, rr)
+				}
+				if rr.Detail == "audit deadline expired before dispatch" {
+					undispatched++
+					if rr.Attempts != 0 {
+						t.Fatalf("undispatched round hit the network: %+v", rr)
+					}
+				}
+			}
+			if undispatched == 0 {
+				t.Fatal("no round recorded as never-dispatched; deadline did not stop dispatch")
+			}
+			if got := report.NetworkFaultRounds() + report.EffectiveSampleSize; got != report.SampleSize {
+				t.Fatalf("timeout accounting inconsistent: faults+effective = %d, want %d", got, report.SampleSize)
+			}
+		})
 	}
 }
 
@@ -316,53 +322,58 @@ func TestOverloadControllerPlanSampleConcurrent(t *testing.T) {
 // record the planned size, the degradation flag, and the reduced
 // detection confidence — and the evidence still publicly verifies.
 func TestDegradedAuditStampsEvidence(t *testing.T) {
-	sys := newSystem(t, nil)
-	ds := workload.NewGenerator(64).GenDataset(sys.user.ID(), 16, 8)
-	sys.storeDataset(t, ds)
-	job := workload.UniformJob(sys.user.ID(), funcs.Spec{Name: "digest"}, 16)
-	d := sys.runJob(t, "degraded-job", job)
+	for _, kind := range challengeKinds {
+		t.Run(kind.name, func(t *testing.T) {
+			sys := newSystem(t, nil)
+			ds := workload.NewGenerator(64).GenDataset(sys.user.ID(), 16, 8)
+			tg := sys.target(t, kind.storage, ds, funcs.Spec{Name: "digest"}, "degraded-job")
 
-	oc := NewOverloadController(OverloadConfig{Threshold: 0.3, Window: 16, MinFraction: 0.25})
-	for i := 0; i < 16; i++ {
-		oc.Observe(i%2 == 0) // 50% loss rate
-	}
-	analysis := &sampling.Params{CSC: 0.5, SSC: 0, R: math.Inf(1)}
-	report, err := sys.agency.AuditJob(sys.clients[0], d, AuditConfig{
-		SampleSize: 8,
-		Rng:        mrand.New(mrand.NewSource(14)),
-		Rounds:     4,
-		Overload:   oc,
-		Analysis:   analysis,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !report.DegradedByOverload {
-		t.Fatal("audit did not degrade at 50% loss rate")
-	}
-	if report.PlannedSampleSize != 8 || report.SampleSize != 4 {
-		t.Fatalf("planned/actual = %d/%d, want 8/4", report.PlannedSampleSize, report.SampleSize)
-	}
-	if !report.Valid() {
-		t.Fatalf("degraded audit accused an honest server: %+v", report.Failures)
-	}
-	wantConf := 1 - math.Pow(analysis.CSC, 4)
-	if math.Abs(report.AchievedConfidence-wantConf) > 1e-9 {
-		t.Fatalf("achieved confidence %v, want %v for the reduced sample", report.AchievedConfidence, wantConf)
-	}
+			oc := NewOverloadController(OverloadConfig{Threshold: 0.3, Window: 16, MinFraction: 0.25})
+			for i := 0; i < 16; i++ {
+				oc.Observe(i%2 == 0) // 50% loss rate
+			}
+			analysis := &sampling.Params{CSC: 0.5, SSC: 0, R: math.Inf(1)}
+			if kind.storage {
+				analysis = &sampling.Params{CSC: 0, SSC: 0.5, R: math.Inf(1)}
+			}
+			report, err := tg.audit(sys.clients[0], AuditConfig{
+				SampleSize: 8,
+				Rng:        mrand.New(mrand.NewSource(14)),
+				Rounds:     4,
+				Overload:   oc,
+				Analysis:   analysis,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !report.DegradedByOverload {
+				t.Fatal("audit did not degrade at 50% loss rate")
+			}
+			if report.PlannedSampleSize != 8 || report.SampleSize != 4 {
+				t.Fatalf("planned/actual = %d/%d, want 8/4", report.PlannedSampleSize, report.SampleSize)
+			}
+			if !report.Valid() {
+				t.Fatalf("degraded audit accused an honest server: %+v", report.Failures)
+			}
+			wantConf := 1 - math.Pow(0.5, 4)
+			if math.Abs(report.AchievedConfidence-wantConf) > 1e-9 {
+				t.Fatalf("achieved confidence %v, want %v for the reduced sample", report.AchievedConfidence, wantConf)
+			}
 
-	ev, err := sys.agency.IssueEvidence(d, report)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !ev.DegradedByOverload || ev.PlannedSampleSize != 8 {
-		t.Fatalf("evidence missing degradation record: %+v", ev)
-	}
-	if math.Abs(ev.DetectionConfidence-report.AchievedConfidence) > 1e-12 {
-		t.Fatalf("evidence confidence %v drifted from report %v", ev.DetectionConfidence, report.AchievedConfidence)
-	}
-	if err := VerifyEvidence(sys.agency.scheme, ev); err != nil {
-		t.Fatalf("degraded evidence failed public verification: %v", err)
+			ev, err := tg.evidence(report)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !ev.DegradedByOverload || ev.PlannedSampleSize != 8 {
+				t.Fatalf("evidence missing degradation record: %+v", ev)
+			}
+			if math.Abs(ev.DetectionConfidence-report.AchievedConfidence) > 1e-12 {
+				t.Fatalf("evidence confidence %v drifted from report %v", ev.DetectionConfidence, report.AchievedConfidence)
+			}
+			if err := VerifyEvidence(sys.agency.scheme, ev); err != nil {
+				t.Fatalf("degraded evidence failed public verification: %v", err)
+			}
+		})
 	}
 }
 
@@ -385,7 +396,7 @@ func TestFleetShedFailsOverWithoutTrippingBreakers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := FleetAuditConfig{Storage: StorageAuditConfig{
+	cfg := FleetAuditConfig{Storage: AuditConfig{
 		DatasetSize:     fs.ds.NumBlocks(),
 		SampleSize:      6,
 		Rounds:          3,
@@ -430,7 +441,7 @@ func TestFleetBudgetExhaustionTripsNothingOpen(t *testing.T) {
 	fs := newFleetSystem(t, 2, 12)
 	fs.downs[0].SetDown(true)
 	budget := netsim.NewRetryBudget(1, 0)
-	cfg := FleetAuditConfig{Storage: StorageAuditConfig{
+	cfg := FleetAuditConfig{Storage: AuditConfig{
 		DatasetSize:     fs.ds.NumBlocks(),
 		SampleSize:      4,
 		Rounds:          1,
@@ -481,7 +492,7 @@ func TestFleetHedgedRoundsWinAndRecord(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := FleetAuditConfig{
-		Storage: StorageAuditConfig{
+		Storage: AuditConfig{
 			DatasetSize:     fs.ds.NumBlocks(),
 			SampleSize:      6,
 			Rounds:          3,

@@ -139,7 +139,7 @@ func TestDurableServerRecoversAndPassesAudits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sreport, err := sys.agency.AuditStorage(client2, sys.user.ID(), warrant, StorageAuditConfig{
+	sreport, err := sys.agency.AuditStorage(client2, sys.user.ID(), warrant, AuditConfig{
 		DatasetSize: 9, SampleSize: 9, Rng: mrand.New(mrand.NewSource(62)),
 	})
 	if err != nil {
@@ -292,7 +292,7 @@ func TestCrashMatrix(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			sreport, err := sys.agency.AuditStorage(client2, sys.user.ID(), warrant, StorageAuditConfig{
+			sreport, err := sys.agency.AuditStorage(client2, sys.user.ID(), warrant, AuditConfig{
 				DatasetSize: 10, SampleSize: 10, Rng: mrand.New(mrand.NewSource(66)),
 			})
 			if err != nil {

@@ -21,27 +21,20 @@ func fixedClock() func() time.Time {
 	return func() time.Time { return at }
 }
 
-// TestAuditDeterministicAcrossWorkers is the pipeline's core safety
-// property: with a fixed challenge RNG the report must be byte-identical
-// for every worker count — parallelism may only change how fast evidence
-// is produced, never what it says.
-func TestAuditDeterministicAcrossWorkers(t *testing.T) {
-	for _, cheat := range []bool{false, true} {
-		var policy CheatPolicy
-		if cheat {
-			policy = &StorageCheater{KeepFraction: 0, Rng: mrand.New(mrand.NewSource(40))}
-		}
+// testDeterministicAcrossWorkers is the pipeline's core safety property:
+// with a fixed challenge RNG the report must be byte-identical for every
+// worker count — parallelism may only change how fast evidence is
+// produced, never what it says.
+func testDeterministicAcrossWorkers(t *testing.T, storage bool) {
+	for _, policy := range []CheatPolicy{nil, &StorageCheater{KeepFraction: 0.5, Rng: mrand.New(mrand.NewSource(40))}} {
 		sys := newSystem(t, policy)
 		sys.agency.WithClock(fixedClock())
-		gen := workload.NewGenerator(41)
-		ds := gen.GenDataset(sys.user.ID(), 24, 4)
-		sys.storeDataset(t, ds)
-		job := workload.UniformJob(sys.user.ID(), funcs.Spec{Name: "sum"}, 24)
-		d := sys.runJob(t, "det-job", job)
+		ds := workload.NewGenerator(41).GenDataset(sys.user.ID(), 24, 4)
+		tg := sys.target(t, storage, ds, funcs.Spec{Name: "sum"}, "det-job")
 
 		var want *AuditReport
 		for _, workers := range []int{1, 2, 4, 8} {
-			report, err := sys.agency.AuditJob(sys.clients[0], d, AuditConfig{
+			report, err := tg.audit(sys.clients[0], AuditConfig{
 				SampleSize:      12,
 				Rng:             mrand.New(mrand.NewSource(42)),
 				BatchSignatures: true,
@@ -49,54 +42,23 @@ func TestAuditDeterministicAcrossWorkers(t *testing.T) {
 				Workers:         workers,
 			})
 			if err != nil {
-				t.Fatalf("cheat=%v workers=%d: %v", cheat, workers, err)
+				t.Fatalf("policy=%v workers=%d: %v", policy, workers, err)
 			}
 			if want == nil {
 				want = report
 				continue
 			}
 			if !reflect.DeepEqual(report, want) {
-				t.Fatalf("cheat=%v: report differs between 1 and %d workers:\n%+v\nvs\n%+v",
-					cheat, workers, report, want)
+				t.Fatalf("policy=%v: report differs between 1 and %d workers:\n%+v\nvs\n%+v",
+					policy, workers, report, want)
 			}
 		}
 	}
 }
 
-// TestStorageAuditDeterministicAcrossWorkers covers the storage-audit path
-// with the same invariant.
+func TestAuditDeterministicAcrossWorkers(t *testing.T) { testDeterministicAcrossWorkers(t, false) }
 func TestStorageAuditDeterministicAcrossWorkers(t *testing.T) {
-	sys := newSystem(t, &StorageCheater{KeepFraction: 0.5, Rng: mrand.New(mrand.NewSource(43))})
-	sys.agency.WithClock(fixedClock())
-	gen := workload.NewGenerator(44)
-	ds := gen.GenDataset(sys.user.ID(), 20, 4)
-	sys.storeDataset(t, ds)
-	warrant, err := sys.user.Delegate(sys.agency.ID(), "", time.Now().Add(time.Hour))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var want *StorageAuditReport
-	for _, workers := range []int{1, 3, 8} {
-		report, err := sys.agency.AuditStorage(sys.clients[0], sys.user.ID(), warrant, StorageAuditConfig{
-			DatasetSize:     20,
-			SampleSize:      10,
-			Rng:             mrand.New(mrand.NewSource(45)),
-			BatchSignatures: true,
-			Rounds:          5,
-			Workers:         workers,
-		})
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if want == nil {
-			want = report
-			continue
-		}
-		if !reflect.DeepEqual(report, want) {
-			t.Fatalf("storage report differs between 1 and %d workers:\n%+v\nvs\n%+v",
-				workers, report, want)
-		}
-	}
+	testDeterministicAcrossWorkers(t, true)
 }
 
 // TestConcurrentAuditsShareAgency runs many parallel audits against one
@@ -136,63 +98,6 @@ func TestConcurrentAuditsShareAgency(t *testing.T) {
 	for _, err := range errs {
 		if err != nil {
 			t.Fatal(err)
-		}
-	}
-}
-
-// TestAuditJobsDeterministicAcrossWorkers pins the multi-delegation path:
-// the shared challenge RNG is drawn sequentially before the fan-out, so
-// per-job samples (and thus reports) cannot depend on scheduling.
-func TestAuditJobsDeterministicAcrossWorkers(t *testing.T) {
-	sys := newSystem(t, nil, nil, nil)
-	sys.agency.WithClock(fixedClock())
-	gen := workload.NewGenerator(47)
-	var delegations []*JobDelegation
-	for si := range sys.servers {
-		ds := gen.GenDataset(sys.user.ID(), 8, 4)
-		req, err := sys.user.PrepareStore(ds, sys.servers[si].ID(), sys.agency.ID())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := sys.user.Store(sys.clients[si], req); err != nil {
-			t.Fatal(err)
-		}
-		job := workload.UniformJob(sys.user.ID(), funcs.Spec{Name: "sum"}, 8)
-		resp, err := sys.user.SubmitJob(sys.clients[si], fmt.Sprintf("multi-%d", si), job)
-		if err != nil {
-			t.Fatal(err)
-		}
-		warrant, err := sys.user.Delegate(sys.agency.ID(), fmt.Sprintf("multi-%d", si), time.Now().Add(time.Hour))
-		if err != nil {
-			t.Fatal(err)
-		}
-		delegations = append(delegations, &JobDelegation{
-			UserID:   sys.user.ID(),
-			ServerID: resp.ServerID,
-			JobID:    fmt.Sprintf("multi-%d", si),
-			Tasks:    TasksToWire(job),
-			Results:  resp.Results,
-			Root:     resp.Root,
-			RootSig:  resp.RootSig,
-			Warrant:  warrant,
-		})
-	}
-	var want *MultiAuditReport
-	for _, workers := range []int{1, 4} {
-		report, err := sys.agency.AuditJobs(sys.clients, delegations, AuditConfig{
-			SampleSize: 4,
-			Rng:        mrand.New(mrand.NewSource(48)),
-			Workers:    workers,
-		})
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if want == nil {
-			want = report
-			continue
-		}
-		if !reflect.DeepEqual(report, want) {
-			t.Fatalf("multi report differs between 1 and %d workers", workers)
 		}
 	}
 }

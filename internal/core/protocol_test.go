@@ -141,7 +141,7 @@ func TestHonestStorageAudit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	report, err := sys.agency.AuditStorage(sys.clients[0], sys.user.ID(), warrant, StorageAuditConfig{
+	report, err := sys.agency.AuditStorage(sys.clients[0], sys.user.ID(), warrant, AuditConfig{
 		DatasetSize: 10, SampleSize: 5, Rng: mrand.New(mrand.NewSource(3)),
 	})
 	if err != nil {
@@ -164,7 +164,7 @@ func TestStorageCheaterDetected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	report, err := sys.agency.AuditStorage(sys.clients[0], sys.user.ID(), warrant, StorageAuditConfig{
+	report, err := sys.agency.AuditStorage(sys.clients[0], sys.user.ID(), warrant, AuditConfig{
 		DatasetSize: 8, SampleSize: 4, Rng: mrand.New(mrand.NewSource(4)),
 	})
 	if err != nil {
@@ -538,7 +538,7 @@ func TestLazyServerSkipsStoreVerification(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	report, err := sys.agency.AuditStorage(lazyLink, sys.user.ID(), warrant, StorageAuditConfig{
+	report, err := sys.agency.AuditStorage(lazyLink, sys.user.ID(), warrant, AuditConfig{
 		DatasetSize: 3, SampleSize: 3, Rng: mrand.New(mrand.NewSource(24)),
 	})
 	if err != nil {

@@ -5,7 +5,6 @@ import (
 	"reflect"
 	"sync"
 	"testing"
-	"time"
 
 	"seccloud/internal/funcs"
 	"seccloud/internal/netsim"
@@ -38,36 +37,26 @@ func (c *crashAfterChallenges) Handle(m wire.Message) wire.Message {
 	return c.srv.Handle(m)
 }
 
-func TestAuditResumeReusesCheckpointedChallenges(t *testing.T) {
+// testResumeReusesCheckpointedChallenges crashes a durable server midway
+// through a 4-round audit, seals the checkpoint, restarts the server from
+// disk and resumes: the server must face the same challenge set, not a
+// second draw.
+func testResumeReusesCheckpointedChallenges(t *testing.T, storage bool) {
 	sys := newSystem(t)
 	dir := t.TempDir()
 	srv, client := durableServer(t, sys, dir, nil)
-
-	gen := workload.NewGenerator(70)
-	ds := gen.GenDataset(sys.user.ID(), 12, 4)
-	req, err := sys.user.PrepareStore(ds, srv.ID(), sys.agency.ID())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sys.user.Store(client, req); err != nil {
-		t.Fatal(err)
-	}
-	job := workload.UniformJob(sys.user.ID(), funcs.Spec{Name: "sum"}, 12)
-	resp, err := sys.user.SubmitJob(client, "res-job", job)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d := delegationFor(t, sys, srv.ID(), "res-job", job, resp)
+	ds := workload.NewGenerator(70).GenDataset(sys.user.ID(), 12, 4)
+	tg := sys.newAuditTarget(t, client, srv.ID(), storage, ds, funcs.Spec{Name: "sum"}, "res-job")
 
 	// The audit runs 4 sequential rounds; the server dies after round 2.
 	crashClient := netsim.NewLoopback(
 		&crashAfterChallenges{srv: srv, remaining: 2}, netsim.LinkConfig{})
-	report1, err := sys.agency.AuditJob(crashClient, d, AuditConfig{
+	report1, err := tg.audit(crashClient, AuditConfig{
 		SampleSize: 12, Rounds: 4, Workers: 1,
 		Rng: mrand.New(mrand.NewSource(71)),
 	})
 	if err != nil {
-		t.Fatalf("interrupted AuditJob: %v", err)
+		t.Fatalf("interrupted audit: %v", err)
 	}
 	if !srv.Crashed() {
 		t.Fatal("server did not crash mid-audit")
@@ -101,11 +90,9 @@ func TestAuditResumeReusesCheckpointedChallenges(t *testing.T) {
 	if !srv2.Recovery().Recovered {
 		t.Fatal("restart recovered nothing")
 	}
-	report2, err := sys.agency.AuditJob(client2, d, AuditConfig{
-		Resume: &ce.Checkpoint, Workers: 1,
-	})
+	report2, err := tg.audit(client2, AuditConfig{Resume: &ce.Checkpoint, Workers: 1})
 	if err != nil {
-		t.Fatalf("resumed AuditJob: %v", err)
+		t.Fatalf("resumed audit: %v", err)
 	}
 
 	// The acceptance bar: the resumed audit reuses the checkpointed
@@ -133,95 +120,30 @@ func TestAuditResumeReusesCheckpointedChallenges(t *testing.T) {
 	}
 
 	// The completed audit still yields ordinary transferable evidence.
-	ev, err := sys.agency.IssueEvidence(d, report2)
+	ev, err := tg.evidence(report2)
 	if err != nil {
-		t.Fatalf("IssueEvidence: %v", err)
+		t.Fatalf("issuing evidence: %v", err)
 	}
 	if err := VerifyEvidence(sys.user.scheme, ev); err != nil {
 		t.Fatalf("VerifyEvidence: %v", err)
 	}
 
-	// A checkpoint for a different job must be refused outright.
+	// A checkpoint for a different subject must be refused outright.
 	wrong := *cp
-	wrong.JobID = "some-other-job"
-	if _, err := sys.agency.AuditJob(client2, d, AuditConfig{Resume: &wrong}); err == nil {
-		t.Fatal("resume accepted a checkpoint for a different job")
+	if storage {
+		wrong.UserID = "user:someone-else"
+	} else {
+		wrong.JobID = "some-other-job"
+	}
+	if _, err := tg.audit(client2, AuditConfig{Resume: &wrong}); err == nil {
+		t.Fatal("resume accepted a checkpoint for a different subject")
 	}
 }
 
+func TestAuditResumeReusesCheckpointedChallenges(t *testing.T) {
+	testResumeReusesCheckpointedChallenges(t, false)
+}
+
 func TestStorageAuditResumeReusesCheckpointedChallenges(t *testing.T) {
-	sys := newSystem(t)
-	dir := t.TempDir()
-	srv, client := durableServer(t, sys, dir, nil)
-
-	gen := workload.NewGenerator(72)
-	ds := gen.GenDataset(sys.user.ID(), 12, 4)
-	req, err := sys.user.PrepareStore(ds, srv.ID(), sys.agency.ID())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sys.user.Store(client, req); err != nil {
-		t.Fatal(err)
-	}
-	warrant, err := sys.user.Delegate(sys.agency.ID(), "", time.Now().Add(time.Hour))
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	crashClient := netsim.NewLoopback(
-		&crashAfterChallenges{srv: srv, remaining: 2}, netsim.LinkConfig{})
-	report1, err := sys.agency.AuditStorage(crashClient, sys.user.ID(), warrant, StorageAuditConfig{
-		DatasetSize: 12, SampleSize: 12, Rounds: 4, Workers: 1,
-		Rng: mrand.New(mrand.NewSource(73)),
-	})
-	if err != nil {
-		t.Fatalf("interrupted AuditStorage: %v", err)
-	}
-	if got := report1.NetworkFaultRounds(); got != 2 {
-		t.Fatalf("lost rounds = %d, want 2", got)
-	}
-	if !report1.Valid() || !report1.Degraded() || report1.EffectiveSampleSize != 6 {
-		t.Fatalf("interrupted report: valid=%v degraded=%v effective=%d",
-			report1.Valid(), report1.Degraded(), report1.EffectiveSampleSize)
-	}
-
-	cp := report1.Checkpoint()
-	ce, err := sys.agency.SignCheckpoint(cp)
-	if err != nil {
-		t.Fatalf("SignCheckpoint: %v", err)
-	}
-	if err := VerifyCheckpoint(sys.user.scheme, ce); err != nil {
-		t.Fatalf("VerifyCheckpoint: %v", err)
-	}
-
-	srv2, client2 := durableServer(t, sys, dir, nil)
-	report2, err := sys.agency.AuditStorage(client2, sys.user.ID(), warrant, StorageAuditConfig{
-		Resume: &ce.Checkpoint, Workers: 1,
-	})
-	if err != nil {
-		t.Fatalf("resumed AuditStorage: %v", err)
-	}
-	if !reflect.DeepEqual(report2.Sampled, cp.Sampled) {
-		t.Fatalf("resumed sample differs:\n  got  %v\n  want %v", report2.Sampled, cp.Sampled)
-	}
-	for i := range cp.Rounds {
-		if !reflect.DeepEqual(report2.Rounds[i].Indices, cp.Rounds[i].Indices) {
-			t.Fatalf("round %d indices changed:\n  got  %v\n  want %v",
-				i, report2.Rounds[i].Indices, cp.Rounds[i].Indices)
-		}
-	}
-	if !report2.Valid() || report2.EffectiveSampleSize != 12 || report2.NetworkFaultRounds() != 0 {
-		t.Fatalf("resumed report: valid=%v effective=%d netfaults=%d",
-			report2.Valid(), report2.EffectiveSampleSize, report2.NetworkFaultRounds())
-	}
-	_ = srv2
-
-	// A checkpoint for a different user must be refused.
-	wrong := *cp
-	wrong.UserID = "user:someone-else"
-	if _, err := sys.agency.AuditStorage(client2, sys.user.ID(), warrant, StorageAuditConfig{
-		Resume: &wrong,
-	}); err == nil {
-		t.Fatal("resume accepted a checkpoint for a different user")
-	}
+	testResumeReusesCheckpointedChallenges(t, true)
 }

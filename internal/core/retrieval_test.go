@@ -39,7 +39,7 @@ func TestRetrievabilityAfterDeletion(t *testing.T) {
 		t.Fatal(err)
 	}
 	report, err := sys.agency.AuditStorage(sys.clients[0], sys.user.ID(), warrant,
-		StorageAuditConfig{
+		AuditConfig{
 			DatasetSize: coded.NumBlocks(), SampleSize: coded.NumBlocks(),
 			Rng: mrand.New(mrand.NewSource(8)), BatchSignatures: true,
 		})

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -9,7 +10,6 @@ import (
 
 	"seccloud/internal/netsim"
 	"seccloud/internal/obs"
-	"seccloud/internal/wire"
 )
 
 // SchedulerConfig shapes a long-lived multi-tenant audit scheduler.
@@ -213,34 +213,37 @@ func (s *AuditScheduler) Pending() int {
 
 // session is the per-slot state of one drained audit session.
 type session struct {
-	userID    string
-	client    netsim.Client
-	d         *JobDelegation
-	sample    []uint64
-	planned   int
-	degraded  bool
-	report    *AuditReport
-	sigChecks []sigCheck
-	checksAt  time.Time // when the session's own checks finished
+	userID   string
+	d        *JobDelegation
+	run      *auditRun
+	err      error     // terminal error from the session's rounds
+	checksAt time.Time // when the session's own checks finished
 }
 
-// Drain audits every queued session and empties the queue. Challenge
-// rounds and per-index checks fan out across the bounded pool; block
-// signatures flush through cross-tenant (or per-tenant) aggregates after
-// the fan-out. A tenant whose round is lost to the network/overload gets a
-// non-accusatory lost round, exactly like single-tenant audits; a tenant
-// that was never onboarded fails the whole drain (caller error).
+// Drain audits every queued session and empties the queue. Each session is
+// one pass through the audit round engine under the scheduler's two
+// policies — one round with one attempt, and a round-trip error of any
+// kind costs that tenant's round, never the drain — with the engine's
+// signature settlement replaced by cross-tenant (or per-tenant) aggregate
+// flushes after the fan-out. A tenant whose round is lost to the
+// network/overload gets a non-accusatory lost round, exactly like
+// single-tenant audits; a tenant that was never onboarded fails the whole
+// drain (caller error).
 func (s *AuditScheduler) Drain() (*MultiTenantReport, error) {
 	s.mu.Lock()
 	queue := s.queue
 	s.queue = nil
 	s.mu.Unlock()
 
-	start := s.agency.clock()
-	rng, err := s.agency.challengeRNG(s.cfg.Rng)
+	a := s.agency
+	start := a.clock()
+	rng, err := a.challengeRNG(s.cfg.Rng)
 	if err != nil {
 		return nil, err
 	}
+	p := a.auditPool(s.cfg.Workers)
+	// The round policy, spelled out: the whole sample in one round, sent once.
+	cfg := &AuditConfig{Rounds: 1, Retry: nil, BatchSignatures: true, Overload: s.cfg.Overload}
 
 	// Sequential pre-pass in enqueue order: resolve handles and draw every
 	// challenge set before any fan-out, so samples are worker-independent.
@@ -256,24 +259,21 @@ func (s *AuditScheduler) Drain() (*MultiTenantReport, error) {
 		if budget > len(d.Tasks) {
 			budget = len(d.Tasks)
 		}
-		planned := budget
 		t, degraded := s.cfg.Overload.PlanSample(budget)
-		sessions[i] = &session{
-			userID:   userID,
-			client:   client,
-			d:        d,
-			sample:   SampleIndices(rng, len(d.Tasks), t),
-			planned:  planned,
-			degraded: degraded,
+		run := &auditRun{
+			a: a, typ: "tenant", jobID: d.JobID, cfg: cfg, pool: p, disp: direct{client},
+			kind:    &jobKind{a: a, d: d, deferSigs: true},
+			batched: true, tolerant: true,
 		}
+		run.begin(SampleIndices(rng, len(d.Tasks), t), budget, degraded)
+		sessions[i] = &session{userID: userID, d: d, run: run}
 	}
 
 	// Fan-out: each session's challenge round trip plus per-index checks.
 	// Each slot writes only its own state.
-	p := s.agency.auditPool(s.cfg.Workers)
-	p.forEach(nil, len(sessions), func(i int) {
-		s.runSession(sessions[i], p)
-		sessions[i].checksAt = s.agency.clock()
+	p.forEach(context.Background(), len(sessions), func(i int) {
+		sessions[i].err = sessions[i].run.rounds()
+		sessions[i].checksAt = a.clock()
 	})
 
 	// Sequential assembly in enqueue order, then the deferred flushes.
@@ -281,13 +281,16 @@ func (s *AuditScheduler) Drain() (*MultiTenantReport, error) {
 	var deferred []sigCheck
 	var owners []int // deferred[k] belongs to sessions[owners[k]]
 	for i, sess := range sessions {
+		if sess.err != nil {
+			return nil, sess.err
+		}
 		out.Verdicts[i] = TenantVerdict{
 			UserID:  sess.userID,
 			JobID:   sess.d.JobID,
-			Report:  sess.report,
+			Report:  sess.run.report,
 			Latency: sess.checksAt.Sub(start),
 		}
-		for _, sc := range sess.sigChecks {
+		for _, sc := range sess.run.sigChecks {
 			deferred = append(deferred, sc)
 			owners = append(owners, i)
 		}
@@ -326,7 +329,9 @@ func (s *AuditScheduler) Drain() (*MultiTenantReport, error) {
 	// Keep each session's evidence trail consistent with the failures the
 	// flushes attributed after the fact.
 	for _, sess := range sessions {
-		downgradeRounds(sess.report.Rounds, sess.report.Failures)
+		if err := sess.run.conclude(); err != nil {
+			return nil, err
+		}
 	}
 
 	if s.obs != nil {
@@ -341,7 +346,7 @@ func (s *AuditScheduler) Drain() (*MultiTenantReport, error) {
 			s.obs.sessions.With(result).Inc()
 		}
 	}
-	out.Elapsed = s.agency.clock().Sub(start)
+	out.Elapsed = a.clock().Sub(start)
 	return out, nil
 }
 
@@ -358,7 +363,7 @@ func (s *AuditScheduler) flush(
 		return nil
 	}
 	out.Flushes++
-	errs, fellBack, terr := s.agency.verifySigBatch(nil, chunk, true, p, nil, nil)
+	errs, fellBack, terr := s.agency.verifySigBatch(context.Background(), chunk, true, p, nil, nil)
 	if terr != nil {
 		// Terminal (threshold quorum unavailable): the drain aborts
 		// without verdicts rather than attributing blame it cannot prove.
@@ -372,11 +377,8 @@ func (s *AuditScheduler) flush(
 			continue
 		}
 		sess := sessions[owners[k]]
-		sess.report.Failures = append(sess.report.Failures, AuditFailure{
-			Index: chunk[k].index, Check: CheckSignature,
-			Detail: fmt.Sprintf("tenant %s job %s index %d: %v",
-				sess.userID, sess.d.JobID, chunk[k].index, err),
-		})
+		sess.run.blame(chunk[k], fmt.Errorf("tenant %s job %s index %d: %v",
+			sess.userID, sess.d.JobID, chunk[k].index, err))
 	}
 	// Verdicts covered by this flush are now final: their latency extends
 	// to the flush's resolution.
@@ -397,91 +399,4 @@ func (s *AuditScheduler) flush(
 		}
 	}
 	return nil
-}
-
-// runSession executes one tenant's challenge round and per-index checks,
-// deferring signature checks for the drain-wide flush.
-func (s *AuditScheduler) runSession(sess *session, p *pool) {
-	a := s.agency
-	report := &AuditReport{
-		JobID:              sess.d.JobID,
-		SampleSize:         len(sess.sample),
-		PlannedSampleSize:  sess.planned,
-		Sampled:            sess.sample,
-		DegradedByOverload: sess.degraded,
-		SigChecksBatched:   true,
-	}
-	sess.report = report
-	if sess.degraded {
-		a.obs.degradedAudit("tenant")
-	}
-	if len(sess.sample) == 0 {
-		return
-	}
-	resp, err := sess.client.RoundTrip(&wire.ChallengeRequest{
-		JobID:   sess.d.JobID,
-		Indices: sess.sample,
-		Warrant: sess.d.Warrant,
-	})
-	if err != nil {
-		// Transport loss is liveness, not evidence: the round is recorded
-		// as lost and the effective sample shrinks, same as single-tenant
-		// audits. Unclassifiable errors count as network faults.
-		outcome, _ := classifyTransport(err)
-		if !outcome.Lost() {
-			outcome = RoundNetworkFault
-		}
-		report.Rounds = append(report.Rounds, RoundRecord{
-			Indices: sess.sample, Attempts: 1, Outcome: outcome, Detail: err.Error(),
-		})
-		s.cfg.Overload.Observe(true)
-		return
-	}
-	s.cfg.Overload.Observe(false)
-	ch, ok := resp.(*wire.ChallengeResponse)
-	if !ok {
-		report.Failures = append(report.Failures, AuditFailure{
-			Check: CheckResponse, Detail: fmt.Sprintf("unexpected challenge response %T", resp),
-		})
-		report.Rounds = append(report.Rounds, RoundRecord{
-			Indices: sess.sample, Attempts: 1, Outcome: RoundBadProof, Completed: true,
-		})
-		return
-	}
-	if ch.Error != "" {
-		report.Failures = append(report.Failures, AuditFailure{
-			Check: CheckResponse, Detail: "server refused challenge: " + ch.Error,
-		})
-		report.Rounds = append(report.Rounds, RoundRecord{
-			Indices: sess.sample, Attempts: 1, Outcome: RoundBadProof, Completed: true,
-		})
-		return
-	}
-	if len(ch.Items) != len(sess.sample) {
-		report.Failures = append(report.Failures, AuditFailure{
-			Check:  CheckResponse,
-			Detail: fmt.Sprintf("server answered %d of %d challenges", len(ch.Items), len(sess.sample)),
-		})
-		report.Rounds = append(report.Rounds, RoundRecord{
-			Indices: sess.sample, Attempts: 1, Outcome: RoundBadProof, Completed: true,
-		})
-		return
-	}
-	report.EffectiveSampleSize = len(sess.sample)
-	itemFails := make([][]AuditFailure, len(ch.Items))
-	itemSigs := make([][]sigCheck, len(ch.Items))
-	p.forEach(nil, len(ch.Items), func(k int) {
-		itemFails[k], itemSigs[k] = a.checkItem(sess.d, sess.sample[k], ch.Items[k], true)
-	})
-	for k := range ch.Items {
-		report.Failures = append(report.Failures, itemFails[k]...)
-		sess.sigChecks = append(sess.sigChecks, itemSigs[k]...)
-	}
-	outcome := RoundOK
-	if len(report.Failures) > 0 {
-		outcome = RoundBadProof
-	}
-	report.Rounds = append(report.Rounds, RoundRecord{
-		Indices: sess.sample, Attempts: 1, Outcome: outcome, Completed: true,
-	})
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"crypto/rand"
 	"fmt"
+	"io"
 	mrand "math/rand"
 	"strings"
 	"testing"
@@ -25,7 +26,16 @@ type tenantFixture struct {
 
 func newTenantFixture(t testing.TB, tenants, blocks int, cfg SchedulerConfig) *tenantFixture {
 	t.Helper()
-	sys := newSystem(t, nil)
+	return newTenantFixtureOn(t, newSystem(t, nil), tenants, blocks, cfg,
+		func(int) io.Reader { return rand.Reader })
+}
+
+// newTenantFixtureOn is newTenantFixture on server 0 of an existing
+// system; userRand supplies tenant i's signing randomness.
+func newTenantFixtureOn(
+	t testing.TB, sys *system, tenants, blocks int, cfg SchedulerConfig, userRand func(i int) io.Reader,
+) *tenantFixture {
+	t.Helper()
 	sp := sys.sio.Params()
 	reg := NewTenantRegistry(8)
 	sched := NewAuditScheduler(sys.agency, reg, cfg)
@@ -36,8 +46,8 @@ func newTenantFixture(t testing.TB, tenants, blocks int, cfg SchedulerConfig) *t
 		if err != nil {
 			t.Fatal(err)
 		}
-		usr := NewUser(sp, key, rand.Reader)
-		ds := workload.NewGenerator(int64(1000 + i)).GenDataset(id, blocks, 4)
+		usr := NewUser(sp, key, userRand(i))
+		ds := workload.NewGenerator(int64(1000+i)).GenDataset(id, blocks, 4)
 		req, err := usr.PrepareStore(ds, sys.servers[0].ID(), sys.agency.ID())
 		if err != nil {
 			t.Fatal(err)
@@ -72,6 +82,18 @@ func newTenantFixture(t testing.TB, tenants, blocks int, cfg SchedulerConfig) *t
 		f.jobIDs = append(f.jobIDs, jobID)
 	}
 	return f
+}
+
+// reattach points one tenant's sessions at a different link.
+func (f *tenantFixture) reattach(t testing.TB, id string, client netsim.Client) {
+	t.Helper()
+	_, d, _, err := f.sched.Registry().Session(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f.sched.Registry().attach(id, client, d, 0); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func TestTenantRegistry(t *testing.T) {
@@ -124,9 +146,19 @@ func TestSchedulerCrossTenantHonestDrain(t *testing.T) {
 		if got := f.sched.Pending(); got != tenants {
 			t.Fatalf("Pending() = %d, want %d", got, tenants)
 		}
+		// Count pairings across the whole drain: the deferred aggregate
+		// means ONE Miller loop for every tenant's signature checks. The
+		// counters are shared by every party in the deployment, so the
+		// ceiling also admits the server's own warrant check (2 Miller
+		// loops per session).
+		counters := f.sys.sio.Params().G1().Counters()
+		before := counters.Snapshot()
 		rep, err := f.sched.Drain()
 		if err != nil {
 			t.Fatalf("Drain: %v", err)
+		}
+		if got, wantMax := counters.Snapshot().Sub(before).MillerLoops, int64(tenants*2+1); got > wantMax {
+			t.Fatalf("drain used %d Miller loops, want ≤ %d", got, wantMax)
 		}
 		if !rep.Valid() || rep.Accusations() != 0 {
 			t.Fatalf("honest drain invalid: %s", rep.Fingerprint())
@@ -299,43 +331,139 @@ func TestCrossUserBlameAttribution(t *testing.T) {
 
 // TestSchedulerAllShedDrain: a drain whose every round is shed produces
 // lost (non-accusatory) verdicts and ZERO flushes — the empty aggregate
-// is skipped, never treated as "verified" (the ErrEmptyBatch contract).
+// is skipped, never treated as "verified" (the ErrEmptyBatch contract) —
+// and the sheds reach the overload controller as pressure.
 func TestSchedulerAllShedDrain(t *testing.T) {
 	const tenants = 3
+	oc := NewOverloadController(OverloadConfig{Window: 16})
 	f := newTenantFixture(t, tenants, 8, SchedulerConfig{
 		CrossTenantBatch: true,
 		SampleSize:       3,
 		Rng:              mrand.New(mrand.NewSource(13)),
+		Overload:         oc,
 	})
 	shedAll := &shedClient{inner: f.sys.clients[0], shed: func(int) bool { return true }}
 	for _, id := range f.ids {
-		client, d, _, err := f.sched.Registry().Session(id)
+		f.reattach(t, id, shedAll)
+	}
+	for drain := 0; drain < 3; drain++ { // 9 rounds ≥ minObserved
+		for _, id := range f.ids {
+			f.sched.Enqueue(id)
+		}
+		rep, err := f.sched.Drain()
 		if err != nil {
 			t.Fatal(err)
 		}
-		_ = client
-		if err := f.sched.Registry().attach(id, shedAll, d, 0); err != nil {
+		if !rep.Valid() {
+			t.Fatalf("all-shed drain produced accusations: %s", rep.Fingerprint())
+		}
+		if rep.Flushes != 0 || rep.BatchedSigItems != 0 {
+			t.Fatalf("all-shed drain flushed: flushes=%d items=%d", rep.Flushes, rep.BatchedSigItems)
+		}
+		for _, v := range rep.Verdicts {
+			if v.Report.EffectiveSampleSize != 0 {
+				t.Fatalf("shed session has effective sample %d", v.Report.EffectiveSampleSize)
+			}
+			if len(v.Report.Rounds) != 1 || v.Report.Rounds[0].Outcome != RoundShed {
+				t.Fatalf("shed session rounds: %+v", v.Report.Rounds)
+			}
+		}
+	}
+	if got, degraded := oc.PlanSample(8); !degraded || got >= 8 {
+		t.Fatalf("PlanSample(8) = %d, %v after three all-shed drains; sheds are overload pressure", got, degraded)
+	}
+}
+
+// TestSchedulerNetworkFaultIsNotOverloadPressure: a tenant behind a dead
+// or lossy link loses its rounds to RoundNetworkFault, which says nothing
+// about server load — it must not shrink everyone's challenge set along
+// the Theorem-3 curve. (The scheduler used to feed every transport error
+// to the controller.)
+func TestSchedulerNetworkFaultIsNotOverloadPressure(t *testing.T) {
+	const tenants = 3
+	oc := NewOverloadController(OverloadConfig{Window: 16})
+	f := newTenantFixture(t, tenants, 8, SchedulerConfig{
+		CrossTenantBatch: true,
+		SampleSize:       3,
+		Rng:              mrand.New(mrand.NewSource(14)),
+		Overload:         oc,
+	})
+	down := netsim.NewDownableHandler(f.sys.servers[0])
+	down.SetDown(true)
+	for _, id := range f.ids {
+		f.reattach(t, id, netsim.NewLoopback(down, netsim.LinkConfig{}))
+	}
+	for drain := 0; drain < 3; drain++ {
+		for _, id := range f.ids {
+			f.sched.Enqueue(id)
+		}
+		rep, err := f.sched.Drain()
+		if err != nil {
 			t.Fatal(err)
 		}
+		for _, v := range rep.Verdicts {
+			if len(v.Report.Rounds) != 1 || v.Report.Rounds[0].Outcome != RoundNetworkFault {
+				t.Fatalf("dead-link session rounds: %+v", v.Report.Rounds)
+			}
+			if v.Report.DegradedByOverload {
+				t.Fatalf("drain %d: network faults degraded %s's sample", drain, v.UserID)
+			}
+		}
+	}
+	if got, degraded := oc.PlanSample(8); degraded || got != 8 {
+		t.Fatalf("PlanSample(8) = %d, %v after three network-fault drains, want 8, false", got, degraded)
+	}
+	if rate := oc.LossRate(); rate != 0 {
+		t.Fatalf("overload loss rate = %v after network faults only, want 0", rate)
+	}
+}
+
+// TestSchedulerRefusedRoundNotCompleted: a round the server answered with
+// a structural refusal is accusatory but NOT Completed — no item of it was
+// checked — so a resume from the session's checkpoint carries the verdict
+// forward without counting its indices as effective sample. (The scheduler
+// used to record such rounds as Completed.)
+func TestSchedulerRefusedRoundNotCompleted(t *testing.T) {
+	f := newTenantFixture(t, 2, 8, SchedulerConfig{
+		CrossTenantBatch: true,
+		SampleSize:       3,
+		Rng:              mrand.New(mrand.NewSource(15)),
+	})
+	// A second server that holds no job of tenant 1's refuses its challenge.
+	other := newSystem(t, nil)
+	f.reattach(t, f.ids[1], other.clients[0])
+	for _, id := range f.ids {
 		f.sched.Enqueue(id)
 	}
 	rep, err := f.sched.Drain()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !rep.Valid() {
-		t.Fatalf("all-shed drain produced accusations: %s", rep.Fingerprint())
+	if !rep.Verdicts[0].Report.Valid() || rep.Accusations() != 1 {
+		t.Fatalf("want exactly tenant 1 accused:\n%s", rep.Fingerprint())
 	}
-	if rep.Flushes != 0 || rep.BatchedSigItems != 0 {
-		t.Fatalf("all-shed drain flushed: flushes=%d items=%d", rep.Flushes, rep.BatchedSigItems)
+	report := rep.Verdicts[1].Report
+	if len(report.Failures) != 1 || report.Failures[0].Check != CheckResponse {
+		t.Fatalf("refused session failures: %+v", report.Failures)
 	}
-	for _, v := range rep.Verdicts {
-		if v.Report.EffectiveSampleSize != 0 {
-			t.Fatalf("shed session has effective sample %d", v.Report.EffectiveSampleSize)
-		}
-		if len(v.Report.Rounds) != 1 || v.Report.Rounds[0].Outcome != RoundShed {
-			t.Fatalf("shed session rounds: %+v", v.Report.Rounds)
-		}
+	rr := report.Rounds[0]
+	if rr.Outcome != RoundBadProof || rr.Completed || !strings.Contains(rr.Detail, "server refused challenge") {
+		t.Fatalf("refused round recorded as %+v; want bad-proof, not completed, with the refusal", rr)
+	}
+	if report.EffectiveSampleSize != 0 {
+		t.Fatalf("refused session has effective sample %d", report.EffectiveSampleSize)
+	}
+	_, d, _, err := f.sched.Registry().Session(f.ids[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	resumed, err := f.sys.agency.AuditJob(f.sys.clients[0], d, AuditConfig{Resume: report.Checkpoint()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resumed.Valid() || resumed.EffectiveSampleSize != 0 || len(resumed.Rounds) != 1 || resumed.Rounds[0].Attempts != 1 {
+		t.Fatalf("resume re-judged a refused round: valid=%v effective=%d rounds=%+v",
+			resumed.Valid(), resumed.EffectiveSampleSize, resumed.Rounds)
 	}
 }
 

@@ -8,9 +8,9 @@ import (
 
 // sigCheck is one pending block-signature verification: the designated
 // signature des must verify over msg, and a failure is attributed to the
-// sampled index. All three audit paths (AuditJob, AuditStorage, AuditJobs)
-// assemble their signature work into this one shape so the batch-versus-
-// individual decision lives in exactly one place.
+// sampled index. Both challenge kinds assemble their signature work into
+// this one shape so the batch-versus-individual decision lives in exactly
+// one place, whether the engine settles it or the scheduler flushes it.
 type sigCheck struct {
 	index uint64
 	msg   []byte
@@ -24,9 +24,8 @@ type sigCheck struct {
 // verification to attribute blame (the error-locating idea of the paper's
 // reference [10]). The individual pass fans out across the pool; results
 // land in their own slots, so output order is independent of scheduling.
-// ctx aborts the individual fan-out on terminal audit errors; audit
-// deadlines deliberately do NOT reach here (see AuditJob's verifyCtx) —
-// answered rounds always verify in full.
+// ctx aborts the individual fan-out; audit deadlines deliberately do NOT
+// reach here (see auditRun.settle) — answered rounds always verify in full.
 //
 // The second return reports whether the per-item fallback ran — callers
 // attributing blame across tenants (and the scheduler's fallback counter)

@@ -35,7 +35,7 @@ func TestColdDataCheaterCaughtProportionally(t *testing.T) {
 	// Full-coverage audit: every cold block must be flagged, every hot
 	// block must pass.
 	report, err := sys.agency.AuditStorage(sys.clients[0], sys.user.ID(), warrant,
-		StorageAuditConfig{DatasetSize: blocks, SampleSize: blocks,
+		AuditConfig{DatasetSize: blocks, SampleSize: blocks,
 			Rng: mrand.New(mrand.NewSource(1))})
 	if err != nil {
 		t.Fatal(err)
@@ -78,13 +78,13 @@ func TestStorageAuditBatchedMatchesIndividual(t *testing.T) {
 				t.Fatal(err)
 			}
 			indiv, err := sys.agency.AuditStorage(sys.clients[0], sys.user.ID(), warrant,
-				StorageAuditConfig{DatasetSize: 12, SampleSize: 12,
+				AuditConfig{DatasetSize: 12, SampleSize: 12,
 					Rng: mrand.New(mrand.NewSource(3))})
 			if err != nil {
 				t.Fatal(err)
 			}
 			batched, err := sys.agency.AuditStorage(sys.clients[0], sys.user.ID(), warrant,
-				StorageAuditConfig{DatasetSize: 12, SampleSize: 12,
+				AuditConfig{DatasetSize: 12, SampleSize: 12,
 					Rng: mrand.New(mrand.NewSource(3)), BatchSignatures: true})
 			if err != nil {
 				t.Fatal(err)
@@ -128,7 +128,7 @@ func TestStorageAuditZeroSample(t *testing.T) {
 		t.Fatal(err)
 	}
 	report, err := sys.agency.AuditStorage(sys.clients[0], sys.user.ID(), warrant,
-		StorageAuditConfig{DatasetSize: 4, SampleSize: 0})
+		AuditConfig{DatasetSize: 4, SampleSize: 0})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -87,8 +87,8 @@ func (f *thrFixture) storeAndWarrant(t testing.TB, blocks int) wire.Warrant {
 	return warrant
 }
 
-func storageCfg(seed int64, workers int) StorageAuditConfig {
-	return StorageAuditConfig{
+func storageCfg(seed int64, workers int) AuditConfig {
+	return AuditConfig{
 		DatasetSize:     20,
 		SampleSize:      10,
 		Rng:             mrand.New(mrand.NewSource(seed)),

@@ -122,7 +122,7 @@ func (a *Auditor) RunOnce(ctx context.Context) ([]AuditOutcome, error) {
 			outcomes = append(outcomes, out)
 			continue
 		}
-		report, err := a.cfg.Universe.StorageAudit(client, warrant, a.cfg.Seed+int64(sweep), core.StorageAuditConfig{
+		report, err := a.cfg.Universe.StorageAudit(client, warrant, a.cfg.Seed+int64(sweep), core.AuditConfig{
 			DatasetSize:     a.cfg.DatasetSize,
 			SampleSize:      a.cfg.SampleSize,
 			Rounds:          a.cfg.Rounds,

@@ -16,7 +16,7 @@ import (
 // error text, replica routing, timings — are excluded, so the same
 // seeded audit of the same universe must render byte-identically whether
 // it ran over the in-process simulator or a real daemon socket.
-func CanonicalReport(r *core.StorageAuditReport) string {
+func CanonicalReport(r *core.AuditReport) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "user=%s valid=%t effective=%d planned=%d batched=%t\n",
 		r.UserID, r.Valid(), r.EffectiveSampleSize, r.PlannedSampleSize, r.SigChecksBatched)
@@ -35,7 +35,7 @@ func CanonicalReport(r *core.StorageAuditReport) string {
 // Equal fingerprints mean equal verdicts, block for block and round for
 // round — the cross-transport determinism check the daemon experiment
 // gates on.
-func FingerprintReports(reports ...*core.StorageAuditReport) string {
+func FingerprintReports(reports ...*core.AuditReport) string {
 	h := sha256.New()
 	for _, r := range reports {
 		h.Write([]byte(CanonicalReport(r)))

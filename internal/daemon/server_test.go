@@ -63,8 +63,8 @@ func startDaemon(t testing.TB, h netsim.Handler, mutate func(*ServerConfig)) *Se
 	return s
 }
 
-func testAuditConfig(stream int) core.StorageAuditConfig {
-	return core.StorageAuditConfig{
+func testAuditConfig(stream int) core.AuditConfig {
+	return core.AuditConfig{
 		DatasetSize:     testBlocks,
 		SampleSize:      testSample,
 		Rounds:          testRounds,
@@ -73,7 +73,7 @@ func testAuditConfig(stream int) core.StorageAuditConfig {
 	}
 }
 
-func runAudit(t testing.TB, u *Universe, client netsim.Client, seed int64, cfg core.StorageAuditConfig) *core.StorageAuditReport {
+func runAudit(t testing.TB, u *Universe, client netsim.Client, seed int64, cfg core.AuditConfig) *core.AuditReport {
 	t.Helper()
 	warrant, err := u.Warrant(time.Now().Add(time.Hour))
 	if err != nil {
@@ -86,7 +86,7 @@ func runAudit(t testing.TB, u *Universe, client netsim.Client, seed int64, cfg c
 	return report
 }
 
-func falseFlags(r *core.StorageAuditReport) int {
+func falseFlags(r *core.AuditReport) int {
 	n := 0
 	for _, rr := range r.Rounds {
 		if rr.Outcome.Accusatory() {
@@ -270,7 +270,7 @@ func TestDaemonGracefulDrain(t *testing.T) {
 	latent := netsim.NewLatentClient(client, 30*time.Millisecond)
 
 	type result struct {
-		report *core.StorageAuditReport
+		report *core.AuditReport
 		err    error
 	}
 	audit := make(chan result, 1)

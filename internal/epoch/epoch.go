@@ -903,7 +903,7 @@ func Run(cfg Config) (*Result, error) {
 		if fleet != nil && cfg.FleetSampleSize > 0 {
 			for pi := 0; pi < cfg.Servers; pi++ {
 				fcfg := core.FleetAuditConfig{
-					Storage: core.StorageAuditConfig{
+					Storage: core.AuditConfig{
 						DatasetSize:     cfg.BlocksPerUser,
 						SampleSize:      cfg.FleetSampleSize,
 						Rounds:          2,

@@ -266,8 +266,8 @@ func RunThreshold(cfg ThresholdConfig) (*ThresholdResult, error) {
 		}
 
 		// Both agencies draw the identical challenge sample.
-		auditCfg := func() core.StorageAuditConfig {
-			return core.StorageAuditConfig{
+		auditCfg := func() core.AuditConfig {
+			return core.AuditConfig{
 				DatasetSize:     cfg.Blocks,
 				SampleSize:      cfg.SampleSize,
 				Rng:             mrand.New(mrand.NewSource(cfg.Seed*1009 + int64(ep))),

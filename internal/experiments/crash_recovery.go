@@ -304,7 +304,7 @@ func crashMatrixRow(pp *pairing.Params, cfg CrashRecoveryConfig, dir string, p s
 	if err != nil {
 		return CrashMatrixRow{}, err
 	}
-	sreport, err := sys.agency.AuditStorage(client2, sys.user.ID(), wildcard, core.StorageAuditConfig{
+	sreport, err := sys.agency.AuditStorage(client2, sys.user.ID(), wildcard, core.AuditConfig{
 		DatasetSize: blocks,
 		SampleSize:  blocks,
 		Rng:         mrand.New(mrand.NewSource(cfg.Seed + 3)),

@@ -129,8 +129,8 @@ func DaemonExp(cfg DaemonExpConfig) ([]DaemonRow, *DaemonSummary, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	auditCfg := func(stream int) core.StorageAuditConfig {
-		return core.StorageAuditConfig{
+	auditCfg := func(stream int) core.AuditConfig {
+		return core.AuditConfig{
 			DatasetSize:     cfg.Blocks,
 			SampleSize:      cfg.Sample,
 			Rounds:          cfg.Rounds,
@@ -152,7 +152,7 @@ func DaemonExp(cfg DaemonExpConfig) ([]DaemonRow, *DaemonSummary, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	countReport := func(row *DaemonRow, r *core.StorageAuditReport) {
+	countReport := func(row *DaemonRow, r *core.AuditReport) {
 		for _, rr := range r.Rounds {
 			if rr.Outcome.Accusatory() {
 				row.FalseFlags++
@@ -230,7 +230,7 @@ func DaemonExp(cfg DaemonExpConfig) ([]DaemonRow, *DaemonSummary, error) {
 	}
 	latent := netsim.NewLatentClient(drainClient, cfg.RTT/2)
 	type auditResult struct {
-		report *core.StorageAuditReport
+		report *core.AuditReport
 		err    error
 	}
 	resCh := make(chan auditResult, 1)
@@ -312,7 +312,7 @@ func DaemonExp(cfg DaemonExpConfig) ([]DaemonRow, *DaemonSummary, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	runTLSAudit := func(identities *daemon.IdentityMap) (*core.StorageAuditReport, error) {
+	runTLSAudit := func(identities *daemon.IdentityMap) (*core.AuditReport, error) {
 		ts, err := daemon.Listen("127.0.0.1:0", daemon.ServerConfig{
 			Handler:    tlsSrv,
 			TLS:        srvTLS,

@@ -211,7 +211,7 @@ func availabilityRow(pp *pairing.Params, cfg FleetFailoverConfig, killed int, se
 	rng := mrand.New(mrand.NewSource(seed))
 	for pi := 0; pi < cfg.Servers; pi++ {
 		fr, err := sys.agency.AuditStorageFleet(fleet, sys.user.ID(), warrant, core.FleetAuditConfig{
-			Storage: core.StorageAuditConfig{
+			Storage: core.AuditConfig{
 				DatasetSize:     cfg.Blocks,
 				SampleSize:      cfg.SampleSize,
 				Rounds:          2,
@@ -260,7 +260,7 @@ func repairRow(pp *pairing.Params, cfg FleetFailoverConfig, corrupt int, seed in
 
 	start := time.Now()
 	fr, err := sys.agency.AuditStorageFleet(fleet, sys.user.ID(), warrant, core.FleetAuditConfig{
-		Storage: core.StorageAuditConfig{
+		Storage: core.AuditConfig{
 			DatasetSize:     cfg.Blocks,
 			SampleSize:      cfg.Blocks, // full sample: every rotten block is found
 			Rounds:          2,
@@ -288,7 +288,7 @@ func repairRow(pp *pairing.Params, cfg FleetFailoverConfig, corrupt int, seed in
 	}
 
 	// The proof of the heal: a fresh full audit of the repaired replica.
-	report, err := sys.agency.AuditStorage(fleet.Client(bad), sys.user.ID(), warrant, core.StorageAuditConfig{
+	report, err := sys.agency.AuditStorage(fleet.Client(bad), sys.user.ID(), warrant, core.AuditConfig{
 		DatasetSize:     cfg.Blocks,
 		SampleSize:      cfg.Blocks,
 		BatchSignatures: true,

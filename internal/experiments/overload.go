@@ -293,7 +293,7 @@ func overloadCell(pp *pairing.Params, cfg OverloadConfig, mult float64, protecte
 		retry := netsim.NewRetrier(rng.Int63())
 		retry.MaxAttempts = 2
 		retry.Sleep = noRetrySleep
-		report, err := sys.agency.AuditStorage(sys.clients[target], sys.user.ID(), sys.warrant, core.StorageAuditConfig{
+		report, err := sys.agency.AuditStorage(sys.clients[target], sys.user.ID(), sys.warrant, core.AuditConfig{
 			DatasetSize:     cfg.Blocks,
 			SampleSize:      cfg.SampleSize,
 			Rounds:          cfg.Rounds,
@@ -376,7 +376,7 @@ func hedgeCell(pp *pairing.Params, cfg OverloadConfig, hedge bool) (OverloadHedg
 	for time.Now().Before(stopAt) {
 		start := time.Now()
 		fr, err := sys.agency.AuditStorageFleet(fleet, sys.user.ID(), sys.warrant, core.FleetAuditConfig{
-			Storage: core.StorageAuditConfig{
+			Storage: core.AuditConfig{
 				DatasetSize:     cfg.Blocks,
 				SampleSize:      cfg.SampleSize,
 				Rounds:          cfg.Rounds,

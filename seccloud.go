@@ -74,12 +74,11 @@ type (
 	ServerConfig = core.ServerConfig
 	// Auditor is the designated agency (DA).
 	Auditor = core.Agency
-	// AuditConfig shapes an audit run (sample size, batching).
+	// AuditConfig shapes an audit run of a job or of stored data (sample
+	// size, batching, rounds, retries, deadlines).
 	AuditConfig = core.AuditConfig
-	// AuditReport is the outcome of a computation audit.
+	// AuditReport is the outcome of a computation or stored-data audit.
 	AuditReport = core.AuditReport
-	// StorageAuditReport is the outcome of a stored-data audit.
-	StorageAuditReport = core.StorageAuditReport
 	// AuditFailure is one detected cheating instance.
 	AuditFailure = core.AuditFailure
 	// JobDelegation is the audit hand-off from user to DA.
@@ -132,8 +131,6 @@ type (
 	HistoryLearner = costmodel.HistoryLearner
 	// Observation is one audit outcome fed to the learner.
 	Observation = costmodel.Observation
-	// StorageAuditConfig shapes a stored-data audit.
-	StorageAuditConfig = core.StorageAuditConfig
 	// ColdDataCheater deletes blocks outside a hot access set.
 	ColdDataCheater = core.ColdDataCheater
 	// EpochConfig shapes the mobile-adversary epoch simulation.
@@ -142,8 +139,6 @@ type (
 	EpochResult = epoch.Result
 	// ErasureCoder is the Reed–Solomon coder behind WithParity.
 	ErasureCoder = erasure.Coder
-	// MultiAuditReport is the outcome of a cross-sub-job batch audit.
-	MultiAuditReport = core.MultiAuditReport
 	// Evidence is a signed, transferable audit verdict.
 	Evidence = core.Evidence
 	// Hub is the observability hub: a metrics registry plus an audit span
