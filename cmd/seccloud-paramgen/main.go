@@ -17,6 +17,7 @@ import (
 	"os"
 
 	"seccloud/internal/ff"
+	"seccloud/internal/mont"
 	"seccloud/internal/pairing"
 )
 
@@ -30,9 +31,22 @@ func main() {
 	}
 }
 
-func run(pbits, qbits int) error {
+// validateFlags refuses sizes the search could not finish with, before
+// the prime search runs: the field arithmetic holds at most mont.MaxBits
+// bits, and the cofactor needs room.
+func validateFlags(pbits, qbits int) error {
+	if pbits > mont.MaxBits {
+		return fmt.Errorf("-pbits %d is above the %d-bit limit of the fixed-limb field", pbits, mont.MaxBits)
+	}
 	if qbits < 16 || pbits-qbits < 16 {
 		return fmt.Errorf("need qbits ≥ 16 and pbits−qbits ≥ 16 (got %d/%d)", pbits, qbits)
+	}
+	return nil
+}
+
+func run(pbits, qbits int) error {
+	if err := validateFlags(pbits, qbits); err != nil {
+		return err
 	}
 	q, err := rand.Prime(rand.Reader, qbits)
 	if err != nil {

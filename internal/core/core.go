@@ -64,7 +64,16 @@ func EncodeBlockSig(signerID string, sp *ibc.SystemParams, sigs []*dvs.Designate
 }
 
 // DecodeBlockSig extracts the designated signature for one verifier from a
-// wire block signature, validating group membership of both components.
+// wire block signature. It guarantees that U is a point on the curve and
+// that Σ is a nonzero Fp2 element with both coordinates in field range —
+// and nothing about the order of either. Membership of U in G1 and of Σ in
+// GT is the job of the verifier entry point that must follow: Scheme.Verify
+// (U strictly, Σ by equality with a pairing output), Scheme.BatchVerify and
+// Scheme.VerificationBase (both strictly, per item), or
+// Scheme.BatchVerifyRandomized and Scheme.AggregateRandomized (one
+// randomized membership check for the batch's U, per-item exponents
+// shielding Σ). A decoded signature that reaches none of them has not been
+// checked.
 func DecodeBlockSig(sp *ibc.SystemParams, bs *wire.BlockSig, verifierID string) (*dvs.Designated, error) {
 	raw, ok := bs.Sigma[verifierID]
 	if !ok {

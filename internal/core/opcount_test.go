@@ -1,0 +1,101 @@
+package core
+
+import (
+	mrand "math/rand"
+	"testing"
+	"time"
+
+	"seccloud/internal/ibc"
+	"seccloud/internal/netsim"
+	"seccloud/internal/ops"
+	"seccloud/internal/pairing"
+	"seccloud/internal/workload"
+)
+
+// TestJobAuditOpCounts pins what the DA's crypto layers are asked to do
+// for one honest 33-of-512 batched job audit at SS512 — the op of the
+// benchmark's audit_job_ss512 workload, in its steady state (identity
+// points, warrant and verifier precomputation cached by a first audit).
+// The counters count logical operations, so they must not move when an
+// operation is made faster; a change here means a check was added or
+// dropped, or a kernel miscounts. The DA holds its own copy of the
+// parameters, as its own process would, so the server's work is not in
+// the count.
+func TestJobAuditOpCounts(t *testing.T) {
+	const seed = 1
+	var sps [3]*ibc.SIO
+	for i := range sps {
+		sio, err := ibc.Setup(pairing.SS512(), mrand.New(mrand.NewSource(seed)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sps[i] = sio
+	}
+	userSIO, agencySIO, serverSIO := sps[0], sps[1], sps[2]
+	userKey, err := userSIO.Extract("user:alice")
+	if err != nil {
+		t.Fatal(err)
+	}
+	daKey, err := agencySIO.Extract("da:auditor")
+	if err != nil {
+		t.Fatal(err)
+	}
+	serverKey, err := serverSIO.Extract("cs:server-0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	user := NewUser(userSIO.Params(), userKey, mrand.New(mrand.NewSource(seed+1)))
+	agency := NewAgency(agencySIO.Params(), daKey, mrand.New(mrand.NewSource(seed+2)))
+	srv, err := NewServer(serverSIO.Params(), serverKey, ServerConfig{Random: mrand.New(mrand.NewSource(seed + 3))})
+	if err != nil {
+		t.Fatal(err)
+	}
+	client := netsim.NewLoopback(srv, netsim.LinkConfig{})
+
+	gen := workload.NewGenerator(seed)
+	req, err := user.PrepareStore(gen.GenDataset(user.ID(), 64, 32), srv.ID(), agency.ID())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := user.Store(client, req); err != nil {
+		t.Fatal(err)
+	}
+	job, err := gen.GenJob(user.ID(), workload.JobConfig{NumSubTasks: 512, DatasetSize: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := user.SubmitJob(client, "job-1", job)
+	if err != nil {
+		t.Fatal(err)
+	}
+	warrant, err := user.Delegate(agency.ID(), "job-1", time.Now().Add(time.Hour))
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := &JobDelegation{
+		UserID: user.ID(), ServerID: resp.ServerID, JobID: "job-1",
+		Tasks: TasksToWire(job), Results: resp.Results,
+		Root: resp.Root, RootSig: resp.RootSig, Warrant: warrant,
+	}
+
+	counters := agencySIO.Params().G1().Counters()
+	var got ops.Snapshot
+	for i := 0; i < 3; i++ {
+		before := counters.Snapshot()
+		report, err := agency.AuditJob(client, d, AuditConfig{
+			SampleSize: 33, Rounds: 1, Rng: mrand.New(mrand.NewSource(int64(seed + 10 + i))),
+			BatchSignatures: true, Workers: 1,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !report.Valid() || report.EffectiveSampleSize != 33 {
+			t.Fatalf("honest audit %d: valid=%v, effective sample %d", i, report.Valid(), report.EffectiveSampleSize)
+		}
+		got = counters.Snapshot().Sub(before)
+	}
+	want := ops.Snapshot{PointMuls: 78, MillerLoops: 5, FinalExps: 5, PrecompHits: 1}
+	if got != want {
+		t.Fatalf("steady-state job audit asked for %+v, want %+v", got, want)
+	}
+}

@@ -2,6 +2,9 @@ package curve
 
 import (
 	"crypto/rand"
+	"fmt"
+	"math/big"
+	mrand "math/rand"
 	"testing"
 )
 
@@ -77,8 +80,8 @@ func BenchmarkMarshalUnmarshal(b *testing.B) {
 	})
 }
 
-// BenchmarkScalarMultAblation compares the windowed multiplier against the
-// binary double-and-add ladder it replaced.
+// BenchmarkScalarMultAblation compares the windowed limb multiplier against
+// the math/big binary double-and-add ladder that is now its oracle.
 func BenchmarkScalarMultAblation(b *testing.B) {
 	g := benchGroup(b)
 	pt, _, _ := g.RandPoint(rand.Reader)
@@ -93,4 +96,49 @@ func BenchmarkScalarMultAblation(b *testing.B) {
 			g.scalarMultBinary(pt, k)
 		}
 	})
+}
+
+// BenchmarkMSMShapes times the multi-scalar multiplication at SS512 on the
+// shapes its callers produce, reported per term: a single audit's batch
+// (33 signatures with 128-bit randomizers plus two 160-bit signer terms),
+// the 64-bit membership combination over the same 33 points, a scheduler
+// flush at its 48-signature limit, and one full-width multiplication. The
+// table beside msmWindow in msm.go is this benchmark at each window width.
+func BenchmarkMSMShapes(b *testing.B) {
+	g := katGroup(b, "ss512")
+	rng := mrand.New(mrand.NewSource(7))
+	shapes := []struct {
+		name string
+		bits []uint // scalar width of each term
+	}{
+		{"audit-35x128", append(repeat(128, 33), 160, 160)},
+		{"membership-33x64", repeat(64, 33)},
+		{"flush-50x128", append(repeat(128, 48), 160, 160)},
+		{"single-1x160", []uint{160}},
+	}
+	for _, sh := range shapes {
+		pts := make([]*Point, len(sh.bits))
+		ks := make([]*big.Int, len(sh.bits))
+		for i, w := range sh.bits {
+			pts[i] = g.BaseMult(new(big.Int).Rand(rng, g.q))
+			ks[i] = new(big.Int).Rand(rng, new(big.Int).Lsh(big.NewInt(1), w))
+			ks[i].SetBit(ks[i], int(w)-1, 1)
+		}
+		b.Run(fmt.Sprintf("w=%d/%s", msmWindow, sh.name), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := g.SumScalarMult(pts, ks); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N)/float64(len(pts)), "µs/term")
+		})
+	}
+}
+
+func repeat(v uint, n int) []uint {
+	out := make([]uint, n)
+	for i := range out {
+		out[i] = v
+	}
+	return out
 }

@@ -323,3 +323,16 @@ func TestScalarMultMatchesBinaryLadder(t *testing.T) {
 		}
 	}
 }
+
+// TestScalarMultAllocs is the exact-count guard on the limb ladder at
+// SS512: the math/big ladder allocated 5.9 k times a multiplication, this
+// one only for its tables, its digits, one inversion and the result.
+func TestScalarMultAllocs(t *testing.T) {
+	g := katGroup(t, "ss512")
+	rng := mrand.New(mrand.NewSource(78))
+	pt := g.BaseMult(new(big.Int).Rand(rng, g.q))
+	k := new(big.Int).Rand(rng, g.q)
+	if n := testing.AllocsPerRun(10, func() { g.ScalarMult(pt, k) }); n > 60 {
+		t.Fatalf("ScalarMult allocates %v times a call, ceiling is 60", n)
+	}
+}

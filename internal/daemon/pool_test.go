@@ -90,6 +90,20 @@ func TestPoolEvictsServerClosedConn(t *testing.T) {
 	}
 	pool.Put(conn)
 
+	// Get returns once the dial completes, which can be before the accept
+	// goroutine has recorded the conn; closing "every accepted conn" too
+	// early closes none and the pooled conn stays live.
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		mu.Lock()
+		n := len(accepted)
+		mu.Unlock()
+		if n > 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("listener never accepted the pooled conn")
+		}
+	}
 	mu.Lock()
 	for _, c := range accepted {
 		_ = c.Close() // server-side close while the conn is parked

@@ -5,6 +5,11 @@
 // The package is deliberately parameterized by a Ctx carrying the modulus so
 // that tests can exercise the same code paths with tiny toy primes where
 // properties can be checked exhaustively.
+//
+// Elements are math/big integers at this API. Operations that loop — the
+// exponentiations and the square root — run on the Montgomery limbs of
+// package mont and convert at entry and exit; single operations stay on
+// math/big, where one product costs less than the two conversions.
 package ff
 
 import (
@@ -13,6 +18,8 @@ import (
 	"fmt"
 	"io"
 	"math/big"
+
+	"seccloud/internal/mont"
 )
 
 // ErrNotInField reports an element outside the expected range [0, p).
@@ -21,12 +28,14 @@ var ErrNotInField = errors.New("ff: element not in field")
 // Ctx carries the prime modulus p for Fp and Fp2 arithmetic. A Ctx is
 // immutable after construction and safe for concurrent use.
 type Ctx struct {
-	p *big.Int
+	p  *big.Int
+	fp *mont.Field
 }
 
 // NewCtx returns an arithmetic context for the prime field Fp.
 // It requires p ≡ 3 (mod 4) so that -1 is a quadratic non-residue and
-// Fp2 = Fp(i) with i^2 = -1 is a field.
+// Fp2 = Fp(i) with i^2 = -1 is a field. The limb kernels hold at most
+// mont.MaxBits (512) bits; a wider modulus is an error.
 func NewCtx(p *big.Int) (*Ctx, error) {
 	if p == nil || p.Sign() <= 0 {
 		return nil, errors.New("ff: modulus must be a positive prime")
@@ -34,7 +43,11 @@ func NewCtx(p *big.Int) (*Ctx, error) {
 	if p.Bit(0) != 1 || p.Bit(1) != 1 {
 		return nil, fmt.Errorf("ff: modulus %v is not ≡ 3 (mod 4)", p)
 	}
-	return &Ctx{p: new(big.Int).Set(p)}, nil
+	fp, err := mont.NewField(p)
+	if err != nil {
+		return nil, fmt.Errorf("ff: %w", err)
+	}
+	return &Ctx{p: new(big.Int).Set(p), fp: fp}, nil
 }
 
 // P returns a copy of the field modulus.
@@ -61,16 +74,12 @@ func (c *Ctx) RandFp(r io.Reader) (*big.Int, error) {
 // p ≡ 3 (mod 4) shortcut y = a^((p+1)/4). The second return is false when a
 // is a quadratic non-residue.
 func (c *Ctx) Sqrt(a *big.Int) (*big.Int, bool) {
-	exp := new(big.Int).Add(c.p, big.NewInt(1))
-	exp.Rsh(exp, 2)
-	y := new(big.Int).Exp(a, exp, c.p)
-	chk := new(big.Int).Mul(y, y)
-	chk.Mod(chk, c.p)
-	am := new(big.Int).Mod(a, c.p)
-	if chk.Cmp(am) != 0 {
+	var x mont.Elem
+	c.fp.FromBig(&x, a)
+	if !c.fp.Sqrt(&x, &x) {
 		return nil, false
 	}
-	return y, true
+	return c.fp.ToBig(&x), true
 }
 
 // Fp2 is an element a + b·i of the quadratic extension Fp(i), i^2 = -1.
@@ -104,7 +113,7 @@ func (c *Ctx) Fp2IsZero(x *Fp2) bool { return x.A.Sign() == 0 && x.B.Sign() == 0
 
 // Fp2IsOne reports whether x is the multiplicative identity.
 func (c *Ctx) Fp2IsOne(x *Fp2) bool {
-	return x.A.Cmp(big.NewInt(1)) == 0 && x.B.Sign() == 0
+	return x.A.IsInt64() && x.A.Int64() == 1 && x.B.Sign() == 0
 }
 
 // Fp2Equal reports whether x and y are the same element.
@@ -192,7 +201,7 @@ func (c *Ctx) Fp2Inv(x *Fp2) (*Fp2, error) {
 	return &Fp2{A: a, B: b}, nil
 }
 
-// Fp2Exp returns x^k for k ≥ 0 by square-and-multiply.
+// Fp2Exp returns x^k, for negative k as (x⁻¹)^(−k).
 func (c *Ctx) Fp2Exp(x *Fp2, k *big.Int) *Fp2 {
 	if k.Sign() < 0 {
 		inv, err := c.Fp2Inv(x)
@@ -203,47 +212,47 @@ func (c *Ctx) Fp2Exp(x *Fp2, k *big.Int) *Fp2 {
 		}
 		return c.Fp2Exp(inv, new(big.Int).Neg(k))
 	}
-	r := c.Fp2One()
-	base := c.Fp2Copy(x)
-	for i := k.BitLen() - 1; i >= 0; i-- {
-		r = c.Fp2Square(r)
-		if k.Bit(i) == 1 {
-			r = c.Fp2Mul(r, base)
-		}
-	}
-	return r
+	r := c.toLimbs(x)
+	c.fp.Exp2(&r, &r, k)
+	return c.fromLimbs(&r)
 }
 
-// Fp2MultiExp returns Π xᵢ^kᵢ for kᵢ ≥ 0 with one shared square-and-
-// multiply ladder: the accumulator squares once per bit of the longest
-// exponent and multiplies in every base whose exponent has that bit set.
-// For n bases with b-bit exponents this costs b squarings plus ~nb/2
-// multiplications, versus n·b squarings for n separate Fp2Exp calls —
-// the Fp2 analogue of a multi-scalar point multiplication. Negative
-// exponents are not supported (callers reduce into [0, q) first).
+// Fp2MultiExp returns Π xᵢ^kᵢ for kᵢ ≥ 0 with one shared squaring chain:
+// the accumulator squares once per bit of the longest exponent and
+// multiplies in one windowed table entry per base every few bits
+// (mont.MultiExp2). For n bases with b-bit exponents this costs b
+// squarings plus ~n·(b/5 + 8) multiplications, versus n·b squarings for n
+// separate Fp2Exp calls — the Fp2 analogue of a multi-scalar point
+// multiplication. Negative exponents are not supported (callers reduce
+// into [0, q) first).
 func (c *Ctx) Fp2MultiExp(xs []*Fp2, ks []*big.Int) (*Fp2, error) {
 	if len(xs) != len(ks) {
 		return nil, fmt.Errorf("ff: mismatched lengths %d vs %d", len(xs), len(ks))
 	}
-	maxBits := 0
 	for _, k := range ks {
 		if k.Sign() < 0 {
 			return nil, fmt.Errorf("ff: negative exponent in multi-exp")
 		}
-		if b := k.BitLen(); b > maxBits {
-			maxBits = b
-		}
 	}
-	r := c.Fp2One()
-	for i := maxBits - 1; i >= 0; i-- {
-		r = c.Fp2Square(r)
-		for j, k := range ks {
-			if k.Bit(i) == 1 {
-				r = c.Fp2Mul(r, xs[j])
-			}
-		}
+	limbs := make([]mont.Elem2, len(xs))
+	for i, x := range xs {
+		limbs[i] = c.toLimbs(x)
 	}
-	return r, nil
+	var r mont.Elem2
+	c.fp.MultiExp2(&r, limbs, ks)
+	return c.fromLimbs(&r), nil
+}
+
+// toLimbs and fromLimbs are the two conversions of a kernel: in once, out
+// once.
+func (c *Ctx) toLimbs(x *Fp2) (r mont.Elem2) {
+	c.fp.FromBig(&r.A, x.A)
+	c.fp.FromBig(&r.B, x.B)
+	return r
+}
+
+func (c *Ctx) fromLimbs(x *mont.Elem2) *Fp2 {
+	return &Fp2{A: c.fp.ToBig(&x.A), B: c.fp.ToBig(&x.B)}
 }
 
 // Fp2String renders x as "a + b·i" in hexadecimal, for debugging.

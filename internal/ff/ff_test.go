@@ -5,6 +5,7 @@ import (
 	"crypto/rand"
 	"math/big"
 	mrand "math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -45,6 +46,7 @@ func TestNewCtxRejectsBadModuli(t *testing.T) {
 		{"negative", big.NewInt(-7)},
 		{"p=1 mod 4", big.NewInt(13)},
 		{"even", big.NewInt(10)},
+		{"513 bits", new(big.Int).Add(new(big.Int).Lsh(big.NewInt(1), 512), big.NewInt(3))},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -52,6 +54,90 @@ func TestNewCtxRejectsBadModuli(t *testing.T) {
 				t.Fatalf("NewCtx(%v) succeeded, want error", tc.p)
 			}
 		})
+	}
+	// The width error names the limit, so a paramgen user knows what to ask for.
+	_, err := NewCtx(cases[len(cases)-1].p)
+	if !strings.Contains(err.Error(), "513 bits") || !strings.Contains(err.Error(), "512-bit limit") {
+		t.Fatalf("width error %q does not name the modulus width and the limit", err)
+	}
+	// A full 512-bit modulus ≡ 3 (mod 4) is accepted.
+	if _, err := NewCtx(new(big.Int).Sub(new(big.Int).Lsh(big.NewInt(1), 512), big.NewInt(1))); err != nil {
+		t.Fatalf("NewCtx refused a 512-bit modulus: %v", err)
+	}
+}
+
+// fp2ExpBinary and fp2MultiExpBinary are the math/big square-and-multiply
+// ladders Fp2Exp and Fp2MultiExp ran on before they moved to windowed
+// Montgomery-limb kernels, kept as their oracle.
+func fp2ExpBinary(c *Ctx, x *Fp2, k *big.Int) *Fp2 {
+	r := c.Fp2One()
+	for i := k.BitLen() - 1; i >= 0; i-- {
+		r = c.Fp2Square(r)
+		if k.Bit(i) == 1 {
+			r = c.Fp2Mul(r, x)
+		}
+	}
+	return r
+}
+
+func fp2MultiExpBinary(c *Ctx, xs []*Fp2, ks []*big.Int) *Fp2 {
+	maxBits := 0
+	for _, k := range ks {
+		if b := k.BitLen(); b > maxBits {
+			maxBits = b
+		}
+	}
+	r := c.Fp2One()
+	for i := maxBits - 1; i >= 0; i-- {
+		r = c.Fp2Square(r)
+		for j, k := range ks {
+			if k.Bit(i) == 1 {
+				r = c.Fp2Mul(r, xs[j])
+			}
+		}
+	}
+	return r
+}
+
+func TestExpMatchesBinaryLadder(t *testing.T) {
+	for _, p := range []*big.Int{toyP, toyP2, test256P, bigP} {
+		c := mustCtx(t, p)
+		rng := mrand.New(mrand.NewSource(int64(21) + int64(p.BitLen())))
+		xs := make([]*Fp2, 12)
+		ks := make([]*big.Int, len(xs))
+		for i := range xs {
+			xs[i] = randFp2(c, rng)
+			ks[i] = new(big.Int).Rsh(new(big.Int).Rand(rng, p), uint(i*p.BitLen()/len(xs)))
+			if got, want := c.Fp2Exp(xs[i], ks[i]), fp2ExpBinary(c, xs[i], ks[i]); !c.Fp2Equal(got, want) {
+				t.Fatalf("mod %v: Fp2Exp(%s, %v) = %s, ladder gives %s", p, c.Fp2String(xs[i]), ks[i], c.Fp2String(got), c.Fp2String(want))
+			}
+		}
+		got, err := c.Fp2MultiExp(xs, ks)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := fp2MultiExpBinary(c, xs, ks); !c.Fp2Equal(got, want) {
+			t.Fatalf("mod %v: Fp2MultiExp = %s, ladder gives %s", p, c.Fp2String(got), c.Fp2String(want))
+		}
+		if _, err := c.Fp2MultiExp(xs, ks[:3]); err == nil {
+			t.Fatal("mismatched lengths should error")
+		}
+		ks[4] = big.NewInt(-1)
+		if _, err := c.Fp2MultiExp(xs, ks); err == nil {
+			t.Fatal("negative exponent should error")
+		}
+	}
+}
+
+func TestFp2IsOne(t *testing.T) {
+	c := mustCtx(t, bigP)
+	one, notOne := c.Fp2One(), c.NewFp2(big.NewInt(1), big.NewInt(1))
+	wide := c.NewFp2(new(big.Int).Add(new(big.Int).Lsh(big.NewInt(1), 64), big.NewInt(1)), big.NewInt(0))
+	if !c.Fp2IsOne(one) || c.Fp2IsOne(notOne) || c.Fp2IsOne(wide) || c.Fp2IsOne(c.Fp2Zero()) {
+		t.Fatal("Fp2IsOne misjudges an element")
+	}
+	if n := testing.AllocsPerRun(20, func() { c.Fp2IsOne(one); c.Fp2IsOne(wide) }); n != 0 {
+		t.Fatalf("Fp2IsOne allocates %v times a call", n)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"math/big"
 
 	"seccloud/internal/ff"
+	"seccloud/internal/mont"
 )
 
 // GT is an element of the order-q target group inside Fp2*. Values are
@@ -17,6 +18,11 @@ type GT struct {
 // One returns the identity of GT.
 func (pp *Params) One() *GT {
 	return &GT{pp: pp, v: pp.g1.FieldCtx().Fp2One()}
+}
+
+// gtFromLimbs converts a kernel's result out to the interchange form.
+func (pp *Params) gtFromLimbs(x *mont.Elem2) *GT {
+	return &GT{pp: pp, v: &ff.Fp2{A: pp.fp.ToBig(&x.A), B: pp.fp.ToBig(&x.B)}}
 }
 
 // IsOne reports whether g is the identity.

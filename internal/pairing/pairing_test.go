@@ -238,3 +238,47 @@ func TestSS512BilinearOnce(t *testing.T) {
 		t.Fatal("SS512 bilinearity fails")
 	}
 }
+
+// TestPairMatchesAffineOracle runs the limb pairing beside the affine
+// math/big one it replaced, at both parameter sets.
+func TestPairMatchesAffineOracle(t *testing.T) {
+	for _, pp := range []*Params{InsecureTest256(), SS512()} {
+		g := pp.G1()
+		rng := mrand.New(mrand.NewSource(99))
+		var ps, qs []*curve.Point
+		for i := 0; i < 4; i++ {
+			p := g.BaseMult(new(big.Int).Rand(rng, g.Q()))
+			q := g.BaseMult(new(big.Int).Rand(rng, g.Q()))
+			ps, qs = append(ps, p), append(qs, q)
+			if got, want := pp.Pair(p, q), pp.oraclePair(p, q); !got.Equal(want) {
+				t.Fatalf("%s: Pair disagrees with the affine oracle", pp.Name())
+			}
+		}
+		got, err := pp.PairProd(ps, qs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !got.Equal(pp.oraclePairProd(ps, qs)) {
+			t.Fatalf("%s: PairProd disagrees with the affine oracle", pp.Name())
+		}
+	}
+}
+
+// TestPairingAllocs is the exact-count guard at SS512: the math/big loops
+// allocated 16.5 k times a cold pairing and 9.9 k times a precomputed one;
+// the limb loops only at conversion out and in the one field inversion of
+// the final exponentiation.
+func TestPairingAllocs(t *testing.T) {
+	pp := SS512()
+	g := pp.G1()
+	rng := mrand.New(mrand.NewSource(98))
+	p := g.BaseMult(new(big.Int).Rand(rng, g.Q()))
+	q := g.BaseMult(new(big.Int).Rand(rng, g.Q()))
+	if n := testing.AllocsPerRun(5, func() { pp.Pair(p, q) }); n > 200 {
+		t.Fatalf("Pair allocates %v times a call, ceiling is 200", n)
+	}
+	pc := pp.Precompute(p)
+	if n := testing.AllocsPerRun(5, func() { pc.Pair(q) }); n > 100 {
+		t.Fatalf("Precomp.Pair allocates %v times a call, ceiling is 100", n)
+	}
+}

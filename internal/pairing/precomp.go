@@ -1,10 +1,8 @@
 package pairing
 
 import (
-	"math/big"
-
 	"seccloud/internal/curve"
-	"seccloud/internal/ff"
+	"seccloud/internal/mont"
 )
 
 // Fixed-argument pairing precomputation.
@@ -13,31 +11,30 @@ import (
 // changes: the DA verifies ê(·, sk_DA) for its whole lifetime (eq. 5/7),
 // and everyone verifies public signatures against ê(·, P) and ê(·, Ppub).
 // The Miller loop's point arithmetic — the accumulator doublings and
-// additions, each with a modular inversion — depends only on the *first*
-// argument; the second argument enters only through the cheap line
-// evaluations. Because the modified Tate pairing on this supersingular
+// additions, three quarters of a cold loop's field products — depends only
+// on the *first* argument; the second argument enters only through the
+// cheap line evaluations. Because the modified Tate pairing on this supersingular
 // curve is symmetric (ê(P, Q) = ê(Q, P), see TestSymmetry), we can pin the
-// fixed argument into the first slot, record the line coefficients
-// (λ, x_R, y_R) of every Miller step once, and replay them against any
-// second argument: the same group element at a fraction of the cost.
+// fixed argument into the first slot, record the line coefficients of
+// every Miller step once, and replay them against any second argument: the
+// same group element at a fraction of the cost.
 //
-// The replay multiplies exactly the same field elements in exactly the
-// same order as Params.miller for the fixed point, so a precomputed
-// pairing is bit-identical to the cold one — verifiers using a Precomp
-// interoperate with signers using plain Pair.
+// The recorded lines are those of Params.miller for the fixed point, each
+// divided by its own coefficient of y_Q·i — a factor in Fp*, like the ones
+// the projective steps already put on them. The Miller value of a replay
+// therefore differs from the cold one by an element of Fp*, and the two
+// are equal after the final exponentiation: a precomputed pairing is
+// bit-identical to the cold one as a GT element, so verifiers using a
+// Precomp interoperate with signers using plain Pair.
 
-// lineCoeff is one recorded Miller-loop line: the tangent/chord through
-// the accumulator R with slope λ, to be evaluated at φ(Q).
-type lineCoeff struct {
-	lambda, xr, yr *big.Int
-}
+// precompLine is one recorded line, normalised so that its value at φ(Q)
+// is a·x_Q + b + y_Q·i.
+type precompLine struct{ a, b mont.Elem }
 
 // precompIter is one Miller-loop iteration: the unconditional squaring is
-// implicit; dbl and add are the (optional) doubling and addition lines.
-type precompIter struct {
-	dbl *lineCoeff
-	add *lineCoeff
-}
+// implicit; dbl and add index the iteration's doubling and addition lines
+// in Precomp.lines, or are −1 when the step contributed none.
+type precompIter struct{ dbl, add int }
 
 // Precomp is the reusable Miller-loop state for a fixed pairing argument.
 // Immutable after construction and safe for concurrent use.
@@ -49,6 +46,7 @@ type Precomp struct {
 	pp    *Params
 	fixed *curve.Point // copy of the fixed argument
 	iters []precompIter
+	lines []precompLine
 }
 
 // Precompute runs the Miller loop for the fixed point p once, recording
@@ -59,76 +57,38 @@ func (pp *Params) Precompute(p *curve.Point) *Precomp {
 	if p.Inf {
 		return pc
 	}
-	prime := pp.p
-	rx := new(big.Int).Set(p.X)
-	ry := new(big.Int).Set(p.Y)
-	rInf := false
-	three := big.NewInt(3)
-	one := big.NewInt(1)
-
-	// record captures the current line and advances R exactly as
-	// Params.miller does; dblStep handles both the doubling case and the
-	// equal-points addition case (identical formulas).
-	dblStep := func() *lineCoeff {
-		num := new(big.Int).Mul(rx, rx)
-		num.Mul(num, three)
-		num.Add(num, one)
-		den := new(big.Int).Lsh(ry, 1)
-		den.ModInverse(den, prime)
-		lambda := num.Mul(num, den)
-		lambda.Mod(lambda, prime)
-		lc := &lineCoeff{lambda: lambda, xr: new(big.Int).Set(rx), yr: new(big.Int).Set(ry)}
-		x3 := new(big.Int).Mul(lambda, lambda)
-		x3.Sub(x3, new(big.Int).Lsh(rx, 1))
-		x3.Mod(x3, prime)
-		y3 := new(big.Int).Sub(rx, x3)
-		y3.Mul(y3, lambda)
-		y3.Sub(y3, ry)
-		y3.Mod(y3, prime)
-		rx, ry = x3, y3
-		return lc
+	// The steps are Params.miller's own, run on one pair whose second
+	// argument is never looked at.
+	m := pp.newMillerPair(p, p)
+	var raw []line
+	record := func(l line, ok bool) int {
+		if !ok {
+			return -1
+		}
+		raw = append(raw, l)
+		return len(raw) - 1
 	}
-
 	pc.iters = make([]precompIter, 0, pp.q.BitLen()-1)
 	for i := pp.q.BitLen() - 2; i >= 0; i-- {
-		var it precompIter
-		if !rInf {
-			if ry.Sign() == 0 {
-				rInf = true
-			} else {
-				it.dbl = dblStep()
-			}
+		it := precompIter{dbl: -1, add: -1}
+		if !m.r.done {
+			it.dbl = record(pp.doubleStep(&m.r))
 		}
-		if pp.q.Bit(i) == 1 && !rInf {
-			switch {
-			case rx.Cmp(p.X) == 0 && ry.Cmp(p.Y) == 0:
-				if ry.Sign() == 0 {
-					rInf = true
-				} else {
-					it.add = dblStep()
-				}
-			case rx.Cmp(p.X) == 0:
-				rInf = true
-			default:
-				num := new(big.Int).Sub(p.Y, ry)
-				den := new(big.Int).Sub(p.X, rx)
-				den.Mod(den, prime)
-				den.ModInverse(den, prime)
-				lambda := num.Mul(num, den)
-				lambda.Mod(lambda, prime)
-				it.add = &lineCoeff{lambda: lambda, xr: new(big.Int).Set(rx), yr: new(big.Int).Set(ry)}
-				x3 := new(big.Int).Mul(lambda, lambda)
-				x3.Sub(x3, rx)
-				x3.Sub(x3, p.X)
-				x3.Mod(x3, prime)
-				y3 := new(big.Int).Sub(rx, x3)
-				y3.Mul(y3, lambda)
-				y3.Sub(y3, ry)
-				y3.Mod(y3, prime)
-				rx, ry = x3, y3
-			}
+		if pp.q.Bit(i) == 1 && !m.r.done {
+			it.add = record(pp.addStep(&m.r, &m.px, &m.py))
 		}
 		pc.iters = append(pc.iters, it)
+	}
+	// One shared inversion divides every line by its c.
+	cs := make([]mont.Elem, 2*len(raw))
+	for i := range raw {
+		cs[i] = raw[i].c
+	}
+	pp.fp.InvBatch(cs[:len(raw)], cs[len(raw):])
+	pc.lines = make([]precompLine, len(raw))
+	for i := range raw {
+		pp.fp.Mul(&pc.lines[i].a, &raw[i].a, &cs[i])
+		pp.fp.Mul(&pc.lines[i].b, &raw[i].b, &cs[i])
 	}
 	return pc
 }
@@ -139,29 +99,28 @@ func (pc *Precomp) Params() *Params { return pc.pp }
 // Fixed returns a copy of the precomputed argument.
 func (pc *Precomp) Fixed() *curve.Point { return pc.pp.g1.Copy(pc.fixed) }
 
-// millerEval replays the recorded lines against φ(q), producing the same
-// un-exponentiated Miller value as Params.miller(fixed, q).
-func (pc *Precomp) millerEval(q *curve.Point) *ff.Fp2 {
+// millerEval replays the recorded lines against φ(q), producing the
+// Miller value of Params.miller(fixed, q) up to an element of Fp*.
+func (pc *Precomp) millerEval(q *curve.Point) mont.Elem2 {
 	pc.pp.g1.Counters().AddMillerLoop()
-	fp := pc.pp.g1.FieldCtx()
-	prime := pc.pp.p
-	f := fp.Fp2One()
-	// l = λ·(xQ + xR) − yR + yQ·i, identical to Params.miller's lineVal.
-	eval := func(lc *lineCoeff) *ff.Fp2 {
-		a := new(big.Int).Add(q.X, lc.xr)
-		a.Mul(a, lc.lambda)
-		a.Sub(a, lc.yr)
-		a.Mod(a, prime)
-		return &ff.Fp2{A: a, B: new(big.Int).Set(q.Y)}
+	fp := pc.pp.fp
+	var qx mont.Elem
+	var l mont.Elem2
+	fp.FromBig(&qx, q.X)
+	fp.FromBig(&l.B, q.Y)
+	f := fp.One2()
+	mul := func(i int) {
+		if i < 0 {
+			return
+		}
+		fp.Mul(&l.A, &pc.lines[i].a, &qx)
+		fp.Add(&l.A, &l.A, &pc.lines[i].b)
+		fp.Mul2(&f, &f, &l)
 	}
-	for i := range pc.iters {
-		f = fp.Fp2Square(f)
-		if pc.iters[i].dbl != nil {
-			f = fp.Fp2Mul(f, eval(pc.iters[i].dbl))
-		}
-		if pc.iters[i].add != nil {
-			f = fp.Fp2Mul(f, eval(pc.iters[i].add))
-		}
+	for _, it := range pc.iters {
+		fp.Square2(&f, &f)
+		mul(it.dbl)
+		mul(it.add)
 	}
 	return f
 }
@@ -171,9 +130,9 @@ func (pc *Precomp) millerEval(q *curve.Point) *ff.Fp2 {
 // call. The result is bit-identical to Params.Pair on the same inputs.
 // The caller remains responsible for subgroup membership of untrusted q.
 func (pc *Precomp) Pair(q *curve.Point) *GT {
-	fp := pc.pp.g1.FieldCtx()
 	if pc.fixed.Inf || q.Inf {
-		return &GT{pp: pc.pp, v: fp.Fp2One()}
+		return pc.pp.One()
 	}
-	return &GT{pp: pc.pp, v: pc.pp.finalExp(pc.millerEval(q))}
+	f := pc.millerEval(q)
+	return pc.pp.finalExp(&f)
 }

@@ -7,8 +7,12 @@ import (
 )
 
 // TestPrecompMatchesPair is the interoperability property everything rests
-// on: a precomputed pairing must be bit-identical to the cold one, in both
-// argument orders (symmetry pins the fixed argument into the first slot).
+// on: a precomputed pairing must equal the cold one after the final
+// exponentiation — the same GT element, bit for bit — in both argument
+// orders (symmetry pins the fixed argument into the first slot). The two
+// Miller values themselves differ by a factor in Fp*, which the replay's
+// normalised lines introduce and the exponentiation removes; that is
+// asserted too, so a replay that drifted by anything else cannot hide.
 func TestPrecompMatchesPair(t *testing.T) {
 	pp := testParams(t)
 	g := pp.G1()
@@ -29,6 +33,14 @@ func TestPrecompMatchesPair(t *testing.T) {
 			}
 			if !got.Equal(pp.Pair(q, fixed)) {
 				t.Fatal("precomputed pairing disagrees with Pair(q, fixed) — symmetry broken")
+			}
+			// cold/replay ∈ Fp*: cold·conj(replay) has no imaginary part.
+			cold := pp.miller([]millerPair{pp.newMillerPair(fixed, q)})
+			replay := pc.millerEval(q)
+			pp.fp.Neg(&replay.B, &replay.B)
+			pp.fp.Mul2(&cold, &cold, &replay)
+			if !pp.fp.IsZero(&cold.B) || pp.fp.IsZero(&cold.A) {
+				t.Fatal("replayed Miller value is not an Fp* multiple of the cold one")
 			}
 		}
 	}
