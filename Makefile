@@ -18,8 +18,12 @@ test:
 race:
 	$(GO) test -race ./...
 
+# go vet, and gofmt as a check: any file gofmt would rewrite fails the
+# target (and with it `make check` and CI) with the file names printed.
 vet:
 	$(GO) vet ./...
+	@unformatted=$$(gofmt -l .); \
+	if [ -n "$$unformatted" ]; then echo "gofmt -l lists:"; echo "$$unformatted"; exit 1; fi
 
 # Non-test and test Go lines per package directory, with a total — the
 # two numbers every PR reports separately (bench/ is a module of its own
@@ -50,12 +54,14 @@ fuzz-decoders:
 # Differential fuzz of the Montgomery-limb kernels against the math/big
 # code they replaced, one target a layer: field operations, the windowed
 # ladders against the binary ladder, the projective Miller loop (cold,
-# replayed and interleaved) against the affine one.
+# replayed and interleaved) against the affine one, and table-driven
+# signing against the paper's two multiplications and a pairing.
 fuzz-crypto:
 	$(GO) test ./internal/mont -run '^$$' -fuzz 'FuzzFieldOps$$' -fuzztime 10s
 	$(GO) test ./internal/curve -run '^$$' -fuzz 'FuzzScalarMult$$' -fuzztime 10s
 	$(GO) test ./internal/curve -run '^$$' -fuzz 'FuzzSumScalarMult$$' -fuzztime 10s
 	$(GO) test ./internal/pairing -run '^$$' -fuzz 'FuzzPair$$' -fuzztime 10s
+	$(GO) test ./internal/dvs -run '^$$' -fuzz 'FuzzSignDesignated$$' -fuzztime 10s
 
 # Statement coverage of the arithmetic every signature and verdict rests
 # on, held at the 90 % bar (a failing test reads as 0 %).

@@ -22,13 +22,13 @@ func TestScheduleStringParseRoundTrip(t *testing.T) {
 
 func TestScheduleParseRejectsGarbage(t *testing.T) {
 	for _, bad := range []string{
-		"heal",                      // missing epoch prefix
-		"e0:heal",                   // epoch < 1
-		"e1:frobnicate(2)",          // unknown kind
+		"heal",                          // missing epoch prefix
+		"e0:heal",                       // epoch < 1
+		"e1:frobnicate(2)",              // unknown kind
 		"e1:faults(0,drop=2,corrupt=0)", // rate out of range
-		"e1:cut(da>)",               // empty side
-		"e1:skew(da,banana)",        // bad duration
-		"e1:plant(made-up,0)",       // unknown plant
+		"e1:cut(da>)",                   // empty side
+		"e1:skew(da,banana)",            // bad duration
+		"e1:plant(made-up,0)",           // unknown plant
 	} {
 		if _, err := ParseSchedule(bad); err == nil {
 			t.Errorf("ParseSchedule(%q) accepted garbage", bad)

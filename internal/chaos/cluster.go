@@ -116,13 +116,13 @@ type cluster struct {
 	cfg       Config
 	reference bool // fault-free replay: only tamper/plant steps apply
 
-	sio      *ibc.SIO
-	scheme   *dvs.Scheme
-	user     *core.User
-	agency   *core.Agency
-	fleet    *core.Fleet
-	warrant  wire.Warrant
-	ds       *workload.Dataset
+	sio       *ibc.SIO
+	scheme    *dvs.Scheme
+	user      *core.User
+	agency    *core.Agency
+	fleet     *core.Fleet
+	warrant   wire.Warrant
+	ds        *workload.Dataset
 	verifiers []string
 
 	handlers []*netsim.SwappableHandler

@@ -57,12 +57,12 @@ type Config struct {
 // 8 blocks, 4 chaotic epochs, 2 quiet ones.
 func Defaults(seed int64) Config {
 	return Config{
-		Seed:             seed,
-		Servers:          3,
-		Blocks:           8,
-		ActiveEpochs:     4,
-		QuietEpochs:      2,
-		OpsPerEpoch: 4,
+		Seed:         seed,
+		Servers:      3,
+		Blocks:       8,
+		ActiveEpochs: 4,
+		QuietEpochs:  2,
+		OpsPerEpoch:  4,
 		// 4 of 8 positions per round: with tamperReserve (2) blocks rotted
 		// a round misses the rot with probability C(6,4)/C(8,4) ≈ 0.21, an
 		// audit (2 rounds) with ≈ 0.046. Even a cheater the weather keeps

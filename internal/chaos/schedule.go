@@ -446,8 +446,8 @@ func Generate(seed int64, servers, activeEpochs, maxPerEpoch int, tamper bool, p
 				srv := rng.Intn(servers)
 				sched = append(sched, Step{
 					Epoch: ep, Kind: StepFaults, Target: srv,
-					Drop:    float64(rng.Intn(25)+5) / 100,  // 0.05–0.29
-					Corrupt: float64(rng.Intn(15)) / 100,    // 0–0.14
+					Drop:    float64(rng.Intn(25)+5) / 100, // 0.05–0.29
+					Corrupt: float64(rng.Intn(15)) / 100,   // 0–0.14
 				})
 				faulted[srv] = true
 			case StepCut:

@@ -9,6 +9,7 @@ import (
 	"seccloud/internal/netsim"
 	"seccloud/internal/ops"
 	"seccloud/internal/pairing"
+	"seccloud/internal/wire"
 	"seccloud/internal/workload"
 )
 
@@ -97,5 +98,55 @@ func TestJobAuditOpCounts(t *testing.T) {
 	want := ops.Snapshot{PointMuls: 78, MillerLoops: 5, FinalExps: 5, PrecompHits: 1}
 	if got != want {
 		t.Fatalf("steady-state job audit asked for %+v, want %+v", got, want)
+	}
+}
+
+// TestStoreOpCounts pins the write path beside the audit: what signing and
+// checking one 32-block upload ask of the crypto layers once the signer's
+// tables and the server's verifier precomputation exist.
+//
+// The user forms no V and pairs with nobody: per block one multiplication
+// of Q_ID, from its table, and per verifier a power of the cached
+// ê(sk_ID, Q_v). The server checks the upload with one aggregate equation:
+// 32 U's and one grouped Q_ID in the sum, 32 U's and the order-q ladder in
+// the membership check, one replayed pairing. A tampered upload pays that
+// and then the per-block pass — a membership ladder, a multiplication and a
+// pairing a block — which names the first bad position.
+func TestStoreOpCounts(t *testing.T) {
+	for _, pp := range []func() *pairing.Params{pairing.InsecureTest256, pairing.SS512} {
+		f := newStoreFixture(t, pp)
+		t.Run(f.userSP.Pairing().Name(), func(t *testing.T) {
+			userOps, serverOps := f.userSP.G1().Counters(), f.serverSP.G1().Counters()
+
+			before := userOps.Snapshot()
+			req := f.prepare(t, 21)
+			if got, want := userOps.Snapshot().Sub(before), (ops.Snapshot{PointMuls: 32}); got != want {
+				t.Fatalf("signing 32 blocks for two verifiers asked for %+v, want %+v", got, want)
+			}
+
+			handle := func(req *wire.StoreRequest) (*wire.StoreResponse, ops.Snapshot) {
+				before := serverOps.Snapshot()
+				resp := f.srv.Handle(req).(*wire.StoreResponse)
+				return resp, serverOps.Snapshot().Sub(before)
+			}
+			if resp, _ := handle(f.req); !resp.OK { // first upload: Q_ID hashed, verifier key precomputed
+				t.Fatalf("honest upload refused: %s", resp.Error)
+			}
+			resp, got := handle(req)
+			if want := (ops.Snapshot{PointMuls: 66, MillerLoops: 1, FinalExps: 1, PrecompHits: 1}); !resp.OK || got != want {
+				t.Fatalf("honest upload: OK=%v (%s), asked for %+v, want %+v", resp.OK, resp.Error, got, want)
+			}
+
+			bad := cloneStoreReq(f.prepare(t, 22))
+			bad.Blocks[17][0] ^= 1
+			bad.Blocks[29][0] ^= 1
+			resp, got = handle(bad)
+			if want := "block 17 signature invalid: dvs: signature verification failed"; resp.OK || resp.Error != want {
+				t.Fatalf("tampered upload answered {OK: %v, Error: %q}, want %q", resp.OK, resp.Error, want)
+			}
+			if want := (ops.Snapshot{PointMuls: 66 + 64, MillerLoops: 33, FinalExps: 33, PrecompHits: 33}); got != want {
+				t.Fatalf("tampered upload asked for %+v, want %+v", got, want)
+			}
+		})
 	}
 }

@@ -26,10 +26,10 @@ import (
 
 // WAL record kinds (the Kind byte of store.Record).
 const (
-	recStore  uint8 = 1
+	recStore   uint8 = 1
 	recCompute uint8 = 2
-	recUpdate uint8 = 3
-	recDelete uint8 = 4
+	recUpdate  uint8 = 3
+	recDelete  uint8 = 4
 )
 
 // DurabilityConfig attaches a write-ahead log to a server. Nil (the

@@ -96,20 +96,22 @@ func (j *jobRecord) response(jobID, serverID string) *wire.ComputeResponse {
 // ServerConfig shapes a cloud server.
 type ServerConfig struct {
 	// VerifyOnStore makes the server check designated signatures at upload
-	// time (the eq. 5 check from the CS side). Defaults to true via
+	// time (the eq. 5 check from the CS side, as one §VI aggregate per
+	// request with the per-block check behind it). Defaults to true via
 	// NewServer; a cheating or lazy server can disable it.
 	VerifyOnStore bool
 	// Policy is the cheating policy; nil means Honest.
 	Policy CheatPolicy
 	// Clock is the time source for warrant expiry; nil means time.Now.
 	Clock func() time.Time
-	// Random supplies randomness for the root signature and fabricated
-	// blocks; must be non-nil (crypto/rand.Reader in production).
+	// Random supplies randomness for the root signature, the store-time
+	// aggregate check's coefficients and fabricated blocks; must be
+	// non-nil (crypto/rand.Reader in production).
 	Random io.Reader
 	// Workers bounds the server's verification and commitment
-	// concurrency: store-time signature checks fan out and Merkle trees
-	// build in parallel chunks. ≤ 1 runs sequentially; results are
-	// identical either way.
+	// concurrency: the per-block pass of a store-time check fans out and
+	// Merkle trees build in parallel chunks. ≤ 1 runs sequentially;
+	// results are identical either way.
 	Workers int
 	// Durability attaches a write-ahead log: mutations are logged before
 	// they are acknowledged, and NewServer recovers state from the log
@@ -134,9 +136,9 @@ type Server struct {
 	mu        sync.Mutex
 	storage   map[string]map[uint64]*storedBlock
 	jobs      map[string]*jobRecord
-	mutSeq    map[string]uint64 // per-user last applied mutation sequence
-	lastStore map[string]uint64 // per-user digest of the last applied upload
-	lastMut   map[string]uint64 // per-user digest of the last applied update/delete
+	mutSeq    map[string]uint64   // per-user last applied mutation sequence
+	lastStore map[string]uint64   // per-user digest of the last applied upload
+	lastMut   map[string]uint64   // per-user digest of the last applied update/delete
 	warrantOK map[string]struct{} // warrants whose signature already verified
 }
 
@@ -222,9 +224,11 @@ func (s *Server) handleStore(req *wire.StoreRequest) wire.Message {
 	}
 	s.mu.Unlock()
 	// Verification happens outside the lock: it is the expensive part.
-	// Blocks fan out across the worker pool; the first failure by block
-	// order wins, so the response does not depend on scheduling.
-	if s.cfg.VerifyOnStore {
+	// One aggregate equation passes an honest upload. Anything else gets
+	// the per-block pass: blocks fan out across the worker pool and the
+	// first failure by block order wins, so the response names the refused
+	// position and does not depend on scheduling.
+	if s.cfg.VerifyOnStore && !s.storeBatchVerifies(req) {
 		verifyErrs := make([]string, len(req.Blocks))
 		newPool(s.cfg.Workers).forEach(nil, len(req.Blocks), func(i int) {
 			d, err := DecodeBlockSig(s.scheme.Params(), &req.Sigs[i], s.id)
@@ -268,6 +272,25 @@ func (s *Server) handleStore(req *wire.StoreRequest) wire.Message {
 		return nil
 	}
 	return &wire.StoreResponse{OK: true}
+}
+
+// storeBatchVerifies runs §VI's aggregate check (eq. 8–9, with the
+// small-exponent randomization) over every block of an upload: one
+// pairing for the request where the per-block pass pays one a block. It
+// only ever vouches for a whole upload: a signature that does not decode,
+// an aggregate that does not hold and a randomness source that fails all
+// read as false, and the caller's per-block pass then decides, and says
+// which block is refused and why.
+func (s *Server) storeBatchVerifies(req *wire.StoreRequest) bool {
+	items := make([]dvs.BatchItem, len(req.Blocks))
+	for i := range req.Blocks {
+		d, err := DecodeBlockSig(s.scheme.Params(), &req.Sigs[i], s.id)
+		if err != nil {
+			return false
+		}
+		items[i] = dvs.NewBatchItem(BlockMessage(req.Positions[i], req.Blocks[i]), d)
+	}
+	return s.scheme.BatchVerifyRandomized(items, s.key, s.cfg.Random) == nil
 }
 
 // readBlock fetches a stored block, fabricating random bytes when the

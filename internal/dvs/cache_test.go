@@ -75,13 +75,13 @@ func TestVerifierCacheLRUOrder(t *testing.T) {
 	s.PrecomputeVerifier(b)
 	s.PrecomputeVerifier(a) // promote a; b is now LRU
 	s.PrecomputeVerifier(c) // evicts b
-	if s.lookupVerifier(a.ID, a.SK) == nil {
+	if _, ok := s.verifiers.lookup(a); !ok {
 		t.Fatalf("promoted entry a was evicted")
 	}
-	if s.lookupVerifier(c.ID, c.SK) == nil {
+	if _, ok := s.verifiers.lookup(c); !ok {
 		t.Fatalf("fresh entry c was evicted")
 	}
-	if s.lookupVerifier(b.ID, b.SK) != nil {
+	if _, ok := s.verifiers.lookup(b); ok {
 		t.Fatalf("LRU entry b survived past capacity")
 	}
 }
@@ -104,7 +104,7 @@ func TestVerifierCacheRekey(t *testing.T) {
 	// Same identity, different master secret → different SK point. The
 	// cache must detect the mismatch and rebuild, not replay the old
 	// Miller loop.
-	if s.lookupVerifier(newKey.ID, newKey.SK) != nil {
+	if _, ok := s.verifiers.lookup(newKey); ok {
 		t.Fatalf("stale precomputation returned for re-issued key")
 	}
 	if got := s.VerifierCacheLen(); got != 0 {

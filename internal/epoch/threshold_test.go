@@ -100,7 +100,7 @@ func TestRunThresholdValidatesConfig(t *testing.T) {
 		func(c *ThresholdConfig) { c.T = 0 },
 		func(c *ThresholdConfig) { c.T = 6 },
 		func(c *ThresholdConfig) { c.Epochs = 0 },
-		func(c *ThresholdConfig) { c.CrashedHolders = 3 },      // 3 > n−t = 2
+		func(c *ThresholdConfig) { c.CrashedHolders = 3 }, // 3 > n−t = 2
 		func(c *ThresholdConfig) { c.ByzantineHolders = -1 },
 		func(c *ThresholdConfig) { c.TamperEpoch = 99 },
 	}

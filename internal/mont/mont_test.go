@@ -296,6 +296,49 @@ func TestFp2MatchesBig(t *testing.T) {
 	}
 }
 
+// TestFixedDigits: for every width and every k below 2^(w·n−1) the n
+// digits lie in [−2^(w−1), 2^(w−1)] and sum, at weights 2^(w·i), to k —
+// including the scalars whose windows all sit at either end of the range.
+func TestFixedDigits(t *testing.T) {
+	rng := mrand.New(mrand.NewSource(6))
+	one := big.NewInt(1)
+	for w := uint(2); w <= 7; w++ {
+		for _, bits := range []int{1, 7, 64, 96, 160, 161, 512} {
+			n := FixedWindows(bits, w)
+			if int(w)*n-1 < bits || int(w)*(n-1)-1 >= bits {
+				t.Fatalf("w=%d: %d windows for %d-bit scalars", w, n, bits)
+			}
+			top := new(big.Int).Lsh(one, uint(bits))
+			ks := []*big.Int{new(big.Int), one, new(big.Int).Sub(top, one), new(big.Int).Rsh(top, 1)}
+			half := new(big.Int) // every window 2^(w−1): the largest digit, no carry
+			for i := 0; i*int(w)+int(w)-1 < bits; i++ {
+				half.SetBit(half, i*int(w)+int(w)-1, 1)
+			}
+			ks = append(ks, half, new(big.Int).Add(half, one))
+			for i := 0; i < 40; i++ {
+				ks = append(ks, new(big.Int).Rand(rng, top))
+			}
+			for _, k := range ks {
+				digits := FixedDigits(k, w, n)
+				if len(digits) != n {
+					t.Fatalf("w=%d: %d digits, want %d", w, len(digits), n)
+				}
+				sum := new(big.Int)
+				for i := n - 1; i >= 0; i-- {
+					d := int64(digits[i])
+					if d < -(1<<(w-1)) || d > 1<<(w-1) {
+						t.Fatalf("w=%d k=%v: digit %d at window %d out of range", w, k, d, i)
+					}
+					sum.Lsh(sum, w).Add(sum, big.NewInt(d))
+				}
+				if sum.Cmp(k) != 0 {
+					t.Fatalf("w=%d: digits of %v sum to %v", w, k, sum)
+				}
+			}
+		}
+	}
+}
+
 func TestDigits(t *testing.T) {
 	rng := mrand.New(mrand.NewSource(5))
 	ks := []*big.Int{big.NewInt(0), big.NewInt(1), big.NewInt(2), big.NewInt(-77), big.NewInt(255), big.NewInt(256)}

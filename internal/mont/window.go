@@ -33,23 +33,10 @@ const expWindow = 4
 func Digits(k *big.Int, w uint, signed bool) []int8 {
 	kw := k.Bits()
 	n := k.BitLen() + 1 // the last carry of the signed form lands one bit up
-	// window returns the count bits of |k| from position pos, count < 64.
-	window := func(pos, count uint) uint {
-		const ws = bits.UintSize
-		i, off := pos/ws, pos%ws
-		var v uint
-		if i < uint(len(kw)) {
-			v = uint(kw[i]) >> off
-			if off+count > ws && i+1 < uint(len(kw)) {
-				v |= uint(kw[i+1]) << (ws - off)
-			}
-		}
-		return v & (1<<count - 1)
-	}
 	digits := make([]int8, n)
 	var carry uint
 	for pos := uint(0); pos < uint(n); {
-		if window(pos, 1) == carry {
+		if window(kw, pos, 1) == carry {
 			pos++ // bit and carry sum to 0 or 2: a zero digit, carry kept
 			continue
 		}
@@ -57,7 +44,7 @@ func Digits(k *big.Int, w uint, signed bool) []int8 {
 		if count > uint(n)-pos {
 			count = uint(n) - pos
 		}
-		word := int(window(pos, count) + carry)
+		word := int(window(kw, pos, count) + carry)
 		carry = 0
 		if signed && word >= 1<<(w-1) {
 			word -= 1 << w
@@ -65,6 +52,47 @@ func Digits(k *big.Int, w uint, signed bool) []int8 {
 		}
 		digits[pos] = int8(word)
 		pos += count
+	}
+	return digits
+}
+
+// window returns the count bits of the magnitude kw from position pos,
+// count < 64.
+func window(kw []big.Word, pos, count uint) uint {
+	const ws = bits.UintSize
+	i, off := pos/ws, pos%ws
+	var v uint
+	if i < uint(len(kw)) {
+		v = uint(kw[i]) >> off
+		if off+count > ws && i+1 < uint(len(kw)) {
+			v |= uint(kw[i+1]) << (ws - off)
+		}
+	}
+	return v & (1<<count - 1)
+}
+
+// FixedWindows is the number of width-w windows FixedDigits needs for
+// scalars of up to bits bits: one spare bit takes the last carry.
+func FixedWindows(bits int, w uint) int { return (bits + int(w)) / int(w) }
+
+// FixedDigits recodes k, 0 ≤ k < 2^(w·n−1), as n signed digits in
+// [−2^(w−1), 2^(w−1)] with Σ digits[i]·2^(w·i) = k. Digit i depends on
+// window i alone, so a table of the multiples (powers) j·2^(w·i), 0 < j ≤
+// 2^(w−1), of one fixed base turns k·base into n additions (products) and
+// no doublings (squarings): where negation is free, half a window's values
+// serve all of them. w is at most 7.
+func FixedDigits(k *big.Int, w uint, n int) []int8 {
+	kw := k.Bits()
+	digits := make([]int8, n)
+	var carry uint
+	for i := range digits {
+		word := int(window(kw, uint(i)*w, w) + carry)
+		carry = 0
+		if word > 1<<(w-1) {
+			word -= 1 << w
+			carry = 1
+		}
+		digits[i] = int8(word)
 	}
 	return digits
 }

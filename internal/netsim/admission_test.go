@@ -190,8 +190,8 @@ func TestSubMillisecondRetryAfterSurvivesWire(t *testing.T) {
 		hint time.Duration
 		want time.Duration
 	}{
-		{500 * time.Microsecond, time.Millisecond},  // rounds up, not to zero
-		{time.Millisecond, time.Millisecond},        // exact stays exact
+		{500 * time.Microsecond, time.Millisecond}, // rounds up, not to zero
+		{time.Millisecond, time.Millisecond},       // exact stays exact
 		{1500 * time.Microsecond, 2 * time.Millisecond},
 		{0, 0}, // genuinely no hint stays no hint
 	}

@@ -45,11 +45,11 @@ func (osFS) OpenFile(path string, flag int, perm os.FileMode) (File, error) {
 	return os.OpenFile(path, flag, perm)
 }
 
-func (osFS) ReadFile(path string) ([]byte, error)      { return os.ReadFile(path) }
+func (osFS) ReadFile(path string) ([]byte, error)       { return os.ReadFile(path) }
 func (osFS) ReadDir(path string) ([]fs.DirEntry, error) { return os.ReadDir(path) }
-func (osFS) Rename(oldpath, newpath string) error      { return os.Rename(oldpath, newpath) }
-func (osFS) Remove(path string) error                  { return os.Remove(path) }
-func (osFS) Truncate(path string, size int64) error    { return os.Truncate(path, size) }
+func (osFS) Rename(oldpath, newpath string) error       { return os.Rename(oldpath, newpath) }
+func (osFS) Remove(path string) error                   { return os.Remove(path) }
+func (osFS) Truncate(path string, size int64) error     { return os.Truncate(path, size) }
 
 func (osFS) SyncDir(path string) error {
 	d, err := os.Open(path)

@@ -74,8 +74,8 @@ func TestServerHelloRoundtrip(t *testing.T) {
 
 func TestDecodeServerHelloRejects(t *testing.T) {
 	cases := map[string][]byte{
-		"short":        []byte("SECW"),
-		"bad magic":    {'X', 'E', 'C', 'W', 0, 1, 0, 0},
+		"short":          []byte("SECW"),
+		"bad magic":      {'X', 'E', 'C', 'W', 0, 1, 0, 0},
 		"dirty reserved": {'S', 'E', 'C', 'W', 0, 1, 0, 7},
 	}
 	for name, data := range cases {
@@ -89,11 +89,11 @@ func TestDecodeServerHelloRejects(t *testing.T) {
 // disjoint ranges refuse.
 func TestNegotiate(t *testing.T) {
 	cases := []struct {
-		name             string
-		srvMin, srvMax   uint16
-		cliMin, cliMax   uint16
-		want             uint16
-		wantMismatch     bool
+		name           string
+		srvMin, srvMax uint16
+		cliMin, cliMax uint16
+		want           uint16
+		wantMismatch   bool
 	}{
 		{"both v1..v2", 1, 2, 1, 2, 2, false},
 		{"old client", 1, 2, 1, 1, 1, false},
