@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: check build test race vet loc fuzz fuzz-decoders fuzz-crypto cover-crypto bench bench-audit bench-recovery bench-fleet bench-overload bench-multitenant bench-threshold bench-chaos bench-daemon
+.PHONY: check build test race vet loc fuzz fuzz-decoders fuzz-crypto cover-crypto bench bench-pairs bench-audit bench-recovery bench-fleet bench-overload bench-multitenant bench-threshold bench-chaos bench-daemon
 
 check: vet build race
 
@@ -74,6 +74,16 @@ cover-crypto:
 
 bench:
 	$(GO) test -bench . -benchtime 1x ./...
+
+# Alternating parent/change pairs of one bench/ workload, the protocol a
+# perf claim is held to (BENCHMARK.json): medians, quartiles, the ratio
+# and the change's win count per metric. Leaves no file behind.
+#   make bench-pairs PARENT=<rev> WORKLOAD=<name> SEED=<n> PAIRS=10
+PAIRS ?= 10
+SEED ?= 1
+bench-pairs:
+	@test -n "$(PARENT)" -a -n "$(WORKLOAD)" || { echo "usage: make bench-pairs PARENT=<rev> WORKLOAD=<name> [SEED=1] [PAIRS=10]"; exit 2; }
+	sh scripts/bench-pairs.sh $(PARENT) $(WORKLOAD) $(SEED) $(PAIRS)
 
 # Audit-pipeline benchmarks: worker-pool scaling on a latent link, the
 # O(t) sampler's allocations, and the fixed-argument pairing cache.

@@ -365,6 +365,9 @@ type Agency struct {
 	// t-of-n quorum of share-holders instead of the agency's own key
 	// (see threshold.go). The agency key then only signs evidence.
 	thr *thresholdState
+	// sigs remembers the warrant and root signatures of delegations
+	// already accepted: a sweep re-audits one delegation many times.
+	sigs sigMemo
 }
 
 // NewAgency builds the DA from its extracted identity key. The pairing
@@ -444,19 +447,20 @@ func (a *Agency) challengeRNG(override *rand.Rand) (*rand.Rand, error) {
 }
 
 // AcceptDelegation validates a delegation before any network audit: the
-// warrant must name this DA and be unexpired and correctly signed; the
-// commitment root must match the claimed results; and the root signature
-// must verify against the claimed server.
+// warrant must name this DA, be unexpired, correctly signed and signed by
+// the delegation's user; the commitment root must match the claimed
+// results; and the root signature must verify against the claimed server.
+// Both signatures go through the agency's sigMemo, so re-accepting a
+// delegation pays for neither again; every other check runs each time.
 func (a *Agency) AcceptDelegation(d *JobDelegation) error {
-	if err := VerifyWarrant(a.scheme, &d.Warrant, d.JobID, a.verifierID(), a.clock()); err != nil {
+	if err := a.sigs.verifyWarrant(a.scheme, &d.Warrant, d.JobID, a.verifierID(), a.clock()); err != nil {
 		return err
 	}
-	sig, err := DecodeIBSig(a.scheme.Params(), d.RootSig)
-	if err != nil {
-		return fmt.Errorf("core: root signature malformed: %w", err)
+	if err := checkWarrantOwner(&d.Warrant, d.UserID); err != nil {
+		return err
 	}
-	if err := a.scheme.PublicVerify(d.ServerID, rootSigMessage(d.JobID, d.Root), sig); err != nil {
-		return fmt.Errorf("core: root signature invalid: %w", err)
+	if err := a.sigs.verify(a.scheme, "root", d.ServerID, rootSigMessage(d.JobID, d.Root), d.RootSig); err != nil {
+		return err
 	}
 	root, err := CommitmentRootParallel(d.Tasks, d.Results, a.workers)
 	if err != nil {

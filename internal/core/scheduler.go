@@ -179,9 +179,10 @@ func (s *AuditScheduler) WithObs(h *obs.Hub) *AuditScheduler {
 func (s *AuditScheduler) Registry() *TenantRegistry { return s.registry }
 
 // Onboard materializes a tenant for auditing: the delegation is validated
-// ONCE here (warrant, root signature, commitment rebuild — the expensive
-// per-call preamble the single-tenant entry points repeat on every audit)
-// and cached in the registry, and the tenant's Q_ID hash-to-point is
+// ONCE here (warrant, root signature, commitment rebuild — the per-call
+// preamble the single-tenant entry points repeat on every audit, there
+// with the signatures found in the agency's memo after the first) and
+// cached in the registry, and the tenant's Q_ID hash-to-point is
 // warmed so no audit session pays it. budget ≤ 0 keeps the registered
 // Theorem-3 budget. Unregistered IDs are registered implicitly.
 func (s *AuditScheduler) Onboard(client netsim.Client, d *JobDelegation, budget int) error {

@@ -133,18 +133,15 @@ type Server struct {
 	crashed  atomic.Bool // an injected crash fired: the "process" is dead
 	recovery RecoveryInfo
 
+	sigs sigMemo // warrant signatures that already verified
+
 	mu        sync.Mutex
 	storage   map[string]map[uint64]*storedBlock
 	jobs      map[string]*jobRecord
-	mutSeq    map[string]uint64   // per-user last applied mutation sequence
-	lastStore map[string]uint64   // per-user digest of the last applied upload
-	lastMut   map[string]uint64   // per-user digest of the last applied update/delete
-	warrantOK map[string]struct{} // warrants whose signature already verified
+	mutSeq    map[string]uint64 // per-user last applied mutation sequence
+	lastStore map[string]uint64 // per-user digest of the last applied upload
+	lastMut   map[string]uint64 // per-user digest of the last applied update/delete
 }
-
-// warrantCacheLimit bounds the verified-warrant cache; past it the cache
-// resets wholesale (re-verification is correct, just slower).
-const warrantCacheLimit = 1 << 14
 
 var _ netsim.Handler = (*Server)(nil)
 
@@ -170,7 +167,6 @@ func NewServer(sp *ibc.SystemParams, key *ibc.PrivateKey, cfg ServerConfig) (*Se
 		mutSeq:    make(map[string]uint64),
 		lastStore: make(map[string]uint64),
 		lastMut:   make(map[string]uint64),
-		warrantOK: make(map[string]struct{}),
 	}
 	if err := s.initDurability(); err != nil {
 		return nil, err
@@ -407,31 +403,11 @@ func (s *Server) handleCompute(req *wire.ComputeRequest) wire.Message {
 }
 
 // checkWarrant verifies the delegation token ("it first verifies the
-// warrant to check whether it is expired", §V-D). The pairing-based
-// signature check is memoized per warrant body+signature: a DA drives
-// many challenge rounds under one warrant, and only the policy checks
-// (expiry, bindings) can change between rounds.
+// warrant to check whether it is expired", §V-D). A DA drives many
+// challenge rounds under one warrant, so the signature goes through the
+// server's sigMemo; the policy checks (expiry, bindings) run every time.
 func (s *Server) checkWarrant(w *wire.Warrant, jobID string) error {
-	if w == nil {
-		return fmt.Errorf("core: missing warrant")
-	}
-	key := string(w.Body()) + "|" + string(w.Sig.U) + "|" + string(w.Sig.V)
-	s.mu.Lock()
-	_, verified := s.warrantOK[key]
-	s.mu.Unlock()
-	if verified {
-		return CheckWarrantPolicy(w, jobID, "", s.cfg.Clock())
-	}
-	if err := VerifyWarrant(s.scheme, w, jobID, "", s.cfg.Clock()); err != nil {
-		return err
-	}
-	s.mu.Lock()
-	if len(s.warrantOK) >= warrantCacheLimit {
-		s.warrantOK = make(map[string]struct{})
-	}
-	s.warrantOK[key] = struct{}{}
-	s.mu.Unlock()
-	return nil
+	return s.sigs.verifyWarrant(s.scheme, w, jobID, "", s.cfg.Clock())
 }
 
 func (s *Server) handleChallenge(req *wire.ChallengeRequest) wire.Message {
@@ -443,6 +419,9 @@ func (s *Server) handleChallenge(req *wire.ChallengeRequest) wire.Message {
 	s.mu.Unlock()
 	if !ok {
 		return &wire.ChallengeResponse{JobID: req.JobID, Error: "unknown job"}
+	}
+	if err := checkWarrantOwner(&req.Warrant, job.userID); err != nil {
+		return &wire.ChallengeResponse{JobID: req.JobID, Error: err.Error()}
 	}
 	items := make([]wire.ChallengeItem, 0, len(req.Indices))
 	for _, idx := range req.Indices {
@@ -482,6 +461,9 @@ func (s *Server) handleChallenge(req *wire.ChallengeRequest) wire.Message {
 
 func (s *Server) handleStorageAudit(req *wire.StorageAuditRequest) wire.Message {
 	if err := s.checkWarrant(&req.Warrant, ""); err != nil {
+		return &wire.StorageAuditResponse{Error: err.Error()}
+	}
+	if err := checkWarrantOwner(&req.Warrant, req.UserID); err != nil {
 		return &wire.StorageAuditResponse{Error: err.Error()}
 	}
 	resp := &wire.StorageAuditResponse{

@@ -300,9 +300,10 @@ func crossCell(sys *mtSystem, cfg MultiTenantConfig, users int) (MultiTenantRow,
 }
 
 // perUserCell resolves the same trace through the per-user entry point:
-// one AuditJob call per session, with the delegation re-validated (warrant,
-// root signature, commitment rebuild) on every call and each session's
-// signatures aggregated only within that session.
+// one AuditJob call per session, with the delegation re-validated on every
+// call (the warrant and root signatures are found in the agency's memo
+// after a tenant's first session; the commitment rebuild runs each time)
+// and each session's signatures aggregated only within that session.
 func perUserCell(sys *mtSystem, cfg MultiTenantConfig, users int) (MultiTenantRow, error) {
 	row := MultiTenantRow{
 		Users:        users,

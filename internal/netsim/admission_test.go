@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"net"
 	"sync"
 	"testing"
 	"time"
@@ -321,6 +322,48 @@ func TestTCPMaxConnsReturnsTypedOverload(t *testing.T) {
 	var oe *OverloadedError
 	if !errors.As(rerr, &oe) || oe.RetryAfter != 50*time.Millisecond {
 		t.Fatalf("refusal lost the retry-after hint: %v", rerr)
+	}
+	if got := srv.RefusedConns(); got != 1 {
+		t.Fatalf("RefusedConns = %d, want 1", got)
+	}
+}
+
+// TestTCPMaxConnsClosesSilentRefusedConn pins that a dialer over MaxConns
+// that never sends a request is closed after refuseReadTimeout, not held
+// for the (here disabled) ReadTimeout.
+func TestTCPMaxConnsClosesSilentRefusedConn(t *testing.T) {
+	srv, err := NewTCPServerConfig("127.0.0.1:0", echoHandler{}, TCPServerConfig{
+		MaxConns:    1,
+		ReadTimeout: -1,
+	})
+	if err != nil {
+		t.Fatalf("NewTCPServerConfig: %v", err)
+	}
+	defer srv.Close()
+
+	c1, err := DialTCP(srv.Addr())
+	if err != nil {
+		t.Fatalf("dial 1: %v", err)
+	}
+	defer c1.Close()
+	if _, err := c1.RoundTrip(&wire.StoreRequest{UserID: "a"}); err != nil {
+		t.Fatalf("round trip 1: %v", err)
+	}
+
+	silent, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
+		t.Fatalf("dial 2: %v", err)
+	}
+	defer silent.Close()
+	start := time.Now()
+	_ = silent.SetReadDeadline(start.Add(4 * refuseReadTimeout))
+	_, rerr := silent.Read(make([]byte, 1))
+	var ne net.Error
+	if errors.As(rerr, &ne) && ne.Timeout() {
+		t.Fatalf("silent refused conn still open after %v", time.Since(start))
+	}
+	if rerr == nil {
+		t.Fatal("silent refused conn got a reply to a request it never sent")
 	}
 	if got := srv.RefusedConns(); got != 1 {
 		t.Fatalf("RefusedConns = %d, want 1", got)

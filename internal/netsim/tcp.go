@@ -40,6 +40,11 @@ const (
 	DefaultWriteTimeout = 30 * time.Second
 )
 
+// refuseReadTimeout bounds the wait for a refused conn's first request,
+// whatever ReadTimeout says: a dialer over MaxConns that sends nothing
+// must not hold a goroutine and a descriptor the cap was meant to bound.
+const refuseReadTimeout = 2 * time.Second
+
 func (c TCPServerConfig) readTimeout() time.Duration {
 	if c.ReadTimeout == 0 {
 		return DefaultReadTimeout
@@ -73,7 +78,8 @@ type TCPServer struct {
 	mu       sync.Mutex
 	closed   bool
 	draining bool
-	conns    map[net.Conn]struct{}
+	conns    map[net.Conn]struct{} // served and refused conns alike
+	serving  int                   // conns counted against MaxConns
 	refused  int64
 	wg       sync.WaitGroup
 }
@@ -124,26 +130,57 @@ func (s *TCPServer) acceptLoop() {
 			_ = conn.Close()
 			return
 		}
-		if s.cfg.MaxConns > 0 && len(s.conns) >= s.cfg.MaxConns {
+		// Refused conns sit in s.conns too, so Close and Shutdown reach
+		// them, but only served ones count against MaxConns.
+		refuse := s.cfg.MaxConns > 0 && s.serving >= s.cfg.MaxConns
+		if refuse {
 			s.refused++
-			s.wg.Add(1)
-			s.mu.Unlock()
-			go s.refuseConn(conn)
-			continue
+		} else {
+			s.serving++
 		}
 		s.conns[conn] = struct{}{}
 		s.wg.Add(1)
 		s.mu.Unlock()
-		go s.serveConn(conn)
+		if refuse {
+			go s.refuseConn(conn)
+		} else {
+			go s.serveConn(conn)
+		}
 	}
+}
+
+// release forgets a conn on its way out and closes it.
+func (s *TCPServer) release(conn net.Conn, served bool) {
+	s.mu.Lock()
+	delete(s.conns, conn)
+	if served {
+		s.serving--
+	}
+	s.mu.Unlock()
+	_ = conn.Close()
 }
 
 // refuseConn answers a dial over the MaxConns cap with the typed
 // overload frame before closing, so the client backs off (or fails over)
-// instead of burning retries on what used to be a silent drop.
+// instead of burning retries on what used to be a silent drop. It reads
+// the client's first request before answering, as daemon.Server's shed
+// path does: a close with that request unread resets the connection, and
+// the client would see a broken pipe instead of the overload frame.
 func (s *TCPServer) refuseConn(conn net.Conn) {
 	defer s.wg.Done()
-	defer func() { _ = conn.Close() }()
+	defer s.release(conn, false)
+	// Deadline first, stop-check second, as in serveConn.
+	rt := refuseReadTimeout
+	if crt := s.cfg.readTimeout(); crt > 0 && crt < rt {
+		rt = crt
+	}
+	_ = conn.SetReadDeadline(time.Now().Add(rt))
+	if s.stopping() {
+		return
+	}
+	if _, _, err := wire.ReadMessage(conn); err != nil {
+		return
+	}
 	if wt := s.cfg.writeTimeout(); wt > 0 {
 		_ = conn.SetWriteDeadline(time.Now().Add(wt))
 	}
@@ -159,12 +196,7 @@ func (s *TCPServer) retryAfterMillis() int64 {
 
 func (s *TCPServer) serveConn(conn net.Conn) {
 	defer s.wg.Done()
-	defer func() {
-		s.mu.Lock()
-		delete(s.conns, conn)
-		s.mu.Unlock()
-		_ = conn.Close()
-	}()
+	defer s.release(conn, true)
 	readTimeout := s.cfg.readTimeout()
 	writeTimeout := s.cfg.writeTimeout()
 	for {
