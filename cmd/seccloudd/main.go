@@ -1,7 +1,8 @@
 // Command seccloudd is the SecCloud cloud-server daemon: it seeds the
 // demo dataset for the shared identity universe and serves storage and
 // computation audits on a real TCP (optionally mutual-TLS) socket,
-// speaking the versioned SECW wire protocol with legacy v1 back-compat.
+// speaking the versioned SECW wire protocol (every conn opens with the
+// hello; a peer sending bare frames is refused).
 //
 // Usage:
 //

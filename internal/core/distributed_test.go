@@ -175,73 +175,6 @@ func verifierIDs(sys *system) []string {
 	return ids
 }
 
-func TestProtocolOverTCP(t *testing.T) {
-	// The same end-to-end flow across a real socket: server behind a
-	// TCPServer, user and DA talking through TCPClients.
-	sys := newSystem(t, nil)
-	tcpSrv, err := netsim.NewTCPServer("127.0.0.1:0", sys.servers[0])
-	if err != nil {
-		t.Fatalf("NewTCPServer: %v", err)
-	}
-	defer func() {
-		if err := tcpSrv.Close(); err != nil {
-			t.Errorf("closing server: %v", err)
-		}
-	}()
-	client, err := netsim.DialTCP(tcpSrv.Addr())
-	if err != nil {
-		t.Fatalf("DialTCP: %v", err)
-	}
-	defer func() {
-		if err := client.Close(); err != nil {
-			t.Errorf("closing client: %v", err)
-		}
-	}()
-
-	gen := workload.NewGenerator(23)
-	ds := gen.GenDataset(sys.user.ID(), 6, 4)
-	req, err := sys.user.PrepareStore(ds, sys.servers[0].ID(), sys.agency.ID())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sys.user.Store(client, req); err != nil {
-		t.Fatalf("Store over TCP: %v", err)
-	}
-
-	job := workload.UniformJob(sys.user.ID(), funcs.Spec{Name: "mean"}, 6)
-	resp, err := sys.user.SubmitJob(client, "tcp-job", job)
-	if err != nil {
-		t.Fatalf("SubmitJob over TCP: %v", err)
-	}
-	warrant, err := sys.user.Delegate(sys.agency.ID(), "tcp-job", time.Now().Add(time.Hour))
-	if err != nil {
-		t.Fatal(err)
-	}
-	d := &JobDelegation{
-		UserID:   sys.user.ID(),
-		ServerID: resp.ServerID,
-		JobID:    "tcp-job",
-		Tasks:    TasksToWire(job),
-		Results:  resp.Results,
-		Root:     resp.Root,
-		RootSig:  resp.RootSig,
-		Warrant:  warrant,
-	}
-	report, err := sys.agency.AuditJob(client, d, AuditConfig{
-		SampleSize: 3, Rng: mrand.New(mrand.NewSource(50)), BatchSignatures: true,
-	})
-	if err != nil {
-		t.Fatalf("AuditJob over TCP: %v", err)
-	}
-	if !report.Valid() {
-		t.Fatalf("honest server failed TCP audit: %+v", report.Failures)
-	}
-	// The TCP link recorded real traffic.
-	if st := client.Stats(); st.Calls < 3 || st.TotalBytes() == 0 {
-		t.Fatalf("TCP stats implausible: %+v", st)
-	}
-}
-
 func TestLoopbackByteAccounting(t *testing.T) {
 	sys := newSystem(t, nil)
 	gen := workload.NewGenerator(24)

@@ -30,7 +30,8 @@ type ClientConfig struct {
 	// the pool closed, or the request failing to encode — never feed
 	// Report: purely client-local backpressure must not trip the breaker.
 	Report func(ok bool)
-	// Obs instruments the client under transport="daemon".
+	// Obs instruments the client under transport="daemon" with netsim's
+	// rpc_* instrument set, so a fault is labelled as on any other link.
 	Obs *obs.Hub
 }
 
@@ -42,7 +43,7 @@ type Client struct {
 	pool *Pool
 	cfg  ClientConfig
 	inj  *netsim.Injector
-	met  *clientObs
+	met  *netsim.RPCObs
 
 	mu     sync.Mutex
 	closed bool
@@ -63,7 +64,7 @@ func NewClient(pool *Pool, cfg ClientConfig) *Client {
 		pool: pool,
 		cfg:  cfg,
 		inj:  netsim.NewInjector(cfg.Faults),
-		met:  newClientObs(cfg.Obs),
+		met:  netsim.NewRPCObs(cfg.Obs, "daemon"),
 	}
 }
 
@@ -94,7 +95,7 @@ func (c *Client) RoundTripContext(ctx context.Context, m wire.Message) (wire.Mes
 	}
 	start := time.Now()
 	resp, reached, err := c.roundTrip(ctx, m)
-	c.met.observe(time.Since(start), err)
+	c.met.Observe(time.Since(start), err)
 	if c.cfg.Report != nil && reached {
 		c.cfg.Report(err == nil || netsim.IsOverloaded(err))
 	}
@@ -242,42 +243,4 @@ func (c *Client) Close() error {
 	c.closed = true
 	c.mu.Unlock()
 	return c.pool.Close()
-}
-
-type clientObs struct {
-	requests *obs.Counter
-	latency  *obs.Histogram
-	faults   *obs.CounterVec
-}
-
-func newClientObs(h *obs.Hub) *clientObs {
-	if h == nil {
-		return nil
-	}
-	return &clientObs{
-		requests: h.Counter("rpc_requests_total", "transport").With("daemon"),
-		latency:  h.Histogram("rpc_latency_seconds", nil, "transport").With("daemon"),
-		faults:   h.Counter("rpc_faults_total", "transport", "fault"),
-	}
-}
-
-func (o *clientObs) observe(lat time.Duration, err error) {
-	if o == nil {
-		return
-	}
-	o.requests.Inc()
-	o.latency.Observe(lat.Seconds())
-	if err != nil {
-		label := "transport"
-		var fe *netsim.FaultError
-		switch {
-		case errors.As(err, &fe):
-			label = fe.Kind.String()
-		case netsim.IsOverloaded(err):
-			label = "overload"
-		case netsim.IsTimeout(err):
-			label = "timeout"
-		}
-		o.faults.With("daemon", label).Inc()
-	}
 }

@@ -6,11 +6,11 @@
 //
 // The layer split mirrors drand's daemon/control-plane design:
 //
-//   - Server accepts public-socket connections, sniffs the SECW version
-//     handshake (legacy v1 peers speak bare frames and stay supported),
-//     authenticates peers by TLS SAN → registered principal, applies
-//     netsim.Admission backpressure per request, and serves the same
-//     netsim.Handler the simulator serves — always through a
+//   - Server accepts public-socket connections, runs the mandatory SECW
+//     version handshake (a peer that opens with anything else is
+//     refused), authenticates peers by TLS SAN → registered principal,
+//     applies netsim.Admission backpressure per request, and serves the
+//     same netsim.Handler the simulator serves — always through a
 //     netsim.SwappableHandler slot, so chaos schedules can kill and
 //     revive a real-socket server exactly like a simulated one.
 //   - Pool + Client give the agency side bounded, health-checked,
@@ -20,6 +20,10 @@
 //   - Transport abstracts "dial an audit target": SimTransport serves
 //     handlers in-process (the test harness), TCPTransport dials pooled
 //     real sockets. Audit code runs unchanged against either.
+//
+// Server and Pool/Client are the tree's only socket server and client:
+// the seccloud facade's ServeTCP/DialTCP, both daemons and the benchmark
+// all run on them.
 //
 // Lifecycle: every daemon loads a JSON config file overridden by flags,
 // exposes the obs admin hub (/healthz, /metrics, /traces, pprof), and

@@ -32,12 +32,6 @@ type PoolConfig struct {
 	DialTimeout time.Duration
 	// TLS, when set, dials TLS (use LoadClientTLS).
 	TLS *tls.Config
-	// Legacy skips the SECW version handshake: the peer is a bare-frame
-	// v1 server (e.g. netsim.TCPServer). A non-legacy pool cannot talk
-	// to a legacy server — the server would read "SECW" as an oversized
-	// frame prefix — which is the documented back-compat asymmetry:
-	// daemon servers accept v1 clients, not the reverse.
-	Legacy bool
 }
 
 // Pool defaults.
@@ -75,8 +69,7 @@ type PoolConn struct {
 	idleSince time.Time
 }
 
-// Version is the protocol version negotiated on this conn (ProtoV1 for
-// legacy pools).
+// Version is the protocol version negotiated on this conn.
 func (c *PoolConn) Version() uint16 { return c.version }
 
 // Conn exposes the underlying net.Conn (deadline management, writes).
@@ -192,19 +185,15 @@ func (p *Pool) dial(ctx context.Context) (*PoolConn, error) {
 		}
 		nc = tc
 	}
-	version := wire.ProtoV1
-	if !p.cfg.Legacy {
-		if deadline, ok := dctx.Deadline(); ok {
-			_ = nc.SetDeadline(deadline)
-		}
-		v, err := wire.Handshake(nc, wire.MinProto, wire.MaxProto)
-		if err != nil {
-			_ = nc.Close()
-			return nil, fmt.Errorf("daemon: handshake with %s: %w", p.cfg.Addr, err)
-		}
-		_ = nc.SetDeadline(time.Time{})
-		version = v
+	if deadline, ok := dctx.Deadline(); ok {
+		_ = nc.SetDeadline(deadline)
 	}
+	version, err := wire.Handshake(nc, wire.MinProto, wire.MaxProto)
+	if err != nil {
+		_ = nc.Close()
+		return nil, fmt.Errorf("daemon: handshake with %s: %w", p.cfg.Addr, err)
+	}
+	_ = nc.SetDeadline(time.Time{})
 	p.mu.Lock()
 	p.stats.Dials++
 	p.mu.Unlock()

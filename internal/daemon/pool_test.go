@@ -75,14 +75,17 @@ func TestPoolEvictsServerClosedConn(t *testing.T) {
 			if err != nil {
 				return
 			}
+			// Answer the hello, as a daemon would, then just hold the conn.
+			if _, err := wire.ReadClientHello(c); err == nil {
+				_ = wire.WriteServerHello(c, wire.ServerHello{Version: wire.ProtoV2})
+			}
 			mu.Lock()
 			accepted = append(accepted, c)
 			mu.Unlock()
 		}
 	}()
 
-	// Legacy pool: no handshake, so a bare listener suffices.
-	pool := NewPool(PoolConfig{Addr: ln.Addr().String(), Legacy: true, DialTimeout: 5 * time.Second})
+	pool := NewPool(PoolConfig{Addr: ln.Addr().String(), DialTimeout: 5 * time.Second})
 	defer pool.Close()
 	conn, err := pool.Get(context.Background())
 	if err != nil {

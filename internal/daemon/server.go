@@ -1,10 +1,9 @@
 package daemon
 
 import (
-	"bytes"
 	"context"
 	"crypto/tls"
-	"io"
+	"errors"
 	"net"
 	"sync"
 	"time"
@@ -26,8 +25,8 @@ type ServerConfig struct {
 	// to resolve to a registered principal; unknown peers are dropped
 	// after the TLS handshake.
 	Identities *IdentityMap
-	// ReadTimeout / WriteTimeout bound socket operations; zero picks the
-	// netsim defaults (2m / 30s), negative disables.
+	// ReadTimeout / WriteTimeout bound socket operations; zero picks
+	// DefaultReadTimeout / DefaultWriteTimeout, negative disables.
 	ReadTimeout  time.Duration
 	WriteTimeout time.Duration
 	// DrainIdle is how long a connection may sit idle once draining
@@ -45,12 +44,19 @@ type ServerConfig struct {
 	Obs *obs.Hub
 }
 
-// DefaultDrainIdle bounds how long an idle conn can stall a drain.
-const DefaultDrainIdle = 2 * time.Second
+// Socket defaults.
+const (
+	// DefaultReadTimeout bounds the wait for a conn's next request.
+	DefaultReadTimeout = 2 * time.Minute
+	// DefaultWriteTimeout bounds each response write.
+	DefaultWriteTimeout = 30 * time.Second
+	// DefaultDrainIdle bounds how long an idle conn can stall a drain.
+	DefaultDrainIdle = 2 * time.Second
+)
 
 func (c ServerConfig) readTimeout() time.Duration {
 	if c.ReadTimeout == 0 {
-		return netsim.DefaultReadTimeout
+		return DefaultReadTimeout
 	}
 	if c.ReadTimeout < 0 {
 		return 0
@@ -60,7 +66,7 @@ func (c ServerConfig) readTimeout() time.Duration {
 
 func (c ServerConfig) writeTimeout() time.Duration {
 	if c.WriteTimeout == 0 {
-		return netsim.DefaultWriteTimeout
+		return DefaultWriteTimeout
 	}
 	if c.WriteTimeout < 0 {
 		return 0
@@ -75,8 +81,8 @@ func (c ServerConfig) drainIdle() time.Duration {
 	return c.DrainIdle
 }
 
-// Server is the daemon's public protocol listener: version-negotiated
-// framing (v2 handshake, v1 legacy both served), optional mTLS identity,
+// Server is the daemon's public protocol listener — the one socket server
+// in the tree: version-negotiated framing, optional mTLS identity,
 // admission backpressure, graceful drain, and a swappable handler slot
 // for chaos schedules.
 type Server struct {
@@ -157,8 +163,7 @@ func (s *Server) acceptLoop() {
 		}
 		// Drain and MaxConns pressure share the refusal path: the conn
 		// still gets the protocol handshake, then its first request is
-		// answered with the typed overload frame — classifiable by both
-		// v1 and v2 clients — and closed.
+		// answered with the typed overload frame and closed.
 		// Only genuinely served conns count against MaxConns: shed conns
 		// linger in s.conns just long enough to receive their overload
 		// frame, and must not push the server into refusing capacity it
@@ -196,9 +201,10 @@ func (s *Server) serveConn(raw net.Conn, shed bool) {
 	readTimeout := s.cfg.readTimeout()
 	writeTimeout := s.cfg.writeTimeout()
 	drainIdle := s.cfg.drainIdle()
-	// Refused conns get one bounded exchange, never the full read timeout:
-	// a shed dialer that sends nothing must not hold the drain open.
-	if shed && readTimeout > drainIdle {
+	// Refused conns get one bounded exchange, never the full (or a
+	// disabled) read timeout: a shed dialer that sends nothing must not
+	// hold a descriptor the cap was meant to bound, nor the drain open.
+	if shed && (readTimeout == 0 || readTimeout > drainIdle) {
 		readTimeout = drainIdle
 	}
 
@@ -230,48 +236,38 @@ func (s *Server) serveConn(raw net.Conn, shed bool) {
 		conn = tc
 	}
 
-	// Protocol sniff: the first four bytes are either the SECW magic (v2
-	// handshake) or a legacy v1 frame's length prefix.
+	// The hello comes first, always: a peer that opens with anything else
+	// (a bare frame included) is refused without a reply.
 	if readTimeout > 0 {
 		_ = conn.SetReadDeadline(time.Now().Add(readTimeout))
 	}
-	var head [4]byte
-	if _, err := io.ReadFull(conn, head[:]); err != nil {
+	hello, err := wire.ReadClientHello(conn)
+	if err != nil {
+		if errors.Is(err, wire.ErrBadHandshake) {
+			s.met.refuse("bad-handshake")
+		}
 		return
 	}
-	version := wire.ProtoV1
-	var rd io.Reader = conn
-	if wire.IsHandshakeMagic(head) {
-		hello, err := wire.ReadClientHelloTail(conn, head)
-		if err != nil {
-			s.met.refuse("bad-handshake")
-			return
-		}
-		v, err := wire.Negotiate(wire.MinProto, wire.MaxProto, hello)
-		if writeTimeout > 0 {
-			_ = conn.SetWriteDeadline(time.Now().Add(writeTimeout))
-		}
-		if err != nil {
-			// Version 0 in the ServerHello is the explicit refusal.
-			_ = wire.WriteServerHello(conn, wire.ServerHello{Version: 0})
-			s.met.refuse("version-mismatch")
-			return
-		}
-		if err := wire.WriteServerHello(conn, wire.ServerHello{Version: v}); err != nil {
-			return
-		}
-		version = v
-	} else {
-		// Legacy peer: the sniffed bytes are the first frame's prefix.
-		rd = io.MultiReader(bytes.NewReader(head[:]), conn)
+	v, err := wire.Negotiate(wire.MinProto, wire.MaxProto, hello)
+	if writeTimeout > 0 {
+		_ = conn.SetWriteDeadline(time.Now().Add(writeTimeout))
 	}
-	s.met.handshake(version)
+	if err != nil {
+		// Version 0 in the ServerHello is the explicit refusal.
+		_ = wire.WriteServerHello(conn, wire.ServerHello{Version: 0})
+		s.met.refuse("version-mismatch")
+		return
+	}
+	if err := wire.WriteServerHello(conn, wire.ServerHello{Version: v}); err != nil {
+		return
+	}
+	s.met.handshake(v)
 
 	for {
-		// Deadline first, stop-check second (same load-bearing order as
-		// netsim.TCPServer.serveConn): whichever side arms the deadline
-		// last, the loop either observes the stop flag or wakes from an
-		// expired read instead of parking the drain for ReadTimeout.
+		// Deadline first, stop-check second — this order is load-bearing:
+		// whichever side arms the deadline last, the loop either observes
+		// the stop flag or wakes from an expired read instead of parking
+		// the drain for ReadTimeout.
 		if readTimeout > 0 {
 			_ = conn.SetReadDeadline(time.Now().Add(readTimeout))
 		}
@@ -288,7 +284,7 @@ func (s *Server) serveConn(raw net.Conn, shed bool) {
 				_ = conn.SetReadDeadline(time.Now().Add(drainIdle))
 			}
 		}
-		req, _, err := wire.ReadMessage(rd)
+		req, _, err := wire.ReadMessage(conn)
 		if err != nil {
 			return
 		}
@@ -460,8 +456,6 @@ func (o *serverObs) refuse(reason string) {
 
 func versionLabel(v uint16) string {
 	switch v {
-	case wire.ProtoV1:
-		return "v1"
 	case wire.ProtoV2:
 		return "v2"
 	default:

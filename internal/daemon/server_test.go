@@ -2,6 +2,9 @@ package daemon
 
 import (
 	"context"
+	"errors"
+	"io"
+	"net"
 	"runtime"
 	"strings"
 	"testing"
@@ -9,6 +12,7 @@ import (
 
 	"seccloud/internal/core"
 	"seccloud/internal/netsim"
+	"seccloud/internal/obs"
 	"seccloud/internal/pairing"
 	"seccloud/internal/wire"
 )
@@ -144,28 +148,51 @@ func TestDaemonPoolNegotiatesV2(t *testing.T) {
 	}
 }
 
-// TestDaemonServesLegacyV1Client is the back-compat direction the wire
-// format guarantees: a pre-handshake bare-frame client (netsim.TCPClient)
-// audits a daemon server successfully.
-func TestDaemonServesLegacyV1Client(t *testing.T) {
+// TestDaemonRefusesBareFrame: a peer that skips the hello and opens with
+// a bare length-prefixed frame is refused, not served — no reply frame,
+// the conn closed, and the refusal counted as a bad handshake.
+func TestDaemonRefusesBareFrame(t *testing.T) {
 	u := newTestUniverse(t, 3)
-	s := startDaemon(t, newSeededServer(t, u, "0", core.ServerConfig{}), nil)
+	hub := obs.NewHub()
+	s := startDaemon(t, newSeededServer(t, u, "0", core.ServerConfig{}), func(cfg *ServerConfig) {
+		cfg.Obs = hub
+	})
 
-	client, err := netsim.DialTCP(s.Addr())
+	conn, err := net.Dial("tcp", s.Addr())
 	if err != nil {
-		t.Fatalf("DialTCP: %v", err)
+		t.Fatalf("dial: %v", err)
 	}
-	defer client.Close()
+	defer conn.Close()
+	if _, err := wire.WriteMessage(conn, &wire.StorageAuditRequest{UserID: u.User.ID()}); err != nil {
+		t.Fatalf("writing bare frame: %v", err)
+	}
+	_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	n, err := io.ReadFull(conn, make([]byte, 4))
+	if n != 0 {
+		t.Fatalf("daemon answered a bare frame with %d byte(s)", n)
+	}
+	var ne net.Error
+	if errors.As(err, &ne) && ne.Timeout() {
+		t.Fatal("daemon held the conn of a peer that sent no hello")
+	}
 
-	report := runAudit(t, u, client, 7, testAuditConfig(1))
-	if !report.Valid() || falseFlags(report) != 0 {
-		t.Fatalf("legacy v1 client audit failed: valid=%t flags=%d", report.Valid(), falseFlags(report))
+	bad := map[string]string{"reason": "bad-handshake"}
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		v, _ := hub.Registry().Snapshot().Value("daemon_refusals_total", bad)
+		if v == 1 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("daemon_refusals_total{reason=bad-handshake} = %v, want 1", v)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 
 // TestDaemonRefusesOverMaxConns: surplus dials are not dropped — they get
-// the typed overload frame after a full protocol handshake, so both v1
-// and v2 clients classify the refusal as a shed, never as evidence.
+// the typed overload frame after a full protocol handshake, so clients
+// classify the refusal as a shed, never as evidence.
 func TestDaemonRefusesOverMaxConns(t *testing.T) {
 	u := newTestUniverse(t, 4)
 	s := startDaemon(t, newSeededServer(t, u, "0", core.ServerConfig{}), func(cfg *ServerConfig) {
@@ -341,5 +368,84 @@ func waitNoServerGoroutines(t *testing.T, before int) {
 	stacks := string(buf[:runtime.Stack(buf, true)])
 	if strings.Contains(stacks, "daemon.(*Server)") {
 		t.Fatalf("leaked daemon server goroutines:\n%s", stacks)
+	}
+}
+
+// TestDaemonRestartRecoversFromWAL is what a seccloudd restart looks like
+// from the agency's side: the listener dies with the process, a new
+// core.Server recovers the old one's state from its WAL, Listen binds the
+// same address again, and the pooled client's next round trip succeeds —
+// after a retryable error for the trip that met the dead process, never
+// an accusation.
+func TestDaemonRestartRecoversFromWAL(t *testing.T) {
+	u := newTestUniverse(t, 7)
+	durable := core.ServerConfig{Durability: &core.DurabilityConfig{Dir: t.TempDir(), NoSync: true}}
+	first := newSeededServer(t, u, "0", durable)
+	s := startDaemon(t, first, nil)
+	addr := s.Addr()
+
+	client := NewClient(NewPool(PoolConfig{Addr: addr}), ClientConfig{Timeout: 5 * time.Second})
+	defer client.Close()
+	req := &wire.StorageAuditRequest{UserID: u.User.ID()}
+	if _, err := client.RoundTrip(req); err != nil {
+		t.Fatalf("trip before the crash: %v", err)
+	}
+
+	// SIGKILL: the socket goes away with the process and its WAL handle.
+	first.Crash()
+	if err := s.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	if _, err := client.RoundTrip(req); !netsim.IsRetryable(err) {
+		t.Fatalf("trip against the dead daemon = %v, want a retryable transport error", err)
+	}
+
+	recovered, err := u.NewServer("0", durable)
+	if err != nil {
+		t.Fatalf("recovering from the WAL: %v", err)
+	}
+	defer recovered.Close()
+	if rec := recovered.Recovery(); !rec.Recovered || rec.Users != 1 {
+		t.Fatalf("recovery = %+v, want the seeded user back", rec)
+	}
+	restarted, err := Listen(addr, ServerConfig{Handler: recovered})
+	if err != nil {
+		t.Fatalf("Listen on %s again: %v", addr, err)
+	}
+	defer restarted.Close()
+
+	if _, err := client.RoundTrip(req); err != nil {
+		t.Fatalf("trip after the restart: %v", err)
+	}
+	report := runAudit(t, u, client, 1, testAuditConfig(2))
+	if !report.Valid() || falseFlags(report) != 0 || report.EffectiveSampleSize != testSample {
+		t.Fatalf("audit of the recovered daemon: valid=%t flags=%d sample=%d", report.Valid(), falseFlags(report), report.EffectiveSampleSize)
+	}
+	if st := client.Pool().Stats(); st.Dials < 2 {
+		t.Fatalf("client never redialed the restarted daemon: %+v", st)
+	}
+}
+
+// TestClientShedCountsOverloadedFault: a shed seen through a daemon.Client
+// lands in rpc_faults_total under the same fault label every other
+// transport, and rpc_retries_total, use for it.
+func TestClientShedCountsOverloadedFault(t *testing.T) {
+	gate := netsim.NewAdmission(netsim.AdmissionConfig{MaxInflight: 1})
+	if err := gate.Acquire(context.Background()); err != nil {
+		t.Fatalf("Acquire: %v", err)
+	}
+	defer gate.Release()
+	s := startDaemon(t, netsim.HandlerFunc(func(m wire.Message) wire.Message { return m }), func(cfg *ServerConfig) {
+		cfg.Admission = gate
+	})
+	hub := obs.NewHub()
+	client := NewClient(NewPool(PoolConfig{Addr: s.Addr()}), ClientConfig{Timeout: 5 * time.Second, Obs: hub})
+	defer client.Close()
+	if _, err := client.RoundTrip(&wire.StoreResponse{OK: true}); !netsim.IsOverloaded(err) {
+		t.Fatalf("trip through a full gate = %v, want a shed", err)
+	}
+	shed := map[string]string{"transport": "daemon", "fault": "overloaded"}
+	if v, _ := hub.Registry().Snapshot().Value("rpc_faults_total", shed); v != 1 {
+		t.Fatalf("rpc_faults_total{transport=daemon,fault=overloaded} = %v, want 1", v)
 	}
 }

@@ -102,8 +102,6 @@ type TCPTransportConfig struct {
 	RTT time.Duration
 	// Faults injects deterministic client-side faults per dialed remote.
 	Faults netsim.FaultConfig
-	// Legacy dials bare-frame v1 (for netsim.TCPServer peers).
-	Legacy bool
 	// Obs instruments pools and clients.
 	Obs *obs.Hub
 }
@@ -148,7 +146,6 @@ func (t *TCPTransport) Dial(addr string) (netsim.Client, error) {
 		IdleTimeout: t.cfg.IdleTimeout,
 		DialTimeout: t.cfg.DialTimeout,
 		TLS:         t.cfg.TLS,
-		Legacy:      t.cfg.Legacy,
 	})
 	var client netsim.Client = NewClient(pool, ClientConfig{
 		Timeout: t.cfg.Timeout,

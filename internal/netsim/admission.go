@@ -43,12 +43,12 @@ func IsOverloaded(err error) bool {
 	return errors.As(err, &oe)
 }
 
-// retryAfterToMillis encodes a backoff hint for the wire, where 0 means
+// RetryAfterMillis encodes a backoff hint for the wire, where 0 means
 // "no hint". Sub-millisecond hints round UP to 1ms instead of truncating
 // to 0: a 500µs RetryAfter that arrives as "no hint" strips the client of
 // the backoff signal entirely, which is the opposite of what a shedding
 // server wants.
-func retryAfterToMillis(d time.Duration) int64 {
+func RetryAfterMillis(d time.Duration) int64 {
 	if d <= 0 {
 		return 0
 	}
@@ -59,30 +59,16 @@ func retryAfterToMillis(d time.Duration) int64 {
 	return ms
 }
 
-// overloadResponse converts a decoded reply into the typed error when the
-// peer shed the request. Transports call it on every successful decode so
-// an OverloadResponse never leaks to protocol code as a normal message.
-func overloadResponse(op string, m wire.Message) (wire.Message, error) {
+// CheckOverload converts a decoded reply into the typed *OverloadedError
+// when the peer shed the request. Transports call it on every successful
+// decode so an OverloadResponse never leaks to protocol code as a normal
+// message; any other message passes through.
+func CheckOverload(op string, m wire.Message) (wire.Message, error) {
 	ov, ok := m.(*wire.OverloadResponse)
 	if !ok {
 		return m, nil
 	}
 	return nil, &OverloadedError{Op: op, RetryAfter: time.Duration(ov.RetryAfterMillis) * time.Millisecond}
-}
-
-// CheckOverload is the exported face of overloadResponse for transports
-// outside this package (the daemon's pooled client): it converts a decoded
-// OverloadResponse into the typed *OverloadedError so sheds never reach
-// protocol code as normal messages. Any other message passes through.
-func CheckOverload(op string, m wire.Message) (wire.Message, error) {
-	return overloadResponse(op, m)
-}
-
-// RetryAfterMillis is the exported wire encoding of a backoff hint (0
-// means "no hint"; sub-millisecond hints round up), for servers outside
-// this package that build their own OverloadResponse frames.
-func RetryAfterMillis(d time.Duration) int64 {
-	return retryAfterToMillis(d)
 }
 
 // AdmissionConfig bounds a server's concurrent work and its request

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"errors"
-	"net"
 	"sync"
 	"testing"
 	"time"
@@ -227,8 +226,8 @@ func TestRetryAfterToMillis(t *testing.T) {
 		{250 * time.Millisecond, 250},
 	}
 	for _, tc := range cases {
-		if got := retryAfterToMillis(tc.d); got != tc.want {
-			t.Fatalf("retryAfterToMillis(%v) = %d, want %d", tc.d, got, tc.want)
+		if got := RetryAfterMillis(tc.d); got != tc.want {
+			t.Fatalf("RetryAfterMillis(%v) = %d, want %d", tc.d, got, tc.want)
 		}
 	}
 }
@@ -285,113 +284,6 @@ func TestRetryBudgetRefundsOnSuccess(t *testing.T) {
 	}
 	if got := b.Spent(); got != 5 {
 		t.Fatalf("Spent() = %d, want 5", got)
-	}
-}
-
-// TestTCPMaxConnsReturnsTypedOverload pins the satellite fix: a dial over
-// MaxConns gets the typed overload frame, not a silent close.
-func TestTCPMaxConnsReturnsTypedOverload(t *testing.T) {
-	srv, err := NewTCPServerConfig("127.0.0.1:0", echoHandler{}, TCPServerConfig{
-		MaxConns:  1,
-		Admission: NewAdmission(AdmissionConfig{MaxInflight: 1, RetryAfter: 50 * time.Millisecond}),
-	})
-	if err != nil {
-		t.Fatalf("NewTCPServerConfig: %v", err)
-	}
-	defer srv.Close()
-
-	c1, err := DialTCP(srv.Addr())
-	if err != nil {
-		t.Fatalf("dial 1: %v", err)
-	}
-	defer c1.Close()
-	// One round trip proves c1 is registered and holding the only slot.
-	if _, err := c1.RoundTrip(&wire.StoreRequest{UserID: "a"}); err != nil {
-		t.Fatalf("round trip 1: %v", err)
-	}
-
-	c2, err := DialTCP(srv.Addr())
-	if err != nil {
-		t.Fatalf("dial 2: %v", err)
-	}
-	defer c2.Close()
-	_, rerr := c2.RoundTrip(&wire.StoreRequest{UserID: "b"})
-	if !IsOverloaded(rerr) {
-		t.Fatalf("refused conn round trip = %v, want typed overload", rerr)
-	}
-	var oe *OverloadedError
-	if !errors.As(rerr, &oe) || oe.RetryAfter != 50*time.Millisecond {
-		t.Fatalf("refusal lost the retry-after hint: %v", rerr)
-	}
-	if got := srv.RefusedConns(); got != 1 {
-		t.Fatalf("RefusedConns = %d, want 1", got)
-	}
-}
-
-// TestTCPMaxConnsClosesSilentRefusedConn pins that a dialer over MaxConns
-// that never sends a request is closed after refuseReadTimeout, not held
-// for the (here disabled) ReadTimeout.
-func TestTCPMaxConnsClosesSilentRefusedConn(t *testing.T) {
-	srv, err := NewTCPServerConfig("127.0.0.1:0", echoHandler{}, TCPServerConfig{
-		MaxConns:    1,
-		ReadTimeout: -1,
-	})
-	if err != nil {
-		t.Fatalf("NewTCPServerConfig: %v", err)
-	}
-	defer srv.Close()
-
-	c1, err := DialTCP(srv.Addr())
-	if err != nil {
-		t.Fatalf("dial 1: %v", err)
-	}
-	defer c1.Close()
-	if _, err := c1.RoundTrip(&wire.StoreRequest{UserID: "a"}); err != nil {
-		t.Fatalf("round trip 1: %v", err)
-	}
-
-	silent, err := net.Dial("tcp", srv.Addr())
-	if err != nil {
-		t.Fatalf("dial 2: %v", err)
-	}
-	defer silent.Close()
-	start := time.Now()
-	_ = silent.SetReadDeadline(start.Add(4 * refuseReadTimeout))
-	_, rerr := silent.Read(make([]byte, 1))
-	var ne net.Error
-	if errors.As(rerr, &ne) && ne.Timeout() {
-		t.Fatalf("silent refused conn still open after %v", time.Since(start))
-	}
-	if rerr == nil {
-		t.Fatal("silent refused conn got a reply to a request it never sent")
-	}
-	if got := srv.RefusedConns(); got != 1 {
-		t.Fatalf("RefusedConns = %d, want 1", got)
-	}
-}
-
-// TestTCPAdmissionSheds drives the gate through real sockets.
-func TestTCPAdmissionSheds(t *testing.T) {
-	gate := NewAdmission(AdmissionConfig{MaxInflight: 1, MaxQueue: 0, RetryAfter: 25 * time.Millisecond})
-	if err := gate.Acquire(context.Background()); err != nil {
-		t.Fatalf("Acquire: %v", err)
-	}
-	srv, err := NewTCPServerConfig("127.0.0.1:0", echoHandler{}, TCPServerConfig{Admission: gate})
-	if err != nil {
-		t.Fatalf("NewTCPServerConfig: %v", err)
-	}
-	defer srv.Close()
-	c, err := DialTCP(srv.Addr())
-	if err != nil {
-		t.Fatalf("dial: %v", err)
-	}
-	defer c.Close()
-	if _, err := c.RoundTrip(&wire.StoreRequest{UserID: "a"}); !IsOverloaded(err) {
-		t.Fatalf("round trip under full gate = %v, want overloaded", err)
-	}
-	gate.Release()
-	if _, err := c.RoundTrip(&wire.StoreRequest{UserID: "a"}); err != nil {
-		t.Fatalf("round trip after release: %v", err)
 	}
 }
 

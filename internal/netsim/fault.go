@@ -119,101 +119,6 @@ func (c FaultCounts) Total() int64 {
 	return c.Drops + c.Delays + c.Duplicates + c.Corruptions + c.Disconnects
 }
 
-// legPlan is the injector's decision for one message leg.
-type legPlan struct {
-	drop       bool
-	delay      time.Duration
-	duplicate  bool
-	corrupt    bool
-	disconnect bool
-}
-
-// faultInjector applies a FaultConfig with a private, mutex-guarded PRNG
-// so concurrent round trips stay deterministic in aggregate.
-type faultInjector struct {
-	cfg FaultConfig
-
-	mu     sync.Mutex
-	rng    *rand.Rand
-	counts FaultCounts
-}
-
-// newFaultInjector builds an injector; nil when the config is inert so
-// the fault-free fast path stays allocation- and lock-free.
-func newFaultInjector(cfg FaultConfig) *faultInjector {
-	if !cfg.enabled() {
-		return nil
-	}
-	seed := cfg.Seed
-	if seed == 0 {
-		seed = 1
-	}
-	return &faultInjector{cfg: cfg, rng: rand.New(rand.NewSource(seed))}
-}
-
-// plan draws the fault decisions for one leg. allowDuplicate limits
-// duplication to request legs (a duplicated response has no observer).
-func (f *faultInjector) plan(allowDuplicate bool) legPlan {
-	if f == nil {
-		return legPlan{}
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	var p legPlan
-	if f.cfg.DisconnectRate > 0 && f.rng.Float64() < f.cfg.DisconnectRate {
-		p.disconnect = true
-		f.counts.Disconnects++
-		return p
-	}
-	if f.cfg.DropRate > 0 && f.rng.Float64() < f.cfg.DropRate {
-		p.drop = true
-		f.counts.Drops++
-		return p
-	}
-	if f.cfg.CorruptRate > 0 && f.rng.Float64() < f.cfg.CorruptRate {
-		p.corrupt = true
-		f.counts.Corruptions++
-	}
-	if allowDuplicate && f.cfg.DuplicateRate > 0 && f.rng.Float64() < f.cfg.DuplicateRate {
-		p.duplicate = true
-		f.counts.Duplicates++
-	}
-	if f.cfg.DelayRate > 0 && f.rng.Float64() < f.cfg.DelayRate {
-		p.delay = f.cfg.Delay
-		f.counts.Delays++
-	}
-	return p
-}
-
-// corruptFrame flips one byte of data in place at a PRNG-chosen offset.
-func (f *faultInjector) corruptFrame(data []byte) {
-	if len(data) == 0 {
-		return
-	}
-	f.mu.Lock()
-	off := f.rng.Intn(len(data))
-	f.mu.Unlock()
-	data[off] ^= 0xff
-}
-
-// snapshot copies the fault counters.
-func (f *faultInjector) snapshot() FaultCounts {
-	if f == nil {
-		return FaultCounts{}
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.counts
-}
-
-// Injector is the exported face of the fault injector, so transports
-// outside this package (the daemon's pooled TLS client) can draw the same
-// seeded fault decisions the in-process simulator and TCP shim use. A nil
-// *Injector is valid and injects nothing.
-type Injector struct {
-	inner *faultInjector
-}
-
 // LegPlan is one leg's drawn fault decision, in injector order: a
 // disconnect or drop preempts everything else; corrupt, duplicate and
 // delay can stack.
@@ -225,44 +130,84 @@ type LegPlan struct {
 	Disconnect bool
 }
 
-// NewInjector builds a seeded injector from cfg; nil when cfg is inert,
-// which every method tolerates.
+// Injector applies a FaultConfig with a private, mutex-guarded PRNG so
+// concurrent round trips stay deterministic in aggregate. Every transport
+// draws from it — the in-process Loopback and the daemon's pooled socket
+// client alike — so one seed means one fault schedule on either. A nil
+// *Injector is valid and injects nothing.
+type Injector struct {
+	cfg FaultConfig
+
+	mu     sync.Mutex
+	rng    *rand.Rand
+	counts FaultCounts
+}
+
+// NewInjector builds a seeded injector from cfg; nil when the config is
+// inert, so the fault-free fast path stays allocation- and lock-free.
 func NewInjector(cfg FaultConfig) *Injector {
-	inner := newFaultInjector(cfg)
-	if inner == nil {
+	if !cfg.enabled() {
 		return nil
 	}
-	return &Injector{inner: inner}
+	seed := cfg.Seed
+	if seed == 0 {
+		seed = 1
+	}
+	return &Injector{cfg: cfg, rng: rand.New(rand.NewSource(seed))}
 }
 
 // Plan draws the fault decisions for one message leg. allowDuplicate
-// limits duplication to request legs.
-func (inj *Injector) Plan(allowDuplicate bool) LegPlan {
-	if inj == nil {
+// limits duplication to request legs (a duplicated response has no
+// observer).
+func (f *Injector) Plan(allowDuplicate bool) LegPlan {
+	if f == nil {
 		return LegPlan{}
 	}
-	p := inj.inner.plan(allowDuplicate)
-	return LegPlan{
-		Drop:       p.drop,
-		Delay:      p.delay,
-		Duplicate:  p.duplicate,
-		Corrupt:    p.corrupt,
-		Disconnect: p.disconnect,
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	var p LegPlan
+	if f.cfg.DisconnectRate > 0 && f.rng.Float64() < f.cfg.DisconnectRate {
+		p.Disconnect = true
+		f.counts.Disconnects++
+		return p
 	}
+	if f.cfg.DropRate > 0 && f.rng.Float64() < f.cfg.DropRate {
+		p.Drop = true
+		f.counts.Drops++
+		return p
+	}
+	if f.cfg.CorruptRate > 0 && f.rng.Float64() < f.cfg.CorruptRate {
+		p.Corrupt = true
+		f.counts.Corruptions++
+	}
+	if allowDuplicate && f.cfg.DuplicateRate > 0 && f.rng.Float64() < f.cfg.DuplicateRate {
+		p.Duplicate = true
+		f.counts.Duplicates++
+	}
+	if f.cfg.DelayRate > 0 && f.rng.Float64() < f.cfg.DelayRate {
+		p.Delay = f.cfg.Delay
+		f.counts.Delays++
+	}
+	return p
 }
 
 // Corrupt flips one byte of data in place at a PRNG-chosen offset.
-func (inj *Injector) Corrupt(data []byte) {
-	if inj == nil {
+func (f *Injector) Corrupt(data []byte) {
+	if f == nil || len(data) == 0 {
 		return
 	}
-	inj.inner.corruptFrame(data)
+	f.mu.Lock()
+	off := f.rng.Intn(len(data))
+	f.mu.Unlock()
+	data[off] ^= 0xff
 }
 
 // Snapshot copies the fault counters.
-func (inj *Injector) Snapshot() FaultCounts {
-	if inj == nil {
+func (f *Injector) Snapshot() FaultCounts {
+	if f == nil {
 		return FaultCounts{}
 	}
-	return inj.inner.snapshot()
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.counts
 }

@@ -3,8 +3,6 @@ package netsim
 import (
 	"context"
 	"errors"
-	"runtime"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -14,11 +12,11 @@ import (
 
 func TestFaultInjectorDeterministic(t *testing.T) {
 	cfg := FaultConfig{Seed: 99, DropRate: 0.3, CorruptRate: 0.2, DuplicateRate: 0.1}
-	run := func() []legPlan {
-		inj := newFaultInjector(cfg)
-		plans := make([]legPlan, 200)
+	run := func() []LegPlan {
+		inj := NewInjector(cfg)
+		plans := make([]LegPlan, 200)
 		for i := range plans {
-			plans[i] = inj.plan(true)
+			plans[i] = inj.Plan(true)
 		}
 		return plans
 	}
@@ -31,26 +29,26 @@ func TestFaultInjectorDeterministic(t *testing.T) {
 }
 
 func TestFaultInjectorInertConfig(t *testing.T) {
-	if inj := newFaultInjector(FaultConfig{Seed: 5}); inj != nil {
+	if inj := NewInjector(FaultConfig{Seed: 5}); inj != nil {
 		t.Fatal("inert config built an injector")
 	}
 	// A nil injector must be safe to use everywhere.
-	var inj *faultInjector
-	if p := inj.plan(true); p != (legPlan{}) {
+	var inj *Injector
+	if p := inj.Plan(true); p != (LegPlan{}) {
 		t.Fatalf("nil injector planned a fault: %+v", p)
 	}
-	if c := inj.snapshot(); c.Total() != 0 {
+	if c := inj.Snapshot(); c.Total() != 0 {
 		t.Fatalf("nil injector has counts: %+v", c)
 	}
 }
 
 func TestFaultInjectorRates(t *testing.T) {
-	inj := newFaultInjector(FaultConfig{Seed: 3, DropRate: 0.25})
+	inj := NewInjector(FaultConfig{Seed: 3, DropRate: 0.25})
 	const n = 4000
 	for i := 0; i < n; i++ {
-		inj.plan(true)
+		inj.Plan(true)
 	}
-	drops := inj.snapshot().Drops
+	drops := inj.Snapshot().Drops
 	// 4000 Bernoulli(0.25) trials: expect ~1000, allow a generous band.
 	if drops < 800 || drops > 1200 {
 		t.Fatalf("drop count %d far from expected ~1000", drops)
@@ -170,200 +168,6 @@ func TestLoopbackConcurrentStatsAndRoundTrip(t *testing.T) {
 	st := l.Stats()
 	if st.Calls+st.Faults.Drops == 0 {
 		t.Fatal("no activity recorded")
-	}
-}
-
-func TestTCPClientFaultsAndRedial(t *testing.T) {
-	srv, err := NewTCPServer("127.0.0.1:0", echoHandler{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = srv.Close() }()
-
-	client, err := DialTCPConfig(srv.Addr(), TCPClientConfig{
-		Timeout: 5 * time.Second,
-		Redial:  true,
-		Faults:  FaultConfig{Seed: 17, DropRate: 0.2, CorruptRate: 0.1, DisconnectRate: 0.1},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = client.Close() }()
-
-	ok, faults := 0, 0
-	for i := 0; i < 60; i++ {
-		_, err := client.RoundTrip(&wire.StoreResponse{OK: true})
-		switch {
-		case err == nil:
-			ok++
-		case IsRetryable(err):
-			faults++
-		default:
-			t.Fatalf("round trip %d: non-retryable error %v", i, err)
-		}
-	}
-	if ok == 0 || faults == 0 {
-		t.Fatalf("want a mix of successes and faults, got ok=%d faults=%d", ok, faults)
-	}
-	if client.Stats().Faults.Total() == 0 {
-		t.Fatal("fault counters empty")
-	}
-}
-
-func TestTCPClientRetryClientOverFaultyLink(t *testing.T) {
-	srv, err := NewTCPServer("127.0.0.1:0", echoHandler{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = srv.Close() }()
-
-	inner, err := DialTCPConfig(srv.Addr(), TCPClientConfig{
-		Timeout: 5 * time.Second,
-		Redial:  true,
-		Faults:  FaultConfig{Seed: 29, DropRate: 0.3},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := NewRetrier(1)
-	r.MaxAttempts = 10
-	r.Sleep = func(ctx context.Context, d time.Duration) error { return ctx.Err() }
-	client := NewRetryClient(inner, r)
-	defer func() { _ = client.Close() }()
-
-	for i := 0; i < 30; i++ {
-		if _, err := client.RoundTrip(&wire.ChallengeRequest{JobID: "j"}); err != nil {
-			t.Fatalf("retrying client failed over 30%% lossy TCP link: %v", err)
-		}
-	}
-	if inner.Stats().Faults.Drops == 0 {
-		t.Fatal("no drops injected; test is vacuous")
-	}
-}
-
-func TestTCPServerGracefulShutdownNoLeaks(t *testing.T) {
-	before := runtime.NumGoroutine()
-
-	srv, err := NewTCPServer("127.0.0.1:0", echoHandler{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A few clients, some of which go idle mid-session so their server-side
-	// readers are parked in ReadMessage when Shutdown fires.
-	clients := make([]*TCPClient, 4)
-	for i := range clients {
-		c, err := DialTCP(srv.Addr())
-		if err != nil {
-			t.Fatal(err)
-		}
-		clients[i] = c
-		if _, err := c.RoundTrip(&wire.StoreResponse{OK: true}); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	if err := srv.Shutdown(ctx); err != nil {
-		t.Fatalf("Shutdown: %v", err)
-	}
-	for _, c := range clients {
-		_ = c.Close()
-	}
-
-	// Goroutine counts are noisy; poll until the server's goroutines are
-	// gone or the deadline proves a leak.
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		if runtime.NumGoroutine() <= before {
-			return
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	buf := make([]byte, 1<<16)
-	n := runtime.Stack(buf, true)
-	stacks := string(buf[:n])
-	if strings.Contains(stacks, "netsim.(*TCPServer)") {
-		t.Fatalf("leaked server goroutines after Shutdown:\n%s", stacks)
-	}
-}
-
-func TestTCPServerShutdownIdempotentWithClose(t *testing.T) {
-	srv, err := NewTCPServer("127.0.0.1:0", echoHandler{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := srv.Shutdown(context.Background()); err != nil {
-		t.Fatalf("Shutdown: %v", err)
-	}
-	if err := srv.Shutdown(context.Background()); err != nil {
-		t.Fatalf("second Shutdown: %v", err)
-	}
-	if err := srv.Close(); err != nil {
-		t.Fatalf("Close after Shutdown: %v", err)
-	}
-}
-
-func TestTCPServerMaxConns(t *testing.T) {
-	srv, err := NewTCPServerConfig("127.0.0.1:0", echoHandler{}, TCPServerConfig{MaxConns: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = srv.Close() }()
-
-	c1, err := DialTCPConfig(srv.Addr(), TCPClientConfig{Timeout: 2 * time.Second})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = c1.Close() }()
-	if _, err := c1.RoundTrip(&wire.StoreResponse{OK: true}); err != nil {
-		t.Fatalf("first client should be served: %v", err)
-	}
-
-	c2, err := DialTCPConfig(srv.Addr(), TCPClientConfig{Timeout: 2 * time.Second})
-	if err != nil {
-		// Dial itself may fail if the refusal lands fast enough; that is
-		// also a correct rejection.
-		return
-	}
-	defer func() { _ = c2.Close() }()
-	if _, err := c2.RoundTrip(&wire.StoreResponse{OK: true}); err == nil {
-		t.Fatal("second client served despite MaxConns=1")
-	}
-	// Poll: the refusal is recorded by the accept loop asynchronously.
-	deadline := time.Now().Add(2 * time.Second)
-	for srv.RefusedConns() == 0 && time.Now().Before(deadline) {
-		time.Sleep(5 * time.Millisecond)
-	}
-	if srv.RefusedConns() == 0 {
-		t.Fatal("refused connection not counted")
-	}
-}
-
-func TestTCPServerReadTimeoutDisconnectsStalledPeer(t *testing.T) {
-	srv, err := NewTCPServerConfig("127.0.0.1:0", echoHandler{}, TCPServerConfig{
-		ReadTimeout: 50 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = srv.Close() }()
-
-	client, err := DialTCPConfig(srv.Addr(), TCPClientConfig{Timeout: 2 * time.Second})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = client.Close() }()
-	if _, err := client.RoundTrip(&wire.StoreResponse{OK: true}); err != nil {
-		t.Fatal(err)
-	}
-	// Stall past the server's read deadline; the server must hang up, so
-	// the next round trip fails at the transport layer.
-	time.Sleep(150 * time.Millisecond)
-	if _, err := client.RoundTrip(&wire.StoreResponse{OK: true}); err == nil {
-		t.Fatal("server kept a stalled connection alive past ReadTimeout")
-	} else if !IsRetryable(err) {
-		t.Fatalf("disconnect should surface as retryable transport error, got %v", err)
 	}
 }
 

@@ -1,16 +1,13 @@
-// Package netsim provides the transports SecCloud parties talk over.
+// Package netsim provides the small RPC abstraction SecCloud parties talk
+// over (Client, Handler) and the in-process transport behind it.
 //
-// Two implementations of the same small RPC abstraction:
-//
-//   - Loopback: an in-process transport that still fully encodes every
-//     message, so byte counts are exact, and charges a configurable
-//     latency/bandwidth model to a virtual clock. This is the substrate
-//     for the paper's transmission-cost (C_trans) accounting — the paper
-//     itself simulates; we additionally keep the real protocol bytes.
-//
-//   - TCP: a real net-based transport with length-prefixed frames, used by
-//     the integration tests and the CLI demo to show the protocol running
-//     across actual sockets.
+// Loopback fully encodes every message, so byte counts are exact, and
+// charges a configurable latency/bandwidth model to a virtual clock. This
+// is the substrate for the paper's transmission-cost (C_trans) accounting
+// — the paper itself simulates; we additionally keep the real protocol
+// bytes. The real-socket implementation of the same interfaces is
+// internal/daemon; the fault injector, error taxonomy, retries, admission
+// and hedging here serve both.
 //
 // The paper highlights that "data transfer bottlenecks are regarded top
 // ten obstacles" for cloud computing; Stats makes those transfer costs a
@@ -29,7 +26,7 @@ import (
 )
 
 // Handler processes a single request and produces a response. A Handler
-// must be safe for concurrent use; the TCP server invokes it from
+// must be safe for concurrent use; a socket server invokes it from
 // per-connection goroutines.
 //
 // A nil response means the handling process died mid-request (e.g. an
@@ -89,7 +86,7 @@ type StatsSnapshot struct {
 	// BytesRecv counts response bytes (server → client).
 	BytesRecv int64
 	// SimLatency is the total modeled network time (loopback only; zero
-	// for TCP, where latency is real).
+	// on a real socket, where latency is real).
 	SimLatency time.Duration
 	// Faults counts injected network faults on this link.
 	Faults FaultCounts
@@ -135,9 +132,9 @@ type Loopback struct {
 	handler   Handler
 	link      LinkConfig
 	stats     Stats
-	faults    atomic.Pointer[faultInjector]
+	faults    atomic.Pointer[Injector]
 	clock     atomic.Pointer[Clock]
-	obs       *rpcObs
+	obs       *RPCObs
 	admission *Admission
 }
 
@@ -150,7 +147,7 @@ func NewLoopback(handler Handler, link LinkConfig) *Loopback {
 
 // WithFaults attaches a fault injector to the link and returns l.
 func (l *Loopback) WithFaults(fc FaultConfig) *Loopback {
-	l.faults.Store(newFaultInjector(fc))
+	l.faults.Store(NewInjector(fc))
 	return l
 }
 
@@ -161,14 +158,14 @@ func (l *Loopback) WithFaults(fc FaultConfig) *Loopback {
 // epoch independently reproducible.
 func (l *Loopback) SetFaults(fc FaultConfig) {
 	old := l.faults.Load()
-	inj := newFaultInjector(fc)
+	inj := NewInjector(fc)
 	if old != nil {
 		if inj == nil {
 			// Inert config: keep an injector alive purely to carry the
 			// historical counters (all rates zero, so it never fires).
-			inj = &faultInjector{}
+			inj = &Injector{}
 		}
-		inj.counts = old.snapshot()
+		inj.counts = old.Snapshot()
 	}
 	l.faults.Store(inj)
 }
@@ -194,7 +191,7 @@ func (l *Loopback) now() time.Time {
 // histogram, request and fault counters under transport="loopback") and
 // returns l. A nil hub leaves the link uninstrumented.
 func (l *Loopback) WithObs(h *obs.Hub) *Loopback {
-	l.obs = newRPCObs(h, "loopback")
+	l.obs = NewRPCObs(h, "loopback")
 	return l
 }
 
@@ -223,9 +220,9 @@ func (l *Loopback) RoundTrip(m wire.Message) (wire.Message, error) {
 func (l *Loopback) RoundTripContext(ctx context.Context, m wire.Message) (wire.Message, error) {
 	resp, lat, err := l.roundTripModeled(ctx, m)
 	if err == nil {
-		resp, err = overloadResponse("roundtrip", resp)
+		resp, err = CheckOverload("roundtrip", resp)
 	}
-	l.obs.observe(lat, err)
+	l.obs.Observe(lat, err)
 	return resp, err
 }
 
@@ -246,18 +243,18 @@ func (l *Loopback) roundTripModeled(ctx context.Context, m wire.Message) (wire.M
 	faults := l.faults.Load()
 
 	// Request leg.
-	reqPlan := faults.plan(true)
-	lat += reqPlan.delay
-	if reqPlan.disconnect {
+	reqPlan := faults.Plan(true)
+	lat += reqPlan.Delay
+	if reqPlan.Disconnect {
 		return nil, lat, &FaultError{Kind: FaultDisconnect, Op: "request"}
 	}
-	if reqPlan.drop {
+	if reqPlan.Drop {
 		l.stats.record(len(reqBytes), 0, lat)
 		return nil, lat, &FaultError{Kind: FaultDrop, Op: "request"}
 	}
-	if reqPlan.corrupt {
+	if reqPlan.Corrupt {
 		reqBytes = append([]byte(nil), reqBytes...)
-		faults.corruptFrame(reqBytes)
+		faults.Corrupt(reqBytes)
 	}
 	// Decode on the "server side" to faithfully model (de)serialization.
 	req, err := wire.Decode(reqBytes)
@@ -278,7 +275,7 @@ func (l *Loopback) roundTripModeled(ctx context.Context, m wire.Message) (wire.M
 			// which travels the response leg like any other reply.
 			shed = true
 			resp = &wire.OverloadResponse{
-				RetryAfterMillis: retryAfterToMillis(l.admission.RetryAfter()),
+				RetryAfterMillis: RetryAfterMillis(l.admission.RetryAfter()),
 			}
 		} else {
 			resp = l.handler.Handle(req)
@@ -295,7 +292,7 @@ func (l *Loopback) roundTripModeled(ctx context.Context, m wire.Message) (wire.M
 		return nil, lat, &FaultError{Kind: FaultDisconnect, Op: "response",
 			Err: errors.New("netsim: peer died mid-request")}
 	}
-	if reqPlan.duplicate && !shed {
+	if reqPlan.Duplicate && !shed {
 		// A retransmit the server cannot tell from a fresh request: the
 		// handler runs again and the extra answer is discarded, exactly
 		// what a duplicated datagram does to a stateless responder.
@@ -316,19 +313,19 @@ func (l *Loopback) roundTripModeled(ctx context.Context, m wire.Message) (wire.M
 	if err != nil {
 		return nil, lat, err
 	}
-	respPlan := faults.plan(false)
-	lat += respPlan.delay
-	if respPlan.disconnect {
+	respPlan := faults.Plan(false)
+	lat += respPlan.Delay
+	if respPlan.Disconnect {
 		l.stats.record(len(reqBytes), 0, lat)
 		return nil, lat, &FaultError{Kind: FaultDisconnect, Op: "response"}
 	}
-	if respPlan.drop {
+	if respPlan.Drop {
 		l.stats.record(len(reqBytes), 0, lat)
 		return nil, lat, &FaultError{Kind: FaultDrop, Op: "response"}
 	}
-	if respPlan.corrupt {
+	if respPlan.Corrupt {
 		respBytes = append([]byte(nil), respBytes...)
-		faults.corruptFrame(respBytes)
+		faults.Corrupt(respBytes)
 	}
 	resp2, err := wire.Decode(respBytes)
 	if err != nil {
@@ -358,7 +355,7 @@ func (l *Loopback) roundTripModeled(ctx context.Context, m wire.Message) (wire.M
 // Stats returns the link counters.
 func (l *Loopback) Stats() StatsSnapshot {
 	snap := l.stats.Snapshot()
-	snap.Faults = l.faults.Load().snapshot()
+	snap.Faults = l.faults.Load().Snapshot()
 	return snap
 }
 

@@ -72,113 +72,6 @@ func TestHandlerFunc(t *testing.T) {
 	}
 }
 
-func TestTCPRoundTrip(t *testing.T) {
-	srv, err := NewTCPServer("127.0.0.1:0", echoHandler{})
-	if err != nil {
-		t.Fatalf("NewTCPServer: %v", err)
-	}
-	defer func() {
-		if err := srv.Close(); err != nil {
-			t.Errorf("closing server: %v", err)
-		}
-	}()
-
-	client, err := DialTCP(srv.Addr())
-	if err != nil {
-		t.Fatalf("DialTCP: %v", err)
-	}
-	defer func() {
-		if err := client.Close(); err != nil {
-			t.Errorf("closing client: %v", err)
-		}
-	}()
-
-	for i := 0; i < 5; i++ {
-		resp, err := client.RoundTrip(&wire.ChallengeRequest{JobID: "j"})
-		if err != nil {
-			t.Fatalf("RoundTrip %d: %v", i, err)
-		}
-		if sr, ok := resp.(*wire.StoreResponse); !ok || sr.Error != "challenge_req" {
-			t.Fatalf("unexpected response %#v", resp)
-		}
-	}
-	st := client.Stats()
-	if st.Calls != 5 || st.TotalBytes() == 0 {
-		t.Fatalf("TCP stats wrong: %+v", st)
-	}
-}
-
-func TestTCPConcurrentClients(t *testing.T) {
-	srv, err := NewTCPServer("127.0.0.1:0", echoHandler{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = srv.Close() }()
-
-	var wg sync.WaitGroup
-	errs := make(chan error, 8)
-	for c := 0; c < 8; c++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			client, err := DialTCP(srv.Addr())
-			if err != nil {
-				errs <- err
-				return
-			}
-			defer func() { _ = client.Close() }()
-			for i := 0; i < 10; i++ {
-				if _, err := client.RoundTrip(&wire.StoreResponse{OK: true}); err != nil {
-					errs <- err
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Fatalf("concurrent client error: %v", err)
-	}
-}
-
-func TestTCPClientClosedErrors(t *testing.T) {
-	srv, err := NewTCPServer("127.0.0.1:0", echoHandler{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = srv.Close() }()
-	client, err := DialTCP(srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := client.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := client.Close(); err != nil {
-		t.Fatalf("double close should be nil, got %v", err)
-	}
-	if _, err := client.RoundTrip(&wire.StoreResponse{}); err == nil {
-		t.Fatal("round trip on closed client succeeded")
-	}
-}
-
-func TestTCPServerCloseIsIdempotent(t *testing.T) {
-	srv, err := NewTCPServer("127.0.0.1:0", echoHandler{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := srv.Close(); err != nil {
-		t.Fatalf("first close: %v", err)
-	}
-	if err := srv.Close(); err != nil {
-		t.Fatalf("second close: %v", err)
-	}
-	if _, err := DialTCP(srv.Addr()); err == nil {
-		t.Fatal("dial after close succeeded")
-	}
-}
-
 func TestStatsConcurrentRecording(t *testing.T) {
 	var s Stats
 	var wg sync.WaitGroup

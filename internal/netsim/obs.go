@@ -7,22 +7,27 @@ import (
 	"seccloud/internal/obs"
 )
 
-// rpcObs holds pre-resolved instrument cells for one transport, so the
+// RPCObs holds pre-resolved instrument cells for one transport, so the
 // per-round-trip cost with observability enabled is two atomic adds and a
-// histogram insert. A nil *rpcObs (the default) no-ops everywhere,
-// keeping uninstrumented links allocation-free.
-type rpcObs struct {
+// histogram insert. Every client transport — the Loopback here and the
+// daemon's pooled socket client — records through it, so one error maps
+// to one fault label whichever link carried it. A nil *RPCObs (the
+// default) no-ops everywhere, keeping uninstrumented links
+// allocation-free.
+type RPCObs struct {
 	transport string
 	requests  *obs.Counter
 	latency   *obs.Histogram
 	faults    *obs.CounterVec
 }
 
-func newRPCObs(h *obs.Hub, transport string) *rpcObs {
+// NewRPCObs resolves the rpc_* instruments for transport on h; nil for a
+// nil hub.
+func NewRPCObs(h *obs.Hub, transport string) *RPCObs {
 	if h == nil {
 		return nil
 	}
-	return &rpcObs{
+	return &RPCObs{
 		transport: transport,
 		requests:  h.Counter("rpc_requests_total", "transport").With(transport),
 		latency:   h.Histogram("rpc_latency_seconds", nil, "transport").With(transport),
@@ -30,10 +35,10 @@ func newRPCObs(h *obs.Hub, transport string) *rpcObs {
 	}
 }
 
-// observe records one round trip: lat is modeled time for the loopback
-// transport and wall time for TCP; failed trips additionally count into
-// rpc_faults_total by fault class.
-func (o *rpcObs) observe(lat time.Duration, err error) {
+// Observe records one round trip: lat is modeled time for the loopback
+// transport and wall time for a socket; failed trips additionally count
+// into rpc_faults_total by fault class.
+func (o *RPCObs) Observe(lat time.Duration, err error) {
 	if o == nil {
 		return
 	}
@@ -56,8 +61,7 @@ func faultLabel(err error) string {
 	if IsOverloaded(err) {
 		return "overloaded"
 	}
-	var te *TransportError
-	if errors.As(err, &te) && te.Timeout {
+	if IsTimeout(err) {
 		return "timeout"
 	}
 	return "transport"

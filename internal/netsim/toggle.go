@@ -14,9 +14,9 @@ import (
 // the transport layer, and flipping the switch back "reboots" it with its
 // state intact.
 //
-// Unlike RestartableServer (which kills a real listener), the toggle is
-// free of OS resources, so epoch simulations can down and revive servers
-// every epoch without bind/port churn.
+// Unlike killing a real listener, the toggle is free of OS resources, so
+// epoch simulations can down and revive servers every epoch without
+// bind/port churn.
 type DownableHandler struct {
 	inner Handler
 	down  atomic.Bool

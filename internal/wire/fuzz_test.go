@@ -107,9 +107,7 @@ func FuzzHandshake(f *testing.F) {
 		// The stream readers must classify arbitrary prefixes without
 		// panicking.
 		_, _ = ReadServerHello(bytes.NewReader(data))
-		var prefix [4]byte
-		copy(prefix[:], HandshakeMagic)
-		_, _ = ReadClientHelloTail(bytes.NewReader(data), prefix)
+		_, _ = ReadClientHello(bytes.NewReader(data))
 	})
 }
 

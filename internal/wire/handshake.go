@@ -1,19 +1,17 @@
 // Versioned transport handshake for the public daemon socket.
 //
-// The legacy framing (a 4-byte big-endian length followed by a gob frame)
-// carried no magic and no version: every peer had to speak byte-identical
-// framing forever. Daemon mode replaces the bare stream with a negotiated
-// one: a connecting client first sends an 8-byte ClientHello ("SECW" magic
-// plus the [min, max] protocol range it speaks), the server answers with an
+// A bare stream (a 4-byte big-endian length followed by a gob frame)
+// carries no magic and no version: every peer would have to speak
+// byte-identical framing forever. The daemon socket negotiates instead: a
+// connecting client first sends an 8-byte ClientHello ("SECW" magic plus
+// the [min, max] protocol range it speaks), the server answers with an
 // 8-byte ServerHello naming the highest mutually supported version, and
 // both sides then exchange frames under that version.
 //
-// Back-compat is structural, not flag-day: the magic "SECW" read as a
-// big-endian uint32 (0x53454357) is far above MaxFrameLen, so the first
-// four bytes of a connection unambiguously distinguish a ClientHello from
-// a legacy v1 length prefix. A server that sniffs the magic runs the
-// negotiation; anything else is a v1 client speaking bare frames, which
-// remains fully supported (ProtoV1 is the current frame format).
+// The hello is mandatory. The magic "SECW" read as a big-endian uint32
+// (0x53454357) is far above MaxFrameLen, so a peer that skips the hello
+// and opens with a bare frame can never pass for a ClientHello: the
+// server refuses it as a bad handshake and closes without a reply.
 package wire
 
 import (
@@ -24,21 +22,19 @@ import (
 )
 
 // HandshakeMagic opens both hello messages. As a big-endian uint32 it
-// exceeds MaxFrameLen, so it can never be confused with a legacy length
-// prefix (see TestHandshakeMagicOutsideFrameRange).
+// exceeds MaxFrameLen, so it can never be confused with a bare frame's
+// length prefix (see TestHandshakeMagicOutsideFrameRange).
 const HandshakeMagic = "SECW"
 
-// Protocol versions. ProtoV1 is the pre-handshake wire format (bare
-// length-prefixed gob frames, CRC-protected) kept for back-compat; a v1
-// peer sends no hello at all. ProtoV2 speaks the identical frame codec but
-// arrives through the negotiated handshake, giving future versions a place
-// to change framing without breaking deployed peers.
+// Protocol versions. ProtoV2 is the length-prefixed, CRC-protected gob
+// frame codec reached through the handshake; version 1 was the same codec
+// with no hello and is no longer spoken. A future version can change the
+// framing without breaking deployed peers: the hello names it first.
 const (
-	ProtoV1 uint16 = 1
 	ProtoV2 uint16 = 2
 
 	// MinProto..MaxProto is the range this build implements.
-	MinProto = ProtoV1
+	MinProto = ProtoV2
 	MaxProto = ProtoV2
 )
 
@@ -66,7 +62,7 @@ type ServerHello struct {
 }
 
 // IsHandshakeMagic reports whether the first four bytes of a connection
-// open a handshake rather than a legacy v1 frame.
+// open a handshake rather than a bare frame.
 func IsHandshakeMagic(prefix [4]byte) bool {
 	return string(prefix[:]) == HandshakeMagic
 }
@@ -172,13 +168,12 @@ func ReadServerHello(r io.Reader) (ServerHello, error) {
 	return DecodeServerHello(buf)
 }
 
-// ReadClientHelloTail reads the 4 bytes of a ClientHello that follow an
-// already-sniffed magic prefix and parses the whole hello. Servers use it
-// after peeking the first four bytes of a fresh connection.
-func ReadClientHelloTail(r io.Reader, prefix [4]byte) (ClientHello, error) {
+// ReadClientHello reads and parses the client's 8-byte offer — the first
+// bytes a server reads from a fresh connection. A short read wraps
+// ErrTruncated; eight bytes that are not a hello wrap ErrBadHandshake.
+func ReadClientHello(r io.Reader) (ClientHello, error) {
 	buf := make([]byte, helloLen)
-	copy(buf, prefix[:])
-	if _, err := io.ReadFull(r, buf[4:]); err != nil {
+	if _, err := io.ReadFull(r, buf); err != nil {
 		return ClientHello{}, fmt.Errorf("wire: reading client hello (%v): %w", err, ErrTruncated)
 	}
 	return DecodeClientHello(buf)

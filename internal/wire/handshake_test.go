@@ -7,16 +7,16 @@ import (
 	"testing"
 )
 
-// The whole sniffing design rests on one arithmetic fact: the magic read
-// as a big-endian uint32 is above MaxFrameLen, so a server peeking four
-// bytes can never mistake a ClientHello for a legal legacy length prefix.
+// Refusing bare frames rests on one arithmetic fact: the magic read as a
+// big-endian uint32 is above MaxFrameLen, so no legal frame's length
+// prefix can ever pass for a ClientHello.
 func TestHandshakeMagicOutsideFrameRange(t *testing.T) {
 	var asLen int
 	for _, b := range []byte(HandshakeMagic) {
 		asLen = asLen<<8 | int(b)
 	}
 	if asLen <= MaxFrameLen {
-		t.Fatalf("magic %q as length prefix = %d, inside MaxFrameLen %d: sniffing is ambiguous", HandshakeMagic, asLen, MaxFrameLen)
+		t.Fatalf("magic %q as length prefix = %d, inside MaxFrameLen %d: a bare frame could pass for a hello", HandshakeMagic, asLen, MaxFrameLen)
 	}
 	var prefix [4]byte
 	copy(prefix[:], HandshakeMagic)
@@ -24,7 +24,7 @@ func TestHandshakeMagicOutsideFrameRange(t *testing.T) {
 		t.Fatal("IsHandshakeMagic rejects the magic itself")
 	}
 	if IsHandshakeMagic([4]byte{0, 0, 1, 0}) {
-		t.Fatal("IsHandshakeMagic accepts a plausible legacy length prefix")
+		t.Fatal("IsHandshakeMagic accepts a plausible frame length prefix")
 	}
 }
 
@@ -158,15 +158,25 @@ func TestHandshakeClientSide(t *testing.T) {
 	}
 }
 
-func TestReadClientHelloTail(t *testing.T) {
-	full := EncodeClientHello(ClientHello{Min: 1, Max: 2})
-	var prefix [4]byte
-	copy(prefix[:], full[:4])
-	h, err := ReadClientHelloTail(bytes.NewReader(full[4:]), prefix)
-	if err != nil || h.Min != 1 || h.Max != 2 {
-		t.Fatalf("tail read: got (%+v, %v)", h, err)
+func TestReadClientHello(t *testing.T) {
+	full := EncodeClientHello(ClientHello{Min: 2, Max: 2})
+	h, err := ReadClientHello(bytes.NewReader(full))
+	if err != nil || h.Min != 2 || h.Max != 2 {
+		t.Fatalf("hello read: got (%+v, %v)", h, err)
 	}
-	if _, err := ReadClientHelloTail(bytes.NewReader(full[4:6]), prefix); !errors.Is(err, ErrTruncated) {
-		t.Fatalf("truncated tail: got %v, want ErrTruncated", err)
+	if _, err := ReadClientHello(bytes.NewReader(full[:6])); !errors.Is(err, ErrTruncated) {
+		t.Fatalf("truncated hello: got %v, want ErrTruncated", err)
+	}
+	// A bare frame where the hello belongs: eight bytes, wrong magic.
+	frame, err := Encode(&StoreResponse{OK: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var bare bytes.Buffer
+	if _, err := WriteFrame(&bare, frame); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ReadClientHello(&bare); !errors.Is(err, ErrBadHandshake) {
+		t.Fatalf("bare frame as hello: got %v, want ErrBadHandshake", err)
 	}
 }

@@ -31,6 +31,7 @@
 package seccloud
 
 import (
+	"context"
 	"crypto/rand"
 	"fmt"
 	"math/big"
@@ -38,6 +39,7 @@ import (
 
 	"seccloud/internal/core"
 	"seccloud/internal/costmodel"
+	"seccloud/internal/daemon"
 	"seccloud/internal/dvs"
 	"seccloud/internal/epoch"
 	"seccloud/internal/erasure"
@@ -147,6 +149,8 @@ type (
 	Hub = obs.Hub
 	// AdminServer serves a Hub's /metrics, /traces, /healthz and pprof.
 	AdminServer = obs.AdminServer
+	// SocketServer is the socket server ServeTCP returns.
+	SocketServer = daemon.Server
 )
 
 // System is a running SecCloud deployment: the SIO with its master secret
@@ -258,14 +262,16 @@ func LoopbackWithLink(server *Server, link LinkConfig) Client {
 }
 
 // ServeTCP exposes a server on a TCP address ("127.0.0.1:0" for an
-// ephemeral port); the returned server reports its address and must be
-// closed by the caller.
-func ServeTCP(addr string, server *Server) (*netsim.TCPServer, error) {
-	return netsim.NewTCPServer(addr, server)
+// ephemeral port) through the daemon's socket server; the returned server
+// reports its address and must be closed by the caller.
+func ServeTCP(addr string, server *Server) (*SocketServer, error) {
+	return daemon.Listen(addr, daemon.ServerConfig{Handler: server})
 }
 
-// DialTCP connects to a served server.
-func DialTCP(addr string) (Client, error) { return netsim.DialTCP(addr) }
+// DialTCP connects to a served server over a pooled daemon client. One
+// conn is dialed up front, so an unreachable address fails here rather
+// than at the first round trip.
+func DialTCP(addr string) (Client, error) { return dialTCP(addr, nil) }
 
 // NewHub returns a fresh observability hub.
 func NewHub() *Hub { return obs.NewHub() }
@@ -276,9 +282,17 @@ func ObservedLoopback(server *Server, hub *Hub) Client {
 	return netsim.NewLoopback(server, netsim.LinkConfig{}).WithObs(hub)
 }
 
-// DialTCPObserved is DialTCP with transport instrumentation on hub.
-func DialTCPObserved(addr string, hub *Hub) (Client, error) {
-	return netsim.DialTCPConfig(addr, netsim.TCPClientConfig{Obs: hub})
+// DialTCPObserved is DialTCP with transport instrumentation on hub
+// (rpc_requests_total, rpc_latency_seconds under transport="daemon").
+func DialTCPObserved(addr string, hub *Hub) (Client, error) { return dialTCP(addr, hub) }
+
+func dialTCP(addr string, hub *Hub) (Client, error) {
+	client := daemon.NewClient(daemon.NewPool(daemon.PoolConfig{Addr: addr}), daemon.ClientConfig{Obs: hub})
+	if err := client.Pool().Warm(context.Background(), 1); err != nil {
+		_ = client.Close()
+		return nil, err
+	}
+	return client, nil
 }
 
 // NewCSP builds a provider scheduler over server links.

@@ -127,6 +127,16 @@ func TestFacadeTCP(t *testing.T) {
 	if err := user.Store(client, req); err != nil {
 		t.Fatalf("store over facade TCP: %v", err)
 	}
+
+	// Dialing a closed server fails at DialTCP, not at the first Store.
+	addr := srv.Addr()
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if c, err := DialTCP(addr); err == nil {
+		_ = c.Close()
+		t.Fatal("DialTCP to a closed server succeeded")
+	}
 }
 
 func TestFacadeCheatDetection(t *testing.T) {
