@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: check build test race vet loc fuzz fuzz-decoders fuzz-crypto cover-crypto bench bench-pairs bench-audit bench-recovery bench-fleet bench-overload bench-multitenant bench-threshold bench-chaos bench-daemon
+.PHONY: check build test race vet loc fuzz fuzz-decoders fuzz-crypto cover-crypto bench bench-pairs bench-audit bench-chaos
 
 check: vet build race
 
@@ -20,10 +20,13 @@ race:
 
 # go vet, and gofmt as a check: any file gofmt would rewrite fails the
 # target (and with it `make check` and CI) with the file names printed.
+# scripts/check-refs.sh then fails on a `pkg.Identifier` in the docs that
+# the package does not declare, or a CI -run pattern that matches no test.
 vet:
 	$(GO) vet ./...
 	@unformatted=$$(gofmt -l .); \
 	if [ -n "$$unformatted" ]; then echo "gofmt -l lists:"; echo "$$unformatted"; exit 1; fi
+	@sh scripts/check-refs.sh
 
 # Non-test and test Go lines per package directory, with a total — the
 # two numbers every PR reports separately (bench/ is a module of its own
@@ -87,60 +90,14 @@ bench-pairs:
 
 # Audit-pipeline benchmarks: worker-pool scaling on a latent link, the
 # O(t) sampler's allocations, and the fixed-argument pairing cache.
-# Refreshes BENCH_parallel_audit.json via the seccloud-bench harness.
 bench-audit:
 	$(GO) test -run '^$$' -bench 'BenchmarkAuditPipeline|BenchmarkSampleIndices' -benchmem -benchtime 3x ./internal/core
 	$(GO) test -run '^$$' -bench 'BenchmarkPairPrecomp' -benchmem ./internal/pairing
 	$(GO) test -run '^$$' -bench 'BenchmarkVerifyDesignated' -benchmem ./internal/dvs
-	$(GO) run ./cmd/seccloud-bench -exp parallel-audit -params test256 -json BENCH_parallel_audit.json
 
-# Crash-recovery benchmark: WAL restart time vs dataset size plus the
-# four-point crash matrix with post-restart audits. Refreshes
-# BENCH_crash_recovery.json.
-bench-recovery:
-	$(GO) run ./cmd/seccloud-bench -exp crash-recovery -params test256 -json BENCH_crash_recovery.json
-
-# Fleet-robustness benchmark: audit availability vs killed replicas (with
-# the no-failover analytic baseline) plus audit-driven repair latency vs
-# corruption size. Refreshes BENCH_fleet_failover.json.
-bench-fleet:
-	$(GO) run ./cmd/seccloud-bench -exp fleet-failover -params test256 -json BENCH_fleet_failover.json
-
-# Overload benchmark: goodput, tail latency, and audit integrity under an
-# open-loop storm at 1x/2x/4x capacity, bounded LIFO admission vs the
-# unbounded FIFO baseline, plus the hedged-round contrast. Refreshes
-# BENCH_overload.json.
-bench-overload:
-	$(GO) run ./cmd/seccloud-bench -exp overload -params test256 -json BENCH_overload.json
-
-# Multi-tenant benchmark: cross-user aggregate verification vs the
-# per-user baseline across 10⁵–10⁶ registered identities under Zipf
-# traffic, plus the determinism and blame-attribution cells. Refreshes
-# BENCH_multitenant.json.
-bench-multitenant:
-	$(GO) run ./cmd/seccloud-bench -exp multitenant -params test256 -json BENCH_multitenant.json
-
-# Threshold-agency benchmark: t-of-n audit quorums under rotating crash
-# and Byzantine fault schedules, cross-checked against a single-DA
-# reference (zero false flags, zero verdict mismatches). Refreshes
-# BENCH_threshold.json.
-bench-threshold:
-	$(GO) run ./cmd/seccloud-bench -exp threshold -params test256 -json BENCH_threshold.json
-
-# Chaos benchmark: 200 seeded composed disk/network/clock/process fault
-# schedules checked by the invariant engine against fault-free reference
-# replays (zero false flags, every invariant green, every real cheater
-# detected), plus the shrinker demonstration that a planted violation
-# minimizes to a byte-identical one-line repro. The acceptance gate is
-# enforced: any failure exits nonzero. Refreshes BENCH_chaos.json.
+# Chaos gate: 200 seeded composed disk/network/clock/process fault
+# schedules through seccloud-sim -chaos (zero false flags, every invariant
+# green), then every third seed again with a real cheating replica, which
+# must be convicted. Any miss exits nonzero.
 bench-chaos:
-	$(GO) run ./cmd/seccloud-bench -exp chaos -params test256 -json BENCH_chaos.json
-
-# Daemon benchmark: real localhost TCP/TLS fleet under 50 ms simulated
-# RTT — streamed challenge pipelining vs sequential rounds (gate: >= 1.5x
-# throughput), graceful drain with every in-flight audit completing, zero
-# false flags, byte-identical verdicts on netsim vs daemon transport, and
-# the mutual-TLS identity cells. The acceptance gate is enforced: any
-# failure exits nonzero. Refreshes BENCH_daemon.json.
-bench-daemon:
-	$(GO) run ./cmd/seccloud-bench -exp daemon -params test256 -json BENCH_daemon.json
+	GO=$(GO) sh scripts/bench-chaos.sh

@@ -10,18 +10,10 @@
 //	seccloud-bench -exp fig5               # verify cost vs users
 //	seccloud-bench -exp detection          # Monte-Carlo vs eq. 10
 //	seccloud-bench -exp optimal-t          # Theorem 3 sweep
-//	seccloud-bench -exp parallel-audit     # audit pipeline scaling vs workers
-//	seccloud-bench -exp crash-recovery     # WAL restart time + crash matrix
-//	seccloud-bench -exp fleet-failover     # audit availability under outages + repair latency
-//	seccloud-bench -exp overload           # goodput + audit integrity under an open-loop storm
-//	seccloud-bench -exp multitenant        # cross-user aggregate verification at 10⁵–10⁶ users
-//	seccloud-bench -exp threshold          # t-of-n audit quorums under crashes and Byzantine partials
-//	seccloud-bench -exp chaos              # seeded composed-fault schedules vs the invariant engine
-//	seccloud-bench -exp daemon             # daemon mode: TLS sockets, pooling, streamed pipelining
+//	seccloud-bench -exp traffic            # audit bytes vs sample size (eq. 17)
+//	seccloud-bench -exp epochs             # mobile adversary: exposure vs t
 //	seccloud-bench -params ss512           # use the full-size pairing
 //	seccloud-bench -csv                    # machine-readable output
-//	seccloud-bench -exp parallel-audit -json BENCH_parallel_audit.json
-//	seccloud-bench -admin 127.0.0.1:6060   # scrape /metrics while experiments run
 package main
 
 import (
@@ -33,19 +25,15 @@ import (
 
 	"seccloud/internal/epoch"
 	"seccloud/internal/experiments"
-	"seccloud/internal/obs"
 	"seccloud/internal/pairing"
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment: table1|table2|fig4|fig5|detection|optimal-t|traffic|epochs|parallel-audit|crash-recovery|fleet-failover|overload|multitenant|threshold|chaos|daemon|all")
+	exp := flag.String("exp", "all", "experiment: table1|table2|fig4|fig5|detection|optimal-t|traffic|epochs|all")
 	params := flag.String("params", "ss512", "pairing parameter set: ss512|test256")
 	csv := flag.Bool("csv", false, "emit CSV instead of aligned tables")
 	iters := flag.Int("iters", 10, "calibration iterations for op timing")
 	trials := flag.Int("trials", 200, "Monte-Carlo trials per detection row")
-	workers := flag.Int("workers", 8, "max worker-pool size for the parallel-audit experiment")
-	jsonOut := flag.String("json", "", "also write parallel-audit results to this JSON file")
-	admin := flag.String("admin", "", "serve /metrics, /traces, /healthz and pprof on this address while experiments run (empty = off)")
 	flag.Parse()
 
 	pp, err := pairing.ByName(*params)
@@ -53,21 +41,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "seccloud-bench:", err)
 		os.Exit(1)
 	}
-	r := &runner{pp: pp, csv: *csv, iters: *iters, trials: *trials,
-		workers: *workers, jsonOut: *jsonOut}
-
-	var adminSrv *obs.AdminServer
-	if *admin != "" {
-		hub := obs.NewHub()
-		srv, err := hub.ListenAndServe(*admin)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "seccloud-bench:", err)
-			os.Exit(1)
-		}
-		adminSrv = srv
-		r.adminHub = hub
-		fmt.Printf("admin endpoint listening on http://%s/metrics\n", srv.Addr())
-	}
+	r := &runner{pp: pp, csv: *csv, iters: *iters, trials: *trials}
 
 	var runErr error
 	switch *exp {
@@ -87,27 +61,9 @@ func main() {
 		runErr = r.traffic()
 	case "epochs":
 		runErr = r.epochs()
-	case "parallel-audit":
-		runErr = r.parallelAudit()
-	case "crash-recovery":
-		runErr = r.crashRecovery()
-	case "fleet-failover":
-		runErr = r.fleetFailover()
-	case "overload":
-		runErr = r.overload()
-	case "multitenant":
-		runErr = r.multitenant()
-	case "threshold":
-		runErr = r.threshold()
-	case "chaos":
-		runErr = r.chaos()
-	case "daemon":
-		runErr = r.daemon()
 	case "all":
 		for _, f := range []func() error{
 			r.table1, r.table2, r.fig4, r.fig5, r.detection, r.optimalT, r.traffic, r.epochs,
-			r.parallelAudit, r.crashRecovery, r.fleetFailover, r.overload, r.multitenant, r.threshold,
-			r.chaos, r.daemon,
 		} {
 			if runErr = f(); runErr != nil {
 				break
@@ -116,9 +72,6 @@ func main() {
 	default:
 		runErr = fmt.Errorf("unknown experiment %q", *exp)
 	}
-	if adminSrv != nil {
-		_ = adminSrv.Close()
-	}
 	if runErr != nil {
 		fmt.Fprintln(os.Stderr, "seccloud-bench:", runErr)
 		os.Exit(1)
@@ -126,25 +79,10 @@ func main() {
 }
 
 type runner struct {
-	pp      *pairing.Params
-	csv     bool
-	iters   int
-	trials  int
-	workers int
-	jsonOut string
-	// adminHub is non-nil when -admin is serving; experiments then share
-	// it so a live scrape sees them all.
-	adminHub *obs.Hub
-}
-
-// expHub returns the metrics hub for one experiment run: the shared admin
-// hub when -admin is serving, otherwise a fresh private hub so each
-// BENCH_*.json metrics section covers exactly its own experiment.
-func (r *runner) expHub() *obs.Hub {
-	if r.adminHub != nil {
-		return r.adminHub
-	}
-	return obs.NewHub()
+	pp     *pairing.Params
+	csv    bool
+	iters  int
+	trials int
 }
 
 func ms(d time.Duration) string {
@@ -345,7 +283,11 @@ func (r *runner) traffic() error {
 
 func (r *runner) epochs() error {
 	r.header("Epochs — mobile b-of-n adversary: exposure vs audit budget")
-	fmt.Printf("%8s %12s %16s %12s\n", "t", "detections", "first detection", "exposure")
+	if r.csv {
+		fmt.Println("epochs,t,detections,first_detection_epoch,exposure")
+	} else {
+		fmt.Printf("%8s %12s %16s %12s\n", "t", "detections", "first detection", "exposure")
+	}
 	for _, t := range []int{0, 1, 2, 4} {
 		res, err := epoch.Run(epoch.Config{
 			Servers: 4, Corrupted: 1, Epochs: 4, BlocksPerUser: 12,

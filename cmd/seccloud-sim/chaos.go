@@ -16,9 +16,9 @@ type chaosRunFlags struct {
 }
 
 // runChaos executes seeded chaos runs. Every run uses
-// chaos.Defaults(seed) — the same configuration the bench sweep and the
-// printed repro lines assume — so `-chaos-seed N -chaos-steps "…"`
-// replays a reported failure byte-for-byte.
+// chaos.Defaults(seed) — the configuration the printed repro lines
+// assume — so `-chaos-seed N -chaos-steps "…"` replays a reported failure
+// byte-for-byte.
 func runChaos(f chaosRunFlags) error {
 	base := chaos.Defaults(f.Seed)
 	fmt.Printf("chaos nemesis: %d servers, %d blocks, %d active + %d quiet epochs\n\n",

@@ -165,9 +165,6 @@ func (s *Server) initDurability() error {
 // Recovery reports what this incarnation rebuilt at startup.
 func (s *Server) Recovery() RecoveryInfo { return s.recovery }
 
-// Crashed reports whether an injected crash has "killed" this process.
-func (s *Server) Crashed() bool { return s.crashed.Load() }
-
 // Crash simulates an out-of-band SIGKILL: the server stops answering (its
 // connections just die from the callers' view) and the WAL handle is
 // invalidated without flushing; disk state is whatever was made durable.

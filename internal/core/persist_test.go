@@ -19,6 +19,9 @@ import (
 	"seccloud/internal/workload"
 )
 
+// Crashed reports whether an injected crash has "killed" this process.
+func (s *Server) Crashed() bool { return s.crashed.Load() }
+
 // durableServer builds (or rebuilds, for an existing dir) the durable
 // server "cs:durable" over the given WAL directory. Rebuilding runs the
 // full recovery path: snapshot load, WAL replay, Merkle cross-checks.

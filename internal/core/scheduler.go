@@ -23,7 +23,8 @@ type SchedulerConfig struct {
 	// drained session into shared §VI aggregate equations — 2 pairings per
 	// flush regardless of how many tenants contributed. Off, each tenant
 	// session gets its own per-tenant aggregate check (the paper's
-	// single-user shape, kept as the bench baseline).
+	// single-user shape, kept as the baseline `seccloud-sim
+	// -cross-batch=false` runs).
 	CrossTenantBatch bool
 	// FlushLimit caps the signature checks folded into one cross-tenant
 	// aggregate, bounding how many sessions one flush's verdict latency
@@ -85,17 +86,6 @@ func (m *MultiTenantReport) Valid() bool {
 		}
 	}
 	return true
-}
-
-// Accusations counts sessions with at least one failure.
-func (m *MultiTenantReport) Accusations() int {
-	n := 0
-	for i := range m.Verdicts {
-		if !m.Verdicts[i].Report.Valid() {
-			n++
-		}
-	}
-	return n
 }
 
 // Fingerprint serializes everything deterministic about the drain —

@@ -15,6 +15,17 @@ import (
 	"seccloud/internal/workload"
 )
 
+// Accusations counts sessions with at least one failure.
+func (m *MultiTenantReport) Accusations() int {
+	n := 0
+	for i := range m.Verdicts {
+		if !m.Verdicts[i].Report.Valid() {
+			n++
+		}
+	}
+	return n
+}
+
 // tenantFixture is a multi-tenant deployment: one server, one DA, and n
 // onboarded tenants each with a stored dataset and a computed job.
 type tenantFixture struct {

@@ -71,6 +71,11 @@ func TestMutualTLSEndToEnd(t *testing.T) {
 	if !report.Valid() || falseFlags(report) != 0 {
 		t.Fatalf("mTLS audit: valid=%t flags=%d", report.Valid(), falseFlags(report))
 	}
+	// Valid alone would also hold if every round were lost at the
+	// handshake; a registered principal must be audited in full.
+	if report.EffectiveSampleSize != testSample {
+		t.Fatalf("mTLS audit covered %d of %d positions", report.EffectiveSampleSize, testSample)
+	}
 }
 
 // TestMTLSRejectsUnknownPrincipal: a peer whose cert chains to the CA but

@@ -1,8 +1,7 @@
 package obs
 
 // Snapshot is a point-in-time, JSON-marshalable copy of every instrument
-// in a registry. Bench harnesses embed it in their BENCH_*.json outputs
-// so experiment trajectories carry instrument data.
+// in a registry, so a run's results can carry its instrument data.
 type Snapshot struct {
 	Counters   []Point          `json:"counters,omitempty"`
 	Gauges     []Point          `json:"gauges,omitempty"`

@@ -50,7 +50,7 @@ func (p CrashPoint) String() string {
 
 // CrashPointByName parses a crash point name as used by CLI flags.
 func CrashPointByName(name string) (CrashPoint, bool) {
-	for _, p := range []CrashPoint{CrashNone, CrashBeforeLog, CrashAfterLog, CrashMidSnapshot, CrashTornTail} {
+	for _, p := range append(CrashPoints(), CrashNone) {
 		if p.String() == name {
 			return p, true
 		}
