@@ -454,11 +454,11 @@ func (c *cluster) runAudit(ep, pi int) auditOutcome {
 		c.auditErrors++
 		return out
 	}
-	out.Valid = fr.Report.Valid()
-	out.Degraded = fr.Report.Degraded()
+	out.Valid = fr.Valid()
+	out.Degraded = fr.Degraded()
 	out.Failovers = len(fr.Failovers)
 	c.failovers += out.Failovers
-	for _, rr := range fr.Report.Rounds {
+	for _, rr := range fr.Rounds {
 		if rr.Outcome.Lost() {
 			out.LostRounds++
 		}
@@ -481,7 +481,7 @@ func (c *cluster) runAudit(ep, pi int) auditOutcome {
 
 	// Evidence trail: issue, encode, (maybe forge — that's a plant), and
 	// bank for the end-of-run verification pass.
-	ev, err := c.agency.IssueFleetEvidence(c.fleet, fr)
+	ev, err := c.agency.IssueStorageEvidence(c.fleet.ServerID(pi), fr)
 	if err != nil {
 		c.violations.addf("evidence-chain", "epoch %d primary %d: issue: %v", ep, pi, err)
 		return out
@@ -495,7 +495,7 @@ func (c *cluster) runAudit(ep, pi int) auditOutcome {
 		raw[len(raw)/2] ^= 0x01
 		c.forgeNext[pi] = false
 	}
-	cp := fr.Report.Checkpoint()
+	cp := fr.Checkpoint()
 	ce, err := c.agency.SignCheckpoint(cp)
 	if err != nil {
 		c.violations.addf("evidence-chain", "epoch %d primary %d: checkpoint: %v", ep, pi, err)

@@ -232,6 +232,12 @@ type AuditReport struct {
 	// Threshold is the quorum trail when the agency verifies through a
 	// t-of-n share quorum; nil for single-key agencies.
 	Threshold *ThresholdTrail
+	// Failovers is a fleet audit's round re-issue trail, Quorums its
+	// cross-examinations (one per accused replica) and Repairs its
+	// executed repair plans; all three are empty for single-server audits.
+	Failovers []FailoverEvent
+	Quorums   []*QuorumResult
+	Repairs   []*RepairResult
 	// Elapsed is the wall-clock audit duration on the DA side.
 	Elapsed time.Duration
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"sync/atomic"
 
@@ -70,7 +71,7 @@ func (u *User) DeleteBlock(client netsim.Client, pos uint64) error {
 
 // roundTripAck sends a mutation and interprets the StoreResponse ack.
 func (u *User) roundTripAck(client netsim.Client, req wire.Message, op string) error {
-	resp, err := client.RoundTrip(req)
+	resp, err := client.RoundTripContext(context.Background(), req)
 	if err != nil {
 		return fmt.Errorf("core: %s round trip: %w", op, err)
 	}

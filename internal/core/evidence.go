@@ -26,24 +26,11 @@ import (
 // convince third parties, so they use the publicly verifiable signature,
 // not the designated form.
 
-// Evidence encoding versions. Version 2 added the fleet fields
-// (FailoverSummary, QuorumSummary) when failover auditing landed; version
-// 3 added the overload section (planned sample size, deliberate
-// degradation, shed/hedged round counts, detection confidence); version 4
-// added the threshold section (quorum membership, crashed/Byzantine
-// share-holders, recovery count, combined-check digest). The body
-// rendering switches on the version so evidence signed under an earlier
-// format — where those fields did not exist — still verifies
-// byte-for-byte. A decoded struct with Version 0 (old serializations
-// predate the field) renders as version 1.
-const (
-	// EvidenceVersion is the format newly issued Evidence carries.
-	EvidenceVersion = 4
-	// CheckpointVersion is the format newly signed checkpoints carry.
-	// Version 2 added the per-round Replica/FailedOver fields; version 3
-	// binds the threshold partial-collection state.
-	CheckpointVersion = 3
-)
+// EvidenceVersion is the one evidence format: the signed body is tagged
+// "audit-evidence/v4" and the SCEV byte codec writes this version and
+// refuses every other. Checkpoints have one format too, tagged
+// "audit-checkpoint/v3".
+const EvidenceVersion = 4
 
 // Evidence is a signed audit verdict.
 //
@@ -57,8 +44,8 @@ const (
 // that DID complete still expose it with the eq. 10/12 probability for
 // the effective sample size.
 type Evidence struct {
-	// Version selects the signed-body encoding; see EvidenceVersion.
-	Version   int
+	// AuditorID, JobID, UserID and ServerID may not contain '|', the
+	// signed body's field separator (see checkSignedIDs).
 	AuditorID string
 	JobID     string
 	UserID    string
@@ -74,66 +61,55 @@ type Evidence struct {
 	EffectiveSampleSize int
 	// NetworkFaultRounds counts challenge rounds lost to the transport.
 	NetworkFaultRounds int
-	// FailoverSummary (version ≥ 2) is the canonical rendering of the
+	// FailoverSummary is the canonical rendering of the
 	// fleet audit's failover trail — which rounds moved to which replica
 	// and why. Empty for single-server audits.
 	FailoverSummary string
-	// QuorumSummary (version ≥ 2) is the canonical rendering of the
+	// QuorumSummary is the canonical rendering of the
 	// quorum cross-examination verdicts. Empty when nothing was accused.
 	QuorumSummary string
-	// PlannedSampleSize (version ≥ 3) is the sample size the audit
+	// PlannedSampleSize is the sample size the audit
 	// intended before any overload degradation. A degraded verdict shows
 	// its reduced coverage here, signed — the confidence trade is
 	// auditable, never silent.
 	PlannedSampleSize int
-	// DegradedByOverload (version ≥ 3) records that the overload
+	// DegradedByOverload records that the overload
 	// controller deliberately shrank the challenge set.
 	DegradedByOverload bool
-	// ShedRounds (version ≥ 3) counts rounds the server's admission
+	// ShedRounds counts rounds the server's admission
 	// control refused. Sheds are non-accusatory, like network faults, but
 	// the verdict records them so sustained shedding is visible evidence.
 	ShedRounds int
-	// HedgedRounds (version ≥ 3) counts rounds won by a hedged duplicate.
+	// HedgedRounds counts rounds won by a hedged duplicate.
 	HedgedRounds int
-	// DetectionConfidence (version ≥ 3) is the achieved 1 − Pr[cheat
+	// DetectionConfidence is the achieved 1 − Pr[cheat
 	// success] for the effective sample (0 when the audit ran without a
 	// sampling analysis).
 	DetectionConfidence float64
-	// ThresholdQuorum (version ≥ 4) is the canonical rendering of the
+	// ThresholdQuorum is the canonical rendering of the
 	// share quorum whose verified partials produced this verdict; "" for
 	// single-key agencies. The verdict is attributable to specific
 	// share-holders, not just "the agency".
 	ThresholdQuorum string
-	// ThresholdFaults (version ≥ 4) canonically renders the share-holders
+	// ThresholdFaults canonically renders the share-holders
 	// lost (crashed) or caught lying (Byzantine) during collection. A
 	// Byzantine share-holder appears HERE — in the auditor-side fault
 	// record — and never in FailureSummary, which accuses only storage.
 	ThresholdFaults string
-	// ThresholdRecoveries (version ≥ 4) counts failed share-holders that
+	// ThresholdRecoveries counts failed share-holders that
 	// were replaced while still reaching quorum.
 	ThresholdRecoveries int
-	// ThresholdCombined (version ≥ 4) is the hex SHA-256 of the combined
+	// ThresholdCombined is the hex SHA-256 of the combined
 	// aggregate-check GT element — the publicly comparable fingerprint of
 	// the quorum's joint computation (identical for every honest quorum).
 	ThresholdCombined string
 	Sig               wire.IBSig
 }
 
-// evidenceBody is the byte string the verdict signature covers. The
-// rendering is versioned: version ≤ 1 reproduces the exact pre-fleet
-// byte format so old verdicts keep verifying.
+// evidenceBody is the byte string the verdict signature covers.
 func evidenceBody(e *Evidence) []byte {
 	var b strings.Builder
-	switch {
-	case e.Version >= 4:
-		b.WriteString("seccloud/audit-evidence/v4|auditor=")
-	case e.Version >= 3:
-		b.WriteString("seccloud/audit-evidence/v3|auditor=")
-	case e.Version >= 2:
-		b.WriteString("seccloud/audit-evidence/v2|auditor=")
-	default:
-		b.WriteString("seccloud/audit-evidence|auditor=")
-	}
+	b.WriteString("seccloud/audit-evidence/v4|auditor=")
 	b.WriteString(e.AuditorID)
 	b.WriteString("|job=")
 	b.WriteString(e.JobID)
@@ -153,39 +129,33 @@ func evidenceBody(e *Evidence) []byte {
 	b.WriteString(fmt.Sprintf("%d", e.EffectiveSampleSize))
 	b.WriteString("|netfaults=")
 	b.WriteString(fmt.Sprintf("%d", e.NetworkFaultRounds))
-	if e.Version >= 2 {
-		b.WriteString("|failover=")
-		b.WriteString(e.FailoverSummary)
-		b.WriteString("|quorum=")
-		b.WriteString(e.QuorumSummary)
+	b.WriteString("|failover=")
+	b.WriteString(e.FailoverSummary)
+	b.WriteString("|quorum=")
+	b.WriteString(e.QuorumSummary)
+	b.WriteString("|planned=")
+	b.WriteString(strconv.Itoa(e.PlannedSampleSize))
+	b.WriteString("|degraded=")
+	if e.DegradedByOverload {
+		b.WriteString("1")
+	} else {
+		b.WriteString("0")
 	}
-	if e.Version >= 3 {
-		b.WriteString("|planned=")
-		b.WriteString(strconv.Itoa(e.PlannedSampleSize))
-		b.WriteString("|degraded=")
-		if e.DegradedByOverload {
-			b.WriteString("1")
-		} else {
-			b.WriteString("0")
-		}
-		b.WriteString("|shed=")
-		b.WriteString(strconv.Itoa(e.ShedRounds))
-		b.WriteString("|hedged=")
-		b.WriteString(strconv.Itoa(e.HedgedRounds))
-		b.WriteString("|confidence=")
-		// Shortest round-trip float rendering: canonical and stable.
-		b.WriteString(strconv.FormatFloat(e.DetectionConfidence, 'g', -1, 64))
-	}
-	if e.Version >= 4 {
-		b.WriteString("|tquorum=")
-		b.WriteString(e.ThresholdQuorum)
-		b.WriteString("|tfaults=")
-		b.WriteString(e.ThresholdFaults)
-		b.WriteString("|trecoveries=")
-		b.WriteString(strconv.Itoa(e.ThresholdRecoveries))
-		b.WriteString("|tsigma=")
-		b.WriteString(e.ThresholdCombined)
-	}
+	b.WriteString("|shed=")
+	b.WriteString(strconv.Itoa(e.ShedRounds))
+	b.WriteString("|hedged=")
+	b.WriteString(strconv.Itoa(e.HedgedRounds))
+	b.WriteString("|confidence=")
+	// Shortest round-trip float rendering: canonical and stable.
+	b.WriteString(strconv.FormatFloat(e.DetectionConfidence, 'g', -1, 64))
+	b.WriteString("|tquorum=")
+	b.WriteString(e.ThresholdQuorum)
+	b.WriteString("|tfaults=")
+	b.WriteString(e.ThresholdFaults)
+	b.WriteString("|trecoveries=")
+	b.WriteString(strconv.Itoa(e.ThresholdRecoveries))
+	b.WriteString("|tsigma=")
+	b.WriteString(e.ThresholdCombined)
 	b.WriteString("|sampled=")
 	buf := make([]byte, 8)
 	for _, idx := range e.Sampled {
@@ -228,7 +198,7 @@ func summarizeThresholdFaults(tr *ThresholdTrail) string {
 	return "crashed=" + summarizeShareSet(tr.Crashed) + "|byz=" + summarizeShareSet(tr.Byzantine)
 }
 
-// applyThresholdTrail stamps a report's quorum trail into version ≥ 4
+// applyThresholdTrail stamps a report's quorum trail into the threshold
 // evidence fields. Nil trail (single-key agency) leaves them empty.
 func applyThresholdTrail(e *Evidence, tr *ThresholdTrail) {
 	if tr == nil {
@@ -247,36 +217,28 @@ func (a *Agency) IssueEvidence(d *JobDelegation, report *AuditReport) (*Evidence
 	if report == nil {
 		return nil, errNilReport
 	}
-	return a.issueEvidence(report, d.UserID, d.ServerID, nil)
+	return a.issueEvidence(report, d.UserID, d.ServerID)
 }
 
 // IssueStorageEvidence signs a storage audit report into transferable
-// evidence, the stored-data twin of IssueEvidence.
+// evidence, the stored-data twin of IssueEvidence. For a fleet audit
+// serverID names the PRIMARY replica (f.ServerID(cfg.Primary), the server
+// the audit was aimed at); the failover summary records which rounds
+// other replicas answered, so a crashed primary shows up as moved rounds
+// — never as a bad proof — and the quorum summary carries the
+// localized-vs-provider-wide classification of any accusation. Both are
+// "" for a single-server audit.
 func (a *Agency) IssueStorageEvidence(serverID string, report *AuditReport) (*Evidence, error) {
 	if report == nil {
 		return nil, errNilReport
 	}
-	return a.issueEvidence(report, report.UserID, serverID, nil)
-}
-
-// IssueFleetEvidence signs a fleet storage audit into transferable
-// evidence. The verdict names the PRIMARY replica (the server the audit
-// was aimed at); the failover summary records which rounds other
-// replicas answered, so a crashed primary shows up as moved rounds —
-// never as a bad proof — and the quorum summary carries the
-// localized-vs-provider-wide classification of any accusation.
-func (a *Agency) IssueFleetEvidence(f *Fleet, fr *FleetStorageReport) (*Evidence, error) {
-	if fr == nil || fr.Report == nil {
-		return nil, errNilReport
-	}
-	return a.issueEvidence(fr.Report, fr.UserID, f.ServerID(fr.Primary), fr)
+	return a.issueEvidence(report, report.UserID, serverID)
 }
 
 // issueEvidence is the one report → Evidence builder: every audit flavor
-// signs the same fields; fr, when set, adds the fleet trail.
-func (a *Agency) issueEvidence(report *AuditReport, userID, serverID string, fr *FleetStorageReport) (*Evidence, error) {
+// signs the same fields.
+func (a *Agency) issueEvidence(report *AuditReport, userID, serverID string) (*Evidence, error) {
 	e := &Evidence{
-		Version:             EvidenceVersion,
 		AuditorID:           a.key.ID,
 		JobID:               report.JobID,
 		UserID:              userID,
@@ -291,16 +253,17 @@ func (a *Agency) issueEvidence(report *AuditReport, userID, serverID string, fr 
 		ShedRounds:          report.ShedRounds(),
 		HedgedRounds:        report.HedgedRounds(),
 		DetectionConfidence: report.AchievedConfidence,
-	}
-	if fr != nil {
-		e.FailoverSummary = summarizeFailovers(fr.Failovers)
-		e.QuorumSummary = summarizeQuorums(fr.Quorums)
+		FailoverSummary:     summarizeFailovers(report.Failovers),
+		QuorumSummary:       summarizeQuorums(report.Quorums),
 	}
 	applyThresholdTrail(e, report.Threshold)
 	return a.signEvidence(e)
 }
 
 func (a *Agency) signEvidence(e *Evidence) (*Evidence, error) {
+	if err := checkSignedIDs(e.AuditorID, e.JobID, e.UserID, e.ServerID); err != nil {
+		return nil, err
+	}
 	sp := a.obs.tracer().Start("evidence.sign",
 		"job", e.JobID, "user", e.UserID, "server", e.ServerID,
 		"valid", strconv.FormatBool(e.Valid))
@@ -321,33 +284,23 @@ func (a *Agency) signEvidence(e *Evidence) (*Evidence, error) {
 // indices — a crash cannot buy a cheating server a second draw, and a DA
 // cannot quietly re-sample until the server passes.
 type CheckpointEvidence struct {
-	// Version selects the signed-body encoding; see CheckpointVersion.
-	// Checkpoints decoded from before the field existed carry 0 and
-	// render (and verify) under the version-1 format.
-	Version    int
+	// AuditorID, like the checkpoint's JobID and UserID, may not contain
+	// '|' (see checkSignedIDs).
 	AuditorID  string
 	Checkpoint AuditCheckpoint
 	Sig        wire.IBSig
 }
 
 // checkpointBody is the byte string the checkpoint signature covers: a
-// canonical rendering of the challenge set and every round's verdict.
-// Version ≥ 2 additionally binds each round's serving replica and
-// failover flag, so a resumed fleet audit cannot silently reattribute
-// who answered; version ≥ 3 binds the threshold partial-collection state,
-// so a resumed audit's share avoid-list is as tamper-evident as its
-// challenge set; version ≤ 1 reproduces the pre-fleet bytes exactly.
+// canonical rendering of the challenge set and every round's verdict. It
+// binds each round's serving replica and failover flag, so a resumed
+// fleet audit cannot silently reattribute who answered, and the threshold
+// partial-collection state, so a resumed audit's share avoid-list is as
+// tamper-evident as its challenge set.
 func checkpointBody(ce *CheckpointEvidence) []byte {
 	cp := &ce.Checkpoint
 	var b strings.Builder
-	switch {
-	case ce.Version >= 3:
-		b.WriteString("seccloud/audit-checkpoint/v3|auditor=")
-	case ce.Version >= 2:
-		b.WriteString("seccloud/audit-checkpoint/v2|auditor=")
-	default:
-		b.WriteString("seccloud/audit-checkpoint|auditor=")
-	}
+	b.WriteString("seccloud/audit-checkpoint/v3|auditor=")
 	b.WriteString(ce.AuditorID)
 	b.WriteString("|job=")
 	b.WriteString(cp.JobID)
@@ -362,28 +315,22 @@ func checkpointBody(ce *CheckpointEvidence) []byte {
 		b.Write(buf)
 	}
 	for _, rr := range cp.Rounds {
-		if ce.Version >= 2 {
-			fmt.Fprintf(&b, "|round=%d,%v,%d,%d,%v:", rr.Outcome, rr.Completed, rr.Attempts, rr.Replica, rr.FailedOver)
-		} else {
-			fmt.Fprintf(&b, "|round=%d,%v,%d:", rr.Outcome, rr.Completed, rr.Attempts)
-		}
+		fmt.Fprintf(&b, "|round=%d,%v,%d,%d,%v:", rr.Outcome, rr.Completed, rr.Attempts, rr.Replica, rr.FailedOver)
 		for _, idx := range rr.Indices {
 			binary.BigEndian.PutUint64(buf, idx)
 			b.Write(buf)
 		}
 	}
-	if ce.Version >= 3 {
-		b.WriteString("|threshold=")
-		if tr := cp.Threshold; tr != nil {
-			b.WriteString("quorum=")
-			b.WriteString(summarizeShareSet(tr.Quorum))
-			b.WriteString("|")
-			b.WriteString(summarizeThresholdFaults(tr))
-			b.WriteString("|recoveries=")
-			b.WriteString(strconv.Itoa(tr.Recoveries))
-			b.WriteString("|sigma=")
-			b.WriteString(tr.CombinedDigest)
-		}
+	b.WriteString("|threshold=")
+	if tr := cp.Threshold; tr != nil {
+		b.WriteString("quorum=")
+		b.WriteString(summarizeShareSet(tr.Quorum))
+		b.WriteString("|")
+		b.WriteString(summarizeThresholdFaults(tr))
+		b.WriteString("|recoveries=")
+		b.WriteString(strconv.Itoa(tr.Recoveries))
+		b.WriteString("|sigma=")
+		b.WriteString(tr.CombinedDigest)
 	}
 	return []byte(b.String())
 }
@@ -393,7 +340,10 @@ func (a *Agency) SignCheckpoint(cp *AuditCheckpoint) (*CheckpointEvidence, error
 	if cp == nil {
 		return nil, fmt.Errorf("core: nil audit checkpoint")
 	}
-	ce := &CheckpointEvidence{Version: CheckpointVersion, AuditorID: a.key.ID, Checkpoint: *cp}
+	if err := checkSignedIDs(a.key.ID, cp.JobID, cp.UserID); err != nil {
+		return nil, err
+	}
+	ce := &CheckpointEvidence{AuditorID: a.key.ID, Checkpoint: *cp}
 	sig, err := a.scheme.Sign(a.key, checkpointBody(ce), a.random)
 	if err != nil {
 		return nil, fmt.Errorf("core: signing checkpoint: %w", err)
@@ -407,6 +357,9 @@ func (a *Agency) SignCheckpoint(cp *AuditCheckpoint) (*CheckpointEvidence, error
 func VerifyCheckpoint(scheme *dvs.Scheme, ce *CheckpointEvidence) error {
 	if ce == nil {
 		return fmt.Errorf("core: nil checkpoint evidence")
+	}
+	if err := checkSignedIDs(ce.AuditorID, ce.Checkpoint.JobID, ce.Checkpoint.UserID); err != nil {
+		return err
 	}
 	sig, err := DecodeIBSig(scheme.Params(), ce.Sig)
 	if err != nil {
@@ -424,12 +377,30 @@ func VerifyEvidence(scheme *dvs.Scheme, e *Evidence) error {
 	if e == nil {
 		return fmt.Errorf("core: nil evidence")
 	}
+	if err := checkSignedIDs(e.AuditorID, e.JobID, e.UserID, e.ServerID); err != nil {
+		return err
+	}
 	sig, err := DecodeIBSig(scheme.Params(), e.Sig)
 	if err != nil {
 		return fmt.Errorf("core: evidence signature malformed: %w", err)
 	}
 	if err := scheme.PublicVerify(e.AuditorID, evidenceBody(e), sig); err != nil {
 		return fmt.Errorf("core: evidence signature invalid: %w", err)
+	}
+	return nil
+}
+
+// checkSignedIDs refuses an identity that contains '|'. The signed bodies
+// join these fields with '|' and no length prefix, so a separator inside
+// one would let two different verdicts render the same bytes: {job
+// "j|user=a", user "m"} and {job "j", user "a|user=m"} sign identically.
+// The DA renders every other field itself, from numbers or canonical
+// summaries that never contain a field name.
+func checkSignedIDs(ids ...string) error {
+	for _, id := range ids {
+		if strings.Contains(id, "|") {
+			return fmt.Errorf("core: identifier %q contains the signed-body separator '|'", id)
+		}
 	}
 	return nil
 }

@@ -10,19 +10,14 @@ import (
 // Byte-level evidence codec — the transferable form of a signed verdict.
 //
 // Verdicts travel: a user hands one to the CSP, archives it, or submits
-// it to an arbiter, so the encoding must be stable across evidence
-// format versions and the decoder must be safe on hostile bytes
-// (truncated, oversized, version-skewed inputs error; they never panic
-// or over-allocate). The layout is strictly version-gated: a version-1
-// record carries exactly the version-1 fields, so old archives decode
-// forever and a decoder cannot be tricked into reading threshold fields
-// out of a pre-threshold verdict.
+// it to an arbiter, so the encoding must be stable and the decoder must
+// be safe on hostile bytes (truncated, oversized or wrong-version inputs
+// error; they never panic or over-allocate).
 //
-// Layout: "SCEV" magic, uvarint version (1..EvidenceVersion), then the
-// fields in struct order — strings and byte slices as uvarint length +
-// bytes, ints as uvarint, bools as one 0/1 byte, the confidence float
-// as IEEE-754 bits — with the version ≥ 2/3/4 sections present only
-// when the version includes them. No trailing bytes are tolerated.
+// Layout: "SCEV" magic, uvarint version (always EvidenceVersion), then
+// the fields in struct order — strings and byte slices as uvarint
+// length + bytes, ints as uvarint, bools as one 0/1 byte, the confidence
+// float as IEEE-754 bits. No trailing bytes are tolerated.
 
 var evidenceMagic = []byte("SCEV")
 
@@ -136,24 +131,15 @@ func (r *evidenceReader) boolean(what string) (bool, error) {
 }
 
 // EncodeEvidence renders a verdict into its transferable byte form.
-// Evidence with Version 0 (pre-versioning serializations) encodes as
-// version 1, mirroring evidenceBody.
 func EncodeEvidence(e *Evidence) ([]byte, error) {
 	if e == nil {
 		return nil, fmt.Errorf("%w: nil evidence", ErrEvidenceEncoding)
-	}
-	version := e.Version
-	if version == 0 {
-		version = 1
-	}
-	if version < 1 || version > EvidenceVersion {
-		return nil, fmt.Errorf("%w: version %d", ErrEvidenceEncoding, version)
 	}
 	if len(e.Sampled) > maxEvidenceSampled {
 		return nil, fmt.Errorf("%w: %d sampled indices", ErrEvidenceEncoding, len(e.Sampled))
 	}
 	w := &evidenceWriter{buf: append([]byte(nil), evidenceMagic...)}
-	w.uvarint(uint64(version))
+	w.uvarint(EvidenceVersion)
 	w.str(e.AuditorID)
 	w.str(e.JobID)
 	w.str(e.UserID)
@@ -166,33 +152,26 @@ func EncodeEvidence(e *Evidence) ([]byte, error) {
 	w.str(e.FailureSummary)
 	w.uvarint(uint64(e.EffectiveSampleSize))
 	w.uvarint(uint64(e.NetworkFaultRounds))
-	if version >= 2 {
-		w.str(e.FailoverSummary)
-		w.str(e.QuorumSummary)
-	}
-	if version >= 3 {
-		w.uvarint(uint64(e.PlannedSampleSize))
-		w.boolean(e.DegradedByOverload)
-		w.uvarint(uint64(e.ShedRounds))
-		w.uvarint(uint64(e.HedgedRounds))
-		w.uvarint(math.Float64bits(e.DetectionConfidence))
-	}
-	if version >= 4 {
-		w.str(e.ThresholdQuorum)
-		w.str(e.ThresholdFaults)
-		w.uvarint(uint64(e.ThresholdRecoveries))
-		w.str(e.ThresholdCombined)
-	}
+	w.str(e.FailoverSummary)
+	w.str(e.QuorumSummary)
+	w.uvarint(uint64(e.PlannedSampleSize))
+	w.boolean(e.DegradedByOverload)
+	w.uvarint(uint64(e.ShedRounds))
+	w.uvarint(uint64(e.HedgedRounds))
+	w.uvarint(math.Float64bits(e.DetectionConfidence))
+	w.str(e.ThresholdQuorum)
+	w.str(e.ThresholdFaults)
+	w.uvarint(uint64(e.ThresholdRecoveries))
+	w.str(e.ThresholdCombined)
 	w.bytes(e.Sig.U)
 	w.bytes(e.Sig.V)
 	return w.buf, nil
 }
 
 // DecodeEvidence parses the transferable byte form back into a verdict.
-// It accepts every format version 1..EvidenceVersion and rejects
-// anything else — truncated records, oversized length prefixes, unknown
-// versions, version-skewed records (a v1 record carrying v4 sections
-// reads as trailing garbage), and non-canonical encodings all error.
+// It accepts version EvidenceVersion only — truncated records, oversized
+// length prefixes, any other version, trailing bytes and non-canonical
+// encodings all error.
 func DecodeEvidence(raw []byte) (*Evidence, error) {
 	if len(raw) < len(evidenceMagic) || string(raw[:len(evidenceMagic)]) != string(evidenceMagic) {
 		return nil, fmt.Errorf("%w: missing magic", ErrEvidenceEncoding)
@@ -202,10 +181,10 @@ func DecodeEvidence(raw []byte) (*Evidence, error) {
 	if err != nil {
 		return nil, err
 	}
-	if version < 1 || version > EvidenceVersion {
+	if version != EvidenceVersion {
 		return nil, fmt.Errorf("%w: unsupported version %d", ErrEvidenceEncoding, version)
 	}
-	e := &Evidence{Version: int(version)}
+	e := &Evidence{}
 	if e.AuditorID, err = r.str("auditor id"); err != nil {
 		return nil, err
 	}
@@ -242,46 +221,40 @@ func DecodeEvidence(raw []byte) (*Evidence, error) {
 	if e.NetworkFaultRounds, err = r.intField("network fault rounds"); err != nil {
 		return nil, err
 	}
-	if version >= 2 {
-		if e.FailoverSummary, err = r.str("failover summary"); err != nil {
-			return nil, err
-		}
-		if e.QuorumSummary, err = r.str("quorum summary"); err != nil {
-			return nil, err
-		}
+	if e.FailoverSummary, err = r.str("failover summary"); err != nil {
+		return nil, err
 	}
-	if version >= 3 {
-		if e.PlannedSampleSize, err = r.intField("planned sample size"); err != nil {
-			return nil, err
-		}
-		if e.DegradedByOverload, err = r.boolean("degraded flag"); err != nil {
-			return nil, err
-		}
-		if e.ShedRounds, err = r.intField("shed rounds"); err != nil {
-			return nil, err
-		}
-		if e.HedgedRounds, err = r.intField("hedged rounds"); err != nil {
-			return nil, err
-		}
-		bits, err := r.uvarint()
-		if err != nil {
-			return nil, fmt.Errorf("%w: detection confidence", err)
-		}
-		e.DetectionConfidence = math.Float64frombits(bits)
+	if e.QuorumSummary, err = r.str("quorum summary"); err != nil {
+		return nil, err
 	}
-	if version >= 4 {
-		if e.ThresholdQuorum, err = r.str("threshold quorum"); err != nil {
-			return nil, err
-		}
-		if e.ThresholdFaults, err = r.str("threshold faults"); err != nil {
-			return nil, err
-		}
-		if e.ThresholdRecoveries, err = r.intField("threshold recoveries"); err != nil {
-			return nil, err
-		}
-		if e.ThresholdCombined, err = r.str("threshold combined digest"); err != nil {
-			return nil, err
-		}
+	if e.PlannedSampleSize, err = r.intField("planned sample size"); err != nil {
+		return nil, err
+	}
+	if e.DegradedByOverload, err = r.boolean("degraded flag"); err != nil {
+		return nil, err
+	}
+	if e.ShedRounds, err = r.intField("shed rounds"); err != nil {
+		return nil, err
+	}
+	if e.HedgedRounds, err = r.intField("hedged rounds"); err != nil {
+		return nil, err
+	}
+	bits, err := r.uvarint()
+	if err != nil {
+		return nil, fmt.Errorf("%w: detection confidence", err)
+	}
+	e.DetectionConfidence = math.Float64frombits(bits)
+	if e.ThresholdQuorum, err = r.str("threshold quorum"); err != nil {
+		return nil, err
+	}
+	if e.ThresholdFaults, err = r.str("threshold faults"); err != nil {
+		return nil, err
+	}
+	if e.ThresholdRecoveries, err = r.intField("threshold recoveries"); err != nil {
+		return nil, err
+	}
+	if e.ThresholdCombined, err = r.str("threshold combined digest"); err != nil {
+		return nil, err
 	}
 	if e.Sig.U, err = r.bytes("signature U"); err != nil {
 		return nil, err

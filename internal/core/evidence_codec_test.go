@@ -2,14 +2,18 @@ package core
 
 import (
 	"bytes"
+	"fmt"
+	"reflect"
 	"testing"
 
 	"seccloud/internal/wire"
 )
 
-// codecSamples returns one representative verdict per format version.
+// codecSamples returns representative verdicts: a single-server job
+// audit, then one that adds a fleet trail, one that adds the overload
+// section and one with every field set.
 func codecSamples() []*Evidence {
-	base := Evidence{
+	job := Evidence{
 		AuditorID:           "da:auditor",
 		JobID:               "job-7",
 		UserID:              "user:alice",
@@ -21,52 +25,44 @@ func codecSamples() []*Evidence {
 		NetworkFaultRounds:  1,
 		Sig:                 wire.IBSig{U: []byte{1, 2, 3}, V: []byte{4, 5}},
 	}
-	v1 := base
-	v1.Version = 1
-	v2 := base
-	v2.Version = 2
-	v2.FailoverSummary = "r0>1:timeout"
-	v2.QuorumSummary = "blk3:confirmed"
-	v3 := v2
-	v3.Version = 3
-	v3.PlannedSampleSize = 5
-	v3.DegradedByOverload = true
-	v3.ShedRounds = 2
-	v3.HedgedRounds = 1
-	v3.DetectionConfidence = 0.9921875
-	v4 := v3
-	v4.Version = 4
-	v4.ThresholdQuorum = "1,2,4"
-	v4.ThresholdFaults = "crashed=3|byz=5"
-	v4.ThresholdRecoveries = 2
-	v4.ThresholdCombined = "aabbccdd"
-	return []*Evidence{&v1, &v2, &v3, &v4}
+	fleet := job
+	fleet.FailoverSummary = "r0>1:timeout"
+	fleet.QuorumSummary = "blk3:confirmed"
+	overload := fleet
+	overload.PlannedSampleSize = 5
+	overload.DegradedByOverload = true
+	overload.ShedRounds = 2
+	overload.HedgedRounds = 1
+	overload.DetectionConfidence = 0.9921875
+	threshold := overload
+	threshold.ThresholdQuorum = "1,2,4"
+	threshold.ThresholdFaults = "crashed=3|byz=5"
+	threshold.ThresholdRecoveries = 2
+	threshold.ThresholdCombined = "aabbccdd"
+	return []*Evidence{&job, &fleet, &overload, &threshold}
 }
 
 func TestEvidenceCodecRoundTrip(t *testing.T) {
-	for _, e := range codecSamples() {
+	for i, e := range codecSamples() {
 		raw, err := EncodeEvidence(e)
 		if err != nil {
-			t.Fatalf("encode v%d: %v", e.Version, err)
+			t.Fatalf("sample %d: encode: %v", i, err)
 		}
 		got, err := DecodeEvidence(raw)
 		if err != nil {
-			t.Fatalf("decode v%d: %v", e.Version, err)
+			t.Fatalf("sample %d: decode: %v", i, err)
 		}
 		// The encoding is canonical, so re-encoding the decoded verdict
 		// must reproduce the exact bytes.
 		again, err := EncodeEvidence(got)
 		if err != nil {
-			t.Fatalf("re-encode v%d: %v", e.Version, err)
+			t.Fatalf("sample %d: re-encode: %v", i, err)
 		}
 		if !bytes.Equal(raw, again) {
-			t.Fatalf("v%d round trip not canonical:\n  %x\n  %x", e.Version, raw, again)
+			t.Fatalf("sample %d: round trip not canonical:\n  %x\n  %x", i, raw, again)
 		}
-		if got.Version != e.Version || got.AuditorID != e.AuditorID || got.Valid != e.Valid {
-			t.Fatalf("v%d fields lost: %+v", e.Version, got)
-		}
-		if e.Version >= 4 && got.ThresholdQuorum != e.ThresholdQuorum {
-			t.Fatalf("v4 threshold quorum lost: %+v", got)
+		if !reflect.DeepEqual(got, e) {
+			t.Fatalf("sample %d: fields lost:\n  got  %+v\n  want %+v", i, got, e)
 		}
 	}
 }
@@ -76,7 +72,6 @@ func TestEvidenceCodecRoundTrip(t *testing.T) {
 func TestEvidenceCodecSignedRoundTrip(t *testing.T) {
 	sys := newSystem(t, nil)
 	e := &Evidence{
-		Version:             EvidenceVersion,
 		AuditorID:           sys.agency.ID(),
 		UserID:              sys.user.ID(),
 		ServerID:            sys.servers[0].ID(),
@@ -121,16 +116,13 @@ func TestEvidenceCodecRejects(t *testing.T) {
 	over := append([]byte(nil), "SCEV\x04"...)
 	over = append(over, 0xff, 0xff, 0xff, 0xff, 0x0f)
 	cases["oversized length"] = over
-	// Version skew: take the v1 record's bytes and stamp version 4 —
-	// the decoder must demand the v2–v4 sections and fail, not
-	// misinterpret the signature bytes as threshold fields and succeed.
-	v1raw, err := EncodeEvidence(codecSamples()[0])
-	if err != nil {
-		t.Fatal(err)
+	// Every other version is refused, even when the rest of the record
+	// is a well-formed current one.
+	for v := byte(1); v < EvidenceVersion; v++ {
+		skew := append([]byte(nil), valid...)
+		skew[4] = v
+		cases[fmt.Sprintf("version %d", v)] = skew
 	}
-	skew := append([]byte(nil), v1raw...)
-	skew[4] = 4
-	cases["version skew"] = skew
 	for name, raw := range cases {
 		if _, err := DecodeEvidence(raw); err == nil {
 			t.Errorf("%s: decoder accepted malformed input", name)
@@ -139,10 +131,10 @@ func TestEvidenceCodecRejects(t *testing.T) {
 }
 
 // FuzzDecodeEvidence: the decoder must error on arbitrary bytes —
-// truncated, oversized, version-skewed — and never panic or
+// truncated, oversized, wrong-version — and never panic or
 // over-allocate. Any input it does accept must round-trip canonically.
 func FuzzDecodeEvidence(f *testing.F) {
-	for _, e := range codecSamples() {
+	for i, e := range codecSamples() {
 		raw, err := EncodeEvidence(e)
 		if err != nil {
 			f.Fatal(err)
@@ -150,7 +142,7 @@ func FuzzDecodeEvidence(f *testing.F) {
 		f.Add(raw)
 		f.Add(raw[:len(raw)-3])
 		skew := append([]byte(nil), raw...)
-		skew[4] = byte(e.Version%EvidenceVersion) + 1
+		skew[4] = byte(i%(EvidenceVersion-1)) + 1
 		f.Add(skew)
 	}
 	f.Add([]byte("SCEV"))
@@ -168,7 +160,7 @@ func FuzzDecodeEvidence(f *testing.F) {
 		if err != nil {
 			t.Fatalf("re-encoded evidence failed to decode: %v", err)
 		}
-		if round.Version != e.Version || round.AuditorID != e.AuditorID {
+		if !reflect.DeepEqual(round, e) {
 			t.Fatalf("round trip drifted: %+v vs %+v", e, round)
 		}
 	})

@@ -2,67 +2,14 @@ package core
 
 import (
 	"crypto/rand"
-	"encoding/json"
-	"strings"
 	"testing"
+
+	"seccloud/internal/wire"
 )
 
-// TestCheckpointV1StillVerifies locks backwards compatibility: a
-// CheckpointEvidence signed under the pre-fleet (version-1) encoding —
-// e.g. one persisted by a PR-3-era auditor, which had no Version field
-// at all — must still verify after the version-2 fields were added.
-func TestCheckpointV1StillVerifies(t *testing.T) {
-	sys := newSystem(t, nil)
-	cp := &AuditCheckpoint{
-		UserID:  sys.user.ID(),
-		Sampled: []uint64{4, 1, 9},
-		Rounds: []RoundRecord{
-			{Indices: []uint64{4, 1}, Attempts: 2, Outcome: RoundOK, Completed: true},
-			{Indices: []uint64{9}, Attempts: 3, Outcome: RoundNetworkFault, Detail: "dropped"},
-		},
-		Failures: []AuditFailure{{Index: 4, Check: CheckSignature, Detail: "x"}},
-	}
-
-	// Sign exactly as an old auditor would have: no Version field, so the
-	// body renders under the version-1 format.
-	old := &CheckpointEvidence{AuditorID: sys.agency.ID(), Checkpoint: *cp}
-	body := checkpointBody(old)
-	if !strings.HasPrefix(string(body), "seccloud/audit-checkpoint|auditor=") {
-		t.Fatalf("version-0 body lost the v1 prefix: %q", body)
-	}
-	// The v1 round rendering had exactly three fields — outcome,
-	// completed, attempts. New fields leaking in would break every
-	// previously issued signature.
-	if !strings.Contains(string(body), "|round=1,true,2:") {
-		t.Fatalf("version-0 body changed the v1 round rendering: %q", body)
-	}
-	sig, err := sys.agency.scheme.Sign(sys.agency.key, body, rand.Reader)
-	if err != nil {
-		t.Fatal(err)
-	}
-	old.Sig = EncodeIBSig(sys.agency.scheme.Params(), sig)
-
-	// Round-trip through JSON, as a persisted old-format record would be
-	// decoded today (Version is absent → zero).
-	raw, err := json.Marshal(old)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var decoded CheckpointEvidence
-	if err := json.Unmarshal(raw, &decoded); err != nil {
-		t.Fatal(err)
-	}
-	if decoded.Version != 0 {
-		t.Fatalf("decoded old record claims version %d", decoded.Version)
-	}
-	if err := VerifyCheckpoint(sys.agency.scheme, &decoded); err != nil {
-		t.Fatalf("old-format checkpoint no longer verifies: %v", err)
-	}
-}
-
-// TestCheckpointV2BindsReplica: newly signed checkpoints carry version 2
-// and their signature covers the fleet fields — reattributing a round to
-// a different replica must break verification.
+// TestCheckpointV2BindsReplica: a checkpoint's signature covers the
+// fleet fields — reattributing a round to a different replica must break
+// verification.
 func TestCheckpointV2BindsReplica(t *testing.T) {
 	sys := newSystem(t, nil)
 	cp := &AuditCheckpoint{
@@ -75,9 +22,6 @@ func TestCheckpointV2BindsReplica(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ce.Version != CheckpointVersion {
-		t.Fatalf("new checkpoint version = %d, want %d", ce.Version, CheckpointVersion)
-	}
 	if err := VerifyCheckpoint(sys.agency.scheme, ce); err != nil {
 		t.Fatalf("VerifyCheckpoint: %v", err)
 	}
@@ -89,58 +33,12 @@ func TestCheckpointV2BindsReplica(t *testing.T) {
 	}
 }
 
-// TestEvidenceV2StillVerifies locks the version-2 byte format: a verdict
-// signed under v2 (fleet fields present, overload fields absent) must
-// keep verifying after the version-3 overload section was added, and the
-// v3 fields must not leak into its signed bytes.
-func TestEvidenceV2StillVerifies(t *testing.T) {
-	sys := newSystem(t, nil)
-	old := &Evidence{
-		Version:             2,
-		AuditorID:           sys.agency.ID(),
-		UserID:              sys.user.ID(),
-		ServerID:            sys.servers[0].ID(),
-		Sampled:             []uint64{1, 5},
-		Valid:               true,
-		EffectiveSampleSize: 2,
-		FailoverSummary:     "0:0>1/timeout",
-		QuorumSummary:       "accused=0/localized/good=2/bad=0",
-	}
-	body := evidenceBody(old)
-	if !strings.HasPrefix(string(body), "seccloud/audit-evidence/v2|auditor=") {
-		t.Fatalf("version-2 body lost its prefix: %q", body)
-	}
-	for _, leak := range []string{"planned=", "degraded=", "shed=", "hedged=", "confidence="} {
-		if strings.Contains(string(body), leak) {
-			t.Fatalf("version-2 body leaks v3 field %q: %q", leak, body)
-		}
-	}
-	sig, err := sys.agency.scheme.Sign(sys.agency.key, body, rand.Reader)
-	if err != nil {
-		t.Fatal(err)
-	}
-	old.Sig = EncodeIBSig(sys.agency.scheme.Params(), sig)
-
-	raw, err := json.Marshal(old)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var decoded Evidence
-	if err := json.Unmarshal(raw, &decoded); err != nil {
-		t.Fatal(err)
-	}
-	if err := VerifyEvidence(sys.agency.scheme, &decoded); err != nil {
-		t.Fatalf("v2-format evidence no longer verifies: %v", err)
-	}
-}
-
-// TestEvidenceV3BindsOverloadFields: newly issued evidence carries
-// version 3 and its signature covers the overload section — tampering
-// with the degradation flag or the recorded confidence must break it.
+// TestEvidenceV3BindsOverloadFields: an evidence signature covers the
+// overload section — tampering with the degradation flag or the recorded
+// confidence must break it.
 func TestEvidenceV3BindsOverloadFields(t *testing.T) {
 	sys := newSystem(t, nil)
 	e := &Evidence{
-		Version:             EvidenceVersion,
 		AuditorID:           sys.agency.ID(),
 		UserID:              sys.user.ID(),
 		ServerID:            sys.servers[0].ID(),
@@ -171,102 +69,13 @@ func TestEvidenceV3BindsOverloadFields(t *testing.T) {
 	}
 }
 
-// TestEvidenceV1StillVerifies does the same for audit verdicts: a
-// verdict signed under the version-1 body keeps verifying, and the new
-// fleet fields are excluded from its signed bytes.
-func TestEvidenceV1StillVerifies(t *testing.T) {
-	sys := newSystem(t, nil)
-	old := &Evidence{
-		AuditorID:           sys.agency.ID(),
-		JobID:               "job-1",
-		UserID:              sys.user.ID(),
-		ServerID:            sys.servers[0].ID(),
-		Sampled:             []uint64{0, 2},
-		Valid:               true,
-		EffectiveSampleSize: 2,
-	}
-	body := evidenceBody(old)
-	if !strings.HasPrefix(string(body), "seccloud/audit-evidence|auditor=") {
-		t.Fatalf("version-0 body lost the v1 prefix: %q", body)
-	}
-	if strings.Contains(string(body), "failover") {
-		t.Fatalf("version-0 body leaks v2 fields: %q", body)
-	}
-	sig, err := sys.agency.scheme.Sign(sys.agency.key, body, rand.Reader)
-	if err != nil {
-		t.Fatal(err)
-	}
-	old.Sig = EncodeIBSig(sys.agency.scheme.Params(), sig)
-
-	raw, err := json.Marshal(old)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var decoded Evidence
-	if err := json.Unmarshal(raw, &decoded); err != nil {
-		t.Fatal(err)
-	}
-	if err := VerifyEvidence(sys.agency.scheme, &decoded); err != nil {
-		t.Fatalf("old-format evidence no longer verifies: %v", err)
-	}
-}
-
-// TestEvidenceV3StillVerifies locks the version-3 byte format now that
-// version 4 added the threshold section: a v3-signed verdict must keep
-// verifying, and the v4 fields must not leak into its signed bytes even
-// if a decoder populates them.
-func TestEvidenceV3StillVerifies(t *testing.T) {
-	sys := newSystem(t, nil)
-	old := &Evidence{
-		Version:             3,
-		AuditorID:           sys.agency.ID(),
-		UserID:              sys.user.ID(),
-		ServerID:            sys.servers[0].ID(),
-		Sampled:             []uint64{1, 5},
-		Valid:               true,
-		EffectiveSampleSize: 2,
-		PlannedSampleSize:   2,
-		DetectionConfidence: 0.75,
-		// A confused writer setting v4 fields on a v3 record must not
-		// change the signed bytes.
-		ThresholdQuorum:   "1,2,3",
-		ThresholdCombined: "deadbeef",
-	}
-	body := evidenceBody(old)
-	if !strings.HasPrefix(string(body), "seccloud/audit-evidence/v3|auditor=") {
-		t.Fatalf("version-3 body lost its prefix: %q", body)
-	}
-	for _, leak := range []string{"|tquorum=", "|tfaults=", "|trecoveries=", "|tsigma="} {
-		if strings.Contains(string(body), leak) {
-			t.Fatalf("version-3 body leaks v4 field %q: %q", leak, body)
-		}
-	}
-	sig, err := sys.agency.scheme.Sign(sys.agency.key, body, rand.Reader)
-	if err != nil {
-		t.Fatal(err)
-	}
-	old.Sig = EncodeIBSig(sys.agency.scheme.Params(), sig)
-	raw, err := json.Marshal(old)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var decoded Evidence
-	if err := json.Unmarshal(raw, &decoded); err != nil {
-		t.Fatal(err)
-	}
-	if err := VerifyEvidence(sys.agency.scheme, &decoded); err != nil {
-		t.Fatalf("v3-format evidence no longer verifies: %v", err)
-	}
-}
-
-// TestEvidenceV4BindsThresholdFields: newly issued evidence carries
-// version 4 and its signature covers the quorum trail — rewriting the
+// TestEvidenceV4BindsThresholdFields: an evidence signature covers the
+// quorum trail — rewriting the
 // quorum membership, moving a Byzantine share-holder out of the fault
 // record, or swapping the combined digest must break verification.
 func TestEvidenceV4BindsThresholdFields(t *testing.T) {
 	sys := newSystem(t, nil)
 	e := &Evidence{
-		Version:             EvidenceVersion,
 		AuditorID:           sys.agency.ID(),
 		UserID:              sys.user.ID(),
 		ServerID:            sys.servers[0].ID(),
@@ -281,9 +90,6 @@ func TestEvidenceV4BindsThresholdFields(t *testing.T) {
 	signed, err := sys.agency.signEvidence(e)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if signed.Version != 4 {
-		t.Fatalf("new evidence version = %d, want 4", signed.Version)
 	}
 	if err := VerifyEvidence(sys.agency.scheme, signed); err != nil {
 		t.Fatalf("VerifyEvidence: %v", err)
@@ -302,41 +108,7 @@ func TestEvidenceV4BindsThresholdFields(t *testing.T) {
 	}
 }
 
-// TestCheckpointV2StillVerifies locks the version-2 checkpoint bytes now
-// that version 3 binds the threshold section.
-func TestCheckpointV2StillVerifies(t *testing.T) {
-	sys := newSystem(t, nil)
-	old := &CheckpointEvidence{
-		Version:   2,
-		AuditorID: sys.agency.ID(),
-		Checkpoint: AuditCheckpoint{
-			UserID:  sys.user.ID(),
-			Sampled: []uint64{2, 8},
-			Rounds: []RoundRecord{
-				{Indices: []uint64{2, 8}, Attempts: 1, Outcome: RoundOK, Completed: true, Replica: 1},
-			},
-			// v4-era state on a v2 record must not reach the signed bytes.
-			Threshold: &ThresholdTrail{Quorum: []int{1, 2}},
-		},
-	}
-	body := checkpointBody(old)
-	if !strings.HasPrefix(string(body), "seccloud/audit-checkpoint/v2|auditor=") {
-		t.Fatalf("version-2 body lost its prefix: %q", body)
-	}
-	if strings.Contains(string(body), "threshold=") {
-		t.Fatalf("version-2 body leaks the v3 threshold section: %q", body)
-	}
-	sig, err := sys.agency.scheme.Sign(sys.agency.key, body, rand.Reader)
-	if err != nil {
-		t.Fatal(err)
-	}
-	old.Sig = EncodeIBSig(sys.agency.scheme.Params(), sig)
-	if err := VerifyCheckpoint(sys.agency.scheme, old); err != nil {
-		t.Fatalf("v2-format checkpoint no longer verifies: %v", err)
-	}
-}
-
-// TestCheckpointV3BindsThreshold: newly signed checkpoints cover the
+// TestCheckpointV3BindsThreshold: a checkpoint's signature covers the
 // partial-collection state — rewriting the avoid-list a resumed audit
 // would trust must break the seal.
 func TestCheckpointV3BindsThreshold(t *testing.T) {
@@ -353,9 +125,6 @@ func TestCheckpointV3BindsThreshold(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ce.Version != 3 {
-		t.Fatalf("new checkpoint version = %d, want 3", ce.Version)
-	}
 	if err := VerifyCheckpoint(sys.agency.scheme, ce); err != nil {
 		t.Fatalf("VerifyCheckpoint: %v", err)
 	}
@@ -363,5 +132,58 @@ func TestCheckpointV3BindsThreshold(t *testing.T) {
 	tampered.Checkpoint.Threshold = &ThresholdTrail{Quorum: []int{1, 3, 4}, Crashed: nil, Byzantine: []int{5}, Recoveries: 2}
 	if err := VerifyCheckpoint(sys.agency.scheme, &tampered); err == nil {
 		t.Fatal("signature survived rewriting the crashed share list")
+	}
+}
+
+// TestSignedBodiesRefuseSeparatorInIDs: the signed bodies join the
+// identity fields with '|' and no length prefix, so two verdicts that
+// move "|user=…" between the job and user IDs render the same bytes. The
+// signer refuses to seal either, and the verifier refuses a signature
+// over such a body, so one verdict's signature cannot vouch for the
+// other.
+func TestSignedBodiesRefuseSeparatorInIDs(t *testing.T) {
+	sys := newSystem(t, nil)
+	scheme := sys.agency.scheme
+	signBody := func(body []byte) wire.IBSig {
+		sig, err := scheme.Sign(sys.agency.key, body, rand.Reader)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return EncodeIBSig(scheme.Params(), sig)
+	}
+
+	first := &Evidence{AuditorID: sys.agency.ID(), JobID: "job-1|user=user:alice", UserID: "user:mallory",
+		ServerID: sys.servers[0].ID(), Sampled: []uint64{1}, Valid: true, EffectiveSampleSize: 1}
+	second := *first
+	second.JobID, second.UserID = "job-1", "user:alice|user=user:mallory"
+	if string(evidenceBody(first)) != string(evidenceBody(&second)) {
+		t.Fatal("the two verdicts no longer collide; this test needs a new pair")
+	}
+	for _, e := range []*Evidence{first, &second} {
+		if _, err := sys.agency.signEvidence(e); err == nil {
+			t.Fatalf("signed evidence with job %q user %q", e.JobID, e.UserID)
+		}
+	}
+	second.Sig = signBody(evidenceBody(first))
+	if err := VerifyEvidence(scheme, &second); err == nil {
+		t.Fatal("one verdict's signature verified a different verdict")
+	}
+
+	cpFirst := &AuditCheckpoint{JobID: "job-1|user=user:alice", UserID: "user:mallory", Sampled: []uint64{1}}
+	cpSecond := *cpFirst
+	cpSecond.JobID, cpSecond.UserID = "job-1", "user:alice|user=user:mallory"
+	ceFirst := &CheckpointEvidence{AuditorID: sys.agency.ID(), Checkpoint: *cpFirst}
+	ceSecond := &CheckpointEvidence{AuditorID: sys.agency.ID(), Checkpoint: cpSecond}
+	if string(checkpointBody(ceFirst)) != string(checkpointBody(ceSecond)) {
+		t.Fatal("the two checkpoints no longer collide; this test needs a new pair")
+	}
+	for _, cp := range []*AuditCheckpoint{cpFirst, &cpSecond} {
+		if _, err := sys.agency.SignCheckpoint(cp); err == nil {
+			t.Fatalf("signed checkpoint with job %q user %q", cp.JobID, cp.UserID)
+		}
+	}
+	ceSecond.Sig = signBody(checkpointBody(ceFirst))
+	if err := VerifyCheckpoint(scheme, ceSecond); err == nil {
+		t.Fatal("one checkpoint's signature verified a different checkpoint")
 	}
 }

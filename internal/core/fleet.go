@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sort"
 	"strconv"
@@ -198,30 +199,27 @@ func (h *FleetHealth) States() []ServerState {
 	return out
 }
 
-// healthClient decorates a transport client so that EVERY round trip
+// healthClient decorates a transport client so that every round trip
 // feeds the replica's breaker: transport-class failures (disconnects,
 // timeouts, corrupt frames) count against it, anything that produced a
 // reply — including protocol errors, which implicate logic, not the
-// link — counts as liveness.
+// link, and typed overload sheds, which come from a live server — counts
+// as liveness. A trip that failed because the caller cancelled its ctx
+// reports nothing: that is the losing leg of a hedge (or an abandoned
+// audit), and it says nothing about the replica. A deadline expiry still
+// counts as a failure.
 type healthClient struct {
 	netsim.Client
 	b *Breaker
 }
 
-func (c *healthClient) RoundTrip(m wire.Message) (wire.Message, error) {
-	resp, err := c.Client.RoundTrip(m)
-	c.report(err)
-	return resp, err
-}
-
 func (c *healthClient) RoundTripContext(ctx context.Context, m wire.Message) (wire.Message, error) {
 	resp, err := c.Client.RoundTripContext(ctx, m)
-	c.report(err)
-	return resp, err
-}
-
-func (c *healthClient) report(err error) {
+	if err != nil && errors.Is(ctx.Err(), context.Canceled) {
+		return resp, err
+	}
 	c.b.Report(err == nil || !(netsim.IsRetryable(err) || netsim.IsTimeout(err)))
+	return resp, err
 }
 
 // Fleet is a set of replica links sharing one health tracker. The audit
@@ -345,10 +343,6 @@ type tripClient struct {
 	inner    netsim.Client
 	ln       *link
 	attempts int64
-}
-
-func (c *tripClient) RoundTrip(m wire.Message) (wire.Message, error) {
-	return c.RoundTripContext(context.Background(), m)
 }
 
 func (c *tripClient) RoundTripContext(ctx context.Context, m wire.Message) (wire.Message, error) {
@@ -557,28 +551,6 @@ func (cfg *FleetAuditConfig) quorumK() int {
 	return cfg.QuorumK
 }
 
-// FleetStorageReport is a fleet storage audit's full outcome: the
-// per-position report (identical in shape to a single-server audit),
-// plus the failover trail, the quorum verdicts, and any repairs.
-type FleetStorageReport struct {
-	UserID string
-	// Primary is the replica the audit was aimed at.
-	Primary int
-	// Report is the fault-aware audit report; its RoundRecords carry the
-	// serving replica of every round and its Elapsed covers the whole
-	// pipeline, cross-examination and repair included.
-	Report *AuditReport
-	// Failovers is the round re-issue trail.
-	Failovers []FailoverEvent
-	// Quorums holds one cross-examination per accused replica.
-	Quorums []*QuorumResult
-	// Repairs holds the executed repair plans.
-	Repairs []*RepairResult
-}
-
-// FailedOver reports whether any round left the primary.
-func (r *FleetStorageReport) FailedOver() bool { return len(r.Failovers) > 0 }
-
 // fleetDispatch is the fleet dispatcher: each round is aimed at the
 // primary and re-issued to the next replica in index order — same
 // positions, so the paper's sampling game is unchanged; only the responder
@@ -586,9 +558,9 @@ func (r *FleetStorageReport) FailedOver() bool { return len(r.Failovers) > 0 }
 // with a transport-class error. A round completes against the FIRST
 // replica that answers and is lost only when every replica is unreachable.
 type fleetDispatch struct {
-	f   *Fleet
-	cfg *FleetAuditConfig
-	fr  *FleetStorageReport // failover trail
+	f         *Fleet
+	cfg       *FleetAuditConfig
+	failovers []FailoverEvent
 }
 
 // sequential: the breaker state a round observes depends on the rounds
@@ -606,7 +578,7 @@ func (d *fleetDispatch) send(ctx context.Context, ln *link, ri int, rs *obs.Span
 		tried[server] = true
 		next := f.nextReplica(tried)
 		if next >= 0 {
-			d.fr.Failovers = append(d.fr.Failovers, FailoverEvent{Round: ri, From: server, To: next, Reason: reason})
+			d.failovers = append(d.failovers, FailoverEvent{Round: ri, From: server, To: next, Reason: reason})
 			rec.FailedOver = true
 			hop := rs.Child("failover", "from", strconv.Itoa(server), "to", strconv.Itoa(next), "reason", reason)
 			hop.End()
@@ -641,7 +613,10 @@ func (d *fleetDispatch) send(ctx context.Context, ln *link, ri int, rs *obs.Span
 // AuditStorageFleet runs a storage audit against a replicated fleet: the
 // rounds of AuditStorage, dispatched through fleetDispatch so a crashed or
 // shedding replica moves the round instead of losing it — transport
-// failures stay non-accusatory exactly as in AuditStorage.
+// failures stay non-accusatory exactly as in AuditStorage. The report's
+// RoundRecords carry the serving replica of every round, its Failovers,
+// Quorums and Repairs the fleet trail, and its Elapsed the whole
+// pipeline, cross-examination and repair included.
 //
 // Failures are attributed to the replica that SERVED the failing round
 // (RoundRecord.Replica), cross-examined on quorumK witnesses, and — when
@@ -649,12 +624,12 @@ func (d *fleetDispatch) send(ctx context.Context, ln *link, ri int, rs *obs.Span
 // a witness whose signatures verified.
 func (a *Agency) AuditStorageFleet(
 	f *Fleet, userID string, warrant wire.Warrant, cfg FleetAuditConfig,
-) (*FleetStorageReport, error) {
-	fr := &FleetStorageReport{UserID: userID, Primary: cfg.Primary}
+) (*AuditReport, error) {
 	kind := &storageKind{a: a, userID: userID, warrant: warrant}
+	disp := &fleetDispatch{f: f, cfg: &cfg}
 	run := a.startRun(auditRun{
 		typ: "fleet", userID: userID, cfg: &cfg.Storage, kind: kind,
-		disp:    &fleetDispatch{f: f, cfg: &cfg, fr: fr},
+		disp:    disp,
 		batched: cfg.Storage.BatchSignatures,
 	}, "user", userID, "primary", strconv.Itoa(cfg.Primary))
 	defer run.close()
@@ -668,10 +643,10 @@ func (a *Agency) AuditStorageFleet(
 		return nil, err
 	}
 	report := run.report
-	fr.Report = report
 	if err := run.rounds(); err != nil {
 		return nil, err
 	}
+	report.Failovers = disp.failovers
 	for ri := range report.Rounds {
 		if report.Rounds[ri].Outcome.Lost() {
 			report.Rounds[ri].Replica = -1 // nobody answered
@@ -713,20 +688,19 @@ func (a *Agency) AuditStorageFleet(
 			q, witnesses := a.crossExamine(run.ctx, f, kind, cfg, acc, pos)
 			qs.Annotate("class", q.Class.String())
 			qs.End()
-			fr.Quorums = append(fr.Quorums, q)
+			report.Quorums = append(report.Quorums, q)
 			if cfg.Repair && q.Class == QuorumLocalized {
 				ps := run.root.Child("repair", "target", strconv.Itoa(acc))
 				rr := a.executeRepair(run.ctx, f, kind, cfg, acc, pos, witnesses)
 				ps.Annotate("applied", strconv.FormatBool(rr.Applied))
 				ps.Annotate("confirmed", strconv.FormatBool(rr.Confirmed))
 				ps.End()
-				fr.Repairs = append(fr.Repairs, rr)
+				report.Repairs = append(report.Repairs, rr)
 			}
 		}
 	}
 	run.finish()
-	a.obs.finishFleet(fr)
-	return fr, nil
+	return report, nil
 }
 
 // decodeStoredSig decodes and owner-checks one stored block's designated

@@ -28,14 +28,14 @@ type fleetSystem struct {
 // server plus the DA), and issues a storage-audit warrant.
 func newFleetSystem(t testing.TB, n, blocks int) *fleetSystem {
 	t.Helper()
-	return newFleetSystemOn(t, newSystem(t, make([]CheatPolicy, n)...), blocks, nil, BreakerConfig{})
+	return newFleetSystemOn(t, newSystem(t, make([]CheatPolicy, n)...), blocks, nil)
 }
 
 // newFleetSystemOn is newFleetSystem over an existing system's servers.
 // wrap, when set, decorates replica i's link after the dataset is stored.
 func newFleetSystemOn(
 	t testing.TB, sys *system, blocks int,
-	wrap func(i int, c netsim.Client) netsim.Client, bcfg BreakerConfig,
+	wrap func(i int, c netsim.Client) netsim.Client,
 ) *fleetSystem {
 	t.Helper()
 	fs := &fleetSystem{system: sys}
@@ -62,7 +62,7 @@ func newFleetSystemOn(
 			clients[i] = wrap(i, clients[i])
 		}
 	}
-	if fs.fleet, err = NewFleet(clients, ids, bcfg); err != nil {
+	if fs.fleet, err = NewFleet(clients, ids, BreakerConfig{}); err != nil {
 		t.Fatalf("NewFleet: %v", err)
 	}
 	fs.warrant, err = sys.user.Delegate(sys.agency.ID(), "", time.Now().Add(time.Hour))
@@ -138,6 +138,46 @@ func TestBreakerTransitions(t *testing.T) {
 	}
 }
 
+// TestFleetHedgeDelay pins the one hedge-delay policy: an explicit
+// override wins; otherwise the observed p95 round latency, floored at
+// 1 ms; and 5 ms while nothing has been observed.
+func TestFleetHedgeDelay(t *testing.T) {
+	echo := netsim.HandlerFunc(func(m wire.Message) wire.Message { return m })
+	observe := func(n int, d func(i int) time.Duration) []time.Duration {
+		out := make([]time.Duration, n)
+		for i := range out {
+			out[i] = d(i)
+		}
+		return out
+	}
+	cases := []struct {
+		name     string
+		observed []time.Duration
+		override time.Duration
+		want     time.Duration
+	}{
+		{name: "cold", want: 5 * time.Millisecond},
+		{name: "override", override: 7 * time.Millisecond, want: 7 * time.Millisecond,
+			observed: observe(64, func(int) time.Duration { return 30 * time.Millisecond })},
+		{name: "floored", want: time.Millisecond,
+			observed: observe(64, func(int) time.Duration { return 100 * time.Microsecond })},
+		{name: "warm", want: 60 * time.Millisecond,
+			observed: observe(64, func(i int) time.Duration { return time.Duration(i+1) * time.Millisecond })},
+	}
+	for _, tc := range cases {
+		f, err := NewFleet([]netsim.Client{netsim.NewLoopback(echo, netsim.LinkConfig{})}, nil, BreakerConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, d := range tc.observed {
+			f.latency.Observe(d)
+		}
+		if got := f.hedgeDelay(tc.override); got != tc.want {
+			t.Errorf("%s: hedgeDelay = %v, want %v", tc.name, got, tc.want)
+		}
+	}
+}
+
 func TestClassifyVotes(t *testing.T) {
 	v := func(completed, bad bool) ReplicaVote {
 		return ReplicaVote{Completed: completed, Bad: bad}
@@ -175,17 +215,17 @@ func TestFleetAuditFailover(t *testing.T) {
 	if err != nil {
 		t.Fatalf("AuditStorageFleet: %v", err)
 	}
-	if !fr.Report.Valid() {
-		t.Fatalf("audit of a crashed-but-honest primary produced failures: %+v", fr.Report.Failures)
+	if !fr.Valid() {
+		t.Fatalf("audit of a crashed-but-honest primary produced failures: %+v", fr.Failures)
 	}
-	if fr.Report.EffectiveSampleSize != 6 {
+	if fr.EffectiveSampleSize != 6 {
 		t.Fatalf("effective sample = %d, want 6 (failover should complete every round)",
-			fr.Report.EffectiveSampleSize)
+			fr.EffectiveSampleSize)
 	}
-	if !fr.FailedOver() {
+	if len(fr.Failovers) == 0 {
 		t.Fatal("no failover recorded despite a dead primary")
 	}
-	for ri, rec := range fr.Report.Rounds {
+	for ri, rec := range fr.Rounds {
 		if rec.Outcome != RoundOK {
 			t.Fatalf("round %d outcome = %v, want ok", ri, rec.Outcome)
 		}
@@ -198,9 +238,9 @@ func TestFleetAuditFailover(t *testing.T) {
 	}
 
 	// The signed evidence must carry the failover trail and verify.
-	ev, err := fs.agency.IssueFleetEvidence(fs.fleet, fr)
+	ev, err := fs.agency.IssueStorageEvidence(fs.fleet.ServerID(cfg.Primary), fr)
 	if err != nil {
-		t.Fatalf("IssueFleetEvidence: %v", err)
+		t.Fatalf("IssueStorageEvidence: %v", err)
 	}
 	if ev.FailoverSummary == "" {
 		t.Fatal("evidence has no failover summary")
@@ -225,13 +265,13 @@ func TestFleetAuditAllDown(t *testing.T) {
 	if err != nil {
 		t.Fatalf("AuditStorageFleet: %v", err)
 	}
-	if !fr.Report.Valid() {
-		t.Fatalf("dead fleet accused of cheating: %+v", fr.Report.Failures)
+	if !fr.Valid() {
+		t.Fatalf("dead fleet accused of cheating: %+v", fr.Failures)
 	}
-	if fr.Report.EffectiveSampleSize != 0 {
-		t.Fatalf("effective sample = %d, want 0", fr.Report.EffectiveSampleSize)
+	if fr.EffectiveSampleSize != 0 {
+		t.Fatalf("effective sample = %d, want 0", fr.EffectiveSampleSize)
 	}
-	for ri, rec := range fr.Report.Rounds {
+	for ri, rec := range fr.Rounds {
 		if rec.Outcome.Accusatory() {
 			t.Fatalf("round %d outcome %v is accusatory", ri, rec.Outcome)
 		}
@@ -253,9 +293,9 @@ func TestFleetFailoverDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatalf("AuditStorageFleet: %v", err)
 		}
-		ev, err := fs.agency.IssueFleetEvidence(fs.fleet, fr)
+		ev, err := fs.agency.IssueStorageEvidence(fs.fleet.ServerID(cfg.Primary), fr)
 		if err != nil {
-			t.Fatalf("IssueFleetEvidence: %v", err)
+			t.Fatalf("IssueStorageEvidence: %v", err)
 		}
 		return evidenceBody(ev)
 	}
@@ -286,7 +326,7 @@ func TestFleetQuorumLocalizedRepair(t *testing.T) {
 	if err != nil {
 		t.Fatalf("AuditStorageFleet: %v", err)
 	}
-	if fr.Report.Valid() {
+	if fr.Valid() {
 		t.Fatal("corrupted replica passed the audit")
 	}
 	if len(fr.Quorums) != 1 {
@@ -327,9 +367,9 @@ func TestFleetQuorumLocalizedRepair(t *testing.T) {
 	}
 
 	// The quorum verdict is part of the signed evidence.
-	ev, err := fs.agency.IssueFleetEvidence(fs.fleet, fr)
+	ev, err := fs.agency.IssueStorageEvidence(fs.fleet.ServerID(cfg.Primary), fr)
 	if err != nil {
-		t.Fatalf("IssueFleetEvidence: %v", err)
+		t.Fatalf("IssueStorageEvidence: %v", err)
 	}
 	if !strings.Contains(ev.QuorumSummary, "localized") {
 		t.Fatalf("quorum summary %q does not carry the classification", ev.QuorumSummary)

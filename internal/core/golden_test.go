@@ -143,10 +143,6 @@ func newKeyedClient(inner netsim.Client, act func(key uint64, attempt int) keyed
 	return &keyedClient{inner: inner, act: act, seen: make(map[uint64]int)}
 }
 
-func (c *keyedClient) RoundTrip(m wire.Message) (wire.Message, error) {
-	return c.RoundTripContext(context.Background(), m)
-}
-
 func (c *keyedClient) RoundTripContext(ctx context.Context, m wire.Message) (wire.Message, error) {
 	if key, ok := reqKey(m); ok {
 		c.mu.Lock()
@@ -217,19 +213,19 @@ func renderEvidence(t *testing.T, b *strings.Builder, ev *Evidence, err error) {
 	fmt.Fprintf(b, "evidence %q\n", evidenceBody(ev))
 }
 
-func renderFleetReport(b *strings.Builder, fr *FleetStorageReport) {
-	fmt.Fprintf(b, "fleet user=%q primary=%d failed-over=%v\n", fr.UserID, fr.Primary, fr.FailedOver())
-	renderReport(b, fr.Report)
-	for _, e := range fr.Failovers {
+func renderFleetReport(b *strings.Builder, primary int, r *AuditReport) {
+	fmt.Fprintf(b, "fleet user=%q primary=%d failed-over=%v\n", r.UserID, primary, len(r.Failovers) > 0)
+	renderReport(b, r)
+	for _, e := range r.Failovers {
 		fmt.Fprintf(b, "failover round=%d from=%d to=%d reason=%s\n", e.Round, e.From, e.To, e.Reason)
 	}
-	for _, q := range fr.Quorums {
+	for _, q := range r.Quorums {
 		fmt.Fprintf(b, "quorum accused=%d positions=%v class=%s\n", q.Accused, q.Positions, q.Class)
 		for _, v := range q.Votes {
 			fmt.Fprintf(b, "  vote server=%d completed=%v bad=%v detail=%q\n", v.Server, v.Completed, v.Bad, v.Detail)
 		}
 	}
-	for _, rr := range fr.Repairs {
+	for _, rr := range r.Repairs {
 		fmt.Fprintf(b, "repair target=%d source=%d positions=%v applied=%v confirmed=%v detail=%q\n",
 			rr.Plan.Target, rr.Plan.Source, rr.Plan.Positions, rr.Applied, rr.Confirmed, rr.Detail)
 	}
@@ -406,7 +402,6 @@ func TestGoldenFleet(t *testing.T) {
 	cases := []struct {
 		name    string
 		servers int
-		breaker BreakerConfig
 		wrap    func(i int, c netsim.Client) netsim.Client
 		setup   func(t *testing.T, fs *fleetSystem, cfg *FleetAuditConfig)
 		expect  string
@@ -419,7 +414,7 @@ func TestGoldenFleet(t *testing.T) {
 					dh.SetDown(true)
 				}
 			}},
-		{name: "hedge", servers: 3, breaker: BreakerConfig{FailThreshold: 100}, expect: "hedged=true",
+		{name: "hedge", servers: 3, expect: "hedged=true",
 			wrap: func(i int, c netsim.Client) netsim.Client {
 				if i == 0 {
 					return &latentCtxClient{inner: c, d: 200 * time.Millisecond}
@@ -454,7 +449,7 @@ func TestGoldenFleet(t *testing.T) {
 			var b strings.Builder
 			for _, workers := range []int{1, 4} {
 				fmt.Fprintf(&b, "== workers=%d ==\n", workers)
-				fs := newFleetSystemOn(t, newGoldenSystem(t, make([]CheatPolicy, tc.servers)...), 10, tc.wrap, tc.breaker)
+				fs := newFleetSystemOn(t, newGoldenSystem(t, make([]CheatPolicy, tc.servers)...), 10, tc.wrap)
 				cfg := FleetAuditConfig{Storage: AuditConfig{
 					DatasetSize: 10, SampleSize: 10, Rounds: 3, Rng: seeded(goldenSeed),
 					BatchSignatures: true, Workers: workers,
@@ -465,8 +460,8 @@ func TestGoldenFleet(t *testing.T) {
 				if err != nil {
 					t.Fatalf("AuditStorageFleet: %v", err)
 				}
-				renderFleetReport(&b, fr)
-				ev, err := fs.agency.IssueFleetEvidence(fs.fleet, fr)
+				renderFleetReport(&b, cfg.Primary, fr)
+				ev, err := fs.agency.IssueStorageEvidence(fs.fleet.ServerID(cfg.Primary), fr)
 				renderEvidence(t, &b, ev, err)
 				fmt.Fprintf(&b, "breakers %v\n", fs.fleet.Health().States())
 			}

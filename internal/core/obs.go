@@ -113,9 +113,11 @@ func endRound(rs *obs.Span, rec *RoundRecord) {
 	rs.End()
 }
 
-// finishAudit records the instruments shared by every audit flavor:
-// per-round verdict counters, per-check failure attribution, the overall
-// result, and the DA-side duration.
+// finishAudit records one returned report: per-round verdict counters,
+// per-check failure attribution, the overall result, the DA-side duration
+// and, for fleet audits, failover hops by reason, quorum verdicts by class
+// and repair progression (every executed repair counts "attempted", then
+// "applied" and "confirmed" as far as it got).
 func (o *auditObs) finishAudit(typ string, r *AuditReport) {
 	if o == nil {
 		return
@@ -135,23 +137,13 @@ func (o *auditObs) finishAudit(typ string, r *AuditReport) {
 	}
 	o.audits.With(typ, result).Inc()
 	o.duration.With(typ).Observe(r.Elapsed.Seconds())
-}
-
-// finishFleet records the fleet-specific trail of one returned report:
-// failover hops by reason, quorum verdicts by class, and repair
-// progression (every executed repair counts "attempted", then "applied"
-// and "confirmed" as far as it got).
-func (o *auditObs) finishFleet(fr *FleetStorageReport) {
-	if o == nil {
-		return
-	}
-	for _, e := range fr.Failovers {
+	for _, e := range r.Failovers {
 		o.failovers.With(e.Reason).Inc()
 	}
-	for _, q := range fr.Quorums {
+	for _, q := range r.Quorums {
 		o.quorums.With(q.Class.String()).Inc()
 	}
-	for _, rr := range fr.Repairs {
+	for _, rr := range r.Repairs {
 		o.repairs.With("attempted").Inc()
 		if rr.Applied {
 			o.repairs.With("applied").Inc()

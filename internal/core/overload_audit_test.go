@@ -25,10 +25,6 @@ type shedClient struct {
 	n     int
 }
 
-func (c *shedClient) RoundTrip(m wire.Message) (wire.Message, error) {
-	return c.RoundTripContext(context.Background(), m)
-}
-
 func (c *shedClient) RoundTripContext(ctx context.Context, m wire.Message) (wire.Message, error) {
 	c.mu.Lock()
 	c.n++
@@ -48,10 +44,6 @@ func (c *shedClient) Close() error                { return nil }
 type latentCtxClient struct {
 	inner netsim.Client
 	d     time.Duration
-}
-
-func (c *latentCtxClient) RoundTrip(m wire.Message) (wire.Message, error) {
-	return c.RoundTripContext(context.Background(), m)
 }
 
 func (c *latentCtxClient) RoundTripContext(ctx context.Context, m wire.Message) (wire.Message, error) {
@@ -123,7 +115,7 @@ func TestAuditJobShedRoundsNonAccusatory(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if ev.Version != EvidenceVersion || ev.ShedRounds != 3 || !ev.Valid {
+			if ev.ShedRounds != 3 || !ev.Valid {
 				t.Fatalf("evidence overload section wrong: %+v", ev)
 			}
 			if err := VerifyEvidence(sys.agency.scheme, ev); err != nil {
@@ -407,12 +399,12 @@ func TestFleetShedFailsOverWithoutTrippingBreakers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !fr.Report.Valid() {
-		t.Fatalf("shedding primary accused: %+v", fr.Report.Failures)
+	if !fr.Valid() {
+		t.Fatalf("shedding primary accused: %+v", fr.Failures)
 	}
-	if fr.Report.EffectiveSampleSize != 6 {
+	if fr.EffectiveSampleSize != 6 {
 		t.Fatalf("effective sample = %d, want 6 (failover should complete every round)",
-			fr.Report.EffectiveSampleSize)
+			fr.EffectiveSampleSize)
 	}
 	if len(fr.Failovers) == 0 {
 		t.Fatal("no failover recorded off the shedding primary")
@@ -454,13 +446,13 @@ func TestFleetBudgetExhaustionTripsNothingOpen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !fr.Report.Valid() {
-		t.Fatalf("down primary accused: %+v", fr.Report.Failures)
+	if !fr.Valid() {
+		t.Fatalf("down primary accused: %+v", fr.Failures)
 	}
-	if fr.Report.EffectiveSampleSize != 4 {
-		t.Fatalf("effective sample = %d, want 4 via failover", fr.Report.EffectiveSampleSize)
+	if fr.EffectiveSampleSize != 4 {
+		t.Fatalf("effective sample = %d, want 4 via failover", fr.EffectiveSampleSize)
 	}
-	if fr.Report.BudgetDenied == 0 {
+	if fr.BudgetDenied == 0 {
 		t.Fatal("no budget denial recorded against the dead primary")
 	}
 	// The budget capped attempts well below MaxAttempts×rounds, and the
@@ -487,7 +479,7 @@ func TestFleetHedgedRoundsWinAndRecord(t *testing.T) {
 		netsim.NewLoopback(fs.downs[2], netsim.LinkConfig{}),
 	}
 	ids := []string{fs.servers[0].ID(), fs.servers[1].ID(), fs.servers[2].ID()}
-	fleet, err := NewFleet(clients, ids, BreakerConfig{FailThreshold: 100})
+	fleet, err := NewFleet(clients, ids, BreakerConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -506,13 +498,13 @@ func TestFleetHedgedRoundsWinAndRecord(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !fr.Report.Valid() {
-		t.Fatalf("hedged audit accused an honest fleet: %+v", fr.Report.Failures)
+	if !fr.Valid() {
+		t.Fatalf("hedged audit accused an honest fleet: %+v", fr.Failures)
 	}
-	if got := fr.Report.HedgedRounds(); got != 3 {
+	if got := fr.HedgedRounds(); got != 3 {
 		t.Fatalf("HedgedRounds = %d, want 3 (every round should hedge past the slow primary)", got)
 	}
-	for _, rr := range fr.Report.Rounds {
+	for _, rr := range fr.Rounds {
 		if !rr.Hedged || rr.Replica != 1 {
 			t.Fatalf("hedged round misrecorded: hedged=%v replica=%d", rr.Hedged, rr.Replica)
 		}
@@ -523,7 +515,12 @@ func TestFleetHedgedRoundsWinAndRecord(t *testing.T) {
 	if len(fr.Failovers) != 0 {
 		t.Fatalf("hedge wins recorded as failovers: %+v", fr.Failovers)
 	}
-	ev, err := fs.agency.IssueFleetEvidence(fleet, fr)
+	// The cancelled losing legs are not failures of the slow primary: its
+	// breaker stays closed, so the next audit does not fail over from it.
+	if b := fleet.Health().Breaker(0); b.State() != StateClosed || b.Trips() != 0 {
+		t.Fatalf("hedge wins tripped the honest primary: state=%v trips=%d, want closed/0", b.State(), b.Trips())
+	}
+	ev, err := fs.agency.IssueStorageEvidence(fleet.ServerID(cfg.Primary), fr)
 	if err != nil {
 		t.Fatal(err)
 	}

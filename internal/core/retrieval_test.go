@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	mrand "math/rand"
 	"testing"
 	"time"
@@ -59,7 +60,7 @@ func TestRetrievabilityAfterDeletion(t *testing.T) {
 	}
 
 	// Fetch all blocks, drop the flagged ones, reconstruct.
-	resp, err := sys.clients[0].RoundTrip(&wire.StorageAuditRequest{
+	resp, err := sys.clients[0].RoundTripContext(context.Background(), &wire.StorageAuditRequest{
 		UserID:    sys.user.ID(),
 		Positions: allPositions(coded.NumBlocks()),
 		Warrant:   warrant,

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 
 	"seccloud/internal/erasure"
@@ -167,7 +168,7 @@ func (a *Agency) fetchShards(
 			continue
 		}
 		wirePos := ShardPosition(pos, j, total)
-		resp, err := f.clients[j].RoundTrip(&wire.StorageAuditRequest{
+		resp, err := f.clients[j].RoundTripContext(context.Background(), &wire.StorageAuditRequest{
 			UserID:    userID,
 			Positions: []uint64{wirePos},
 			Warrant:   warrant,
@@ -259,7 +260,7 @@ func (a *Agency) RepairStripedShards(
 	}
 	// Confirm exactly as replica repair does: the target must now answer
 	// the repaired positions with verifying signatures.
-	resp, err := f.Client(target).RoundTrip(&wire.StorageAuditRequest{
+	resp, err := f.Client(target).RoundTripContext(context.Background(), &wire.StorageAuditRequest{
 		UserID:    u.ID(),
 		Positions: req.Positions,
 		Warrant:   warrant,

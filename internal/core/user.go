@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"time"
@@ -80,7 +81,7 @@ func (u *User) PrepareStore(ds *workload.Dataset, verifierIDs ...string) (*wire.
 // response. After a successful store the paper's user "deletes them from
 // local storage"; whether the caller drops its copy is up to it.
 func (u *User) Store(client netsim.Client, req *wire.StoreRequest) error {
-	resp, err := client.RoundTrip(req)
+	resp, err := client.RoundTripContext(context.Background(), req)
 	if err != nil {
 		return fmt.Errorf("core: store round trip: %w", err)
 	}
@@ -107,7 +108,7 @@ func (u *User) SubmitJob(client netsim.Client, jobID string, job *workload.Job) 
 		JobID:  jobID,
 		Tasks:  TasksToWire(job),
 	}
-	resp, err := client.RoundTrip(req)
+	resp, err := client.RoundTripContext(context.Background(), req)
 	if err != nil {
 		return nil, fmt.Errorf("core: compute round trip: %w", err)
 	}

@@ -19,17 +19,6 @@ type ClientConfig struct {
 	// Faults injects deterministic client-side network faults through
 	// the same seeded injector the simulator uses.
 	Faults netsim.FaultConfig
-	// Allow, when set, gates round trips (circuit-breaker integration):
-	// a false return refuses the trip without touching the network.
-	Allow func() bool
-	// Report, when set, is fed exactly once per round trip that reached
-	// the network: ok is true for successes AND typed overload sheds (a
-	// shedding server is alive and honest — PR6 invariant: sheds never
-	// trip breakers). Trips that fail before any network activity — ctx
-	// already expired on entry, the pool saturated at its MaxActive cap,
-	// the pool closed, or the request failing to encode — never feed
-	// Report: purely client-local backpressure must not trip the breaker.
-	Report func(ok bool)
 	// Obs instruments the client under transport="daemon" with netsim's
 	// rpc_* instrument set, so a fault is labelled as on any other link.
 	Obs *obs.Hub
@@ -54,9 +43,6 @@ type Client struct {
 
 var _ netsim.Client = (*Client)(nil)
 
-// ErrBreakerOpen marks a round trip refused by the Allow hook.
-var ErrBreakerOpen = errors.New("daemon: breaker open")
-
 // NewClient wraps pool in a Client. The Client owns the pool: Close
 // closes it.
 func NewClient(pool *Pool, cfg ClientConfig) *Client {
@@ -71,15 +57,9 @@ func NewClient(pool *Pool, cfg ClientConfig) *Client {
 // Pool exposes the client's pool (stats, warming).
 func (c *Client) Pool() *Pool { return c.pool }
 
-// RoundTrip sends m and waits for the reply.
-func (c *Client) RoundTrip(m wire.Message) (wire.Message, error) {
-	return c.RoundTripContext(context.Background(), m)
-}
-
 // RoundTripContext sends m on a pooled conn under ctx's deadline (or the
-// configured Timeout). Transport failures evict the conn from the pool —
-// the next trip gets a fresh or verified-healthy one — and feed the
-// Report hook exactly once.
+// configured Timeout). Transport failures evict the conn from the pool:
+// the next trip gets a fresh or verified-healthy one.
 func (c *Client) RoundTripContext(ctx context.Context, m wire.Message) (wire.Message, error) {
 	c.mu.Lock()
 	if c.closed {
@@ -87,27 +67,15 @@ func (c *Client) RoundTripContext(ctx context.Context, m wire.Message) (wire.Mes
 		return nil, errors.New("daemon: client closed")
 	}
 	c.mu.Unlock()
-	if c.cfg.Allow != nil && !c.cfg.Allow() {
-		// Breaker-open refusals never reach the network and never feed
-		// Report: the breaker must not count its own refusals as peer
-		// failures.
-		return nil, &netsim.TransportError{Op: "breaker", Err: ErrBreakerOpen}
-	}
 	start := time.Now()
-	resp, reached, err := c.roundTrip(ctx, m)
+	resp, err := c.roundTrip(ctx, m)
 	c.met.Observe(time.Since(start), err)
-	if c.cfg.Report != nil && reached {
-		c.cfg.Report(err == nil || netsim.IsOverloaded(err))
-	}
 	return resp, err
 }
 
-// roundTrip's second return reports whether the trip reached the network
-// (a conn was used, a dial was attempted, or an injected network fault
-// consumed the request) — only those trips feed the Report hook.
-func (c *Client) roundTrip(ctx context.Context, m wire.Message) (wire.Message, bool, error) {
+func (c *Client) roundTrip(ctx context.Context, m wire.Message) (wire.Message, error) {
 	if err := ctx.Err(); err != nil {
-		return nil, false, &netsim.TransportError{Op: "roundtrip", Timeout: errors.Is(err, context.DeadlineExceeded), Err: err}
+		return nil, &netsim.TransportError{Op: "roundtrip", Timeout: errors.Is(err, context.DeadlineExceeded), Err: err}
 	}
 	deadline, hasDeadline := ctx.Deadline()
 	if !hasDeadline && c.cfg.Timeout > 0 {
@@ -119,30 +87,28 @@ func (c *Client) roundTrip(ctx context.Context, m wire.Message) (wire.Message, b
 
 	plan := c.inj.Plan(true)
 	if plan.Drop {
-		// A lost request: an injected network fault, so it reports.
-		return nil, true, &netsim.FaultError{Kind: netsim.FaultDrop, Op: "request"}
+		// A lost request: an injected network fault.
+		return nil, &netsim.FaultError{Kind: netsim.FaultDrop, Op: "request"}
 	}
 	if plan.Delay > 0 {
 		t := time.NewTimer(plan.Delay)
 		select {
 		case <-ctx.Done():
 			t.Stop()
-			return nil, true, &netsim.TransportError{Op: "roundtrip", Timeout: errors.Is(ctx.Err(), context.DeadlineExceeded), Err: ctx.Err()}
+			return nil, &netsim.TransportError{Op: "roundtrip", Timeout: errors.Is(ctx.Err(), context.DeadlineExceeded), Err: ctx.Err()}
 		case <-t.C:
 		}
 	}
 
 	conn, err := c.pool.Get(ctx)
 	if err != nil {
-		// A failed dial/TLS/handshake reached the network; waiting out
-		// the MaxActive semaphore or hitting a closed pool did not.
-		return nil, !errors.Is(err, ErrPoolClosed) && !isPoolWait(err), err
+		return nil, err
 	}
 	if plan.Disconnect {
 		// Mid-exchange teardown: the conn the request would have used
 		// dies and leaves the pool, exactly like a peer RST.
 		c.pool.Discard(conn)
-		return nil, true, &netsim.FaultError{Kind: netsim.FaultDisconnect, Op: "request"}
+		return nil, &netsim.FaultError{Kind: netsim.FaultDisconnect, Op: "request"}
 	}
 	if hasDeadline {
 		_ = conn.nc.SetDeadline(deadline)
@@ -155,7 +121,7 @@ func (c *Client) roundTrip(ctx context.Context, m wire.Message) (wire.Message, b
 		// Encode failures happen before any bytes flow; the conn is
 		// untouched and goes back to the pool.
 		c.pool.Put(conn)
-		return nil, false, err
+		return nil, err
 	}
 	if plan.Corrupt {
 		data = append([]byte(nil), data...)
@@ -171,7 +137,7 @@ func (c *Client) roundTrip(ctx context.Context, m wire.Message) (wire.Message, b
 		sent += n
 		if err != nil {
 			c.pool.Discard(conn)
-			return nil, true, wrapTransport("write", err)
+			return nil, wrapTransport("write", err)
 		}
 	}
 
@@ -181,15 +147,15 @@ func (c *Client) roundTrip(ctx context.Context, m wire.Message) (wire.Message, b
 		// decode and drops the conn.
 		c.pool.Discard(conn)
 		if plan.Corrupt {
-			return nil, true, &netsim.FaultError{Kind: netsim.FaultCorrupt, Op: "request", Err: err}
+			return nil, &netsim.FaultError{Kind: netsim.FaultCorrupt, Op: "request", Err: err}
 		}
-		return nil, true, wrapTransport("read", err)
+		return nil, wrapTransport("read", err)
 	}
 	if plan.Duplicate {
 		// Drain the duplicate's response to keep the stream in sync.
 		if _, _, err := wire.ReadMessage(conn.nc); err != nil {
 			c.pool.Discard(conn)
-			return nil, true, wrapTransport("read", err)
+			return nil, wrapTransport("read", err)
 		}
 	}
 	c.pool.Put(conn)
@@ -200,15 +166,7 @@ func (c *Client) roundTrip(ctx context.Context, m wire.Message) (wire.Message, b
 	c.mu.Unlock()
 	// A typed shed surfaces as a non-retryable *OverloadedError, never as
 	// a normal reply.
-	resp, err = netsim.CheckOverload("roundtrip", resp)
-	return resp, true, err
-}
-
-// isPoolWait reports whether err is Pool.Get failing while parked at the
-// MaxActive semaphore — client-local backpressure, no network involved.
-func isPoolWait(err error) bool {
-	var te *netsim.TransportError
-	return errors.As(err, &te) && te.Op == "pool"
+	return netsim.CheckOverload("roundtrip", resp)
 }
 
 func wrapTransport(op string, err error) error {

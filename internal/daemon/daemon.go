@@ -13,10 +13,11 @@
 //     same netsim.Handler the simulator serves — always through a
 //     netsim.SwappableHandler slot, so chaos schedules can kill and
 //     revive a real-socket server exactly like a simulated one.
-//   - Pool + Client give the agency side bounded, health-checked,
-//     breaker-integrated connection reuse; concurrent round trips run on
-//     separate pooled conns, which is what lets streamed challenge
-//     rounds overlap on a real link (a single TCP conn serializes).
+//   - Pool + Client give the agency side bounded, health-checked
+//     connection reuse (a fleet's breakers wrap the Client, see
+//     core.NewFleet); concurrent round trips run on separate pooled
+//     conns, which is what lets streamed challenge rounds overlap on a
+//     real link (a single TCP conn serializes).
 //   - Transport abstracts "dial an audit target": SimTransport serves
 //     handlers in-process (the test harness), TCPTransport dials pooled
 //     real sockets. Audit code runs unchanged against either.

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"net"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -23,7 +22,7 @@ func TestPoolReusesIdleConn(t *testing.T) {
 	defer client.Close()
 	req := &wire.StorageAuditRequest{UserID: u.User.ID()}
 	for i := 0; i < 3; i++ {
-		if _, err := client.RoundTrip(req); err != nil {
+		if _, err := client.RoundTripContext(context.Background(), req); err != nil {
 			t.Fatalf("round trip %d: %v", i, err)
 		}
 	}
@@ -151,37 +150,27 @@ func TestPoolMaxActiveBackpressure(t *testing.T) {
 // TestPoolDisconnectMidStreamEvictsAndRetriesFresh is the satellite
 // contract: a mid-stream disconnect (server drops the conn between
 // request and response) evicts the pooled conn, the next trip dials
-// fresh, and the breaker Report hook is fed exactly once per round trip
-// that reached the network.
+// fresh, and the fleet breaker the client feeds counts the one failure
+// without tripping.
 func TestPoolDisconnectMidStreamEvictsAndRetriesFresh(t *testing.T) {
 	u := newTestUniverse(t, 23)
 	s := startDaemon(t, newSeededServer(t, u, "0", core.ServerConfig{}), nil)
 	nemesis := NewNemesis(s)
 
-	breaker := core.NewBreaker(core.BreakerConfig{FailThreshold: 3})
-	var reports, failures atomic.Int64
-	client := NewClient(NewPool(PoolConfig{Addr: s.Addr()}), ClientConfig{
-		Timeout: 5 * time.Second,
-		Allow:   breaker.Allow,
-		Report: func(ok bool) {
-			reports.Add(1)
-			if !ok {
-				failures.Add(1)
-			}
-			breaker.Report(ok)
-		},
-	})
+	client := NewClient(NewPool(PoolConfig{Addr: s.Addr()}), ClientConfig{Timeout: 5 * time.Second})
 	defer client.Close()
+	fleet, breaker := fleetOf(t, client, core.BreakerConfig{FailThreshold: 3})
+	ctx := context.Background()
 	req := &wire.StorageAuditRequest{UserID: u.User.ID()}
 
-	if _, err := client.RoundTrip(req); err != nil {
+	if _, err := fleet.RoundTripContext(ctx, req); err != nil {
 		t.Fatalf("healthy trip: %v", err)
 	}
 
 	// Kill the "process": the server reads the request, then drops the
 	// conn without replying — a genuine mid-stream disconnect.
 	nemesis.Kill()
-	_, err := client.RoundTrip(req)
+	_, err := fleet.RoundTripContext(ctx, req)
 	if err == nil {
 		t.Fatal("trip against killed server succeeded")
 	}
@@ -190,7 +179,7 @@ func TestPoolDisconnectMidStreamEvictsAndRetriesFresh(t *testing.T) {
 	}
 
 	nemesis.Revive()
-	if _, err := client.RoundTrip(req); err != nil {
+	if _, err := fleet.RoundTripContext(ctx, req); err != nil {
 		t.Fatalf("trip after revive: %v", err)
 	}
 
@@ -200,124 +189,49 @@ func TestPoolDisconnectMidStreamEvictsAndRetriesFresh(t *testing.T) {
 	if stats.Dials != 2 || stats.Reuses != 1 || stats.Evictions != 1 {
 		t.Fatalf("disconnect recovery: %+v, want dials=2 reuses=1 evictions=1", stats)
 	}
-	if got := reports.Load(); got != 3 {
-		t.Fatalf("breaker fed %d times for 3 network round trips, want exactly 3", got)
-	}
-	if got := failures.Load(); got != 1 {
-		t.Fatalf("breaker saw %d failures, want exactly 1 (one disconnect)", got)
-	}
-	if breaker.Trips() != 0 {
-		t.Fatalf("one disconnect tripped the breaker (threshold 3)")
-	}
-}
-
-// TestClientPreNetworkFailuresDoNotReport: trips that die before any
-// network activity — ctx expired on entry, Get timing out at the
-// MaxActive semaphore — must not feed the Report hook; a breaker wired
-// to Report must never trip from purely client-local backpressure. A
-// failed dial, by contrast, did reach the network and reports once.
-func TestClientPreNetworkFailuresDoNotReport(t *testing.T) {
-	u := newTestUniverse(t, 25)
-	s := startDaemon(t, newSeededServer(t, u, "0", core.ServerConfig{}), nil)
-
-	var reports, failures atomic.Int64
-	report := func(ok bool) {
-		reports.Add(1)
-		if !ok {
-			failures.Add(1)
-		}
-	}
-	pool := NewPool(PoolConfig{Addr: s.Addr(), MaxActive: 1})
-	client := NewClient(pool, ClientConfig{Report: report})
-	defer client.Close()
-	req := &wire.StorageAuditRequest{UserID: u.User.ID()}
-
-	// ctx already expired on entry: nothing reaches the network.
-	expired, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := client.RoundTripContext(expired, req); err == nil {
-		t.Fatal("trip with expired ctx succeeded")
-	}
-	if got := reports.Load(); got != 0 {
-		t.Fatalf("expired-ctx trip fed Report %d times, want 0", got)
-	}
-
-	// Saturate MaxActive, then time out waiting for a slot: client-local
-	// backpressure, still no network activity.
-	held, err := pool.Get(context.Background())
-	if err != nil {
-		t.Fatalf("Get: %v", err)
-	}
-	waitCtx, cancelWait := context.WithTimeout(context.Background(), 50*time.Millisecond)
-	defer cancelWait()
-	if _, err := client.RoundTripContext(waitCtx, req); !netsim.IsTimeout(err) {
-		t.Fatalf("saturated trip got %v, want timeout-classified error", err)
-	}
-	if got := reports.Load(); got != 0 {
-		t.Fatalf("MaxActive wait fed Report %d times, want 0 — breakers must not see local backpressure", got)
-	}
-	pool.Put(held)
-
-	// A healthy trip reaches the network: exactly one ok report.
-	if _, err := client.RoundTrip(req); err != nil {
-		t.Fatalf("healthy trip: %v", err)
-	}
-	if got, bad := reports.Load(), failures.Load(); got != 1 || bad != 0 {
-		t.Fatalf("healthy trip: reports=%d failures=%d, want 1/0", got, bad)
-	}
-
-	// A refused dial is network evidence about the peer: one failure report.
-	dead := NewClient(NewPool(PoolConfig{Addr: "127.0.0.1:1", DialTimeout: time.Second}), ClientConfig{Report: report})
-	defer dead.Close()
-	if _, err := dead.RoundTrip(req); err == nil {
-		t.Fatal("trip to dead addr succeeded")
-	}
-	if got, bad := reports.Load(), failures.Load(); got != 2 || bad != 1 {
-		t.Fatalf("failed dial: reports=%d failures=%d, want 2/1", got, bad)
+	if breaker.Trips() != 0 || breaker.State() != core.StateClosed {
+		t.Fatalf("one disconnect tripped the breaker (threshold 3): state=%v trips=%d", breaker.State(), breaker.Trips())
 	}
 }
 
 // TestPoolInjectedDisconnectsOpenBreakerOnce: with the deterministic
-// injector disconnecting every trip, the breaker opens after exactly
-// FailThreshold reported failures, and breaker-open refusals never feed
-// Report (the breaker must not count its own refusals).
+// injector disconnecting every trip, each trip consumes and evicts its
+// own fresh conn, and the fleet breaker fed by the client opens after
+// exactly FailThreshold failures.
 func TestPoolInjectedDisconnectsOpenBreakerOnce(t *testing.T) {
 	u := newTestUniverse(t, 24)
 	s := startDaemon(t, newSeededServer(t, u, "0", core.ServerConfig{}), nil)
 
-	breaker := core.NewBreaker(core.BreakerConfig{FailThreshold: 3, OpenCooldown: 100})
-	var reports atomic.Int64
 	client := NewClient(NewPool(PoolConfig{Addr: s.Addr()}), ClientConfig{
 		Timeout: 5 * time.Second,
 		Faults:  netsim.FaultConfig{Seed: 9, DisconnectRate: 1},
-		Allow:   breaker.Allow,
-		Report: func(ok bool) {
-			reports.Add(1)
-			breaker.Report(ok)
-		},
 	})
 	defer client.Close()
+	fleet, breaker := fleetOf(t, client, core.BreakerConfig{FailThreshold: 3, OpenCooldown: 100})
 	req := &wire.StorageAuditRequest{UserID: u.User.ID()}
 
 	for i := 0; i < 3; i++ {
 		var fe *netsim.FaultError
-		if _, err := client.RoundTrip(req); !errors.As(err, &fe) || fe.Kind != netsim.FaultDisconnect {
+		if _, err := fleet.RoundTripContext(context.Background(), req); !errors.As(err, &fe) || fe.Kind != netsim.FaultDisconnect {
 			t.Fatalf("trip %d: %v, want injected disconnect", i, err)
 		}
 	}
-	if breaker.Trips() != 1 {
-		t.Fatalf("breaker tripped %d times after 3 failures (threshold 3), want 1", breaker.Trips())
+	if breaker.Trips() != 1 || breaker.State() != core.StateOpen {
+		t.Fatalf("after 3 failures (threshold 3): state=%v trips=%d, want open/1", breaker.State(), breaker.Trips())
 	}
-	_, err := client.RoundTrip(req)
-	if !errors.Is(err, ErrBreakerOpen) {
-		t.Fatalf("trip with open breaker got %v, want ErrBreakerOpen", err)
-	}
-	if got := reports.Load(); got != 3 {
-		t.Fatalf("breaker fed %d times, want 3 — the open-breaker refusal must not report", got)
-	}
-	// Every disconnected trip consumed and evicted its own fresh conn.
 	stats := client.Pool().Stats()
 	if stats.Dials != 3 || stats.Evictions != 3 || stats.Idle != 0 {
 		t.Fatalf("injected disconnects: %+v, want dials=3 evictions=3 idle=0", stats)
 	}
+}
+
+// fleetOf puts client in a one-replica fleet and returns the fleet's
+// breaker-instrumented link to it and that replica's breaker.
+func fleetOf(t *testing.T, client netsim.Client, cfg core.BreakerConfig) (netsim.Client, *core.Breaker) {
+	t.Helper()
+	f, err := core.NewFleet([]netsim.Client{client}, nil, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return f.Client(0), f.Health().Breaker(0)
 }

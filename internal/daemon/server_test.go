@@ -209,7 +209,7 @@ func TestDaemonRefusesOverMaxConns(t *testing.T) {
 
 	over := NewClient(NewPool(PoolConfig{Addr: s.Addr()}), ClientConfig{Timeout: 5 * time.Second})
 	defer over.Close()
-	_, err = over.RoundTrip(&wire.StorageAuditRequest{UserID: u.User.ID()})
+	_, err = over.RoundTripContext(context.Background(), &wire.StorageAuditRequest{UserID: u.User.ID()})
 	if !netsim.IsOverloaded(err) {
 		t.Fatalf("surplus conn got %v, want typed overload", err)
 	}
@@ -234,7 +234,7 @@ func TestDaemonShedConnsDoNotConsumeCapacity(t *testing.T) {
 
 	// Occupy the single serving slot with a parked-but-open conn.
 	holder := NewClient(NewPool(PoolConfig{Addr: s.Addr()}), ClientConfig{Timeout: 5 * time.Second})
-	if _, err := holder.RoundTrip(req); err != nil {
+	if _, err := holder.RoundTripContext(context.Background(), req); err != nil {
 		t.Fatalf("holder trip: %v", err)
 	}
 
@@ -256,7 +256,7 @@ func TestDaemonShedConnsDoNotConsumeCapacity(t *testing.T) {
 	defer fresh.Close()
 	deadline := time.Now().Add(3 * time.Second)
 	for {
-		_, err := fresh.RoundTrip(req)
+		_, err := fresh.RoundTripContext(context.Background(), req)
 		if err == nil {
 			break
 		}
@@ -324,7 +324,7 @@ func TestDaemonGracefulDrain(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 	fresh := NewClient(NewPool(PoolConfig{Addr: s.Addr()}), ClientConfig{Timeout: 5 * time.Second})
-	_, err := fresh.RoundTrip(&wire.StorageAuditRequest{UserID: u.User.ID()})
+	_, err := fresh.RoundTripContext(context.Background(), &wire.StorageAuditRequest{UserID: u.User.ID()})
 	_ = fresh.Close()
 	if err == nil {
 		t.Fatal("fresh dial succeeded during drain")
@@ -387,7 +387,7 @@ func TestDaemonRestartRecoversFromWAL(t *testing.T) {
 	client := NewClient(NewPool(PoolConfig{Addr: addr}), ClientConfig{Timeout: 5 * time.Second})
 	defer client.Close()
 	req := &wire.StorageAuditRequest{UserID: u.User.ID()}
-	if _, err := client.RoundTrip(req); err != nil {
+	if _, err := client.RoundTripContext(context.Background(), req); err != nil {
 		t.Fatalf("trip before the crash: %v", err)
 	}
 
@@ -396,7 +396,7 @@ func TestDaemonRestartRecoversFromWAL(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
-	if _, err := client.RoundTrip(req); !netsim.IsRetryable(err) {
+	if _, err := client.RoundTripContext(context.Background(), req); !netsim.IsRetryable(err) {
 		t.Fatalf("trip against the dead daemon = %v, want a retryable transport error", err)
 	}
 
@@ -414,7 +414,7 @@ func TestDaemonRestartRecoversFromWAL(t *testing.T) {
 	}
 	defer restarted.Close()
 
-	if _, err := client.RoundTrip(req); err != nil {
+	if _, err := client.RoundTripContext(context.Background(), req); err != nil {
 		t.Fatalf("trip after the restart: %v", err)
 	}
 	report := runAudit(t, u, client, 1, testAuditConfig(2))
@@ -441,7 +441,7 @@ func TestClientShedCountsOverloadedFault(t *testing.T) {
 	hub := obs.NewHub()
 	client := NewClient(NewPool(PoolConfig{Addr: s.Addr()}), ClientConfig{Timeout: 5 * time.Second, Obs: hub})
 	defer client.Close()
-	if _, err := client.RoundTrip(&wire.StoreResponse{OK: true}); !netsim.IsOverloaded(err) {
+	if _, err := client.RoundTripContext(context.Background(), &wire.StoreResponse{OK: true}); !netsim.IsOverloaded(err) {
 		t.Fatalf("trip through a full gate = %v, want a shed", err)
 	}
 	shed := map[string]string{"transport": "daemon", "fault": "overloaded"}

@@ -24,14 +24,6 @@ type Transport interface {
 // loopbacks — the simulator kept as a test harness behind the daemon's
 // interface.
 type SimTransport struct {
-	// RTT, when > 0, wraps every dialed client in a LatentClient so the
-	// simulated link costs real wall-clock time per round trip.
-	RTT time.Duration
-	// Faults configures a deterministic injector per dialed link.
-	Faults netsim.FaultConfig
-	// Obs instruments every dialed link.
-	Obs *obs.Hub
-
 	mu       sync.Mutex
 	handlers map[string]netsim.Handler
 	clients  []netsim.Client
@@ -59,14 +51,7 @@ func (t *SimTransport) Dial(addr string) (netsim.Client, error) {
 	if !ok {
 		return nil, fmt.Errorf("daemon: no handler registered for %q", addr)
 	}
-	lb := netsim.NewLoopback(h, netsim.LinkConfig{}).WithObs(t.Obs)
-	if t.Faults != (netsim.FaultConfig{}) {
-		lb = lb.WithFaults(t.Faults)
-	}
-	var client netsim.Client = lb
-	if t.RTT > 0 {
-		client = netsim.NewLatentClient(client, t.RTT)
-	}
+	client := netsim.NewLoopback(h, netsim.LinkConfig{})
 	t.mu.Lock()
 	t.clients = append(t.clients, client)
 	t.mu.Unlock()
@@ -89,19 +74,13 @@ func (t *SimTransport) Close() error {
 type TCPTransportConfig struct {
 	// TLS dials mutual TLS when set (use LoadClientTLS).
 	TLS *tls.Config
-	// MaxIdle / MaxActive / IdleTimeout / DialTimeout configure each
-	// remote's pool (see PoolConfig).
-	MaxIdle     int
-	MaxActive   int
-	IdleTimeout time.Duration
+	// DialTimeout bounds each remote's pool dials (see PoolConfig).
 	DialTimeout time.Duration
 	// Timeout bounds each round trip without a ctx deadline.
 	Timeout time.Duration
 	// RTT, when > 0, adds simulated symmetric latency on top of the real
 	// socket (LatentClient) — how benches model a WAN on localhost.
 	RTT time.Duration
-	// Faults injects deterministic client-side faults per dialed remote.
-	Faults netsim.FaultConfig
 	// Obs instruments pools and clients.
 	Obs *obs.Hub
 }
@@ -141,15 +120,11 @@ func (t *TCPTransport) Dial(addr string) (netsim.Client, error) {
 	}
 	pool := NewPool(PoolConfig{
 		Addr:        addr,
-		MaxIdle:     t.cfg.MaxIdle,
-		MaxActive:   t.cfg.MaxActive,
-		IdleTimeout: t.cfg.IdleTimeout,
 		DialTimeout: t.cfg.DialTimeout,
 		TLS:         t.cfg.TLS,
 	})
 	var client netsim.Client = NewClient(pool, ClientConfig{
 		Timeout: t.cfg.Timeout,
-		Faults:  t.cfg.Faults,
 		Obs:     t.cfg.Obs,
 	})
 	if t.cfg.RTT > 0 {

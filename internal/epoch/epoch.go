@@ -788,7 +788,7 @@ func Run(cfg Config) (*Result, error) {
 						default:
 						}
 						atomic.AddInt64(&burstSent, 1)
-						_, err := clients[i].RoundTrip(&wire.StorageAuditRequest{UserID: "overload-burst"})
+						_, err := clients[i].RoundTripContext(context.Background(), &wire.StorageAuditRequest{UserID: "overload-burst"})
 						if netsim.IsOverloaded(err) {
 							time.Sleep(2 * time.Millisecond)
 						}
@@ -929,13 +929,13 @@ func Run(cfg Config) (*Result, error) {
 				}
 				stats.FleetAudits++
 				stats.FleetFailovers += len(fr.Failovers)
-				stats.ShedRounds += fr.Report.ShedRounds()
-				stats.HedgedRounds += fr.Report.HedgedRounds()
-				stats.BudgetDenied += fr.Report.BudgetDenied
-				if fr.Report.DegradedByOverload {
+				stats.ShedRounds += fr.ShedRounds()
+				stats.HedgedRounds += fr.HedgedRounds()
+				stats.BudgetDenied += fr.BudgetDenied
+				if fr.DegradedByOverload {
 					stats.OverloadDegradedAudits++
 				}
-				if fr.Report.Degraded() {
+				if fr.Degraded() {
 					result.DegradedFleetAudits++
 				}
 				for _, q := range fr.Quorums {

@@ -150,7 +150,7 @@ func TestLoopbackAdmissionSheds(t *testing.T) {
 	}
 	l := NewLoopback(echoHandler{}, LinkConfig{}).WithAdmission(gate)
 
-	_, err := l.RoundTrip(&wire.StoreRequest{UserID: "alice"})
+	_, err := l.RoundTripContext(context.Background(), &wire.StoreRequest{UserID: "alice"})
 	if !IsOverloaded(err) {
 		t.Fatalf("RoundTrip under full gate = %v, want overloaded", err)
 	}
@@ -175,7 +175,7 @@ func TestLoopbackAdmissionSheds(t *testing.T) {
 	}
 
 	gate.Release()
-	if _, err := l.RoundTrip(&wire.StoreRequest{UserID: "alice"}); err != nil {
+	if _, err := l.RoundTripContext(context.Background(), &wire.StoreRequest{UserID: "alice"}); err != nil {
 		t.Fatalf("RoundTrip after release: %v", err)
 	}
 }
@@ -201,7 +201,7 @@ func TestSubMillisecondRetryAfterSurvivesWire(t *testing.T) {
 			t.Fatalf("Acquire: %v", err)
 		}
 		l := NewLoopback(echoHandler{}, LinkConfig{}).WithAdmission(gate)
-		_, err := l.RoundTrip(&wire.StoreRequest{UserID: "alice"})
+		_, err := l.RoundTripContext(context.Background(), &wire.StoreRequest{UserID: "alice"})
 		var oe *OverloadedError
 		if !errors.As(err, &oe) {
 			t.Fatalf("hint %v: got %v, want OverloadedError", tc.hint, err)
@@ -294,10 +294,6 @@ type slowClient struct {
 	release chan struct{}
 }
 
-func (s *slowClient) RoundTrip(m wire.Message) (wire.Message, error) {
-	return s.RoundTripContext(context.Background(), m)
-}
-
 func (s *slowClient) RoundTripContext(ctx context.Context, m wire.Message) (wire.Message, error) {
 	select {
 	case <-s.release:
@@ -366,22 +362,6 @@ func TestHedgedDuplicatesAreIdempotent(t *testing.T) {
 	}
 	if !bytes.Equal(a, b) {
 		t.Fatal("duplicate requests produced different reply bytes")
-	}
-}
-
-func TestHedgedClientAdaptiveDelay(t *testing.T) {
-	c := NewHedgedClient(NewLoopback(echoHandler{}, LinkConfig{}), NewLoopback(echoHandler{}, LinkConfig{}), 0)
-	if d := c.hedgeDelay(); d != c.minDelay {
-		t.Fatalf("cold hedge delay = %v, want floor %v", d, c.minDelay)
-	}
-	for i := 0; i < 100; i++ {
-		c.tracker.Observe(10 * time.Millisecond)
-	}
-	if d := c.hedgeDelay(); d != 10*time.Millisecond {
-		t.Fatalf("warm hedge delay = %v, want observed p95 10ms", d)
-	}
-	if _, err := c.RoundTrip(&wire.StoreRequest{UserID: "a"}); err != nil {
-		t.Fatalf("RoundTrip: %v", err)
 	}
 }
 

@@ -59,7 +59,7 @@ func TestLoopbackDropFault(t *testing.T) {
 	l := NewLoopback(echoHandler{}, LinkConfig{}).WithFaults(FaultConfig{
 		Seed: 11, DropRate: 1,
 	})
-	_, err := l.RoundTrip(&wire.StoreResponse{OK: true})
+	_, err := l.RoundTripContext(context.Background(), &wire.StoreResponse{OK: true})
 	var fe *FaultError
 	if !errors.As(err, &fe) || fe.Kind != FaultDrop {
 		t.Fatalf("want drop FaultError, got %v", err)
@@ -76,7 +76,7 @@ func TestLoopbackCorruptFault(t *testing.T) {
 	l := NewLoopback(echoHandler{}, LinkConfig{}).WithFaults(FaultConfig{
 		Seed: 11, CorruptRate: 1,
 	})
-	_, err := l.RoundTrip(&wire.StoreResponse{OK: true})
+	_, err := l.RoundTripContext(context.Background(), &wire.StoreResponse{OK: true})
 	if err == nil {
 		t.Fatal("corrupted frame round-tripped cleanly")
 	}
@@ -100,7 +100,7 @@ func TestLoopbackDuplicateFault(t *testing.T) {
 	l := NewLoopback(h, LinkConfig{}).WithFaults(FaultConfig{
 		Seed: 11, DuplicateRate: 1,
 	})
-	if _, err := l.RoundTrip(&wire.StoreResponse{OK: true}); err != nil {
+	if _, err := l.RoundTripContext(context.Background(), &wire.StoreResponse{OK: true}); err != nil {
 		t.Fatalf("duplicate should still deliver: %v", err)
 	}
 	if calls != 2 {
@@ -132,7 +132,7 @@ func TestLoopbackDelayFaultTriggersDeadline(t *testing.T) {
 func TestLoopbackFaultFreePathUnchanged(t *testing.T) {
 	l := NewLoopback(echoHandler{}, LinkConfig{}).WithFaults(FaultConfig{})
 	for i := 0; i < 20; i++ {
-		if _, err := l.RoundTrip(&wire.StoreResponse{OK: true}); err != nil {
+		if _, err := l.RoundTripContext(context.Background(), &wire.StoreResponse{OK: true}); err != nil {
 			t.Fatalf("fault-free config injected a fault: %v", err)
 		}
 	}
@@ -151,7 +151,7 @@ func TestLoopbackConcurrentStatsAndRoundTrip(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
-				_, _ = l.RoundTrip(&wire.StoreResponse{OK: true})
+				_, _ = l.RoundTripContext(context.Background(), &wire.StoreResponse{OK: true})
 			}
 		}()
 	}

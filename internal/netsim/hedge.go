@@ -154,76 +154,3 @@ func HedgedRoundTrip(ctx context.Context, primary, secondary Client, delay time.
 		}
 	}
 }
-
-// HedgedClient decorates a primary client with tail-latency hedging
-// against a secondary replica. Delay fixes the hedge trigger; when zero,
-// the trigger adapts to the observed p95 of recent round trips (with
-// MinDelay as the floor while the window warms up). Both wrapped clients
-// must reach replicas holding the same data.
-type HedgedClient struct {
-	primary   Client
-	secondary Client
-	delay     time.Duration
-	minDelay  time.Duration
-	tracker   *LatencyTracker
-	stats     HedgeStats
-}
-
-var _ Client = (*HedgedClient)(nil)
-
-// NewHedgedClient wraps primary with a hedge to secondary. delay == 0
-// selects adaptive p95 triggering.
-func NewHedgedClient(primary, secondary Client, delay time.Duration) *HedgedClient {
-	c := &HedgedClient{primary: primary, secondary: secondary, delay: delay,
-		minDelay: time.Millisecond}
-	if delay == 0 {
-		c.tracker = NewLatencyTracker(64)
-	}
-	return c
-}
-
-// hedgeDelay resolves the current trigger delay.
-func (c *HedgedClient) hedgeDelay() time.Duration {
-	if c.delay > 0 {
-		return c.delay
-	}
-	if d := c.tracker.P95(); d > c.minDelay {
-		return d
-	}
-	return c.minDelay
-}
-
-// RoundTrip hedges with a background context.
-func (c *HedgedClient) RoundTrip(m wire.Message) (wire.Message, error) {
-	return c.RoundTripContext(context.Background(), m)
-}
-
-// RoundTripContext performs the hedged round trip.
-func (c *HedgedClient) RoundTripContext(ctx context.Context, m wire.Message) (wire.Message, error) {
-	start := time.Now()
-	resp, _, err := HedgedRoundTrip(ctx, c.primary, c.secondary, c.hedgeDelay(), m, &c.stats)
-	if err == nil && c.tracker != nil {
-		c.tracker.Observe(time.Since(start))
-	}
-	return resp, err
-}
-
-// HedgeStats returns a copy of the hedge counters.
-func (c *HedgedClient) HedgeStats() HedgeStats {
-	return HedgeStats{
-		Launched: atomic.LoadInt64(&c.stats.Launched),
-		Wins:     atomic.LoadInt64(&c.stats.Wins),
-	}
-}
-
-// Stats returns the primary link's counters.
-func (c *HedgedClient) Stats() StatsSnapshot { return c.primary.Stats() }
-
-// Close closes both wrapped clients.
-func (c *HedgedClient) Close() error {
-	err := c.primary.Close()
-	if serr := c.secondary.Close(); err == nil {
-		err = serr
-	}
-	return err
-}

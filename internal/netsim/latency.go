@@ -27,14 +27,9 @@ func NewLatentClient(inner Client, rtt time.Duration) *LatentClient {
 	return &LatentClient{inner: inner, rtt: rtt}
 }
 
-// RoundTrip delivers m after the request leg's delay and returns the reply
-// after the response leg's.
-func (c *LatentClient) RoundTrip(m wire.Message) (wire.Message, error) {
-	return c.RoundTripContext(context.Background(), m)
-}
-
-// RoundTripContext is RoundTrip honoring ctx: a deadline or cancellation
-// during either leg's sleep aborts with a timeout-classified transport
+// RoundTripContext delivers m after the request leg's delay and returns
+// the reply after the response leg's. A deadline or cancellation during
+// either leg's sleep aborts with a timeout-classified transport
 // error, matching how a socket read deadline would surface.
 func (c *LatentClient) RoundTripContext(ctx context.Context, m wire.Message) (wire.Message, error) {
 	if err := c.sleep(ctx, c.rtt/2); err != nil {

@@ -15,7 +15,7 @@ func TestLatentClientSleepsRTT(t *testing.T) {
 	c := NewLatentClient(inner, 40*time.Millisecond)
 
 	start := time.Now()
-	resp, err := c.RoundTrip(&wire.ChallengeRequest{JobID: "j"})
+	resp, err := c.RoundTripContext(context.Background(), &wire.ChallengeRequest{JobID: "j"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +58,7 @@ func TestLatentClientOverlaps(t *testing.T) {
 	errs := make(chan error, n)
 	for i := 0; i < n; i++ {
 		go func() {
-			_, err := c.RoundTrip(&wire.ChallengeRequest{JobID: "j"})
+			_, err := c.RoundTripContext(context.Background(), &wire.ChallengeRequest{JobID: "j"})
 			errs <- err
 		}()
 	}

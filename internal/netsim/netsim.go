@@ -46,12 +46,11 @@ func (f HandlerFunc) Handle(m wire.Message) wire.Message { return f(m) }
 
 // Client performs request/response round trips against one peer.
 type Client interface {
-	// RoundTrip sends m and waits for the peer's reply (background
-	// context; no deadline beyond the transport's own).
-	RoundTrip(m wire.Message) (wire.Message, error)
-	// RoundTripContext is RoundTrip with cancellation and a per-request
-	// deadline taken from ctx. Failures are classified by the package's
-	// error taxonomy: transport-class errors satisfy IsRetryable.
+	// RoundTripContext sends m and waits for the peer's reply, with
+	// cancellation and a per-request deadline taken from ctx (pass
+	// context.Background() for none beyond the transport's own).
+	// Failures are classified by the package's error taxonomy:
+	// transport-class errors satisfy IsRetryable.
 	RoundTripContext(ctx context.Context, m wire.Message) (wire.Message, error)
 	// Stats returns a snapshot of the link's traffic counters.
 	Stats() StatsSnapshot
@@ -208,13 +207,8 @@ func (l *Loopback) WithAdmission(a *Admission) *Loopback {
 	return l
 }
 
-// RoundTrip encodes m, delivers it to the handler, and encodes the reply.
-func (l *Loopback) RoundTrip(m wire.Message) (wire.Message, error) {
-	return l.RoundTripContext(context.Background(), m)
-}
-
-// RoundTripContext is RoundTrip with cancellation and deadline handling.
-// The loopback's latency is virtual: a ctx deadline is enforced against
+// RoundTripContext encodes m, delivers it to the handler, and encodes the
+// reply, with cancellation and deadline handling. The loopback's latency is virtual: a ctx deadline is enforced against
 // the *modeled* latency of this call (link RTT + transfer + injected
 // delay), so deadline behaviour is deterministic and test-friendly.
 func (l *Loopback) RoundTripContext(ctx context.Context, m wire.Message) (wire.Message, error) {

@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"context"
 	"sync"
 	"testing"
 	"time"
@@ -18,7 +19,7 @@ func (echoHandler) Handle(m wire.Message) wire.Message {
 
 func TestLoopbackRoundTrip(t *testing.T) {
 	l := NewLoopback(echoHandler{}, LinkConfig{})
-	resp, err := l.RoundTrip(&wire.ComputeRequest{UserID: "u", JobID: "j"})
+	resp, err := l.RoundTripContext(context.Background(), &wire.ComputeRequest{UserID: "u", JobID: "j"})
 	if err != nil {
 		t.Fatalf("RoundTrip: %v", err)
 	}
@@ -40,7 +41,7 @@ func TestLoopbackLatencyAccounting(t *testing.T) {
 		RTT:            5 * time.Millisecond,
 		BytesPerSecond: 1000, // 1 KB/s: every byte costs 1ms
 	})
-	if _, err := l.RoundTrip(&wire.StoreResponse{OK: true}); err != nil {
+	if _, err := l.RoundTripContext(context.Background(), &wire.StoreResponse{OK: true}); err != nil {
 		t.Fatal(err)
 	}
 	st := l.Stats()
@@ -53,7 +54,7 @@ func TestLoopbackLatencyAccounting(t *testing.T) {
 
 func TestStatsReset(t *testing.T) {
 	l := NewLoopback(echoHandler{}, LinkConfig{})
-	if _, err := l.RoundTrip(&wire.StoreResponse{OK: true}); err != nil {
+	if _, err := l.RoundTripContext(context.Background(), &wire.StoreResponse{OK: true}); err != nil {
 		t.Fatal(err)
 	}
 	l.stats.Reset()

@@ -19,7 +19,7 @@ func TestLoopbackObs(t *testing.T) {
 
 	msg := &wire.ChallengeRequest{JobID: "j", Indices: []uint64{1}}
 	for i := 0; i < 3; i++ {
-		if _, err := lb.RoundTrip(msg); err != nil {
+		if _, err := lb.RoundTripContext(context.Background(), msg); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -47,7 +47,7 @@ func TestLoopbackObs(t *testing.T) {
 	lossy := NewLoopback(echo, LinkConfig{}).
 		WithFaults(FaultConfig{DropRate: 1, Seed: 7}).
 		WithObs(hub)
-	if _, err := lossy.RoundTrip(msg); err == nil {
+	if _, err := lossy.RoundTripContext(context.Background(), msg); err == nil {
 		t.Fatal("expected injected drop")
 	}
 	s = hub.Registry().Snapshot()
@@ -64,7 +64,7 @@ func TestRetryHookCounts(t *testing.T) {
 	r := &Retrier{MaxAttempts: 3, BaseDelay: time.Microsecond, MaxDelay: time.Microsecond,
 		Sleep:   func(context.Context, time.Duration) error { return nil },
 		OnRetry: RetryHook(hub)}
-	_, err := NewRetryClient(flaky, r).RoundTrip(&wire.ChallengeRequest{JobID: "j"})
+	_, err := NewRetryClient(flaky, r).RoundTripContext(context.Background(), &wire.ChallengeRequest{JobID: "j"})
 	if err == nil {
 		t.Fatal("expected exhaustion on an always-drop link")
 	}

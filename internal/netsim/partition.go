@@ -107,11 +107,6 @@ func PartitionClient(inner Client, part *Partition, from, to string) *Partitione
 	return &PartitionedClient{inner: inner, part: part, from: from, to: to}
 }
 
-// RoundTrip sends with a background context.
-func (c *PartitionedClient) RoundTrip(m wire.Message) (wire.Message, error) {
-	return c.RoundTripContext(context.Background(), m)
-}
-
 // RoundTripContext applies the partition to both message legs.
 func (c *PartitionedClient) RoundTripContext(ctx context.Context, m wire.Message) (wire.Message, error) {
 	if c.part.Blocked(c.from, c.to) {

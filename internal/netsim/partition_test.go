@@ -27,14 +27,14 @@ func TestPartitionDirectional(t *testing.T) {
 	part := NewPartition()
 	c := PartitionClient(NewLoopback(h, LinkConfig{}), part, "da", "s0")
 
-	if _, err := c.RoundTrip(ping()); err != nil {
+	if _, err := c.RoundTripContext(context.Background(), ping()); err != nil {
 		t.Fatalf("healed partition blocked traffic: %v", err)
 	}
 
 	// Request leg blocked: the server must never see the call.
 	part.CutOneWay([]string{"da"}, []string{"s0"})
 	before := h.served.Load()
-	_, err := c.RoundTrip(ping())
+	_, err := c.RoundTripContext(context.Background(), ping())
 	var fe *FaultError
 	if !errors.As(err, &fe) || fe.Kind != FaultPartition {
 		t.Fatalf("blocked request leg returned %v, want FaultPartition", err)
@@ -50,7 +50,7 @@ func TestPartitionDirectional(t *testing.T) {
 	part.Heal()
 	part.CutOneWay([]string{"s0"}, []string{"da"})
 	before = h.served.Load()
-	_, err = c.RoundTrip(ping())
+	_, err = c.RoundTripContext(context.Background(), ping())
 	if !errors.As(err, &fe) || fe.Kind != FaultPartition || fe.Op != "response" {
 		t.Fatalf("blocked response leg returned %v, want FaultPartition on response", err)
 	}
@@ -59,7 +59,7 @@ func TestPartitionDirectional(t *testing.T) {
 	}
 
 	part.Heal()
-	if _, err := c.RoundTrip(ping()); err != nil {
+	if _, err := c.RoundTripContext(context.Background(), ping()); err != nil {
 		t.Fatalf("healed partition still blocking: %v", err)
 	}
 	if part.Drops() != 2 {
@@ -85,11 +85,11 @@ func TestPartitionGroupCut(t *testing.T) {
 func TestLoopbackSetFaultsAtRuntime(t *testing.T) {
 	h := &countingHandler{}
 	l := NewLoopback(h, LinkConfig{})
-	if _, err := l.RoundTrip(ping()); err != nil {
+	if _, err := l.RoundTripContext(context.Background(), ping()); err != nil {
 		t.Fatalf("fault-free: %v", err)
 	}
 	l.SetFaults(FaultConfig{Seed: 7, DropRate: 1})
-	if _, err := l.RoundTrip(ping()); err == nil {
+	if _, err := l.RoundTripContext(context.Background(), ping()); err == nil {
 		t.Fatal("DropRate=1 delivered a message")
 	}
 	dropped := l.Stats().Faults.Drops
@@ -98,7 +98,7 @@ func TestLoopbackSetFaultsAtRuntime(t *testing.T) {
 	}
 	// Healing must keep the historical counters.
 	l.SetFaults(FaultConfig{})
-	if _, err := l.RoundTrip(ping()); err != nil {
+	if _, err := l.RoundTripContext(context.Background(), ping()); err != nil {
 		t.Fatalf("healed link failed: %v", err)
 	}
 	if got := l.Stats().Faults.Drops; got != dropped {

@@ -317,11 +317,6 @@ func NewRetryClient(inner Client, retrier *Retrier) *RetryClient {
 	return &RetryClient{inner: inner, retrier: retrier}
 }
 
-// RoundTrip retries inner.RoundTrip with a background context.
-func (c *RetryClient) RoundTrip(m wire.Message) (wire.Message, error) {
-	return c.RoundTripContext(context.Background(), m)
-}
-
 // RoundTripContext retries inner.RoundTripContext.
 func (c *RetryClient) RoundTripContext(ctx context.Context, m wire.Message) (wire.Message, error) {
 	return c.retrier.RoundTrip(ctx, c.inner, m)

@@ -190,7 +190,7 @@ func TestRetryClientTransparentRecovery(t *testing.T) {
 	r.MaxAttempts = 10
 	client := NewRetryClient(inner, r)
 	for i := 0; i < 50; i++ {
-		if _, err := client.RoundTrip(&wire.StoreResponse{OK: true}); err != nil {
+		if _, err := client.RoundTripContext(context.Background(), &wire.StoreResponse{OK: true}); err != nil {
 			t.Fatalf("round trip %d failed through retry client: %v", i, err)
 		}
 	}

@@ -86,7 +86,7 @@ func TestTCPRoundTrip(t *testing.T) {
 	}()
 
 	for i := 0; i < 5; i++ {
-		resp, err := client.RoundTrip(&wire.ChallengeRequest{JobID: "j"})
+		resp, err := client.RoundTripContext(context.Background(), &wire.ChallengeRequest{JobID: "j"})
 		if err != nil {
 			t.Fatalf("RoundTrip %d: %v", i, err)
 		}
@@ -115,7 +115,7 @@ func TestTCPConcurrentClients(t *testing.T) {
 			client := dial(srv.Addr(), daemon.ClientConfig{})
 			defer func() { _ = client.Close() }()
 			for i := 0; i < 10; i++ {
-				if _, err := client.RoundTrip(&wire.StoreResponse{OK: true}); err != nil {
+				if _, err := client.RoundTripContext(context.Background(), &wire.StoreResponse{OK: true}); err != nil {
 					errs <- err
 					return
 				}
@@ -138,7 +138,7 @@ func TestTCPClientClosedErrors(t *testing.T) {
 	if err := client.Close(); err != nil {
 		t.Fatalf("double close should be nil, got %v", err)
 	}
-	if _, err := client.RoundTrip(&wire.StoreResponse{}); err == nil {
+	if _, err := client.RoundTripContext(context.Background(), &wire.StoreResponse{}); err == nil {
 		t.Fatal("round trip on closed client succeeded")
 	}
 }
@@ -168,7 +168,7 @@ func TestTCPClientFaultsAndRedial(t *testing.T) {
 
 	ok, faults := 0, 0
 	for i := 0; i < 60; i++ {
-		_, err := client.RoundTrip(&wire.StoreResponse{OK: true})
+		_, err := client.RoundTripContext(context.Background(), &wire.StoreResponse{OK: true})
 		switch {
 		case err == nil:
 			ok++
@@ -204,7 +204,7 @@ func TestTCPClientRetryClientOverFaultyLink(t *testing.T) {
 	defer func() { _ = client.Close() }()
 
 	for i := 0; i < 30; i++ {
-		if _, err := client.RoundTrip(&wire.ChallengeRequest{JobID: "j"}); err != nil {
+		if _, err := client.RoundTripContext(context.Background(), &wire.ChallengeRequest{JobID: "j"}); err != nil {
 			t.Fatalf("retrying client failed over 30%% lossy TCP link: %v", err)
 		}
 	}
@@ -223,7 +223,7 @@ func TestTCPServerGracefulShutdownNoLeaks(t *testing.T) {
 	clients := make([]*daemon.Client, 4)
 	for i := range clients {
 		clients[i] = dial(srv.Addr(), daemon.ClientConfig{})
-		if _, err := clients[i].RoundTrip(&wire.StoreResponse{OK: true}); err != nil {
+		if _, err := clients[i].RoundTripContext(context.Background(), &wire.StoreResponse{OK: true}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -257,13 +257,13 @@ func TestTCPServerMaxConns(t *testing.T) {
 
 	c1 := dial(srv.Addr(), daemon.ClientConfig{Timeout: 2 * time.Second})
 	defer func() { _ = c1.Close() }()
-	if _, err := c1.RoundTrip(&wire.StoreResponse{OK: true}); err != nil {
+	if _, err := c1.RoundTripContext(context.Background(), &wire.StoreResponse{OK: true}); err != nil {
 		t.Fatalf("first client should be served: %v", err)
 	}
 
 	c2 := dial(srv.Addr(), daemon.ClientConfig{Timeout: 2 * time.Second})
 	defer func() { _ = c2.Close() }()
-	if _, err := c2.RoundTrip(&wire.StoreResponse{OK: true}); err == nil {
+	if _, err := c2.RoundTripContext(context.Background(), &wire.StoreResponse{OK: true}); err == nil {
 		t.Fatal("second client served despite MaxConns=1")
 	}
 	if srv.RefusedConns() == 0 {
@@ -276,14 +276,14 @@ func TestTCPServerReadTimeoutDisconnectsStalledPeer(t *testing.T) {
 
 	client := dial(srv.Addr(), daemon.ClientConfig{Timeout: 2 * time.Second})
 	defer func() { _ = client.Close() }()
-	if _, err := client.RoundTrip(&wire.StoreResponse{OK: true}); err != nil {
+	if _, err := client.RoundTripContext(context.Background(), &wire.StoreResponse{OK: true}); err != nil {
 		t.Fatal(err)
 	}
 	// Stall past the server's read deadline; the server must hang up. The
 	// pool's liveness probe sees the hang-up, so the stalled conn is
 	// evicted rather than reused and the next trip rides a fresh dial.
 	time.Sleep(150 * time.Millisecond)
-	if _, err := client.RoundTrip(&wire.StoreResponse{OK: true}); err != nil {
+	if _, err := client.RoundTripContext(context.Background(), &wire.StoreResponse{OK: true}); err != nil {
 		t.Fatalf("trip after the server hung up a stalled conn: %v", err)
 	}
 	if st := client.Pool().Stats(); st.Evictions != 1 || st.Dials != 2 || st.Reuses != 0 {
@@ -302,13 +302,13 @@ func TestTCPMaxConnsReturnsTypedOverload(t *testing.T) {
 	c1 := dial(srv.Addr(), daemon.ClientConfig{})
 	defer c1.Close()
 	// One round trip proves c1 is registered and holding the only slot.
-	if _, err := c1.RoundTrip(&wire.StoreRequest{UserID: "a"}); err != nil {
+	if _, err := c1.RoundTripContext(context.Background(), &wire.StoreRequest{UserID: "a"}); err != nil {
 		t.Fatalf("round trip 1: %v", err)
 	}
 
 	c2 := dial(srv.Addr(), daemon.ClientConfig{})
 	defer c2.Close()
-	_, rerr := c2.RoundTrip(&wire.StoreRequest{UserID: "b"})
+	_, rerr := c2.RoundTripContext(context.Background(), &wire.StoreRequest{UserID: "b"})
 	if !netsim.IsOverloaded(rerr) {
 		t.Fatalf("refused conn round trip = %v, want typed overload", rerr)
 	}
@@ -334,7 +334,7 @@ func TestTCPMaxConnsClosesSilentRefusedConn(t *testing.T) {
 
 	c1 := dial(srv.Addr(), daemon.ClientConfig{})
 	defer c1.Close()
-	if _, err := c1.RoundTrip(&wire.StoreRequest{UserID: "a"}); err != nil {
+	if _, err := c1.RoundTripContext(context.Background(), &wire.StoreRequest{UserID: "a"}); err != nil {
 		t.Fatalf("round trip 1: %v", err)
 	}
 
@@ -367,11 +367,11 @@ func TestTCPAdmissionSheds(t *testing.T) {
 	srv := listen(t, echo, func(cfg *daemon.ServerConfig) { cfg.Admission = gate })
 	c := dial(srv.Addr(), daemon.ClientConfig{})
 	defer c.Close()
-	if _, err := c.RoundTrip(&wire.StoreRequest{UserID: "a"}); !netsim.IsOverloaded(err) {
+	if _, err := c.RoundTripContext(context.Background(), &wire.StoreRequest{UserID: "a"}); !netsim.IsOverloaded(err) {
 		t.Fatalf("round trip under full gate = %v, want overloaded", err)
 	}
 	gate.Release()
-	if _, err := c.RoundTrip(&wire.StoreRequest{UserID: "a"}); err != nil {
+	if _, err := c.RoundTripContext(context.Background(), &wire.StoreRequest{UserID: "a"}); err != nil {
 		t.Fatalf("round trip after release: %v", err)
 	}
 }
@@ -410,7 +410,7 @@ func TestTCPServerShutdownDrainsInFlightAuditRound(t *testing.T) {
 	}
 	done := make(chan result, 1)
 	go func() {
-		resp, err := client.RoundTrip(&wire.ChallengeRequest{JobID: "drain-job"})
+		resp, err := client.RoundTripContext(context.Background(), &wire.ChallengeRequest{JobID: "drain-job"})
 		done <- result{resp, err}
 	}()
 	select {
@@ -440,7 +440,7 @@ func TestTCPServerShutdownDrainsInFlightAuditRound(t *testing.T) {
 	// After the drain the server is gone: the next round trip surfaces a
 	// retryable transport error (the DA counts it as a network fault and
 	// moves on — it never accuses).
-	if _, err := client.RoundTrip(&wire.ChallengeRequest{JobID: "drain-job"}); err == nil {
+	if _, err := client.RoundTripContext(context.Background(), &wire.ChallengeRequest{JobID: "drain-job"}); err == nil {
 		t.Fatal("round trip after Shutdown succeeded")
 	} else if !netsim.IsRetryable(err) {
 		t.Fatalf("post-shutdown error is not retryable: %v", err)
@@ -492,7 +492,7 @@ func TestTCPServerShutdownStreamedRoundsNoDropNoLeak(t *testing.T) {
 					return
 				default:
 				}
-				_, err := c.RoundTrip(&wire.ChallengeRequest{JobID: "drain"})
+				_, err := c.RoundTripContext(context.Background(), &wire.ChallengeRequest{JobID: "drain"})
 				if err != nil {
 					// The conn died at the read stage during drain: the
 					// request never entered the handler, and the error is
@@ -560,7 +560,7 @@ func TestTCPServerShutdownWakesFreshlyArmedReader(t *testing.T) {
 	c := dial(srv.Addr(), daemon.ClientConfig{})
 	defer func() { _ = c.Close() }()
 	// One round trip parks the server-side reader with a fresh 1h deadline.
-	if _, err := c.RoundTrip(&wire.StoreResponse{OK: true}); err != nil {
+	if _, err := c.RoundTripContext(context.Background(), &wire.StoreResponse{OK: true}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -573,7 +573,7 @@ func TestTCPServerShutdownWakesFreshlyArmedReader(t *testing.T) {
 	if took := time.Since(start); took > 5*time.Second {
 		t.Fatalf("drain of one idle conn took %v", took)
 	}
-	if _, err := c.RoundTrip(&wire.StoreResponse{OK: true}); err == nil {
+	if _, err := c.RoundTripContext(context.Background(), &wire.StoreResponse{OK: true}); err == nil {
 		t.Fatal("round trip succeeded on a drained server")
 	} else if !netsim.IsRetryable(err) && !netsim.IsTimeout(err) && !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("post-drain round trip error is not a classifiable transport fault: %v", err)
@@ -613,7 +613,7 @@ func TestRestartableServerKillRestartRedial(t *testing.T) {
 	client := dialed(t, addr, daemon.ClientConfig{Timeout: 5 * time.Second})
 	defer func() { _ = client.Close() }()
 
-	if _, err := client.RoundTrip(&wire.StoreResponse{OK: true}); err != nil {
+	if _, err := client.RoundTripContext(context.Background(), &wire.StoreResponse{OK: true}); err != nil {
 		t.Fatalf("round trip before crash: %v", err)
 	}
 
@@ -622,14 +622,14 @@ func TestRestartableServerKillRestartRedial(t *testing.T) {
 	if err := srv.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
-	if _, err := client.RoundTrip(&wire.StoreResponse{OK: true}); err == nil {
+	if _, err := client.RoundTripContext(context.Background(), &wire.StoreResponse{OK: true}); err == nil {
 		t.Fatal("round trip against a dead server succeeded")
 	} else if !netsim.IsRetryable(err) {
 		t.Fatalf("dead-server error is not retryable: %v", err)
 	}
 
 	relisten(t, addr, recoverHandler())
-	if _, err := client.RoundTrip(&wire.StoreResponse{OK: true}); err != nil {
+	if _, err := client.RoundTripContext(context.Background(), &wire.StoreResponse{OK: true}); err != nil {
 		t.Fatalf("round trip after restart: %v", err)
 	}
 	if got := incarnations.Load(); got != 2 {
@@ -668,13 +668,13 @@ func TestRestartableServerInHandlerKill(t *testing.T) {
 	defer func() { _ = client.Close() }()
 
 	h.armed.Store(true)
-	if _, err := client.RoundTrip(&wire.ChallengeRequest{JobID: "j"}); err == nil {
+	if _, err := client.RoundTripContext(context.Background(), &wire.ChallengeRequest{JobID: "j"}); err == nil {
 		t.Fatal("round trip survived an in-handler crash")
 	} else if !netsim.IsRetryable(err) {
 		t.Fatalf("in-handler crash error is not retryable: %v", err)
 	}
 	h.srv.Store(relisten(t, addr, h))
-	if _, err := client.RoundTrip(&wire.ChallengeRequest{JobID: "j"}); err != nil {
+	if _, err := client.RoundTripContext(context.Background(), &wire.ChallengeRequest{JobID: "j"}); err != nil {
 		t.Fatalf("round trip after restart: %v", err)
 	}
 }

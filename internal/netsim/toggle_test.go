@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"context"
 	"testing"
 
 	"seccloud/internal/wire"
@@ -13,7 +14,7 @@ func TestDownableHandler(t *testing.T) {
 	dh := NewDownableHandler(echo)
 	client := NewLoopback(dh, LinkConfig{})
 
-	if _, err := client.RoundTrip(&wire.ErrorResponse{Msg: "ping"}); err != nil {
+	if _, err := client.RoundTripContext(context.Background(), &wire.ErrorResponse{Msg: "ping"}); err != nil {
 		t.Fatalf("round trip while up: %v", err)
 	}
 
@@ -21,7 +22,7 @@ func TestDownableHandler(t *testing.T) {
 	if !dh.Down() {
 		t.Fatal("Down() = false after SetDown(true)")
 	}
-	_, err := client.RoundTrip(&wire.ErrorResponse{Msg: "ping"})
+	_, err := client.RoundTripContext(context.Background(), &wire.ErrorResponse{Msg: "ping"})
 	if err == nil {
 		t.Fatal("round trip while down succeeded")
 	}
@@ -33,7 +34,7 @@ func TestDownableHandler(t *testing.T) {
 	}
 
 	dh.SetDown(false)
-	if _, err := client.RoundTrip(&wire.ErrorResponse{Msg: "ping"}); err != nil {
+	if _, err := client.RoundTripContext(context.Background(), &wire.ErrorResponse{Msg: "ping"}); err != nil {
 		t.Fatalf("round trip after revive: %v", err)
 	}
 }

@@ -7,7 +7,10 @@
 #     files (Test*, Benchmark* and Fuzz* names in its test files);
 #  2. every alternative of every `go test … -run '…'` pattern in
 #     .github/workflows/ci.yml must match a func Test… in the packages
-#     that step names — a pattern that matches nothing passes silently.
+#     that step names — a pattern that matches nothing passes silently;
+#  3. every `go test ./pkg … -fuzz …` pattern in the Makefile and in
+#     .github/workflows/ci.yml must match exactly one func Fuzz… in that
+#     package — one that matches nothing prints PASS and fuzzes nothing.
 #
 #   scripts/check-refs.sh        (run by `make vet`, so by `make check`)
 set -eu
@@ -65,6 +68,24 @@ while IFS= read -r line; do
 	IFS=$old_ifs
 done <<LINES
 $runs
+LINES
+
+# Each `go test ./pkg … -fuzz PATTERN` line of the Makefile and the
+# workflow, PATTERN quoted or bare and Make's $$ read as $: it must match
+# exactly one fuzz target of the line's package, as go test requires.
+fuzzes=$(grep -h "test .* -fuzz " Makefile .github/workflows/ci.yml || true)
+while IFS= read -r line; do
+	[ -n "$line" ] || continue
+	pattern=$(printf '%s\n' "$line" | sed -n "s/.* -fuzz '\{0,1\}\([^' ]*\).*/\1/p" | sed 's/\$\$/$/g')
+	dir=$(printf '%s\n' "$line" | grep -oE '\./[A-Za-z0-9_./-]+' | head -n 1)
+	targets=$(cat "$dir"/*_test.go | sed -n 's/^func \(Fuzz[A-Za-z0-9_]*\)(.*/\1/p')
+	n=$(printf '%s\n' "$targets" | grep -cE -- "$pattern" || true)
+	if [ "$n" -ne 1 ]; then
+		echo "check-refs: -fuzz '$pattern' matches $n fuzz targets in $dir, want 1" >&2
+		status=1
+	fi
+done <<LINES
+$fuzzes
 LINES
 
 exit $status
