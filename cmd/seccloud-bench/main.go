@@ -23,6 +23,7 @@ import (
 	"strings"
 	"time"
 
+	"seccloud/internal/chaos"
 	"seccloud/internal/epoch"
 	"seccloud/internal/experiments"
 	"seccloud/internal/pairing"
@@ -281,34 +282,36 @@ func (r *runner) traffic() error {
 	return nil
 }
 
+// epochs runs the mobile adversary (n = 4, b = 1, CSC = 0.5, four
+// epochs) through the chaos fleet simulator once per audit budget t: the
+// same schedule and seed every time, so only t moves the numbers.
 func (r *runner) epochs() error {
 	r.header("Epochs — mobile b-of-n adversary: exposure vs audit budget")
 	if r.csv {
-		fmt.Println("epochs,t,detections,first_detection_epoch,exposure")
+		fmt.Println("epochs,t,job_audits,detections,exposure,false_flags")
 	} else {
-		fmt.Printf("%8s %12s %16s %12s\n", "t", "detections", "first detection", "exposure")
+		fmt.Printf("%8s %12s %12s %12s %12s\n", "t", "job audits", "detections", "exposure", "false flags")
 	}
-	for _, t := range []int{0, 1, 2, 4} {
-		res, err := epoch.Run(epoch.Config{
-			Servers: 4, Corrupted: 1, Epochs: 4, BlocksPerUser: 12,
-			JobsPerEpoch: 1, SampleSize: t, CheaterCSC: 0.5, Seed: 1,
-		})
+	sched, err := epoch.Mobile(1, 4, 1, 4, 0.5)
+	if err != nil {
+		return err
+	}
+	for _, t := range []int{1, 2, 3} {
+		cfg := chaos.Defaults(1)
+		cfg.Servers, cfg.Blocks, cfg.ActiveEpochs, cfg.QuietEpochs = 4, 12, 4, 1
+		cfg.SampleSize, cfg.Schedule = t, sched
+		rep, err := chaos.Run(cfg)
 		if err != nil {
 			return err
 		}
-		detections := 0
-		for _, ep := range res.Epochs {
-			detections += ep.Detections
-		}
-		first := "-"
-		if res.FirstDetectionEpoch > 0 {
-			first = fmt.Sprintf("epoch %d", res.FirstDetectionEpoch)
+		if !rep.OK() {
+			return fmt.Errorf("t=%d: invariants violated: %v", t, rep.Violations)
 		}
 		if r.csv {
-			fmt.Printf("epochs,%d,%d,%d,%d\n", t, detections, res.FirstDetectionEpoch, res.TotalExposure)
+			fmt.Printf("epochs,%d,%d,%d,%d,%d\n", t, rep.JobAudits, rep.JobDetections, rep.Exposure, rep.FalseFlags)
 			continue
 		}
-		fmt.Printf("%8d %12d %16s %12d\n", t, detections, first, res.TotalExposure)
+		fmt.Printf("%8d %12d %12d %12d %12d\n", t, rep.JobAudits, rep.JobDetections, rep.Exposure, rep.FalseFlags)
 	}
 	return nil
 }

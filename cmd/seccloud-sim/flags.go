@@ -2,7 +2,7 @@ package main
 
 import (
 	"fmt"
-	"time"
+	"strings"
 )
 
 // simFlags holds the flag values that can be rejected before any
@@ -12,8 +12,7 @@ type simFlags struct {
 	ThresholdN        int
 	KilledAuditors    int
 	ByzantineAuditors int
-	AuditDeadline     time.Duration
-	RetryBudget       int
+	Multitenant       bool
 	Chaos             bool
 	ChaosSteps        string
 	ChaosRuns         int
@@ -25,11 +24,18 @@ type simFlags struct {
 // clean one-line error instead of letting them surface as mid-run
 // aborts or blame-less quorum failures.
 func validateFlags(f simFlags) error {
-	if f.AuditDeadline < 0 {
-		return fmt.Errorf("-audit-deadline must not be negative (got %v)", f.AuditDeadline)
+	var modes []string
+	if f.Chaos {
+		modes = append(modes, "-chaos")
 	}
-	if f.RetryBudget < 0 {
-		return fmt.Errorf("-retry-budget must not be negative (got %d)", f.RetryBudget)
+	if f.ThresholdT != 0 || f.ThresholdN != 0 {
+		modes = append(modes, "-threshold-t/-threshold-n")
+	}
+	if f.Multitenant {
+		modes = append(modes, "-multitenant")
+	}
+	if len(modes) > 1 {
+		return fmt.Errorf("%s are mutually exclusive modes", strings.Join(modes, " and "))
 	}
 	if f.KilledAuditors < 0 {
 		return fmt.Errorf("-killed-auditors must not be negative (got %d)", f.KilledAuditors)
@@ -44,9 +50,6 @@ func validateFlags(f simFlags) error {
 			return fmt.Errorf("-chaos-steps/-chaos-runs/-chaos-tamper/-chaos-shrink require chaos mode (-chaos)")
 		}
 	} else {
-		if f.ThresholdT > 0 || f.ThresholdN > 0 {
-			return fmt.Errorf("-chaos and -threshold-t/-threshold-n are mutually exclusive modes")
-		}
 		if f.ChaosRuns < 1 {
 			return fmt.Errorf("-chaos-runs must be at least 1 (got %d)", f.ChaosRuns)
 		}

@@ -3,7 +3,6 @@ package main
 import (
 	"strings"
 	"testing"
-	"time"
 )
 
 func TestValidateFlags(t *testing.T) {
@@ -16,8 +15,6 @@ func TestValidateFlags(t *testing.T) {
 		{name: "threshold healthy", flags: simFlags{ThresholdT: 3, ThresholdN: 5}},
 		{name: "threshold with faults in budget",
 			flags: simFlags{ThresholdT: 2, ThresholdN: 5, KilledAuditors: 2, ByzantineAuditors: 1}},
-		{name: "deadline and budget set",
-			flags: simFlags{AuditDeadline: time.Second, RetryBudget: 8}},
 		{name: "t above n",
 			flags:   simFlags{ThresholdT: 6, ThresholdN: 5},
 			wantErr: "-threshold-t 6 exceeds -threshold-n 5"},
@@ -27,12 +24,6 @@ func TestValidateFlags(t *testing.T) {
 		{name: "negative t",
 			flags:   simFlags{ThresholdT: -2, ThresholdN: 5},
 			wantErr: "-threshold-t must be at least 1"},
-		{name: "negative deadline",
-			flags:   simFlags{AuditDeadline: -time.Second},
-			wantErr: "-audit-deadline must not be negative"},
-		{name: "negative retry budget",
-			flags:   simFlags{RetryBudget: -1},
-			wantErr: "-retry-budget must not be negative"},
 		{name: "negative killed auditors",
 			flags:   simFlags{ThresholdT: 3, ThresholdN: 5, KilledAuditors: -1},
 			wantErr: "-killed-auditors must not be negative"},
@@ -57,6 +48,13 @@ func TestValidateFlags(t *testing.T) {
 		{name: "chaos and threshold at once",
 			flags:   simFlags{Chaos: true, ChaosRuns: 1, ThresholdT: 2, ThresholdN: 5},
 			wantErr: "mutually exclusive modes"},
+		{name: "chaos and multitenant at once",
+			flags:   simFlags{Chaos: true, ChaosRuns: 1, Multitenant: true},
+			wantErr: "-chaos and -multitenant are mutually exclusive modes"},
+		{name: "threshold and multitenant at once",
+			flags:   simFlags{ThresholdT: 2, ThresholdN: 3, Multitenant: true},
+			wantErr: "-threshold-t/-threshold-n and -multitenant are mutually exclusive modes"},
+		{name: "multitenant", flags: simFlags{Multitenant: true}},
 		{name: "chaos runs below one",
 			flags:   simFlags{Chaos: true, ChaosRuns: 0},
 			wantErr: "-chaos-runs must be at least 1"},

@@ -1,25 +1,21 @@
-// Command seccloud-sim runs the epoch-based mobile-adversary simulation
-// (§III-B / HAIL model): b of n servers are corrupted each epoch, jobs
-// keep flowing, and the DA audits with a per-sub-job sampling budget.
+// Command seccloud-sim runs SecCloud's simulations, one mode at a time.
+// Chaos mode is the fleet simulator: seed-deterministic schedules that
+// compose weather (network, disk, clock, process faults, overload) with
+// the mobile adversary of §III-B (storage rot and computation cheaters),
+// checked by an invariant engine against a fault-free reference replay.
 //
 // Usage:
 //
-//	seccloud-sim                               # default scenario
-//	seccloud-sim -servers 8 -corrupted 2 -epochs 10 -samples 4
-//	seccloud-sim -sweep                        # exposure vs audit budget
-//	seccloud-sim -fault-drop 0.3               # audit under a lossy network
-//	seccloud-sim -fault-sweep                  # audit success rate vs loss rate
-//	seccloud-sim -workers 8                    # parallel audit verification
-//	seccloud-sim -wal-dir /tmp/sc -crash-every 2   # crash + WAL-recover servers
-//	seccloud-sim -kill-every 2 -fleet-samples 8    # whole-epoch outages + fleet audits
-//	seccloud-sim -bad-replica 1 -bad-replica-epoch 2 -repair   # rot, localize, repair
-//	seccloud-sim -overload-every 2 -offered-load 6 -max-inflight 1 \
-//	    -queue-limit 2 -retry-budget 8 -degrade -hedge         # open-loop overload schedule
-//	seccloud-sim -threshold-t 2 -threshold-n 5 -killed-auditors 2 \
-//	    -byzantine-auditors 1                   # t-of-n audit quorums under auditor faults
 //	seccloud-sim -chaos -chaos-seed 7           # one seeded composed-fault schedule
 //	seccloud-sim -chaos -chaos-runs 8 -chaos-tamper   # fixed-seed schedule sweep
 //	seccloud-sim -chaos -chaos-seed 5 -chaos-steps "e1:plant(lost-write,2)"   # replay a repro line
+//	seccloud-sim -chaos -chaos-steps "e1:shed(0) e2:cheat(1,csc=0)"   # an explicit schedule
+//	seccloud-sim -threshold-t 2 -threshold-n 5 -killed-auditors 2 \
+//	    -byzantine-auditors 1                   # t-of-n audit quorums under auditor faults
+//	seccloud-sim -multitenant -tenants 50000    # Zipf traffic through cross-tenant batches
+//
+// Exactly one of -chaos, -threshold-t/-threshold-n and -multitenant
+// selects the mode; with none, seccloud-sim prints usage and exits 2.
 package main
 
 import (
@@ -34,44 +30,14 @@ import (
 
 func main() {
 	var (
-		servers      = flag.Int("servers", 5, "fleet size n")
-		corrupted    = flag.Int("corrupted", 1, "adversary budget b per epoch")
-		epochs       = flag.Int("epochs", 6, "number of epochs")
-		blocks       = flag.Int("blocks", 20, "outsourced blocks per user")
-		jobs         = flag.Int("jobs", 2, "jobs per epoch")
-		samples      = flag.Int("samples", 3, "audit sample size t per sub-job")
-		csc          = flag.Float64("csc", 0.3, "cheater computing confidence")
-		seed         = flag.Int64("seed", 1, "simulation seed (also drives fault injection)")
+		epochs       = flag.Int("epochs", 6, "number of epochs (threshold and multi-tenant modes)")
+		blocks       = flag.Int("blocks", 20, "outsourced blocks per user (threshold mode)")
+		samples      = flag.Int("samples", 3, "audit sample size t (threshold and multi-tenant modes)")
+		seed         = flag.Int64("seed", 1, "simulation seed (threshold and multi-tenant modes)")
 		workers      = flag.Int("workers", 1, "audit/hashing worker pool size (1 = sequential; outcomes never depend on this)")
-		sweep        = flag.Bool("sweep", false, "sweep audit budget t = 0..8 and report exposure")
-		faultDrop    = flag.Float64("fault-drop", 0, "per-message-leg drop probability [0,1]")
-		faultCorrupt = flag.Float64("fault-corrupt", 0, "per-leg frame corruption probability [0,1]")
-		faultDelay   = flag.Duration("fault-delay", 0, "extra modeled latency per message leg")
-		retries      = flag.Int("retries", 0, "CSP retry attempts per message (0 = auto)")
-		faultSweep   = flag.Bool("fault-sweep", false, "sweep drop rate 0..0.5 and report audit success rate")
-		walDir       = flag.String("wal-dir", "", "root directory for per-server WAL+snapshot durability (empty = in-memory servers)")
-		snapEvery    = flag.Int("snapshot-every", 0, "log records between snapshots (0 = default cadence)")
-		crashEvery   = flag.Int("crash-every", 0, "kill+recover one server every N epochs (0 = never; requires -wal-dir)")
-		crashPoint   = flag.String("crash-point", "", "injected crash point: before-log|after-log|mid-snapshot|torn-tail (default after-log)")
-		killEvery    = flag.Int("kill-every", 0, "take one server down for every Nth whole epoch (0 = never)")
-		fleetSamples = flag.Int("fleet-samples", 0, "fleet storage audit sample size per server per epoch (0 = no fleet audits)")
-		quorumK      = flag.Int("quorum-k", 0, "witness replicas per BadProof cross-examination (0 = default 2)")
-		repair       = flag.Bool("repair", false, "execute audit-driven repair for localized corruption")
-		badReplica   = flag.Int("bad-replica", 0, "replica index to silently corrupt (with -bad-replica-epoch)")
-		badEpoch     = flag.Int("bad-replica-epoch", 0, "epoch at which the bad replica's blocks rot (0 = never)")
-		badBlocks    = flag.Int("bad-blocks", 2, "number of blocks that rot on the bad replica")
 		admin        = flag.String("admin", "", "serve /metrics, /traces, /healthz and pprof on this address (e.g. 127.0.0.1:6060 or :0; empty = off)")
 		adminLinger  = flag.Duration("admin-linger", 0, "keep the admin endpoint up this long after the run (requires -admin)")
-		maxInflight  = flag.Int("max-inflight", 0, "per-server admission execution slots (0 = no admission control)")
-		queueLimit   = flag.Int("queue-limit", 4, "admission queue slots per server; -1 = unbounded FIFO baseline (requires -max-inflight)")
-		serviceTime  = flag.Duration("service-time", 0, "real wall-clock service time charged per request while an admission slot is held")
-		overloadEvry = flag.Int("overload-every", 0, "fire an open-loop burst every Nth epoch (0 = never; requires -max-inflight)")
-		offeredLoad  = flag.Float64("offered-load", 0, "burst offered load as a multiple of fleet capacity (0 = default 4)")
-		auditDeadlin = flag.Duration("audit-deadline", 0, "per-audit deadline propagated through every challenge round (0 = none)")
-		retryBudget  = flag.Int("retry-budget", 0, "per-audit retry token budget shared across rounds (0 = unlimited)")
-		degrade      = flag.Bool("degrade", false, "let the DA shrink audit samples along the Theorem-3 curve under overload")
-		hedge        = flag.Bool("hedge", false, "hedge slow fleet challenge rounds to a second healthy replica")
-		multitenant  = flag.Bool("multitenant", false, "run the multi-tenant scheduler simulation instead of the fleet one")
+		multitenant  = flag.Bool("multitenant", false, "run the multi-tenant scheduler simulation")
 		tenants      = flag.Int("tenants", 100_000, "registered tenant population (multi-tenant mode)")
 		tenantSess   = flag.Int("tenant-sessions", 40, "audit sessions per epoch drawn from the Zipf trace")
 		tenantZipf   = flag.Float64("tenant-zipf", 1.3, "Zipf traffic skew exponent (> 1)")
@@ -84,11 +50,11 @@ func main() {
 		thresholdN   = flag.Int("threshold-n", 0, "share-holder count n for the threshold-agency scenario")
 		killedAud    = flag.Int("killed-auditors", 0, "share-holders down during each faulty epoch (rotating; threshold mode)")
 		byzantineAud = flag.Int("byzantine-auditors", 0, "live share-holders forging partials each faulty epoch (threshold mode)")
-		chaosMode    = flag.Bool("chaos", false, "run the seed-deterministic chaos nemesis + invariant engine instead of the fleet simulation")
+		chaosMode    = flag.Bool("chaos", false, "run the seed-deterministic fleet simulator: chaos nemesis + invariant engine")
 		chaosSeed    = flag.Int64("chaos-seed", 1, "chaos schedule seed (chaos mode; the repro-line seed)")
 		chaosSteps   = flag.String("chaos-steps", "", "explicit chaos schedule, e.g. from a printed repro line (chaos mode)")
 		chaosRuns    = flag.Int("chaos-runs", 1, "run this many consecutive seeds starting at -chaos-seed (chaos mode)")
-		chaosTamper  = flag.Bool("chaos-tamper", false, "include a real cheating replica in each generated chaos schedule")
+		chaosTamper  = flag.Bool("chaos-tamper", false, "include a real storage cheater and per-epoch computation cheaters in each generated chaos schedule")
 		chaosShrink  = flag.Bool("chaos-shrink", false, "minimize any failing chaos run to a one-line repro before printing it")
 	)
 	flag.Parse()
@@ -98,8 +64,7 @@ func main() {
 		ThresholdN:        *thresholdN,
 		KilledAuditors:    *killedAud,
 		ByzantineAuditors: *byzantineAud,
-		AuditDeadline:     *auditDeadlin,
-		RetryBudget:       *retryBudget,
+		Multitenant:       *multitenant,
 		Chaos:             *chaosMode,
 		ChaosSteps:        *chaosSteps,
 		ChaosRuns:         *chaosRuns,
@@ -109,67 +74,38 @@ func main() {
 		fmt.Fprintln(os.Stderr, "seccloud-sim:", err)
 		os.Exit(2)
 	}
-
-	base := epoch.Config{
-		Servers:           *servers,
-		Corrupted:         *corrupted,
-		Epochs:            *epochs,
-		BlocksPerUser:     *blocks,
-		JobsPerEpoch:      *jobs,
-		SampleSize:        *samples,
-		CheaterCSC:        *csc,
-		Seed:              *seed,
-		Workers:           *workers,
-		FaultDrop:         *faultDrop,
-		FaultCorrupt:      *faultCorrupt,
-		FaultDelay:        *faultDelay,
-		RetryAttempts:     *retries,
-		WALDir:            *walDir,
-		SnapshotEvery:     *snapEvery,
-		CrashEvery:        *crashEvery,
-		CrashPoint:        *crashPoint,
-		KillEvery:         *killEvery,
-		FleetSampleSize:   *fleetSamples,
-		QuorumK:           *quorumK,
-		Repair:            *repair,
-		BadReplica:        *badReplica,
-		BadReplicaEpoch:   *badEpoch,
-		BadBlocks:         *badBlocks,
-		MaxInflight:       *maxInflight,
-		QueueLimit:        *queueLimit,
-		ServiceTime:       *serviceTime,
-		OverloadEvery:     *overloadEvry,
-		OfferedLoad:       *offeredLoad,
-		AuditDeadline:     *auditDeadlin,
-		RetryBudgetTokens: *retryBudget,
-		DegradeSampling:   *degrade,
-		HedgeFleetRounds:  *hedge,
+	threshold := *thresholdT != 0 || *thresholdN != 0
+	if !*chaosMode && !threshold && !*multitenant {
+		fmt.Fprintln(os.Stderr, "seccloud-sim: choose a mode: -chaos, -threshold-t/-threshold-n or -multitenant")
+		flag.Usage()
+		os.Exit(2)
 	}
 
+	var hub *obs.Hub
 	var adminSrv *obs.AdminServer
 	if *admin != "" {
-		hub := obs.NewHub()
+		hub = obs.NewHub()
 		srv, err := hub.ListenAndServe(*admin)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "seccloud-sim:", err)
 			os.Exit(1)
 		}
 		adminSrv = srv
-		base.Hub = hub
 		fmt.Printf("admin endpoint listening on http://%s/metrics\n", srv.Addr())
 	}
 
 	var err error
 	switch {
 	case *chaosMode:
-		err = runChaos(chaosRunFlags{
+		_, err = runChaos(chaosRunFlags{
 			Seed:   *chaosSeed,
 			Steps:  *chaosSteps,
 			Runs:   *chaosRuns,
 			Tamper: *chaosTamper,
 			Shrink: *chaosShrink,
+			Hub:    hub,
 		})
-	case *thresholdT > 0 || *thresholdN > 0:
+	case threshold:
 		err = runThreshold(epoch.ThresholdConfig{
 			T: *thresholdT, N: *thresholdN,
 			Epochs:           *epochs,
@@ -180,9 +116,9 @@ func main() {
 			TamperEpoch:      *tamperEpoch,
 			Workers:          *workers,
 			Seed:             *seed,
-			Hub:              base.Hub,
+			Hub:              hub,
 		})
-	case *multitenant:
+	default:
 		err = runMultiTenant(epoch.MultiTenantConfig{
 			Tenants:          *tenants,
 			SessionsPerEpoch: *tenantSess,
@@ -196,14 +132,8 @@ func main() {
 			TamperEpoch:      *tamperEpoch,
 			TamperRank:       *tamperRank,
 			Seed:             *seed,
-			Hub:              base.Hub,
+			Hub:              hub,
 		})
-	case *faultSweep:
-		err = runFaultSweep(base)
-	case *sweep:
-		err = runSweep(base)
-	default:
-		err = runOnce(base)
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "seccloud-sim:", err)
@@ -216,117 +146,4 @@ func main() {
 		}
 		_ = adminSrv.Close()
 	}
-}
-
-// runFaultSweep sweeps the per-leg drop rate and reports how audit
-// completeness and detection degrade — and that false flags stay at zero
-// no matter how lossy the links get.
-func runFaultSweep(base epoch.Config) error {
-	fmt.Printf("audit resilience vs loss rate (n=%d, b=%d, CSC=%.2f, t=%d, %d epochs × %d jobs)\n\n",
-		base.Servers, base.Corrupted, base.CheaterCSC, base.SampleSize, base.Epochs, base.JobsPerEpoch)
-	fmt.Printf("%10s %14s %12s %12s %12s %12s %12s\n",
-		"drop rate", "audit success", "net faults", "detections", "exposure", "jobs failed", "false flags")
-	for _, drop := range []float64{0, 0.05, 0.1, 0.15, 0.2, 0.25, 0.3, 0.4, 0.5} {
-		cfg := base
-		cfg.FaultDrop = drop
-		res, err := epoch.Run(cfg)
-		if err != nil {
-			return err
-		}
-		detections := 0
-		for _, ep := range res.Epochs {
-			detections += ep.Detections
-		}
-		fmt.Printf("%10.2f %13.1f%% %12d %12d %12d %12d %12d\n",
-			drop, 100*res.AuditSuccessRate(), res.NetworkFaultRounds,
-			detections, res.TotalExposure, res.JobsFailed, res.FalseFlags)
-	}
-	fmt.Println("\nreading: lost challenge rounds shrink the effective sample (lower audit")
-	fmt.Println("success) but are never converted into cheating evidence — false flags stay 0.")
-	return nil
-}
-
-func runOnce(cfg epoch.Config) error {
-	res, err := epoch.Run(cfg)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("fleet n=%d, adversary b=%d (CSC=%.2f), %d epochs × %d jobs, audit t=%d\n\n",
-		cfg.Servers, cfg.Corrupted, cfg.CheaterCSC, cfg.Epochs, cfg.JobsPerEpoch, cfg.SampleSize)
-	fmt.Printf("%6s %14s %8s %8s %10s %9s %9s\n",
-		"epoch", "corrupted", "jobs", "audits", "detections", "flagged", "exposure")
-	for _, ep := range res.Epochs {
-		fmt.Printf("%6d %14v %8d %8d %10d %9v %9d\n",
-			ep.Epoch, ep.CorruptedServers, ep.JobsRun, ep.AuditsRun,
-			ep.Detections, ep.FlaggedServers, ep.CorruptResultsAccepted)
-	}
-	fmt.Printf("\nfirst detection: epoch %d   total exposure: %d corrupt results   false flags: %d\n",
-		res.FirstDetectionEpoch, res.TotalExposure, res.FalseFlags)
-	if cfg.CrashEvery > 0 {
-		point := cfg.CrashPoint
-		if point == "" {
-			point = "after-log"
-		}
-		fmt.Printf("crash schedule: %d crashes at %q, %d WAL recoveries (all must keep audits green)\n",
-			res.Crashes, point, res.Recoveries)
-	}
-	if cfg.FaultDrop > 0 || cfg.FaultCorrupt > 0 || cfg.FaultDelay > 0 {
-		fmt.Printf("network faults: %d challenge rounds lost, %d/%d audits degraded (%.1f%% success), %d jobs failed\n",
-			res.NetworkFaultRounds, res.DegradedAudits, res.AuditsRun,
-			100*res.AuditSuccessRate(), res.JobsFailed)
-	}
-	if res.Kills > 0 || res.FleetAudits > 0 {
-		fmt.Printf("fleet: %d outages, %d sub-jobs failed over, %d/%d fleet audits full-sample (availability %.1f%%), %d audit rounds re-issued\n",
-			res.Kills, res.JobFailovers,
-			res.FleetAudits-res.DegradedFleetAudits, res.FleetAudits,
-			100*res.FleetAvailability(), res.FleetFailovers)
-	}
-	if cfg.OverloadEvery > 0 || cfg.MaxInflight > 0 {
-		fmt.Printf("overload: %d burst requests fired, %d shed at admission (peak queue %d), %d audit rounds shed\n",
-			res.BurstsFired, res.RequestsShed, res.MaxQueueDepth, res.ShedRounds)
-		fmt.Printf("protection: %d retries denied by budget, %d rounds hedged, %d audits degraded by design\n",
-			res.BudgetDenied, res.HedgedRounds, res.OverloadDegradedAudits)
-	}
-	if res.LocalizedVerdicts+res.ProviderWideVerdicts+res.InconclusiveVerdicts > 0 {
-		fmt.Printf("quorum verdicts: %d localized, %d provider-wide, %d inconclusive; repairs: %d attempted, %d confirmed\n",
-			res.LocalizedVerdicts, res.ProviderWideVerdicts, res.InconclusiveVerdicts,
-			res.RepairsAttempted, res.RepairsConfirmed)
-	}
-
-	// End-of-run summary read back from the metrics registry — an
-	// independent accumulation that must agree with the counts above.
-	m := res.Metrics
-	fmt.Printf("\nmetrics registry summary\n")
-	fmt.Printf("%12s %14s %12s %12s %10s %10s %12s\n",
-		"job audits", "fleet audits", "net faults", "failovers", "repairs", "confirmed", "false flags")
-	fmt.Printf("%12d %14d %12d %12d %10d %10d %12d\n",
-		m.AuditsRun, m.FleetAudits, m.NetworkFaultRounds, m.FleetFailovers,
-		m.RepairsAttempted, m.RepairsConfirmed, m.FalseFlags)
-	return nil
-}
-
-func runSweep(base epoch.Config) error {
-	fmt.Printf("exposure vs audit budget (n=%d, b=%d, CSC=%.2f, %d epochs × %d jobs)\n\n",
-		base.Servers, base.Corrupted, base.CheaterCSC, base.Epochs, base.JobsPerEpoch)
-	fmt.Printf("%8s %12s %16s %12s\n", "t", "detections", "first detection", "exposure")
-	for t := 0; t <= 8; t++ {
-		cfg := base
-		cfg.SampleSize = t
-		res, err := epoch.Run(cfg)
-		if err != nil {
-			return err
-		}
-		detections := 0
-		for _, ep := range res.Epochs {
-			detections += ep.Detections
-		}
-		first := "-"
-		if res.FirstDetectionEpoch > 0 {
-			first = fmt.Sprintf("epoch %d", res.FirstDetectionEpoch)
-		}
-		fmt.Printf("%8d %12d %16s %12d\n", t, detections, first, res.TotalExposure)
-	}
-	fmt.Println("\nreading: larger audit budgets catch the mobile adversary sooner and")
-	fmt.Println("cut the number of corrupt results the user ever accepts.")
-	return nil
 }

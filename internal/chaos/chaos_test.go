@@ -1,21 +1,29 @@
 package chaos
 
 import (
+	"encoding/json"
 	"strings"
 	"testing"
 	"time"
 )
 
 func TestScheduleStringParseRoundTrip(t *testing.T) {
+	var all []string
 	for seed := int64(1); seed <= 20; seed++ {
-		sched := Generate(seed, 3, 4, 3, seed%2 == 0, Palette{})
+		sched := Generate(seed, 3, 4, 3, seed%2 == 0)
 		text := sched.String()
+		all = append(all, text)
 		parsed, err := ParseSchedule(text)
 		if err != nil {
 			t.Fatalf("seed %d: parse(%q): %v", seed, text, err)
 		}
 		if parsed.String() != text {
 			t.Fatalf("seed %d: roundtrip mismatch:\n  in:  %s\n  out: %s", seed, text, parsed.String())
+		}
+	}
+	for _, kind := range []string{":cheat(", ":shed("} {
+		if !strings.Contains(strings.Join(all, " "), kind) {
+			t.Errorf("no generated schedule carries a %s step", kind)
 		}
 	}
 }
@@ -29,6 +37,8 @@ func TestScheduleParseRejectsGarbage(t *testing.T) {
 		"e1:cut(da>)",                   // empty side
 		"e1:skew(da,banana)",            // bad duration
 		"e1:plant(made-up,0)",           // unknown plant
+		"e1:cheat(0,csc=1.5)",           // confidence out of range
+		"e1:shed(0,1)",                  // shed takes one server
 	} {
 		if _, err := ParseSchedule(bad); err == nil {
 			t.Errorf("ParseSchedule(%q) accepted garbage", bad)
@@ -37,12 +47,12 @@ func TestScheduleParseRejectsGarbage(t *testing.T) {
 }
 
 func TestGenerateDeterministic(t *testing.T) {
-	a := Generate(42, 3, 4, 3, true, Palette{}).String()
-	b := Generate(42, 3, 4, 3, true, Palette{}).String()
+	a := Generate(42, 3, 4, 3, true).String()
+	b := Generate(42, 3, 4, 3, true).String()
 	if a != b {
 		t.Fatalf("same seed, different schedules:\n  %s\n  %s", a, b)
 	}
-	c := Generate(43, 3, 4, 3, true, Palette{}).String()
+	c := Generate(43, 3, 4, 3, true).String()
 	if a == c {
 		t.Fatalf("seeds 42 and 43 generated the same schedule: %s", a)
 	}
@@ -50,7 +60,7 @@ func TestGenerateDeterministic(t *testing.T) {
 
 func TestGenerateHealsEverythingAtCleanup(t *testing.T) {
 	for seed := int64(1); seed <= 30; seed++ {
-		sched := Generate(seed, 3, 4, 3, false, Palette{})
+		sched := Generate(seed, 3, 4, 3, false)
 		cleanup := 5
 		kills, revives := 0, 0
 		sick := map[int]bool{}
@@ -127,19 +137,59 @@ func TestTamperDetectedWithoutFalseFlags(t *testing.T) {
 	}
 }
 
+// TestRunDeterministic: a generated schedule carrying both adversaries
+// (tamper, cheat) and shed among crashes and sick disks replays to a
+// byte-identical report.
 func TestRunDeterministic(t *testing.T) {
-	a := runSmall(t, func(c *Config) { c.Seed = 23; c.Tamper = true })
-	b := runSmall(t, func(c *Config) { c.Seed = 23; c.Tamper = true })
-	if a.Schedule != b.Schedule {
-		t.Fatalf("schedules differ:\n  %s\n  %s", a.Schedule, b.Schedule)
+	run := func() []byte {
+		rep := runSmall(t, func(c *Config) { c.Seed = 15; c.Tamper = true })
+		for _, kind := range []string{":cheat(", ":shed(", ":crash("} {
+			if !strings.Contains(rep.Schedule, kind) {
+				t.Fatalf("schedule %s lacks a %s step", rep.Schedule, kind)
+			}
+		}
+		rep.Elapsed = 0
+		b, err := json.Marshal(rep)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
 	}
-	if a.OpsFailed != b.OpsFailed || a.FalseFlags != b.FalseFlags ||
-		a.Detected != b.Detected || a.Accusations != b.Accusations ||
-		a.LostRounds != b.LostRounds || a.Failovers != b.Failovers {
-		t.Fatalf("same seed, different outcomes:\n  %+v\n  %+v", a, b)
+	if a, b := run(), run(); string(a) != string(b) {
+		t.Fatalf("same seed, different reports:\n  %s\n  %s", a, b)
 	}
-	if strings.Join(a.Violations, ";") != strings.Join(b.Violations, ";") {
-		t.Fatalf("violations differ:\n  %v\n  %v", a.Violations, b.Violations)
+}
+
+// TestCheatConvictedByJobAudit: a server guessing every result in epoch 1
+// is convicted by that epoch's job audit — the cheat lasts one epoch, so
+// every detection is an epoch-1 detection — and nobody else is accused.
+func TestCheatConvictedByJobAudit(t *testing.T) {
+	rep := runSmall(t, func(c *Config) { c.Schedule = mustParse(t, "e1:cheat(1,csc=0)") })
+	if rep.JobDetections != 1 || rep.FalseFlags != 0 || !rep.OK() {
+		t.Fatalf("job detections %d (want 1), false flags %d, violations %v",
+			rep.JobDetections, rep.FalseFlags, rep.Violations)
+	}
+	if rep.Exposure != 0 {
+		t.Fatalf("exposure %d: a flagged sub-job's forgeries reached the user", rep.Exposure)
+	}
+}
+
+// TestShedEpochsStillConvictCheat: two servers shed in epoch 1 and one in
+// epoch 2 refuse audit rounds, which is overload, never cheating; the
+// cheat in calm epoch 3 is still convicted.
+func TestShedEpochsStillConvictCheat(t *testing.T) {
+	rep := runSmall(t, func(c *Config) {
+		c.ActiveEpochs = 3
+		c.Schedule = mustParse(t, "e1:shed(0) e1:shed(2) e2:shed(1) e3:cheat(2,csc=0)")
+	})
+	if rep.ShedRounds == 0 {
+		t.Fatal("shed epochs recorded no shed rounds")
+	}
+	if rep.FalseFlags != 0 || !rep.OK() {
+		t.Fatalf("false flags %d, violations:\n  %s", rep.FalseFlags, strings.Join(rep.Violations, "\n  "))
+	}
+	if rep.JobDetections != 1 {
+		t.Fatalf("calm-epoch cheat: %d job detections, want 1", rep.JobDetections)
 	}
 }
 
@@ -176,6 +226,11 @@ func TestPlantFalseFlagIsCaught(t *testing.T) {
 	}
 	if rep.FalseFlags == 0 {
 		t.Fatal("false-flag counter did not move")
+	}
+	// The rot also reaches the job audit of server 1's sub-job, and that
+	// accusation of an honest server must be reported too.
+	if !strings.Contains(strings.Join(rep.Violations, "\n"), "job audit of e1/s1: accused honest server 1") {
+		t.Fatalf("no false-flag violation for the job audit:\n  %s", strings.Join(rep.Violations, "\n  "))
 	}
 }
 

@@ -6,10 +6,12 @@ import (
 	"fmt"
 	mrand "math/rand"
 	"path/filepath"
+	"strconv"
 	"time"
 
 	"seccloud/internal/core"
 	"seccloud/internal/dvs"
+	"seccloud/internal/funcs"
 	"seccloud/internal/ibc"
 	"seccloud/internal/netsim"
 	"seccloud/internal/obs"
@@ -121,11 +123,14 @@ type cluster struct {
 	user      *core.User
 	agency    *core.Agency
 	fleet     *core.Fleet
+	csp       *core.CSP
 	warrant   wire.Warrant
 	ds        *workload.Dataset
 	verifiers []string
 
 	handlers []*netsim.SwappableHandler
+	policies []*cheatPolicy
+	gates    []*netsim.Admission
 	downs    []*netsim.DownableHandler
 	crashers []*store.Crasher
 	disks    []*store.FaultFS
@@ -145,6 +150,7 @@ type cluster struct {
 	crashPending []bool // process died, awaiting epoch-boundary restart
 	sickEver     []bool // disk faults were active at some point
 	forgeNext    []bool // plant: corrupt this primary's next evidence blob
+	shedding     []bool // the nemesis holds every admission slot this epoch
 
 	// chain is the run's evidence trail: one encoded Evidence blob and
 	// one signed checkpoint per fleet audit, verified wholesale at the
@@ -152,8 +158,9 @@ type cluster struct {
 	// and publicly verifies, the paper's public-verifiability story dies.
 	chain []chainEntry
 
-	outcomes   []auditOutcome
-	violations *violationLog
+	outcomes    []auditOutcome
+	jobOutcomes []jobOutcome
+	violations  *violationLog
 
 	opsTotal, opsFailed int
 	opsFailedFinal      int // op failures in the last (quiet) epoch
@@ -164,6 +171,9 @@ type cluster struct {
 	lostRounds          int
 	failovers           int
 	auditErrors         int
+	jobDetections       int
+	exposure            int
+	shedRounds          int
 }
 
 type chainEntry struct {
@@ -190,10 +200,83 @@ type auditOutcome struct {
 	CleanFleet bool
 }
 
+// jobOutcome is one sub-job audit as the agreement invariant compares it
+// with the reference replay's audit of the same slot.
+type jobOutcome struct {
+	Epoch, Slot, Server int
+	Valid               bool
+	Degraded            bool
+	// Clean: the fleet was clean when the audit started and the sub-job
+	// ran on its own slot's server, so the reference saw the same thing.
+	Clean bool
+}
+
 const (
 	tamperReserve = 2 // top positions ops never touch; tamper lands here
 	serverIDFmt   = "cs:chaos-%d"
+	// admissionSlots is every server's execution slots; its gate keeps no
+	// queue, so a request finding them all held is shed at once.
+	admissionSlots = 4
 )
+
+// cheatPolicy is every server's policy: honest, except in an epoch where
+// a cheat step made it a computation cheater at confidence csc. Each
+// sub-task's draw comes from a stream keyed by (seed, epoch, server,
+// task) — never from a shared stream — so retries and failovers under
+// weather cannot shift a later task's draw, and the chaos run forges
+// exactly the results the reference replay forges.
+type cheatPolicy struct {
+	core.Honest
+	seed          int64
+	server, epoch int
+	on            bool
+	csc           float64
+	forged        map[uint64]bool // tasks (by block position) answered with a guess this epoch
+}
+
+// Name implements core.CheatPolicy.
+func (p *cheatPolicy) Name() string {
+	if p.on {
+		return fmt.Sprintf("chaos:cheat(csc=%g)", p.csc)
+	}
+	return "chaos:honest"
+}
+
+// OnResult guesses the result with probability 1 − csc while cheating.
+func (p *cheatPolicy) OnResult(taskIdx int, task wire.TaskSpec, honest func() ([]byte, error)) ([]byte, error) {
+	if !p.on {
+		return honest()
+	}
+	pos := task.Positions[0]
+	cheater := &core.ComputationCheater{
+		CSC: p.csc,
+		Rng: mrand.New(mrand.NewSource(subSeed(p.seed, "cheat-"+strconv.Itoa(p.server), p.epoch, int(pos)))),
+	}
+	computed := false
+	res, err := cheater.OnResult(taskIdx, task, func() ([]byte, error) {
+		computed = true
+		return honest()
+	})
+	if err == nil && !computed {
+		p.forged[pos] = true
+	}
+	return res, err
+}
+
+// reset makes the server honest for a new epoch: the mobile adversary
+// re-picks every epoch.
+func (p *cheatPolicy) reset(ep int) {
+	p.epoch, p.on, p.csc, p.forged = ep, false, 0, map[uint64]bool{}
+}
+
+// blockBytes pads s with spaces to whole 8-byte words: the job's digest
+// reads every block as a vector of int64s.
+func blockBytes(s string) []byte {
+	for len(s)%8 != 0 {
+		s += " "
+	}
+	return []byte(s)
+}
 
 func xorA5(b []byte) []byte {
 	rot := append([]byte(nil), b...)
@@ -222,6 +305,7 @@ func newCluster(cfg Config, dir string, reference bool) (*cluster, error) {
 		crashPending: make([]bool, cfg.Servers),
 		sickEver:     make([]bool, cfg.Servers),
 		forgeNext:    make([]bool, cfg.Servers),
+		shedding:     make([]bool, cfg.Servers),
 		violations: &violationLog{
 			scrub:   dir,
 			counter: hub.Counter("chaos_violations_total", "invariant"),
@@ -255,6 +339,8 @@ func newCluster(cfg Config, dir string, reference bool) (*cluster, error) {
 		WithClock(c.daClock.Now)
 
 	c.handlers = make([]*netsim.SwappableHandler, cfg.Servers)
+	c.policies = make([]*cheatPolicy, cfg.Servers)
+	c.gates = make([]*netsim.Admission, cfg.Servers)
 	c.downs = make([]*netsim.DownableHandler, cfg.Servers)
 	c.crashers = make([]*store.Crasher, cfg.Servers)
 	c.disks = make([]*store.FaultFS, cfg.Servers)
@@ -271,6 +357,9 @@ func newCluster(cfg Config, dir string, reference bool) (*cluster, error) {
 		// the process comes back, which is exactly why recovery must cope.
 		c.disks[i] = store.NewFaultFS(store.FaultFSConfig{Seed: subSeed(cfg.Seed, "disk", i, 0)})
 		c.clocks[i] = netsim.NewClock()
+		c.policies[i] = &cheatPolicy{seed: cfg.Seed, server: i, forged: map[uint64]bool{}}
+		c.gates[i] = netsim.NewAdmission(netsim.AdmissionConfig{MaxInflight: admissionSlots}).
+			WithObs(c.hub, nodeLabel(i))
 
 		srv, err := c.newServer(i)
 		if err != nil {
@@ -280,7 +369,8 @@ func newCluster(cfg Config, dir string, reference bool) (*cluster, error) {
 		c.downs[i] = netsim.NewDownableHandler(c.handlers[i])
 		c.links[i] = netsim.NewLoopback(c.downs[i], netsim.LinkConfig{}).
 			WithObs(c.hub).
-			WithClock(c.clocks[i])
+			WithClock(c.clocks[i]).
+			WithAdmission(c.gates[i])
 
 		// Both paths traverse the same physical link (same fault injector,
 		// same outage switch) but enter the partition map under their own
@@ -320,7 +410,8 @@ func newCluster(cfg Config, dir string, reference bool) (*cluster, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := csp.ReplicateStore(c.user, storeReq); err != nil {
+	c.csp = csp.WithHealth(c.fleet.Health())
+	if err := c.csp.ReplicateStore(c.user, storeReq); err != nil {
 		return nil, err
 	}
 	c.warrant, err = core.WildcardWarrant(c.user, c.agency.ID(), time.Now().Add(24*time.Hour))
@@ -348,7 +439,7 @@ func (c *cluster) newServer(i int) (*core.Server, error) {
 		return nil, err
 	}
 	return core.NewServer(c.sio.Params(), key, core.ServerConfig{
-		Policy:  core.Honest{},
+		Policy:  c.policies[i],
 		Random:  rand.Reader,
 		Workers: c.cfg.Workers,
 		Clock:   c.clocks[i].Now,
@@ -420,9 +511,10 @@ func allPositions(n int) []uint64 {
 	return ps
 }
 
-// auditRetrier builds the per-audit retry helper (virtual backoff).
-func (c *cluster) auditRetrier(ep, pi int) *netsim.Retrier {
-	r := netsim.NewRetrier(subSeed(c.cfg.Seed, "retry-audit", ep, pi))
+// auditRetrier builds the per-audit retry helper (virtual backoff),
+// seeded per audit dimension, epoch and server.
+func (c *cluster) auditRetrier(dim string, ep, i int) *netsim.Retrier {
+	r := netsim.NewRetrier(subSeed(c.cfg.Seed, dim, ep, i))
 	r.MaxAttempts = 3
 	r.Sleep = func(context.Context, time.Duration) error { return nil }
 	return r
@@ -440,7 +532,7 @@ func (c *cluster) runAudit(ep, pi int) auditOutcome {
 			Rounds:          2,
 			BatchSignatures: true,
 			Rng:             mrand.New(mrand.NewSource(subSeed(c.cfg.Seed, "audit", ep, pi))),
-			Retry:           c.auditRetrier(ep, pi),
+			Retry:           c.auditRetrier("retry-audit", ep, pi),
 		},
 		Primary: pi,
 		QuorumK: 2,
@@ -458,6 +550,14 @@ func (c *cluster) runAudit(ep, pi int) auditOutcome {
 	out.Degraded = fr.Degraded()
 	out.Failovers = len(fr.Failovers)
 	c.failovers += out.Failovers
+	// A round a gate refused moves to the next replica; it is lost as
+	// shed only when every replica refused.
+	c.shedRounds += fr.ShedRounds()
+	for _, f := range fr.Failovers {
+		if f.Reason == core.RoundShed.String() {
+			c.shedRounds++
+		}
+	}
 	for _, rr := range fr.Rounds {
 		if rr.Outcome.Lost() {
 			out.LostRounds++
@@ -505,12 +605,75 @@ func (c *cluster) runAudit(ep, pi int) auditOutcome {
 	return out
 }
 
+// runJob is the computation half of an epoch: one job over the whole
+// dataset through the CSP, then one audit of every sub-job on the server
+// that executed it. The job counts as one client op, so a job the
+// weather ate is an op failure, and a failure in the quiet phase breaks
+// liveness. A job audit that accuses a server neither cheating this
+// epoch nor carrying ledgered rot is a false flag; exposure counts the
+// results the cheaters forged in sub-jobs no audit flagged.
+func (c *cluster) runJob(ep int) error {
+	job := workload.UniformJob(c.user.ID(), funcs.Spec{Name: "digest"}, c.cfg.Blocks)
+	subs, err := c.csp.RunJob(c.user, fmt.Sprintf("e%d", ep), job)
+	c.opsTotal++
+	if !c.reference {
+		c.reapCrashes()
+	}
+	if err != nil {
+		if c.reference {
+			return fmt.Errorf("chaos: reference replay job failed (epoch %d): %w", ep, err)
+		}
+		c.opsFailed++
+		if ep == c.cfg.ActiveEpochs+c.cfg.QuietEpochs {
+			c.opsFailedFinal++
+		}
+		return nil
+	}
+	for i, d := range core.Delegations(c.user, subs, c.warrant) {
+		sub := subs[i]
+		out := jobOutcome{Epoch: ep, Slot: sub.Slot, Server: sub.ServerIdx,
+			Clean: c.fleetClean() && sub.ServerIdx == sub.Slot}
+		rep, err := c.agency.AuditJob(c.fleet.Client(sub.ServerIdx), d, core.AuditConfig{
+			SampleSize:      c.cfg.SampleSize,
+			Rounds:          2,
+			BatchSignatures: true,
+			Rng:             mrand.New(mrand.NewSource(subSeed(c.cfg.Seed, "job-audit", ep, sub.Slot))),
+			Retry:           c.auditRetrier("retry-job", ep, sub.Slot),
+		})
+		if err != nil {
+			return fmt.Errorf("chaos: epoch %d: audit of sub-job %s: %w", ep, sub.JobID, err)
+		}
+		out.Valid, out.Degraded = rep.Valid(), rep.Degraded()
+		c.shedRounds += rep.ShedRounds()
+		c.jobOutcomes = append(c.jobOutcomes, out)
+		pol := c.policies[sub.ServerIdx]
+		if !out.Valid {
+			c.jobDetections++
+			switch {
+			case c.led.tampered(sub.ServerIdx):
+				c.detected = true
+			case !pol.on:
+				c.falseFlags++
+				c.violations.addf("false-flag", "epoch %d job audit of %s: accused honest server %d",
+					ep, sub.JobID, sub.ServerIdx)
+			}
+			continue
+		}
+		for _, t := range sub.Tasks {
+			if pol.forged[t.Positions[0]] {
+				c.exposure++
+			}
+		}
+	}
+	return nil
+}
+
 // fleetClean reports whether every breaker is closed and every server is
-// reachable — the precondition for demanding exact verdict agreement
-// with the reference replay.
+// reachable and admitting — the precondition for demanding exact verdict
+// agreement with the reference replay.
 func (c *cluster) fleetClean() bool {
 	for i := 0; i < c.cfg.Servers; i++ {
-		if c.killed[i] || c.crashPending[i] {
+		if c.killed[i] || c.crashPending[i] || c.shedding[i] {
 			return false
 		}
 		if c.fleet.Health().Breaker(i).State() != core.StateClosed {

@@ -161,13 +161,18 @@ func (c *cluster) checkLiveness() {
 				o.Primary, o.Failovers, o.LostRounds, o.Degraded)
 		}
 	}
+	for _, o := range c.jobOutcomes {
+		if o.Epoch == final && o.Degraded {
+			c.violations.addf("liveness", "final epoch audit of slot %d's sub-job (server %d) still degraded", o.Slot, o.Server)
+		}
+	}
 	if c.opsFailedFinal > 0 {
-		c.violations.addf("liveness", "%d writes failed in the final quiet epoch", c.opsFailedFinal)
+		c.violations.addf("liveness", "%d writes or jobs failed in the final quiet epoch", c.opsFailedFinal)
 	}
 }
 
-// checkAgreement compares the chaos run's audit verdicts with the
-// fault-free reference replay on identical sampling draws. When the
+// checkAgreement compares the chaos run's fleet and job audit verdicts
+// with the fault-free reference replay on identical sampling draws. When the
 // chaos audit ran over a clean fleet (no failovers, no lost rounds, all
 // breakers closed) it saw exactly what the reference saw, so its verdict
 // must match exactly; a mismatch means weather changed a verdict, which
@@ -196,6 +201,24 @@ func checkAgreement(chaosRun, ref *cluster) {
 			chaosRun.violations.addf("agreement",
 				"epoch %d primary %d: chaos verdict (valid=%v accused=%v) != reference (valid=%v accused=%v)",
 				co.Epoch, co.Primary, co.Valid, co.Accused, ro.Valid, ro.Accused)
+		}
+	}
+
+	// Job audits: the reference never fails a job, so it audited every
+	// slot; a chaos audit of a clean slot must reach its verdict.
+	type slot struct{ epoch, slot int }
+	refJobs := make(map[slot]jobOutcome, len(ref.jobOutcomes))
+	for _, ro := range ref.jobOutcomes {
+		refJobs[slot{ro.Epoch, ro.Slot}] = ro
+	}
+	for _, co := range chaosRun.jobOutcomes {
+		ro, ok := refJobs[slot{co.Epoch, co.Slot}]
+		if !co.Clean || co.Degraded || !ok {
+			continue
+		}
+		if co.Valid != ro.Valid {
+			chaosRun.violations.addf("agreement", "epoch %d job audit of slot %d: chaos valid=%v != reference valid=%v",
+				co.Epoch, co.Slot, co.Valid, ro.Valid)
 		}
 	}
 }

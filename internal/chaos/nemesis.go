@@ -1,6 +1,7 @@
 package chaos
 
 import (
+	"context"
 	"fmt"
 
 	"seccloud/internal/netsim"
@@ -8,12 +9,12 @@ import (
 )
 
 // applyStep executes one nemesis move against the cluster. In reference
-// mode only the adversarial steps (tamper, plant) apply — the reference
-// replay faces the same cheater with none of the weather.
+// mode only the adversarial steps (tamper, cheat, plant) apply — the
+// reference replay faces the same cheaters with none of the weather.
 func (c *cluster) applyStep(s Step) error {
 	if c.reference {
 		switch s.Kind {
-		case StepTamper, StepPlant:
+		case StepTamper, StepCheat, StepPlant:
 		default:
 			return nil
 		}
@@ -93,10 +94,37 @@ func (c *cluster) applyStep(s Step) error {
 			}
 			c.led.tamper(s.Target, pos, rot)
 		}
+	case StepCheat:
+		p := c.policies[s.Target]
+		p.on, p.csc = true, s.CSC
+	case StepShed:
+		if !c.shedding[s.Target] {
+			// Holding every slot of an idle gate always succeeds, and
+			// without a queue each later request is refused at once: no
+			// real time passes, so the run stays a function of its seed.
+			for k := 0; k < admissionSlots; k++ {
+				if err := c.gates[s.Target].Acquire(context.Background()); err != nil {
+					return fmt.Errorf("chaos: shed %d: %w", s.Target, err)
+				}
+			}
+			c.shedding[s.Target] = true
+		}
 	case StepPlant:
 		return c.applyPlant(s)
 	}
 	return nil
+}
+
+// endShed gives every held admission slot back at the end of its epoch.
+func (c *cluster) endShed() {
+	for i, held := range c.shedding {
+		if held {
+			for k := 0; k < admissionSlots; k++ {
+				c.gates[i].Release()
+			}
+			c.shedding[i] = false
+		}
+	}
 }
 
 // applyPlant breaks an invariant on purpose. Plants are never part of
@@ -118,7 +146,7 @@ func (c *cluster) applyPlant(s Step) error {
 	case PlantLostWrite:
 		// Ack a write, then silently revert the stored bytes: the
 		// durability invariant ("every acked write survives") must fire.
-		content := []byte(fmt.Sprintf("planted-%d", s.Epoch))
+		content := blockBytes(fmt.Sprintf("planted-%d", s.Epoch))
 		if err := c.user.UpdateBlock(c.cspClients[s.Target], 0, content, c.verifiers...); err != nil {
 			return fmt.Errorf("chaos: plant lost-write ack failed: %w", err)
 		}
@@ -159,13 +187,17 @@ func (c *cluster) restartDead() {
 }
 
 // runEpochs drives the whole schedule: per epoch, apply the nemesis
-// steps, run the client workload, run one fleet audit per primary, then
-// (chaos mode) check the serving-state invariant. Epochs beyond
-// ActiveEpochs are the quiet phase the liveness invariant measures.
+// steps, run the client workload, run and audit one job, run one fleet
+// audit per primary, then (chaos mode) check the serving-state
+// invariant. Epochs beyond ActiveEpochs are the quiet phase the liveness
+// invariant measures.
 func (c *cluster) runEpochs(sched Schedule) error {
 	total := c.cfg.ActiveEpochs + c.cfg.QuietEpochs
 	cleanup := c.cfg.ActiveEpochs + 1
 	for ep := 1; ep <= total; ep++ {
+		for _, p := range c.policies {
+			p.reset(ep)
+		}
 		for _, s := range sched.stepsAt(ep) {
 			if err := c.applyStep(s); err != nil {
 				return fmt.Errorf("chaos: epoch %d step %s: %w", ep, s, err)
@@ -203,7 +235,7 @@ func (c *cluster) runEpochs(sched Schedule) error {
 		for k := 0; k < c.cfg.OpsPerEpoch; k++ {
 			v := c.opIndex % c.cfg.Servers
 			pos := uint64(c.opIndex % (c.cfg.Blocks - tamperReserve))
-			content := []byte(fmt.Sprintf("e%d-k%d", ep, k))
+			content := blockBytes(fmt.Sprintf("e%d-k%d", ep, k))
 			err := c.user.UpdateBlock(c.cspClients[v], pos, content, c.verifiers...)
 			c.opIndex++
 			c.opsTotal++
@@ -226,8 +258,12 @@ func (c *cluster) runEpochs(sched Schedule) error {
 			}
 		}
 
-		// One fleet audit per primary, exactly like the epoch simulator:
-		// the tampered replica is challenged directly at least once.
+		if err := c.runJob(ep); err != nil {
+			return err
+		}
+
+		// One fleet audit per primary: the tampered replica is
+		// challenged directly at least once.
 		for pi := 0; pi < c.cfg.Servers; pi++ {
 			c.outcomes = append(c.outcomes, c.runAudit(ep, pi))
 		}
@@ -235,6 +271,7 @@ func (c *cluster) runEpochs(sched Schedule) error {
 		if !c.reference {
 			c.checkServing(ep)
 		}
+		c.endShed()
 	}
 	return nil
 }

@@ -27,15 +27,15 @@ type Config struct {
 	ActiveEpochs, QuietEpochs int
 	// OpsPerEpoch is the client write workload.
 	OpsPerEpoch int
-	// SampleSize is the per-audit challenge budget.
+	// SampleSize is the per-audit challenge budget, of fleet storage and
+	// job audits alike.
 	SampleSize int
 	// MaxStepsPerEpoch bounds the generator's moves per epoch.
 	MaxStepsPerEpoch int
-	// Tamper asks the generator to include a real cheating replica, so
-	// detection runs under weather.
+	// Tamper asks the generator to include a real cheating replica and a
+	// computation cheater every active epoch, so detection runs under
+	// weather.
 	Tamper bool
-	// Palette restricts the generator's fault dimensions.
-	Palette Palette
 	// Schedule, when non-nil, replaces the generated schedule (shrinker
 	// reruns, explicit reproducers, mutation self-tests).
 	Schedule Schedule
@@ -114,6 +114,16 @@ type Report struct {
 	LostRounds  int `json:"lost_rounds"`
 	Failovers   int `json:"failovers"`
 	AuditErrors int `json:"audit_errors"`
+	// ShedRounds counts audit round trips an admission gate refused,
+	// whether the round then moved to another replica or was lost.
+	ShedRounds int `json:"shed_rounds"`
+
+	// JobAudits counts sub-job audits and JobDetections those that
+	// flagged their server. Exposure counts the results cheaters forged
+	// in sub-jobs no audit flagged: wrong answers the user accepted.
+	JobAudits     int `json:"job_audits"`
+	JobDetections int `json:"job_detections"`
+	Exposure      int `json:"exposure"`
 
 	DiskFaults int64 `json:"disk_faults"`
 	NetDrops   int64 `json:"net_drops"`
@@ -144,7 +154,7 @@ func Run(cfg Config) (*Report, error) {
 	start := time.Now()
 	sched := cfg.Schedule
 	if sched == nil {
-		sched = Generate(cfg.Seed, cfg.Servers, cfg.ActiveEpochs, cfg.MaxStepsPerEpoch, cfg.Tamper, cfg.Palette)
+		sched = Generate(cfg.Seed, cfg.Servers, cfg.ActiveEpochs, cfg.MaxStepsPerEpoch, cfg.Tamper)
 	}
 
 	// Every run gets a fresh directory (under cfg.Dir when set, the
@@ -192,24 +202,28 @@ func Run(cfg Config) (*Report, error) {
 		diskFaults += d.Counts().Total()
 	}
 	rep := &Report{
-		Seed:        cfg.Seed,
-		Schedule:    sched.String(),
-		Steps:       len(sched),
-		Epochs:      cfg.ActiveEpochs + cfg.QuietEpochs,
-		Ops:         cc.opsTotal,
-		OpsFailed:   cc.opsFailed,
-		Audits:      len(cc.outcomes),
-		FalseFlags:  cc.falseFlags,
-		Accusations: cc.accusations,
-		Detected:    cc.detected,
-		Tampered:    len(cc.led.tamperContent) > 0,
-		LostRounds:  cc.lostRounds,
-		Failovers:   cc.failovers,
-		AuditErrors: cc.auditErrors,
-		DiskFaults:  diskFaults,
-		NetDrops:    cc.part.Drops(),
-		Violations:  cc.violations.list,
-		Elapsed:     time.Since(start),
+		Seed:          cfg.Seed,
+		Schedule:      sched.String(),
+		Steps:         len(sched),
+		Epochs:        cfg.ActiveEpochs + cfg.QuietEpochs,
+		Ops:           cc.opsTotal,
+		OpsFailed:     cc.opsFailed,
+		Audits:        len(cc.outcomes),
+		FalseFlags:    cc.falseFlags,
+		Accusations:   cc.accusations,
+		Detected:      cc.detected,
+		Tampered:      len(cc.led.tamperContent) > 0,
+		LostRounds:    cc.lostRounds,
+		Failovers:     cc.failovers,
+		AuditErrors:   cc.auditErrors,
+		ShedRounds:    cc.shedRounds,
+		JobAudits:     len(cc.jobOutcomes),
+		JobDetections: cc.jobDetections,
+		Exposure:      cc.exposure,
+		DiskFaults:    diskFaults,
+		NetDrops:      cc.part.Drops(),
+		Violations:    cc.violations.list,
+		Elapsed:       time.Since(start),
 	}
 	return rep, nil
 }

@@ -64,13 +64,22 @@ const (
 	// self-test of the invariant engine. A checker that cannot catch a
 	// plant is worthless.
 	StepPlant
+	// StepCheat is the computation adversary (§III-B): for this epoch
+	// only, the server guesses each sub-task result with probability
+	// 1 − CSC instead of computing it. The mobile adversary re-picks
+	// every epoch, so the next epoch starts honest again.
+	StepCheat
+	// StepShed is overload: for this epoch the nemesis holds every
+	// admission slot of the server, so the gate refuses each request to
+	// it with a typed overload reply.
+	StepShed
 )
 
 var stepNames = map[StepKind]string{
 	StepFaults: "faults", StepCalm: "calm", StepCut: "cut", StepHeal: "heal",
 	StepSkew: "skew", StepCrash: "crash", StepKill: "kill", StepRevive: "revive",
 	StepDisk: "disk", StepDiskHeal: "diskheal", StepRestart: "restart",
-	StepTamper: "tamper", StepPlant: "plant",
+	StepTamper: "tamper", StepPlant: "plant", StepCheat: "cheat", StepShed: "shed",
 }
 
 // The plant kinds (see StepPlant).
@@ -85,8 +94,8 @@ type Step struct {
 	Epoch int
 	Kind  StepKind
 
-	// Target is the victim server index (faults/calm/crash/kill/revive/
-	// disk/diskheal/restart/tamper, and plant when server-scoped).
+	// Target is the victim server index (every kind but cut, heal and
+	// skew).
 	Target int
 	// Node is the skewed node: "da" or a server index rendered in
 	// decimal.
@@ -99,6 +108,8 @@ type Step struct {
 	Skew time.Duration
 	// Drop and Corrupt are the link fault rates.
 	Drop, Corrupt float64
+	// CSC is a cheating server's computing confidence.
+	CSC float64
 	// Sync, Short, Rot and Rename are the disk fault rates.
 	Sync, Short, Rot, Rename float64
 	// Blocks is how many top positions StepTamper rots.
@@ -139,6 +150,10 @@ func (s Step) String() string {
 		body = fmt.Sprintf("tamper(%d,%d)", s.Target, s.Blocks)
 	case StepPlant:
 		body = fmt.Sprintf("plant(%s,%d)", s.Plant, s.Target)
+	case StepCheat:
+		body = fmt.Sprintf("cheat(%d,csc=%s)", s.Target, f(s.CSC))
+	case StepShed:
+		body = fmt.Sprintf("shed(%d)", s.Target)
 	default:
 		body = fmt.Sprintf("step(%d)", int(s.Kind))
 	}
@@ -249,7 +264,7 @@ func parseStep(tok string) (Step, error) {
 		if len(args) != 0 {
 			return st, fmt.Errorf("chaos: step %q: heal takes no args", tok)
 		}
-	case StepCalm, StepKill, StepRevive, StepDiskHeal, StepRestart:
+	case StepCalm, StepKill, StepRevive, StepDiskHeal, StepRestart, StepShed:
 		if len(args) != 1 {
 			return st, fmt.Errorf("chaos: step %q: want 1 arg", tok)
 		}
@@ -326,6 +341,16 @@ func parseStep(tok string) (Step, error) {
 		if st.Blocks, err = atoi(args[1]); err != nil {
 			return st, err
 		}
+	case StepCheat:
+		if len(args) != 2 {
+			return st, fmt.Errorf("chaos: step %q: want cheat(srv,csc=..)", tok)
+		}
+		if st.Target, err = atoi(args[0]); err != nil {
+			return st, err
+		}
+		if st.CSC, err = rate(args[1], "csc"); err != nil {
+			return st, err
+		}
 	case StepPlant:
 		if len(args) != 2 {
 			return st, fmt.Errorf("chaos: step %q: want plant(kind,srv)", tok)
@@ -345,19 +370,16 @@ func parseStep(tok string) (Step, error) {
 
 // --- generation -------------------------------------------------------------
 
-// Palette selects which fault dimensions the generator may draw from.
-// The zero value enables everything.
-type Palette struct {
-	NoNet, NoCuts, NoSkew, NoCrash, NoKill, NoDisk, NoRestart bool
-}
-
 // Generate draws a reproducible schedule from a seed: up to maxPerEpoch
 // steps per active epoch, with the invariant-critical guarantee that the
 // first quiet epoch (active+1) heals everything — partitions, link and
 // disk faults, skew, outages — so the liveness invariant has a fair
 // horizon. Crashed servers are restarted by the nemesis at epoch
-// boundaries, not by the schedule.
-func Generate(seed int64, servers, activeEpochs, maxPerEpoch int, tamper bool, pal Palette) Schedule {
+// boundaries, and a shed or a cheat lasts one epoch, so neither needs a
+// step to undo it. With tamper set the schedule carries a real storage
+// cheater and, every active epoch, a computation cheater on a freshly
+// drawn server: the mobile adversary of §III-B on both halves.
+func Generate(seed int64, servers, activeEpochs, maxPerEpoch int, tamper bool) Schedule {
 	rng := rand.New(rand.NewSource(seed))
 	var sched Schedule
 
@@ -368,28 +390,7 @@ func Generate(seed int64, servers, activeEpochs, maxPerEpoch int, tamper bool, p
 	skewed := map[string]bool{}
 	anyCut := false
 
-	var kinds []StepKind
-	if !pal.NoNet {
-		kinds = append(kinds, StepFaults)
-	}
-	if !pal.NoCuts {
-		kinds = append(kinds, StepCut)
-	}
-	if !pal.NoSkew {
-		kinds = append(kinds, StepSkew)
-	}
-	if !pal.NoCrash {
-		kinds = append(kinds, StepCrash)
-	}
-	if !pal.NoKill {
-		kinds = append(kinds, StepKill)
-	}
-	if !pal.NoDisk {
-		kinds = append(kinds, StepDisk)
-	}
-	if !pal.NoRestart {
-		kinds = append(kinds, StepRestart)
-	}
+	kinds := []StepKind{StepFaults, StepCut, StepSkew, StepCrash, StepKill, StepDisk, StepRestart, StepShed}
 
 	tamperEpoch := 0
 	if tamper {
@@ -411,8 +412,11 @@ func Generate(seed int64, servers, activeEpochs, maxPerEpoch int, tamper bool, p
 				Target: rng.Intn(servers), Blocks: tamperReserve,
 			})
 		}
-		if len(kinds) == 0 {
-			continue
+		if tamper {
+			sched = append(sched, Step{
+				Epoch: ep, Kind: StepCheat,
+				Target: rng.Intn(servers), CSC: float64(rng.Intn(3)) / 4, // 0, 0.25 or 0.5
+			})
 		}
 		// Undo moves first: previously injected faults may clear early.
 		// Iteration must be by index, never over a map — a map-ordered rng
@@ -522,6 +526,8 @@ func Generate(seed int64, servers, activeEpochs, maxPerEpoch int, tamper bool, p
 					continue
 				}
 				sched = append(sched, Step{Epoch: ep, Kind: StepRestart, Target: srv})
+			case StepShed:
+				sched = append(sched, Step{Epoch: ep, Kind: StepShed, Target: rng.Intn(servers)})
 			}
 		}
 	}

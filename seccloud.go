@@ -41,7 +41,6 @@ import (
 	"seccloud/internal/costmodel"
 	"seccloud/internal/daemon"
 	"seccloud/internal/dvs"
-	"seccloud/internal/epoch"
 	"seccloud/internal/erasure"
 	"seccloud/internal/ibc"
 	"seccloud/internal/netsim"
@@ -135,10 +134,6 @@ type (
 	Observation = costmodel.Observation
 	// ColdDataCheater deletes blocks outside a hot access set.
 	ColdDataCheater = core.ColdDataCheater
-	// EpochConfig shapes the mobile-adversary epoch simulation.
-	EpochConfig = epoch.Config
-	// EpochResult is the epoch simulation outcome.
-	EpochResult = epoch.Result
 	// ErasureCoder is the Reed–Solomon coder behind WithParity.
 	ErasureCoder = erasure.Coder
 	// Evidence is a signed, transferable audit verdict.
@@ -359,13 +354,6 @@ func MergeResults(jobLen int, subs []*SubJob) ([][]byte, error) {
 // auditor's identity; any party holding the system parameters can run it.
 func (s *System) VerifyEvidence(e *Evidence) error {
 	return core.VerifyEvidence(s.Scheme(), e)
-}
-
-// RunEpochSimulation executes the mobile-adversary epoch simulation
-// (§III-B / HAIL model): b of n servers are corrupted each epoch while
-// the DA audits with a fixed sampling budget.
-func RunEpochSimulation(cfg EpochConfig) (*EpochResult, error) {
-	return epoch.Run(cfg)
 }
 
 // NewColdDataCheater builds the rational storage-cheating policy that
