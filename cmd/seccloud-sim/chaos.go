@@ -32,6 +32,7 @@ func runChaos(f chaosRunFlags) ([]*chaos.Report, error) {
 	falseFlags, violations := 0, 0
 	tampered, detected := 0, 0
 	jobAudits, jobDetections, exposure, shed := 0, 0, 0, 0
+	quorumRuns, recoveries, byzantine := 0, 0, 0
 	for i := 0; i < f.Runs; i++ {
 		cfg := chaos.Defaults(f.Seed + int64(i))
 		cfg.Tamper = f.Tamper
@@ -54,6 +55,11 @@ func runChaos(f chaosRunFlags) ([]*chaos.Report, error) {
 		jobDetections += rep.JobDetections
 		exposure += rep.Exposure
 		shed += rep.ShedRounds
+		if rep.Quorums > 0 {
+			quorumRuns++
+		}
+		recoveries += rep.QuorumRecoveries
+		byzantine += rep.ByzantinePartials
 		if rep.Tampered {
 			tampered++
 			if rep.Detected {
@@ -72,6 +78,8 @@ func runChaos(f chaosRunFlags) ([]*chaos.Report, error) {
 		falseFlags, detected, tampered)
 	fmt.Printf("job audits: %d   job detections: %d   exposure: %d forged results accepted   shed rounds: %d\n",
 		jobAudits, jobDetections, exposure, shed)
+	fmt.Printf("quorum runs: %d   quorum recoveries: %d   byzantine partials: %d\n",
+		quorumRuns, recoveries, byzantine)
 
 	if violations == 0 {
 		fmt.Println("invariants: ok")

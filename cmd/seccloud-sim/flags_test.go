@@ -1,73 +1,96 @@
 package main
 
 import (
+	"io"
 	"strings"
 	"testing"
 )
 
+// TestValidateFlags parses each row's command line and validates it. The
+// threshold rows name the quorum checks that moved from flags into the
+// chaos schedule, which validate parses up front.
 func TestValidateFlags(t *testing.T) {
 	cases := []struct {
 		name    string
-		flags   simFlags
+		args    []string
 		wantErr string // empty = accepted
 	}{
-		{name: "defaults", flags: simFlags{}},
-		{name: "threshold healthy", flags: simFlags{ThresholdT: 3, ThresholdN: 5}},
+		{name: "defaults"},
+		{name: "threshold healthy", args: []string{"-chaos", "-chaos-steps", "e1:quorum(3,5)"}},
 		{name: "threshold with faults in budget",
-			flags: simFlags{ThresholdT: 2, ThresholdN: 5, KilledAuditors: 2, ByzantineAuditors: 1}},
+			args: []string{"-chaos", "-chaos-steps", "e1:quorum(2,5) e1:hkill(1) e1:hkill(2) e1:hbyz(3)"}},
 		{name: "t above n",
-			flags:   simFlags{ThresholdT: 6, ThresholdN: 5},
-			wantErr: "-threshold-t 6 exceeds -threshold-n 5"},
+			args:    []string{"-chaos", "-chaos-steps", "e1:quorum(6,5)"},
+			wantErr: "e1:quorum(6,5): t must be in 1..n"},
 		{name: "t below one",
-			flags:   simFlags{ThresholdT: 0, ThresholdN: 5},
-			wantErr: "-threshold-t must be at least 1"},
+			args:    []string{"-chaos", "-chaos-steps", "e1:quorum(0,5)"},
+			wantErr: "t must be in 1..n"},
 		{name: "negative t",
-			flags:   simFlags{ThresholdT: -2, ThresholdN: 5},
-			wantErr: "-threshold-t must be at least 1"},
+			args:    []string{"-chaos", "-chaos-steps", "e1:quorum(-2,5)"},
+			wantErr: "t must be in 1..n"},
 		{name: "negative killed auditors",
-			flags:   simFlags{ThresholdT: 3, ThresholdN: 5, KilledAuditors: -1},
-			wantErr: "-killed-auditors must not be negative"},
+			args:    []string{"-chaos", "-chaos-steps", "e1:quorum(3,5) e1:hkill(-1)"},
+			wantErr: "holder outside 1..5"},
 		{name: "negative byzantine auditors",
-			flags:   simFlags{ThresholdT: 3, ThresholdN: 5, ByzantineAuditors: -3},
-			wantErr: "-byzantine-auditors must not be negative"},
+			args:    []string{"-chaos", "-chaos-steps", "e1:quorum(3,5) e1:hbyz(-3)"},
+			wantErr: "holder outside 1..5"},
 		{name: "fault schedule over budget",
-			flags:   simFlags{ThresholdT: 3, ThresholdN: 5, KilledAuditors: 2, ByzantineAuditors: 1},
-			wantErr: "exceed the n-t = 2 fault budget"},
+			args:    []string{"-chaos", "-chaos-steps", "e1:quorum(3,5) e1:hkill(1) e1:hkill(2) e1:hbyz(3)"},
+			wantErr: "over the n-t = 2 budget"},
 		{name: "auditor faults without threshold mode",
-			flags:   simFlags{KilledAuditors: 1},
-			wantErr: "require threshold mode"},
-		{name: "chaos sweep", flags: simFlags{Chaos: true, ChaosRuns: 6, ChaosTamper: true}},
+			args:    []string{"-chaos", "-chaos-steps", "e1:hkill(1)"},
+			wantErr: "holder step without a quorum step"},
+		{name: "chaos sweep", args: []string{"-chaos", "-chaos-runs", "6", "-chaos-tamper"}},
 		{name: "chaos replay",
-			flags: simFlags{Chaos: true, ChaosRuns: 1, ChaosSteps: "e1:plant(forged-evidence,1)", ChaosShrink: true}},
+			args: []string{"-chaos", "-chaos-steps", "e1:plant(forged-evidence,1)", "-chaos-shrink"}},
 		{name: "chaos sub-flags without chaos mode",
-			flags:   simFlags{ChaosTamper: true},
-			wantErr: "require chaos mode"},
+			args:    []string{"-chaos-tamper"},
+			wantErr: "-chaos-tamper only applies in -chaos mode"},
 		{name: "chaos steps without chaos mode",
-			flags:   simFlags{ChaosSteps: "e1:restart(0)"},
-			wantErr: "require chaos mode"},
+			args:    []string{"-chaos-steps", "e1:restart(0)"},
+			wantErr: "-chaos-steps only applies in -chaos mode"},
 		{name: "chaos and threshold at once",
-			flags:   simFlags{Chaos: true, ChaosRuns: 1, ThresholdT: 2, ThresholdN: 5},
-			wantErr: "mutually exclusive modes"},
+			args: []string{"-chaos", "-chaos-steps", "e1:quorum(2,3) e1:kill(1) e1:hkill(2) e2:revive(1)"}},
 		{name: "chaos and multitenant at once",
-			flags:   simFlags{Chaos: true, ChaosRuns: 1, Multitenant: true},
+			args:    []string{"-chaos", "-multitenant"},
 			wantErr: "-chaos and -multitenant are mutually exclusive modes"},
 		{name: "threshold and multitenant at once",
-			flags:   simFlags{ThresholdT: 2, ThresholdN: 3, Multitenant: true},
-			wantErr: "-threshold-t/-threshold-n and -multitenant are mutually exclusive modes"},
-		{name: "multitenant", flags: simFlags{Multitenant: true}},
+			args:    []string{"-multitenant", "-chaos-steps", "e1:quorum(2,3)"},
+			wantErr: "-chaos-steps only applies in -chaos mode"},
+		{name: "multitenant",
+			args: []string{"-multitenant", "-tenants", "50000", "-epochs", "3", "-samples", "2", "-tamper-epoch", "2"}},
+		{name: "multitenant flags in chaos mode",
+			args:    []string{"-chaos", "-seed", "5", "-tamper-epoch", "2", "-workers", "4"},
+			wantErr: "-seed only applies in -multitenant mode"},
+		{name: "chaos flags in multitenant mode",
+			args:    []string{"-multitenant", "-chaos-seed", "3"},
+			wantErr: "-chaos-seed only applies in -chaos mode"},
+		{name: "multitenant flags without a mode",
+			args:    []string{"-workers", "4"},
+			wantErr: "-workers only applies in -multitenant mode"},
+		{name: "admin linger without admin",
+			args:    []string{"-chaos", "-admin-linger", "30s"},
+			wantErr: "-admin-linger requires -admin"},
+		{name: "admin in either mode",
+			args: []string{"-multitenant", "-admin", "127.0.0.1:0", "-admin-linger", "1s"}},
 		{name: "chaos runs below one",
-			flags:   simFlags{Chaos: true, ChaosRuns: 0},
+			args:    []string{"-chaos", "-chaos-runs", "0"},
 			wantErr: "-chaos-runs must be at least 1"},
 		{name: "chaos steps with a sweep",
-			flags:   simFlags{Chaos: true, ChaosRuns: 4, ChaosSteps: "e1:restart(0)"},
+			args:    []string{"-chaos", "-chaos-runs", "4", "-chaos-steps", "e1:restart(0)"},
 			wantErr: "replays one explicit schedule"},
 		{name: "chaos steps with tamper",
-			flags:   simFlags{Chaos: true, ChaosRuns: 1, ChaosSteps: "e1:restart(0)", ChaosTamper: true},
+			args:    []string{"-chaos", "-chaos-steps", "e1:restart(0)", "-chaos-tamper"},
 			wantErr: "carries its own tamper steps"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			err := validateFlags(tc.flags)
+			f := newSimFlags()
+			f.fs.SetOutput(io.Discard)
+			err := f.fs.Parse(tc.args)
+			if err == nil {
+				err = f.validate()
+			}
 			if tc.wantErr == "" {
 				if err != nil {
 					t.Fatalf("valid flags rejected: %v", err)
@@ -75,7 +98,7 @@ func TestValidateFlags(t *testing.T) {
 				return
 			}
 			if err == nil {
-				t.Fatalf("invalid flags accepted: %+v", tc.flags)
+				t.Fatalf("invalid flags accepted: %q", tc.args)
 			}
 			if !strings.Contains(err.Error(), tc.wantErr) {
 				t.Fatalf("error %q does not mention %q", err, tc.wantErr)

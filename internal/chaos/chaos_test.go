@@ -2,9 +2,12 @@ package chaos
 
 import (
 	"encoding/json"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
+
+	"seccloud/internal/core"
 )
 
 func TestScheduleStringParseRoundTrip(t *testing.T) {
@@ -21,7 +24,7 @@ func TestScheduleStringParseRoundTrip(t *testing.T) {
 			t.Fatalf("seed %d: roundtrip mismatch:\n  in:  %s\n  out: %s", seed, text, parsed.String())
 		}
 	}
-	for _, kind := range []string{":cheat(", ":shed("} {
+	for _, kind := range []string{":cheat(", ":shed(", ":quorum(", ":hkill(", ":hbyz("} {
 		if !strings.Contains(strings.Join(all, " "), kind) {
 			t.Errorf("no generated schedule carries a %s step", kind)
 		}
@@ -39,9 +42,57 @@ func TestScheduleParseRejectsGarbage(t *testing.T) {
 		"e1:plant(made-up,0)",           // unknown plant
 		"e1:cheat(0,csc=1.5)",           // confidence out of range
 		"e1:shed(0,1)",                  // shed takes one server
+		"e2:quorum(2,3)",                // the quorum is dealt at epoch 1
+		"e1:quorum(2,3) e1:quorum(3,5)", // a second quorum
+		"e1:quorum(6,5)",                // t > n
+		"e1:quorum(0,5)",                // t < 1
+		"e1:quorum(2,3) e1:hkill(4)",    // holder outside 1..n
+		"e1:quorum(2,3) e1:hbyz(0)",     // holders are 1-based
+		"e1:hbyz(1)",                    // holder step without a quorum
+		"e1:quorum(3,5) e2:hkill(1) e2:hkill(2) e2:hbyz(3)", // 3 > n−t faults in one epoch
 	} {
 		if _, err := ParseSchedule(bad); err == nil {
 			t.Errorf("ParseSchedule(%q) accepted garbage", bad)
+		}
+	}
+}
+
+// TestRunRefusesInvalidQuorum: a schedule built in code rather than
+// parsed meets the same checks before any cluster is built.
+func TestRunRefusesInvalidQuorum(t *testing.T) {
+	cfg := Defaults(1)
+	cfg.Schedule = Schedule{{Epoch: 1, Kind: StepHKill, Target: 1}}
+	if _, err := Run(cfg); err == nil || !strings.Contains(err.Error(), "without a quorum step") {
+		t.Fatalf("holder step without a quorum: err = %v", err)
+	}
+}
+
+// TestRunRefusesInvalidQuorumConfig: every quorum shape, fault budget
+// and epoch range a run cannot honour is refused by Run with a chaos
+// error before any cluster is built.
+func TestRunRefusesInvalidQuorumConfig(t *testing.T) {
+	q := func(tt, n int) Step { return Step{Epoch: 1, Kind: StepQuorum, T: tt, N: n} }
+	bad := []func(*Config){
+		func(c *Config) { c.Schedule = Schedule{q(0, 5)} }, // t < 1
+		func(c *Config) { c.Schedule = Schedule{q(6, 5)} }, // t > n
+		func(c *Config) { c.ActiveEpochs = 0 },
+		func(c *Config) { // 3 holders down in one epoch > n−t = 2
+			c.Schedule = Schedule{q(3, 5),
+				{Epoch: 2, Kind: StepHKill, Target: 1},
+				{Epoch: 2, Kind: StepHKill, Target: 2},
+				{Epoch: 2, Kind: StepHKill, Target: 3}}
+		},
+		func(c *Config) { c.Schedule = Schedule{q(3, 5), {Epoch: 2, Kind: StepHByz, Target: -1}} },
+		func(c *Config) { c.Schedule = Schedule{{Epoch: 99, Kind: StepTamper, Target: 0, Blocks: 1}} },
+	}
+	for i, mutate := range bad {
+		cfg := Defaults(1)
+		cfg.Dir = t.TempDir()
+		mutate(&cfg)
+		if _, err := Run(cfg); err == nil {
+			t.Errorf("case %d: invalid config accepted", i)
+		} else if !strings.Contains(err.Error(), "chaos:") {
+			t.Errorf("case %d: unexpected error %v", i, err)
 		}
 	}
 }
@@ -55,6 +106,38 @@ func TestGenerateDeterministic(t *testing.T) {
 	c := Generate(43, 3, 4, 3, true).String()
 	if a == c {
 		t.Fatalf("seeds 42 and 43 generated the same schedule: %s", a)
+	}
+}
+
+// TestGenerateStableBesideQuorumSteps: the quorum and holder draws come
+// from streams of their own, so with those steps taken out every
+// schedule is the one the generator drew before it knew of quorums. A
+// shared stream would shift every later draw.
+func TestGenerateStableBesideQuorumSteps(t *testing.T) {
+	pinned := []struct {
+		seed   int64
+		tamper bool
+		want   string
+	}{
+		{1, false, "e1:shed(2) e2:cut(csp>0+2) e2:restart(1) e2:skew(1,-44ms) e3:heal e3:disk(2,sync=0.05,short=0.06,rot=0.08,rename=0.28) e4:diskheal(2) e4:shed(1) e4:restart(0) e4:disk(0,sync=0.17,short=0.11,rot=0.09,rename=0.26) e5:diskheal(0) e5:skew(1,0s)"},
+		{1, true, "e1:cheat(0,csc=0.5) e1:cut(csp>0+2) e1:restart(1) e1:skew(1,-44ms) e2:cheat(0,csc=0.5) e2:shed(0) e2:faults(1,drop=0.27,corrupt=0.07) e3:tamper(1,2) e3:cheat(1,csc=0) e4:cheat(2,csc=0.5) e4:heal e4:shed(0) e5:calm(1) e5:skew(1,0s)"},
+		{15, false, "e1:kill(1) e1:skew(2,-53ms) e1:faults(1,drop=0.16,corrupt=0.01) e2:revive(1) e3:crash(0,mid-snapshot) e3:crash(2,before-log) e3:disk(1,sync=0.04,short=0.05,rot=0.13,rename=0.2) e4:diskheal(1) e4:shed(1) e5:calm(1) e5:skew(2,0s)"},
+		{15, true, "e1:tamper(0,2) e1:cheat(1,csc=0.5) e1:disk(2,sync=0.02,short=0.13,rot=0.16,rename=0.01) e1:crash(2,before-log) e1:shed(0) e2:cheat(0,csc=0) e2:crash(2,after-log) e2:disk(1,sync=0.25,short=0.03,rot=0.2,rename=0.17) e2:shed(2) e3:cheat(0,csc=0.25) e3:diskheal(1) e3:diskheal(2) e4:cheat(2,csc=0.5) e4:skew(2,-48ms) e4:kill(0) e5:revive(0) e5:skew(2,0s)"},
+		{42, false, "e1:crash(2,mid-snapshot) e2:cut(1+2>csp) e2:shed(0) e2:kill(2) e3:shed(2) e4:heal e4:revive(2)"},
+		{42, true, "e1:cheat(2,csc=0.5) e1:shed(1) e1:disk(2,sync=0.08,short=0.03,rot=0.19,rename=0.17) e2:cheat(0,csc=0.25) e2:kill(2) e3:tamper(2,2) e3:cheat(2,csc=0.25) e3:revive(2) e3:diskheal(2) e3:faults(2,drop=0.07,corrupt=0.04) e3:crash(2,mid-snapshot) e3:restart(1) e4:cheat(0,csc=0.5) e4:shed(0) e4:crash(2,torn-tail) e5:calm(2)"},
+	}
+	for _, p := range pinned {
+		var kept Schedule
+		for _, s := range Generate(p.seed, 3, 4, 3, p.tamper) {
+			switch s.Kind {
+			case StepQuorum, StepHKill, StepHByz:
+			default:
+				kept = append(kept, s)
+			}
+		}
+		if got := kept.String(); got != p.want {
+			t.Errorf("seed %d tamper %v: server-side steps moved:\n  got  %s\n  want %s", p.seed, p.tamper, got, p.want)
+		}
 	}
 }
 
@@ -137,26 +220,32 @@ func TestTamperDetectedWithoutFalseFlags(t *testing.T) {
 	}
 }
 
-// TestRunDeterministic: a generated schedule carrying both adversaries
-// (tamper, cheat) and shed among crashes and sick disks replays to a
-// byte-identical report.
+// TestRunDeterministic: generated schedules carrying both adversaries
+// (tamper, cheat) and shed among crashes and sick disks, or a dealt
+// quorum with forging and killed holders among partitions and restarts,
+// replay to byte-identical reports.
 func TestRunDeterministic(t *testing.T) {
-	run := func() []byte {
-		rep := runSmall(t, func(c *Config) { c.Seed = 15; c.Tamper = true })
-		for _, kind := range []string{":cheat(", ":shed(", ":crash("} {
-			if !strings.Contains(rep.Schedule, kind) {
-				t.Fatalf("schedule %s lacks a %s step", rep.Schedule, kind)
+	for seed, kinds := range map[int64][]string{
+		15: {":cheat(", ":shed(", ":crash("},
+		11: {":quorum(", ":hbyz(", ":hkill("},
+	} {
+		run := func() []byte {
+			rep := runSmall(t, func(c *Config) { c.Seed = seed; c.Tamper = true })
+			for _, kind := range kinds {
+				if !strings.Contains(rep.Schedule, kind) {
+					t.Fatalf("schedule %s lacks a %s step", rep.Schedule, kind)
+				}
 			}
+			rep.Elapsed = 0
+			b, err := json.Marshal(rep)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return b
 		}
-		rep.Elapsed = 0
-		b, err := json.Marshal(rep)
-		if err != nil {
-			t.Fatal(err)
+		if a, b := run(), run(); string(a) != string(b) {
+			t.Fatalf("seed %d, different reports:\n  %s\n  %s", seed, a, b)
 		}
-		return b
-	}
-	if a, b := run(), run(); string(a) != string(b) {
-		t.Fatalf("same seed, different reports:\n  %s\n  %s", a, b)
 	}
 }
 
@@ -190,6 +279,101 @@ func TestShedEpochsStillConvictCheat(t *testing.T) {
 	}
 	if rep.JobDetections != 1 {
 		t.Fatalf("calm-epoch cheat: %d job detections, want 1", rep.JobDetections)
+	}
+}
+
+// runQuorum runs an explicit schedule and also returns the chaos
+// cluster, whose audit outcomes carry the deciding share sets.
+func runQuorum(t *testing.T, active int, steps string) (*Report, *cluster) {
+	t.Helper()
+	cfg := Defaults(7)
+	cfg.ActiveEpochs = active
+	cfg.Dir = t.TempDir()
+	cfg.Schedule = mustParse(t, steps)
+	rep, cc, err := run(cfg)
+	if err != nil {
+		t.Fatalf("chaos run: %v", err)
+	}
+	if !rep.OK() || rep.FalseFlags != 0 {
+		t.Fatalf("false flags %d, violations:\n  %s", rep.FalseFlags, strings.Join(rep.Violations, "\n  "))
+	}
+	return rep, cc
+}
+
+// TestQuorumHealthyAgreesWithSingleDA: a healthy 3-of-5 quorum decides
+// every audit with its first three shares, each verdict (validity,
+// sample, failures) agrees with the single-DA reference replay — the
+// agreement invariant held — and every fleet audit's signed evidence
+// carries the quorum's combined digest.
+func TestQuorumHealthyAgreesWithSingleDA(t *testing.T) {
+	rep, cc := runQuorum(t, 2, "e1:quorum(3,5)")
+	if rep.Quorums != 1 || rep.QuorumRecoveries != 0 || rep.ByzantinePartials != 0 {
+		t.Fatalf("quorums %d, recoveries %d, byzantine %d; want 1, 0, 0",
+			rep.Quorums, rep.QuorumRecoveries, rep.ByzantinePartials)
+	}
+	for _, o := range cc.outcomes {
+		if fmt.Sprint(o.Quorum) != "[1 2 3]" {
+			t.Fatalf("epoch %d primary %d decided by %v, want [1 2 3]", o.Epoch, o.Primary, o.Quorum)
+		}
+	}
+	if len(cc.chain) != len(cc.outcomes) {
+		t.Fatalf("%d evidence blobs for %d audits", len(cc.chain), len(cc.outcomes))
+	}
+	for _, e := range cc.chain {
+		ev, err := core.DecodeEvidence(e.Raw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ev.ThresholdQuorum == "" || ev.ThresholdCombined == "" {
+			t.Fatalf("epoch %d primary %d: evidence without the quorum trail: quorum %q digest %q",
+				e.Epoch, e.Primary, ev.ThresholdQuorum, ev.ThresholdCombined)
+		}
+	}
+}
+
+// TestQuorumSurvivesRotatingHolderFaults: a 2-of-5 quorum with two
+// holders killed and one forging every epoch, rotating, keeps auditing
+// in agreement with the single DA, replaces the failed holders and
+// catches the forgeries; each epoch's quorum is the first two holders
+// its faults left.
+func TestQuorumSurvivesRotatingHolderFaults(t *testing.T) {
+	rep, cc := runQuorum(t, 4, "e1:quorum(2,5) e1:hkill(1) e1:hkill(2) e1:hbyz(3) "+
+		"e2:hkill(2) e2:hkill(3) e2:hbyz(4) e3:hkill(3) e3:hkill(4) e3:hbyz(5) "+
+		"e4:hkill(4) e4:hkill(5) e4:hbyz(1)")
+	if rep.QuorumRecoveries == 0 || rep.ByzantinePartials == 0 {
+		t.Fatalf("recoveries %d, byzantine %d: the holder faults never bit", rep.QuorumRecoveries, rep.ByzantinePartials)
+	}
+	want := map[int]string{1: "[4 5]", 2: "[1 5]", 3: "[1 2]", 4: "[2 3]", 5: "[1 2]", 6: "[1 2]"}
+	for _, o := range cc.outcomes {
+		if got := fmt.Sprint(o.Quorum); got != want[o.Epoch] {
+			t.Fatalf("epoch %d primary %d decided by %s, want %s", o.Epoch, o.Primary, got, want[o.Epoch])
+		}
+	}
+	if rep.Quorums != 4 {
+		t.Fatalf("%d distinct quorums, want 4", rep.Quorums)
+	}
+}
+
+// TestQuorumConvictsTamperThroughDegradedQuorum: rot planted in epoch 3,
+// while holder 1 is down and holder 2 forges, is convicted by the quorum
+// of holders 3 and 4 with no false flag, in agreement with the single DA.
+func TestQuorumConvictsTamperThroughDegradedQuorum(t *testing.T) {
+	rep, cc := runQuorum(t, 4, "e1:quorum(2,5) e2:hkill(2) e2:hbyz(3) "+
+		"e3:tamper(0,2) e3:hkill(1) e3:hbyz(2) e4:hkill(3) e4:hbyz(1)")
+	if !rep.Detected || rep.ByzantinePartials == 0 {
+		t.Fatalf("detected %v, byzantine %d", rep.Detected, rep.ByzantinePartials)
+	}
+	convicted := false
+	for _, o := range cc.outcomes {
+		if o.Epoch == 3 && len(o.Accused) > 0 {
+			if fmt.Sprint(o.Quorum) != "[3 4]" || o.Accused[0] != 0 {
+				t.Fatalf("epoch 3 primary %d: accused %v decided by %v, want server 0 by [3 4]", o.Primary, o.Accused, o.Quorum)
+			}
+			convicted = true
+		}
+	}
+	if !convicted {
+		t.Fatal("no epoch-3 audit accused the tampered server")
 	}
 }
 

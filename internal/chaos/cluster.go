@@ -3,7 +3,9 @@ package chaos
 import (
 	"context"
 	"crypto/rand"
+	"errors"
 	"fmt"
+	"math"
 	mrand "math/rand"
 	"path/filepath"
 	"strconv"
@@ -17,6 +19,7 @@ import (
 	"seccloud/internal/obs"
 	"seccloud/internal/pairing"
 	"seccloud/internal/store"
+	"seccloud/internal/threshold"
 	"seccloud/internal/wire"
 	"seccloud/internal/workload"
 )
@@ -113,7 +116,8 @@ func (l *ledger) expectedServed(srv int, pos uint64) map[string]bool {
 // cluster is one live SecCloud deployment under the nemesis: n replica
 // servers with FaultFS-backed WALs, a DA and a CSP reaching them through
 // partitionable, fault-injectable, clock-skewed links, plus the ledger
-// the invariant engine checks against.
+// the invariant engine checks against. With a quorum step the DA is a
+// combiner over share-holders of the dealt verifier key.
 type cluster struct {
 	cfg       Config
 	reference bool // fault-free replay: only tamper/plant steps apply
@@ -141,6 +145,8 @@ type cluster struct {
 
 	daClients  []netsim.Client // raw partitioned links the fleet audits over
 	cspClients []netsim.Client // retrying, breaker-instrumented store path
+
+	holders []*holder // share-holders of the dealt key; nil for a single DA
 
 	dir string
 	hub *obs.Hub
@@ -176,6 +182,37 @@ type cluster struct {
 	shedRounds          int
 }
 
+// holder is one share-holder of the dealt verifier key, behind its own
+// kill switch on a plain loopback. The combiner's breakers for holders
+// never open, so every request to a holder is answered or failed by the
+// holder itself: each one a killed or forging holder fails is one quorum
+// recovery, and each forged answer one Byzantine partial — the two counts
+// the registry keeps.
+type holder struct {
+	*netsim.DownableHandler
+	share          *threshold.AuditorShare
+	byz            bool
+	failed, forged int
+}
+
+// Handle counts the request if a fault makes it fail, then serves it.
+func (h *holder) Handle(m wire.Message) wire.Message {
+	switch {
+	case h.Down():
+		h.failed++
+	case h.byz:
+		h.failed++
+		h.forged++
+	}
+	return h.DownableHandler.Handle(m)
+}
+
+// setByzantine makes the holder forge its partials, or stop forging.
+func (h *holder) setByzantine(on bool) {
+	h.byz = on
+	h.share.SetByzantine(on)
+}
+
 type chainEntry struct {
 	Epoch, Primary int
 	Raw            []byte
@@ -193,10 +230,15 @@ type auditOutcome struct {
 	Failovers      int
 	LostRounds     int
 	Degraded       bool
+	// Sampled and Failed are the challenged and the failing positions;
+	// Quorum is the share set that decided the verdict (nil: single DA).
+	Sampled, Failed []uint64
+	Quorum          []int
 	// CleanFleet: every breaker closed, nobody killed or crash-pending
 	// when the audit started. Only then is exact verdict agreement with
 	// the reference demanded; a degraded fleet may legally route rounds
-	// differently.
+	// differently. Holder faults leave the fleet clean: a quorum audit
+	// must agree with the single DA whoever computed it.
 	CleanFleet bool
 }
 
@@ -206,6 +248,8 @@ type jobOutcome struct {
 	Epoch, Slot, Server int
 	Valid               bool
 	Degraded            bool
+	Sampled, Failed     []uint64
+	Quorum              []int
 	// Clean: the fleet was clean when the audit started and the sub-job
 	// ran on its own slot's server, so the reference saw the same thing.
 	Clean bool
@@ -214,6 +258,10 @@ type jobOutcome struct {
 const (
 	tamperReserve = 2 // top positions ops never touch; tamper lands here
 	serverIDFmt   = "cs:chaos-%d"
+	// daID is the designated verifier: the DA's key, or with a quorum the
+	// dealt key, which designations and the warrant name either way, so
+	// servers see the same traffic as in the reference replay.
+	daID = "da:chaos"
 	// admissionSlots is every server's execution slots; its gate keeps no
 	// queue, so a request finding them all held is shed at once.
 	admissionSlots = 4
@@ -289,7 +337,8 @@ func xorA5(b []byte) []byte {
 // newCluster builds and seeds a deployment: keys, servers with
 // FaultFS-backed WALs (real fsyncs — sync faults must have something to
 // fail), links, fleet breakers, the outsourced dataset, and the ledger.
-func newCluster(cfg Config, dir string, reference bool) (*cluster, error) {
+// A non-nil quorum step deals the DA's key to share-holders.
+func newCluster(cfg Config, dir string, reference bool, quorum *Step) (*cluster, error) {
 	hub := cfg.Hub
 	if hub == nil {
 		hub = obs.NewHub()
@@ -328,15 +377,27 @@ func newCluster(cfg Config, dir string, reference bool) (*cluster, error) {
 	if err != nil {
 		return nil, err
 	}
-	daKey, err := sio.Extract("da:chaos")
+	daKey, err := sio.Extract(daID)
 	if err != nil {
 		return nil, err
 	}
 	c.user = core.NewUser(sp, userKey, rand.Reader)
-	c.agency = core.NewAgency(sp, daKey, rand.Reader).
+	agencyKey := daKey
+	if quorum != nil {
+		// The combiner signs evidence with a key of its own.
+		if agencyKey, err = sio.Extract(daID + "-combiner"); err != nil {
+			return nil, err
+		}
+	}
+	c.agency = core.NewAgency(sp, agencyKey, rand.Reader).
 		WithWorkers(cfg.Workers).
 		WithObs(c.hub).
 		WithClock(c.daClock.Now)
+	if quorum != nil {
+		if err := c.dealQuorum(daKey, quorum.T, quorum.N); err != nil {
+			return nil, err
+		}
+	}
 
 	c.handlers = make([]*netsim.SwappableHandler, cfg.Servers)
 	c.policies = make([]*cheatPolicy, cfg.Servers)
@@ -401,7 +462,7 @@ func newCluster(cfg Config, dir string, reference bool) (*cluster, error) {
 	// only wakes at epoch 1).
 	gen := workload.NewGenerator(cfg.Seed)
 	c.ds = gen.GenDataset(c.user.ID(), cfg.Blocks, 8)
-	c.verifiers = append(ids[:len(ids):len(ids)], c.agency.ID())
+	c.verifiers = append(ids[:len(ids):len(ids)], daID)
 	storeReq, err := c.user.PrepareStore(c.ds, c.verifiers...)
 	if err != nil {
 		return nil, err
@@ -414,12 +475,52 @@ func newCluster(cfg Config, dir string, reference bool) (*cluster, error) {
 	if err := c.csp.ReplicateStore(c.user, storeReq); err != nil {
 		return nil, err
 	}
-	c.warrant, err = core.WildcardWarrant(c.user, c.agency.ID(), time.Now().Add(24*time.Hour))
+	c.warrant, err = core.WildcardWarrant(c.user, daID, time.Now().Add(24*time.Hour))
 	if err != nil {
 		return nil, err
 	}
 	c.led = newLedger(cfg.Servers, c.ds.Blocks)
 	return c, nil
+}
+
+// dealQuorum splits key t-of-n across share-holders and turns the agency
+// into their combiner.
+func (c *cluster) dealQuorum(key *ibc.PrivateKey, t, n int) error {
+	sp := c.sio.Params()
+	deal, err := threshold.SplitVerifierKey(sp, key, t, n, rand.Reader)
+	if err != nil {
+		return err
+	}
+	c.holders = make([]*holder, n)
+	clients := make([]netsim.Client, n)
+	for i, share := range deal.Shares {
+		as := threshold.NewAuditorShare(sp, share, rand.Reader)
+		c.holders[i] = &holder{DownableHandler: netsim.NewDownableHandler(as), share: as}
+		clients[i] = netsim.NewLoopback(c.holders[i], netsim.LinkConfig{})
+	}
+	_, err = c.agency.WithThreshold(core.ThresholdConfig{
+		Public:  deal.Public,
+		Clients: clients,
+		Health:  core.NewFleetHealth(n, core.BreakerConfig{FailThreshold: math.MaxInt}),
+	})
+	return err
+}
+
+// quorumOf is the share set that decided an audit, nil for a single DA.
+func quorumOf(tr *core.ThresholdTrail) []int {
+	if tr == nil {
+		return nil
+	}
+	return tr.Quorum
+}
+
+// failedPositions lists the positions of an audit's failures.
+func failedPositions(fails []core.AuditFailure) []uint64 {
+	out := make([]uint64, len(fails))
+	for i, f := range fails {
+		out[i] = f.Index
+	}
+	return out
 }
 
 func nodeLabel(i int) string { return fmt.Sprintf("%d", i) }
@@ -541,13 +642,18 @@ func (c *cluster) runAudit(ep, pi int) auditOutcome {
 	if err != nil {
 		// A fleet with every replica dark can fail the audit outright;
 		// that is an availability fact, not a harness bug. Liveness
-		// checks refuse it in the quiet phase.
+		// checks refuse it in the quiet phase. A quorum the schedule's
+		// holder faults left intact must never be unavailable.
 		out.Err = err.Error()
 		c.auditErrors++
+		if errors.Is(err, core.ErrQuorumUnavailable) {
+			c.violations.addf("quorum", "epoch %d primary %d: %v", ep, pi, err)
+		}
 		return out
 	}
 	out.Valid = fr.Valid()
 	out.Degraded = fr.Degraded()
+	out.Sampled, out.Failed, out.Quorum = fr.Sampled, failedPositions(fr.Failures), quorumOf(fr.Threshold)
 	out.Failovers = len(fr.Failovers)
 	c.failovers += out.Failovers
 	// A round a gate refused moves to the next replica; it is lost as
@@ -640,10 +746,15 @@ func (c *cluster) runJob(ep int) error {
 			Rng:             mrand.New(mrand.NewSource(subSeed(c.cfg.Seed, "job-audit", ep, sub.Slot))),
 			Retry:           c.auditRetrier("retry-job", ep, sub.Slot),
 		})
+		if errors.Is(err, core.ErrQuorumUnavailable) {
+			c.violations.addf("quorum", "epoch %d job audit of %s: %v", ep, sub.JobID, err)
+			continue
+		}
 		if err != nil {
 			return fmt.Errorf("chaos: epoch %d: audit of sub-job %s: %w", ep, sub.JobID, err)
 		}
 		out.Valid, out.Degraded = rep.Valid(), rep.Degraded()
+		out.Sampled, out.Failed, out.Quorum = rep.Sampled, failedPositions(rep.Failures), quorumOf(rep.Threshold)
 		c.shedRounds += rep.ShedRounds()
 		c.jobOutcomes = append(c.jobOutcomes, out)
 		pol := c.policies[sub.ServerIdx]

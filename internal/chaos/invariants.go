@@ -2,6 +2,7 @@ package chaos
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"seccloud/internal/core"
@@ -175,8 +176,11 @@ func (c *cluster) checkLiveness() {
 // with the fault-free reference replay on identical sampling draws. When the
 // chaos audit ran over a clean fleet (no failovers, no lost rounds, all
 // breakers closed) it saw exactly what the reference saw, so its verdict
-// must match exactly; a mismatch means weather changed a verdict, which
-// is precisely what the audit protocol promises cannot happen.
+// — validity, accusations, sampled and failing positions — must match
+// exactly; a mismatch means weather changed a verdict, which is precisely
+// what the audit protocol promises cannot happen. With a quorum step the
+// reference audits with the single DA holding the undealt key, so every
+// clean audit is also a quorum-against-single-DA cross-check.
 func checkAgreement(chaosRun, ref *cluster) {
 	if len(chaosRun.outcomes) != len(ref.outcomes) {
 		chaosRun.violations.addf("agreement", "outcome count %d vs reference %d",
@@ -197,10 +201,11 @@ func checkAgreement(chaosRun, ref *cluster) {
 		if !clean {
 			continue // degraded-path accusations are policed by the false-flag invariant
 		}
-		if co.Valid != ro.Valid || !sameAccusations(co, ro) {
+		if co.Valid != ro.Valid || !sameAccusations(co, ro) ||
+			!slices.Equal(co.Sampled, ro.Sampled) || !slices.Equal(co.Failed, ro.Failed) {
 			chaosRun.violations.addf("agreement",
-				"epoch %d primary %d: chaos verdict (valid=%v accused=%v) != reference (valid=%v accused=%v)",
-				co.Epoch, co.Primary, co.Valid, co.Accused, ro.Valid, ro.Accused)
+				"epoch %d primary %d: chaos verdict (valid=%v accused=%v sampled=%v failed=%v) != reference (valid=%v accused=%v sampled=%v failed=%v)",
+				co.Epoch, co.Primary, co.Valid, co.Accused, co.Sampled, co.Failed, ro.Valid, ro.Accused, ro.Sampled, ro.Failed)
 		}
 	}
 
@@ -216,9 +221,10 @@ func checkAgreement(chaosRun, ref *cluster) {
 		if !co.Clean || co.Degraded || !ok {
 			continue
 		}
-		if co.Valid != ro.Valid {
-			chaosRun.violations.addf("agreement", "epoch %d job audit of slot %d: chaos valid=%v != reference valid=%v",
-				co.Epoch, co.Slot, co.Valid, ro.Valid)
+		if co.Valid != ro.Valid || !slices.Equal(co.Sampled, ro.Sampled) || !slices.Equal(co.Failed, ro.Failed) {
+			chaosRun.violations.addf("agreement",
+				"epoch %d job audit of slot %d: chaos (valid=%v sampled=%v failed=%v) != reference (valid=%v sampled=%v failed=%v)",
+				co.Epoch, co.Slot, co.Valid, co.Sampled, co.Failed, ro.Valid, ro.Sampled, ro.Failed)
 		}
 	}
 }

@@ -10,7 +10,8 @@ import (
 
 // applyStep executes one nemesis move against the cluster. In reference
 // mode only the adversarial steps (tamper, cheat, plant) apply — the
-// reference replay faces the same cheaters with none of the weather.
+// reference replay faces the same cheaters with none of the weather, and
+// with the single DA that holds the key a quorum step deals.
 func (c *cluster) applyStep(s Step) error {
 	if c.reference {
 		switch s.Kind {
@@ -109,6 +110,10 @@ func (c *cluster) applyStep(s Step) error {
 			}
 			c.shedding[s.Target] = true
 		}
+	case StepHKill:
+		c.holders[s.Target-1].SetDown(true)
+	case StepHByz:
+		c.holders[s.Target-1].setByzantine(true)
 	case StepPlant:
 		return c.applyPlant(s)
 	}
@@ -197,6 +202,10 @@ func (c *cluster) runEpochs(sched Schedule) error {
 	for ep := 1; ep <= total; ep++ {
 		for _, p := range c.policies {
 			p.reset(ep)
+		}
+		for _, h := range c.holders {
+			h.SetDown(false)
+			h.setByzantine(false)
 		}
 		for _, s := range sched.stepsAt(ep) {
 			if err := c.applyStep(s); err != nil {

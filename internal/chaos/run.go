@@ -128,6 +128,15 @@ type Report struct {
 	DiskFaults int64 `json:"disk_faults"`
 	NetDrops   int64 `json:"net_drops"`
 
+	// Quorums counts the distinct share sets that decided audits (0: a
+	// single DA). QuorumRecoveries counts partial requests a killed or
+	// forging holder failed while the quorum still formed, and
+	// ByzantinePartials the forged answers among them — both as the
+	// registry's threshold_* counters count them.
+	Quorums           int `json:"quorums"`
+	QuorumRecoveries  int `json:"quorum_recoveries"`
+	ByzantinePartials int `json:"byzantine_partials"`
+
 	// Violations is empty iff every invariant held.
 	Violations []string `json:"violations,omitempty"`
 
@@ -148,13 +157,30 @@ func (r *Report) Repro() string {
 // fault-free reference replay of the same schedule's adversarial steps,
 // then hand everything to the invariant engine.
 func Run(cfg Config) (*Report, error) {
+	rep, _, err := run(cfg)
+	return rep, err
+}
+
+// run is Run that also hands back the chaos cluster, for tests that read
+// what the report does not carry.
+func run(cfg Config) (*Report, *cluster, error) {
 	if err := cfg.validate(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	start := time.Now()
 	sched := cfg.Schedule
 	if sched == nil {
 		sched = Generate(cfg.Seed, cfg.Servers, cfg.ActiveEpochs, cfg.MaxStepsPerEpoch, cfg.Tamper)
+	}
+	if err := sched.validate(); err != nil {
+		return nil, nil, err
+	}
+	// A step past the last epoch would never run; refuse it rather than
+	// report a clean run that skipped it.
+	for _, s := range sched {
+		if last := cfg.ActiveEpochs + cfg.QuietEpochs; s.Epoch > last {
+			return nil, nil, fmt.Errorf("chaos: %s: past the run's last epoch %d", s, last)
+		}
 	}
 
 	// Every run gets a fresh directory (under cfg.Dir when set, the
@@ -162,33 +188,33 @@ func Run(cfg Config) (*Report, error) {
 	// poison determinism — and the shrinker runs dozens of times.
 	dir, err := os.MkdirTemp(cfg.Dir, "chaos-run-*")
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	defer os.RemoveAll(dir)
 
 	// The chaos run: full weather.
-	cc, err := newCluster(cfg, dir+"/chaos", false)
+	cc, err := newCluster(cfg, dir+"/chaos", false, sched.quorum())
 	if err != nil {
-		return nil, fmt.Errorf("chaos: building cluster: %w", err)
+		return nil, nil, fmt.Errorf("chaos: building cluster: %w", err)
 	}
 	if err := cc.runEpochs(sched); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 
 	// The reference replay: identical ops, identical audit draws,
-	// identical adversary — zero weather. Sharing the chaos run's SIO
-	// halves setup cost without coupling verdicts.
+	// identical adversary — zero weather and a single DA. Sharing the
+	// chaos run's SIO halves setup cost without coupling verdicts.
 	refCfg := cfg
 	if refCfg.SIO == nil {
 		refCfg.SIO = cc.sio
 	}
 	refCfg.Hub = nil
-	ref, err := newCluster(refCfg, dir+"/ref", true)
+	ref, err := newCluster(refCfg, dir+"/ref", true, nil)
 	if err != nil {
-		return nil, fmt.Errorf("chaos: building reference cluster: %w", err)
+		return nil, nil, fmt.Errorf("chaos: building reference cluster: %w", err)
 	}
 	if err := ref.runEpochs(sched); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 
 	// The invariant engine's final pass.
@@ -201,29 +227,49 @@ func Run(cfg Config) (*Report, error) {
 	for _, d := range cc.disks {
 		diskFaults += d.Counts().Total()
 	}
-	rep := &Report{
-		Seed:          cfg.Seed,
-		Schedule:      sched.String(),
-		Steps:         len(sched),
-		Epochs:        cfg.ActiveEpochs + cfg.QuietEpochs,
-		Ops:           cc.opsTotal,
-		OpsFailed:     cc.opsFailed,
-		Audits:        len(cc.outcomes),
-		FalseFlags:    cc.falseFlags,
-		Accusations:   cc.accusations,
-		Detected:      cc.detected,
-		Tampered:      len(cc.led.tamperContent) > 0,
-		LostRounds:    cc.lostRounds,
-		Failovers:     cc.failovers,
-		AuditErrors:   cc.auditErrors,
-		ShedRounds:    cc.shedRounds,
-		JobAudits:     len(cc.jobOutcomes),
-		JobDetections: cc.jobDetections,
-		Exposure:      cc.exposure,
-		DiskFaults:    diskFaults,
-		NetDrops:      cc.part.Drops(),
-		Violations:    cc.violations.list,
-		Elapsed:       time.Since(start),
+	recoveries, forged := 0, 0
+	for _, h := range cc.holders {
+		recoveries += h.failed
+		forged += h.forged
 	}
-	return rep, nil
+	quorums := map[string]bool{}
+	note := func(q []int) {
+		if len(q) > 0 {
+			quorums[fmt.Sprint(q)] = true
+		}
+	}
+	for _, o := range cc.outcomes {
+		note(o.Quorum)
+	}
+	for _, o := range cc.jobOutcomes {
+		note(o.Quorum)
+	}
+	rep := &Report{
+		Seed:              cfg.Seed,
+		Schedule:          sched.String(),
+		Steps:             len(sched),
+		Epochs:            cfg.ActiveEpochs + cfg.QuietEpochs,
+		Ops:               cc.opsTotal,
+		OpsFailed:         cc.opsFailed,
+		Audits:            len(cc.outcomes),
+		FalseFlags:        cc.falseFlags,
+		Accusations:       cc.accusations,
+		Detected:          cc.detected,
+		Tampered:          len(cc.led.tamperContent) > 0,
+		LostRounds:        cc.lostRounds,
+		Failovers:         cc.failovers,
+		AuditErrors:       cc.auditErrors,
+		ShedRounds:        cc.shedRounds,
+		JobAudits:         len(cc.jobOutcomes),
+		JobDetections:     cc.jobDetections,
+		Exposure:          cc.exposure,
+		DiskFaults:        diskFaults,
+		NetDrops:          cc.part.Drops(),
+		Quorums:           len(quorums),
+		QuorumRecoveries:  recoveries,
+		ByzantinePartials: forged,
+		Violations:        cc.violations.list,
+		Elapsed:           time.Since(start),
+	}
+	return rep, cc, nil
 }

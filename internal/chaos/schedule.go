@@ -73,6 +73,16 @@ const (
 	// admission slot of the server, so the gate refuses each request to
 	// it with a typed overload reply.
 	StepShed
+	// StepQuorum is the DA's shape, not a move: at epoch 1 only, it deals
+	// the verifier key T-of-N to share-holders and audits run through a
+	// quorum of their partials. Without it the run trusts one DA.
+	StepQuorum
+	// StepHKill takes share-holder Target (1-based) off the network for
+	// this epoch.
+	StepHKill
+	// StepHByz makes share-holder Target (1-based) forge its partials for
+	// this epoch.
+	StepHByz
 )
 
 var stepNames = map[StepKind]string{
@@ -80,6 +90,7 @@ var stepNames = map[StepKind]string{
 	StepSkew: "skew", StepCrash: "crash", StepKill: "kill", StepRevive: "revive",
 	StepDisk: "disk", StepDiskHeal: "diskheal", StepRestart: "restart",
 	StepTamper: "tamper", StepPlant: "plant", StepCheat: "cheat", StepShed: "shed",
+	StepQuorum: "quorum", StepHKill: "hkill", StepHByz: "hbyz",
 }
 
 // The plant kinds (see StepPlant).
@@ -94,8 +105,8 @@ type Step struct {
 	Epoch int
 	Kind  StepKind
 
-	// Target is the victim server index (every kind but cut, heal and
-	// skew).
+	// Target is the victim server index (every kind but cut, heal, skew
+	// and quorum), or the 1-based share index for hkill and hbyz.
 	Target int
 	// Node is the skewed node: "da" or a server index rendered in
 	// decimal.
@@ -116,6 +127,8 @@ type Step struct {
 	Blocks int
 	// Plant is the planted violation kind.
 	Plant string
+	// T of N is the dealt quorum shape.
+	T, N int
 }
 
 // String renders the step in the schedule grammar (see DESIGN.md §10).
@@ -154,6 +167,12 @@ func (s Step) String() string {
 		body = fmt.Sprintf("cheat(%d,csc=%s)", s.Target, f(s.CSC))
 	case StepShed:
 		body = fmt.Sprintf("shed(%d)", s.Target)
+	case StepQuorum:
+		body = fmt.Sprintf("quorum(%d,%d)", s.T, s.N)
+	case StepHKill:
+		body = fmt.Sprintf("hkill(%d)", s.Target)
+	case StepHByz:
+		body = fmt.Sprintf("hbyz(%d)", s.Target)
 	default:
 		body = fmt.Sprintf("step(%d)", int(s.Kind))
 	}
@@ -196,7 +215,57 @@ func ParseSchedule(text string) (Schedule, error) {
 	}
 	// Steps execute in epoch order; within an epoch, in written order.
 	sort.SliceStable(sched, func(i, j int) bool { return sched[i].Epoch < sched[j].Epoch })
+	if err := sched.validate(); err != nil {
+		return nil, err
+	}
 	return sched, nil
+}
+
+// quorum returns the schedule's quorum step, nil for a single DA.
+func (sc Schedule) quorum() *Step {
+	for i := range sc {
+		if sc[i].Kind == StepQuorum {
+			return &sc[i]
+		}
+	}
+	return nil
+}
+
+// validate refuses a DA shape no cluster can run: a quorum outside epoch
+// 1, a second quorum, t outside 1..n, a holder step without a quorum or
+// naming a share index outside 1..n, or more holders faulted in one
+// epoch than the n−t a quorum survives.
+func (sc Schedule) validate() error {
+	q := sc.quorum()
+	faulted := map[int]map[int]bool{} // epoch → holders
+	for i, s := range sc {
+		switch s.Kind {
+		case StepQuorum:
+			switch {
+			case &sc[i] != q:
+				return fmt.Errorf("chaos: %s: a second quorum step", s)
+			case s.Epoch != 1:
+				return fmt.Errorf("chaos: %s: the quorum is dealt at epoch 1", s)
+			case s.T < 1 || s.T > s.N:
+				return fmt.Errorf("chaos: %s: t must be in 1..n", s)
+			}
+		case StepHKill, StepHByz:
+			switch {
+			case q == nil:
+				return fmt.Errorf("chaos: %s: holder step without a quorum step", s)
+			case s.Target < 1 || s.Target > q.N:
+				return fmt.Errorf("chaos: %s: holder outside 1..%d", s, q.N)
+			}
+			if faulted[s.Epoch] == nil {
+				faulted[s.Epoch] = map[int]bool{}
+			}
+			faulted[s.Epoch][s.Target] = true
+			if n := len(faulted[s.Epoch]); n > q.N-q.T {
+				return fmt.Errorf("chaos: epoch %d faults %d holders, over the n-t = %d budget", s.Epoch, n, q.N-q.T)
+			}
+		}
+	}
+	return nil
 }
 
 func parseStep(tok string) (Step, error) {
@@ -264,7 +333,7 @@ func parseStep(tok string) (Step, error) {
 		if len(args) != 0 {
 			return st, fmt.Errorf("chaos: step %q: heal takes no args", tok)
 		}
-	case StepCalm, StepKill, StepRevive, StepDiskHeal, StepRestart, StepShed:
+	case StepCalm, StepKill, StepRevive, StepDiskHeal, StepRestart, StepShed, StepHKill, StepHByz:
 		if len(args) != 1 {
 			return st, fmt.Errorf("chaos: step %q: want 1 arg", tok)
 		}
@@ -351,6 +420,16 @@ func parseStep(tok string) (Step, error) {
 		if st.CSC, err = rate(args[1], "csc"); err != nil {
 			return st, err
 		}
+	case StepQuorum:
+		if len(args) != 2 {
+			return st, fmt.Errorf("chaos: step %q: want quorum(t,n)", tok)
+		}
+		if st.T, err = atoi(args[0]); err != nil {
+			return st, err
+		}
+		if st.N, err = atoi(args[1]); err != nil {
+			return st, err
+		}
 	case StepPlant:
 		if len(args) != 2 {
 			return st, fmt.Errorf("chaos: step %q: want plant(kind,srv)", tok)
@@ -375,10 +454,10 @@ func parseStep(tok string) (Step, error) {
 // first quiet epoch (active+1) heals everything — partitions, link and
 // disk faults, skew, outages — so the liveness invariant has a fair
 // horizon. Crashed servers are restarted by the nemesis at epoch
-// boundaries, and a shed or a cheat lasts one epoch, so neither needs a
-// step to undo it. With tamper set the schedule carries a real storage
-// cheater and, every active epoch, a computation cheater on a freshly
-// drawn server: the mobile adversary of §III-B on both halves.
+// boundaries, and a shed, a cheat or a holder fault lasts one epoch, so
+// none needs a step to undo it. With tamper set the schedule carries a
+// real storage cheater and, every active epoch, a computation cheater on
+// a freshly drawn server: the mobile adversary of §III-B on both halves.
 func Generate(seed int64, servers, activeEpochs, maxPerEpoch int, tamper bool) Schedule {
 	rng := rand.New(rand.NewSource(seed))
 	var sched Schedule
@@ -556,6 +635,25 @@ func Generate(seed int64, servers, activeEpochs, maxPerEpoch int, tamper bool) S
 	for i := 0; i < servers; i++ {
 		if skewed[nodeName(i)] {
 			sched = append(sched, Step{Epoch: cleanup, Kind: StepSkew, Node: nodeName(i), Skew: 0})
+		}
+	}
+
+	// The DA's shape and its holders' weather come from streams of their
+	// own, so a seed's server-side steps are the same with or without a
+	// quorum: about half the seeds deal the key 2-of-3, and each active
+	// epoch faults at most the n−t holders a quorum survives.
+	if rand.New(rand.NewSource(subSeed(seed, "quorum", 0, 0))).Intn(2) == 0 {
+		const t, n = 2, 3
+		sched = append(Schedule{{Epoch: 1, Kind: StepQuorum, T: t, N: n}}, sched...)
+		for ep := 1; ep <= activeEpochs; ep++ {
+			hr := rand.New(rand.NewSource(subSeed(seed, "holders", ep, 0)))
+			for _, h := range hr.Perm(n)[:hr.Intn(n-t+1)] {
+				kind := StepHKill
+				if hr.Intn(2) == 0 {
+					kind = StepHByz
+				}
+				sched = append(sched, Step{Epoch: ep, Kind: kind, Target: h + 1})
+			}
 		}
 	}
 	sort.SliceStable(sched, func(i, j int) bool { return sched[i].Epoch < sched[j].Epoch })

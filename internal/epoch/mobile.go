@@ -1,7 +1,6 @@
 // Package epoch holds SecCloud's epoch-structured scenarios: the mobile
 // b-of-n adversary of §III-B as a schedule for the chaos fleet simulator
-// (Mobile), the t-of-n threshold agency (RunThreshold) and the
-// multi-tenant audit scheduler (RunMultiTenant).
+// (Mobile) and the multi-tenant audit scheduler (RunMultiTenant).
 package epoch
 
 import (

@@ -17,7 +17,7 @@ func testDeal(t *testing.T, tq, n int) (*ibc.SystemParams, *ibc.PrivateKey, *Dea
 		t.Fatalf("setup: %v", err)
 	}
 	sp := sio.Params()
-	key, err := sio.Extract("da:threshold-test")
+	key, err := sio.Extract("da:threshold-unit")
 	if err != nil {
 		t.Fatalf("extract: %v", err)
 	}

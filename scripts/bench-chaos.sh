@@ -2,7 +2,9 @@
 # bench-chaos — the 200-seed chaos gate, run through seccloud-sim: every
 # composed-fault schedule of seeds 1..200 must end with zero false flags
 # and every invariant green, and every third seed (3, 6, …, 198) must
-# convict the cheating replica when rerun with -chaos-tamper. Any miss
+# convict the cheating replica when rerun with -chaos-tamper. About half
+# the seeds deal the DA's key 2-of-3 to share-holders: at least one clean
+# and one convicted tampered seed must have run such a quorum. Any miss
 # prints that run's output and exits nonzero.
 #
 #   scripts/bench-chaos.sh        (`make bench-chaos`)
@@ -29,8 +31,11 @@ fail() {
 	fail "$tmp/clean.out" "the 200-seed sweep exited nonzero"
 grep -q '^false flags: 0 ' "$tmp/clean.out" || fail "$tmp/clean.out" "the 200-seed sweep raised false flags"
 grep -q '^invariants: ok$' "$tmp/clean.out" || fail "$tmp/clean.out" "the 200-seed sweep broke an invariant"
+quorums=$(sed -n 's/^quorum runs: \([0-9]*\) .*/\1/p' "$tmp/clean.out")
+[ "${quorums:-0}" -ge 1 ] || fail "$tmp/clean.out" "no clean seed ran a quorum"
 
 tampered=0
+tampered_quorums=0
 for seed in $(seq 3 3 198); do
 	out="$tmp/tamper-$seed.out"
 	"$tmp/seccloud-sim" -chaos -chaos-seed "$seed" -chaos-tamper > "$out" ||
@@ -39,6 +44,13 @@ for seed in $(seq 3 3 198); do
 		fail "$out" "tampered seed $seed raised a false flag or missed the cheater"
 	grep -q '^invariants: ok$' "$out" || fail "$out" "tampered seed $seed broke an invariant"
 	tampered=$((tampered + 1))
+	if grep -q '^quorum runs: 1 ' "$out"; then
+		tampered_quorums=$((tampered_quorums + 1))
+	fi
 done
+[ "$tampered_quorums" -ge 1 ] || {
+	echo "bench-chaos: no convicted tampered seed ran a quorum" >&2
+	exit 1
+}
 
-echo "bench-chaos: 200 schedules clean (0 false flags, invariants ok); $tampered/$tampered tampered schedules convicted"
+echo "bench-chaos: 200 schedules clean (0 false flags, invariants ok; $quorums ran a quorum); $tampered/$tampered tampered schedules convicted ($tampered_quorums ran a quorum)"
