@@ -42,8 +42,10 @@ loc:
 
 # Short fuzz pass over the wire codec (the corruption injector's attack
 # surface), the WAL record decoder (what a torn or bit-rotted log feeds
-# into recovery) and the snapshot decoder (what a FaultFS-rotted snapshot
-# file feeds into it); extend -fuzztime locally for deeper runs.
+# into recovery), the snapshot decoder (what a FaultFS-rotted snapshot
+# file feeds into it), the evidence decoder and the chaos schedule
+# grammar (what every printed repro line replays through); extend
+# -fuzztime locally for deeper runs.
 fuzz: fuzz-decoders fuzz-crypto
 
 fuzz-decoders:
@@ -53,6 +55,7 @@ fuzz-decoders:
 	$(GO) test ./internal/store -fuzz FuzzReadRecord -fuzztime 10s
 	$(GO) test ./internal/store -fuzz FuzzDecodeSnapshot -fuzztime 10s
 	$(GO) test ./internal/core -fuzz FuzzDecodeEvidence -fuzztime 10s
+	$(GO) test ./internal/chaos -run '^$$' -fuzz 'FuzzParseSchedule$$' -fuzztime 10s
 
 # Differential fuzz of the Montgomery-limb kernels against the math/big
 # code they replaced, one target a layer: field operations, the windowed

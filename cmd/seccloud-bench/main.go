@@ -24,7 +24,6 @@ import (
 	"time"
 
 	"seccloud/internal/chaos"
-	"seccloud/internal/epoch"
 	"seccloud/internal/experiments"
 	"seccloud/internal/pairing"
 )
@@ -292,7 +291,7 @@ func (r *runner) epochs() error {
 	} else {
 		fmt.Printf("%8s %12s %12s %12s %12s\n", "t", "job audits", "detections", "exposure", "false flags")
 	}
-	sched, err := epoch.Mobile(1, 4, 1, 4, 0.5)
+	sched, err := chaos.Mobile(1, 4, 1, 4, 0.5)
 	if err != nil {
 		return err
 	}

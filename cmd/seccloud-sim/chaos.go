@@ -33,6 +33,7 @@ func runChaos(f chaosRunFlags) ([]*chaos.Report, error) {
 	tampered, detected := 0, 0
 	jobAudits, jobDetections, exposure, shed := 0, 0, 0, 0
 	quorumRuns, recoveries, byzantine := 0, 0, 0
+	tenantRuns, tenants, tenantSessions, tenantDetections := 0, 0, 0, 0
 	for i := 0; i < f.Runs; i++ {
 		cfg := chaos.Defaults(f.Seed + int64(i))
 		cfg.Tamper = f.Tamper
@@ -60,6 +61,12 @@ func runChaos(f chaosRunFlags) ([]*chaos.Report, error) {
 		}
 		recoveries += rep.QuorumRecoveries
 		byzantine += rep.ByzantinePartials
+		if rep.TenantSessions > 0 {
+			tenantRuns++
+		}
+		tenants += rep.Tenants
+		tenantSessions += rep.TenantSessions
+		tenantDetections += rep.TenantDetections
 		if rep.Tampered {
 			tampered++
 			if rep.Detected {
@@ -80,6 +87,8 @@ func runChaos(f chaosRunFlags) ([]*chaos.Report, error) {
 		jobAudits, jobDetections, exposure, shed)
 	fmt.Printf("quorum runs: %d   quorum recoveries: %d   byzantine partials: %d\n",
 		quorumRuns, recoveries, byzantine)
+	fmt.Printf("tenant runs: %d   tenants: %d   tenant sessions: %d   tenant detections: %d\n",
+		tenantRuns, tenants, tenantSessions, tenantDetections)
 
 	if violations == 0 {
 		fmt.Println("invariants: ok")

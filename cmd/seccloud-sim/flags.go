@@ -3,13 +3,14 @@ package main
 import (
 	"flag"
 	"fmt"
+	"strings"
 	"time"
 
 	"seccloud/internal/chaos"
 )
 
-// simFlags is seccloud-sim's command line: the flags every mode takes,
-// then each mode's own.
+// simFlags is seccloud-sim's command line: the admin endpoint, then the
+// fleet simulator's own flags.
 type simFlags struct {
 	fs *flag.FlagSet
 
@@ -22,32 +23,6 @@ type simFlags struct {
 	chaosRuns   int
 	chaosTamper bool
 	chaosShrink bool
-
-	multitenant  bool
-	epochs       int
-	samples      int
-	seed         int64
-	workers      int
-	tenants      int
-	tenantSess   int
-	tenantZipf   float64
-	tenantBlocks int
-	crossBatch   bool
-	flushLimit   int
-	tamperEpoch  int
-	tamperRank   int
-}
-
-// modeOf names the mode each mode-specific flag belongs to; a flag set
-// outside its mode is refused, never silently dropped.
-var modeOf = map[string]string{
-	"chaos-seed": "-chaos", "chaos-steps": "-chaos", "chaos-runs": "-chaos",
-	"chaos-tamper": "-chaos", "chaos-shrink": "-chaos",
-
-	"epochs": "-multitenant", "samples": "-multitenant", "seed": "-multitenant",
-	"workers": "-multitenant", "tenants": "-multitenant", "tenant-sessions": "-multitenant",
-	"tenant-zipf": "-multitenant", "tenant-blocks": "-multitenant", "cross-batch": "-multitenant",
-	"flush-limit": "-multitenant", "tamper-epoch": "-multitenant", "tamper-rank": "-multitenant",
 }
 
 // newSimFlags defines every flag on a fresh set that returns parse
@@ -65,41 +40,20 @@ func newSimFlags() *simFlags {
 	fs.BoolVar(&f.chaosTamper, "chaos-tamper", false, "include a real storage cheater and per-epoch computation cheaters in each generated chaos schedule")
 	fs.BoolVar(&f.chaosShrink, "chaos-shrink", false, "minimize any failing chaos run to a one-line repro before printing it")
 
-	fs.BoolVar(&f.multitenant, "multitenant", false, "run the multi-tenant scheduler simulation")
-	fs.IntVar(&f.epochs, "epochs", 6, "number of epochs")
-	fs.IntVar(&f.samples, "samples", 3, "audit sample size t")
-	fs.Int64Var(&f.seed, "seed", 1, "simulation seed")
-	fs.IntVar(&f.workers, "workers", 1, "audit/hashing worker pool size (1 = sequential; outcomes never depend on this)")
-	fs.IntVar(&f.tenants, "tenants", 100_000, "registered tenant population")
-	fs.IntVar(&f.tenantSess, "tenant-sessions", 40, "audit sessions per epoch drawn from the Zipf trace")
-	fs.Float64Var(&f.tenantZipf, "tenant-zipf", 1.3, "Zipf traffic skew exponent (> 1)")
-	fs.IntVar(&f.tenantBlocks, "tenant-blocks", 8, "stored blocks per materialized tenant")
-	fs.BoolVar(&f.crossBatch, "cross-batch", true, "fold all tenants' signature checks into shared aggregates (false = per-tenant baseline)")
-	fs.IntVar(&f.flushLimit, "flush-limit", 0, "signature checks per cross-tenant aggregate (0 = one flush per drain)")
-	fs.IntVar(&f.tamperEpoch, "tamper-epoch", 0, "epoch at which one tenant's stored blocks rot (0 = never)")
-	fs.IntVar(&f.tamperRank, "tamper-rank", 0, "Zipf rank of the tampered tenant (0 = traffic head)")
 	return f
 }
 
 // validate rejects inconsistent flags up front with a clean one-line
 // error instead of letting them surface as mid-run aborts, or be
-// dropped: two modes at once, a flag set outside its mode, -admin-linger
-// without -admin, and a -chaos-steps schedule chaos would refuse.
+// dropped: a chaos flag without -chaos, -admin-linger without -admin, and
+// a -chaos-steps schedule the default fleet would refuse.
 func (f *simFlags) validate() error {
-	if f.chaos && f.multitenant {
-		return fmt.Errorf("-chaos and -multitenant are mutually exclusive modes")
-	}
-	mode := ""
-	switch {
-	case f.chaos:
-		mode = "-chaos"
-	case f.multitenant:
-		mode = "-multitenant"
-	}
 	var err error
 	f.fs.Visit(func(fl *flag.Flag) {
-		if want := modeOf[fl.Name]; err == nil && want != "" && want != mode {
-			err = fmt.Errorf("-%s only applies in %s mode", fl.Name, want)
+		// Every -chaos-* flag shapes a -chaos run: one set without -chaos
+		// is refused, never silently dropped.
+		if err == nil && !f.chaos && strings.HasPrefix(fl.Name, "chaos-") {
+			err = fmt.Errorf("-%s only applies in -chaos mode", fl.Name)
 		}
 	})
 	if err != nil {
@@ -123,6 +77,10 @@ func (f *simFlags) validate() error {
 	if f.chaosTamper {
 		return fmt.Errorf("-chaos-tamper shapes generated schedules; an explicit -chaos-steps schedule carries its own tamper steps")
 	}
-	_, err = chaos.ParseSchedule(f.chaosSteps)
-	return err
+	sched, err := chaos.ParseSchedule(f.chaosSteps)
+	if err != nil {
+		return err
+	}
+	d := chaos.Defaults(f.chaosSeed)
+	return sched.Validate(d.Servers, d.ActiveEpochs+d.QuietEpochs)
 }

@@ -1,9 +1,9 @@
-// Command seccloud-sim runs SecCloud's simulations, one mode at a time.
-// Chaos mode is the fleet simulator: seed-deterministic schedules that
-// compose weather (network, disk, clock, process faults, overload,
-// share-holder faults) with the mobile adversary of §III-B (storage rot
-// and computation cheaters), checked by an invariant engine against a
-// fault-free, single-DA reference replay.
+// Command seccloud-sim runs SecCloud's fleet simulator: seed-deterministic
+// schedules that compose weather (network, disk, clock, process faults,
+// overload, share-holder faults) with the mobile adversary of §III-B
+// (storage rot and computation cheaters) and multi-tenant audit traffic,
+// checked by an invariant engine against a fault-free, single-DA
+// reference replay.
 //
 // Usage:
 //
@@ -12,11 +12,9 @@
 //	seccloud-sim -chaos -chaos-seed 5 -chaos-steps "e1:plant(lost-write,2)"   # replay a repro line
 //	seccloud-sim -chaos -chaos-steps "e1:shed(0) e2:cheat(1,csc=0)"   # an explicit schedule
 //	seccloud-sim -chaos -chaos-steps "e1:quorum(2,5) e1:hkill(1) e1:hbyz(2)"   # t-of-n audit quorum under holder faults
-//	seccloud-sim -multitenant -tenants 50000    # Zipf traffic through cross-tenant batches
+//	seccloud-sim -chaos -chaos-steps "e1:tenants(50000,24) e2:ttamper(0)"   # Zipf tenant traffic through cross-tenant batches
 //
-// Exactly one of -chaos and -multitenant selects the mode; with none,
-// seccloud-sim prints usage and exits 2, as it does for a flag of the
-// other mode.
+// -chaos is required; without it seccloud-sim prints usage and exits 2.
 package main
 
 import (
@@ -26,7 +24,6 @@ import (
 	"os"
 	"time"
 
-	"seccloud/internal/epoch"
 	"seccloud/internal/obs"
 )
 
@@ -42,8 +39,8 @@ func main() {
 		fmt.Fprintln(os.Stderr, "seccloud-sim:", err)
 		os.Exit(2)
 	}
-	if !f.chaos && !f.multitenant {
-		fmt.Fprintln(os.Stderr, "seccloud-sim: choose a mode: -chaos or -multitenant")
+	if !f.chaos {
+		fmt.Fprintln(os.Stderr, "seccloud-sim: -chaos is required")
 		f.fs.Usage()
 		os.Exit(2)
 	}
@@ -61,33 +58,14 @@ func main() {
 		fmt.Printf("admin endpoint listening on http://%s/metrics\n", srv.Addr())
 	}
 
-	var err error
-	if f.chaos {
-		_, err = runChaos(chaosRunFlags{
-			Seed:   f.chaosSeed,
-			Steps:  f.chaosSteps,
-			Runs:   f.chaosRuns,
-			Tamper: f.chaosTamper,
-			Shrink: f.chaosShrink,
-			Hub:    hub,
-		})
-	} else {
-		err = runMultiTenant(epoch.MultiTenantConfig{
-			Tenants:          f.tenants,
-			SessionsPerEpoch: f.tenantSess,
-			Epochs:           f.epochs,
-			ZipfS:            f.tenantZipf,
-			BlocksPerTenant:  f.tenantBlocks,
-			SampleSize:       f.samples,
-			Workers:          f.workers,
-			CrossTenantBatch: f.crossBatch,
-			FlushLimit:       f.flushLimit,
-			TamperEpoch:      f.tamperEpoch,
-			TamperRank:       f.tamperRank,
-			Seed:             f.seed,
-			Hub:              hub,
-		})
-	}
+	_, err := runChaos(chaosRunFlags{
+		Seed:   f.chaosSeed,
+		Steps:  f.chaosSteps,
+		Runs:   f.chaosRuns,
+		Tamper: f.chaosTamper,
+		Shrink: f.chaosShrink,
+		Hub:    hub,
+	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "seccloud-sim:", err)
 		os.Exit(1)

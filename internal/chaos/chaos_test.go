@@ -3,6 +3,7 @@ package chaos
 import (
 	"encoding/json"
 	"fmt"
+	"os"
 	"strings"
 	"testing"
 	"time"
@@ -24,7 +25,7 @@ func TestScheduleStringParseRoundTrip(t *testing.T) {
 			t.Fatalf("seed %d: roundtrip mismatch:\n  in:  %s\n  out: %s", seed, text, parsed.String())
 		}
 	}
-	for _, kind := range []string{":cheat(", ":shed(", ":quorum(", ":hkill(", ":hbyz("} {
+	for _, kind := range []string{":cheat(", ":shed(", ":quorum(", ":hkill(", ":hbyz(", ":tenants(", ":ttamper("} {
 		if !strings.Contains(strings.Join(all, " "), kind) {
 			t.Errorf("no generated schedule carries a %s step", kind)
 		}
@@ -97,6 +98,92 @@ func TestRunRefusesInvalidQuorumConfig(t *testing.T) {
 	}
 }
 
+// invalidSteps lists one schedule per way a step can name what the
+// default fleet (3 servers, 6 epochs) cannot run, or cannot run as
+// written.
+var invalidSteps = []string{
+	"e1:kill(7)",                      // past the fleet
+	"e1:kill(-1)",                     // negative server
+	"e1:faults(9,drop=0.1,corrupt=0)", // faults past the fleet
+	"e1:cheat(5,csc=0)",               // cheat past the fleet
+	"e1:shed(3)",                      // shed past the fleet
+	"e1:disk(4,sync=0,short=0,rot=0,rename=0)", // disk past the fleet
+	"e1:restart(3)",                      // restart past the fleet
+	"e1:plant(lost-write,4)",             // plant past the fleet
+	"e1:tamper(0,100)",                   // more blocks than the reserve
+	"e1:tamper(0,0)",                     // rots nothing
+	"e1:tamper(0,-1)",                    // rots nothing
+	"e1:cut(x>y)",                        // unknown groups
+	"e1:crash(0,bogus)",                  // unknown crash point
+	"e1:skew(zz,1s)",                     // neither da nor a server
+	"e1:skew(3,1s)",                      // a server past the fleet
+	"e2:tenants(100,4)",                  // tenants registered past epoch 1
+	"e1:tenants(100,4) e1:tenants(50,2)", // a second tenants step
+	"e1:tenants(1,4)",                    // k < 2
+	"e1:tenants(100,0)",                  // s < 1
+	"e1:tenants(2000000,4)",              // k past the registry bound
+	"e2:ttamper(0)",                      // ttamper without tenants
+	"e1:tenants(100,4) e2:ttamper(100)",  // rank past k−1
+	"e1:tenants(100,4) e2:ttamper(-1)",   // negative rank
+	"e9:heal",                            // past the last epoch
+}
+
+// TestRunRefusesStepsOutsideTheFleet: Run refuses every invalid step,
+// in a schedule built without ParseSchedule's checks, with a one-line
+// chaos error before any cluster is built.
+func TestRunRefusesStepsOutsideTheFleet(t *testing.T) {
+	for _, text := range invalidSteps {
+		var sched Schedule
+		for _, tok := range strings.Fields(text) {
+			st, err := parseStep(tok)
+			if err != nil {
+				t.Fatalf("%s: %v", tok, err)
+			}
+			sched = append(sched, st)
+		}
+		cfg := Defaults(1)
+		cfg.Dir = t.TempDir()
+		cfg.Schedule = sched
+		_, err := Run(cfg)
+		if err == nil || !strings.HasPrefix(err.Error(), "chaos: ") || strings.Contains(err.Error(), "\n") {
+			t.Errorf("Run(%q): err = %v, want a one-line chaos error", text, err)
+		}
+		if entries, err := os.ReadDir(cfg.Dir); err != nil || len(entries) != 0 {
+			t.Errorf("Run(%q) built a cluster before refusing it", text)
+		}
+	}
+}
+
+// FuzzParseSchedule: ParseSchedule never panics, and a schedule it
+// accepts renders to text that parses back to the same text — the
+// property every printed repro line rests on. Validate never panics on
+// what it accepts either.
+func FuzzParseSchedule(f *testing.F) {
+	for seed := int64(1); seed <= 64; seed++ {
+		f.Add(Generate(seed, 3, 4, 3, false).String())
+		f.Add(Generate(seed, 3, 4, 3, true).String())
+	}
+	f.Add("e1:tenants(50000,24) e2:ttamper(0) e3:ttamper(7)")
+	f.Add("e1:quorum(2,5) e1:tenants(2,1) e1:hkill(1) e1:ttamper(1)")
+	for _, bad := range invalidSteps {
+		f.Add(bad)
+	}
+	f.Fuzz(func(t *testing.T, text string) {
+		sched, err := ParseSchedule(text)
+		if err != nil {
+			return
+		}
+		again, err := ParseSchedule(sched.String())
+		if err != nil {
+			t.Fatalf("%q renders as %q, which does not parse: %v", text, sched.String(), err)
+		}
+		if again.String() != sched.String() {
+			t.Fatalf("%q: round trip %q -> %q", text, sched.String(), again.String())
+		}
+		_ = sched.Validate(3, 6)
+	})
+}
+
 func TestGenerateDeterministic(t *testing.T) {
 	a := Generate(42, 3, 4, 3, true).String()
 	b := Generate(42, 3, 4, 3, true).String()
@@ -109,10 +196,10 @@ func TestGenerateDeterministic(t *testing.T) {
 	}
 }
 
-// TestGenerateStableBesideQuorumSteps: the quorum and holder draws come
-// from streams of their own, so with those steps taken out every
-// schedule is the one the generator drew before it knew of quorums. A
-// shared stream would shift every later draw.
+// TestGenerateStableBesideQuorumSteps: the quorum, holder and tenant
+// draws come from streams of their own, so with those steps taken out
+// every schedule is the one the generator drew before it knew of quorums
+// or tenants. A shared stream would shift every later draw.
 func TestGenerateStableBesideQuorumSteps(t *testing.T) {
 	pinned := []struct {
 		seed   int64
@@ -130,7 +217,7 @@ func TestGenerateStableBesideQuorumSteps(t *testing.T) {
 		var kept Schedule
 		for _, s := range Generate(p.seed, 3, 4, 3, p.tamper) {
 			switch s.Kind {
-			case StepQuorum, StepHKill, StepHByz:
+			case StepQuorum, StepHKill, StepHByz, StepTenants, StepTTamper:
 			default:
 				kept = append(kept, s)
 			}

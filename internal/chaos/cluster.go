@@ -17,7 +17,6 @@ import (
 	"seccloud/internal/ibc"
 	"seccloud/internal/netsim"
 	"seccloud/internal/obs"
-	"seccloud/internal/pairing"
 	"seccloud/internal/store"
 	"seccloud/internal/threshold"
 	"seccloud/internal/wire"
@@ -66,12 +65,17 @@ type ledger struct {
 	// the server for it is not a false flag); recovery must still come
 	// back clean, because rot is planted in memory, never in the WAL.
 	tamperContent map[int]map[uint64][]byte
+	// tenantRot holds the ranks of the tenants whose every block the
+	// nemesis rotted: accusing one of them is a detection, not a false
+	// flag, and a completed session of one must accuse it.
+	tenantRot map[int]bool
 }
 
 func newLedger(servers int, blocks [][]byte) *ledger {
 	l := &ledger{
 		acceptable:    make(map[posKey]map[string]bool),
 		tamperContent: make(map[int]map[uint64][]byte),
+		tenantRot:     make(map[int]bool),
 	}
 	for s := 0; s < servers; s++ {
 		for p, b := range blocks {
@@ -146,7 +150,8 @@ type cluster struct {
 	daClients  []netsim.Client // raw partitioned links the fleet audits over
 	cspClients []netsim.Client // retrying, breaker-instrumented store path
 
-	holders []*holder // share-holders of the dealt key; nil for a single DA
+	holders []*holder    // share-holders of the dealt key; nil for a single DA
+	tenants *tenantFleet // the tenants step's traffic; nil without one
 
 	dir string
 	hub *obs.Hub
@@ -337,8 +342,10 @@ func xorA5(b []byte) []byte {
 // newCluster builds and seeds a deployment: keys, servers with
 // FaultFS-backed WALs (real fsyncs — sync faults must have something to
 // fail), links, fleet breakers, the outsourced dataset, and the ledger.
-// A non-nil quorum step deals the DA's key to share-holders.
-func newCluster(cfg Config, dir string, reference bool, quorum *Step) (*cluster, error) {
+// The schedule's shape steps shape it: a quorum step deals the DA's key
+// to share-holders (except in the reference replay, which keeps the
+// single DA that holds it), and a tenants step registers the tenants.
+func newCluster(cfg Config, dir string, reference bool, sched Schedule) (*cluster, error) {
 	hub := cfg.Hub
 	if hub == nil {
 		hub = obs.NewHub()
@@ -361,31 +368,27 @@ func newCluster(cfg Config, dir string, reference bool, quorum *Step) (*cluster,
 		},
 	}
 
-	sio := cfg.SIO
-	if sio == nil {
-		var err error
-		sio, err = ibc.Setup(pairing.InsecureTest256(), rand.Reader)
-		if err != nil {
-			return nil, err
-		}
-	}
-	c.sio = sio
-	sp := sio.Params()
+	c.sio = cfg.SIO
+	sp := c.sio.Params()
 	c.scheme = dvs.NewScheme(sp)
 
-	userKey, err := sio.Extract("user:chaos")
+	userKey, err := c.sio.Extract("user:chaos")
 	if err != nil {
 		return nil, err
 	}
-	daKey, err := sio.Extract(daID)
+	daKey, err := c.sio.Extract(daID)
 	if err != nil {
 		return nil, err
 	}
 	c.user = core.NewUser(sp, userKey, rand.Reader)
+	quorum := sched.shape(StepQuorum)
+	if reference {
+		quorum = nil
+	}
 	agencyKey := daKey
 	if quorum != nil {
 		// The combiner signs evidence with a key of its own.
-		if agencyKey, err = sio.Extract(daID + "-combiner"); err != nil {
+		if agencyKey, err = c.sio.Extract(daID + "-combiner"); err != nil {
 			return nil, err
 		}
 	}
@@ -480,6 +483,11 @@ func newCluster(cfg Config, dir string, reference bool, quorum *Step) (*cluster,
 		return nil, err
 	}
 	c.led = newLedger(cfg.Servers, c.ds.Blocks)
+	if ts := sched.shape(StepTenants); ts != nil {
+		if c.tenants, err = newTenantFleet(c, ts); err != nil {
+			return nil, err
+		}
+	}
 	return c, nil
 }
 
@@ -558,8 +566,9 @@ func (c *cluster) newServer(i int) (*core.Server, error) {
 }
 
 // restart replaces server i with a fresh incarnation recovered from its
-// WAL directory, re-applying any ledgered tamper (rot lives in memory, a
-// reboot heals it, and a cheater that survives reboots keeps cheating).
+// WAL directory, re-applying any ledgered tamper, of the user's blocks or
+// a tenant's (rot lives in memory, a reboot heals it, and a cheater that
+// survives reboots keeps cheating).
 // Returns an error when recovery itself refuses — e.g. the disk is still
 // rotting snapshots — in which case the caller leaves the server down
 // and tries again later.
@@ -575,6 +584,11 @@ func (c *cluster) restart(i int) error {
 			if _, ok := srv.TamperBlock(c.user.ID(), pos, rot); !ok {
 				return fmt.Errorf("chaos: re-tamper pos %d on server %d found no block", pos, i)
 			}
+		}
+	}
+	for _, r := range c.rottenTenants(i) {
+		if err := c.rotTenant(srv, r); err != nil {
+			return err
 		}
 	}
 	c.handlers[i].Swap(srv)
@@ -721,19 +735,8 @@ func (c *cluster) runAudit(ep, pi int) auditOutcome {
 func (c *cluster) runJob(ep int) error {
 	job := workload.UniformJob(c.user.ID(), funcs.Spec{Name: "digest"}, c.cfg.Blocks)
 	subs, err := c.csp.RunJob(c.user, fmt.Sprintf("e%d", ep), job)
-	c.opsTotal++
-	if !c.reference {
-		c.reapCrashes()
-	}
-	if err != nil {
-		if c.reference {
-			return fmt.Errorf("chaos: reference replay job failed (epoch %d): %w", ep, err)
-		}
-		c.opsFailed++
-		if ep == c.cfg.ActiveEpochs+c.cfg.QuietEpochs {
-			c.opsFailedFinal++
-		}
-		return nil
+	if serr := c.settleOp(ep, err, "job"); serr != nil || err != nil {
+		return serr
 	}
 	for i, d := range core.Delegations(c.user, subs, c.warrant) {
 		sub := subs[i]
@@ -774,6 +777,28 @@ func (c *cluster) runJob(ep int) error {
 			if pol.forged[t.Positions[0]] {
 				c.exposure++
 			}
+		}
+	}
+	return nil
+}
+
+// settleOp accounts one client op: it reaps any crash point the op fired
+// and counts a failure, in the final epoch a liveness failure. The
+// reference replay runs without weather, so an op failing there is a
+// harness error.
+func (c *cluster) settleOp(ep int, err error, what string) error {
+	c.opsTotal++
+	if c.reference {
+		if err != nil {
+			return fmt.Errorf("chaos: reference replay %s failed (epoch %d): %w", what, ep, err)
+		}
+		return nil
+	}
+	c.reapCrashes()
+	if err != nil {
+		c.opsFailed++
+		if ep == c.cfg.ActiveEpochs+c.cfg.QuietEpochs {
+			c.opsFailedFinal++
 		}
 	}
 	return nil

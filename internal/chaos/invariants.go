@@ -180,7 +180,9 @@ func (c *cluster) checkLiveness() {
 // exactly; a mismatch means weather changed a verdict, which is precisely
 // what the audit protocol promises cannot happen. With a quorum step the
 // reference audits with the single DA holding the undealt key, so every
-// clean audit is also a quorum-against-single-DA cross-check.
+// clean audit is also a quorum-against-single-DA cross-check. Tenant
+// sessions are compared wherever an epoch drained the same session list
+// as the reference.
 func checkAgreement(chaosRun, ref *cluster) {
 	if len(chaosRun.outcomes) != len(ref.outcomes) {
 		chaosRun.violations.addf("agreement", "outcome count %d vs reference %d",
@@ -225,6 +227,28 @@ func checkAgreement(chaosRun, ref *cluster) {
 			chaosRun.violations.addf("agreement",
 				"epoch %d job audit of slot %d: chaos (valid=%v sampled=%v failed=%v) != reference (valid=%v sampled=%v failed=%v)",
 				co.Epoch, co.Slot, co.Valid, co.Sampled, co.Failed, ro.Valid, ro.Sampled, ro.Failed)
+		}
+	}
+
+	if chaosRun.tenants == nil {
+		return
+	}
+	rank := func(a, b tenantOutcome) bool { return a.Rank == b.Rank }
+	for ep := 1; ep <= chaosRun.cfg.ActiveEpochs+chaosRun.cfg.QuietEpochs; ep++ {
+		cs, rs := chaosRun.tenants.outcomes[ep], ref.tenants.outcomes[ep]
+		if !slices.EqualFunc(cs, rs, rank) {
+			continue // weather kept a tenant cold: other sessions drained
+		}
+		for k, co := range cs {
+			ro := rs[k]
+			if !co.Clean {
+				continue
+			}
+			if co.Valid != ro.Valid || !slices.Equal(co.Sampled, ro.Sampled) || !slices.Equal(co.Failed, ro.Failed) {
+				chaosRun.violations.addf("agreement",
+					"epoch %d session %d of tenant %d: chaos (valid=%v sampled=%v failed=%v) != reference (valid=%v sampled=%v failed=%v)",
+					ep, k, co.Rank, co.Valid, co.Sampled, co.Failed, ro.Valid, ro.Sampled, ro.Failed)
+			}
 		}
 	}
 }

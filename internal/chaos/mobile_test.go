@@ -1,32 +1,31 @@
-package epoch
+package chaos
 
 import (
 	"fmt"
 	"strings"
 	"testing"
-
-	"seccloud/internal/chaos"
 )
 
 // runMobile replays Mobile(seed, n, b, epochs, csc), plus the weather
 // steps in extra, on a fleet of n with audit budget t and returns the
-// chaos report, every invariant checked.
-func runMobile(t *testing.T, seed int64, n, b, epochs int, csc float64, samples int, extra string) *chaos.Report {
+// chaos report, every invariant checked. The tests that call it share
+// nothing and run in parallel.
+func runMobile(t *testing.T, seed int64, n, b, epochs int, csc float64, samples int, extra string) *Report {
 	t.Helper()
 	sched, err := Mobile(seed, n, b, epochs, csc)
 	if err != nil {
 		t.Fatalf("Mobile: %v", err)
 	}
-	weather, err := chaos.ParseSchedule(extra)
+	weather, err := ParseSchedule(extra)
 	if err != nil {
 		t.Fatalf("ParseSchedule: %v", err)
 	}
-	cfg := chaos.Defaults(seed)
+	cfg := Defaults(seed)
 	cfg.Servers, cfg.Blocks, cfg.ActiveEpochs, cfg.QuietEpochs = n, 12, epochs, 1
 	cfg.SampleSize, cfg.Schedule, cfg.Dir = samples, append(sched, weather...), t.TempDir()
-	rep, err := chaos.Run(cfg)
+	rep, err := Run(cfg)
 	if err != nil {
-		t.Fatalf("chaos.Run: %v", err)
+		t.Fatalf("Run: %v", err)
 	}
 	if !rep.OK() || rep.FalseFlags != 0 {
 		t.Fatalf("false flags %d, violations:\n  %s", rep.FalseFlags, strings.Join(rep.Violations, "\n  "))
@@ -54,7 +53,7 @@ func TestEpochStatsShape(t *testing.T) {
 	}
 	picks := map[int]map[int]bool{}
 	for _, s := range sched {
-		if s.Kind != chaos.StepCheat || s.CSC != 0.5 {
+		if s.Kind != StepCheat || s.CSC != 0.5 {
 			t.Fatalf("unexpected step %s", s)
 		}
 		if picks[s.Epoch] == nil {
@@ -86,6 +85,7 @@ func sameSet(a, b map[int]bool) bool {
 }
 
 func TestHonestFleetNeverFlagged(t *testing.T) {
+	t.Parallel()
 	rep := runMobile(t, 1, 3, 0, 2, 0, 2, "")
 	if rep.JobDetections != 0 || rep.Exposure != 0 || rep.JobAudits == 0 {
 		t.Fatalf("honest fleet: %d job audits, %d detections, exposure %d", rep.JobAudits, rep.JobDetections, rep.Exposure)
@@ -95,6 +95,7 @@ func TestHonestFleetNeverFlagged(t *testing.T) {
 // TestFullCheaterDetectedImmediately: one active epoch, so every
 // detection is an epoch-1 detection of a server guessing every result.
 func TestFullCheaterDetectedImmediately(t *testing.T) {
+	t.Parallel()
 	rep := runMobile(t, 2, 3, 1, 1, 0, 3, "")
 	if rep.JobDetections != 1 || rep.Exposure != 0 {
 		t.Fatalf("full cheater: %d detections (want 1), exposure %d (want 0)", rep.JobDetections, rep.Exposure)
@@ -105,6 +106,7 @@ func TestFullCheaterDetectedImmediately(t *testing.T) {
 // of every sub-task flags each sub-job that forged a result, so no
 // forgery reaches the user, while a one-task sample lets some through.
 func TestAuditingReducesExposure(t *testing.T) {
+	t.Parallel()
 	sparse := runMobile(t, 4, 4, 1, 4, 0.5, 1, "")
 	full := runMobile(t, 4, 4, 1, 4, 0.5, 3, "")
 	if full.Exposure != 0 || full.JobDetections == 0 {
@@ -122,6 +124,7 @@ func TestAuditingReducesExposure(t *testing.T) {
 // the armed crash point and recovers from its WAL; a crash is never
 // evidence.
 func TestCrashScheduleRecoversWithoutFalseFlags(t *testing.T) {
+	t.Parallel()
 	for _, point := range []string{"before-log", "after-log", "mid-snapshot", "torn-tail"} {
 		t.Run(point, func(t *testing.T) {
 			rep := runMobile(t, 6, 3, 0, 3, 0, 2,
@@ -139,6 +142,7 @@ func TestCrashScheduleRecoversWithoutFalseFlags(t *testing.T) {
 // TestCrashScheduleStillDetectsCheaters: crash recovery does not launder
 // a server guessing every result.
 func TestCrashScheduleStillDetectsCheaters(t *testing.T) {
+	t.Parallel()
 	rep := runMobile(t, 7, 3, 1, 2, 0, 3, "e1:crash(0,after-log) e2:crash(1,after-log)")
 	if rep.JobDetections == 0 {
 		t.Fatal("cheater never detected under the crash schedule")
@@ -148,6 +152,7 @@ func TestCrashScheduleStillDetectsCheaters(t *testing.T) {
 // TestFleetKillScheduleZeroFalseFlags: whole-epoch outages every other
 // epoch; audits fail over and nothing is accused.
 func TestFleetKillScheduleZeroFalseFlags(t *testing.T) {
+	t.Parallel()
 	rep := runMobile(t, 5, 5, 0, 4, 0, 2, "e2:kill(0) e3:revive(0) e4:kill(1) e5:revive(1)")
 	if rep.Failovers == 0 {
 		t.Fatal("no fleet audit round failed over during an outage")
@@ -160,6 +165,7 @@ func TestFleetKillScheduleZeroFalseFlags(t *testing.T) {
 // TestFleetKillPlusBadReplica: an outage beside silent rot on another
 // replica; the rot is convicted and nobody else is.
 func TestFleetKillPlusBadReplica(t *testing.T) {
+	t.Parallel()
 	rep := runMobile(t, 11, 5, 0, 4, 0, 12, "e2:kill(0) e3:tamper(2,2) e3:revive(0)")
 	if !rep.Detected {
 		t.Fatal("rot on replica 2 was never convicted")
@@ -169,6 +175,7 @@ func TestFleetKillPlusBadReplica(t *testing.T) {
 // TestOverloadScheduleNeverFalseFlags: every server sheds every other
 // epoch; a shed round is overload, never cheating.
 func TestOverloadScheduleNeverFalseFlags(t *testing.T) {
+	t.Parallel()
 	rep := runMobile(t, 21, 3, 0, 4, 0, 2, "e2:shed(0) e2:shed(1) e2:shed(2) e4:shed(0) e4:shed(1) e4:shed(2)")
 	if rep.ShedRounds == 0 {
 		t.Fatal("the shed schedule refused no audit round")
@@ -181,6 +188,7 @@ func TestOverloadScheduleNeverFalseFlags(t *testing.T) {
 // TestOverloadDoesNotLaunderCheating: the whole fleet sheds in epoch 2,
 // and the full cheater of calm epoch 1 is still convicted.
 func TestOverloadDoesNotLaunderCheating(t *testing.T) {
+	t.Parallel()
 	rep := runMobile(t, 2, 3, 1, 2, 0, 3, "e2:shed(0) e2:shed(1) e2:shed(2)")
 	if rep.JobDetections == 0 || rep.ShedRounds == 0 {
 		t.Fatalf("job detections %d, shed rounds %d: want both nonzero", rep.JobDetections, rep.ShedRounds)

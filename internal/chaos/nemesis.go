@@ -3,19 +3,21 @@ package chaos
 import (
 	"context"
 	"fmt"
+	"strconv"
 
 	"seccloud/internal/netsim"
 	"seccloud/internal/store"
 )
 
 // applyStep executes one nemesis move against the cluster. In reference
-// mode only the adversarial steps (tamper, cheat, plant) apply — the
-// reference replay faces the same cheaters with none of the weather, and
-// with the single DA that holds the key a quorum step deals.
+// mode only the adversarial steps (tamper, ttamper, cheat, plant) apply —
+// the reference replay faces the same cheaters with none of the weather,
+// and with the single DA that holds the key a quorum step deals. The
+// shape steps (quorum, tenants) shaped the cluster when it was built.
 func (c *cluster) applyStep(s Step) error {
 	if c.reference {
 		switch s.Kind {
-		case StepTamper, StepCheat, StepPlant:
+		case StepTamper, StepTTamper, StepCheat, StepPlant:
 		default:
 			return nil
 		}
@@ -37,17 +39,11 @@ func (c *cluster) applyStep(s Step) error {
 		if s.Node == "da" {
 			c.daClock.SetSkew(s.Skew)
 		} else {
-			var idx int
-			if _, err := fmt.Sscanf(s.Node, "%d", &idx); err != nil || idx < 0 || idx >= c.cfg.Servers {
-				return fmt.Errorf("chaos: skew node %q is neither da nor a server index", s.Node)
-			}
+			idx, _ := strconv.Atoi(s.Node) // Validate vouched for it
 			c.clocks[idx].SetSkew(s.Skew)
 		}
 	case StepCrash:
-		point, ok := store.CrashPointByName(s.Point)
-		if !ok {
-			return fmt.Errorf("chaos: unknown crash point %q", s.Point)
-		}
+		point, _ := store.CrashPointByName(s.Point)
 		if !c.crashPending[s.Target] {
 			c.crashers[s.Target].Arm(point)
 		}
@@ -82,12 +78,8 @@ func (c *cluster) applyStep(s Step) error {
 			c.downs[s.Target].SetDown(true)
 		}
 	case StepTamper:
-		blocks := s.Blocks
-		if blocks > tamperReserve {
-			blocks = tamperReserve
-		}
 		srv := c.server(s.Target)
-		for b := 0; b < blocks; b++ {
+		for b := 0; b < s.Blocks; b++ {
 			pos := uint64(c.cfg.Blocks - 1 - b)
 			rot := xorA5(c.ds.Blocks[pos])
 			if _, ok := srv.TamperBlock(c.user.ID(), pos, rot); !ok {
@@ -95,6 +87,12 @@ func (c *cluster) applyStep(s Step) error {
 			}
 			c.led.tamper(s.Target, pos, rot)
 		}
+	case StepTTamper:
+		c.led.tenantRot[s.Target] = true
+		if c.tenants.warm[s.Target] {
+			return c.rotTenant(c.server(s.Target%c.cfg.Servers), s.Target)
+		}
+		return c.onboardTenant(s.Epoch, s.Target) // rots as it lands
 	case StepCheat:
 		p := c.policies[s.Target]
 		p.on, p.csc = true, s.CSC
@@ -191,96 +189,92 @@ func (c *cluster) restartDead() {
 	}
 }
 
-// runEpochs drives the whole schedule: per epoch, apply the nemesis
-// steps, run the client workload, run and audit one job, run one fleet
-// audit per primary, then (chaos mode) check the serving-state
-// invariant. Epochs beyond ActiveEpochs are the quiet phase the liveness
-// invariant measures.
-func (c *cluster) runEpochs(sched Schedule) error {
-	total := c.cfg.ActiveEpochs + c.cfg.QuietEpochs
+// runEpoch runs one epoch: apply the nemesis steps, run the client
+// workload, run and audit one job, run one fleet audit per primary, drain
+// the tenants' sessions, then (chaos mode) check the serving-state
+// invariant.
+func (c *cluster) runEpoch(ep int, sched Schedule) error {
 	cleanup := c.cfg.ActiveEpochs + 1
-	for ep := 1; ep <= total; ep++ {
-		for _, p := range c.policies {
-			p.reset(ep)
+	for _, p := range c.policies {
+		p.reset(ep)
+	}
+	for _, h := range c.holders {
+		h.SetDown(false)
+		h.setByzantine(false)
+	}
+	if c.tenants != nil {
+		c.beginTenantEpoch(ep)
+	}
+	for _, s := range sched.stepsAt(ep) {
+		if err := c.applyStep(s); err != nil {
+			return fmt.Errorf("chaos: epoch %d step %s: %w", ep, s, err)
 		}
-		for _, h := range c.holders {
-			h.SetDown(false)
-			h.setByzantine(false)
-		}
-		for _, s := range sched.stepsAt(ep) {
-			if err := c.applyStep(s); err != nil {
-				return fmt.Errorf("chaos: epoch %d step %s: %w", ep, s, err)
+	}
+	// Boundary restarts AFTER the steps so a cleanup-epoch diskheal
+	// lands before the recovery that needs a readable disk. The
+	// cleanup epoch also reboots every server whose disk was ever
+	// sick: a wedged WAL (fsyncgate) stays failed by design until a
+	// fresh process re-opens it, and "operator replaces the disk and
+	// reboots" is the honest model of that repair.
+	if !c.reference {
+		if ep == cleanup {
+			for i := 0; i < c.cfg.Servers; i++ {
+				// The nemesis retires: leftover armed crash points must
+				// not fire into the healing horizon.
+				c.crashers[i].Arm(store.CrashNone)
 			}
-		}
-		// Boundary restarts AFTER the steps so a cleanup-epoch diskheal
-		// lands before the recovery that needs a readable disk. The
-		// cleanup epoch also reboots every server whose disk was ever
-		// sick: a wedged WAL (fsyncgate) stays failed by design until a
-		// fresh process re-opens it, and "operator replaces the disk and
-		// reboots" is the honest model of that repair.
-		if !c.reference {
-			if ep == cleanup {
-				for i := 0; i < c.cfg.Servers; i++ {
-					// The nemesis retires: leftover armed crash points must
-					// not fire into the healing horizon.
-					c.crashers[i].Arm(store.CrashNone)
-				}
-				for i := 0; i < c.cfg.Servers; i++ {
-					if c.sickEver[i] && !c.crashPending[i] {
-						if err := c.restart(i); err != nil {
-							c.crashPending[i] = true
-							c.downs[i].SetDown(true)
-						}
+			for i := 0; i < c.cfg.Servers; i++ {
+				if c.sickEver[i] && !c.crashPending[i] {
+					if err := c.restart(i); err != nil {
+						c.crashPending[i] = true
+						c.downs[i].SetDown(true)
 					}
 				}
 			}
-			c.restartDead()
 		}
+		c.restartDead()
+	}
 
-		// Client workload: deterministic single-replica updates. The op
-		// list (targets, positions, contents, and therefore the user's
-		// signing sequence numbers) is identical in the chaos run and the
-		// reference replay; only the outcomes differ.
-		for k := 0; k < c.cfg.OpsPerEpoch; k++ {
-			v := c.opIndex % c.cfg.Servers
-			pos := uint64(c.opIndex % (c.cfg.Blocks - tamperReserve))
-			content := blockBytes(fmt.Sprintf("e%d-k%d", ep, k))
-			err := c.user.UpdateBlock(c.cspClients[v], pos, content, c.verifiers...)
-			c.opIndex++
-			c.opsTotal++
-			if err == nil {
-				c.led.acked(v, pos, content)
-			} else {
-				if c.reference {
-					return fmt.Errorf("chaos: reference replay op failed (epoch %d, server %d): %w", ep, v, err)
-				}
-				// The write may or may not have been applied (lost ack,
-				// post-log crash): both contents become acceptable.
-				c.led.maybe(v, pos, content)
-				c.opsFailed++
-				if ep == total {
-					c.opsFailedFinal++
-				}
-			}
-			if !c.reference {
-				c.reapCrashes()
-			}
+	// Client workload: deterministic single-replica updates. The op
+	// list (targets, positions, contents, and therefore the user's
+	// signing sequence numbers) is identical in the chaos run and the
+	// reference replay; only the outcomes differ.
+	for k := 0; k < c.cfg.OpsPerEpoch; k++ {
+		v := c.opIndex % c.cfg.Servers
+		pos := uint64(c.opIndex % (c.cfg.Blocks - tamperReserve))
+		content := blockBytes(fmt.Sprintf("e%d-k%d", ep, k))
+		err := c.user.UpdateBlock(c.cspClients[v], pos, content, c.verifiers...)
+		c.opIndex++
+		if err == nil {
+			c.led.acked(v, pos, content)
+		} else {
+			// The write may or may not have been applied (lost ack,
+			// post-log crash): both contents become acceptable.
+			c.led.maybe(v, pos, content)
 		}
-
-		if err := c.runJob(ep); err != nil {
+		if err := c.settleOp(ep, err, fmt.Sprintf("op on server %d", v)); err != nil {
 			return err
 		}
-
-		// One fleet audit per primary: the tampered replica is
-		// challenged directly at least once.
-		for pi := 0; pi < c.cfg.Servers; pi++ {
-			c.outcomes = append(c.outcomes, c.runAudit(ep, pi))
-		}
-
-		if !c.reference {
-			c.checkServing(ep)
-		}
-		c.endShed()
 	}
+
+	if err := c.runJob(ep); err != nil {
+		return err
+	}
+
+	// One fleet audit per primary: the tampered replica is
+	// challenged directly at least once.
+	for pi := 0; pi < c.cfg.Servers; pi++ {
+		c.outcomes = append(c.outcomes, c.runAudit(ep, pi))
+	}
+
+	if c.tenants != nil {
+		if err := c.drainTenants(ep); err != nil {
+			return err
+		}
+	}
+	if !c.reference {
+		c.checkServing(ep)
+	}
+	c.endShed()
 	return nil
 }

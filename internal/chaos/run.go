@@ -1,12 +1,15 @@
 package chaos
 
 import (
+	"crypto/rand"
 	"fmt"
 	"os"
+	"path/filepath"
 	"time"
 
 	"seccloud/internal/ibc"
 	"seccloud/internal/obs"
+	"seccloud/internal/pairing"
 )
 
 // Config shapes one chaos run. The zero value is not runnable; use
@@ -45,6 +48,7 @@ type Config struct {
 	Workers int
 	// SIO, when non-nil, reuses an existing IBC setup — key generation
 	// dominates small runs, and verdicts never depend on key material.
+	// Nil sets one up per run.
 	SIO *ibc.SIO
 	// Hub, when non-nil, receives the chaos cluster's metrics (audit
 	// outcomes, disk faults, chaos_violations_total). The reference
@@ -137,6 +141,15 @@ type Report struct {
 	QuorumRecoveries  int `json:"quorum_recoveries"`
 	ByzantinePartials int `json:"byzantine_partials"`
 
+	// Tenants counts the tenants the traffic materialized, TenantSessions
+	// the sessions drained, TenantDetections those that accused a tenant
+	// with ledgered rot, and TenantFlushes the cross-tenant aggregate
+	// verifications (all 0 without a tenants step).
+	Tenants          int `json:"tenants"`
+	TenantSessions   int `json:"tenant_sessions"`
+	TenantDetections int `json:"tenant_detections"`
+	TenantFlushes    int `json:"tenant_flushes"`
+
 	// Violations is empty iff every invariant held.
 	Violations []string `json:"violations,omitempty"`
 
@@ -153,12 +166,28 @@ func (r *Report) Repro() string {
 }
 
 // Run executes one seed-deterministic chaos run: build the schedule (or
-// take an explicit one), run the chaos cluster under it, run the
+// take an explicit one), run the chaos cluster under it and, beside it, the
 // fault-free reference replay of the same schedule's adversarial steps,
 // then hand everything to the invariant engine.
 func Run(cfg Config) (*Report, error) {
 	rep, _, err := run(cfg)
 	return rep, err
+}
+
+// replay builds a cluster, the chaos run's or the reference's, and drives
+// the whole schedule through it, one epoch after another. Epochs beyond
+// ActiveEpochs are the quiet phase the liveness invariant measures.
+func replay(cfg Config, dir string, reference bool, sched Schedule) (*cluster, error) {
+	c, err := newCluster(cfg, dir, reference, sched)
+	if err != nil {
+		return nil, fmt.Errorf("chaos: building the %s cluster: %w", filepath.Base(dir), err)
+	}
+	for ep := 1; ep <= cfg.ActiveEpochs+cfg.QuietEpochs; ep++ {
+		if err := c.runEpoch(ep, sched); err != nil {
+			return nil, err
+		}
+	}
+	return c, nil
 }
 
 // run is Run that also hands back the chaos cluster, for tests that read
@@ -172,15 +201,8 @@ func run(cfg Config) (*Report, *cluster, error) {
 	if sched == nil {
 		sched = Generate(cfg.Seed, cfg.Servers, cfg.ActiveEpochs, cfg.MaxStepsPerEpoch, cfg.Tamper)
 	}
-	if err := sched.validate(); err != nil {
+	if err := sched.Validate(cfg.Servers, cfg.ActiveEpochs+cfg.QuietEpochs); err != nil {
 		return nil, nil, err
-	}
-	// A step past the last epoch would never run; refuse it rather than
-	// report a clean run that skipped it.
-	for _, s := range sched {
-		if last := cfg.ActiveEpochs + cfg.QuietEpochs; s.Epoch > last {
-			return nil, nil, fmt.Errorf("chaos: %s: past the run's last epoch %d", s, last)
-		}
 	}
 
 	// Every run gets a fresh directory (under cfg.Dir when set, the
@@ -192,28 +214,30 @@ func run(cfg Config) (*Report, *cluster, error) {
 	}
 	defer os.RemoveAll(dir)
 
-	// The chaos run: full weather.
-	cc, err := newCluster(cfg, dir+"/chaos", false, sched.quorum())
-	if err != nil {
-		return nil, nil, fmt.Errorf("chaos: building cluster: %w", err)
+	// The chaos run, under full weather, and beside it the reference
+	// replay: identical ops, identical audit draws, identical adversary
+	// and tenant traffic — zero weather and a single DA. The two share
+	// the SIO (setup cost, never verdicts) and nothing else, so they run
+	// at once.
+	if cfg.SIO == nil {
+		if cfg.SIO, err = ibc.Setup(pairing.InsecureTest256(), rand.Reader); err != nil {
+			return nil, nil, err
+		}
 	}
-	if err := cc.runEpochs(sched); err != nil {
-		return nil, nil, err
-	}
-
-	// The reference replay: identical ops, identical audit draws,
-	// identical adversary — zero weather and a single DA. Sharing the
-	// chaos run's SIO halves setup cost without coupling verdicts.
 	refCfg := cfg
-	if refCfg.SIO == nil {
-		refCfg.SIO = cc.sio
-	}
 	refCfg.Hub = nil
-	ref, err := newCluster(refCfg, dir+"/ref", true, nil)
-	if err != nil {
-		return nil, nil, fmt.Errorf("chaos: building reference cluster: %w", err)
+	var ref *cluster
+	refDone := make(chan error, 1)
+	go func() {
+		var err error
+		ref, err = replay(refCfg, dir+"/ref", true, sched)
+		refDone <- err
+	}()
+	cc, err := replay(cfg, dir+"/chaos", false, sched)
+	if refErr := <-refDone; err == nil {
+		err = refErr
 	}
-	if err := ref.runEpochs(sched); err != nil {
+	if err != nil {
 		return nil, nil, err
 	}
 
@@ -244,6 +268,9 @@ func run(cfg Config) (*Report, *cluster, error) {
 	for _, o := range cc.jobOutcomes {
 		note(o.Quorum)
 	}
+	// A tampered run is detected when every rotted party was accused: the
+	// replicas with rotten copies and the rotted tenants alike.
+	serverRot, tenantRot := len(cc.led.tamperContent) > 0, len(cc.led.tenantRot) > 0
 	rep := &Report{
 		Seed:              cfg.Seed,
 		Schedule:          sched.String(),
@@ -254,8 +281,8 @@ func run(cfg Config) (*Report, *cluster, error) {
 		Audits:            len(cc.outcomes),
 		FalseFlags:        cc.falseFlags,
 		Accusations:       cc.accusations,
-		Detected:          cc.detected,
-		Tampered:          len(cc.led.tamperContent) > 0,
+		Detected:          (serverRot || tenantRot) && (!serverRot || cc.detected) && (!tenantRot || cc.tenants.detections > 0),
+		Tampered:          serverRot || tenantRot,
 		LostRounds:        cc.lostRounds,
 		Failovers:         cc.failovers,
 		AuditErrors:       cc.auditErrors,
@@ -270,6 +297,10 @@ func run(cfg Config) (*Report, *cluster, error) {
 		ByzantinePartials: forged,
 		Violations:        cc.violations.list,
 		Elapsed:           time.Since(start),
+	}
+	if t := cc.tenants; t != nil {
+		rep.Tenants, rep.TenantSessions = len(t.warm), t.sessions
+		rep.TenantDetections, rep.TenantFlushes = t.detections, t.flushes
 	}
 	return rep, cc, nil
 }

@@ -16,10 +16,13 @@ package chaos
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
 	"time"
+
+	"seccloud/internal/store"
 )
 
 // StepKind enumerates the nemesis's moves.
@@ -83,6 +86,14 @@ const (
 	// StepHByz makes share-holder Target (1-based) forge its partials for
 	// this epoch.
 	StepHByz
+	// StepTenants is the agency's traffic shape, like StepQuorum: at epoch
+	// 1 only, it registers Tenants tenants, and every epoch the scheduler
+	// drains Sessions Zipf-drawn sessions of theirs through the fleet.
+	StepTenants
+	// StepTTamper is the real adversary on a tenant: silent rot of every
+	// block tenant Target (its Zipf rank) stores, registered in the
+	// ledger so its conviction is expected.
+	StepTTamper
 )
 
 var stepNames = map[StepKind]string{
@@ -91,6 +102,7 @@ var stepNames = map[StepKind]string{
 	StepDisk: "disk", StepDiskHeal: "diskheal", StepRestart: "restart",
 	StepTamper: "tamper", StepPlant: "plant", StepCheat: "cheat", StepShed: "shed",
 	StepQuorum: "quorum", StepHKill: "hkill", StepHByz: "hbyz",
+	StepTenants: "tenants", StepTTamper: "ttamper",
 }
 
 // The plant kinds (see StepPlant).
@@ -105,8 +117,9 @@ type Step struct {
 	Epoch int
 	Kind  StepKind
 
-	// Target is the victim server index (every kind but cut, heal, skew
-	// and quorum), or the 1-based share index for hkill and hbyz.
+	// Target is the victim server index (every kind but cut, heal, skew,
+	// quorum and tenants), the 1-based share index for hkill and hbyz, or
+	// the tenant's rank for ttamper.
 	Target int
 	// Node is the skewed node: "da" or a server index rendered in
 	// decimal.
@@ -129,6 +142,9 @@ type Step struct {
 	Plant string
 	// T of N is the dealt quorum shape.
 	T, N int
+	// Tenants and Sessions are the registered population and the sessions
+	// drained per epoch.
+	Tenants, Sessions int
 }
 
 // String renders the step in the schedule grammar (see DESIGN.md §10).
@@ -173,6 +189,10 @@ func (s Step) String() string {
 		body = fmt.Sprintf("hkill(%d)", s.Target)
 	case StepHByz:
 		body = fmt.Sprintf("hbyz(%d)", s.Target)
+	case StepTenants:
+		body = fmt.Sprintf("tenants(%d,%d)", s.Tenants, s.Sessions)
+	case StepTTamper:
+		body = fmt.Sprintf("ttamper(%d)", s.Target)
 	default:
 		body = fmt.Sprintf("step(%d)", int(s.Kind))
 	}
@@ -221,22 +241,26 @@ func ParseSchedule(text string) (Schedule, error) {
 	return sched, nil
 }
 
-// quorum returns the schedule's quorum step, nil for a single DA.
-func (sc Schedule) quorum() *Step {
+// shape returns the schedule's first step of a shape kind: its quorum
+// (nil for a single DA) or its tenants (nil for no tenant traffic).
+func (sc Schedule) shape(kind StepKind) *Step {
 	for i := range sc {
-		if sc[i].Kind == StepQuorum {
+		if sc[i].Kind == kind {
 			return &sc[i]
 		}
 	}
 	return nil
 }
 
-// validate refuses a DA shape no cluster can run: a quorum outside epoch
-// 1, a second quorum, t outside 1..n, a holder step without a quorum or
-// naming a share index outside 1..n, or more holders faulted in one
-// epoch than the n−t a quorum survives.
+// validate refuses what no cluster can run, whatever its size: a quorum
+// or tenants step outside epoch 1 or repeated, t outside 1..n, k or s
+// outside bounds that keep a typo from asking for more memory than a
+// machine has, a holder step without a quorum or naming a share
+// outside 1..n, more holders faulted in one epoch than the n−t a quorum
+// survives, a ttamper without tenants or naming a rank outside 0..k−1, a
+// tamper of other than 1..tamperReserve blocks and an unknown crash point.
 func (sc Schedule) validate() error {
-	q := sc.quorum()
+	q, ten := sc.shape(StepQuorum), sc.shape(StepTenants)
 	faulted := map[int]map[int]bool{} // epoch → holders
 	for i, s := range sc {
 		switch s.Kind {
@@ -262,6 +286,70 @@ func (sc Schedule) validate() error {
 			faulted[s.Epoch][s.Target] = true
 			if n := len(faulted[s.Epoch]); n > q.N-q.T {
 				return fmt.Errorf("chaos: epoch %d faults %d holders, over the n-t = %d budget", s.Epoch, n, q.N-q.T)
+			}
+		case StepTenants:
+			switch {
+			case &sc[i] != ten:
+				return fmt.Errorf("chaos: %s: a second tenants step", s)
+			case s.Epoch != 1:
+				return fmt.Errorf("chaos: %s: the tenants are registered at epoch 1", s)
+			case s.Tenants < 2 || s.Tenants > 1_000_000:
+				return fmt.Errorf("chaos: %s: k must be in 2..1000000", s)
+			case s.Sessions < 1 || s.Sessions > 10_000:
+				return fmt.Errorf("chaos: %s: s must be in 1..10000", s)
+			}
+		case StepTTamper:
+			switch {
+			case ten == nil:
+				return fmt.Errorf("chaos: %s: tenant tamper without a tenants step", s)
+			case s.Target < 0 || s.Target >= ten.Tenants:
+				return fmt.Errorf("chaos: %s: tenant outside 0..%d", s, ten.Tenants-1)
+			}
+		case StepTamper:
+			if s.Blocks < 1 || s.Blocks > tamperReserve {
+				return fmt.Errorf("chaos: %s: a tamper rots 1..%d blocks", s, tamperReserve)
+			}
+		case StepCrash:
+			if _, ok := store.CrashPointByName(s.Point); !ok {
+				return fmt.Errorf("chaos: %s: unknown crash point %q", s, s.Point)
+			}
+		}
+	}
+	return nil
+}
+
+// Validate refuses a schedule that a fleet of servers cannot run over
+// epochs epochs as written: on top of validate's checks, a step past the
+// last epoch (it would never run), and a server index, a skewed node or
+// a cut group that names no node of the fleet. Run calls it before any
+// cluster is built, so a printed repro line always states what ran.
+func (sc Schedule) Validate(servers, epochs int) error {
+	if err := sc.validate(); err != nil {
+		return err
+	}
+	server := func(name string) bool {
+		i, err := strconv.Atoi(name)
+		return err == nil && i >= 0 && i < servers && name == nodeLabel(i)
+	}
+	for _, s := range sc {
+		if s.Epoch > epochs {
+			return fmt.Errorf("chaos: %s: past the run's last epoch %d", s, epochs)
+		}
+		switch s.Kind {
+		case StepHeal, StepQuorum, StepHKill, StepHByz, StepTenants, StepTTamper:
+		case StepSkew:
+			if s.Node != "da" && !server(s.Node) {
+				return fmt.Errorf("chaos: %s: node %q is neither da nor a server in 0..%d", s, s.Node, servers-1)
+			}
+		case StepCut:
+			for _, n := range slices.Concat(s.From, s.To) {
+				if n != "da" && n != "csp" && !server(n) {
+					return fmt.Errorf("chaos: %s: group %q is neither da, csp nor a server in 0..%d", s, n, servers-1)
+				}
+			}
+		default:
+			if s.Target < 0 || s.Target >= servers {
+				return fmt.Errorf("chaos: %s: server outside 0..%d", s, servers-1)
 			}
 		}
 	}
@@ -322,7 +410,7 @@ func parseStep(tok string) (Step, error) {
 			return 0, fmt.Errorf("chaos: step %q: expected %s=<rate>, got %q", tok, key, kv)
 		}
 		f, err := strconv.ParseFloat(val, 64)
-		if err != nil || f < 0 || f > 1 {
+		if err != nil || !(f >= 0 && f <= 1) { // NaN too
 			return 0, fmt.Errorf("chaos: step %q: bad rate %q", tok, kv)
 		}
 		return f, nil
@@ -333,7 +421,7 @@ func parseStep(tok string) (Step, error) {
 		if len(args) != 0 {
 			return st, fmt.Errorf("chaos: step %q: heal takes no args", tok)
 		}
-	case StepCalm, StepKill, StepRevive, StepDiskHeal, StepRestart, StepShed, StepHKill, StepHByz:
+	case StepCalm, StepKill, StepRevive, StepDiskHeal, StepRestart, StepShed, StepHKill, StepHByz, StepTTamper:
 		if len(args) != 1 {
 			return st, fmt.Errorf("chaos: step %q: want 1 arg", tok)
 		}
@@ -418,6 +506,16 @@ func parseStep(tok string) (Step, error) {
 			return st, err
 		}
 		if st.CSC, err = rate(args[1], "csc"); err != nil {
+			return st, err
+		}
+	case StepTenants:
+		if len(args) != 2 {
+			return st, fmt.Errorf("chaos: step %q: want tenants(k,s)", tok)
+		}
+		if st.Tenants, err = atoi(args[0]); err != nil {
+			return st, err
+		}
+		if st.Sessions, err = atoi(args[1]); err != nil {
 			return st, err
 		}
 	case StepQuorum:
@@ -654,6 +752,15 @@ func Generate(seed int64, servers, activeEpochs, maxPerEpoch int, tamper bool) S
 				}
 				sched = append(sched, Step{Epoch: ep, Kind: kind, Target: h + 1})
 			}
+		}
+	}
+	// Tenant traffic too: about a quarter of the seeds register 10⁴
+	// tenants and drain 8 of their sessions an epoch, and with tamper the
+	// traffic head's data rots at a drawn active epoch.
+	if tr := rand.New(rand.NewSource(subSeed(seed, "tenant-shape", 0, 0))); tr.Intn(4) == 0 {
+		sched = append(Schedule{{Epoch: 1, Kind: StepTenants, Tenants: 10_000, Sessions: 8}}, sched...)
+		if tamper {
+			sched = append(sched, Step{Epoch: 1 + tr.Intn(activeEpochs), Kind: StepTTamper, Target: 0})
 		}
 	}
 	sort.SliceStable(sched, func(i, j int) bool { return sched[i].Epoch < sched[j].Epoch })

@@ -612,7 +612,7 @@ func TestGoldenScheduler(t *testing.T) {
 			var b strings.Builder
 			for _, workers := range []int{1, 4} {
 				fmt.Fprintf(&b, "== workers=%d ==\n", workers)
-				cfg := SchedulerConfig{Workers: workers, CrossTenantBatch: true, SampleSize: 4, Rng: seeded(goldenSeed)}
+				cfg := SchedulerConfig{Workers: workers, SampleSize: 4, Rng: seeded(goldenSeed)}
 				if tc.overload {
 					cfg.Overload = NewOverloadController(OverloadConfig{Threshold: 0.3, Window: 16, MinFraction: 0.25})
 				}

@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"strings"
 	"sync"
-	"time"
 
 	"seccloud/internal/netsim"
 	"seccloud/internal/obs"
@@ -19,13 +18,6 @@ type SchedulerConfig struct {
 	// agency default, ≤ 1 runs sequentially. The worker count never
 	// changes report contents.
 	Workers int
-	// CrossTenantBatch folds the deferred block-signature checks of EVERY
-	// drained session into shared §VI aggregate equations — 2 pairings per
-	// flush regardless of how many tenants contributed. Off, each tenant
-	// session gets its own per-tenant aggregate check (the paper's
-	// single-user shape, kept as the baseline `seccloud-sim
-	// -cross-batch=false` runs).
-	CrossTenantBatch bool
 	// FlushLimit caps the signature checks folded into one cross-tenant
 	// aggregate, bounding how many sessions one flush's verdict latency
 	// rides on; ≤ 0 means one flush for the whole drain.
@@ -54,12 +46,6 @@ type TenantVerdict struct {
 	UserID string
 	JobID  string
 	Report *AuditReport
-	// Latency is the measurement-side verdict latency: drain start to the
-	// instant this session's verdict became final (its checks done AND the
-	// flush covering its signatures resolved). It is timing telemetry, not
-	// evidence — excluded from Fingerprint so reports stay deterministic
-	// across worker counts.
-	Latency time.Duration
 }
 
 // MultiTenantReport is the outcome of one scheduler drain.
@@ -68,14 +54,11 @@ type MultiTenantReport struct {
 	Verdicts []TenantVerdict
 	// BatchedSigItems counts block signatures folded into aggregate checks.
 	BatchedSigItems int
-	// Flushes counts aggregate verifications performed (cross-tenant mode:
-	// ⌈items/FlushLimit⌉; per-tenant mode: one per session with items).
+	// Flushes counts aggregate verifications performed: ⌈items/FlushLimit⌉.
 	Flushes int
 	// BlameFallbacks counts flushes whose aggregate failed and fell back
 	// to per-item verification to attribute blame.
 	BlameFallbacks int
-	// Elapsed is the DA-side wall time of the drain.
-	Elapsed time.Duration
 }
 
 // Valid reports whether every session passed.
@@ -91,7 +74,6 @@ func (m *MultiTenantReport) Valid() bool {
 // Fingerprint serializes everything deterministic about the drain —
 // verdict order, per-session samples, round outcomes, and failures — so
 // tests and benches can assert worker-count independence byte-for-byte.
-// Latencies and durations are deliberately excluded.
 func (m *MultiTenantReport) Fingerprint() string {
 	var b strings.Builder
 	for i := range m.Verdicts {
@@ -114,7 +96,7 @@ func (m *MultiTenantReport) Fingerprint() string {
 // schedObs holds the scheduler's instrument cells (nil = no hub).
 type schedObs struct {
 	sessions  *obs.CounterVec // tenant_audit_sessions_total{result}
-	flushes   *obs.CounterVec // tenant_sig_flushes_total{mode}
+	flushes   *obs.Counter    // tenant_sig_flushes_total
 	items     *obs.Counter    // tenant_sig_items_total
 	fallbacks *obs.Counter    // tenant_blame_fallbacks_total
 }
@@ -125,7 +107,7 @@ func newSchedObs(h *obs.Hub) *schedObs {
 	}
 	return &schedObs{
 		sessions:  h.Counter("tenant_audit_sessions_total", "result"),
-		flushes:   h.Counter("tenant_sig_flushes_total", "mode"),
+		flushes:   h.Counter("tenant_sig_flushes_total").With(),
 		items:     h.Counter("tenant_sig_items_total").With(),
 		fallbacks: h.Counter("tenant_blame_fallbacks_total").With(),
 	}
@@ -174,7 +156,7 @@ func (s *AuditScheduler) Registry() *TenantRegistry { return s.registry }
 // with the signatures found in the agency's memo after the first) and
 // cached in the registry, and the tenant's Q_ID hash-to-point is
 // warmed so no audit session pays it. budget ≤ 0 keeps the registered
-// Theorem-3 budget. Unregistered IDs are registered implicitly.
+// budget. Unregistered IDs are registered implicitly.
 func (s *AuditScheduler) Onboard(client netsim.Client, d *JobDelegation, budget int) error {
 	if err := s.agency.AcceptDelegation(d); err != nil {
 		return fmt.Errorf("core: onboarding %s: %w", d.UserID, err)
@@ -204,19 +186,18 @@ func (s *AuditScheduler) Pending() int {
 
 // session is the per-slot state of one drained audit session.
 type session struct {
-	userID   string
-	d        *JobDelegation
-	run      *auditRun
-	err      error     // terminal error from the session's rounds
-	checksAt time.Time // when the session's own checks finished
+	userID string
+	d      *JobDelegation
+	run    *auditRun
+	err    error // terminal error from the session's rounds
 }
 
 // Drain audits every queued session and empties the queue. Each session is
 // one pass through the audit round engine under the scheduler's two
 // policies — one round with one attempt, and a round-trip error of any
 // kind costs that tenant's round, never the drain — with the engine's
-// signature settlement replaced by cross-tenant (or per-tenant) aggregate
-// flushes after the fan-out. A tenant whose round is lost to the
+// signature settlement replaced by cross-tenant aggregate flushes after
+// the fan-out. A tenant whose round is lost to the
 // network/overload gets a non-accusatory lost round, exactly like
 // single-tenant audits; a tenant that was never onboarded fails the whole
 // drain (caller error).
@@ -227,7 +208,6 @@ func (s *AuditScheduler) Drain() (*MultiTenantReport, error) {
 	s.mu.Unlock()
 
 	a := s.agency
-	start := a.clock()
 	rng, err := a.challengeRNG(s.cfg.Rng)
 	if err != nil {
 		return nil, err
@@ -264,7 +244,6 @@ func (s *AuditScheduler) Drain() (*MultiTenantReport, error) {
 	// Each slot writes only its own state.
 	p.forEach(context.Background(), len(sessions), func(i int) {
 		sessions[i].err = sessions[i].run.rounds()
-		sessions[i].checksAt = a.clock()
 	})
 
 	// Sequential assembly in enqueue order, then the deferred flushes.
@@ -275,12 +254,7 @@ func (s *AuditScheduler) Drain() (*MultiTenantReport, error) {
 		if sess.err != nil {
 			return nil, sess.err
 		}
-		out.Verdicts[i] = TenantVerdict{
-			UserID:  sess.userID,
-			JobID:   sess.d.JobID,
-			Report:  sess.run.report,
-			Latency: sess.checksAt.Sub(start),
-		}
+		out.Verdicts[i] = TenantVerdict{UserID: sess.userID, JobID: sess.d.JobID, Report: sess.run.report}
 		for _, sc := range sess.run.sigChecks {
 			deferred = append(deferred, sc)
 			owners = append(owners, i)
@@ -288,32 +262,14 @@ func (s *AuditScheduler) Drain() (*MultiTenantReport, error) {
 	}
 	out.BatchedSigItems = len(deferred)
 
-	if s.cfg.CrossTenantBatch {
-		limit := s.cfg.FlushLimit
-		if limit <= 0 {
-			limit = len(deferred)
-		}
-		for lo := 0; lo < len(deferred); lo += limit {
-			hi := lo + limit
-			if hi > len(deferred) {
-				hi = len(deferred)
-			}
-			if err := s.flush(out, sessions, deferred[lo:hi], owners[lo:hi], "cross", p, start); err != nil {
-				return nil, err
-			}
-		}
-	} else {
-		// Per-tenant baseline: one aggregate per session's own checks.
-		// deferred is grouped by session already (enqueue order).
-		for lo := 0; lo < len(deferred); {
-			hi := lo
-			for hi < len(deferred) && owners[hi] == owners[lo] {
-				hi++
-			}
-			if err := s.flush(out, sessions, deferred[lo:hi], owners[lo:hi], "per_tenant", p, start); err != nil {
-				return nil, err
-			}
-			lo = hi
+	limit := s.cfg.FlushLimit
+	if limit <= 0 {
+		limit = len(deferred)
+	}
+	for lo := 0; lo < len(deferred); lo += limit {
+		hi := min(lo+limit, len(deferred))
+		if err := s.flush(out, sessions, deferred[lo:hi], owners[lo:hi], p); err != nil {
+			return nil, err
 		}
 	}
 
@@ -337,7 +293,6 @@ func (s *AuditScheduler) Drain() (*MultiTenantReport, error) {
 			s.obs.sessions.With(result).Inc()
 		}
 	}
-	out.Elapsed = a.clock().Sub(start)
 	return out, nil
 }
 
@@ -348,7 +303,7 @@ func (s *AuditScheduler) Drain() (*MultiTenantReport, error) {
 // not manufacture either a verdict or a failure out of nothing.
 func (s *AuditScheduler) flush(
 	out *MultiTenantReport, sessions []*session,
-	chunk []sigCheck, owners []int, mode string, p *pool, start time.Time,
+	chunk []sigCheck, owners []int, p *pool,
 ) error {
 	if len(chunk) == 0 {
 		return nil
@@ -371,19 +326,8 @@ func (s *AuditScheduler) flush(
 		sess.run.blame(chunk[k], fmt.Errorf("tenant %s job %s index %d: %v",
 			sess.userID, sess.d.JobID, chunk[k].index, err))
 	}
-	// Verdicts covered by this flush are now final: their latency extends
-	// to the flush's resolution.
-	at := s.agency.clock().Sub(start)
-	seen := make(map[int]struct{}, len(owners))
-	for _, oi := range owners {
-		if _, dup := seen[oi]; dup {
-			continue
-		}
-		seen[oi] = struct{}{}
-		out.Verdicts[oi].Latency = at
-	}
 	if s.obs != nil {
-		s.obs.flushes.With(mode).Inc()
+		s.obs.flushes.Inc()
 		s.obs.items.Add(uint64(len(chunk)))
 		if fellBack {
 			s.obs.fallbacks.Inc()

@@ -146,9 +146,8 @@ func TestTenantRegistry(t *testing.T) {
 func TestSchedulerCrossTenantHonestDrain(t *testing.T) {
 	const tenants = 5
 	f := newTenantFixture(t, tenants, 8, SchedulerConfig{
-		CrossTenantBatch: true,
-		SampleSize:       3,
-		Rng:              mrand.New(mrand.NewSource(42)),
+		SampleSize: 3,
+		Rng:        mrand.New(mrand.NewSource(42)),
 	})
 	for round := 0; round < 2; round++ { // long-lived: drain twice
 		for _, id := range f.ids {
@@ -200,35 +199,12 @@ func TestSchedulerCrossTenantHonestDrain(t *testing.T) {
 	}
 }
 
-func TestSchedulerPerTenantBaselineFlushesPerSession(t *testing.T) {
-	const tenants = 4
-	f := newTenantFixture(t, tenants, 8, SchedulerConfig{
-		CrossTenantBatch: false,
-		SampleSize:       2,
-		Rng:              mrand.New(mrand.NewSource(9)),
-	})
-	for _, id := range f.ids {
-		f.sched.Enqueue(id)
-	}
-	rep, err := f.sched.Drain()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rep.Valid() {
-		t.Fatalf("honest per-tenant drain invalid: %s", rep.Fingerprint())
-	}
-	if rep.Flushes != tenants {
-		t.Fatalf("Flushes = %d, want one per tenant (%d)", rep.Flushes, tenants)
-	}
-}
-
 func TestSchedulerFlushLimitChunks(t *testing.T) {
 	const tenants = 4
 	f := newTenantFixture(t, tenants, 8, SchedulerConfig{
-		CrossTenantBatch: true,
-		FlushLimit:       3, // 4 tenants × 2 sigs = 8 items → 3 flushes
-		SampleSize:       2,
-		Rng:              mrand.New(mrand.NewSource(11)),
+		FlushLimit: 3, // 4 tenants × 2 sigs = 8 items → 3 flushes
+		SampleSize: 2,
+		Rng:        mrand.New(mrand.NewSource(11)),
 	})
 	for _, id := range f.ids {
 		f.sched.Enqueue(id)
@@ -254,11 +230,10 @@ func TestSchedulerDeterministicAcrossWorkers(t *testing.T) {
 	var f *tenantFixture
 	for _, workers := range []int{1, 4, 16} {
 		cfg := SchedulerConfig{
-			Workers:          workers,
-			CrossTenantBatch: true,
-			FlushLimit:       5,
-			SampleSize:       3,
-			Rng:              mrand.New(mrand.NewSource(77)),
+			Workers:    workers,
+			FlushLimit: 5,
+			SampleSize: 3,
+			Rng:        mrand.New(mrand.NewSource(77)),
 		}
 		if f == nil {
 			f = newTenantFixture(t, tenants, 8, cfg)
@@ -290,9 +265,8 @@ func TestCrossUserBlameAttribution(t *testing.T) {
 	const tenants = 4
 	const blocks = 6
 	f := newTenantFixture(t, tenants, blocks, SchedulerConfig{
-		CrossTenantBatch: true,
-		SampleSize:       4,
-		Rng:              mrand.New(mrand.NewSource(5)),
+		SampleSize: 4,
+		Rng:        mrand.New(mrand.NewSource(5)),
 	})
 	// Tamper every stored block of exactly one tenant AFTER compute time:
 	// the stored signatures no longer match the data the server will serve.
@@ -348,10 +322,9 @@ func TestSchedulerAllShedDrain(t *testing.T) {
 	const tenants = 3
 	oc := NewOverloadController(OverloadConfig{Window: 16})
 	f := newTenantFixture(t, tenants, 8, SchedulerConfig{
-		CrossTenantBatch: true,
-		SampleSize:       3,
-		Rng:              mrand.New(mrand.NewSource(13)),
-		Overload:         oc,
+		SampleSize: 3,
+		Rng:        mrand.New(mrand.NewSource(13)),
+		Overload:   oc,
 	})
 	shedAll := &shedClient{inner: f.sys.clients[0], shed: func(int) bool { return true }}
 	for _, id := range f.ids {
@@ -394,10 +367,9 @@ func TestSchedulerNetworkFaultIsNotOverloadPressure(t *testing.T) {
 	const tenants = 3
 	oc := NewOverloadController(OverloadConfig{Window: 16})
 	f := newTenantFixture(t, tenants, 8, SchedulerConfig{
-		CrossTenantBatch: true,
-		SampleSize:       3,
-		Rng:              mrand.New(mrand.NewSource(14)),
-		Overload:         oc,
+		SampleSize: 3,
+		Rng:        mrand.New(mrand.NewSource(14)),
+		Overload:   oc,
 	})
 	down := netsim.NewDownableHandler(f.sys.servers[0])
 	down.SetDown(true)
@@ -436,9 +408,8 @@ func TestSchedulerNetworkFaultIsNotOverloadPressure(t *testing.T) {
 // used to record such rounds as Completed.)
 func TestSchedulerRefusedRoundNotCompleted(t *testing.T) {
 	f := newTenantFixture(t, 2, 8, SchedulerConfig{
-		CrossTenantBatch: true,
-		SampleSize:       3,
-		Rng:              mrand.New(mrand.NewSource(15)),
+		SampleSize: 3,
+		Rng:        mrand.New(mrand.NewSource(15)),
 	})
 	// A second server that holds no job of tenant 1's refuses its challenge.
 	other := newSystem(t, nil)
@@ -481,7 +452,7 @@ func TestSchedulerRefusedRoundNotCompleted(t *testing.T) {
 // TestSchedulerUnknownTenantFailsDrain: sessions for tenants that were
 // never onboarded are caller errors, not evidence.
 func TestSchedulerUnknownTenantFailsDrain(t *testing.T) {
-	f := newTenantFixture(t, 1, 4, SchedulerConfig{CrossTenantBatch: true, SampleSize: 2})
+	f := newTenantFixture(t, 1, 4, SchedulerConfig{SampleSize: 2})
 	f.sched.Enqueue("user:ghost")
 	if _, err := f.sched.Drain(); err == nil {
 		t.Fatal("drain with unregistered tenant succeeded")
@@ -492,9 +463,8 @@ func TestSchedulerObsCounters(t *testing.T) {
 	hub := obs.NewHub()
 	const tenants = 3
 	f := newTenantFixture(t, tenants, 8, SchedulerConfig{
-		CrossTenantBatch: true,
-		SampleSize:       2,
-		Rng:              mrand.New(mrand.NewSource(21)),
+		SampleSize: 2,
+		Rng:        mrand.New(mrand.NewSource(21)),
 	})
 	f.sched.WithObs(hub)
 	f.sched.Registry().WithObs(hub)
@@ -531,9 +501,8 @@ var _ netsim.Client = (*shedClient)(nil)
 // queue — the scheduler's per-session cost with onboarding amortized away.
 func BenchmarkSchedulerDrain(b *testing.B) {
 	f := newTenantFixture(b, 8, 6, SchedulerConfig{
-		CrossTenantBatch: true,
-		SampleSize:       4,
-		Rng:              mrand.New(mrand.NewSource(3)),
+		SampleSize: 4,
+		Rng:        mrand.New(mrand.NewSource(3)),
 	})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

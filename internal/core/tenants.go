@@ -13,7 +13,7 @@ import (
 // Tenant is one registered identity in a multi-tenant agency: the user ID
 // (whose Q_ID = H1(ID) is the verification key side of every eq. 5/7
 // check), the declared dataset size, and the per-tenant sampling budget
-// from the Theorem-3 cost model (costmodel.TenantBudget). Registration is
+// (0 leaves it to the scheduler's SampleSize). Registration is
 // cheap — no pairing work, no key extraction — so a registry can hold
 // 10⁵–10⁶ identities; the expensive parts (delegation validation, Q_ID
 // hash-to-point, stored data) attach lazily when the tenant is first
@@ -27,8 +27,8 @@ type Tenant struct {
 	// DatasetSize is the number of committed blocks/sub-tasks declared at
 	// registration (used for budget derivation before a job is attached).
 	DatasetSize int
-	// SampleBudget is the tenant's Theorem-3 per-audit challenge budget;
-	// audits clamp it to the attached job's size.
+	// SampleBudget is the tenant's per-audit challenge budget (0: the
+	// scheduler's SampleSize); audits clamp it to the attached job's size.
 	SampleBudget int
 
 	client     netsim.Client

@@ -79,12 +79,6 @@ func NewMultiTenant(seed int64, cfg MultiTenantConfig) (*MultiTenant, error) {
 	return &MultiTenant{cfg: cfg, seed: seed, rng: rng, zipf: z}, nil
 }
 
-// NumTenants returns the registered population size.
-func (w *MultiTenant) NumTenants() int { return w.cfg.Tenants }
-
-// BlocksPerTenant returns the effective per-tenant dataset size.
-func (w *MultiTenant) BlocksPerTenant() int { return w.cfg.blocksPerTenant() }
-
 // TenantID names tenant i; stable across runs and processes.
 func (w *MultiTenant) TenantID(i int) string {
 	return fmt.Sprintf("user:tenant-%08d", i)
@@ -100,16 +94,6 @@ func (w *MultiTenant) SessionTrace() []int {
 		out[i] = int(w.zipf.Uint64())
 	}
 	return out
-}
-
-// DistinctTenants counts the unique tenants in a trace — the number of
-// tenants a simulation must actually materialize.
-func DistinctTenants(trace []int) int {
-	seen := make(map[int]struct{}, len(trace))
-	for _, t := range trace {
-		seen[t] = struct{}{}
-	}
-	return len(seen)
 }
 
 // TenantDataset materializes tenant i's dataset. Derivation is positional

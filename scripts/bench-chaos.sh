@@ -3,9 +3,11 @@
 # composed-fault schedule of seeds 1..200 must end with zero false flags
 # and every invariant green, and every third seed (3, 6, …, 198) must
 # convict the cheating replica when rerun with -chaos-tamper. About half
-# the seeds deal the DA's key 2-of-3 to share-holders: at least one clean
-# and one convicted tampered seed must have run such a quorum. Any miss
-# prints that run's output and exits nonzero.
+# the seeds deal the DA's key 2-of-3 to share-holders, and about a quarter
+# drain tenant traffic (with -chaos-tamper, beside a rotted tenant that
+# must be convicted too): at least one clean and one convicted tampered
+# seed must have run each. Any miss prints that run's output and exits
+# nonzero.
 #
 #   scripts/bench-chaos.sh        (`make bench-chaos`)
 #
@@ -33,9 +35,12 @@ grep -q '^false flags: 0 ' "$tmp/clean.out" || fail "$tmp/clean.out" "the 200-se
 grep -q '^invariants: ok$' "$tmp/clean.out" || fail "$tmp/clean.out" "the 200-seed sweep broke an invariant"
 quorums=$(sed -n 's/^quorum runs: \([0-9]*\) .*/\1/p' "$tmp/clean.out")
 [ "${quorums:-0}" -ge 1 ] || fail "$tmp/clean.out" "no clean seed ran a quorum"
+tenant_runs=$(sed -n 's/^tenant runs: \([0-9]*\) .*/\1/p' "$tmp/clean.out")
+[ "${tenant_runs:-0}" -ge 1 ] || fail "$tmp/clean.out" "no clean seed ran tenants"
 
 tampered=0
 tampered_quorums=0
+tampered_tenants=0
 for seed in $(seq 3 3 198); do
 	out="$tmp/tamper-$seed.out"
 	"$tmp/seccloud-sim" -chaos -chaos-seed "$seed" -chaos-tamper > "$out" ||
@@ -47,10 +52,18 @@ for seed in $(seq 3 3 198); do
 	if grep -q '^quorum runs: 1 ' "$out"; then
 		tampered_quorums=$((tampered_quorums + 1))
 	fi
+	if grep -q '^tenant runs: 1 ' "$out"; then
+		grep -Eq 'tenant detections: [1-9]' "$out" || fail "$out" "tampered seed $seed never convicted its rotted tenant"
+		tampered_tenants=$((tampered_tenants + 1))
+	fi
 done
 [ "$tampered_quorums" -ge 1 ] || {
 	echo "bench-chaos: no convicted tampered seed ran a quorum" >&2
 	exit 1
 }
+[ "$tampered_tenants" -ge 1 ] || {
+	echo "bench-chaos: no convicted tampered seed ran tenants" >&2
+	exit 1
+}
 
-echo "bench-chaos: 200 schedules clean (0 false flags, invariants ok; $quorums ran a quorum); $tampered/$tampered tampered schedules convicted ($tampered_quorums ran a quorum)"
+echo "bench-chaos: 200 schedules clean (0 false flags, invariants ok; $quorums ran a quorum, $tenant_runs ran tenants); $tampered/$tampered tampered schedules convicted ($tampered_quorums ran a quorum, $tampered_tenants ran tenants)"
