@@ -92,11 +92,12 @@ bench-pairs:
 	sh scripts/bench-pairs.sh $(PARENT) $(WORKLOAD) $(SEED) $(PAIRS)
 
 # Audit-pipeline benchmarks: worker-pool scaling on a latent link, the
-# O(t) sampler's allocations, and the fixed-argument pairing cache.
+# O(t) sampler's allocations, the fixed-argument pairing cache and the
+# aggregate signature check.
 bench-audit:
 	$(GO) test -run '^$$' -bench 'BenchmarkAuditPipeline|BenchmarkSampleIndices' -benchmem -benchtime 3x ./internal/core
 	$(GO) test -run '^$$' -bench 'BenchmarkPairPrecomp' -benchmem ./internal/pairing
-	$(GO) test -run '^$$' -bench 'BenchmarkVerifyDesignated' -benchmem ./internal/dvs
+	$(GO) test -run '^$$' -bench 'BenchmarkVerifyDesignated|BenchmarkBatchVerify' -benchmem ./internal/dvs
 
 # Chaos gate: 200 seeded composed disk/network/clock/process fault
 # schedules through seccloud-sim -chaos (zero false flags, every invariant

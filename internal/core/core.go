@@ -66,14 +66,16 @@ func EncodeBlockSig(signerID string, sp *ibc.SystemParams, sigs []*dvs.Designate
 // DecodeBlockSig extracts the designated signature for one verifier from a
 // wire block signature. It guarantees that U is a point on the curve and
 // that Σ is a nonzero Fp2 element with both coordinates in field range —
-// and nothing about the order of either. Membership of U in G1 and of Σ in
-// GT is the job of the verifier entry point that must follow: Scheme.Verify
-// (U strictly, Σ by equality with a pairing output), Scheme.BatchVerify and
-// Scheme.VerificationBase (both strictly, per item), or
-// Scheme.BatchVerifyRandomized and Scheme.AggregateRandomized (one
-// randomized membership check for the batch's U, per-item exponents
-// shielding Σ). A decoded signature that reaches none of them has not been
-// checked.
+// and nothing about the order of either. What follows decides how much of
+// that order matters: Scheme.Verify (U strictly, Σ by equality with a
+// pairing output), Scheme.BatchVerify and Scheme.VerificationBase (both
+// strictly, per item), Scheme.AggregateRandomized (one randomized
+// membership check for the batch's U, per-item exponents shielding Σ), or
+// Scheme.BatchVerifyRandomized, which checks no U — a cofactor component
+// of U vanishes in the DA's pairing and changes H2(U‖m) — and shields Σ
+// with odd per-item exponents. The server's upload check adds
+// Scheme.BatchMembership to it, so every U it stores is in G1. A decoded
+// signature that reaches none of them has not been checked.
 func DecodeBlockSig(sp *ibc.SystemParams, bs *wire.BlockSig, verifierID string) (*dvs.Designated, error) {
 	raw, ok := bs.Sigma[verifierID]
 	if !ok {
@@ -88,9 +90,8 @@ func DecodeBlockSig(sp *ibc.SystemParams, bs *wire.BlockSig, verifierID string) 
 		return nil, fmt.Errorf("core: decoding Σ: %w", err)
 	}
 	// UnmarshalPoint guarantees U is on the curve; order-q membership of
-	// both components is the verifier's job (strict per-item in
-	// Scheme.Verify/BatchVerify, randomized in BatchVerifyRandomized), so
-	// the decoder does not pay an order-q ladder per signature here. A Σ
+	// both components is the verifier's business (see above), so the
+	// decoder does not pay an order-q ladder per signature here. A Σ
 	// outside the target subgroup can only make the verifier's equality
 	// check against its own pairing output fail — the pairing's final
 	// exponentiation always lands inside the subgroup.

@@ -23,15 +23,81 @@ import (
 // kernel miscounts. The DA holds its own copy of the parameters, as its
 // own process would, so the server's work is not in the count.
 //
-// A delegation's first audit verifies the warrant and the root signature:
+// The sample costs one aggregate equation: 33 U's and one grouped Q_ID in
+// a multi-scalar multiplication and one replayed pairing. No U is checked
+// for membership in G1 (dvs.BatchVerifyRandomized says why). A
+// delegation's first audit verifies the warrant and the root signature:
 // per signature two membership ladders in DecodeIBSig, two more and one
 // multiplication in PublicVerify, and two replayed pairings — 10 point
-// multiplications and 4 pairings beside the audit's 68 and 1. Later audits
-// of the same delegation find both signatures in the agency's sigMemo and
-// pay for the sample alone; expiry, the bindings and the root rebuild
-// still run, but ask nothing of the curve.
+// multiplications and 4 pairings beside the sample's 34 and 1. Later
+// audits of the same delegation find both signatures in the agency's
+// sigMemo and pay for the sample alone; expiry, the bindings and the root
+// rebuild still run, but ask nothing of the curve.
 func TestJobAuditOpCounts(t *testing.T) {
 	const seed = 1
+	user, agency, client, counters := newOpCountSystem(t, seed)
+	gen := workload.NewGenerator(seed)
+	req, err := user.PrepareStore(gen.GenDataset(user.ID(), 64, 32), "cs:server-0", agency.ID())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := user.Store(client, req); err != nil {
+		t.Fatal(err)
+	}
+	job, err := gen.GenJob(user.ID(), workload.JobConfig{NumSubTasks: 512, DatasetSize: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	delegate := func(jobID string) *JobDelegation {
+		resp, err := user.SubmitJob(client, jobID, job)
+		if err != nil {
+			t.Fatal(err)
+		}
+		warrant, err := user.Delegate(agency.ID(), jobID, time.Now().Add(time.Hour))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return &JobDelegation{
+			UserID: user.ID(), ServerID: resp.ServerID, JobID: jobID,
+			Tasks: TasksToWire(job), Results: resp.Results,
+			Root: resp.Root, RootSig: resp.RootSig, Warrant: warrant,
+		}
+	}
+
+	audit := func(d *JobDelegation, rngSeed int64) ops.Snapshot {
+		before := counters.Snapshot()
+		report, err := agency.AuditJob(client, d, AuditConfig{
+			SampleSize: 33, Rounds: 1, Rng: mrand.New(mrand.NewSource(rngSeed)),
+			BatchSignatures: true, Workers: 1,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !report.Valid() || report.EffectiveSampleSize != 33 {
+			t.Fatalf("honest audit of %s: valid=%v, effective sample %d", d.JobID, report.Valid(), report.EffectiveSampleSize)
+		}
+		return counters.Snapshot().Sub(before)
+	}
+	audit(delegate("job-0"), seed+9) // warms identity points and the verifier precomputation
+
+	d := delegate("job-1")
+	if got, want := audit(d, seed+10), (ops.Snapshot{PointMuls: 44, MillerLoops: 5, FinalExps: 5, PrecompHits: 1}); got != want {
+		t.Fatalf("first audit of a delegation asked for %+v, want %+v", got, want)
+	}
+	var got ops.Snapshot
+	for i := 1; i < 3; i++ {
+		got = audit(d, int64(seed+10+i))
+	}
+	if want := (ops.Snapshot{PointMuls: 34, MillerLoops: 1, FinalExps: 1, PrecompHits: 1}); got != want {
+		t.Fatalf("steady-state job audit asked for %+v, want %+v", got, want)
+	}
+}
+
+// newOpCountSystem is a seeded SS512 user, DA and server, each with its
+// own copy of the parameters as its own process would have, so the DA's
+// counters see none of the server's work. It returns the DA's counters.
+func newOpCountSystem(t *testing.T, seed int64) (*User, *Agency, netsim.Client, *ops.Counters) {
+	t.Helper()
 	var sps [3]*ibc.SIO
 	for i := range sps {
 		sio, err := ibc.Setup(pairing.SS512(), mrand.New(mrand.NewSource(seed)))
@@ -59,63 +125,45 @@ func TestJobAuditOpCounts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	client := netsim.NewLoopback(srv, netsim.LinkConfig{})
+	return user, agency, netsim.NewLoopback(srv, netsim.LinkConfig{}), agencySIO.Params().G1().Counters()
+}
 
-	gen := workload.NewGenerator(seed)
-	req, err := user.PrepareStore(gen.GenDataset(user.ID(), 64, 32), srv.ID(), agency.ID())
+// TestStorageAuditOpCounts pins a batched 32-of-64 storage audit at SS512
+// in its steady state: one aggregate equation over the 32 served
+// signatures — 32 U's and one grouped Q_ID in the sum, one replayed
+// pairing — and no membership check of any U. The DA checks no warrant
+// here: the server does.
+func TestStorageAuditOpCounts(t *testing.T) {
+	const seed = 2
+	user, agency, client, counters := newOpCountSystem(t, seed)
+	req, err := user.PrepareStore(workload.NewGenerator(seed).GenDataset(user.ID(), 64, 32), "cs:server-0", agency.ID())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := user.Store(client, req); err != nil {
 		t.Fatal(err)
 	}
-	job, err := gen.GenJob(user.ID(), workload.JobConfig{NumSubTasks: 512, DatasetSize: 64})
+	warrant, err := user.Delegate(agency.ID(), "", time.Now().Add(time.Hour))
 	if err != nil {
 		t.Fatal(err)
 	}
-	delegate := func(jobID string) *JobDelegation {
-		resp, err := user.SubmitJob(client, jobID, job)
-		if err != nil {
-			t.Fatal(err)
-		}
-		warrant, err := user.Delegate(agency.ID(), jobID, time.Now().Add(time.Hour))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return &JobDelegation{
-			UserID: user.ID(), ServerID: resp.ServerID, JobID: jobID,
-			Tasks: TasksToWire(job), Results: resp.Results,
-			Root: resp.Root, RootSig: resp.RootSig, Warrant: warrant,
-		}
-	}
-
-	counters := agencySIO.Params().G1().Counters()
-	audit := func(d *JobDelegation, rngSeed int64) ops.Snapshot {
+	var got ops.Snapshot
+	for i := int64(0); i < 3; i++ { // the first audit warms Q_ID and the verifier precomputation
 		before := counters.Snapshot()
-		report, err := agency.AuditJob(client, d, AuditConfig{
-			SampleSize: 33, Rounds: 1, Rng: mrand.New(mrand.NewSource(rngSeed)),
+		report, err := agency.AuditStorage(client, user.ID(), warrant, AuditConfig{
+			DatasetSize: 64, SampleSize: 32, Rounds: 1, Rng: mrand.New(mrand.NewSource(seed + 10 + i)),
 			BatchSignatures: true, Workers: 1,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !report.Valid() || report.EffectiveSampleSize != 33 {
-			t.Fatalf("honest audit of %s: valid=%v, effective sample %d", d.JobID, report.Valid(), report.EffectiveSampleSize)
+		if !report.Valid() || report.EffectiveSampleSize != 32 {
+			t.Fatalf("honest storage audit: valid=%v, effective sample %d", report.Valid(), report.EffectiveSampleSize)
 		}
-		return counters.Snapshot().Sub(before)
+		got = counters.Snapshot().Sub(before)
 	}
-	audit(delegate("job-0"), seed+9) // warms identity points and the verifier precomputation
-
-	d := delegate("job-1")
-	if got, want := audit(d, seed+10), (ops.Snapshot{PointMuls: 78, MillerLoops: 5, FinalExps: 5, PrecompHits: 1}); got != want {
-		t.Fatalf("first audit of a delegation asked for %+v, want %+v", got, want)
-	}
-	var got ops.Snapshot
-	for i := 1; i < 3; i++ {
-		got = audit(d, int64(seed+10+i))
-	}
-	if want := (ops.Snapshot{PointMuls: 68, MillerLoops: 1, FinalExps: 1, PrecompHits: 1}); got != want {
-		t.Fatalf("steady-state job audit asked for %+v, want %+v", got, want)
+	if want := (ops.Snapshot{PointMuls: 33, MillerLoops: 1, FinalExps: 1, PrecompHits: 1}); got != want {
+		t.Fatalf("steady-state storage audit asked for %+v, want %+v", got, want)
 	}
 }
 

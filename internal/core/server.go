@@ -274,9 +274,15 @@ func (s *Server) handleStore(req *wire.StoreRequest) wire.Message {
 // small-exponent randomization) over every block of an upload: one
 // pairing for the request where the per-block pass pays one a block. It
 // only ever vouches for a whole upload: a signature that does not decode,
-// an aggregate that does not hold and a randomness source that fails all
-// read as false, and the caller's per-block pass then decides, and says
-// which block is refused and why.
+// an aggregate that does not hold, a U outside G1 and a randomness source
+// that fails all read as false, and the caller's per-block pass then
+// decides, and says which block is refused and why.
+//
+// The upload is where membership of U is checked: the aggregate itself
+// does not need it, but every U stored here is served at audit time,
+// where the DA's aggregate checks none. Both checks always run, δ's drawn
+// before γ's, so the server's randomness stream does not depend on which
+// of them fails.
 func (s *Server) storeBatchVerifies(req *wire.StoreRequest) bool {
 	items := make([]dvs.BatchItem, len(req.Blocks))
 	for i := range req.Blocks {
@@ -286,7 +292,9 @@ func (s *Server) storeBatchVerifies(req *wire.StoreRequest) bool {
 		}
 		items[i] = dvs.NewBatchItem(BlockMessage(req.Positions[i], req.Blocks[i]), d)
 	}
-	return s.scheme.BatchVerifyRandomized(items, s.key, s.cfg.Random) == nil
+	verr := s.scheme.BatchVerifyRandomized(items, s.key, s.cfg.Random)
+	merr := s.scheme.BatchMembership(items, s.cfg.Random)
+	return verr == nil && merr == nil
 }
 
 // readBlock fetches a stored block, fabricating random bytes when the

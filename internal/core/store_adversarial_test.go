@@ -75,6 +75,20 @@ func (f *storeFixture) prepare(t testing.TB, seed int64) *wire.StoreRequest {
 	return req
 }
 
+// batchItems decodes every block signature of req for the server.
+func (f *storeFixture) batchItems(t testing.TB, req *wire.StoreRequest) []dvs.BatchItem {
+	t.Helper()
+	items := make([]dvs.BatchItem, len(req.Blocks))
+	for i := range items {
+		d, err := DecodeBlockSig(f.serverSP, &req.Sigs[i], f.srv.ID())
+		if err != nil {
+			t.Fatal(err)
+		}
+		items[i] = dvs.NewBatchItem(BlockMessage(req.Positions[i], req.Blocks[i]), d)
+	}
+	return items
+}
+
 // cloneStoreReq copies a request deeply enough for a case to edit any
 // block, signature point or Σ without touching the original.
 func cloneStoreReq(req *wire.StoreRequest) *wire.StoreRequest {
@@ -86,15 +100,20 @@ func cloneStoreReq(req *wire.StoreRequest) *wire.StoreRequest {
 	}
 	for i := range req.Blocks {
 		out.Blocks[i] = append([]byte(nil), req.Blocks[i]...)
-		sig := wire.BlockSig{
-			SignerID: req.Sigs[i].SignerID,
-			U:        append([]byte(nil), req.Sigs[i].U...),
-			Sigma:    make(map[string][]byte, len(req.Sigs[i].Sigma)),
-		}
-		for id, raw := range req.Sigs[i].Sigma {
-			sig.Sigma[id] = append([]byte(nil), raw...)
-		}
-		out.Sigs[i] = sig
+		out.Sigs[i] = cloneBlockSig(req.Sigs[i])
+	}
+	return out
+}
+
+// cloneBlockSig copies a block signature's U and every Σ.
+func cloneBlockSig(bs wire.BlockSig) wire.BlockSig {
+	out := wire.BlockSig{
+		SignerID: bs.SignerID,
+		U:        append([]byte(nil), bs.U...),
+		Sigma:    make(map[string][]byte, len(bs.Sigma)),
+	}
+	for id, raw := range bs.Sigma {
+		out.Sigma[id] = append([]byte(nil), raw...)
 	}
 	return out
 }
@@ -211,15 +230,7 @@ func TestStoreRefusesAdversarialUploads(t *testing.T) {
 			tc.forge(t, req)
 			if tc.plain {
 				// The attack is real: eq. 8 without randomizers accepts it.
-				items := make([]dvs.BatchItem, len(req.Blocks))
-				for i := range items {
-					d, err := DecodeBlockSig(f.serverSP, &req.Sigs[i], serverID)
-					if err != nil {
-						t.Fatal(err)
-					}
-					items[i] = dvs.NewBatchItem(BlockMessage(req.Positions[i], req.Blocks[i]), d)
-				}
-				if err := f.srv.scheme.BatchVerify(items, f.srv.key); err != nil {
+				if err := f.srv.scheme.BatchVerify(f.batchItems(t, req), f.srv.key); err != nil {
 					t.Fatalf("plain aggregate refused the cancelling pair: %v", err)
 				}
 			}
@@ -250,6 +261,40 @@ func TestStoreRefusesAdversarialUploads(t *testing.T) {
 	}
 	if got := f.srv.log.LSN(); got != lsn+1 {
 		t.Fatalf("honest upload moved the log from LSN %d to %d, want one record", lsn, got)
+	}
+}
+
+// TestStoreRefusesSignerMadeCofactorU is why the upload keeps its
+// membership check when the audit dropped its own: the signer, and only
+// the signer, can make a signature whose U carries a cofactor component
+// and still verifies — U = r·Q_ID + R, with h hashed over those bytes and
+// Σ_v = ê((r+h)·sk_ID, Q_v). The randomized aggregate accepts it, since
+// the pairing never sees R; the server must not store it, so that every U
+// it later serves to the DA lies in G1.
+func TestStoreRefusesSignerMadeCofactorU(t *testing.T) {
+	f := newStoreFixture(t, pairing.InsecureTest256)
+	sp, key := f.serverSP, f.user.key
+	g := sp.G1()
+	req := cloneStoreReq(f.req)
+	r := big.NewInt(0xbeef)
+	u := g.Add(g.ScalarMult(sp.QID(key.ID), r), cofactorPoint(t, g))
+	e := new(big.Int).Add(r, sp.H2(g.MarshalPoint(u), BlockMessage(req.Positions[9], req.Blocks[9])))
+	v := g.ScalarMult(key.SK, e)
+	req.Sigs[9].U = g.MarshalPoint(u)
+	for id := range req.Sigs[9].Sigma {
+		req.Sigs[9].Sigma[id] = sp.Pairing().Pair(v, sp.QID(id)).Marshal()
+	}
+
+	items := f.batchItems(t, req)
+	if err := f.srv.scheme.BatchVerifyRandomized(items, f.srv.key, mrand.New(mrand.NewSource(1))); err != nil {
+		t.Fatalf("aggregate refused a signer-made U with a cofactor component: %v", err)
+	}
+	resp := f.srv.Handle(req).(*wire.StoreResponse)
+	if want := "block 9 signature invalid: dvs: U outside G1: dvs: signature verification failed"; resp.OK || resp.Error != want {
+		t.Fatalf("upload answered {OK: %v, Error: %q}, want %q", resp.OK, resp.Error, want)
+	}
+	if n := f.srv.StoredBlockCount(req.UserID); n != 0 {
+		t.Fatalf("%d blocks stored from a refused upload", n)
 	}
 }
 

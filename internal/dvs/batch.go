@@ -47,9 +47,23 @@ const batchExponentBits = 128
 
 // BatchVerifyRandomized is the small-exponent variant: each item is raised
 // to a fresh random exponent δ_ij before aggregation, making error
-// cancellation infeasible (probability ≤ 1/2^λ for λ-bit exponents; λ is
-// batchExponentBits). This is this repository's hardening extension over
-// the paper's eq. 8.
+// cancellation infeasible (probability ≤ 1/2^(λ−1) for odd λ-bit
+// exponents; λ is batchExponentBits). This is this repository's hardening
+// extension over the paper's eq. 8. Each δ is made odd, so a Σ component
+// of 2-power order — −1 multiplied into a Σ among them — is never
+// annihilated by its exponent.
+//
+// It checks no item's U for membership in G1. Every Uᵢ enters the
+// equation twice: through H2(Uᵢ‖mᵢ), which binds its bytes, and inside
+// U_A, which is only ever the evaluation argument of a pairing whose
+// Miller loop runs on sk_ver ∈ E[q]. That pairing is a function on E/qE,
+// so a component of Uᵢ of order dividing the cofactor changes nothing on
+// the left of the equation while it changes hᵢ on the right
+// (pairing.TestPairIgnoresCofactorComponents). The check therefore
+// accepts exactly the batches whose order-q parts verify under the hashes
+// of the bytes presented. Callers that store or forward a U — the
+// server's upload check, AggregateRandomized, whose U_A becomes a
+// Miller-loop argument at the share-holders — add BatchMembership.
 func (s *Scheme) BatchVerifyRandomized(
 	items []BatchItem, verifierSK *ibc.PrivateKey, random io.Reader,
 ) error {
@@ -63,8 +77,8 @@ func (s *Scheme) BatchVerifyRandomized(
 	if err != nil {
 		return err
 	}
-	if err := s.batchMembership(items, random); err != nil {
-		return err
+	for _, d := range deltas {
+		d.SetBit(d, 0, 1)
 	}
 	return s.batchVerify(items, verifierSK, deltas)
 }
@@ -99,10 +113,13 @@ func (s *Scheme) sampleDeltas(n int, random io.Reader) ([]*big.Int, error) {
 
 // AggregateRandomized computes the public half of the randomized aggregate
 // check: the batch-wide base U_A = Σ δᵢ·(Uᵢ + hᵢ·Q_IDᵢ) and target
-// Σ_A = Π Σᵢ^δᵢ, after running the batched membership check. No secret is
+// Σ_A = Π Σᵢ^δᵢ, after running BatchMembership. No secret is
 // involved — a threshold combiner hands U_A to the share-holders and tests
-// the Lagrange-combined partials against Σ_A, reaching exactly the verdict
-// BatchVerifyRandomized reaches with sk_ver in hand.
+// the Lagrange-combined partials against Σ_A, reaching the verdict
+// BatchVerifyRandomized reaches with sk_ver in hand on every batch whose
+// U lie in G1 and whose Σ carry no component of 2-power order: its δ are
+// drawn as sampleDeltas draws them, not forced odd (DESIGN.md, "Group
+// membership").
 func (s *Scheme) AggregateRandomized(
 	items []BatchItem, verifierID string, random io.Reader,
 ) (*curve.Point, *pairing.GT, error) {
@@ -116,7 +133,10 @@ func (s *Scheme) AggregateRandomized(
 	if err != nil {
 		return nil, nil, err
 	}
-	if err := s.batchMembership(items, random); err != nil {
+	// The share-holders pair U_A as the Miller-loop argument, where a
+	// cofactor component does not vanish, and refuse a base outside G1:
+	// a malformed signature must fail here, not as a holder fault.
+	if err := s.BatchMembership(items, random); err != nil {
 		return nil, nil, err
 	}
 	return s.aggregate(items, verifierID, deltas)
@@ -136,7 +156,7 @@ func (s *Scheme) VerificationBase(d *Designated, msg []byte, verifierID string) 
 			d.VerifierID, verifierID, ErrVerifyFailed)
 	}
 	g := s.sp.G1()
-	if !d.SubgroupChecked && !g.InSubgroup(d.U) {
+	if !g.InSubgroup(d.U) {
 		return nil, fmt.Errorf("dvs: U outside G1: %w", ErrVerifyFailed)
 	}
 	if !d.Sigma.InSubgroup() {
@@ -146,31 +166,27 @@ func (s *Scheme) VerificationBase(d *Designated, msg []byte, verifierID string) 
 	return g.Add(d.U, g.ScalarMult(s.sp.QID(d.SignerID), h)), nil
 }
 
-// batchMembership checks G1 membership for every item whose U has not
-// already been validated, as one randomized linear combination: T =
-// q·(Σ γᵢUᵢ) with fresh 64-bit coefficients γᵢ must be the identity.
-// Cost is one shared multi-scalar ladder plus a single order-q
-// multiplication, versus one order-q multiplication per point.
+// BatchMembership checks G1 membership of every item's U as one
+// randomized linear combination: T = q·(Σ γᵢUᵢ) with fresh 64-bit
+// coefficients γᵢ drawn from random must be the identity. Cost is one
+// shared multi-scalar ladder plus a single order-q multiplication, versus
+// one order-q multiplication per point. Items without a U are skipped and
+// draw no coefficient.
 //
 // Soundness: a component of prime order ℓ outside the q-subgroup
 // survives into the sum unless γᵢ ≡ 0 (mod ℓ) — probability ≤ 1/ℓ per
-// check, ≤ 2⁻⁶⁴ for large ℓ. A surviving component fails this check (or,
-// if annihilated here, fails the independently-randomized aggregate
-// equation unless δᵢ also kills it). Both outcomes depend only on the
-// verifier's own randomness, never on the secret key, so accept/reject
-// cannot be used as a key-bit oracle; and an annihilated component
-// leaves an equation identical to the one over the valid order-q parts.
-// Callers that need per-item blame fall back to Verify, whose per-point
-// membership check is strict.
-func (s *Scheme) batchMembership(items []BatchItem, random io.Reader) error {
+// check, ≤ 2⁻⁶⁴ for large ℓ. The outcome depends only on the verifier's
+// own randomness, never on a secret key. Callers that need per-item blame
+// fall back to Verify, whose per-point membership check is strict.
+func (s *Scheme) BatchMembership(items []BatchItem, random io.Reader) error {
 	g := s.sp.G1()
 	pts := make([]*curve.Point, 0, len(items))
 	ks := make([]*big.Int, 0, len(items))
 	var buf [8]byte
 	for _, it := range items {
 		d := it.Sig
-		if d == nil || d.U == nil || d.SubgroupChecked {
-			continue // nil handled by batchVerify's item validation
+		if d == nil || d.U == nil {
+			continue // incomplete items fail the aggregate's validation
 		}
 		if _, err := io.ReadFull(random, buf[:]); err != nil {
 			return fmt.Errorf("dvs: sampling membership coefficient: %w", err)
@@ -243,13 +259,12 @@ func (s *Scheme) aggregate(items []BatchItem, verifierID string, deltas []*big.I
 			return nil, nil, fmt.Errorf("dvs: batch item %d designated to %q, verifier is %q: %w",
 				i, d.VerifierID, verifierID, ErrVerifyFailed)
 		}
-		// The randomized entry point has already run the batched
-		// membership check, and its per-item δ randomization keeps a Σ
-		// outside the target subgroup from cancelling across items. The
-		// plain aggregate has neither shield, so it keeps strict per-item
-		// checks for any component not validated upstream.
+		// The randomized path checks no U (see BatchVerifyRandomized),
+		// and its per-item δ keep a Σ outside the target subgroup from
+		// cancelling across items. The plain aggregate has no δ, so it
+		// keeps strict per-item checks.
 		if deltas == nil {
-			if !d.SubgroupChecked && !g.InSubgroup(d.U) {
+			if !g.InSubgroup(d.U) {
 				return nil, nil, fmt.Errorf("dvs: batch item %d has U outside G1: %w", i, ErrVerifyFailed)
 			}
 			if !d.Sigma.InSubgroup() {

@@ -63,12 +63,6 @@ type Designated struct {
 	VerifierID string
 	U          *curve.Point
 	Sigma      *pairing.GT
-
-	// SubgroupChecked records that U already passed a G1 membership
-	// check (an order-q scalar multiplication), typically at wire
-	// decode time. Verification then skips the redundant re-check.
-	// Set it only on points that actually passed Group.InSubgroup.
-	SubgroupChecked bool
 }
 
 // DefaultVerifierCacheSize bounds each of the scheme's per-key caches. A
@@ -376,7 +370,7 @@ func (s *Scheme) Verify(d *Designated, msg []byte, verifierSK *ibc.PrivateKey) e
 			d.VerifierID, verifierSK.ID, ErrVerifyFailed)
 	}
 	g := s.sp.G1()
-	if !d.SubgroupChecked && !g.InSubgroup(d.U) {
+	if !g.InSubgroup(d.U) {
 		return fmt.Errorf("dvs: U outside G1: %w", ErrVerifyFailed)
 	}
 	h := s.sp.H2(g.MarshalPoint(d.U), msg)

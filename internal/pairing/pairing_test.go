@@ -1,6 +1,7 @@
 package pairing
 
 import (
+	"bytes"
 	"crypto/rand"
 	"math/big"
 	mrand "math/rand"
@@ -260,6 +261,110 @@ func TestPairMatchesAffineOracle(t *testing.T) {
 		}
 		if !got.Equal(pp.oraclePairProd(ps, qs)) {
 			t.Fatalf("%s: PairProd disagrees with the affine oracle", pp.Name())
+		}
+	}
+}
+
+// cofactorPoints returns three points of E(Fp) outside G1, each of order
+// dividing the cofactor h: the rational 2-torsion point (0, 0), a point of
+// the smallest odd prime order ℓ dividing h, and q·P for a curve point P
+// whose image keeps a component of order above 2¹⁶.
+func cofactorPoints(t *testing.T, g *curve.Group) (twoTorsion, smallL, largeL *curve.Point) {
+	t.Helper()
+	h, q := g.Cofactor(), g.Q()
+	smooth, rest, ell := big.NewInt(1), new(big.Int).Set(h), int64(0)
+	for l := int64(2); l < 1<<16; l++ {
+		lb, quo, rem := big.NewInt(l), new(big.Int), new(big.Int)
+		for quo.DivMod(rest, lb, rem); rem.Sign() == 0; quo.DivMod(rest, lb, rem) {
+			rest.Set(quo)
+			smooth.Mul(smooth, lb)
+			if ell == 0 && l%2 == 1 {
+				ell = l
+			}
+		}
+	}
+	if ell == 0 {
+		t.Fatal("cofactor has no small odd prime factor")
+	}
+	order := new(big.Int).Mul(h, q)
+	toEll := new(big.Int).Div(order, big.NewInt(ell))
+	p := g.P()
+	for x := int64(2); x < 1000 && (smallL == nil || largeL == nil); x++ {
+		xb := big.NewInt(x)
+		rhs := new(big.Int).Mul(xb, xb)
+		rhs.Mul(rhs, xb).Add(rhs, xb).Mod(rhs, p)
+		y, ok := g.FieldCtx().Sqrt(rhs)
+		if !ok {
+			continue
+		}
+		pt := &curve.Point{X: xb, Y: y}
+		if r := g.ScalarMult(pt, toEll); smallL == nil && !r.Inf {
+			smallL = r
+		}
+		if r := g.ScalarMult(pt, q); largeL == nil && !g.ScalarMult(r, smooth).Inf {
+			largeL = r
+		}
+	}
+	if smallL == nil || largeL == nil {
+		t.Fatal("no cofactor points found")
+	}
+	if !g.ScalarMult(smallL, big.NewInt(ell)).Inf {
+		t.Fatalf("small-order point does not have order %d", ell)
+	}
+	return &curve.Point{X: big.NewInt(0), Y: big.NewInt(0)}, smallL, largeL
+}
+
+// TestPairIgnoresCofactorComponents is the identity that lets a verifier
+// skip the G1 membership check of a point that only ever enters a pairing
+// as the evaluation argument: with the Miller loop run on P ∈ E[q], the
+// reduced Tate pairing is a function on E/qE, so any component R of order
+// dividing the cofactor h vanishes, ê(P, Q + R) = ê(P, Q). Each cofactor
+// point is added to the evaluation argument of an order-q pair, and Pair,
+// the precomputed replay, every term of a two-term PairProd and the affine
+// math/big oracle must all return the clean pair's GT element byte for
+// byte, at both parameter sets. The same component on the Miller-loop side
+// changes the value: that argument stays under a membership check.
+func TestPairIgnoresCofactorComponents(t *testing.T) {
+	for _, pp := range []*Params{InsecureTest256(), SS512()} {
+		g := pp.G1()
+		rng := mrand.New(mrand.NewSource(43))
+		point := func() *curve.Point { return g.BaseMult(new(big.Int).Rand(rng, g.Q())) }
+		p, q, p2, q2 := point(), point(), point(), point()
+		clean := pp.Pair(p, q).Marshal()
+		cleanProd := pp.Pair(p, q).Mul(pp.Pair(p2, q2)).Marshal()
+		pc := pp.Precompute(p)
+		twoTorsion, smallL, largeL := cofactorPoints(t, g)
+		for _, r := range []struct {
+			name string
+			pt   *curve.Point
+		}{{"2-torsion", twoTorsion}, {"small-ℓ", smallL}, {"large-ℓ", largeL}} {
+			dirty := g.Add(q, r.pt)
+			if g.InSubgroup(dirty) {
+				t.Fatalf("%s: Q + %s point lies in G1", pp.Name(), r.name)
+			}
+			check := func(what string, got *GT) {
+				t.Helper()
+				if !bytes.Equal(got.Marshal(), clean) {
+					t.Errorf("%s: %s with a %s component differs from the clean pair", pp.Name(), what, r.name)
+				}
+			}
+			check("Pair", pp.Pair(p, dirty))
+			check("Precomp.Pair", pc.Pair(dirty))
+			check("affine oracle", pp.oraclePair(p, dirty))
+			for k := 0; k < 2; k++ {
+				ps, qs := []*curve.Point{p, p2}, []*curve.Point{q, q2}
+				qs[k] = g.Add(qs[k], r.pt)
+				got, err := pp.PairProd(ps, qs)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(got.Marshal(), cleanProd) || !bytes.Equal(pp.oraclePairProd(ps, qs).Marshal(), cleanProd) {
+					t.Errorf("%s: PairProd term %d with a %s component differs from the clean product", pp.Name(), k, r.name)
+				}
+			}
+		}
+		if bytes.Equal(pp.Pair(g.Add(p, largeL), q).Marshal(), clean) {
+			t.Errorf("%s: a cofactor component on the Miller-loop side left the pairing unchanged", pp.Name())
 		}
 	}
 }
