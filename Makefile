@@ -20,12 +20,17 @@ race:
 
 # go vet, and gofmt as a check: any file gofmt would rewrite fails the
 # target (and with it `make check` and CI) with the file names printed.
+# Then a non-test .go file that imports encoding/gob or calls recover()
+# fails it: every decoder is the bounds-checked binary codec, which
+# refuses bad input with an error and never panics to be caught.
 # scripts/check-refs.sh then fails on a `pkg.Identifier` in the docs that
 # the package does not declare, or a CI -run pattern that matches no test.
 vet:
 	$(GO) vet ./...
 	@unformatted=$$(gofmt -l .); \
 	if [ -n "$$unformatted" ]; then echo "gofmt -l lists:"; echo "$$unformatted"; exit 1; fi
+	@banned=$$(grep -rlE --include='*.go' '"encoding/gob"|recover\(\)' . | grep -v '_test\.go$$' || true); \
+	if [ -n "$$banned" ]; then echo "encoding/gob or recover() outside test files:"; echo "$$banned"; exit 1; fi
 	@sh scripts/check-refs.sh
 
 # Non-test and test Go lines per package directory, with a total — the
@@ -41,20 +46,24 @@ loc:
 		END { printf "%-28s %7d %7d\n", "total", code, test }'
 
 # Short fuzz pass over the wire codec (the corruption injector's attack
-# surface), the WAL record decoder (what a torn or bit-rotted log feeds
-# into recovery), the snapshot decoder (what a FaultFS-rotted snapshot
-# file feeds into it), the evidence decoder and the chaos schedule
-# grammar (what every printed repro line replays through); extend
-# -fuzztime locally for deeper runs.
+# surface; FuzzRoundtrip also re-encodes what it accepts), the WAL record
+# framing (what a torn or bit-rotted log feeds into recovery), the
+# snapshot framing (what a FaultFS-rotted snapshot file feeds into it),
+# the record and snapshot payloads behind a valid CRC (FuzzReplayState),
+# the evidence decoder and the chaos schedule grammar (what every printed
+# repro line replays through); extend -fuzztime locally for deeper runs.
+# -run '^$' skips each package's unit tests, which `make check` runs.
 fuzz: fuzz-decoders fuzz-crypto
 
 fuzz-decoders:
-	$(GO) test ./internal/wire -fuzz FuzzDecode -fuzztime 10s
-	$(GO) test ./internal/wire -fuzz FuzzReadMessage -fuzztime 10s
-	$(GO) test ./internal/wire -fuzz FuzzHandshake -fuzztime 10s
-	$(GO) test ./internal/store -fuzz FuzzReadRecord -fuzztime 10s
-	$(GO) test ./internal/store -fuzz FuzzDecodeSnapshot -fuzztime 10s
-	$(GO) test ./internal/core -fuzz FuzzDecodeEvidence -fuzztime 10s
+	$(GO) test ./internal/wire -run '^$$' -fuzz 'FuzzDecode$$' -fuzztime 10s
+	$(GO) test ./internal/wire -run '^$$' -fuzz 'FuzzRoundtrip$$' -fuzztime 10s
+	$(GO) test ./internal/wire -run '^$$' -fuzz 'FuzzReadMessage$$' -fuzztime 10s
+	$(GO) test ./internal/wire -run '^$$' -fuzz 'FuzzHandshake$$' -fuzztime 10s
+	$(GO) test ./internal/store -run '^$$' -fuzz 'FuzzReadRecord$$' -fuzztime 10s
+	$(GO) test ./internal/store -run '^$$' -fuzz 'FuzzDecodeSnapshot$$' -fuzztime 10s
+	$(GO) test ./internal/core -run '^$$' -fuzz 'FuzzDecodeEvidence$$' -fuzztime 10s
+	$(GO) test ./internal/core -run '^$$' -fuzz 'FuzzReplayState$$' -fuzztime 10s
 	$(GO) test ./internal/chaos -run '^$$' -fuzz 'FuzzParseSchedule$$' -fuzztime 10s
 
 # Differential fuzz of the Montgomery-limb kernels against the math/big

@@ -63,13 +63,9 @@ func newAuditFixture(t testing.TB, pp func() *pairing.Params) *auditFixture {
 		if f.tamper == nil {
 			return resp
 		}
-		// The response shares its signatures' Σ maps with the server's
-		// store, so a case edits copies.
+		// The server serves copies, so a case edits the response in place.
 		served := map[uint64]*wire.BlockSig{}
-		serve := func(pos uint64, sig *wire.BlockSig) {
-			*sig = cloneBlockSig(*sig)
-			served[pos] = sig
-		}
+		serve := func(pos uint64, sig *wire.BlockSig) { served[pos] = sig }
 		switch r := resp.(type) {
 		case *wire.ChallengeResponse:
 			for i := range r.Items {
@@ -240,5 +236,30 @@ func TestAuditRefusesAdversarialSignatures(t *testing.T) {
 				t.Fatalf("untampered job audit accused %+v", fails)
 			}
 		})
+	}
+}
+
+// TestServedSignaturesAreCopies: a handler that edits the Σ and U bytes
+// and the Σ map of a served signature in place edits its own copy. The tampered audit accuses; the next, untampered
+// audit of the same server accuses nothing.
+func TestServedSignaturesAreCopies(t *testing.T) {
+	f := newAuditFixture(t, pairing.InsecureTest256)
+	for _, storage := range []bool{false, true} {
+		f.tamper = func(sigs map[uint64]*wire.BlockSig) {
+			for _, sig := range sigs {
+				for _, sigma := range sig.Sigma {
+					sigma[0] ^= 1
+				}
+				sig.U[len(sig.U)-1] ^= 1
+				sig.Sigma["intruder"] = []byte{1}
+			}
+		}
+		if failures := f.audit(t, storage, false); len(failures) != auditFixtureBlocks {
+			t.Fatalf("storage=%v: tampered audit accused %d blocks, want %d", storage, len(failures), auditFixtureBlocks)
+		}
+		f.tamper = nil
+		if failures := f.audit(t, storage, false); len(failures) != 0 {
+			t.Fatalf("storage=%v: untampered audit after an in-place edit accused %+v", storage, failures)
+		}
 	}
 }

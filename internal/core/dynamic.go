@@ -132,7 +132,7 @@ func (s *Server) handleUpdate(req *wire.UpdateRequest) wire.Message {
 		pb.Data = data
 	}
 	w := &walUpdate{UserID: req.UserID, Seq: req.Seq, Digest: digest, Block: pb}
-	if msg, ok := s.persistLocked(recUpdate, w); !ok {
+	if msg, ok := s.persistLocked(recUpdate, s.walRecord(w)); !ok {
 		return msg
 	}
 	s.applyUpdateLocked(w)
@@ -170,7 +170,7 @@ func (s *Server) handleDelete(req *wire.DeleteRequest) wire.Message {
 			Error: fmt.Sprintf("no block at position %d", req.Position)}
 	}
 	w := &walDelete{UserID: req.UserID, Pos: req.Position, Seq: req.Seq, Digest: digest}
-	if msg, ok := s.persistLocked(recDelete, w); !ok {
+	if msg, ok := s.persistLocked(recDelete, s.walRecord(w)); !ok {
 		return msg
 	}
 	s.applyDeleteLocked(w)

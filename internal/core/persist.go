@@ -2,7 +2,6 @@ package core
 
 import (
 	"bytes"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"hash"
@@ -78,9 +77,9 @@ type persistedBlock struct {
 	Sig  wire.BlockSig
 }
 
-// walStore / walCompute / walUpdate / walDelete are the WAL payloads, gob-
-// encoded into store.Record bodies. Each carries the request digest that
-// deduplicates redelivery after a crash-before-ack.
+// walStore / walCompute / walUpdate / walDelete are the WAL payloads,
+// encoded into store.Record bodies by encodeState. Each carries the
+// request digest that deduplicates redelivery after a crash-before-ack.
 type walStore struct {
 	UserID string
 	Digest uint64
@@ -183,19 +182,25 @@ func (s *Server) Close() error {
 	return s.log.Close()
 }
 
-// persistLocked appends one mutation record. Callers hold s.mu and must
-// not apply the mutation unless ok. On an injected crash the returned
-// message is nil — the handler propagates it and the transport turns it
-// into a dead connection.
-func (s *Server) persistLocked(kind uint8, payload any) (wire.Message, bool) {
+// walRecord encodes a mutation record's payload for persistLocked; it is
+// nil when the server keeps no log. It needs no lock, so callers can
+// encode before they take s.mu.
+func (s *Server) walRecord(p statePayload) []byte {
+	if s.log == nil {
+		return nil
+	}
+	return encodeState(p)
+}
+
+// persistLocked appends one mutation record encoded by walRecord. Callers
+// hold s.mu and must not apply the mutation unless ok. On an injected
+// crash the returned message is nil — the handler propagates it and the
+// transport turns it into a dead connection.
+func (s *Server) persistLocked(kind uint8, payload []byte) (wire.Message, bool) {
 	if s.log == nil {
 		return nil, true
 	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(payload); err != nil {
-		return &wire.ErrorResponse{Code: "persist_failed", Msg: err.Error()}, false
-	}
-	if _, err := s.log.Append(kind, buf.Bytes()); err != nil {
+	if _, err := s.log.Append(kind, payload); err != nil {
 		if errors.Is(err, store.ErrCrashed) {
 			s.crashed.Store(true)
 			return nil, false
@@ -212,11 +217,7 @@ func (s *Server) maybeSnapshotLocked() bool {
 	if s.log == nil || !s.log.SnapshotDue() {
 		return true
 	}
-	payload, err := s.marshalStateLocked()
-	if err != nil {
-		return true // snapshot skipped; the WAL remains authoritative
-	}
-	if err := s.log.Snapshot(payload); err != nil && errors.Is(err, store.ErrCrashed) {
+	if err := s.log.Snapshot(s.marshalStateLocked()); err != nil && errors.Is(err, store.ErrCrashed) {
 		s.crashed.Store(true)
 		return false
 	}
@@ -224,7 +225,7 @@ func (s *Server) maybeSnapshotLocked() bool {
 }
 
 // marshalStateLocked serializes the full server state for a snapshot.
-func (s *Server) marshalStateLocked() ([]byte, error) {
+func (s *Server) marshalStateLocked() []byte {
 	st := snapState{
 		Storage:   make(map[string][]persistedBlock, len(s.storage)),
 		MutSeq:    s.mutSeq,
@@ -254,17 +255,13 @@ func (s *Server) marshalStateLocked() ([]byte, error) {
 			Root: append([]byte(nil), j.root[:]...), RootSig: j.rootSig,
 		})
 	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&st); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
+	return encodeState(&st)
 }
 
 // restoreSnapshot rebuilds state from a snapshot payload.
 func (s *Server) restoreSnapshot(payload []byte) error {
 	var st snapState
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&st); err != nil {
+	if err := decodeState(payload, &st); err != nil {
 		return fmt.Errorf("decoding snapshot: %w", err)
 	}
 	for user, pbs := range st.Storage {
@@ -293,17 +290,16 @@ func (s *Server) restoreSnapshot(payload []byte) error {
 
 // replayRecord applies one WAL record during recovery.
 func (s *Server) replayRecord(r *store.Record) error {
-	dec := gob.NewDecoder(bytes.NewReader(r.Payload))
 	switch r.Kind {
 	case recStore:
 		var w walStore
-		if err := dec.Decode(&w); err != nil {
+		if err := decodeState(r.Payload, &w); err != nil {
 			return err
 		}
 		s.applyStoreLocked(w.UserID, w.Digest, w.Blocks)
 	case recCompute:
 		var w walCompute
-		if err := dec.Decode(&w); err != nil {
+		if err := decodeState(r.Payload, &w); err != nil {
 			return err
 		}
 		if err := s.installJob(&w); err != nil {
@@ -311,13 +307,13 @@ func (s *Server) replayRecord(r *store.Record) error {
 		}
 	case recUpdate:
 		var w walUpdate
-		if err := dec.Decode(&w); err != nil {
+		if err := decodeState(r.Payload, &w); err != nil {
 			return err
 		}
 		s.applyUpdateLocked(&w)
 	case recDelete:
 		var w walDelete
-		if err := dec.Decode(&w); err != nil {
+		if err := decodeState(r.Payload, &w); err != nil {
 			return err
 		}
 		s.applyDeleteLocked(&w)
@@ -404,6 +400,163 @@ func (s *Server) applyDeleteLocked(w *walDelete) {
 	delete(s.storage[w.UserID], w.Pos)
 	s.mutSeq[w.UserID] = w.Seq
 	s.lastMut[w.UserID] = w.Digest
+}
+
+// --- record codec -------------------------------------------------------------
+//
+// WAL record and snapshot payloads are one format byte, stateFormat, then
+// the payload struct's fields in declaration order in the wire codec
+// (wire.Writer / wire.Reader, maps by wire.WriteMap). Digests are 8
+// fixed bytes. Every payload has exactly one encoding: the decoder
+// refuses trailing bytes, out-of-order keys and lengths past the
+// payload's end.
+
+// stateFormat opens every WAL record and snapshot payload written by this
+// build. Directories written by earlier builds hold gob streams, whose
+// first byte is the length of a type descriptor and never 3.
+const stateFormat byte = 3
+
+// ErrStateFormat marks a WAL record or snapshot whose payload does not
+// open with stateFormat: a directory written by an older build, which
+// this one cannot replay.
+var ErrStateFormat = errors.New("core: WAL or snapshot payload in an unsupported format")
+
+// statePayload is a WAL record or snapshot payload.
+type statePayload interface {
+	encode(w *wire.Writer)
+	decode(r *wire.Reader)
+}
+
+// encodeState renders p behind the format byte.
+func encodeState(p statePayload) []byte {
+	w := wire.Writer{Buf: []byte{stateFormat}}
+	p.encode(&w)
+	return w.Buf
+}
+
+// decodeState parses a payload written by encodeState into p.
+func decodeState(payload []byte, p statePayload) error {
+	if len(payload) == 0 || payload[0] != stateFormat {
+		return fmt.Errorf("payload opens with %x, want format byte %d: %w", payload[:min(1, len(payload))], stateFormat, ErrStateFormat)
+	}
+	r := wire.NewReader(payload[1:])
+	p.decode(r)
+	return r.Done()
+}
+
+func (pb *persistedBlock) encode(w *wire.Writer) {
+	w.Uvarint(pb.Pos)
+	w.Bytes(pb.Data)
+	w.Bool(pb.Kept)
+	w.Uvarint(uint64(pb.Size))
+	w.BlockSig(&pb.Sig)
+}
+
+// decode refuses a Size no frame could have carried: readBlock
+// allocates Size bytes to answer for a block whose payload was dropped.
+func (pb *persistedBlock) decode(r *wire.Reader) {
+	pb.Pos, pb.Data, pb.Kept, pb.Size = r.Uvarint(), r.Bytes(), r.Bool(), r.Int()
+	if pb.Size > wire.MaxFrameLen {
+		r.Fail("block size %d exceeds the %d-byte frame bound", pb.Size, wire.MaxFrameLen)
+	}
+	pb.Sig = r.BlockSig()
+}
+
+// persistedBlockMinLen is the shortest persistedBlock encoding.
+const persistedBlockMinLen = 4 + 3
+
+func encodeBlocks(w *wire.Writer, pbs []persistedBlock) {
+	w.Uvarint(uint64(len(pbs)))
+	for i := range pbs {
+		pbs[i].encode(w)
+	}
+}
+
+func decodeBlocks(r *wire.Reader) []persistedBlock {
+	n := r.Count(persistedBlockMinLen)
+	if n == 0 {
+		return nil
+	}
+	out := make([]persistedBlock, n)
+	for i := range out {
+		out[i].decode(r)
+	}
+	return out
+}
+
+func (p *walStore) encode(w *wire.Writer) {
+	w.String(p.UserID)
+	w.Uint64(p.Digest)
+	encodeBlocks(w, p.Blocks)
+}
+
+func (p *walStore) decode(r *wire.Reader) {
+	p.UserID, p.Digest, p.Blocks = r.String(), r.Uint64(), decodeBlocks(r)
+}
+
+func (p *walCompute) encode(w *wire.Writer) {
+	w.String(p.JobID)
+	w.String(p.UserID)
+	w.Uint64(p.Digest)
+	w.Tasks(p.Tasks)
+	w.ByteList(p.Results)
+	w.Bytes(p.Root)
+	w.IBSig(&p.RootSig)
+}
+
+func (p *walCompute) decode(r *wire.Reader) {
+	p.JobID, p.UserID, p.Digest, p.Tasks = r.String(), r.String(), r.Uint64(), r.Tasks()
+	p.Results, p.Root, p.RootSig = r.PackedByteList(), r.Bytes(), r.IBSig()
+}
+
+func (p *walUpdate) encode(w *wire.Writer) {
+	w.String(p.UserID)
+	w.Uvarint(p.Seq)
+	w.Uint64(p.Digest)
+	p.Block.encode(w)
+}
+
+func (p *walUpdate) decode(r *wire.Reader) {
+	p.UserID, p.Seq, p.Digest = r.String(), r.Uvarint(), r.Uint64()
+	p.Block.decode(r)
+}
+
+func (p *walDelete) encode(w *wire.Writer) {
+	w.String(p.UserID)
+	w.Uvarint(p.Pos)
+	w.Uvarint(p.Seq)
+	w.Uint64(p.Digest)
+}
+
+func (p *walDelete) decode(r *wire.Reader) {
+	p.UserID, p.Pos, p.Seq, p.Digest = r.String(), r.Uvarint(), r.Uvarint(), r.Uint64()
+}
+
+func (p *snapState) encode(w *wire.Writer) {
+	wire.WriteMap(w, p.Storage, func(pbs []persistedBlock) { encodeBlocks(w, pbs) })
+	w.Uvarint(uint64(len(p.Jobs)))
+	for i := range p.Jobs {
+		p.Jobs[i].encode(w)
+	}
+	wire.WriteMap(w, p.MutSeq, w.Uvarint)
+	wire.WriteMap(w, p.LastStore, w.Uint64)
+	wire.WriteMap(w, p.LastMut, w.Uint64)
+}
+
+// walComputeMinLen is the shortest walCompute encoding.
+const walComputeMinLen = 2 + 8 + 2 + 1 + 1 + 2
+
+func (p *snapState) decode(r *wire.Reader) {
+	p.Storage = wire.ReadMap(r, 1, func() []persistedBlock { return decodeBlocks(r) })
+	if n := r.Count(walComputeMinLen); n > 0 {
+		p.Jobs = make([]walCompute, n)
+		for i := range p.Jobs {
+			p.Jobs[i].decode(r)
+		}
+	}
+	p.MutSeq = wire.ReadMap(r, 1, r.Uvarint)
+	p.LastStore = wire.ReadMap(r, 8, r.Uint64)
+	p.LastMut = wire.ReadMap(r, 8, r.Uint64)
 }
 
 // --- request digests --------------------------------------------------------

@@ -4,10 +4,14 @@ import (
 	"bytes"
 	"crypto/rand"
 	"encoding/gob"
+	"errors"
 	"io"
+	"math"
 	mrand "math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -354,15 +358,11 @@ func TestRecoveryRejectsTamperedLog(t *testing.T) {
 		}
 		if rec.Kind == recCompute && !tampered {
 			var w walCompute
-			if err := gob.NewDecoder(bytes.NewReader(rec.Payload)).Decode(&w); err != nil {
+			if err := decodeState(rec.Payload, &w); err != nil {
 				t.Fatal(err)
 			}
 			w.Results[0][0] ^= 1
-			var buf bytes.Buffer
-			if err := gob.NewEncoder(&buf).Encode(&w); err != nil {
-				t.Fatal(err)
-			}
-			rec.Payload = buf.Bytes()
+			rec.Payload = encodeState(&w)
 			tampered = true
 		}
 		frame, err := store.EncodeRecord(rec)
@@ -391,4 +391,170 @@ func TestRecoveryRejectsTamperedLog(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "does not match") {
 		t.Fatalf("tampered log recovered without complaint: %v", err)
 	}
+}
+
+// A directory written by a build that logged gob streams is refused with
+// ErrStateFormat, whether the gob payload is a WAL record or a snapshot:
+// recovery must never guess at a payload it cannot parse.
+func TestRecoveryRefusesGobDirectory(t *testing.T) {
+	sys := newSystem(t, nil)
+	gobBytes := func(v any) []byte {
+		var buf bytes.Buffer
+		if err := gob.NewEncoder(&buf).Encode(v); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	for name, write := range map[string]func(l *store.Log) error{
+		"record": func(l *store.Log) error {
+			_, err := l.Append(recDelete, gobBytes(&walDelete{UserID: "u", Pos: 1, Seq: 2, Digest: 3}))
+			return err
+		},
+		"snapshot": func(l *store.Log) error {
+			// The snapshot covers (and compacts away) one record first.
+			if _, err := l.Append(recDelete, gobBytes(&walDelete{UserID: "u", Pos: 1, Seq: 2})); err != nil {
+				return err
+			}
+			return l.Snapshot(gobBytes(&snapState{MutSeq: map[string]uint64{"u": 1}}))
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			l, _, err := store.Open(store.Config{Dir: dir, NoSync: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := write(l); err != nil {
+				t.Fatal(err)
+			}
+			if err := l.Close(); err != nil {
+				t.Fatal(err)
+			}
+			key, err := sys.sio.Extract("cs:durable")
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, err = NewServer(sys.sio.Params(), key, ServerConfig{
+				Random:     rand.Reader,
+				Durability: &DurabilityConfig{Dir: dir, NoSync: true},
+			})
+			if !errors.Is(err, ErrStateFormat) {
+				t.Fatalf("gob %s recovered: got %v, want ErrStateFormat", name, err)
+			}
+		})
+	}
+}
+
+// A persisted block's size is what readBlock allocates to answer for a
+// dropped payload, so the decoder refuses one no frame could have carried.
+func TestStateCodecRefusesOutOfRangeBlockSize(t *testing.T) {
+	for _, tc := range []struct {
+		size uint64
+		ok   bool
+	}{{0, true}, {wire.MaxFrameLen, true}, {wire.MaxFrameLen + 1, false}, {1 << 31, false}, {math.MaxUint64, false}} {
+		w := wire.Writer{Buf: []byte{stateFormat}}
+		w.String("u")
+		w.Uint64(7)
+		w.Uvarint(1) // one block
+		w.Uvarint(0) // Pos
+		w.Bytes(nil) // Data
+		w.Bool(false)
+		w.Uvarint(tc.size)
+		w.BlockSig(&wire.BlockSig{})
+		var got walStore
+		err := decodeState(w.Buf, &got)
+		if (err == nil) != tc.ok {
+			t.Fatalf("size %d: decode error %v, want accepted %v", tc.size, err, tc.ok)
+		}
+		if tc.ok && got.Blocks[0].Size != int(tc.size) {
+			t.Fatalf("size %d decoded as %d", tc.size, got.Blocks[0].Size)
+		}
+	}
+}
+
+// FuzzReplayState feeds payloads that passed the WAL's CRC to recovery:
+// kind 0 to the snapshot restore path, the four record kinds to replay.
+// Neither may panic, decoding may not allocate more than a small multiple
+// of the payload's length, and a payload the decoder accepts must
+// re-encode to the same bytes. Every block the payload restores is then
+// served once, which reaches readBlock's allocation for a dropped one.
+func FuzzReplayState(f *testing.F) {
+	sys := newSystem(f)
+	key, err := sys.sio.Extract("cs:fuzz")
+	if err != nil {
+		f.Fatal(err)
+	}
+	srv, err := NewServer(sys.sio.Params(), key, ServerConfig{Random: rand.Reader})
+	if err != nil {
+		f.Fatal(err)
+	}
+	// A real compute record, whose root and signature check out, over a
+	// stored block.
+	srv.Handle(&wire.StoreRequest{UserID: "u", Positions: []uint64{0}, Blocks: [][]byte{make([]byte, 16)},
+		Sigs: []wire.BlockSig{{SignerID: "u"}}})
+	resp := srv.Handle(&wire.ComputeRequest{UserID: "u", JobID: "j",
+		Tasks: []wire.TaskSpec{{FuncName: "sum", Positions: []uint64{0}}, {FuncName: "digest", Positions: []uint64{0}}}}).(*wire.ComputeResponse)
+	job := srv.jobs["j"]
+	if job == nil {
+		f.Fatalf("seed job refused: %s", resp.Error)
+	}
+	f.Add(recCompute, encodeState(&walCompute{JobID: "j", UserID: "u", Digest: job.digest,
+		Tasks: job.tasks, Results: resp.Results, Root: resp.Root, RootSig: resp.RootSig}))
+	rng := mrand.New(mrand.NewSource(3))
+	for kind, proto := range []statePayload{new(snapState), new(walStore), new(walCompute), new(walUpdate), new(walDelete)} {
+		for i := 0; i < 4; i++ {
+			p := reflect.New(reflect.TypeOf(proto).Elem())
+			fillRandom(rng, p.Elem())
+			f.Add(uint8(kind), encodeState(p.Interface().(statePayload)))
+		}
+	}
+	f.Add(recStore, []byte{stateFormat})
+	f.Add(uint8(0), []byte{0x3a, 0xff})
+	payloadFor := map[uint8]func() statePayload{
+		0:          func() statePayload { return new(snapState) },
+		recStore:   func() statePayload { return new(walStore) },
+		recCompute: func() statePayload { return new(walCompute) },
+		recUpdate:  func() statePayload { return new(walUpdate) },
+		recDelete:  func() statePayload { return new(walDelete) },
+	}
+	f.Fuzz(func(t *testing.T, kind uint8, payload []byte) {
+		mk, ok := payloadFor[kind]
+		if !ok {
+			return
+		}
+		// The fewest bytes three decodes allocate: the fuzzing engine's
+		// own goroutines allocate too, and only ever add to a reading.
+		var p statePayload
+		var err error
+		grew := uint64(math.MaxUint64)
+		for i := 0; i < 3; i++ {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			p = mk()
+			err = decodeState(payload, p)
+			runtime.ReadMemStats(&after)
+			grew = min(grew, after.TotalAlloc-before.TotalAlloc)
+		}
+		if grew > 64*uint64(len(payload))+4096 {
+			t.Fatalf("decoding %d bytes allocated %d", len(payload), grew)
+		}
+		if err == nil && !bytes.Equal(encodeState(p), payload) {
+			t.Fatalf("accepted payload re-encodes differently:\n  in  %x\n  out %x", payload, encodeState(p))
+		}
+		srv.storage = make(map[string]map[uint64]*storedBlock)
+		srv.jobs = make(map[string]*jobRecord)
+		srv.mutSeq, srv.lastStore, srv.lastMut = map[string]uint64{}, map[string]uint64{}, map[string]uint64{}
+		if kind == 0 {
+			_ = srv.restoreSnapshot(payload)
+		} else {
+			_ = srv.replayRecord(&store.Record{LSN: 1, Kind: kind, Payload: payload})
+		}
+		for user, blocks := range srv.storage {
+			for pos := range blocks {
+				if _, _, err := srv.serveBlock(user, pos); err != nil {
+					t.Fatalf("serving restored block %d of %q: %v", pos, user, err)
+				}
+			}
+		}
+	})
 }

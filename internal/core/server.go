@@ -260,7 +260,7 @@ func (s *Server) handleStore(req *wire.StoreRequest) wire.Message {
 	}
 	// Log before ack: the mutation is not acknowledged unless it is
 	// durable (or the server runs without a WAL).
-	if msg, ok := s.persistLocked(recStore, &walStore{UserID: req.UserID, Digest: digest, Blocks: blocks}); !ok {
+	if msg, ok := s.persistLocked(recStore, s.walRecord(&walStore{UserID: req.UserID, Digest: digest, Blocks: blocks})); !ok {
 		return msg
 	}
 	s.applyStoreLocked(req.UserID, digest, blocks)
@@ -315,6 +315,21 @@ func (s *Server) readBlock(userID string, pos uint64) (*storedBlock, []byte, err
 		return nil, nil, fmt.Errorf("core: fabricating block: %w", err)
 	}
 	return sb, fab, nil
+}
+
+// serveBlock is readBlock for an answer: the bytes and the signature are
+// copies, so a consumer of the answer in this process (a loopback
+// transport's handler, a test) that edits a served Σ or block in place
+// edits its own copy and never the stored one.
+func (s *Server) serveBlock(userID string, pos uint64) ([]byte, wire.BlockSig, error) {
+	sb, data, err := s.readBlock(userID, pos)
+	if err != nil {
+		return nil, wire.BlockSig{}, err
+	}
+	if sb.data != nil {
+		data = append([]byte(nil), data...)
+	}
+	return data, sb.sig.Clone(), nil
 }
 
 // dupComputeLocked answers a redelivered ComputeRequest from the job
@@ -377,16 +392,19 @@ func (s *Server) handleCompute(req *wire.ComputeRequest) wire.Message {
 		return &wire.ComputeResponse{JobID: req.JobID, ServerID: s.id, Error: err.Error()}
 	}
 	rootSig := EncodeIBSig(s.scheme.Params(), sig)
+	// The record is encoded before the lock: for a large job it is the
+	// biggest piece of work left, and it reads nothing the lock guards.
+	rec := s.walRecord(&walCompute{
+		JobID: req.JobID, UserID: req.UserID, Digest: digest,
+		Tasks: req.Tasks, Results: results,
+		Root: root[:], RootSig: rootSig,
+	})
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if resp, dup := s.dupComputeLocked(req, digest); dup {
 		return resp // lost the race to a concurrent duplicate
 	}
-	if msg, ok := s.persistLocked(recCompute, &walCompute{
-		JobID: req.JobID, UserID: req.UserID, Digest: digest,
-		Tasks: req.Tasks, Results: results,
-		Root: append([]byte(nil), root[:]...), RootSig: rootSig,
-	}); !ok {
+	if msg, ok := s.persistLocked(recCompute, rec); !ok {
 		return msg
 	}
 	s.jobs[req.JobID] = &jobRecord{
@@ -447,12 +465,11 @@ func (s *Server) handleChallenge(req *wire.ChallengeRequest) wire.Message {
 		}
 		for k, pos := range task.Positions {
 			actual := s.cfg.Policy.RedirectPosition(int(idx), pos)
-			sb, data, err := s.readBlock(job.userID, actual)
+			data, sig, err := s.serveBlock(job.userID, actual)
 			if err != nil {
 				return &wire.ChallengeResponse{JobID: req.JobID, Error: err.Error()}
 			}
-			item.Blocks[k] = data
-			item.Sigs[k] = sb.sig
+			item.Blocks[k], item.Sigs[k] = data, sig
 		}
 		proof, err := job.tree.Prove(int(idx))
 		if err != nil {
@@ -479,12 +496,11 @@ func (s *Server) handleStorageAudit(req *wire.StorageAuditRequest) wire.Message 
 		Sigs:   make([]wire.BlockSig, len(req.Positions)),
 	}
 	for i, pos := range req.Positions {
-		sb, data, err := s.readBlock(req.UserID, pos)
+		data, sig, err := s.serveBlock(req.UserID, pos)
 		if err != nil {
 			return &wire.StorageAuditResponse{Error: err.Error()}
 		}
-		resp.Blocks[i] = data
-		resp.Sigs[i] = sb.sig
+		resp.Blocks[i], resp.Sigs[i] = data, sig
 	}
 	return resp
 }

@@ -100,20 +100,7 @@ func cloneStoreReq(req *wire.StoreRequest) *wire.StoreRequest {
 	}
 	for i := range req.Blocks {
 		out.Blocks[i] = append([]byte(nil), req.Blocks[i]...)
-		out.Sigs[i] = cloneBlockSig(req.Sigs[i])
-	}
-	return out
-}
-
-// cloneBlockSig copies a block signature's U and every Σ.
-func cloneBlockSig(bs wire.BlockSig) wire.BlockSig {
-	out := wire.BlockSig{
-		SignerID: bs.SignerID,
-		U:        append([]byte(nil), bs.U...),
-		Sigma:    make(map[string][]byte, len(bs.Sigma)),
-	}
-	for id, raw := range bs.Sigma {
-		out.Sigma[id] = append([]byte(nil), raw...)
+		out.Sigs[i] = req.Sigs[i].Clone()
 	}
 	return out
 }

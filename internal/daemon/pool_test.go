@@ -76,7 +76,7 @@ func TestPoolEvictsServerClosedConn(t *testing.T) {
 			}
 			// Answer the hello, as a daemon would, then just hold the conn.
 			if _, err := wire.ReadClientHello(c); err == nil {
-				_ = wire.WriteServerHello(c, wire.ServerHello{Version: wire.ProtoV2})
+				_ = wire.WriteServerHello(c, wire.ServerHello{Version: wire.ProtoV3})
 			}
 			mu.Lock()
 			accepted = append(accepted, c)

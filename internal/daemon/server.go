@@ -456,8 +456,8 @@ func (o *serverObs) refuse(reason string) {
 
 func versionLabel(v uint16) string {
 	switch v {
-	case wire.ProtoV2:
-		return "v2"
+	case wire.ProtoV3:
+		return "v3"
 	default:
 		return "unknown"
 	}

@@ -101,7 +101,7 @@ func falseFlags(r *core.AuditReport) int {
 }
 
 // TestDaemonEndToEndAudit drives a full storage audit of an honest server
-// over a real TCP socket with the v2 negotiated protocol.
+// over a real TCP socket with the v3 negotiated protocol.
 func TestDaemonEndToEndAudit(t *testing.T) {
 	u := newTestUniverse(t, 1)
 	s := startDaemon(t, newSeededServer(t, u, "0", core.ServerConfig{}), nil)
@@ -143,8 +143,8 @@ func TestDaemonPoolNegotiatesV2(t *testing.T) {
 		t.Fatalf("Get: %v", err)
 	}
 	defer pool.Put(conn)
-	if conn.Version() != wire.ProtoV2 {
-		t.Fatalf("negotiated version %d, want %d", conn.Version(), wire.ProtoV2)
+	if conn.Version() != wire.ProtoV3 {
+		t.Fatalf("negotiated version %d, want %d", conn.Version(), wire.ProtoV3)
 	}
 }
 
@@ -187,6 +187,37 @@ func TestDaemonRefusesBareFrame(t *testing.T) {
 			t.Fatalf("daemon_refusals_total{reason=bad-handshake} = %v, want 1", v)
 		}
 		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestDaemonRefusesProtoV2Hello: a peer that offers only version 2, the
+// gob-framed protocol, gets the explicit refusal ServerHello{0} and a
+// closed conn, and the refusal is counted as a version mismatch.
+func TestDaemonRefusesProtoV2Hello(t *testing.T) {
+	u := newTestUniverse(t, 3)
+	hub := obs.NewHub()
+	s := startDaemon(t, newSeededServer(t, u, "0", core.ServerConfig{}), func(cfg *ServerConfig) {
+		cfg.Obs = hub
+	})
+	conn, err := net.Dial("tcp", s.Addr())
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	defer conn.Close()
+	_ = conn.SetDeadline(time.Now().Add(5 * time.Second))
+	if err := wire.WriteClientHello(conn, wire.ClientHello{Min: 2, Max: 2}); err != nil {
+		t.Fatal(err)
+	}
+	sh, err := wire.ReadServerHello(conn)
+	if err != nil || sh != (wire.ServerHello{Version: 0}) {
+		t.Fatalf("v2-only hello answered (%+v, %v), want ServerHello{0}", sh, err)
+	}
+	if n, _ := io.ReadFull(conn, make([]byte, 1)); n != 0 {
+		t.Fatal("daemon kept talking after refusing the hello")
+	}
+	v, _ := hub.Registry().Snapshot().Value("daemon_refusals_total", map[string]string{"reason": "version-mismatch"})
+	if v != 1 {
+		t.Fatalf("daemon_refusals_total{reason=version-mismatch} = %v, want 1", v)
 	}
 }
 

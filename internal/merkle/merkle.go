@@ -42,30 +42,30 @@ type LeafData struct {
 	Position uint64 // p_i, the data-block index the result came from
 }
 
-// hashLeaf computes v_i = H(tag ‖ y_i ‖ p_i) with length framing.
+// leafBufLen sizes the stack array hashLeaf assembles its input in: the
+// 17 framing bytes plus results of up to 111 bytes, which covers every
+// registered function's output. A longer result moves the input to the
+// heap through append; the bytes hashed are the same.
+const leafBufLen = 128
+
+// hashLeaf computes v_i = H(tag ‖ len(y_i) ‖ y_i ‖ p_i), lengths and
+// positions as 8 big-endian bytes.
 func hashLeaf(d LeafData) [HashLen]byte {
-	h := sha256.New()
-	h.Write([]byte{tagLeaf})
-	var lb [8]byte
-	binary.BigEndian.PutUint64(lb[:], uint64(len(d.Result)))
-	h.Write(lb[:])
-	h.Write(d.Result)
-	binary.BigEndian.PutUint64(lb[:], d.Position)
-	h.Write(lb[:])
-	var out [HashLen]byte
-	copy(out[:], h.Sum(nil))
-	return out
+	var arr [leafBufLen]byte
+	buf := append(arr[:0], tagLeaf)
+	buf = binary.BigEndian.AppendUint64(buf, uint64(len(d.Result)))
+	buf = append(buf, d.Result...)
+	buf = binary.BigEndian.AppendUint64(buf, d.Position)
+	return sha256.Sum256(buf)
 }
 
 // hashNode computes Ω(V) = H(tag ‖ Ω(left) ‖ Ω(right)).
 func hashNode(l, r [HashLen]byte) [HashLen]byte {
-	h := sha256.New()
-	h.Write([]byte{tagNode})
-	h.Write(l[:])
-	h.Write(r[:])
-	var out [HashLen]byte
-	copy(out[:], h.Sum(nil))
-	return out
+	var buf [1 + 2*HashLen]byte
+	buf[0] = tagNode
+	copy(buf[1:], l[:])
+	copy(buf[1+HashLen:], r[:])
+	return sha256.Sum256(buf[:])
 }
 
 // Tree is a complete binary Merkle tree over n leaves. When n is not a

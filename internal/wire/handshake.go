@@ -1,6 +1,6 @@
 // Versioned transport handshake for the public daemon socket.
 //
-// A bare stream (a 4-byte big-endian length followed by a gob frame)
+// A bare stream (a 4-byte big-endian length followed by a frame)
 // carries no magic and no version: every peer would have to speak
 // byte-identical framing forever. The daemon socket negotiates instead: a
 // connecting client first sends an 8-byte ClientHello ("SECW" magic plus
@@ -26,16 +26,18 @@ import (
 // length prefix (see TestHandshakeMagicOutsideFrameRange).
 const HandshakeMagic = "SECW"
 
-// Protocol versions. ProtoV2 is the length-prefixed, CRC-protected gob
-// frame codec reached through the handshake; version 1 was the same codec
-// with no hello and is no longer spoken. A future version can change the
-// framing without breaking deployed peers: the hello names it first.
+// Protocol versions. ProtoV3 is the length-prefixed frame of kind byte,
+// CRC32 and binary body (wire.go) reached through the handshake. Version
+// 2 carried the same messages gob-encoded and version 1 did so with no
+// hello; neither is spoken, so a peer offering only them is refused with
+// ServerHello{0}. A future version can change the framing without
+// breaking deployed peers: the hello names it first.
 const (
-	ProtoV2 uint16 = 2
+	ProtoV3 uint16 = 3
 
 	// MinProto..MaxProto is the range this build implements.
-	MinProto = ProtoV2
-	MaxProto = ProtoV2
+	MinProto = ProtoV3
+	MaxProto = ProtoV3
 )
 
 // helloLen is the encoded size of both hello messages.

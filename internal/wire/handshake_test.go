@@ -127,12 +127,12 @@ func TestHandshakeClientSide(t *testing.T) {
 		io.Writer
 	}
 
-	// Server answers v2: client accepts.
+	// Server answers v3: client accepts.
 	var sent bytes.Buffer
-	conn := rw{bytes.NewReader(EncodeServerHello(ServerHello{Version: 2})), &sent}
+	conn := rw{bytes.NewReader(EncodeServerHello(ServerHello{Version: ProtoV3})), &sent}
 	v, err := Handshake(conn, MinProto, MaxProto)
-	if err != nil || v != 2 {
-		t.Fatalf("handshake: got (%d, %v), want 2", v, err)
+	if err != nil || v != ProtoV3 {
+		t.Fatalf("handshake: got (%d, %v), want %d", v, err, ProtoV3)
 	}
 	offer, err := DecodeClientHello(sent.Bytes())
 	if err != nil || offer.Min != MinProto || offer.Max != MaxProto {
@@ -145,10 +145,13 @@ func TestHandshakeClientSide(t *testing.T) {
 		t.Fatalf("refusal: got %v, want ErrVersionMismatch", err)
 	}
 
-	// A server choosing outside the offer is a protocol violation.
-	conn = rw{bytes.NewReader(EncodeServerHello(ServerHello{Version: 9})), io.Discard}
-	if _, err := Handshake(conn, MinProto, MaxProto); !errors.Is(err, ErrVersionMismatch) {
-		t.Fatalf("out-of-offer: got %v, want ErrVersionMismatch", err)
+	// A server choosing outside the offer is a protocol violation, the
+	// gob-framed version 2 included.
+	for _, v := range []uint16{2, 9} {
+		conn = rw{bytes.NewReader(EncodeServerHello(ServerHello{Version: v})), io.Discard}
+		if _, err := Handshake(conn, MinProto, MaxProto); !errors.Is(err, ErrVersionMismatch) {
+			t.Fatalf("out-of-offer v%d: got %v, want ErrVersionMismatch", v, err)
+		}
 	}
 
 	// A server that hangs up mid-hello is a truncation, not a mismatch.

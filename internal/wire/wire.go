@@ -7,14 +7,15 @@
 // keeps the wire format independent of the crypto internals and makes byte
 // accounting (the paper's transmission-cost C_trans) exact.
 //
-// Framing: a 4-byte big-endian length followed by a gob-encoded frame
-// carrying the message kind and its encoded body. Each frame is
-// self-contained so connections can be resumed message-by-message.
+// Framing: a 4-byte big-endian length followed by a frame of kind byte,
+// CRC32 and body, the body written field by field in the binary codec of
+// codec.go (the same codec the server's write-ahead log and the evidence
+// records use). Each frame is self-contained so connections can be
+// resumed message-by-message.
 package wire
 
 import (
-	"bytes"
-	"encoding/gob"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -59,6 +60,19 @@ type BlockSig struct {
 	SignerID string
 	U        []byte
 	Sigma    map[string][]byte // verifier ID → marshaled GT element
+}
+
+// Clone returns a deep copy of s: its own U bytes and its own Σ map and
+// values.
+func (s *BlockSig) Clone() BlockSig {
+	out := BlockSig{SignerID: s.SignerID, U: append([]byte(nil), s.U...)}
+	if s.Sigma != nil {
+		out.Sigma = make(map[string][]byte, len(s.Sigma))
+		for id, raw := range s.Sigma {
+			out.Sigma[id] = append([]byte(nil), raw...)
+		}
+	}
+	return out
 }
 
 // Warrant is the delegation token the user hands to the DA (§V-D):
@@ -292,93 +306,122 @@ func (*ErrorResponse) Kind() string { return "error" }
 
 // --- codec -------------------------------------------------------------------
 
-// frame is the on-wire envelope. Sum is a CRC32 over Body: gob detects
-// most structural damage, but a flipped byte inside a payload field can
-// decode cleanly into *altered content* — which downstream crypto checks
-// would then blame on the peer. The checksum turns silent payload
-// corruption into a typed, retryable ErrCorrupt at the codec boundary,
-// preserving the NetworkFault-vs-BadProof distinction the audit trail
-// depends on.
-type frame struct {
-	Kind string
-	Sum  uint32
-	Body []byte
+// A frame is kind(1) ‖ CRC32(kind ‖ body)(4, big-endian) ‖ body, and the
+// body is the message's fields in declaration order in the codec of
+// codec.go. The checksum covers the kind byte too: a flipped kind is
+// ErrCorrupt and can never decode as a different message. Without the
+// checksum a flipped byte inside a payload field would decode cleanly
+// into altered content, which downstream crypto checks would then blame
+// on the peer; with it, damage is a typed, retryable ErrCorrupt at the
+// codec boundary, preserving the NetworkFault-vs-BadProof distinction the
+// audit trail depends on.
+const frameHeaderLen = 5
+
+// body is a message the frame codec can carry.
+type body interface {
+	Message
+	encode(w *Writer)
+	decode(r *Reader)
 }
 
-// factories maps kind tags to constructors for decoding.
-var factories = map[string]func() Message{
-	"store_req":      func() Message { return new(StoreRequest) },
-	"store_resp":     func() Message { return new(StoreResponse) },
-	"staudit_req":    func() Message { return new(StorageAuditRequest) },
-	"staudit_resp":   func() Message { return new(StorageAuditResponse) },
-	"compute_req":    func() Message { return new(ComputeRequest) },
-	"compute_resp":   func() Message { return new(ComputeResponse) },
-	"challenge_req":  func() Message { return new(ChallengeRequest) },
-	"challenge_resp": func() Message { return new(ChallengeResponse) },
-	"update_req":     func() Message { return new(UpdateRequest) },
-	"delete_req":     func() Message { return new(DeleteRequest) },
-	"partial_req":    func() Message { return new(PartialRequest) },
-	"partial_resp":   func() Message { return new(PartialResponse) },
-	"overload":       func() Message { return new(OverloadResponse) },
-	"error":          func() Message { return new(ErrorResponse) },
+// kinds maps each frame kind byte to its message constructor; byte 0 and
+// bytes past the table are unknown kinds.
+var kinds = [...]func() body{
+	1:  func() body { return new(StoreRequest) },
+	2:  func() body { return new(StoreResponse) },
+	3:  func() body { return new(StorageAuditRequest) },
+	4:  func() body { return new(StorageAuditResponse) },
+	5:  func() body { return new(ComputeRequest) },
+	6:  func() body { return new(ComputeResponse) },
+	7:  func() body { return new(ChallengeRequest) },
+	8:  func() body { return new(ChallengeResponse) },
+	9:  func() body { return new(UpdateRequest) },
+	10: func() body { return new(DeleteRequest) },
+	11: func() body { return new(PartialRequest) },
+	12: func() body { return new(PartialResponse) },
+	13: func() body { return new(OverloadResponse) },
+	14: func() body { return new(ErrorResponse) },
 }
 
-// Encode serializes m into a self-contained frame.
+// kindBytes is the inverse of kinds, keyed by Kind().
+var kindBytes = func() map[string]byte {
+	m := make(map[string]byte, len(kinds))
+	for k, mk := range kinds {
+		if mk != nil {
+			m[mk().Kind()] = byte(k)
+		}
+	}
+	return m
+}()
+
+// appendFrame appends m's frame to w.Buf.
+func appendFrame(w *Writer, m Message) error {
+	b, ok := m.(body)
+	if !ok {
+		return fmt.Errorf("wire: message type %T: %w", m, ErrUnknownKind)
+	}
+	start := len(w.Buf)
+	w.Buf = append(w.Buf, kindBytes[b.Kind()], 0, 0, 0, 0)
+	b.encode(w)
+	f := w.Buf[start:]
+	sum := crc32.Update(crc32.ChecksumIEEE(f[:1]), crc32.IEEETable, f[frameHeaderLen:])
+	binary.BigEndian.PutUint32(f[1:frameHeaderLen], sum)
+	return nil
+}
+
+// Encode serializes m into a self-contained frame. The returned slice is
+// the caller's own: fault injectors damage copies of it.
 func Encode(m Message) ([]byte, error) {
-	var body bytes.Buffer
-	if err := gob.NewEncoder(&body).Encode(m); err != nil {
-		return nil, fmt.Errorf("wire: encoding %s body: %w", m.Kind(), err)
+	var w Writer
+	if err := appendFrame(&w, m); err != nil {
+		return nil, err
 	}
-	var buf bytes.Buffer
-	f := frame{Kind: m.Kind(), Sum: crc32.ChecksumIEEE(body.Bytes()), Body: body.Bytes()}
-	if err := gob.NewEncoder(&buf).Encode(f); err != nil {
-		return nil, fmt.Errorf("wire: encoding %s frame: %w", m.Kind(), err)
-	}
-	return buf.Bytes(), nil
+	return w.Buf, nil
 }
 
 // Decode parses a frame produced by Encode. Damaged bytes — whether from
 // a hostile peer or a corrupting link — yield a typed error wrapping
-// ErrCorrupt; Decode never panics, even on inputs that trip the gob
-// decoder's internal invariants.
-func Decode(data []byte) (m Message, err error) {
-	// gob's decoder has historically panicked on certain malformed
-	// streams; a corrupting transport must surface a typed error instead.
-	defer func() {
-		if r := recover(); r != nil {
-			m, err = nil, fmt.Errorf("wire: decode panic on malformed frame (%v): %w", r, ErrCorrupt)
-		}
-	}()
-	var f frame
-	if derr := gob.NewDecoder(bytes.NewReader(data)).Decode(&f); derr != nil {
-		return nil, fmt.Errorf("wire: decoding frame (%v): %w", derr, ErrCorrupt)
+// ErrCorrupt (ErrUnknownKind for an intact frame of a kind this build does
+// not know). Nothing the decoded message holds aliases data.
+func Decode(data []byte) (Message, error) {
+	if len(data) < frameHeaderLen {
+		return nil, fmt.Errorf("wire: %d-byte frame is shorter than its header: %w", len(data), ErrCorrupt)
 	}
-	if sum := crc32.ChecksumIEEE(f.Body); sum != f.Sum {
-		return nil, fmt.Errorf("wire: frame checksum mismatch (got %08x, want %08x): %w",
-			sum, f.Sum, ErrCorrupt)
+	want := binary.BigEndian.Uint32(data[1:frameHeaderLen])
+	if sum := crc32.Update(crc32.ChecksumIEEE(data[:1]), crc32.IEEETable, data[frameHeaderLen:]); sum != want {
+		return nil, fmt.Errorf("wire: frame checksum mismatch (got %08x, want %08x): %w", sum, want, ErrCorrupt)
 	}
-	mk, ok := factories[f.Kind]
-	if !ok {
-		return nil, fmt.Errorf("wire: kind %q: %w", f.Kind, ErrUnknownKind)
+	k := int(data[0])
+	if k >= len(kinds) || kinds[k] == nil {
+		return nil, fmt.Errorf("wire: kind byte %d: %w", k, ErrUnknownKind)
 	}
-	m = mk()
-	if derr := gob.NewDecoder(bytes.NewReader(f.Body)).Decode(m); derr != nil {
-		return nil, fmt.Errorf("wire: decoding %s body (%v): %w", f.Kind, derr, ErrCorrupt)
+	m := kinds[k]()
+	r := NewReader(data[frameHeaderLen:])
+	m.decode(r)
+	if err := r.Done(); err != nil {
+		return nil, fmt.Errorf("wire: decoding %s body (%v): %w", m.Kind(), err, ErrCorrupt)
 	}
 	return m, nil
 }
 
 // WriteMessage writes one length-prefixed frame; it returns the total
-// bytes written (prefix included) for transmission-cost accounting.
+// bytes written (prefix included) for transmission-cost accounting. The
+// prefix and the frame go out in one Write.
 func WriteMessage(w io.Writer, m Message) (int, error) {
-	data, err := Encode(m)
-	if err != nil {
+	buf := Writer{Buf: []byte{0, 0, 0, 0}}
+	if err := appendFrame(&buf, m); err != nil {
 		return 0, err
 	}
-	if len(data) > MaxFrameLen {
-		return 0, fmt.Errorf("wire: %s frame is %d bytes: %w", m.Kind(), len(data), ErrFrameTooLarge)
+	n := len(buf.Buf) - 4
+	if n > MaxFrameLen {
+		return 0, fmt.Errorf("wire: %s frame is %d bytes: %w", m.Kind(), n, ErrFrameTooLarge)
 	}
-	return WriteFrame(w, data)
+	binary.BigEndian.PutUint32(buf.Buf, uint32(n))
+	written, err := w.Write(buf.Buf)
+	if err != nil {
+		return written, fmt.Errorf("wire: writing frame: %w", err)
+	}
+	return written, nil
 }
 
 // WriteFrame writes pre-encoded frame bytes with the length prefix. It
@@ -392,10 +435,7 @@ func WriteFrame(w io.Writer, data []byte) (int, error) {
 		return 0, fmt.Errorf("wire: frame is %d bytes: %w", len(data), ErrFrameTooLarge)
 	}
 	var prefix [4]byte
-	prefix[0] = byte(len(data) >> 24)
-	prefix[1] = byte(len(data) >> 16)
-	prefix[2] = byte(len(data) >> 8)
-	prefix[3] = byte(len(data))
+	binary.BigEndian.PutUint32(prefix[:], uint32(len(data)))
 	if _, err := w.Write(prefix[:]); err != nil {
 		return 0, fmt.Errorf("wire: writing frame prefix: %w", err)
 	}
@@ -418,7 +458,7 @@ func ReadMessage(r io.Reader) (Message, int, error) {
 		}
 		return nil, 0, fmt.Errorf("wire: reading frame prefix (%v): %w", err, ErrTruncated)
 	}
-	n := int(prefix[0])<<24 | int(prefix[1])<<16 | int(prefix[2])<<8 | int(prefix[3])
+	n := int(binary.BigEndian.Uint32(prefix[:]))
 	if n > MaxFrameLen {
 		return nil, 4, fmt.Errorf("wire: advertised frame of %d bytes: %w", n, ErrFrameTooLarge)
 	}
@@ -432,3 +472,184 @@ func ReadMessage(r io.Reader) (Message, int, error) {
 	}
 	return m, 4 + n, nil
 }
+
+// --- message bodies ------------------------------------------------------------
+
+func (m *StoreRequest) encode(w *Writer) {
+	w.String(m.UserID)
+	w.Uvarints(m.Positions)
+	w.ByteList(m.Blocks)
+	w.BlockSigs(m.Sigs)
+}
+
+func (m *StoreRequest) decode(r *Reader) {
+	m.UserID, m.Positions, m.Blocks, m.Sigs = r.String(), r.Uvarints(), r.ByteList(), r.BlockSigs()
+}
+
+func (m *StoreResponse) encode(w *Writer) {
+	w.Bool(m.OK)
+	w.String(m.Error)
+}
+
+func (m *StoreResponse) decode(r *Reader) { m.OK, m.Error = r.Bool(), r.String() }
+
+func (m *StorageAuditRequest) encode(w *Writer) {
+	w.String(m.UserID)
+	w.Uvarints(m.Positions)
+	w.Warrant(&m.Warrant)
+}
+
+func (m *StorageAuditRequest) decode(r *Reader) {
+	m.UserID, m.Positions, m.Warrant = r.String(), r.Uvarints(), r.Warrant()
+}
+
+func (m *StorageAuditResponse) encode(w *Writer) {
+	w.ByteList(m.Blocks)
+	w.BlockSigs(m.Sigs)
+	w.String(m.Error)
+}
+
+func (m *StorageAuditResponse) decode(r *Reader) {
+	m.Blocks, m.Sigs, m.Error = r.ByteList(), r.BlockSigs(), r.String()
+}
+
+func (m *ComputeRequest) encode(w *Writer) {
+	w.String(m.UserID)
+	w.String(m.JobID)
+	w.Tasks(m.Tasks)
+}
+
+func (m *ComputeRequest) decode(r *Reader) {
+	m.UserID, m.JobID, m.Tasks = r.String(), r.String(), r.Tasks()
+}
+
+func (m *ComputeResponse) encode(w *Writer) {
+	w.String(m.JobID)
+	w.String(m.ServerID)
+	w.ByteList(m.Results)
+	w.Bytes(m.Root)
+	w.IBSig(&m.RootSig)
+	w.String(m.Error)
+}
+
+func (m *ComputeResponse) decode(r *Reader) {
+	m.JobID, m.ServerID, m.Results = r.String(), r.String(), r.PackedByteList()
+	m.Root, m.RootSig, m.Error = r.Bytes(), r.IBSig(), r.String()
+}
+
+func (m *ChallengeRequest) encode(w *Writer) {
+	w.String(m.JobID)
+	w.Uvarints(m.Indices)
+	w.Warrant(&m.Warrant)
+}
+
+func (m *ChallengeRequest) decode(r *Reader) {
+	m.JobID, m.Indices, m.Warrant = r.String(), r.Uvarints(), r.Warrant()
+}
+
+// challengeItemMinLen is the shortest ChallengeItem encoding: index,
+// task, and four empty fields.
+const challengeItemMinLen = 1 + taskMinLen + 4
+
+func (m *ChallengeResponse) encode(w *Writer) {
+	w.String(m.JobID)
+	w.Uvarint(uint64(len(m.Items)))
+	for i := range m.Items {
+		it := &m.Items[i]
+		w.Uvarint(it.Index)
+		w.Task(&it.Task)
+		w.ByteList(it.Blocks)
+		w.BlockSigs(it.Sigs)
+		w.Bytes(it.Result)
+		w.Uvarint(uint64(len(it.ProofPath)))
+		for _, st := range it.ProofPath {
+			w.Bytes(st.Hash)
+			w.Bool(st.Right)
+		}
+	}
+	w.String(m.Error)
+}
+
+func (m *ChallengeResponse) decode(r *Reader) {
+	m.JobID = r.String()
+	if n := r.Count(challengeItemMinLen); n > 0 {
+		m.Items = make([]ChallengeItem, n)
+		for i := range m.Items {
+			it := &m.Items[i]
+			it.Index, it.Task, it.Blocks, it.Sigs, it.Result = r.Uvarint(), r.Task(), r.ByteList(), r.BlockSigs(), r.Bytes()
+			if k := r.Count(2); k > 0 {
+				it.ProofPath = make([]ProofStep, k)
+				for j := range it.ProofPath {
+					it.ProofPath[j] = ProofStep{Hash: r.Bytes(), Right: r.Bool()}
+				}
+			}
+		}
+	}
+	m.Error = r.String()
+}
+
+func (m *UpdateRequest) encode(w *Writer) {
+	w.String(m.UserID)
+	w.Uvarint(m.Position)
+	w.Uvarint(m.Seq)
+	w.Bytes(m.Block)
+	w.BlockSig(&m.Sig)
+	w.IBSig(&m.Auth)
+}
+
+func (m *UpdateRequest) decode(r *Reader) {
+	m.UserID, m.Position, m.Seq, m.Block = r.String(), r.Uvarint(), r.Uvarint(), r.Bytes()
+	m.Sig, m.Auth = r.BlockSig(), r.IBSig()
+}
+
+func (m *DeleteRequest) encode(w *Writer) {
+	w.String(m.UserID)
+	w.Uvarint(m.Position)
+	w.Uvarint(m.Seq)
+	w.IBSig(&m.Auth)
+}
+
+func (m *DeleteRequest) decode(r *Reader) {
+	m.UserID, m.Position, m.Seq, m.Auth = r.String(), r.Uvarint(), r.Uvarint(), r.IBSig()
+}
+
+func (m *PartialRequest) encode(w *Writer) {
+	w.String(m.VerifierID)
+	w.ByteList(m.Bases)
+}
+
+func (m *PartialRequest) decode(r *Reader) { m.VerifierID, m.Bases = r.String(), r.PackedByteList() }
+
+func (m *PartialResponse) encode(w *Writer) {
+	w.Varint(int64(m.Index))
+	w.Uvarint(uint64(len(m.Partials)))
+	for _, p := range m.Partials {
+		w.Bytes(p.T)
+		w.Bytes(p.A1)
+		w.Bytes(p.A2)
+		w.Bytes(p.Z)
+	}
+	w.String(m.Error)
+}
+
+func (m *PartialResponse) decode(r *Reader) {
+	m.Index = int(r.Varint())
+	if n := r.Count(4); n > 0 {
+		m.Partials = make([]PartialProof, n)
+		for i := range m.Partials {
+			m.Partials[i] = PartialProof{T: r.Bytes(), A1: r.Bytes(), A2: r.Bytes(), Z: r.Bytes()}
+		}
+	}
+	m.Error = r.String()
+}
+
+func (m *OverloadResponse) encode(w *Writer) { w.Varint(m.RetryAfterMillis) }
+
+func (m *OverloadResponse) decode(r *Reader) { m.RetryAfterMillis = r.Varint() }
+
+func (m *ErrorResponse) encode(w *Writer) {
+	w.String(m.Code)
+	w.String(m.Msg)
+}
+
+func (m *ErrorResponse) decode(r *Reader) { m.Code, m.Msg = r.String(), r.String() }
