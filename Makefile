@@ -23,6 +23,12 @@ race:
 # Then a non-test .go file that imports encoding/gob or calls recover()
 # fails it: every decoder is the bounds-checked binary codec, which
 # refuses bad input with an error and never panics to be caught.
+# The production build (core, daemon and the two daemons) must not link
+# the simulator: a package among their dependencies that imports
+# internal/netsim fails it, and so does netsim.Client or netsim.Handler
+# spelled outside bench/ and internal/netsim (the two aliases exist only
+# for the benchmark module; everything else spells transport.Client and
+# transport.Handler).
 # scripts/check-refs.sh then fails on a `pkg.Identifier` in the docs that
 # the package does not declare, or a CI -run pattern that matches no test.
 vet:
@@ -31,6 +37,11 @@ vet:
 	if [ -n "$$unformatted" ]; then echo "gofmt -l lists:"; echo "$$unformatted"; exit 1; fi
 	@banned=$$(grep -rlE --include='*.go' '"encoding/gob"|recover\(\)' . | grep -v '_test\.go$$' || true); \
 	if [ -n "$$banned" ]; then echo "encoding/gob or recover() outside test files:"; echo "$$banned"; exit 1; fi
+	@sim=$$($(GO) list -deps -f '{{.ImportPath}}{{range .Imports}} {{.}}{{end}}' ./internal/core ./internal/daemon ./cmd/seccloudd ./cmd/seccloud-agencyd | \
+		awk '{ for (i = 2; i <= NF; i++) if ($$i == "seccloud/internal/netsim") print $$1 }'); \
+	if [ -n "$$sim" ]; then echo "the production build imports seccloud/internal/netsim from:"; echo "$$sim"; exit 1; fi
+	@aliased=$$(grep -rnE --include='*.go' 'netsim\.(Client|Handler)\b' . | grep -vE '^\./(bench|internal/netsim)/' || true); \
+	if [ -n "$$aliased" ]; then echo "netsim.Client or netsim.Handler outside bench/ and internal/netsim (spell transport.Client, transport.Handler):"; echo "$$aliased"; exit 1; fi
 	@sh scripts/check-refs.sh
 
 # Non-test and test Go lines per package directory, with a total — the

@@ -9,7 +9,7 @@
 //	seccloud-agencyd -servers 127.0.0.1:7700                # audit forever
 //	seccloud-agencyd -servers 127.0.0.1:7700 -audits 3      # three sweeps, then exit
 //	seccloud-agencyd -servers a:7700,b:7700 -interval 30s   # a fleet on a schedule
-//	seccloud-agencyd -stream 4 -rtt 50ms                    # pipelined rounds under simulated WAN RTT
+//	seccloud-agencyd -stream 4                              # four challenge rounds in flight
 //	seccloud-agencyd -tls-ca pki/ca.pem -tls-cert pki/client.pem \
 //	                 -tls-key pki/client-key.pem            # mutual TLS
 //
@@ -31,9 +31,9 @@ import (
 	"time"
 
 	"seccloud/internal/daemon"
-	"seccloud/internal/netsim"
 	"seccloud/internal/obs"
 	"seccloud/internal/pairing"
+	"seccloud/internal/transport"
 )
 
 func main() {
@@ -57,7 +57,6 @@ func run() error {
 		roundTO    = flag.Duration("round-timeout", 10*time.Second, "per-round-trip deadline")
 		deadline   = flag.Duration("deadline", 2*time.Minute, "per-audit deadline")
 		retries    = flag.Int("retries", 4, "max attempts per transport-failed round (1 = no retry)")
-		rtt        = flag.Duration("rtt", 0, "simulated extra RTT per round trip (benchmark WANs on localhost)")
 		timeout    = flag.Duration("timeout", 30*time.Second, "round-trip timeout without a deadline")
 		tlsCert    = flag.String("tls-cert", "", "client certificate PEM")
 		tlsKey     = flag.String("tls-key", "", "client key PEM")
@@ -97,7 +96,6 @@ func run() error {
 	trCfg := daemon.TCPTransportConfig{
 		Timeout:     *timeout,
 		DialTimeout: 10 * time.Second,
-		RTT:         *rtt,
 		Obs:         hub,
 	}
 	if *tlsCA != "" {
@@ -107,17 +105,17 @@ func run() error {
 		}
 		trCfg.TLS = tcfg
 	}
-	transport := daemon.NewTCPTransport(trCfg)
-	defer transport.Close()
+	tr := daemon.NewTCPTransport(trCfg)
+	defer tr.Close()
 
-	var retrier *netsim.Retrier
+	var retrier *transport.Retrier
 	if *retries > 1 {
-		retrier = netsim.NewRetrier(*seed)
+		retrier = transport.NewRetrier(*seed)
 		retrier.MaxAttempts = *retries
 	}
 	auditor, err := daemon.NewAuditor(daemon.AuditorConfig{
 		Universe:     universe,
-		Transport:    transport,
+		Transport:    tr,
 		Servers:      targets,
 		DatasetSize:  *dataset,
 		SampleSize:   *sample,

@@ -31,9 +31,9 @@ import (
 
 	"seccloud/internal/core"
 	"seccloud/internal/daemon"
-	"seccloud/internal/netsim"
 	"seccloud/internal/obs"
 	"seccloud/internal/pairing"
+	"seccloud/internal/transport"
 )
 
 func main() {
@@ -157,7 +157,7 @@ func run() error {
 		Obs:          hub,
 	}
 	if nInflight > 0 {
-		srvCfg.Admission = netsim.NewAdmission(netsim.AdmissionConfig{
+		srvCfg.Admission = transport.NewAdmission(transport.AdmissionConfig{
 			MaxInflight: nInflight,
 			MaxQueue:    nQueue,
 			RetryAfter:  pickDur(*retryAfter, cfg.RetryAfterMillis, 0),

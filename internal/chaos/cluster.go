@@ -19,6 +19,7 @@ import (
 	"seccloud/internal/obs"
 	"seccloud/internal/store"
 	"seccloud/internal/threshold"
+	"seccloud/internal/transport"
 	"seccloud/internal/wire"
 	"seccloud/internal/workload"
 )
@@ -136,9 +137,9 @@ type cluster struct {
 	ds        *workload.Dataset
 	verifiers []string
 
-	handlers []*netsim.SwappableHandler
+	handlers []*transport.SwappableHandler
 	policies []*cheatPolicy
-	gates    []*netsim.Admission
+	gates    []*transport.Admission
 	downs    []*netsim.DownableHandler
 	crashers []*store.Crasher
 	disks    []*store.FaultFS
@@ -147,8 +148,8 @@ type cluster struct {
 	daClock  *netsim.Clock
 	part     *netsim.Partition
 
-	daClients  []netsim.Client // raw partitioned links the fleet audits over
-	cspClients []netsim.Client // retrying, breaker-instrumented store path
+	daClients  []transport.Client // raw partitioned links the fleet audits over
+	cspClients []transport.Client // retrying, breaker-instrumented store path
 
 	holders []*holder    // share-holders of the dealt key; nil for a single DA
 	tenants *tenantFleet // the tenants step's traffic; nil without one
@@ -402,16 +403,16 @@ func newCluster(cfg Config, dir string, reference bool, sched Schedule) (*cluste
 		}
 	}
 
-	c.handlers = make([]*netsim.SwappableHandler, cfg.Servers)
+	c.handlers = make([]*transport.SwappableHandler, cfg.Servers)
 	c.policies = make([]*cheatPolicy, cfg.Servers)
-	c.gates = make([]*netsim.Admission, cfg.Servers)
+	c.gates = make([]*transport.Admission, cfg.Servers)
 	c.downs = make([]*netsim.DownableHandler, cfg.Servers)
 	c.crashers = make([]*store.Crasher, cfg.Servers)
 	c.disks = make([]*store.FaultFS, cfg.Servers)
 	c.links = make([]*netsim.Loopback, cfg.Servers)
 	c.clocks = make([]*netsim.Clock, cfg.Servers)
-	c.daClients = make([]netsim.Client, cfg.Servers)
-	c.cspClients = make([]netsim.Client, cfg.Servers)
+	c.daClients = make([]transport.Client, cfg.Servers)
+	c.cspClients = make([]transport.Client, cfg.Servers)
 
 	noSleep := func(context.Context, time.Duration) error { return nil }
 
@@ -422,14 +423,14 @@ func newCluster(cfg Config, dir string, reference bool, sched Schedule) (*cluste
 		c.disks[i] = store.NewFaultFS(store.FaultFSConfig{Seed: subSeed(cfg.Seed, "disk", i, 0)})
 		c.clocks[i] = netsim.NewClock()
 		c.policies[i] = &cheatPolicy{seed: cfg.Seed, server: i, forged: map[uint64]bool{}}
-		c.gates[i] = netsim.NewAdmission(netsim.AdmissionConfig{MaxInflight: admissionSlots}).
+		c.gates[i] = transport.NewAdmission(transport.AdmissionConfig{MaxInflight: admissionSlots}).
 			WithObs(c.hub, nodeLabel(i))
 
 		srv, err := c.newServer(i)
 		if err != nil {
 			return nil, err
 		}
-		c.handlers[i] = netsim.NewSwappableHandler(srv)
+		c.handlers[i] = transport.NewSwappableHandler(srv)
 		c.downs[i] = netsim.NewDownableHandler(c.handlers[i])
 		c.links[i] = netsim.NewLoopback(c.downs[i], netsim.LinkConfig{}).
 			WithObs(c.hub).
@@ -440,10 +441,10 @@ func newCluster(cfg Config, dir string, reference bool, sched Schedule) (*cluste
 		// same outage switch) but enter the partition map under their own
 		// names, so a cut can sever the DA's view while the CSP's works.
 		c.daClients[i] = netsim.PartitionClient(c.links[i], c.part, "da", nodeLabel(i))
-		r := netsim.NewRetrier(subSeed(cfg.Seed, "retry-csp", i, 0))
+		r := transport.NewRetrier(subSeed(cfg.Seed, "retry-csp", i, 0))
 		r.MaxAttempts = 4
 		r.Sleep = noSleep
-		c.cspClients[i] = netsim.NewRetryClient(
+		c.cspClients[i] = transport.NewRetryClient(
 			netsim.PartitionClient(c.links[i], c.part, "csp", nodeLabel(i)), r)
 	}
 
@@ -500,7 +501,7 @@ func (c *cluster) dealQuorum(key *ibc.PrivateKey, t, n int) error {
 		return err
 	}
 	c.holders = make([]*holder, n)
-	clients := make([]netsim.Client, n)
+	clients := make([]transport.Client, n)
 	for i, share := range deal.Shares {
 		as := threshold.NewAuditorShare(sp, share, rand.Reader)
 		c.holders[i] = &holder{DownableHandler: netsim.NewDownableHandler(as), share: as}
@@ -628,8 +629,8 @@ func allPositions(n int) []uint64 {
 
 // auditRetrier builds the per-audit retry helper (virtual backoff),
 // seeded per audit dimension, epoch and server.
-func (c *cluster) auditRetrier(dim string, ep, i int) *netsim.Retrier {
-	r := netsim.NewRetrier(subSeed(c.cfg.Seed, dim, ep, i))
+func (c *cluster) auditRetrier(dim string, ep, i int) *transport.Retrier {
+	r := transport.NewRetrier(subSeed(c.cfg.Seed, dim, ep, i))
 	r.MaxAttempts = 3
 	r.Sleep = func(context.Context, time.Duration) error { return nil }
 	return r

@@ -14,9 +14,9 @@ import (
 	"seccloud/internal/funcs"
 	"seccloud/internal/ibc"
 	"seccloud/internal/merkle"
-	"seccloud/internal/netsim"
 	"seccloud/internal/obs"
 	"seccloud/internal/sampling"
+	"seccloud/internal/transport"
 	"seccloud/internal/wire"
 )
 
@@ -314,7 +314,7 @@ type AuditConfig struct {
 	Rounds int
 	// Retry retries rounds that fail with transport-class errors; nil
 	// means a single attempt per round.
-	Retry *netsim.Retrier
+	Retry *transport.Retrier
 	// RoundTimeout bounds each round-trip attempt; 0 means no deadline.
 	RoundTimeout time.Duration
 	// Deadline bounds the whole audit end to end. When it expires,
@@ -326,7 +326,7 @@ type AuditConfig struct {
 	// retry across all rounds draws a token, successes refund a fraction,
 	// and a drained bucket stops retrying instead of amplifying an
 	// overload. Denials are recorded in the report. Requires Retry.
-	Budget *netsim.RetryBudget
+	Budget *transport.RetryBudget
 	// Overload, when set, enables graceful degradation: when the
 	// controller's observed shed/timeout rate crosses its threshold, the
 	// audit shrinks its challenge set along the Theorem-3 curve and the
@@ -518,7 +518,7 @@ func SampleIndices(rng *rand.Rand, n, t int) []uint64 {
 // the server passed all sampled checks. An audit where every round is lost
 // to the network returns a valid-but-empty report with EffectiveSampleSize
 // 0 (see auditRun.rounds for the fault and pipelining contracts).
-func (a *Agency) AuditJob(client netsim.Client, d *JobDelegation, cfg AuditConfig) (*AuditReport, error) {
+func (a *Agency) AuditJob(client transport.Client, d *JobDelegation, cfg AuditConfig) (*AuditReport, error) {
 	run := a.startRun(auditRun{
 		typ: "job", jobID: d.JobID, cfg: &cfg, disp: direct{client},
 		kind: &jobKind{a: a, d: d, deferSigs: cfg.BatchSignatures || a.thr != nil},
@@ -711,7 +711,7 @@ func taskSpecEqual(a, b wire.TaskSpec) bool {
 // AuditJob: transport failures shrink the effective sample, they never
 // accuse the server.
 func (a *Agency) AuditStorage(
-	client netsim.Client, userID string, warrant wire.Warrant, cfg AuditConfig,
+	client transport.Client, userID string, warrant wire.Warrant, cfg AuditConfig,
 ) (*AuditReport, error) {
 	run := a.startRun(auditRun{
 		typ: "storage", userID: userID, cfg: &cfg, disp: direct{client},

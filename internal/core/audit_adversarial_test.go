@@ -12,6 +12,7 @@ import (
 	"seccloud/internal/ibc"
 	"seccloud/internal/netsim"
 	"seccloud/internal/pairing"
+	"seccloud/internal/transport"
 	"seccloud/internal/wire"
 	"seccloud/internal/workload"
 )
@@ -25,7 +26,7 @@ type auditFixture struct {
 	sp      *ibc.SystemParams
 	user    *User
 	agency  *Agency
-	client  netsim.Client
+	client  transport.Client
 	tamper  func(sigs map[uint64]*wire.BlockSig)
 	job     *JobDelegation
 	warrant wire.Warrant
@@ -58,7 +59,7 @@ func newAuditFixture(t testing.TB, pp func() *pairing.Params) *auditFixture {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f.client = netsim.NewLoopback(netsim.HandlerFunc(func(m wire.Message) wire.Message {
+	f.client = netsim.NewLoopback(transport.HandlerFunc(func(m wire.Message) wire.Message {
 		resp := srv.Handle(m)
 		if f.tamper == nil {
 			return resp

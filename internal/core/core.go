@@ -1,6 +1,6 @@
 // Package core implements the SecCloud protocol itself — the paper's
 // primary contribution. It wires the cryptographic substrates (ibc, dvs,
-// merkle) and the simulation substrates (funcs, wire, netsim) into the
+// merkle) and the simulation substrates (funcs, wire, transport) into the
 // four protocol phases of §V:
 //
 //	System initialization   → ibc.Setup / Extract (performed by the SIO)

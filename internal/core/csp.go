@@ -5,7 +5,7 @@ import (
 	"fmt"
 	"time"
 
-	"seccloud/internal/netsim"
+	"seccloud/internal/transport"
 	"seccloud/internal/wire"
 	"seccloud/internal/workload"
 )
@@ -14,9 +14,9 @@ import (
 // batch job out across n cloud servers (§III-A: "CSP could divide such a
 // task into multiple sub-task and allow them parallelly executed across
 // hundreds of Cloud Computing servers"). It is transport-agnostic — each
-// server is reached through a netsim.Client, which may be loopback or TCP.
+// server is reached through a transport.Client, which may be loopback or TCP.
 type CSP struct {
-	clients []netsim.Client
+	clients []transport.Client
 	// writeQuorum is the minimum number of replicas that must ack a
 	// replicated store; 0 means all of them.
 	writeQuorum int
@@ -26,7 +26,7 @@ type CSP struct {
 }
 
 // NewCSP builds a provider over the given server links.
-func NewCSP(clients []netsim.Client) (*CSP, error) {
+func NewCSP(clients []transport.Client) (*CSP, error) {
 	if len(clients) == 0 {
 		return nil, fmt.Errorf("core: CSP needs at least one server")
 	}
@@ -55,7 +55,7 @@ func (c *CSP) WithHealth(h *FleetHealth) *CSP {
 func (c *CSP) NumServers() int { return len(c.clients) }
 
 // Client exposes the link to server i (for targeted audits).
-func (c *CSP) Client(i int) netsim.Client { return c.clients[i] }
+func (c *CSP) Client(i int) transport.Client { return c.clients[i] }
 
 // ReplicationResult details a replicated store: which replicas acked and
 // the per-server errors of those that did not.
@@ -185,7 +185,7 @@ func (c *CSP) submitSub(user *User, slot int, subJobID string, subJob *workload.
 		if err == nil {
 			return true, resp, nil
 		}
-		if !netsim.IsRetryable(err) && !netsim.IsTimeout(err) {
+		if !transport.IsRetryable(err) && !transport.IsTimeout(err) {
 			return true, nil, fmt.Errorf("core: sub-job on server %d: %w", si, err)
 		}
 		if firstErr == nil {

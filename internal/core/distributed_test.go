@@ -214,12 +214,12 @@ func TestLoopbackLatencyModel(t *testing.T) {
 	if err := sys.user.Store(link, req); err != nil {
 		t.Fatal(err)
 	}
-	st := link.Stats()
-	if st.SimLatency < 10*time.Millisecond {
-		t.Fatalf("simulated latency %v below configured RTT", st.SimLatency)
+	lat := link.SimLatency()
+	if lat < 10*time.Millisecond {
+		t.Fatalf("simulated latency %v below configured RTT", lat)
 	}
-	wantTransfer := time.Duration(float64(st.TotalBytes()) / float64(1<<20) * float64(time.Second))
-	if st.SimLatency < 10*time.Millisecond+wantTransfer/2 {
-		t.Fatalf("bandwidth term missing: latency %v, transfer %v", st.SimLatency, wantTransfer)
+	wantTransfer := time.Duration(float64(link.Stats().TotalBytes()) / float64(1<<20) * float64(time.Second))
+	if lat < 10*time.Millisecond+wantTransfer/2 {
+		t.Fatalf("bandwidth term missing: latency %v, transfer %v", lat, wantTransfer)
 	}
 }

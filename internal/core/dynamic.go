@@ -5,7 +5,7 @@ import (
 	"fmt"
 	"sync/atomic"
 
-	"seccloud/internal/netsim"
+	"seccloud/internal/transport"
 	"seccloud/internal/wire"
 )
 
@@ -34,7 +34,7 @@ func (m *mutationSeq) take() uint64 { return m.next.Add(1) }
 // UpdateBlock replaces the block at pos with newData: it produces a fresh
 // designated signature for the verifiers and an authenticated, replay-
 // protected mutation request, then applies it through the client.
-func (u *User) UpdateBlock(client netsim.Client, pos uint64, newData []byte, verifierIDs ...string) error {
+func (u *User) UpdateBlock(client transport.Client, pos uint64, newData []byte, verifierIDs ...string) error {
 	sig, err := u.SignBlock(pos, newData, verifierIDs...)
 	if err != nil {
 		return err
@@ -55,7 +55,7 @@ func (u *User) UpdateBlock(client netsim.Client, pos uint64, newData []byte, ver
 }
 
 // DeleteBlock removes the block at pos with an authenticated request.
-func (u *User) DeleteBlock(client netsim.Client, pos uint64) error {
+func (u *User) DeleteBlock(client transport.Client, pos uint64) error {
 	req := &wire.DeleteRequest{
 		UserID:   u.key.ID,
 		Position: pos,
@@ -70,7 +70,7 @@ func (u *User) DeleteBlock(client netsim.Client, pos uint64) error {
 }
 
 // roundTripAck sends a mutation and interprets the StoreResponse ack.
-func (u *User) roundTripAck(client netsim.Client, req wire.Message, op string) error {
+func (u *User) roundTripAck(client transport.Client, req wire.Message, op string) error {
 	resp, err := client.RoundTripContext(context.Background(), req)
 	if err != nil {
 		return fmt.Errorf("core: %s round trip: %w", op, err)

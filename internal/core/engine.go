@@ -6,9 +6,9 @@ import (
 	"fmt"
 	"time"
 
-	"seccloud/internal/netsim"
 	"seccloud/internal/obs"
 	"seccloud/internal/sampling"
+	"seccloud/internal/transport"
 	"seccloud/internal/wire"
 )
 
@@ -67,7 +67,7 @@ type roundLoss struct {
 // round: how a round trip is retried and bounded, and how its failure is
 // read.
 type link struct {
-	retry   *netsim.Retrier
+	retry   *transport.Retrier
 	timeout time.Duration
 	// tolerant makes errors outside the transport taxonomy cost the round
 	// instead of aborting the run (the scheduler: one tenant's broken link
@@ -75,7 +75,7 @@ type link struct {
 	tolerant bool
 }
 
-func (ln *link) trip(ctx context.Context, client netsim.Client, req wire.Message) (wire.Message, int, error) {
+func (ln *link) trip(ctx context.Context, client transport.Client, req wire.Message) (wire.Message, int, error) {
 	return roundTrip(ctx, client, ln.retry, ln.timeout, req)
 }
 
@@ -94,7 +94,7 @@ func (ln *link) lost(err error) (*roundLoss, error) {
 }
 
 // direct is the single-server dispatcher.
-type direct struct{ client netsim.Client }
+type direct struct{ client transport.Client }
 
 func (d direct) send(ctx context.Context, ln *link, _ int, _ *obs.Span, req wire.Message, rec *RoundRecord) (wire.Message, *roundLoss, error) {
 	resp, attempts, err := ln.trip(ctx, d.client, req)
@@ -113,7 +113,7 @@ func (direct) sequential() bool { return false }
 // context: its deadline (cfg.Deadline) and cancellation propagate into
 // every attempt, so an expired audit stops issuing network work instead of
 // finishing rounds whose report is already forfeit.
-func roundTrip(ctx context.Context, client netsim.Client, retry *netsim.Retrier, timeout time.Duration, req wire.Message) (wire.Message, int, error) {
+func roundTrip(ctx context.Context, client transport.Client, retry *transport.Retrier, timeout time.Duration, req wire.Message) (wire.Message, int, error) {
 	attempts := 0
 	op := func(ctx context.Context) (wire.Message, error) {
 		attempts++
@@ -147,11 +147,11 @@ func roundTrip(ctx context.Context, client netsim.Client, retry *netsim.Retrier,
 // immediately), which would otherwise drop it into the terminal default.
 func classifyTransport(err error) (RoundOutcome, bool) {
 	switch {
-	case netsim.IsOverloaded(err):
+	case transport.IsOverloaded(err):
 		return RoundShed, true
-	case netsim.IsTimeout(err), errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
+	case transport.IsTimeout(err), errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
 		return RoundTimeout, true
-	case netsim.IsRetryable(err):
+	case transport.IsRetryable(err):
 		return RoundNetworkFault, true
 	default:
 		return 0, false

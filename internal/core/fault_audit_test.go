@@ -10,6 +10,7 @@ import (
 	"seccloud/internal/funcs"
 	"seccloud/internal/netsim"
 	"seccloud/internal/sampling"
+	"seccloud/internal/transport"
 	"seccloud/internal/workload"
 )
 
@@ -24,8 +25,8 @@ import (
 func noSleep(ctx context.Context, _ time.Duration) error { return ctx.Err() }
 
 // faultRetrier builds a deterministic, non-sleeping retrier.
-func faultRetrier(seed int64, attempts int) *netsim.Retrier {
-	r := netsim.NewRetrier(seed)
+func faultRetrier(seed int64, attempts int) *transport.Retrier {
+	r := transport.NewRetrier(seed)
 	r.MaxAttempts = attempts
 	r.Sleep = noSleep
 	return r
@@ -64,7 +65,7 @@ func testHonestNeverAccusedUnderLoss(t *testing.T, storage bool) {
 		if err != nil {
 			t.Fatalf("drop=%.1f: audit aborted instead of degrading: %v", drop, err)
 		}
-		drops += link.Stats().Faults.Drops
+		drops += link.FaultCounts().Drops
 		if !report.Valid() {
 			t.Fatalf("drop=%.1f: honest server accused: %+v", drop, report.Failures)
 		}

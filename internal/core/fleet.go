@@ -11,8 +11,8 @@ import (
 	"sync/atomic"
 	"time"
 
-	"seccloud/internal/netsim"
 	"seccloud/internal/obs"
+	"seccloud/internal/transport"
 	"seccloud/internal/wire"
 )
 
@@ -209,7 +209,7 @@ func (h *FleetHealth) States() []ServerState {
 // audit), and it says nothing about the replica. A deadline expiry still
 // counts as a failure.
 type healthClient struct {
-	netsim.Client
+	transport.Client
 	b *Breaker
 }
 
@@ -218,7 +218,7 @@ func (c *healthClient) RoundTripContext(ctx context.Context, m wire.Message) (wi
 	if err != nil && errors.Is(ctx.Err(), context.Canceled) {
 		return resp, err
 	}
-	c.b.Report(err == nil || !(netsim.IsRetryable(err) || netsim.IsTimeout(err)))
+	c.b.Report(err == nil || !(transport.IsRetryable(err) || transport.IsTimeout(err)))
 	return resp, err
 }
 
@@ -226,19 +226,19 @@ func (c *healthClient) RoundTripContext(ctx context.Context, m wire.Message) (wi
 // and CSP paths consult the breakers before sending; the instrumented
 // clients keep the breakers honest about every outcome.
 type Fleet struct {
-	clients []netsim.Client // instrumented
+	clients []transport.Client // instrumented
 	ids     []string
 	health  *FleetHealth
 	// latency tracks successful round latencies for adaptive hedge delays;
 	// hedge counts the duplicates actually launched and won.
-	latency *netsim.LatencyTracker
-	hedge   *netsim.HedgeStats
+	latency *transport.LatencyTracker
+	hedge   *transport.HedgeStats
 }
 
 // NewFleet wraps the replica clients with breaker instrumentation. ids
 // name the replicas for evidence (nil derives "server-<i>"); a non-nil
 // ids must match clients in length.
-func NewFleet(clients []netsim.Client, ids []string, cfg BreakerConfig) (*Fleet, error) {
+func NewFleet(clients []transport.Client, ids []string, cfg BreakerConfig) (*Fleet, error) {
 	if len(clients) == 0 {
 		return nil, fmt.Errorf("core: fleet needs at least one replica")
 	}
@@ -246,11 +246,11 @@ func NewFleet(clients []netsim.Client, ids []string, cfg BreakerConfig) (*Fleet,
 		return nil, fmt.Errorf("core: fleet has %d clients but %d ids", len(clients), len(ids))
 	}
 	f := &Fleet{
-		clients: make([]netsim.Client, len(clients)),
+		clients: make([]transport.Client, len(clients)),
 		ids:     make([]string, len(clients)),
 		health:  NewFleetHealth(len(clients), cfg),
-		latency: netsim.NewLatencyTracker(64),
-		hedge:   &netsim.HedgeStats{},
+		latency: transport.NewLatencyTracker(64),
+		hedge:   &transport.HedgeStats{},
 	}
 	for i, cl := range clients {
 		f.clients[i] = &healthClient{Client: cl, b: f.health.breakers[i]}
@@ -274,13 +274,13 @@ func (f *Fleet) ServerID(i int) string { return f.ids[i] }
 
 // Client returns replica i's breaker-instrumented link, for callers
 // (CSP, targeted audits) that should feed the shared health state.
-func (f *Fleet) Client(i int) netsim.Client { return f.clients[i] }
+func (f *Fleet) Client(i int) transport.Client { return f.clients[i] }
 
 // Instrument wraps an arbitrary client for replica i — typically a retry
 // decorator over the same link — so its outcomes feed the shared
 // breaker. A retried-and-recovered call reports one success; an
 // exhausted retry budget reports one failure.
-func (f *Fleet) Instrument(i int, c netsim.Client) netsim.Client {
+func (f *Fleet) Instrument(i int, c transport.Client) transport.Client {
 	return &healthClient{Client: c, b: f.health.breakers[i]}
 }
 
@@ -296,8 +296,8 @@ func (f *Fleet) nextReplica(tried map[int]bool) int {
 }
 
 // HedgeStats returns a copy of the fleet's hedge counters.
-func (f *Fleet) HedgeStats() netsim.HedgeStats {
-	return netsim.HedgeStats{
+func (f *Fleet) HedgeStats() transport.HedgeStats {
+	return transport.HedgeStats{
 		Launched: atomic.LoadInt64(&f.hedge.Launched),
 		Wins:     atomic.LoadInt64(&f.hedge.Wins),
 	}
@@ -336,11 +336,11 @@ func (f *Fleet) hedgeDelay(override time.Duration) time.Duration {
 }
 
 // tripClient adapts the engine's round trip (retry policy plus per-attempt
-// timeout) into a netsim.Client so a hedge can race two fully retried
+// timeout) into a transport.Client so a hedge can race two fully retried
 // legs. Attempts are counted atomically: the losing leg may still be
 // draining when the winner returns.
 type tripClient struct {
-	inner    netsim.Client
+	inner    transport.Client
 	ln       *link
 	attempts int64
 }
@@ -351,7 +351,7 @@ func (c *tripClient) RoundTripContext(ctx context.Context, m wire.Message) (wire
 	return resp, err
 }
 
-func (c *tripClient) Stats() netsim.StatsSnapshot { return c.inner.Stats() }
+func (c *tripClient) Stats() transport.StatsSnapshot { return c.inner.Stats() }
 
 func (c *tripClient) Close() error { return nil }
 
@@ -378,7 +378,7 @@ func (f *Fleet) hedgedTrip(
 	}
 	sc := &tripClient{inner: f.clients[sec], ln: ln}
 	start := time.Now()
-	resp, won, err := netsim.HedgedRoundTrip(ctx, pc, sc, f.hedgeDelay(cfg.HedgeDelay), req, f.hedge)
+	resp, won, err := transport.HedgedRoundTrip(ctx, pc, sc, f.hedgeDelay(cfg.HedgeDelay), req, f.hedge)
 	if err == nil && !won {
 		f.latency.Observe(time.Since(start))
 	}

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"seccloud/internal/netsim"
+	"seccloud/internal/transport"
 	"seccloud/internal/wire"
 	"seccloud/internal/workload"
 )
@@ -35,11 +36,11 @@ func newFleetSystem(t testing.TB, n, blocks int) *fleetSystem {
 // wrap, when set, decorates replica i's link after the dataset is stored.
 func newFleetSystemOn(
 	t testing.TB, sys *system, blocks int,
-	wrap func(i int, c netsim.Client) netsim.Client,
+	wrap func(i int, c transport.Client) transport.Client,
 ) *fleetSystem {
 	t.Helper()
 	fs := &fleetSystem{system: sys}
-	clients := make([]netsim.Client, len(sys.servers))
+	clients := make([]transport.Client, len(sys.servers))
 	ids := make([]string, len(sys.servers))
 	for i, srv := range sys.servers {
 		dh := netsim.NewDownableHandler(srv)
@@ -142,7 +143,7 @@ func TestBreakerTransitions(t *testing.T) {
 // override wins; otherwise the observed p95 round latency, floored at
 // 1 ms; and 5 ms while nothing has been observed.
 func TestFleetHedgeDelay(t *testing.T) {
-	echo := netsim.HandlerFunc(func(m wire.Message) wire.Message { return m })
+	echo := transport.HandlerFunc(func(m wire.Message) wire.Message { return m })
 	observe := func(n int, d func(i int) time.Duration) []time.Duration {
 		out := make([]time.Duration, n)
 		for i := range out {
@@ -165,7 +166,7 @@ func TestFleetHedgeDelay(t *testing.T) {
 			observed: observe(64, func(i int) time.Duration { return time.Duration(i+1) * time.Millisecond })},
 	}
 	for _, tc := range cases {
-		f, err := NewFleet([]netsim.Client{netsim.NewLoopback(echo, netsim.LinkConfig{})}, nil, BreakerConfig{})
+		f, err := NewFleet([]transport.Client{netsim.NewLoopback(echo, netsim.LinkConfig{})}, nil, BreakerConfig{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -411,7 +412,7 @@ func TestFleetQuorumProviderWide(t *testing.T) {
 // errors, and respect the configured write quorum.
 func TestReplicateStoreQuorum(t *testing.T) {
 	fs := newFleetSystem(t, 3, 4)
-	csp, err := NewCSP([]netsim.Client{fs.fleet.Client(0), fs.fleet.Client(1), fs.fleet.Client(2)})
+	csp, err := NewCSP([]transport.Client{fs.fleet.Client(0), fs.fleet.Client(1), fs.fleet.Client(2)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -447,7 +448,7 @@ func TestReplicateStoreQuorum(t *testing.T) {
 // server must execute on a live replica under its original slot ID.
 func TestRunJobFailover(t *testing.T) {
 	fs := newFleetSystem(t, 3, 9)
-	csp, err := NewCSP([]netsim.Client{fs.fleet.Client(0), fs.fleet.Client(1), fs.fleet.Client(2)})
+	csp, err := NewCSP([]transport.Client{fs.fleet.Client(0), fs.fleet.Client(1), fs.fleet.Client(2)})
 	if err != nil {
 		t.Fatal(err)
 	}

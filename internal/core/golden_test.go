@@ -22,6 +22,7 @@ import (
 	"seccloud/internal/pairing"
 	"seccloud/internal/sampling"
 	"seccloud/internal/threshold"
+	"seccloud/internal/transport"
 	"seccloud/internal/wire"
 	"seccloud/internal/workload"
 )
@@ -132,14 +133,14 @@ const (
 // times that key was sent), so the outcome of every round is independent
 // of the order concurrent rounds reach the link.
 type keyedClient struct {
-	inner netsim.Client
+	inner transport.Client
 	act   func(key uint64, attempt int) keyedAction
 
 	mu   sync.Mutex
 	seen map[uint64]int
 }
 
-func newKeyedClient(inner netsim.Client, act func(key uint64, attempt int) keyedAction) *keyedClient {
+func newKeyedClient(inner transport.Client, act func(key uint64, attempt int) keyedAction) *keyedClient {
 	return &keyedClient{inner: inner, act: act, seen: make(map[uint64]int)}
 }
 
@@ -151,19 +152,19 @@ func (c *keyedClient) RoundTripContext(ctx context.Context, m wire.Message) (wir
 		c.mu.Unlock()
 		switch act {
 		case actDrop:
-			return nil, &netsim.TransportError{Op: "roundtrip", Err: fmt.Errorf("scripted drop")}
+			return nil, &transport.TransportError{Op: "roundtrip", Err: fmt.Errorf("scripted drop")}
 		case actShed:
-			return nil, &netsim.OverloadedError{Op: "roundtrip", RetryAfter: 5 * time.Millisecond}
+			return nil, &transport.OverloadedError{Op: "roundtrip", RetryAfter: 5 * time.Millisecond}
 		case actBlock:
 			<-ctx.Done()
-			return nil, &netsim.TransportError{Op: "roundtrip", Timeout: true, Err: ctx.Err()}
+			return nil, &transport.TransportError{Op: "roundtrip", Timeout: true, Err: ctx.Err()}
 		}
 	}
 	return c.inner.RoundTripContext(ctx, m)
 }
 
-func (c *keyedClient) Stats() netsim.StatsSnapshot { return c.inner.Stats() }
-func (c *keyedClient) Close() error                { return nil }
+func (c *keyedClient) Stats() transport.StatsSnapshot { return c.inner.Stats() }
+func (c *keyedClient) Close() error                   { return nil }
 
 // ---- rendering ----
 
@@ -258,7 +259,7 @@ func newGoldenTarget(t *testing.T, storage, cheat bool) *auditTarget {
 }
 
 // goldenAudit runs one audit of the target and renders report and evidence.
-func goldenAudit(t *testing.T, b *strings.Builder, tg *auditTarget, client netsim.Client, cfg AuditConfig) *AuditCheckpoint {
+func goldenAudit(t *testing.T, b *strings.Builder, tg *auditTarget, client transport.Client, cfg AuditConfig) *AuditCheckpoint {
 	t.Helper()
 	r, err := tg.audit(client, cfg)
 	if err != nil {
@@ -276,7 +277,7 @@ func goldenAudit(t *testing.T, b *strings.Builder, tg *auditTarget, client netsi
 type goldenLink struct {
 	name    string
 	workers []int
-	prepare func(tg *auditTarget, clean netsim.Client, cfg *AuditConfig) netsim.Client
+	prepare func(tg *auditTarget, clean transport.Client, cfg *AuditConfig) transport.Client
 	// resume re-runs from the first report's checkpoint over the clean link.
 	resume bool
 	// expect must appear in the rendering, so a reseeded fixture cannot
@@ -294,14 +295,14 @@ func goldenLinks() []goldenLink {
 	}
 	return []goldenLink{
 		{name: "clean", workers: both, expect: "effective=8",
-			prepare: func(_ *auditTarget, clean netsim.Client, _ *AuditConfig) netsim.Client { return clean }},
+			prepare: func(_ *auditTarget, clean transport.Client, _ *AuditConfig) transport.Client { return clean }},
 		{name: "loss-faultconfig", workers: seq, expect: "outcome=network-fault",
-			prepare: func(tg *auditTarget, _ netsim.Client, cfg *AuditConfig) netsim.Client {
+			prepare: func(tg *auditTarget, _ transport.Client, cfg *AuditConfig) transport.Client {
 				cfg.Retry = faultRetrier(7, 2)
 				return tg.sys.faultyLink(0.4, 1003)
 			}},
 		{name: "loss-keyed", workers: both, expect: "attempts=2 completed=true",
-			prepare: func(_ *auditTarget, clean netsim.Client, cfg *AuditConfig) netsim.Client {
+			prepare: func(_ *auditTarget, clean transport.Client, cfg *AuditConfig) transport.Client {
 				cfg.Retry = faultRetrier(7, 3)
 				// Odd keys lose their first attempt and recover on retry;
 				// keys divisible by four never get through.
@@ -313,11 +314,11 @@ func goldenLinks() []goldenLink {
 				})
 			}},
 		{name: "shed", workers: both, expect: "outcome=shed",
-			prepare: func(_ *auditTarget, clean netsim.Client, _ *AuditConfig) netsim.Client {
+			prepare: func(_ *auditTarget, clean transport.Client, _ *AuditConfig) transport.Client {
 				return newKeyedClient(clean, shedOdd)
 			}},
 		{name: "deadline", workers: both, expect: "outcome=timeout",
-			prepare: func(_ *auditTarget, clean netsim.Client, cfg *AuditConfig) netsim.Client {
+			prepare: func(_ *auditTarget, clean transport.Client, cfg *AuditConfig) transport.Client {
 				// Round 1 hangs until the audit deadline. Sequentially that
 				// strands rounds 2 and 3 undispatched; with four workers the
 				// other rounds are already in flight and complete.
@@ -332,13 +333,13 @@ func goldenLinks() []goldenLink {
 				})
 			}},
 		{name: "budget", workers: seq, expect: "budget-denied=4",
-			prepare: func(tg *auditTarget, _ netsim.Client, cfg *AuditConfig) netsim.Client {
+			prepare: func(tg *auditTarget, _ transport.Client, cfg *AuditConfig) transport.Client {
 				cfg.Retry = faultRetrier(7, 4)
-				cfg.Budget = netsim.NewRetryBudget(2, 0)
+				cfg.Budget = transport.NewRetryBudget(2, 0)
 				return tg.sys.faultyLink(1.0, 99)
 			}},
 		{name: "overload-degraded", workers: both, expect: "overload-degraded=true",
-			prepare: func(_ *auditTarget, clean netsim.Client, cfg *AuditConfig) netsim.Client {
+			prepare: func(_ *auditTarget, clean transport.Client, cfg *AuditConfig) transport.Client {
 				oc := NewOverloadController(OverloadConfig{Threshold: 0.3, Window: 16, MinFraction: 0.25})
 				for i := 0; i < 16; i++ {
 					oc.Observe(i%2 == 0)
@@ -347,7 +348,7 @@ func goldenLinks() []goldenLink {
 				return clean
 			}},
 		{name: "resume", workers: both, resume: true, expect: "outcome=shed",
-			prepare: func(_ *auditTarget, clean netsim.Client, _ *AuditConfig) netsim.Client {
+			prepare: func(_ *auditTarget, clean transport.Client, _ *AuditConfig) transport.Client {
 				return newKeyedClient(clean, shedOdd)
 			}},
 	}
@@ -402,7 +403,7 @@ func TestGoldenFleet(t *testing.T) {
 	cases := []struct {
 		name    string
 		servers int
-		wrap    func(i int, c netsim.Client) netsim.Client
+		wrap    func(i int, c transport.Client) transport.Client
 		setup   func(t *testing.T, fs *fleetSystem, cfg *FleetAuditConfig)
 		expect  string
 	}{
@@ -415,7 +416,7 @@ func TestGoldenFleet(t *testing.T) {
 				}
 			}},
 		{name: "hedge", servers: 3, expect: "hedged=true",
-			wrap: func(i int, c netsim.Client) netsim.Client {
+			wrap: func(i int, c transport.Client) transport.Client {
 				if i == 0 {
 					return &latentCtxClient{inner: c, d: 200 * time.Millisecond}
 				}
@@ -513,7 +514,7 @@ func TestGoldenThreshold(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				clients := make([]netsim.Client, len(deal.Shares))
+				clients := make([]transport.Client, len(deal.Shares))
 				for i, share := range deal.Shares {
 					h := threshold.NewAuditorShare(sys.sio.Params(), share, rand.Reader)
 					d := netsim.NewDownableHandler(h)
@@ -564,7 +565,7 @@ func renderDrain(t *testing.T, b *strings.Builder, f *tenantFixture, rep *MultiT
 
 func TestGoldenScheduler(t *testing.T) {
 	const tenants = 4
-	dead := func(f *tenantFixture) netsim.Client {
+	dead := func(f *tenantFixture) transport.Client {
 		dh := netsim.NewDownableHandler(f.sys.servers[0])
 		dh.SetDown(true)
 		return netsim.NewLoopback(dh, netsim.LinkConfig{})

@@ -7,6 +7,7 @@ import (
 
 	"seccloud/internal/netsim"
 	"seccloud/internal/obs"
+	"seccloud/internal/transport"
 	"seccloud/internal/wire"
 	"seccloud/internal/workload"
 )
@@ -115,8 +116,8 @@ func TestAuditObsNilHub(t *testing.T) {
 // breaker shows up as state=open with one trip at scrape time.
 func TestObserveFleet(t *testing.T) {
 	hub := obs.NewHub()
-	echo := netsim.HandlerFunc(func(m wire.Message) wire.Message { return m })
-	clients := []netsim.Client{
+	echo := transport.HandlerFunc(func(m wire.Message) wire.Message { return m })
+	clients := []transport.Client{
 		netsim.NewLoopback(echo, netsim.LinkConfig{}),
 		netsim.NewLoopback(echo, netsim.LinkConfig{}),
 	}

@@ -9,6 +9,7 @@ import (
 	"seccloud/internal/netsim"
 	"seccloud/internal/ops"
 	"seccloud/internal/pairing"
+	"seccloud/internal/transport"
 	"seccloud/internal/wire"
 	"seccloud/internal/workload"
 )
@@ -96,7 +97,7 @@ func TestJobAuditOpCounts(t *testing.T) {
 // newOpCountSystem is a seeded SS512 user, DA and server, each with its
 // own copy of the parameters as its own process would have, so the DA's
 // counters see none of the server's work. It returns the DA's counters.
-func newOpCountSystem(t *testing.T, seed int64) (*User, *Agency, netsim.Client, *ops.Counters) {
+func newOpCountSystem(t *testing.T, seed int64) (*User, *Agency, transport.Client, *ops.Counters) {
 	t.Helper()
 	var sps [3]*ibc.SIO
 	for i := range sps {

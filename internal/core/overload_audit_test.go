@@ -12,6 +12,7 @@ import (
 	"seccloud/internal/funcs"
 	"seccloud/internal/netsim"
 	"seccloud/internal/sampling"
+	"seccloud/internal/transport"
 	"seccloud/internal/wire"
 	"seccloud/internal/workload"
 )
@@ -19,7 +20,7 @@ import (
 // shedClient wraps a client and sheds chosen round trips with a typed
 // overload error, deterministically by call number (1-based).
 type shedClient struct {
-	inner netsim.Client
+	inner transport.Client
 	shed  func(n int) bool
 	mu    sync.Mutex
 	n     int
@@ -31,18 +32,18 @@ func (c *shedClient) RoundTripContext(ctx context.Context, m wire.Message) (wire
 	shed := c.shed(c.n)
 	c.mu.Unlock()
 	if shed {
-		return nil, &netsim.OverloadedError{Op: "roundtrip", RetryAfter: 5 * time.Millisecond}
+		return nil, &transport.OverloadedError{Op: "roundtrip", RetryAfter: 5 * time.Millisecond}
 	}
 	return c.inner.RoundTripContext(ctx, m)
 }
 
-func (c *shedClient) Stats() netsim.StatsSnapshot { return c.inner.Stats() }
-func (c *shedClient) Close() error                { return nil }
+func (c *shedClient) Stats() transport.StatsSnapshot { return c.inner.Stats() }
+func (c *shedClient) Close() error                   { return nil }
 
 // latentCtxClient delays every round trip, honoring ctx cancellation with
 // a timeout-class transport error (as a real deadlined link would).
 type latentCtxClient struct {
-	inner netsim.Client
+	inner transport.Client
 	d     time.Duration
 }
 
@@ -52,13 +53,13 @@ func (c *latentCtxClient) RoundTripContext(ctx context.Context, m wire.Message) 
 	select {
 	case <-t.C:
 	case <-ctx.Done():
-		return nil, &netsim.TransportError{Op: "roundtrip", Timeout: true, Err: ctx.Err()}
+		return nil, &transport.TransportError{Op: "roundtrip", Timeout: true, Err: ctx.Err()}
 	}
 	return c.inner.RoundTripContext(ctx, m)
 }
 
-func (c *latentCtxClient) Stats() netsim.StatsSnapshot { return c.inner.Stats() }
-func (c *latentCtxClient) Close() error                { return nil }
+func (c *latentCtxClient) Stats() transport.StatsSnapshot { return c.inner.Stats() }
+func (c *latentCtxClient) Close() error                   { return nil }
 
 // TestAuditJobShedRoundsNonAccusatory: rounds refused by admission control
 // are recorded as RoundShed — never BadProof — leave the effective sample,
@@ -149,7 +150,7 @@ func TestRetryBudgetStopsAmplification(t *testing.T) {
 			tg := sys.target(t, kind.storage, ds, funcs.Spec{Name: "digest"}, "budget-job")
 
 			link := sys.faultyLink(1.0, 99) // the link eats everything
-			budget := netsim.NewRetryBudget(2, 0)
+			budget := transport.NewRetryBudget(2, 0)
 			report, err := tg.audit(link, AuditConfig{
 				SampleSize: 4,
 				Rng:        mrand.New(mrand.NewSource(12)),
@@ -378,7 +379,7 @@ func TestFleetShedFailsOverWithoutTrippingBreakers(t *testing.T) {
 		inner: netsim.NewLoopback(fs.downs[0], netsim.LinkConfig{}),
 		shed:  func(int) bool { return true },
 	}
-	clients := []netsim.Client{
+	clients := []transport.Client{
 		shedding,
 		netsim.NewLoopback(fs.downs[1], netsim.LinkConfig{}),
 		netsim.NewLoopback(fs.downs[2], netsim.LinkConfig{}),
@@ -432,7 +433,7 @@ func TestFleetShedFailsOverWithoutTrippingBreakers(t *testing.T) {
 func TestFleetBudgetExhaustionTripsNothingOpen(t *testing.T) {
 	fs := newFleetSystem(t, 2, 12)
 	fs.downs[0].SetDown(true)
-	budget := netsim.NewRetryBudget(1, 0)
+	budget := transport.NewRetryBudget(1, 0)
 	cfg := FleetAuditConfig{Storage: AuditConfig{
 		DatasetSize:     fs.ds.NumBlocks(),
 		SampleSize:      4,
@@ -473,7 +474,7 @@ func TestFleetHedgedRoundsWinAndRecord(t *testing.T) {
 		inner: netsim.NewLoopback(fs.downs[0], netsim.LinkConfig{}),
 		d:     200 * time.Millisecond,
 	}
-	clients := []netsim.Client{
+	clients := []transport.Client{
 		slow,
 		netsim.NewLoopback(fs.downs[1], netsim.LinkConfig{}),
 		netsim.NewLoopback(fs.downs[2], netsim.LinkConfig{}),

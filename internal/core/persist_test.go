@@ -19,6 +19,7 @@ import (
 	"seccloud/internal/funcs"
 	"seccloud/internal/netsim"
 	"seccloud/internal/store"
+	"seccloud/internal/transport"
 	"seccloud/internal/wire"
 	"seccloud/internal/workload"
 )
@@ -29,7 +30,7 @@ func (s *Server) Crashed() bool { return s.crashed.Load() }
 // durableServer builds (or rebuilds, for an existing dir) the durable
 // server "cs:durable" over the given WAL directory. Rebuilding runs the
 // full recovery path: snapshot load, WAL replay, Merkle cross-checks.
-func durableServer(t testing.TB, sys *system, dir string, crash *store.Crasher) (*Server, netsim.Client) {
+func durableServer(t testing.TB, sys *system, dir string, crash *store.Crasher) (*Server, transport.Client) {
 	t.Helper()
 	key, err := sys.sio.Extract("cs:durable")
 	if err != nil {

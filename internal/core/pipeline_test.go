@@ -12,6 +12,7 @@ import (
 
 	"seccloud/internal/funcs"
 	"seccloud/internal/netsim"
+	"seccloud/internal/transport"
 	"seccloud/internal/workload"
 )
 
@@ -219,7 +220,7 @@ func BenchmarkSampleIndices(b *testing.B) {
 // acceptance scenario for the parallel pipeline: t=300 sampled indices
 // split over 30 challenge rounds on a 100 ms RTT link (a WAN-ish path,
 // where the sequential auditor spends most of its time waiting).
-func benchAuditSystem(b *testing.B) (*system, *JobDelegation, netsim.Client) {
+func benchAuditSystem(b *testing.B) (*system, *JobDelegation, transport.Client) {
 	b.Helper()
 	sys := newSystem(b, nil)
 	gen := workload.NewGenerator(60)

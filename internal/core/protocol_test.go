@@ -11,6 +11,7 @@ import (
 	"seccloud/internal/ibc"
 	"seccloud/internal/netsim"
 	"seccloud/internal/pairing"
+	"seccloud/internal/transport"
 	"seccloud/internal/wire"
 	"seccloud/internal/workload"
 )
@@ -21,7 +22,7 @@ type system struct {
 	user    *User
 	agency  *Agency
 	servers []*Server
-	clients []netsim.Client
+	clients []transport.Client
 }
 
 // newSystem stands up one user, one DA, and n servers with the given

@@ -7,8 +7,8 @@ import (
 	"strings"
 	"sync"
 
-	"seccloud/internal/netsim"
 	"seccloud/internal/obs"
+	"seccloud/internal/transport"
 )
 
 // SchedulerConfig shapes a long-lived multi-tenant audit scheduler.
@@ -157,7 +157,7 @@ func (s *AuditScheduler) Registry() *TenantRegistry { return s.registry }
 // cached in the registry, and the tenant's Q_ID hash-to-point is
 // warmed so no audit session pays it. budget ≤ 0 keeps the registered
 // budget. Unregistered IDs are registered implicitly.
-func (s *AuditScheduler) Onboard(client netsim.Client, d *JobDelegation, budget int) error {
+func (s *AuditScheduler) Onboard(client transport.Client, d *JobDelegation, budget int) error {
 	if err := s.agency.AcceptDelegation(d); err != nil {
 		return fmt.Errorf("core: onboarding %s: %w", d.UserID, err)
 	}

@@ -12,6 +12,7 @@ import (
 	"seccloud/internal/funcs"
 	"seccloud/internal/netsim"
 	"seccloud/internal/obs"
+	"seccloud/internal/transport"
 	"seccloud/internal/workload"
 )
 
@@ -96,7 +97,7 @@ func newTenantFixtureOn(
 }
 
 // reattach points one tenant's sessions at a different link.
-func (f *tenantFixture) reattach(t testing.TB, id string, client netsim.Client) {
+func (f *tenantFixture) reattach(t testing.TB, id string, client transport.Client) {
 	t.Helper()
 	_, d, _, err := f.sched.Registry().Session(id)
 	if err != nil {
@@ -495,7 +496,7 @@ func TestSchedulerObsCounters(t *testing.T) {
 	}
 }
 
-var _ netsim.Client = (*shedClient)(nil)
+var _ transport.Client = (*shedClient)(nil)
 
 // BenchmarkSchedulerDrain measures one cross-tenant drain over a steady
 // queue — the scheduler's per-session cost with onboarding amortized away.

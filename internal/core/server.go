@@ -11,8 +11,8 @@ import (
 	"seccloud/internal/funcs"
 	"seccloud/internal/ibc"
 	"seccloud/internal/merkle"
-	"seccloud/internal/netsim"
 	"seccloud/internal/store"
+	"seccloud/internal/transport"
 	"seccloud/internal/wire"
 )
 
@@ -120,7 +120,7 @@ type ServerConfig struct {
 }
 
 // Server is one cloud computing/storage server (S_i in §III-A). It
-// implements netsim.Handler so it can be exposed over any transport.
+// implements transport.Handler so it can be exposed over any transport.
 // All exported methods are safe for concurrent use.
 type Server struct {
 	id     string
@@ -143,7 +143,7 @@ type Server struct {
 	lastMut   map[string]uint64 // per-user digest of the last applied update/delete
 }
 
-var _ netsim.Handler = (*Server)(nil)
+var _ transport.Handler = (*Server)(nil)
 
 // NewServer builds a server from its extracted identity key.
 func NewServer(sp *ibc.SystemParams, key *ibc.PrivateKey, cfg ServerConfig) (*Server, error) {

@@ -5,7 +5,7 @@ import (
 	"time"
 
 	"seccloud/internal/funcs"
-	"seccloud/internal/netsim"
+	"seccloud/internal/transport"
 	"seccloud/internal/wire"
 	"seccloud/internal/workload"
 )
@@ -30,7 +30,7 @@ var challengeKinds = []struct {
 // newAuditTarget uploads ds to the server behind client and, for a job
 // target, commits a uniform job of spec over it.
 func (s *system) newAuditTarget(
-	t testing.TB, client netsim.Client, serverID string, storage bool,
+	t testing.TB, client transport.Client, serverID string, storage bool,
 	ds *workload.Dataset, spec funcs.Spec, jobID string,
 ) *auditTarget {
 	t.Helper()
@@ -65,7 +65,7 @@ func (s *system) target(t testing.TB, storage bool, ds *workload.Dataset, spec f
 
 // audit runs the target's kind of audit over client. cfg.DatasetSize is
 // filled in for storage targets.
-func (tg *auditTarget) audit(client netsim.Client, cfg AuditConfig) (*AuditReport, error) {
+func (tg *auditTarget) audit(client transport.Client, cfg AuditConfig) (*AuditReport, error) {
 	if tg.d != nil {
 		return tg.sys.agency.AuditJob(client, tg.d, cfg)
 	}

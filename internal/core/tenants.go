@@ -6,8 +6,8 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"seccloud/internal/netsim"
 	"seccloud/internal/obs"
+	"seccloud/internal/transport"
 )
 
 // Tenant is one registered identity in a multi-tenant agency: the user ID
@@ -31,7 +31,7 @@ type Tenant struct {
 	// scheduler's SampleSize); audits clamp it to the attached job's size.
 	SampleBudget int
 
-	client     netsim.Client
+	client     transport.Client
 	delegation *JobDelegation
 }
 
@@ -178,7 +178,7 @@ func (r *TenantRegistry) Register(userID string, datasetSize, sampleBudget int) 
 // attach materializes a registered tenant with its audit handles. Called
 // by the scheduler after delegation validation. The tenant moves into the
 // shard's hot map; its cold record stays behind, unused.
-func (r *TenantRegistry) attach(userID string, client netsim.Client, d *JobDelegation, budget int) error {
+func (r *TenantRegistry) attach(userID string, client transport.Client, d *JobDelegation, budget int) error {
 	s, h := r.shard(userID)
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -219,12 +219,12 @@ func (r *TenantRegistry) Lookup(userID string) (*Tenant, bool) {
 // validated delegation, and the effective sample budget. It fails for
 // unregistered or never-onboarded tenants — the scheduler treats that as a
 // caller error, not as audit evidence.
-func (r *TenantRegistry) Session(userID string) (netsim.Client, *JobDelegation, int, error) {
+func (r *TenantRegistry) Session(userID string) (transport.Client, *JobDelegation, int, error) {
 	s, h := r.shard(userID)
 	s.mu.RLock()
 	t, hot := s.hot[userID]
 	var (
-		client netsim.Client
+		client transport.Client
 		d      *JobDelegation
 		budget int
 	)

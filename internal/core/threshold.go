@@ -11,9 +11,9 @@ import (
 
 	"seccloud/internal/curve"
 	"seccloud/internal/dvs"
-	"seccloud/internal/netsim"
 	"seccloud/internal/pairing"
 	"seccloud/internal/threshold"
+	"seccloud/internal/transport"
 	"seccloud/internal/wire"
 )
 
@@ -46,14 +46,14 @@ type ThresholdConfig struct {
 	Public *threshold.PublicInfo
 	// Clients transport PartialRequests to the share-holders; Clients[i]
 	// reaches the holder of share index i+1. len(Clients) must equal n.
-	Clients []netsim.Client
+	Clients []transport.Client
 	// Health tracks share-holder liveness with per-holder circuit
 	// breakers; nil builds a fresh FleetHealth with default breakers.
 	Health *FleetHealth
 	// Retry retries transport-failed partial requests; nil = one attempt.
 	// Audit-wide retry budgets compose exactly as they do for challenge
 	// rounds: wrap the retrier with WithBudget before configuring it here.
-	Retry *netsim.Retrier
+	Retry *transport.Retrier
 	// RoundTimeout bounds each partial-request attempt; 0 = no deadline.
 	RoundTimeout time.Duration
 }
@@ -61,9 +61,9 @@ type ThresholdConfig struct {
 // thresholdState is the validated runtime form of ThresholdConfig.
 type thresholdState struct {
 	pub     *threshold.PublicInfo
-	clients []netsim.Client
+	clients []transport.Client
 	health  *FleetHealth
-	retry   *netsim.Retrier
+	retry   *transport.Retrier
 	timeout time.Duration
 }
 

@@ -11,6 +11,7 @@ import (
 
 	"seccloud/internal/netsim"
 	"seccloud/internal/threshold"
+	"seccloud/internal/transport"
 	"seccloud/internal/wire"
 	"seccloud/internal/workload"
 )
@@ -22,7 +23,7 @@ type thrFixture struct {
 	deal    *threshold.Deal
 	holders []*threshold.AuditorShare
 	downs   []*netsim.DownableHandler
-	clients []netsim.Client
+	clients []transport.Client
 }
 
 func newThrFixture(t testing.TB, tq, n int, policies ...CheatPolicy) *thrFixture {
@@ -367,7 +368,7 @@ func TestThresholdCombinerNeedsNoVerifierKey(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	clients := make([]netsim.Client, len(deal.Shares))
+	clients := make([]transport.Client, len(deal.Shares))
 	for i, share := range deal.Shares {
 		clients[i] = netsim.NewLoopback(
 			threshold.NewAuditorShare(sys.sio.Params(), share, rand.Reader), netsim.LinkConfig{})

@@ -8,7 +8,7 @@ import (
 
 	"seccloud/internal/dvs"
 	"seccloud/internal/ibc"
-	"seccloud/internal/netsim"
+	"seccloud/internal/transport"
 	"seccloud/internal/wire"
 	"seccloud/internal/workload"
 )
@@ -80,7 +80,7 @@ func (u *User) PrepareStore(ds *workload.Dataset, verifierIDs ...string) (*wire.
 // Store uploads a prepared request through the client and interprets the
 // response. After a successful store the paper's user "deletes them from
 // local storage"; whether the caller drops its copy is up to it.
-func (u *User) Store(client netsim.Client, req *wire.StoreRequest) error {
+func (u *User) Store(client transport.Client, req *wire.StoreRequest) error {
 	resp, err := client.RoundTripContext(context.Background(), req)
 	if err != nil {
 		return fmt.Errorf("core: store round trip: %w", err)
@@ -102,7 +102,7 @@ func (u *User) Store(client netsim.Client, req *wire.StoreRequest) error {
 // (results, commitment root, root signature). It verifies the root
 // signature and that the root matches a Merkle tree over the returned
 // results before accepting.
-func (u *User) SubmitJob(client netsim.Client, jobID string, job *workload.Job) (*wire.ComputeResponse, error) {
+func (u *User) SubmitJob(client transport.Client, jobID string, job *workload.Job) (*wire.ComputeResponse, error) {
 	req := &wire.ComputeRequest{
 		UserID: u.key.ID,
 		JobID:  jobID,

@@ -7,8 +7,8 @@ import (
 	"time"
 
 	"seccloud/internal/core"
-	"seccloud/internal/netsim"
 	"seccloud/internal/obs"
+	"seccloud/internal/transport"
 )
 
 // AuditorConfig shapes the agency daemon's scheduled audit loop.
@@ -32,7 +32,7 @@ type AuditorConfig struct {
 	RoundTimeout time.Duration
 	Deadline     time.Duration
 	// Retry retries transport-failed rounds.
-	Retry *netsim.Retrier
+	Retry *transport.Retrier
 	// Interval is the pause between scheduled sweeps.
 	Interval time.Duration
 	// Seed derives each audit's challenge RNG (seed+sweep index).

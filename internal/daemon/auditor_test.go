@@ -34,10 +34,9 @@ func newTestAuditor(t *testing.T, u *Universe, tr Transport, servers []string, m
 // per-server outcomes through emit.
 func TestAuditorSweepsFleet(t *testing.T) {
 	u := newTestUniverse(t, 60)
-	sim := NewSimTransport()
-	defer sim.Close()
+	sim := simTransport{}
 	for _, name := range []string{"a", "b"} {
-		sim.Register(name, newSeededServer(t, u, "0", core.ServerConfig{}))
+		sim[name] = newSeededServer(t, u, "0", core.ServerConfig{})
 	}
 
 	auditor := newTestAuditor(t, u, sim, []string{"a", "b"}, nil)
@@ -82,9 +81,7 @@ func TestAuditorOverDaemonSocket(t *testing.T) {
 // drain, not an error) and RunOnce refuses afterwards.
 func TestAuditorDrain(t *testing.T) {
 	u := newTestUniverse(t, 62)
-	sim := NewSimTransport()
-	defer sim.Close()
-	sim.Register("a", newSeededServer(t, u, "0", core.ServerConfig{}))
+	sim := simTransport{"a": newSeededServer(t, u, "0", core.ServerConfig{})}
 
 	auditor := newTestAuditor(t, u, sim, []string{"a"}, func(cfg *AuditorConfig) {
 		cfg.Interval = 10 * time.Millisecond

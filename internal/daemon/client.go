@@ -6,8 +6,8 @@ import (
 	"sync"
 	"time"
 
-	"seccloud/internal/netsim"
 	"seccloud/internal/obs"
+	"seccloud/internal/transport"
 	"seccloud/internal/wire"
 )
 
@@ -16,23 +16,20 @@ type ClientConfig struct {
 	// Timeout bounds each round trip when ctx carries no deadline; 0
 	// means no per-call deadline.
 	Timeout time.Duration
-	// Faults injects deterministic client-side network faults through
-	// the same seeded injector the simulator uses.
-	Faults netsim.FaultConfig
-	// Obs instruments the client under transport="daemon" with netsim's
-	// rpc_* instrument set, so a fault is labelled as on any other link.
+	// Obs instruments the client under transport="daemon" with the
+	// rpc_* instrument set every link records through, so a fault is
+	// labelled as on any other link.
 	Obs *obs.Hub
 }
 
-// Client is a netsim.Client over a connection pool: concurrent round
+// Client is a transport.Client over a connection pool: concurrent round
 // trips ride separate pooled conns, which is what lets an audit's
 // streamed challenge rounds genuinely overlap on a real link — a single
 // TCP conn serializes on its request/response framing.
 type Client struct {
 	pool *Pool
 	cfg  ClientConfig
-	inj  *netsim.Injector
-	met  *netsim.RPCObs
+	met  *transport.RPCObs
 
 	mu     sync.Mutex
 	closed bool
@@ -41,7 +38,7 @@ type Client struct {
 	recvd  int64
 }
 
-var _ netsim.Client = (*Client)(nil)
+var _ transport.Client = (*Client)(nil)
 
 // NewClient wraps pool in a Client. The Client owns the pool: Close
 // closes it.
@@ -49,8 +46,7 @@ func NewClient(pool *Pool, cfg ClientConfig) *Client {
 	return &Client{
 		pool: pool,
 		cfg:  cfg,
-		inj:  netsim.NewInjector(cfg.Faults),
-		met:  netsim.NewRPCObs(cfg.Obs, "daemon"),
+		met:  transport.NewRPCObs(cfg.Obs, "daemon"),
 	}
 }
 
@@ -75,7 +71,7 @@ func (c *Client) RoundTripContext(ctx context.Context, m wire.Message) (wire.Mes
 
 func (c *Client) roundTrip(ctx context.Context, m wire.Message) (wire.Message, error) {
 	if err := ctx.Err(); err != nil {
-		return nil, &netsim.TransportError{Op: "roundtrip", Timeout: errors.Is(err, context.DeadlineExceeded), Err: err}
+		return nil, transport.Wrap("roundtrip", err)
 	}
 	deadline, hasDeadline := ctx.Deadline()
 	if !hasDeadline && c.cfg.Timeout > 0 {
@@ -85,30 +81,9 @@ func (c *Client) roundTrip(ctx context.Context, m wire.Message) (wire.Message, e
 		defer cancel()
 	}
 
-	plan := c.inj.Plan(true)
-	if plan.Drop {
-		// A lost request: an injected network fault.
-		return nil, &netsim.FaultError{Kind: netsim.FaultDrop, Op: "request"}
-	}
-	if plan.Delay > 0 {
-		t := time.NewTimer(plan.Delay)
-		select {
-		case <-ctx.Done():
-			t.Stop()
-			return nil, &netsim.TransportError{Op: "roundtrip", Timeout: errors.Is(ctx.Err(), context.DeadlineExceeded), Err: ctx.Err()}
-		case <-t.C:
-		}
-	}
-
 	conn, err := c.pool.Get(ctx)
 	if err != nil {
 		return nil, err
-	}
-	if plan.Disconnect {
-		// Mid-exchange teardown: the conn the request would have used
-		// dies and leaves the pool, exactly like a peer RST.
-		c.pool.Discard(conn)
-		return nil, &netsim.FaultError{Kind: netsim.FaultDisconnect, Op: "request"}
 	}
 	if hasDeadline {
 		_ = conn.nc.SetDeadline(deadline)
@@ -123,40 +98,15 @@ func (c *Client) roundTrip(ctx context.Context, m wire.Message) (wire.Message, e
 		c.pool.Put(conn)
 		return nil, err
 	}
-	if plan.Corrupt {
-		data = append([]byte(nil), data...)
-		c.inj.Corrupt(data)
+	sent, err := wire.WriteFrame(conn.nc, data)
+	if err != nil {
+		c.pool.Discard(conn)
+		return nil, transport.Wrap("write", err)
 	}
-	writes := 1
-	if plan.Duplicate {
-		writes = 2
-	}
-	var sent int
-	for i := 0; i < writes; i++ {
-		n, err := wire.WriteFrame(conn.nc, data)
-		sent += n
-		if err != nil {
-			c.pool.Discard(conn)
-			return nil, wrapTransport("write", err)
-		}
-	}
-
 	resp, recvd, err := wire.ReadMessage(conn.nc)
 	if err != nil {
-		// Includes the corrupted-request case: the server fails to
-		// decode and drops the conn.
 		c.pool.Discard(conn)
-		if plan.Corrupt {
-			return nil, &netsim.FaultError{Kind: netsim.FaultCorrupt, Op: "request", Err: err}
-		}
-		return nil, wrapTransport("read", err)
-	}
-	if plan.Duplicate {
-		// Drain the duplicate's response to keep the stream in sync.
-		if _, _, err := wire.ReadMessage(conn.nc); err != nil {
-			c.pool.Discard(conn)
-			return nil, wrapTransport("read", err)
-		}
+		return nil, transport.Wrap("read", err)
 	}
 	c.pool.Put(conn)
 	c.mu.Lock()
@@ -166,28 +116,17 @@ func (c *Client) roundTrip(ctx context.Context, m wire.Message) (wire.Message, e
 	c.mu.Unlock()
 	// A typed shed surfaces as a non-retryable *OverloadedError, never as
 	// a normal reply.
-	return netsim.CheckOverload("roundtrip", resp)
-}
-
-func wrapTransport(op string, err error) error {
-	timeout := errors.Is(err, context.DeadlineExceeded)
-	type timeouter interface{ Timeout() bool }
-	var te timeouter
-	if errors.As(err, &te) && te.Timeout() {
-		timeout = true
-	}
-	return &netsim.TransportError{Op: op, Timeout: timeout, Err: err}
+	return transport.CheckOverload("roundtrip", resp)
 }
 
 // Stats returns the link counters.
-func (c *Client) Stats() netsim.StatsSnapshot {
+func (c *Client) Stats() transport.StatsSnapshot {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return netsim.StatsSnapshot{
+	return transport.StatsSnapshot{
 		Calls:     c.calls,
 		BytesSent: c.sent,
 		BytesRecv: c.recvd,
-		Faults:    c.inj.Snapshot(),
 	}
 }
 

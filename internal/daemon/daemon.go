@@ -9,18 +9,22 @@
 //   - Server accepts public-socket connections, runs the mandatory SECW
 //     version handshake (a peer that opens with anything else is
 //     refused), authenticates peers by TLS SAN → registered principal,
-//     applies netsim.Admission backpressure per request, and serves the
-//     same netsim.Handler the simulator serves — always through a
-//     netsim.SwappableHandler slot, so chaos schedules can kill and
-//     revive a real-socket server exactly like a simulated one.
+//     applies transport.Admission backpressure per request, and serves the
+//     same transport.Handler the simulator serves — always through a
+//     transport.SwappableHandler slot, so a restart (or a test's kill
+//     switch) swaps the process behind a live address.
 //   - Pool + Client give the agency side bounded, health-checked
 //     connection reuse (a fleet's breakers wrap the Client, see
 //     core.NewFleet); concurrent round trips run on separate pooled
 //     conns, which is what lets streamed challenge rounds overlap on a
 //     real link (a single TCP conn serializes).
-//   - Transport abstracts "dial an audit target": SimTransport serves
-//     handlers in-process (the test harness), TCPTransport dials pooled
-//     real sockets. Audit code runs unchanged against either.
+//   - Transport abstracts "dial an audit target": TCPTransport dials
+//     pooled real sockets; the tests serve handlers in-process over
+//     simulator links behind the same interface. Audit code runs
+//     unchanged against either.
+//
+// The package does not import the simulator (internal/netsim): the
+// contract and the policies it shares with it live in internal/transport.
 //
 // Server and Pool/Client are the tree's only socket server and client:
 // the seccloud facade's ServeTCP/DialTCP, both daemons and the benchmark

@@ -1,12 +1,37 @@
 package daemon
 
 import (
+	"math/rand"
 	"testing"
 	"time"
 
 	"seccloud/internal/core"
 	"seccloud/internal/netsim"
+	"seccloud/internal/transport"
 )
+
+// downable puts a netsim.DownableHandler around the handler in s's slot:
+// the kill switch for the process behind the socket. While it is down,
+// every request drops its conn without a reply, which on the wire is a
+// crashed seccloudd at a live address.
+func downable(s *Server) *netsim.DownableHandler {
+	d := netsim.NewDownableHandler(s.Slot().Current())
+	s.Slot().Swap(d)
+	return d
+}
+
+// flap runs a seeded kill/revive schedule on d: flips alternating down
+// and up phases whose lengths are drawn from seed in [min, max). It
+// blocks until the schedule completes and always leaves d up, so
+// invariants can be checked once the world is repaired.
+func flap(d *netsim.DownableHandler, seed int64, flips int, min, max time.Duration) {
+	rng := rand.New(rand.NewSource(seed))
+	for i := 0; i < flips; i++ {
+		d.SetDown(i%2 == 0)
+		time.Sleep(min + time.Duration(rng.Int63n(int64(max-min))))
+	}
+	d.SetDown(false)
+}
 
 // TestNemesisKillRevive: killing the handler behind a live socket drops
 // requests like a crashed process; reviving restores service on the same
@@ -14,7 +39,7 @@ import (
 func TestNemesisKillRevive(t *testing.T) {
 	u := newTestUniverse(t, 50)
 	s := startDaemon(t, newSeededServer(t, u, "0", core.ServerConfig{}), nil)
-	nemesis := NewNemesis(s)
+	server := downable(s)
 
 	tr := NewTCPTransport(TCPTransportConfig{Timeout: 5 * time.Second})
 	defer tr.Close()
@@ -28,10 +53,7 @@ func TestNemesisKillRevive(t *testing.T) {
 		t.Fatalf("pre-kill audit: valid=%t effective=%d", report.Valid(), report.EffectiveSampleSize)
 	}
 
-	nemesis.Kill()
-	if !nemesis.Dead() {
-		t.Fatal("Kill did not mark the server dead")
-	}
+	server.SetDown(true)
 	dead := runAudit(t, u, client, 4, testAuditConfig(1))
 	if dead.EffectiveSampleSize != 0 {
 		t.Fatalf("killed server still answered %d positions", dead.EffectiveSampleSize)
@@ -40,7 +62,7 @@ func TestNemesisKillRevive(t *testing.T) {
 		t.Fatalf("killed server produced %d accusatory rounds — crashes must never read as cheating", falseFlags(dead))
 	}
 
-	nemesis.Revive()
+	server.SetDown(false)
 	revived := runAudit(t, u, client, 5, testAuditConfig(1))
 	if !revived.Valid() || revived.EffectiveSampleSize != testSample {
 		t.Fatalf("post-revive audit: valid=%t effective=%d", revived.Valid(), revived.EffectiveSampleSize)
@@ -54,7 +76,7 @@ func TestNemesisKillRevive(t *testing.T) {
 func TestNemesisScheduleDuringStreamedAudit(t *testing.T) {
 	u := newTestUniverse(t, 51)
 	s := startDaemon(t, newSeededServer(t, u, "0", core.ServerConfig{}), nil)
-	nemesis := NewNemesis(s)
+	server := downable(s)
 
 	tr := NewTCPTransport(TCPTransportConfig{Timeout: 2 * time.Second})
 	defer tr.Close()
@@ -66,10 +88,10 @@ func TestNemesisScheduleDuringStreamedAudit(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		nemesis.Schedule(1234, 6, 10*time.Millisecond, 40*time.Millisecond)
+		flap(server, 1234, 6, 10*time.Millisecond, 40*time.Millisecond)
 	}()
 
-	retry := netsim.NewRetrier(7)
+	retry := transport.NewRetrier(7)
 	retry.MaxAttempts = 5
 	retry.BaseDelay = 20 * time.Millisecond
 	retry.MaxDelay = 100 * time.Millisecond
@@ -86,7 +108,7 @@ func TestNemesisScheduleDuringStreamedAudit(t *testing.T) {
 	if falseFlags(report) != 0 {
 		t.Fatalf("chaos schedule produced %d accusatory rounds", falseFlags(report))
 	}
-	if nemesis.Dead() {
+	if server.Down() {
 		t.Fatal("schedule ended with the server dead; must always end revived")
 	}
 

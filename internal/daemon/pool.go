@@ -10,7 +10,7 @@ import (
 	"syscall"
 	"time"
 
-	"seccloud/internal/netsim"
+	"seccloud/internal/transport"
 	"seccloud/internal/wire"
 )
 
@@ -72,9 +72,6 @@ type PoolConn struct {
 // Version is the protocol version negotiated on this conn.
 func (c *PoolConn) Version() uint16 { return c.version }
 
-// Conn exposes the underlying net.Conn (deadline management, writes).
-func (c *PoolConn) Conn() net.Conn { return c.nc }
-
 // PoolStats is a snapshot of pool activity.
 type PoolStats struct {
 	// Dials counts fresh connections established.
@@ -131,7 +128,7 @@ func (p *Pool) Get(ctx context.Context) (*PoolConn, error) {
 			select {
 			case p.sem <- struct{}{}:
 			case <-ctx.Done():
-				return nil, &netsim.TransportError{Op: "pool", Timeout: true, Err: ctx.Err()}
+				return nil, &transport.TransportError{Op: "pool", Timeout: true, Err: ctx.Err()}
 			}
 		}
 	}
@@ -175,13 +172,13 @@ func (p *Pool) dial(ctx context.Context) (*PoolConn, error) {
 	var d net.Dialer
 	nc, err := d.DialContext(dctx, "tcp", p.cfg.Addr)
 	if err != nil {
-		return nil, &netsim.TransportError{Op: "dial", Timeout: errors.Is(err, context.DeadlineExceeded), Err: err}
+		return nil, &transport.TransportError{Op: "dial", Timeout: errors.Is(err, context.DeadlineExceeded), Err: err}
 	}
 	if p.cfg.TLS != nil {
 		tc := tls.Client(nc, p.cfg.TLS)
 		if err := tc.HandshakeContext(dctx); err != nil {
 			_ = nc.Close()
-			return nil, &netsim.TransportError{Op: "tls", Err: err}
+			return nil, &transport.TransportError{Op: "tls", Err: err}
 		}
 		nc = tc
 	}

@@ -2,14 +2,13 @@ package daemon
 
 import (
 	"context"
-	"errors"
 	"net"
 	"sync"
 	"testing"
 	"time"
 
 	"seccloud/internal/core"
-	"seccloud/internal/netsim"
+	"seccloud/internal/transport"
 	"seccloud/internal/wire"
 )
 
@@ -138,7 +137,7 @@ func TestPoolMaxActiveBackpressure(t *testing.T) {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
-	if _, err := pool.Get(ctx); !netsim.IsTimeout(err) {
+	if _, err := pool.Get(ctx); !transport.IsTimeout(err) {
 		t.Fatalf("capped Get got %v, want timeout-classified error", err)
 	}
 	pool.Put(conn)
@@ -155,7 +154,7 @@ func TestPoolMaxActiveBackpressure(t *testing.T) {
 func TestPoolDisconnectMidStreamEvictsAndRetriesFresh(t *testing.T) {
 	u := newTestUniverse(t, 23)
 	s := startDaemon(t, newSeededServer(t, u, "0", core.ServerConfig{}), nil)
-	nemesis := NewNemesis(s)
+	server := downable(s)
 
 	client := NewClient(NewPool(PoolConfig{Addr: s.Addr()}), ClientConfig{Timeout: 5 * time.Second})
 	defer client.Close()
@@ -169,16 +168,16 @@ func TestPoolDisconnectMidStreamEvictsAndRetriesFresh(t *testing.T) {
 
 	// Kill the "process": the server reads the request, then drops the
 	// conn without replying — a genuine mid-stream disconnect.
-	nemesis.Kill()
+	server.SetDown(true)
 	_, err := fleet.RoundTripContext(ctx, req)
 	if err == nil {
 		t.Fatal("trip against killed server succeeded")
 	}
-	if !netsim.IsRetryable(err) || netsim.IsOverloaded(err) {
+	if !transport.IsRetryable(err) || transport.IsOverloaded(err) {
 		t.Fatalf("mid-stream disconnect classified as %v; want retryable transport error", err)
 	}
 
-	nemesis.Revive()
+	server.SetDown(false)
 	if _, err := fleet.RoundTripContext(ctx, req); err != nil {
 		t.Fatalf("trip after revive: %v", err)
 	}
@@ -194,26 +193,22 @@ func TestPoolDisconnectMidStreamEvictsAndRetriesFresh(t *testing.T) {
 	}
 }
 
-// TestPoolInjectedDisconnectsOpenBreakerOnce: with the deterministic
-// injector disconnecting every trip, each trip consumes and evicts its
-// own fresh conn, and the fleet breaker fed by the client opens after
-// exactly FailThreshold failures.
+// TestPoolInjectedDisconnectsOpenBreakerOnce: with the server's handler
+// down, every trip consumes and evicts its own fresh conn, and the fleet
+// breaker fed by the client opens after exactly FailThreshold failures.
 func TestPoolInjectedDisconnectsOpenBreakerOnce(t *testing.T) {
 	u := newTestUniverse(t, 24)
 	s := startDaemon(t, newSeededServer(t, u, "0", core.ServerConfig{}), nil)
+	downable(s).SetDown(true)
 
-	client := NewClient(NewPool(PoolConfig{Addr: s.Addr()}), ClientConfig{
-		Timeout: 5 * time.Second,
-		Faults:  netsim.FaultConfig{Seed: 9, DisconnectRate: 1},
-	})
+	client := NewClient(NewPool(PoolConfig{Addr: s.Addr()}), ClientConfig{Timeout: 5 * time.Second})
 	defer client.Close()
 	fleet, breaker := fleetOf(t, client, core.BreakerConfig{FailThreshold: 3, OpenCooldown: 100})
 	req := &wire.StorageAuditRequest{UserID: u.User.ID()}
 
 	for i := 0; i < 3; i++ {
-		var fe *netsim.FaultError
-		if _, err := fleet.RoundTripContext(context.Background(), req); !errors.As(err, &fe) || fe.Kind != netsim.FaultDisconnect {
-			t.Fatalf("trip %d: %v, want injected disconnect", i, err)
+		if _, err := fleet.RoundTripContext(context.Background(), req); !transport.IsRetryable(err) || transport.IsOverloaded(err) {
+			t.Fatalf("trip %d: %v, want a retryable disconnect", i, err)
 		}
 	}
 	if breaker.Trips() != 1 || breaker.State() != core.StateOpen {
@@ -221,15 +216,15 @@ func TestPoolInjectedDisconnectsOpenBreakerOnce(t *testing.T) {
 	}
 	stats := client.Pool().Stats()
 	if stats.Dials != 3 || stats.Evictions != 3 || stats.Idle != 0 {
-		t.Fatalf("injected disconnects: %+v, want dials=3 evictions=3 idle=0", stats)
+		t.Fatalf("disconnects: %+v, want dials=3 evictions=3 idle=0", stats)
 	}
 }
 
 // fleetOf puts client in a one-replica fleet and returns the fleet's
 // breaker-instrumented link to it and that replica's breaker.
-func fleetOf(t *testing.T, client netsim.Client, cfg core.BreakerConfig) (netsim.Client, *core.Breaker) {
+func fleetOf(t *testing.T, client transport.Client, cfg core.BreakerConfig) (transport.Client, *core.Breaker) {
 	t.Helper()
-	f, err := core.NewFleet([]netsim.Client{client}, nil, cfg)
+	f, err := core.NewFleet([]transport.Client{client}, nil, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,17 +8,17 @@ import (
 	"sync"
 	"time"
 
-	"seccloud/internal/netsim"
 	"seccloud/internal/obs"
+	"seccloud/internal/transport"
 	"seccloud/internal/wire"
 )
 
 // ServerConfig shapes the daemon's public protocol socket.
 type ServerConfig struct {
 	// Handler serves decoded requests. It is always wrapped in a
-	// netsim.SwappableHandler slot (see Server.Slot), so a nemesis can
-	// kill and revive the "process" behind the socket.
-	Handler netsim.Handler
+	// transport.SwappableHandler slot (see Server.Slot), so the "process"
+	// behind the socket can be swapped, killed and revived.
+	Handler transport.Handler
 	// TLS, when set, wraps every accepted conn (use LoadServerTLS).
 	TLS *tls.Config
 	// Identities, when set with TLS, requires every verified peer cert
@@ -39,7 +39,7 @@ type ServerConfig struct {
 	MaxConns int
 	// Admission gates request execution (per-conn backpressure: a conn
 	// waiting at the gate serves nothing else meanwhile).
-	Admission *netsim.Admission
+	Admission *transport.Admission
 	// Obs instruments the server; nil is zero-overhead uninstrumented.
 	Obs *obs.Hub
 }
@@ -87,7 +87,7 @@ func (c ServerConfig) drainIdle() time.Duration {
 // for chaos schedules.
 type Server struct {
 	cfg  ServerConfig
-	slot *netsim.SwappableHandler
+	slot *transport.SwappableHandler
 	ln   net.Listener
 	met  *serverObs
 
@@ -109,7 +109,7 @@ func Listen(addr string, cfg ServerConfig) (*Server, error) {
 	}
 	s := &Server{
 		cfg:   cfg,
-		slot:  netsim.NewSwappableHandler(cfg.Handler),
+		slot:  transport.NewSwappableHandler(cfg.Handler),
 		ln:    ln,
 		met:   newServerObs(cfg.Obs),
 		conns: make(map[net.Conn]struct{}),
@@ -122,10 +122,10 @@ func Listen(addr string, cfg ServerConfig) (*Server, error) {
 // Addr is the bound listen address.
 func (s *Server) Addr() string { return s.ln.Addr().String() }
 
-// Slot is the swappable handler behind the socket — the nemesis target:
-// Swap in a dead handler and every request drops its conn, exactly as a
-// killed process would; swap the live handler back to revive.
-func (s *Server) Slot() *netsim.SwappableHandler { return s.slot }
+// Slot is the swappable handler behind the socket: swap in a handler
+// that answers nil and every request drops its conn, exactly as a killed
+// process would; swap the live handler back to revive.
+func (s *Server) Slot() *transport.SwappableHandler { return s.slot }
 
 // Draining reports whether a graceful drain is in progress.
 func (s *Server) Draining() bool {
@@ -308,7 +308,7 @@ func (s *Server) serveConn(raw net.Conn, shed bool) {
 			resp = s.slot.Handle(req)
 		}
 		if resp == nil {
-			// The handler "process" is dead (nemesis kill): drop the conn
+			// The handler "process" is dead: drop the conn
 			// without a reply, exactly like the simulator.
 			return
 		}
@@ -323,7 +323,7 @@ func (s *Server) serveConn(raw net.Conn, shed bool) {
 
 func (s *Server) retryAfterMillis() int64 {
 	if s.cfg.Admission != nil {
-		return netsim.RetryAfterMillis(s.cfg.Admission.RetryAfter())
+		return transport.RetryAfterMillis(s.cfg.Admission.RetryAfter())
 	}
 	return 0
 }

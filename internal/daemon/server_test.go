@@ -14,6 +14,7 @@ import (
 	"seccloud/internal/netsim"
 	"seccloud/internal/obs"
 	"seccloud/internal/pairing"
+	"seccloud/internal/transport"
 	"seccloud/internal/wire"
 )
 
@@ -49,7 +50,7 @@ func newSeededServer(t testing.TB, u *Universe, name string, cfg core.ServerConf
 	return srv
 }
 
-func startDaemon(t testing.TB, h netsim.Handler, mutate func(*ServerConfig)) *Server {
+func startDaemon(t testing.TB, h transport.Handler, mutate func(*ServerConfig)) *Server {
 	t.Helper()
 	cfg := ServerConfig{
 		Handler:      h,
@@ -77,7 +78,7 @@ func testAuditConfig(stream int) core.AuditConfig {
 	}
 }
 
-func runAudit(t testing.TB, u *Universe, client netsim.Client, seed int64, cfg core.AuditConfig) *core.AuditReport {
+func runAudit(t testing.TB, u *Universe, client transport.Client, seed int64, cfg core.AuditConfig) *core.AuditReport {
 	t.Helper()
 	warrant, err := u.Warrant(time.Now().Add(time.Hour))
 	if err != nil {
@@ -241,7 +242,7 @@ func TestDaemonRefusesOverMaxConns(t *testing.T) {
 	over := NewClient(NewPool(PoolConfig{Addr: s.Addr()}), ClientConfig{Timeout: 5 * time.Second})
 	defer over.Close()
 	_, err = over.RoundTripContext(context.Background(), &wire.StorageAuditRequest{UserID: u.User.ID()})
-	if !netsim.IsOverloaded(err) {
+	if !transport.IsOverloaded(err) {
 		t.Fatalf("surplus conn got %v, want typed overload", err)
 	}
 	if got := s.RefusedConns(); got != 1 {
@@ -291,7 +292,7 @@ func TestDaemonShedConnsDoNotConsumeCapacity(t *testing.T) {
 		if err == nil {
 			break
 		}
-		if !netsim.IsOverloaded(err) {
+		if !transport.IsOverloaded(err) {
 			t.Fatalf("fresh trip after slot freed: %v", err)
 		}
 		if time.Now().After(deadline) {
@@ -427,7 +428,7 @@ func TestDaemonRestartRecoversFromWAL(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
-	if _, err := client.RoundTripContext(context.Background(), req); !netsim.IsRetryable(err) {
+	if _, err := client.RoundTripContext(context.Background(), req); !transport.IsRetryable(err) {
 		t.Fatalf("trip against the dead daemon = %v, want a retryable transport error", err)
 	}
 
@@ -461,18 +462,18 @@ func TestDaemonRestartRecoversFromWAL(t *testing.T) {
 // lands in rpc_faults_total under the same fault label every other
 // transport, and rpc_retries_total, use for it.
 func TestClientShedCountsOverloadedFault(t *testing.T) {
-	gate := netsim.NewAdmission(netsim.AdmissionConfig{MaxInflight: 1})
+	gate := transport.NewAdmission(transport.AdmissionConfig{MaxInflight: 1})
 	if err := gate.Acquire(context.Background()); err != nil {
 		t.Fatalf("Acquire: %v", err)
 	}
 	defer gate.Release()
-	s := startDaemon(t, netsim.HandlerFunc(func(m wire.Message) wire.Message { return m }), func(cfg *ServerConfig) {
+	s := startDaemon(t, transport.HandlerFunc(func(m wire.Message) wire.Message { return m }), func(cfg *ServerConfig) {
 		cfg.Admission = gate
 	})
 	hub := obs.NewHub()
 	client := NewClient(NewPool(PoolConfig{Addr: s.Addr()}), ClientConfig{Timeout: 5 * time.Second, Obs: hub})
 	defer client.Close()
-	if _, err := client.RoundTripContext(context.Background(), &wire.StoreResponse{OK: true}); !netsim.IsOverloaded(err) {
+	if _, err := client.RoundTripContext(context.Background(), &wire.StoreResponse{OK: true}); !transport.IsOverloaded(err) {
 		t.Fatalf("trip through a full gate = %v, want a shed", err)
 	}
 	shed := map[string]string{"transport": "daemon", "fault": "overloaded"}

@@ -12,6 +12,7 @@ import (
 
 	"seccloud/internal/core"
 	"seccloud/internal/netsim"
+	"seccloud/internal/transport"
 	"seccloud/internal/wire"
 )
 
@@ -43,6 +44,21 @@ func fingerprintReport(r *core.AuditReport) string {
 	sum := sha256.Sum256([]byte(canonicalReport(r)))
 	return hex.EncodeToString(sum[:])
 }
+
+// simTransport serves registered handlers in-process over netsim
+// loopbacks: the auditor's Transport with the simulator in place of a
+// socket.
+type simTransport map[string]transport.Handler
+
+func (t simTransport) Dial(addr string) (transport.Client, error) {
+	h, ok := t[addr]
+	if !ok {
+		return nil, fmt.Errorf("no handler registered for %q", addr)
+	}
+	return netsim.NewLoopback(h, netsim.LinkConfig{}), nil
+}
+
+func (simTransport) Close() error { return nil }
 
 // buildTwinServers derives two byte-identical server instances from the
 // same universe seed — one to stand behind the simulator, one behind a
@@ -92,9 +108,7 @@ func TestTransportVerdictDeterminism(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			u, simSrv, tcpSrv := buildTwinServers(t, 40, tc.policy)
 
-			sim := NewSimTransport()
-			sim.Register("cs:0", simSrv)
-			defer sim.Close()
+			sim := simTransport{"cs:0": simSrv}
 			simFP := auditFingerprint(t, u, sim, "cs:0", 77, 2)
 
 			s := startDaemon(t, tcpSrv, nil)
@@ -180,7 +194,7 @@ func TestTransportStreamInvariance(t *testing.T) {
 // rounds the agency sent together overlap at the server even though
 // answering one takes well under a millisecond.
 type inflightCounter struct {
-	next      netsim.Handler
+	next      transport.Handler
 	hold      time.Duration
 	now, peak atomic.Int64
 }
@@ -214,12 +228,13 @@ func TestStreamedRoundsOverlapRTT(t *testing.T) {
 	}
 
 	audit := func(workers int) (*core.AuditReport, int64, time.Duration) {
-		tr := NewTCPTransport(TCPTransportConfig{Timeout: 10 * time.Second, RTT: 100 * time.Millisecond})
+		tr := NewTCPTransport(TCPTransportConfig{Timeout: 10 * time.Second})
 		defer tr.Close()
-		client, err := tr.Dial(s.Addr())
+		dialed, err := tr.Dial(s.Addr())
 		if err != nil {
 			t.Fatalf("Dial: %v", err)
 		}
+		client := netsim.NewLatentClient(dialed, 100*time.Millisecond)
 		h.peak.Store(0)
 		start := time.Now()
 		report, err := u.StorageAudit(client, warrant, 17, core.AuditConfig{

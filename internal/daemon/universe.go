@@ -8,8 +8,8 @@ import (
 
 	"seccloud/internal/core"
 	"seccloud/internal/ibc"
-	"seccloud/internal/netsim"
 	"seccloud/internal/pairing"
+	"seccloud/internal/transport"
 	"seccloud/internal/wire"
 	"seccloud/internal/workload"
 )
@@ -108,7 +108,7 @@ func (u *Universe) Warrant(notAfter time.Time) (wire.Warrant, error) {
 // StorageAudit runs one storage audit of the demo dataset over client,
 // with a seeded challenge RNG so the same (universe, auditSeed) pair
 // samples identical indices on any transport.
-func (u *Universe) StorageAudit(client netsim.Client, warrant wire.Warrant, auditSeed int64, cfg core.AuditConfig) (*core.AuditReport, error) {
+func (u *Universe) StorageAudit(client transport.Client, warrant wire.Warrant, auditSeed int64, cfg core.AuditConfig) (*core.AuditReport, error) {
 	cfg.Rng = mrand.New(mrand.NewSource(auditSeed))
 	return u.Agency.AuditStorage(client, u.User.ID(), warrant, cfg)
 }

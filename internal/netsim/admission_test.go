@@ -8,22 +8,23 @@ import (
 	"testing"
 	"time"
 
+	"seccloud/internal/transport"
 	"seccloud/internal/wire"
 )
 
 func TestAdmissionShedsBeyondQueue(t *testing.T) {
-	a := NewAdmission(AdmissionConfig{MaxInflight: 1, MaxQueue: 0, RetryAfter: 250 * time.Millisecond})
+	a := transport.NewAdmission(transport.AdmissionConfig{MaxInflight: 1, MaxQueue: 0, RetryAfter: 250 * time.Millisecond})
 	if err := a.Acquire(context.Background()); err != nil {
 		t.Fatalf("first Acquire: %v", err)
 	}
 	err := a.Acquire(context.Background())
-	if !IsOverloaded(err) {
+	if !transport.IsOverloaded(err) {
 		t.Fatalf("second Acquire = %v, want overloaded", err)
 	}
-	if IsRetryable(err) || IsTimeout(err) {
-		t.Fatalf("overload classified retryable=%v timeout=%v, want neither", IsRetryable(err), IsTimeout(err))
+	if transport.IsRetryable(err) || transport.IsTimeout(err) {
+		t.Fatalf("overload classified retryable=%v timeout=%v, want neither", transport.IsRetryable(err), transport.IsTimeout(err))
 	}
-	var oe *OverloadedError
+	var oe *transport.OverloadedError
 	if !errors.As(err, &oe) || oe.RetryAfter != 250*time.Millisecond {
 		t.Fatalf("retry-after hint lost: %v", err)
 	}
@@ -41,7 +42,7 @@ func TestAdmissionShedsBeyondQueue(t *testing.T) {
 // newest waiter — whose client is least likely to have given up — gets
 // the freed slot first.
 func TestAdmissionBoundedDrainsLIFO(t *testing.T) {
-	a := NewAdmission(AdmissionConfig{MaxInflight: 1, MaxQueue: 4})
+	a := transport.NewAdmission(transport.AdmissionConfig{MaxInflight: 1, MaxQueue: 4})
 	if err := a.Acquire(context.Background()); err != nil {
 		t.Fatalf("Acquire: %v", err)
 	}
@@ -80,7 +81,7 @@ func TestAdmissionBoundedDrainsLIFO(t *testing.T) {
 // TestAdmissionUnboundedDrainsFIFO pins the unprotected baseline: an
 // unbounded queue never sheds and serves oldest-first.
 func TestAdmissionUnboundedDrainsFIFO(t *testing.T) {
-	a := NewAdmission(AdmissionConfig{MaxInflight: 1, MaxQueue: -1})
+	a := transport.NewAdmission(transport.AdmissionConfig{MaxInflight: 1, MaxQueue: -1})
 	if err := a.Acquire(context.Background()); err != nil {
 		t.Fatalf("Acquire: %v", err)
 	}
@@ -119,14 +120,14 @@ func TestAdmissionUnboundedDrainsFIFO(t *testing.T) {
 }
 
 func TestAdmissionAcquireHonorsContext(t *testing.T) {
-	a := NewAdmission(AdmissionConfig{MaxInflight: 1, MaxQueue: 2})
+	a := transport.NewAdmission(transport.AdmissionConfig{MaxInflight: 1, MaxQueue: 2})
 	if err := a.Acquire(context.Background()); err != nil {
 		t.Fatalf("Acquire: %v", err)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
 	defer cancel()
 	err := a.Acquire(ctx)
-	if !IsTimeout(err) {
+	if !transport.IsTimeout(err) {
 		t.Fatalf("queued Acquire under expired ctx = %v, want timeout", err)
 	}
 	if _, q := a.Depth(); q != 0 {
@@ -144,17 +145,17 @@ func TestAdmissionAcquireHonorsContext(t *testing.T) {
 // typed, non-retryable error — and the Retrier does not burn attempts on
 // it.
 func TestLoopbackAdmissionSheds(t *testing.T) {
-	gate := NewAdmission(AdmissionConfig{MaxInflight: 1, MaxQueue: 0, RetryAfter: 100 * time.Millisecond})
+	gate := transport.NewAdmission(transport.AdmissionConfig{MaxInflight: 1, MaxQueue: 0, RetryAfter: 100 * time.Millisecond})
 	if err := gate.Acquire(context.Background()); err != nil { // occupy the only slot
 		t.Fatalf("Acquire: %v", err)
 	}
 	l := NewLoopback(echoHandler{}, LinkConfig{}).WithAdmission(gate)
 
 	_, err := l.RoundTripContext(context.Background(), &wire.StoreRequest{UserID: "alice"})
-	if !IsOverloaded(err) {
+	if !transport.IsOverloaded(err) {
 		t.Fatalf("RoundTrip under full gate = %v, want overloaded", err)
 	}
-	var oe *OverloadedError
+	var oe *transport.OverloadedError
 	if !errors.As(err, &oe) || oe.RetryAfter != 100*time.Millisecond {
 		t.Fatalf("retry-after hint did not survive the wire: %v", err)
 	}
@@ -167,7 +168,7 @@ func TestLoopbackAdmissionSheds(t *testing.T) {
 		_, err := l.RoundTripContext(ctx, &wire.StoreRequest{UserID: "alice"})
 		return err
 	})
-	if !IsOverloaded(rerr) {
+	if !transport.IsOverloaded(rerr) {
 		t.Fatalf("retried overload = %v, want overloaded passthrough", rerr)
 	}
 	if calls != 1 || len(clock.slept) != 0 {
@@ -196,13 +197,13 @@ func TestSubMillisecondRetryAfterSurvivesWire(t *testing.T) {
 		{0, 0}, // genuinely no hint stays no hint
 	}
 	for _, tc := range cases {
-		gate := NewAdmission(AdmissionConfig{MaxInflight: 1, MaxQueue: 0, RetryAfter: tc.hint})
+		gate := transport.NewAdmission(transport.AdmissionConfig{MaxInflight: 1, MaxQueue: 0, RetryAfter: tc.hint})
 		if err := gate.Acquire(context.Background()); err != nil {
 			t.Fatalf("Acquire: %v", err)
 		}
 		l := NewLoopback(echoHandler{}, LinkConfig{}).WithAdmission(gate)
 		_, err := l.RoundTripContext(context.Background(), &wire.StoreRequest{UserID: "alice"})
-		var oe *OverloadedError
+		var oe *transport.OverloadedError
 		if !errors.As(err, &oe) {
 			t.Fatalf("hint %v: got %v, want OverloadedError", tc.hint, err)
 		}
@@ -226,7 +227,7 @@ func TestRetryAfterToMillis(t *testing.T) {
 		{250 * time.Millisecond, 250},
 	}
 	for _, tc := range cases {
-		if got := RetryAfterMillis(tc.d); got != tc.want {
+		if got := transport.RetryAfterMillis(tc.d); got != tc.want {
 			t.Fatalf("RetryAfterMillis(%v) = %d, want %d", tc.d, got, tc.want)
 		}
 	}
@@ -236,13 +237,13 @@ func TestRetryBudgetStopsAmplification(t *testing.T) {
 	clock := &fakeClock{}
 	r := newTestRetrier(clock)
 	r.MaxAttempts = 10
-	r.Budget = NewRetryBudget(2, 0)
+	r.Budget = transport.NewRetryBudget(2, 0)
 	calls := 0
 	err := r.Do(context.Background(), func(context.Context) error {
 		calls++
-		return &FaultError{Kind: FaultDrop}
+		return &transport.FaultError{Kind: transport.FaultDrop}
 	})
-	var ex *ExhaustedError
+	var ex *transport.ExhaustedError
 	if !errors.As(err, &ex) || !ex.BudgetDenied {
 		t.Fatalf("err = %v, want budget-denied exhaustion", err)
 	}
@@ -254,13 +255,13 @@ func TestRetryBudgetStopsAmplification(t *testing.T) {
 		t.Fatalf("Denied() = %d, want 1", got)
 	}
 	// Still retryable-classified underneath: callers can tell what failed.
-	if !IsRetryable(err) {
+	if !transport.IsRetryable(err) {
 		t.Fatal("budget exhaustion lost the underlying taxonomy")
 	}
 }
 
 func TestRetryBudgetRefundsOnSuccess(t *testing.T) {
-	b := NewRetryBudget(1, 1) // full refund per success
+	b := transport.NewRetryBudget(1, 1) // full refund per success
 	clock := &fakeClock{}
 	r := newTestRetrier(clock)
 	r.MaxAttempts = 2
@@ -269,7 +270,7 @@ func TestRetryBudgetRefundsOnSuccess(t *testing.T) {
 	op := func(context.Context) error {
 		if fail {
 			fail = false
-			return &FaultError{Kind: FaultDrop}
+			return &transport.FaultError{Kind: transport.FaultDrop}
 		}
 		return nil
 	}
@@ -290,7 +291,7 @@ func TestRetryBudgetRefundsOnSuccess(t *testing.T) {
 // slowClient delays the wrapped client's replies until released, letting
 // hedge tests make "slow primary" deterministic.
 type slowClient struct {
-	inner   Client
+	inner   transport.Client
 	release chan struct{}
 }
 
@@ -298,21 +299,21 @@ func (s *slowClient) RoundTripContext(ctx context.Context, m wire.Message) (wire
 	select {
 	case <-s.release:
 	case <-ctx.Done():
-		return nil, transportErr("roundtrip", ctx.Err())
+		return nil, transport.Wrap("roundtrip", ctx.Err())
 	}
 	return s.inner.RoundTripContext(ctx, m)
 }
 
-func (s *slowClient) Stats() StatsSnapshot { return s.inner.Stats() }
-func (s *slowClient) Close() error         { return s.inner.Close() }
+func (s *slowClient) Stats() transport.StatsSnapshot { return s.inner.Stats() }
+func (s *slowClient) Close() error                   { return s.inner.Close() }
 
 func TestHedgedRoundTripSecondaryWins(t *testing.T) {
 	release := make(chan struct{})
 	defer close(release)
 	primary := &slowClient{inner: NewLoopback(echoHandler{}, LinkConfig{}), release: release}
 	secondary := NewLoopback(echoHandler{}, LinkConfig{})
-	var stats HedgeStats
-	resp, hedged, err := HedgedRoundTrip(context.Background(), primary, secondary,
+	var stats transport.HedgeStats
+	resp, hedged, err := transport.HedgedRoundTrip(context.Background(), primary, secondary,
 		time.Millisecond, &wire.StoreRequest{UserID: "a"}, &stats)
 	if err != nil {
 		t.Fatalf("HedgedRoundTrip: %v", err)
@@ -331,8 +332,8 @@ func TestHedgedRoundTripSecondaryWins(t *testing.T) {
 func TestHedgedRoundTripPrimaryFastPath(t *testing.T) {
 	primary := NewLoopback(echoHandler{}, LinkConfig{})
 	secondary := NewLoopback(echoHandler{}, LinkConfig{})
-	var stats HedgeStats
-	_, hedged, err := HedgedRoundTrip(context.Background(), primary, secondary,
+	var stats transport.HedgeStats
+	_, hedged, err := transport.HedgedRoundTrip(context.Background(), primary, secondary,
 		time.Hour, &wire.StoreRequest{UserID: "a"}, &stats)
 	if err != nil {
 		t.Fatalf("HedgedRoundTrip: %v", err)
@@ -366,7 +367,7 @@ func TestHedgedDuplicatesAreIdempotent(t *testing.T) {
 }
 
 func TestLatencyTrackerQuantile(t *testing.T) {
-	tr := NewLatencyTracker(100)
+	tr := transport.NewLatencyTracker(100)
 	if got := tr.P95(); got != 0 {
 		t.Fatalf("empty tracker p95 = %v", got)
 	}

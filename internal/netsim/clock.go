@@ -28,6 +28,3 @@ func (c *Clock) Now() time.Time {
 
 // SetSkew sets the clock's offset from real time (positive = fast).
 func (c *Clock) SetSkew(d time.Duration) { c.skew.Store(int64(d)) }
-
-// Skew returns the current offset.
-func (c *Clock) Skew() time.Duration { return time.Duration(c.skew.Load()) }

@@ -7,76 +7,10 @@
 package netsim
 
 import (
-	"fmt"
 	"math/rand"
 	"sync"
 	"time"
 )
-
-// FaultKind labels one injected fault.
-type FaultKind int
-
-// The injectable fault classes.
-const (
-	// FaultDrop loses the message entirely (the peer never sees it).
-	FaultDrop FaultKind = iota + 1
-	// FaultDelay adds extra latency to the message.
-	FaultDelay
-	// FaultDuplicate delivers the message twice (a retransmit the peer
-	// cannot distinguish from a fresh request).
-	FaultDuplicate
-	// FaultCorrupt flips bytes in the encoded frame.
-	FaultCorrupt
-	// FaultDisconnect tears the connection down mid-exchange.
-	FaultDisconnect
-	// FaultPartition blocks the message at a network partition: the two
-	// endpoints are in groups that currently cannot reach each other in
-	// this direction (partitions are directional; see Partition).
-	FaultPartition
-)
-
-// String renders the fault class.
-func (k FaultKind) String() string {
-	switch k {
-	case FaultDrop:
-		return "drop"
-	case FaultDelay:
-		return "delay"
-	case FaultDuplicate:
-		return "duplicate"
-	case FaultCorrupt:
-		return "corrupt"
-	case FaultDisconnect:
-		return "disconnect"
-	case FaultPartition:
-		return "partition"
-	default:
-		return fmt.Sprintf("fault(%d)", int(k))
-	}
-}
-
-// FaultError reports a round trip lost to an injected (or real) network
-// fault. It is retryable: the failure says nothing about the peer's
-// honesty, only about the link.
-type FaultError struct {
-	// Kind is the fault class.
-	Kind FaultKind
-	// Op names the message leg ("request", "response", …).
-	Op string
-	// Err is the underlying error, if the fault surfaced through one.
-	Err error
-}
-
-// Error implements error.
-func (e *FaultError) Error() string {
-	if e.Err != nil {
-		return fmt.Sprintf("netsim: %s fault on %s: %v", e.Kind, e.Op, e.Err)
-	}
-	return fmt.Sprintf("netsim: %s fault on %s", e.Kind, e.Op)
-}
-
-// Unwrap exposes the underlying error.
-func (e *FaultError) Unwrap() error { return e.Err }
 
 // FaultConfig parameterizes the injector. All rates are probabilities in
 // [0, 1] evaluated independently per message leg; the zero value injects
@@ -119,10 +53,10 @@ func (c FaultCounts) Total() int64 {
 	return c.Drops + c.Delays + c.Duplicates + c.Corruptions + c.Disconnects
 }
 
-// LegPlan is one leg's drawn fault decision, in injector order: a
+// legPlan is one leg's drawn fault decision, in injector order: a
 // disconnect or drop preempts everything else; corrupt, duplicate and
 // delay can stack.
-type LegPlan struct {
+type legPlan struct {
 	Drop       bool
 	Delay      time.Duration
 	Duplicate  bool
@@ -130,12 +64,10 @@ type LegPlan struct {
 	Disconnect bool
 }
 
-// Injector applies a FaultConfig with a private, mutex-guarded PRNG so
-// concurrent round trips stay deterministic in aggregate. Every transport
-// draws from it — the in-process Loopback and the daemon's pooled socket
-// client alike — so one seed means one fault schedule on either. A nil
-// *Injector is valid and injects nothing.
-type Injector struct {
+// injector applies a FaultConfig with a private, mutex-guarded PRNG so
+// concurrent round trips on one Loopback stay deterministic in aggregate.
+// A nil *injector is valid and injects nothing.
+type injector struct {
 	cfg FaultConfig
 
 	mu     sync.Mutex
@@ -143,9 +75,9 @@ type Injector struct {
 	counts FaultCounts
 }
 
-// NewInjector builds a seeded injector from cfg; nil when the config is
+// newInjector builds a seeded injector from cfg; nil when the config is
 // inert, so the fault-free fast path stays allocation- and lock-free.
-func NewInjector(cfg FaultConfig) *Injector {
+func newInjector(cfg FaultConfig) *injector {
 	if !cfg.enabled() {
 		return nil
 	}
@@ -153,19 +85,19 @@ func NewInjector(cfg FaultConfig) *Injector {
 	if seed == 0 {
 		seed = 1
 	}
-	return &Injector{cfg: cfg, rng: rand.New(rand.NewSource(seed))}
+	return &injector{cfg: cfg, rng: rand.New(rand.NewSource(seed))}
 }
 
-// Plan draws the fault decisions for one message leg. allowDuplicate
+// plan draws the fault decisions for one message leg. allowDuplicate
 // limits duplication to request legs (a duplicated response has no
 // observer).
-func (f *Injector) Plan(allowDuplicate bool) LegPlan {
+func (f *injector) plan(allowDuplicate bool) legPlan {
 	if f == nil {
-		return LegPlan{}
+		return legPlan{}
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	var p LegPlan
+	var p legPlan
 	if f.cfg.DisconnectRate > 0 && f.rng.Float64() < f.cfg.DisconnectRate {
 		p.Disconnect = true
 		f.counts.Disconnects++
@@ -191,8 +123,8 @@ func (f *Injector) Plan(allowDuplicate bool) LegPlan {
 	return p
 }
 
-// Corrupt flips one byte of data in place at a PRNG-chosen offset.
-func (f *Injector) Corrupt(data []byte) {
+// corrupt flips one byte of data in place at a PRNG-chosen offset.
+func (f *injector) corrupt(data []byte) {
 	if f == nil || len(data) == 0 {
 		return
 	}
@@ -202,8 +134,8 @@ func (f *Injector) Corrupt(data []byte) {
 	data[off] ^= 0xff
 }
 
-// Snapshot copies the fault counters.
-func (f *Injector) Snapshot() FaultCounts {
+// snapshot copies the fault counters.
+func (f *injector) snapshot() FaultCounts {
 	if f == nil {
 		return FaultCounts{}
 	}

@@ -7,16 +7,17 @@ import (
 	"testing"
 	"time"
 
+	"seccloud/internal/transport"
 	"seccloud/internal/wire"
 )
 
 func TestFaultInjectorDeterministic(t *testing.T) {
 	cfg := FaultConfig{Seed: 99, DropRate: 0.3, CorruptRate: 0.2, DuplicateRate: 0.1}
-	run := func() []LegPlan {
-		inj := NewInjector(cfg)
-		plans := make([]LegPlan, 200)
+	run := func() []legPlan {
+		inj := newInjector(cfg)
+		plans := make([]legPlan, 200)
 		for i := range plans {
-			plans[i] = inj.Plan(true)
+			plans[i] = inj.plan(true)
 		}
 		return plans
 	}
@@ -29,26 +30,26 @@ func TestFaultInjectorDeterministic(t *testing.T) {
 }
 
 func TestFaultInjectorInertConfig(t *testing.T) {
-	if inj := NewInjector(FaultConfig{Seed: 5}); inj != nil {
+	if inj := newInjector(FaultConfig{Seed: 5}); inj != nil {
 		t.Fatal("inert config built an injector")
 	}
 	// A nil injector must be safe to use everywhere.
-	var inj *Injector
-	if p := inj.Plan(true); p != (LegPlan{}) {
+	var inj *injector
+	if p := inj.plan(true); p != (legPlan{}) {
 		t.Fatalf("nil injector planned a fault: %+v", p)
 	}
-	if c := inj.Snapshot(); c.Total() != 0 {
+	if c := inj.snapshot(); c.Total() != 0 {
 		t.Fatalf("nil injector has counts: %+v", c)
 	}
 }
 
 func TestFaultInjectorRates(t *testing.T) {
-	inj := NewInjector(FaultConfig{Seed: 3, DropRate: 0.25})
+	inj := newInjector(FaultConfig{Seed: 3, DropRate: 0.25})
 	const n = 4000
 	for i := 0; i < n; i++ {
-		inj.Plan(true)
+		inj.plan(true)
 	}
-	drops := inj.Snapshot().Drops
+	drops := inj.snapshot().Drops
 	// 4000 Bernoulli(0.25) trials: expect ~1000, allow a generous band.
 	if drops < 800 || drops > 1200 {
 		t.Fatalf("drop count %d far from expected ~1000", drops)
@@ -60,14 +61,14 @@ func TestLoopbackDropFault(t *testing.T) {
 		Seed: 11, DropRate: 1,
 	})
 	_, err := l.RoundTripContext(context.Background(), &wire.StoreResponse{OK: true})
-	var fe *FaultError
-	if !errors.As(err, &fe) || fe.Kind != FaultDrop {
-		t.Fatalf("want drop FaultError, got %v", err)
+	var fe *transport.FaultError
+	if !errors.As(err, &fe) || fe.Kind != transport.FaultDrop {
+		t.Fatalf("want drop transport.FaultError, got %v", err)
 	}
-	if !IsRetryable(err) {
+	if !transport.IsRetryable(err) {
 		t.Fatal("drop fault must be retryable")
 	}
-	if l.Stats().Faults.Drops == 0 {
+	if l.FaultCounts().Drops == 0 {
 		t.Fatal("drop not counted in stats")
 	}
 }
@@ -80,10 +81,10 @@ func TestLoopbackCorruptFault(t *testing.T) {
 	if err == nil {
 		t.Fatal("corrupted frame round-tripped cleanly")
 	}
-	if !IsRetryable(err) {
+	if !transport.IsRetryable(err) {
 		t.Fatalf("corruption should be retryable, got %v", err)
 	}
-	if l.Stats().Faults.Corruptions == 0 {
+	if l.FaultCounts().Corruptions == 0 {
 		t.Fatal("corruption not counted in stats")
 	}
 }
@@ -91,7 +92,7 @@ func TestLoopbackCorruptFault(t *testing.T) {
 func TestLoopbackDuplicateFault(t *testing.T) {
 	var mu sync.Mutex
 	calls := 0
-	h := HandlerFunc(func(m wire.Message) wire.Message {
+	h := transport.HandlerFunc(func(m wire.Message) wire.Message {
 		mu.Lock()
 		calls++
 		mu.Unlock()
@@ -106,8 +107,8 @@ func TestLoopbackDuplicateFault(t *testing.T) {
 	if calls != 2 {
 		t.Fatalf("handler saw %d calls, want 2 (original + duplicate)", calls)
 	}
-	if l.Stats().Faults.Duplicates != 1 {
-		t.Fatalf("duplicates counted %d, want 1", l.Stats().Faults.Duplicates)
+	if l.FaultCounts().Duplicates != 1 {
+		t.Fatalf("duplicates counted %d, want 1", l.FaultCounts().Duplicates)
 	}
 }
 
@@ -119,7 +120,7 @@ func TestLoopbackDelayFaultTriggersDeadline(t *testing.T) {
 	defer cancel()
 	start := time.Now()
 	_, err := l.RoundTripContext(ctx, &wire.StoreResponse{OK: true})
-	if !IsTimeout(err) {
+	if !transport.IsTimeout(err) {
 		t.Fatalf("want timeout error under modeled hour-long delay, got %v", err)
 	}
 	// The delay is modeled against the virtual clock; the call itself must
@@ -136,8 +137,8 @@ func TestLoopbackFaultFreePathUnchanged(t *testing.T) {
 			t.Fatalf("fault-free config injected a fault: %v", err)
 		}
 	}
-	if l.Stats().Faults.Total() != 0 {
-		t.Fatalf("fault counts nonzero: %+v", l.Stats().Faults)
+	if l.FaultCounts().Total() != 0 {
+		t.Fatalf("fault counts nonzero: %+v", l.FaultCounts())
 	}
 }
 
@@ -161,24 +162,25 @@ func TestLoopbackConcurrentStatsAndRoundTrip(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
 				_ = l.Stats()
+				_ = l.FaultCounts()
 			}
 		}()
 	}
 	wg.Wait()
 	st := l.Stats()
-	if st.Calls+st.Faults.Drops == 0 {
+	if st.Calls+l.FaultCounts().Drops == 0 {
 		t.Fatal("no activity recorded")
 	}
 }
 
 func TestFaultKindStrings(t *testing.T) {
-	kinds := map[FaultKind]string{
-		FaultDrop:       "drop",
-		FaultDelay:      "delay",
-		FaultDuplicate:  "duplicate",
-		FaultCorrupt:    "corrupt",
-		FaultDisconnect: "disconnect",
-		FaultKind(42):   "fault(42)",
+	kinds := map[transport.FaultKind]string{
+		transport.FaultDrop:       "drop",
+		transport.FaultDelay:      "delay",
+		transport.FaultDuplicate:  "duplicate",
+		transport.FaultCorrupt:    "corrupt",
+		transport.FaultDisconnect: "disconnect",
+		transport.FaultKind(42):   "fault(42)",
 	}
 	for k, want := range kinds {
 		if k.String() != want {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"time"
 
+	"seccloud/internal/transport"
 	"seccloud/internal/wire"
 )
 
@@ -15,15 +16,15 @@ import (
 // use when the wrapped client is; concurrent round trips sleep
 // independently, so in-flight requests genuinely overlap.
 type LatentClient struct {
-	inner Client
+	inner transport.Client
 	rtt   time.Duration
 }
 
-var _ Client = (*LatentClient)(nil)
+var _ transport.Client = (*LatentClient)(nil)
 
 // NewLatentClient wraps inner, sleeping rtt on every round trip (half
 // before delivery, half after — the two legs of the trip).
-func NewLatentClient(inner Client, rtt time.Duration) *LatentClient {
+func NewLatentClient(inner transport.Client, rtt time.Duration) *LatentClient {
 	return &LatentClient{inner: inner, rtt: rtt}
 }
 
@@ -55,12 +56,12 @@ func (c *LatentClient) sleep(ctx context.Context, d time.Duration) error {
 	case <-t.C:
 		return nil
 	case <-ctx.Done():
-		return &TransportError{Op: "roundtrip", Timeout: true, Err: ctx.Err()}
+		return &transport.TransportError{Op: "roundtrip", Timeout: true, Err: ctx.Err()}
 	}
 }
 
 // Stats returns the wrapped client's counters.
-func (c *LatentClient) Stats() StatsSnapshot { return c.inner.Stats() }
+func (c *LatentClient) Stats() transport.StatsSnapshot { return c.inner.Stats() }
 
 // Close closes the wrapped client.
 func (c *LatentClient) Close() error { return c.inner.Close() }

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"seccloud/internal/transport"
 	"seccloud/internal/wire"
 )
 
@@ -39,9 +40,9 @@ func TestLatentClientHonorsContext(t *testing.T) {
 	if err == nil {
 		t.Fatal("expected timeout error")
 	}
-	var te *TransportError
+	var te *transport.TransportError
 	if !errors.As(err, &te) || !te.Timeout {
-		t.Fatalf("want timeout-classified TransportError, got %v", err)
+		t.Fatalf("want timeout-classified transport.TransportError, got %v", err)
 	}
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
 		t.Fatalf("cancellation took %v, sleep was not interrupted", elapsed)

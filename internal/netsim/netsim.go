@@ -1,17 +1,19 @@
-// Package netsim provides the small RPC abstraction SecCloud parties talk
-// over (Client, Handler) and the in-process transport behind it.
+// Package netsim is the network simulator: an in-process link (Loopback)
+// that encodes every message through the real wire codec, so byte counts
+// are exact, and charges a latency/bandwidth model to a virtual clock,
+// plus the faults a simulated fleet is run under — the seeded per-leg
+// injector, directional partitions, a kill switch for a server's handler
+// (DownableHandler), skewable clocks and a real-sleep RTT wrapper
+// (LatentClient). The paper itself simulates; we additionally keep the
+// real protocol bytes, the substrate for its transmission-cost (C_trans)
+// accounting.
 //
-// Loopback fully encodes every message, so byte counts are exact, and
-// charges a configurable latency/bandwidth model to a virtual clock. This
-// is the substrate for the paper's transmission-cost (C_trans) accounting
-// — the paper itself simulates; we additionally keep the real protocol
-// bytes. The real-socket implementation of the same interfaces is
-// internal/daemon; the fault injector, error taxonomy, retries, admission
-// and hedging here serve both.
-//
-// The paper highlights that "data transfer bottlenecks are regarded top
-// ten obstacles" for cloud computing; Stats makes those transfer costs a
-// first-class measured quantity.
+// Production code does not import it. The contract the simulator
+// implements (transport.Client, transport.Handler) and the policies both
+// it and the real socket stack (internal/daemon) run — error taxonomy,
+// retries, admission, hedging — live in internal/transport; the chaos
+// harness, the experiments and the library facade build their fleets
+// from Loopback links.
 package netsim
 
 import (
@@ -22,41 +24,18 @@ import (
 	"time"
 
 	"seccloud/internal/obs"
+	"seccloud/internal/transport"
 	"seccloud/internal/wire"
 )
 
-// Handler processes a single request and produces a response. A Handler
-// must be safe for concurrent use; a socket server invokes it from
-// per-connection goroutines.
-//
-// A nil response means the handling process died mid-request (e.g. an
-// injected crash point fired): transports treat it as a connection death
-// — the caller sees a retryable transport error, never a reply — exactly
-// what a SIGKILL between receiving a request and writing its response
-// looks like from the outside.
-type Handler interface {
-	Handle(m wire.Message) wire.Message
-}
-
-// HandlerFunc adapts a function to the Handler interface.
-type HandlerFunc func(m wire.Message) wire.Message
-
-// Handle calls f(m).
-func (f HandlerFunc) Handle(m wire.Message) wire.Message { return f(m) }
-
-// Client performs request/response round trips against one peer.
-type Client interface {
-	// RoundTripContext sends m and waits for the peer's reply, with
-	// cancellation and a per-request deadline taken from ctx (pass
-	// context.Background() for none beyond the transport's own).
-	// Failures are classified by the package's error taxonomy:
-	// transport-class errors satisfy IsRetryable.
-	RoundTripContext(ctx context.Context, m wire.Message) (wire.Message, error)
-	// Stats returns a snapshot of the link's traffic counters.
-	Stats() StatsSnapshot
-	// Close releases the client's resources.
-	Close() error
-}
+// Client and Handler are the two names the benchmark module (bench/,
+// which builds against this tree from a go.mod of its own) still spells
+// netsim.Client and netsim.Handler. They go when bench/ rejoins the root
+// module; everything else spells transport.Client and transport.Handler.
+type (
+	Client  = transport.Client
+	Handler = transport.Handler
+)
 
 // LinkConfig models a network link for the loopback transport.
 type LinkConfig struct {
@@ -66,8 +45,8 @@ type LinkConfig struct {
 	BytesPerSecond float64
 }
 
-// Stats accumulates traffic counters. Safe for concurrent use; the zero
-// value is ready.
+// Stats accumulates a link's traffic counters and its modeled latency.
+// Safe for concurrent use; the zero value is ready.
 type Stats struct {
 	mu         sync.Mutex
 	calls      int64
@@ -75,24 +54,6 @@ type Stats struct {
 	bytesRecv  int64
 	simLatency time.Duration
 }
-
-// StatsSnapshot is an immutable copy of the counters.
-type StatsSnapshot struct {
-	// Calls is the number of round trips completed.
-	Calls int64
-	// BytesSent counts request bytes (client → server).
-	BytesSent int64
-	// BytesRecv counts response bytes (server → client).
-	BytesRecv int64
-	// SimLatency is the total modeled network time (loopback only; zero
-	// on a real socket, where latency is real).
-	SimLatency time.Duration
-	// Faults counts injected network faults on this link.
-	Faults FaultCounts
-}
-
-// TotalBytes is the sum of both directions.
-func (s StatsSnapshot) TotalBytes() int64 { return s.BytesSent + s.BytesRecv }
 
 func (s *Stats) record(sent, recv int, lat time.Duration) {
 	s.mu.Lock()
@@ -103,16 +64,18 @@ func (s *Stats) record(sent, recv int, lat time.Duration) {
 	s.simLatency += lat
 }
 
-// Snapshot returns a copy of the counters.
-func (s *Stats) Snapshot() StatsSnapshot {
+// Snapshot returns a copy of the traffic counters.
+func (s *Stats) Snapshot() transport.StatsSnapshot {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return StatsSnapshot{
-		Calls:      s.calls,
-		BytesSent:  s.bytesSent,
-		BytesRecv:  s.bytesRecv,
-		SimLatency: s.simLatency,
-	}
+	return transport.StatsSnapshot{Calls: s.calls, BytesSent: s.bytesSent, BytesRecv: s.bytesRecv}
+}
+
+// SimLatency returns the total modeled network time.
+func (s *Stats) SimLatency() time.Duration {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.simLatency
 }
 
 // Reset zeroes the counters.
@@ -128,43 +91,43 @@ func (s *Stats) Reset() {
 // FaultConfig attached (WithFaults) it additionally injects seeded,
 // deterministic network faults on both message legs.
 type Loopback struct {
-	handler   Handler
+	handler   transport.Handler
 	link      LinkConfig
 	stats     Stats
-	faults    atomic.Pointer[Injector]
+	faults    atomic.Pointer[injector]
 	clock     atomic.Pointer[Clock]
-	obs       *RPCObs
-	admission *Admission
+	obs       *transport.RPCObs
+	admission *transport.Admission
 }
 
-var _ Client = (*Loopback)(nil)
+var _ transport.Client = (*Loopback)(nil)
 
 // NewLoopback returns a loopback client bound to handler.
-func NewLoopback(handler Handler, link LinkConfig) *Loopback {
+func NewLoopback(handler transport.Handler, link LinkConfig) *Loopback {
 	return &Loopback{handler: handler, link: link}
 }
 
 // WithFaults attaches a fault injector to the link and returns l.
 func (l *Loopback) WithFaults(fc FaultConfig) *Loopback {
-	l.faults.Store(NewInjector(fc))
+	l.faults.Store(newInjector(fc))
 	return l
 }
 
 // SetFaults replaces the link's fault configuration at runtime — the
 // nemesis handle. The fault counters accumulated so far carry over to the
-// new injector, so Stats stays monotonic across reconfigurations; the
+// new injector, so FaultCounts stays monotonic across reconfigurations; the
 // PRNG restarts from the new config's seed, keeping every configuration
 // epoch independently reproducible.
 func (l *Loopback) SetFaults(fc FaultConfig) {
 	old := l.faults.Load()
-	inj := NewInjector(fc)
+	inj := newInjector(fc)
 	if old != nil {
 		if inj == nil {
 			// Inert config: keep an injector alive purely to carry the
 			// historical counters (all rates zero, so it never fires).
-			inj = &Injector{}
+			inj = &injector{}
 		}
-		inj.counts = old.Snapshot()
+		inj.counts = old.snapshot()
 	}
 	l.faults.Store(inj)
 }
@@ -190,7 +153,7 @@ func (l *Loopback) now() time.Time {
 // histogram, request and fault counters under transport="loopback") and
 // returns l. A nil hub leaves the link uninstrumented.
 func (l *Loopback) WithObs(h *obs.Hub) *Loopback {
-	l.obs = NewRPCObs(h, "loopback")
+	l.obs = transport.NewRPCObs(h, "loopback")
 	return l
 }
 
@@ -202,7 +165,7 @@ func (l *Loopback) WithObs(h *obs.Hub) *Loopback {
 // one server so the bound covers the server, not the link. Unlike the
 // link's virtual latency, time spent queued at the gate is real blocked
 // time, which is what makes overload experiments honest.
-func (l *Loopback) WithAdmission(a *Admission) *Loopback {
+func (l *Loopback) WithAdmission(a *transport.Admission) *Loopback {
 	l.admission = a
 	return l
 }
@@ -214,7 +177,7 @@ func (l *Loopback) WithAdmission(a *Admission) *Loopback {
 func (l *Loopback) RoundTripContext(ctx context.Context, m wire.Message) (wire.Message, error) {
 	resp, lat, err := l.roundTripModeled(ctx, m)
 	if err == nil {
-		resp, err = CheckOverload("roundtrip", resp)
+		resp, err = transport.CheckOverload("roundtrip", resp)
 	}
 	l.obs.Observe(lat, err)
 	return resp, err
@@ -226,7 +189,7 @@ func (l *Loopback) RoundTripContext(ctx context.Context, m wire.Message) (wire.M
 func (l *Loopback) roundTripModeled(ctx context.Context, m wire.Message) (wire.Message, time.Duration, error) {
 	var lat time.Duration
 	if err := ctx.Err(); err != nil {
-		return nil, lat, transportErr("roundtrip", err)
+		return nil, lat, transport.Wrap("roundtrip", err)
 	}
 	reqBytes, err := wire.Encode(m)
 	if err != nil {
@@ -237,30 +200,30 @@ func (l *Loopback) roundTripModeled(ctx context.Context, m wire.Message) (wire.M
 	faults := l.faults.Load()
 
 	// Request leg.
-	reqPlan := faults.Plan(true)
+	reqPlan := faults.plan(true)
 	lat += reqPlan.Delay
 	if reqPlan.Disconnect {
-		return nil, lat, &FaultError{Kind: FaultDisconnect, Op: "request"}
+		return nil, lat, &transport.FaultError{Kind: transport.FaultDisconnect, Op: "request"}
 	}
 	if reqPlan.Drop {
 		l.stats.record(len(reqBytes), 0, lat)
-		return nil, lat, &FaultError{Kind: FaultDrop, Op: "request"}
+		return nil, lat, &transport.FaultError{Kind: transport.FaultDrop, Op: "request"}
 	}
 	if reqPlan.Corrupt {
 		reqBytes = append([]byte(nil), reqBytes...)
-		faults.Corrupt(reqBytes)
+		faults.corrupt(reqBytes)
 	}
 	// Decode on the "server side" to faithfully model (de)serialization.
 	req, err := wire.Decode(reqBytes)
 	if err != nil {
 		l.stats.record(len(reqBytes), 0, lat)
-		return nil, lat, &FaultError{Kind: FaultCorrupt, Op: "request", Err: err}
+		return nil, lat, &transport.FaultError{Kind: transport.FaultCorrupt, Op: "request", Err: err}
 	}
 	var resp wire.Message
 	shed := false
 	if l.admission != nil {
 		if aerr := l.admission.Acquire(ctx); aerr != nil {
-			if !IsOverloaded(aerr) {
+			if !transport.IsOverloaded(aerr) {
 				// Gave up while queued: the request never executed.
 				l.stats.record(len(reqBytes), 0, lat)
 				return nil, lat, aerr
@@ -269,7 +232,7 @@ func (l *Loopback) roundTripModeled(ctx context.Context, m wire.Message) (wire.M
 			// which travels the response leg like any other reply.
 			shed = true
 			resp = &wire.OverloadResponse{
-				RetryAfterMillis: RetryAfterMillis(l.admission.RetryAfter()),
+				RetryAfterMillis: transport.RetryAfterMillis(l.admission.RetryAfter()),
 			}
 		} else {
 			resp = l.handler.Handle(req)
@@ -283,7 +246,7 @@ func (l *Loopback) roundTripModeled(ctx context.Context, m wire.Message) (wire.M
 		// connection just goes dead — a retryable transport fault, not a
 		// reply.
 		l.stats.record(len(reqBytes), 0, lat)
-		return nil, lat, &FaultError{Kind: FaultDisconnect, Op: "response",
+		return nil, lat, &transport.FaultError{Kind: transport.FaultDisconnect, Op: "response",
 			Err: errors.New("netsim: peer died mid-request")}
 	}
 	if reqPlan.Duplicate && !shed {
@@ -298,7 +261,7 @@ func (l *Loopback) roundTripModeled(ctx context.Context, m wire.Message) (wire.M
 		// reply it has already given up on.
 		if cerr := ctx.Err(); cerr != nil {
 			l.stats.record(len(reqBytes), 0, lat)
-			return nil, lat, transportErr("roundtrip", cerr)
+			return nil, lat, transport.Wrap("roundtrip", cerr)
 		}
 	}
 
@@ -307,24 +270,24 @@ func (l *Loopback) roundTripModeled(ctx context.Context, m wire.Message) (wire.M
 	if err != nil {
 		return nil, lat, err
 	}
-	respPlan := faults.Plan(false)
+	respPlan := faults.plan(false)
 	lat += respPlan.Delay
 	if respPlan.Disconnect {
 		l.stats.record(len(reqBytes), 0, lat)
-		return nil, lat, &FaultError{Kind: FaultDisconnect, Op: "response"}
+		return nil, lat, &transport.FaultError{Kind: transport.FaultDisconnect, Op: "response"}
 	}
 	if respPlan.Drop {
 		l.stats.record(len(reqBytes), 0, lat)
-		return nil, lat, &FaultError{Kind: FaultDrop, Op: "response"}
+		return nil, lat, &transport.FaultError{Kind: transport.FaultDrop, Op: "response"}
 	}
 	if respPlan.Corrupt {
 		respBytes = append([]byte(nil), respBytes...)
-		faults.Corrupt(respBytes)
+		faults.corrupt(respBytes)
 	}
 	resp2, err := wire.Decode(respBytes)
 	if err != nil {
 		l.stats.record(len(reqBytes), len(respBytes), lat)
-		return nil, lat, &FaultError{Kind: FaultCorrupt, Op: "response", Err: err}
+		return nil, lat, &transport.FaultError{Kind: transport.FaultCorrupt, Op: "response", Err: err}
 	}
 	lat += l.link.RTT
 	if l.link.BytesPerSecond > 0 {
@@ -339,19 +302,21 @@ func (l *Loopback) roundTripModeled(ctx context.Context, m wire.Message) (wire.M
 		// host clock would.
 		if remaining := deadline.Sub(l.now()); lat > remaining {
 			l.stats.record(len(reqBytes), len(respBytes), lat)
-			return nil, lat, &TransportError{Op: "roundtrip", Timeout: true, Err: context.DeadlineExceeded}
+			return nil, lat, &transport.TransportError{Op: "roundtrip", Timeout: true, Err: context.DeadlineExceeded}
 		}
 	}
 	l.stats.record(len(reqBytes), len(respBytes), lat)
 	return resp2, lat, nil
 }
 
-// Stats returns the link counters.
-func (l *Loopback) Stats() StatsSnapshot {
-	snap := l.stats.Snapshot()
-	snap.Faults = l.faults.Load().Snapshot()
-	return snap
-}
+// Stats returns the link's traffic counters.
+func (l *Loopback) Stats() transport.StatsSnapshot { return l.stats.Snapshot() }
+
+// SimLatency returns the link's total modeled network time.
+func (l *Loopback) SimLatency() time.Duration { return l.stats.SimLatency() }
+
+// FaultCounts returns the faults injected on the link so far.
+func (l *Loopback) FaultCounts() FaultCounts { return l.faults.Load().snapshot() }
 
 // Close is a no-op for the loopback transport.
 func (l *Loopback) Close() error { return nil }

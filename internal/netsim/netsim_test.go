@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"seccloud/internal/transport"
 	"seccloud/internal/wire"
 )
 
@@ -46,8 +47,8 @@ func TestLoopbackLatencyAccounting(t *testing.T) {
 	}
 	st := l.Stats()
 	wantMin := 5*time.Millisecond + time.Duration(st.TotalBytes())*time.Millisecond
-	if st.SimLatency < wantMin {
-		t.Fatalf("simulated latency %v, want at least %v", st.SimLatency, wantMin)
+	if l.SimLatency() < wantMin {
+		t.Fatalf("simulated latency %v, want at least %v", l.SimLatency(), wantMin)
 	}
 	l.Stats() // idempotent snapshot
 }
@@ -64,7 +65,7 @@ func TestStatsReset(t *testing.T) {
 }
 
 func TestHandlerFunc(t *testing.T) {
-	h := HandlerFunc(func(m wire.Message) wire.Message {
+	h := transport.HandlerFunc(func(m wire.Message) wire.Message {
 		return &wire.ErrorResponse{Code: "x", Msg: m.Kind()}
 	})
 	resp := h.Handle(&wire.StoreResponse{})

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"seccloud/internal/obs"
+	"seccloud/internal/transport"
 	"seccloud/internal/wire"
 )
 
@@ -14,7 +15,7 @@ import (
 // are classified by kind.
 func TestLoopbackObs(t *testing.T) {
 	hub := obs.NewHub()
-	echo := HandlerFunc(func(m wire.Message) wire.Message { return m })
+	echo := transport.HandlerFunc(func(m wire.Message) wire.Message { return m })
 	lb := NewLoopback(echo, LinkConfig{RTT: 20 * time.Millisecond}).WithObs(hub)
 
 	msg := &wire.ChallengeRequest{JobID: "j", Indices: []uint64{1}}
@@ -58,13 +59,13 @@ func TestLoopbackObs(t *testing.T) {
 
 func TestRetryHookCounts(t *testing.T) {
 	hub := obs.NewHub()
-	echo := HandlerFunc(func(m wire.Message) wire.Message { return m })
+	echo := transport.HandlerFunc(func(m wire.Message) wire.Message { return m })
 	flaky := NewLoopback(echo, LinkConfig{}).WithFaults(FaultConfig{DropRate: 1, Seed: 3})
 
-	r := &Retrier{MaxAttempts: 3, BaseDelay: time.Microsecond, MaxDelay: time.Microsecond,
+	r := &transport.Retrier{MaxAttempts: 3, BaseDelay: time.Microsecond, MaxDelay: time.Microsecond,
 		Sleep:   func(context.Context, time.Duration) error { return nil },
-		OnRetry: RetryHook(hub)}
-	_, err := NewRetryClient(flaky, r).RoundTripContext(context.Background(), &wire.ChallengeRequest{JobID: "j"})
+		OnRetry: transport.RetryHook(hub)}
+	_, err := transport.NewRetryClient(flaky, r).RoundTripContext(context.Background(), &wire.ChallengeRequest{JobID: "j"})
 	if err == nil {
 		t.Fatal("expected exhaustion on an always-drop link")
 	}
@@ -72,7 +73,7 @@ func TestRetryHookCounts(t *testing.T) {
 		t.Fatalf("rpc_retries_total = %v, want >= 1", v)
 	}
 
-	if RetryHook(nil) != nil {
-		t.Fatal("RetryHook(nil) must be nil so Retrier skips it")
+	if transport.RetryHook(nil) != nil {
+		t.Fatal("RetryHook(nil) must be nil so transport.Retrier skips it")
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"sync"
 
+	"seccloud/internal/transport"
 	"seccloud/internal/wire"
 )
 
@@ -94,16 +95,16 @@ func (p *Partition) dropped() {
 // way the error is a retryable *FaultError (FaultPartition): a partition
 // says nothing about the peer's honesty.
 type PartitionedClient struct {
-	inner    Client
+	inner    transport.Client
 	part     *Partition
 	from, to string
 }
 
-var _ Client = (*PartitionedClient)(nil)
+var _ transport.Client = (*PartitionedClient)(nil)
 
 // PartitionClient wraps inner so its traffic is subject to part's cuts,
 // with the endpoints named from (caller side) and to (callee side).
-func PartitionClient(inner Client, part *Partition, from, to string) *PartitionedClient {
+func PartitionClient(inner transport.Client, part *Partition, from, to string) *PartitionedClient {
 	return &PartitionedClient{inner: inner, part: part, from: from, to: to}
 }
 
@@ -111,7 +112,7 @@ func PartitionClient(inner Client, part *Partition, from, to string) *Partitione
 func (c *PartitionedClient) RoundTripContext(ctx context.Context, m wire.Message) (wire.Message, error) {
 	if c.part.Blocked(c.from, c.to) {
 		c.part.dropped()
-		return nil, &FaultError{Kind: FaultPartition, Op: "request"}
+		return nil, &transport.FaultError{Kind: transport.FaultPartition, Op: "request"}
 	}
 	resp, err := c.inner.RoundTripContext(ctx, m)
 	if err != nil {
@@ -121,13 +122,13 @@ func (c *PartitionedClient) RoundTripContext(ctx context.Context, m wire.Message
 		// The handler already ran: the request took effect server-side,
 		// only the acknowledgement is lost.
 		c.part.dropped()
-		return nil, &FaultError{Kind: FaultPartition, Op: "response"}
+		return nil, &transport.FaultError{Kind: transport.FaultPartition, Op: "response"}
 	}
 	return resp, nil
 }
 
 // Stats passes through to the wrapped link.
-func (c *PartitionedClient) Stats() StatsSnapshot { return c.inner.Stats() }
+func (c *PartitionedClient) Stats() transport.StatsSnapshot { return c.inner.Stats() }
 
 // Close passes through to the wrapped link.
 func (c *PartitionedClient) Close() error { return c.inner.Close() }

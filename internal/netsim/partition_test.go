@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"seccloud/internal/transport"
 	"seccloud/internal/wire"
 )
 
@@ -35,11 +36,11 @@ func TestPartitionDirectional(t *testing.T) {
 	part.CutOneWay([]string{"da"}, []string{"s0"})
 	before := h.served.Load()
 	_, err := c.RoundTripContext(context.Background(), ping())
-	var fe *FaultError
-	if !errors.As(err, &fe) || fe.Kind != FaultPartition {
+	var fe *transport.FaultError
+	if !errors.As(err, &fe) || fe.Kind != transport.FaultPartition {
 		t.Fatalf("blocked request leg returned %v, want FaultPartition", err)
 	}
-	if !IsRetryable(err) {
+	if !transport.IsRetryable(err) {
 		t.Fatal("partition fault must be retryable (it is not an accusation)")
 	}
 	if h.served.Load() != before {
@@ -51,8 +52,8 @@ func TestPartitionDirectional(t *testing.T) {
 	part.CutOneWay([]string{"s0"}, []string{"da"})
 	before = h.served.Load()
 	_, err = c.RoundTripContext(context.Background(), ping())
-	if !errors.As(err, &fe) || fe.Kind != FaultPartition || fe.Op != "response" {
-		t.Fatalf("blocked response leg returned %v, want FaultPartition on response", err)
+	if !errors.As(err, &fe) || fe.Kind != transport.FaultPartition || fe.Op != "response" {
+		t.Fatalf("blocked response leg returned %v, want transport.FaultPartition on response", err)
 	}
 	if h.served.Load() != before+1 {
 		t.Fatal("blocked response leg must still execute the request server-side")
@@ -92,7 +93,7 @@ func TestLoopbackSetFaultsAtRuntime(t *testing.T) {
 	if _, err := l.RoundTripContext(context.Background(), ping()); err == nil {
 		t.Fatal("DropRate=1 delivered a message")
 	}
-	dropped := l.Stats().Faults.Drops
+	dropped := l.FaultCounts().Drops
 	if dropped == 0 {
 		t.Fatal("drop not counted")
 	}
@@ -101,7 +102,7 @@ func TestLoopbackSetFaultsAtRuntime(t *testing.T) {
 	if _, err := l.RoundTripContext(context.Background(), ping()); err != nil {
 		t.Fatalf("healed link failed: %v", err)
 	}
-	if got := l.Stats().Faults.Drops; got != dropped {
+	if got := l.FaultCounts().Drops; got != dropped {
 		t.Fatalf("fault counters reset on heal: %d, want %d", got, dropped)
 	}
 }
@@ -126,7 +127,7 @@ func TestLoopbackClockSkewFeedsDeadline(t *testing.T) {
 	if err == nil {
 		t.Fatal("skewed clock did not expire the deadline")
 	}
-	if !IsTimeout(err) {
+	if !transport.IsTimeout(err) {
 		t.Fatalf("skew surfaced as %v, want a timeout", err)
 	}
 

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"seccloud/internal/transport"
 	"seccloud/internal/wire"
 )
 
@@ -21,8 +22,8 @@ func (f *fakeClock) sleep(ctx context.Context, d time.Duration) error {
 	return ctx.Err()
 }
 
-func newTestRetrier(clock *fakeClock) *Retrier {
-	r := NewRetrier(42)
+func newTestRetrier(clock *fakeClock) *transport.Retrier {
+	r := transport.NewRetrier(42)
 	r.Sleep = clock.sleep
 	return r
 }
@@ -34,7 +35,7 @@ func TestRetrierRetriesTransportErrors(t *testing.T) {
 	err := r.Do(context.Background(), func(context.Context) error {
 		calls++
 		if calls < 3 {
-			return &FaultError{Kind: FaultDrop, Op: "request"}
+			return &transport.FaultError{Kind: transport.FaultDrop, Op: "request"}
 		}
 		return nil
 	})
@@ -55,11 +56,11 @@ func TestRetrierBackoffGrowsAndCaps(t *testing.T) {
 	r.MaxAttempts = 8
 	r.Jitter = 0 // exact values
 	err := r.Do(context.Background(), func(context.Context) error {
-		return &FaultError{Kind: FaultDrop}
+		return &transport.FaultError{Kind: transport.FaultDrop}
 	})
-	var ex *ExhaustedError
+	var ex *transport.ExhaustedError
 	if !errors.As(err, &ex) || ex.Attempts != 8 {
-		t.Fatalf("want ExhaustedError after 8 attempts, got %v", err)
+		t.Fatalf("want transport.ExhaustedError after 8 attempts, got %v", err)
 	}
 	want := []time.Duration{
 		50 * time.Millisecond, 100 * time.Millisecond, 200 * time.Millisecond,
@@ -82,7 +83,7 @@ func TestRetrierJitterStaysBounded(t *testing.T) {
 	r.MaxAttempts = 20
 	r.Jitter = 0.2
 	_ = r.Do(context.Background(), func(context.Context) error {
-		return &FaultError{Kind: FaultDrop}
+		return &transport.FaultError{Kind: transport.FaultDrop}
 	})
 	if len(clock.slept) != 19 {
 		t.Fatalf("slept %d times", len(clock.slept))
@@ -101,7 +102,7 @@ func TestRetrierJitterDeterministic(t *testing.T) {
 		r := newTestRetrier(clock)
 		r.MaxAttempts = 6
 		_ = r.Do(context.Background(), func(context.Context) error {
-			return &FaultError{Kind: FaultDrop}
+			return &transport.FaultError{Kind: transport.FaultDrop}
 		})
 		return clock.slept
 	}
@@ -144,7 +145,7 @@ func TestRetrierContextCancelStops(t *testing.T) {
 		if calls == 2 {
 			cancel()
 		}
-		return &FaultError{Kind: FaultDrop}
+		return &transport.FaultError{Kind: transport.FaultDrop}
 	})
 	if err == nil {
 		t.Fatal("cancelled retry loop returned nil")
@@ -160,22 +161,22 @@ func TestErrorTaxonomy(t *testing.T) {
 		retryable bool
 		timeout   bool
 	}{
-		{&FaultError{Kind: FaultDrop, Op: "request"}, true, false},
-		{&TransportError{Op: "read", Err: errors.New("conn reset")}, true, false},
-		{&TransportError{Op: "roundtrip", Timeout: true, Err: context.DeadlineExceeded}, true, true},
-		{fmt.Errorf("wrap: %w", &FaultError{Kind: FaultCorrupt}), true, false},
+		{&transport.FaultError{Kind: transport.FaultDrop, Op: "request"}, true, false},
+		{&transport.TransportError{Op: "read", Err: errors.New("conn reset")}, true, false},
+		{&transport.TransportError{Op: "roundtrip", Timeout: true, Err: context.DeadlineExceeded}, true, true},
+		{fmt.Errorf("wrap: %w", &transport.FaultError{Kind: transport.FaultCorrupt}), true, false},
 		{fmt.Errorf("decode: %w", wire.ErrCorrupt), true, false},
 		{fmt.Errorf("read: %w", wire.ErrTruncated), true, false},
 		{errors.New("protocol: server refused"), false, false},
-		{&ExhaustedError{Attempts: 3, Err: &FaultError{Kind: FaultDrop}}, true, false},
-		{&ExhaustedError{Attempts: 3, Err: &TransportError{Timeout: true, Err: context.DeadlineExceeded}}, true, true},
+		{&transport.ExhaustedError{Attempts: 3, Err: &transport.FaultError{Kind: transport.FaultDrop}}, true, false},
+		{&transport.ExhaustedError{Attempts: 3, Err: &transport.TransportError{Timeout: true, Err: context.DeadlineExceeded}}, true, true},
 	}
 	for i, tc := range cases {
-		if got := IsRetryable(tc.err); got != tc.retryable {
-			t.Errorf("case %d (%v): IsRetryable=%v, want %v", i, tc.err, got, tc.retryable)
+		if got := transport.IsRetryable(tc.err); got != tc.retryable {
+			t.Errorf("case %d (%v): transport.IsRetryable=%v, want %v", i, tc.err, got, tc.retryable)
 		}
-		if got := IsTimeout(tc.err); got != tc.timeout {
-			t.Errorf("case %d (%v): IsTimeout=%v, want %v", i, tc.err, got, tc.timeout)
+		if got := transport.IsTimeout(tc.err); got != tc.timeout {
+			t.Errorf("case %d (%v): transport.IsTimeout=%v, want %v", i, tc.err, got, tc.timeout)
 		}
 	}
 }
@@ -188,13 +189,13 @@ func TestRetryClientTransparentRecovery(t *testing.T) {
 	clock := &fakeClock{}
 	r := newTestRetrier(clock)
 	r.MaxAttempts = 10
-	client := NewRetryClient(inner, r)
+	client := transport.NewRetryClient(inner, r)
 	for i := 0; i < 50; i++ {
 		if _, err := client.RoundTripContext(context.Background(), &wire.StoreResponse{OK: true}); err != nil {
 			t.Fatalf("round trip %d failed through retry client: %v", i, err)
 		}
 	}
-	if inner.Stats().Faults.Drops == 0 {
+	if inner.FaultCounts().Drops == 0 {
 		t.Fatal("fault injector never fired; test is vacuous")
 	}
 }

@@ -1,10 +1,9 @@
 package netsim_test
 
-// The transports' contracts over a real socket. The one socket stack is
+// The transport contract over a real socket. The one socket stack is
 // internal/daemon (Listen, Pool, Client); these tests drive it with the
-// same echo handler and fault configurations the in-process Loopback
-// tests use, from an external test package so netsim's tests can import
-// the daemon that imports netsim.
+// same echo handler the in-process Loopback tests use and kill the
+// process behind it with the simulator's DownableHandler.
 
 import (
 	"context"
@@ -19,18 +18,19 @@ import (
 
 	"seccloud/internal/daemon"
 	"seccloud/internal/netsim"
+	"seccloud/internal/transport"
 	"seccloud/internal/wire"
 )
 
 // echo answers every message with a canned StoreResponse carrying the
 // request kind, so tests can confirm delivery.
-var echo = netsim.HandlerFunc(func(m wire.Message) wire.Message {
+var echo = transport.HandlerFunc(func(m wire.Message) wire.Message {
 	return &wire.StoreResponse{OK: true, Error: m.Kind()}
 })
 
 // listen serves h on an ephemeral localhost port; mutate adjusts the
 // config first. The server is closed when the test ends.
-func listen(t *testing.T, h netsim.Handler, mutate func(*daemon.ServerConfig)) *daemon.Server {
+func listen(t *testing.T, h transport.Handler, mutate func(*daemon.ServerConfig)) *daemon.Server {
 	t.Helper()
 	cfg := daemon.ServerConfig{Handler: h}
 	if mutate != nil {
@@ -158,21 +158,24 @@ func TestTCPServerCloseIsIdempotent(t *testing.T) {
 	}
 }
 
+// TestTCPClientFaultsAndRedial: a server whose handler is down for
+// every third request drops those conns mid-exchange; each drop is a
+// retryable error that evicts its conn, and the pool redials for the
+// trips after it.
 func TestTCPClientFaultsAndRedial(t *testing.T) {
-	srv := listen(t, echo, nil)
-	client := dial(srv.Addr(), daemon.ClientConfig{
-		Timeout: 5 * time.Second,
-		Faults:  netsim.FaultConfig{Seed: 17, DropRate: 0.2, CorruptRate: 0.1, DisconnectRate: 0.1},
-	})
+	down := netsim.NewDownableHandler(echo)
+	srv := listen(t, down, nil)
+	client := dial(srv.Addr(), daemon.ClientConfig{Timeout: 5 * time.Second})
 	defer func() { _ = client.Close() }()
 
 	ok, faults := 0, 0
 	for i := 0; i < 60; i++ {
+		down.SetDown(i%3 == 0)
 		_, err := client.RoundTripContext(context.Background(), &wire.StoreResponse{OK: true})
 		switch {
 		case err == nil:
 			ok++
-		case netsim.IsRetryable(err):
+		case transport.IsRetryable(err):
 			faults++
 		default:
 			t.Fatalf("round trip %d: non-retryable error %v", i, err)
@@ -181,35 +184,38 @@ func TestTCPClientFaultsAndRedial(t *testing.T) {
 	if ok == 0 || faults == 0 {
 		t.Fatalf("want a mix of successes and faults, got ok=%d faults=%d", ok, faults)
 	}
-	if client.Stats().Faults.Total() == 0 {
-		t.Fatal("fault counters empty")
-	}
-	// Every disconnect and corruption broke a conn; later trips succeeded,
-	// so the pool redialed.
-	if st := client.Pool().Stats(); st.Dials < 2 {
-		t.Fatalf("broken conns never redialed: %+v", st)
+	// Every disconnect broke a conn; later trips succeeded, so the pool
+	// redialed.
+	if st := client.Pool().Stats(); st.Dials < 2 || st.Evictions != int64(faults) {
+		t.Fatalf("broken conns not evicted and redialed: %+v after %d faults", st, faults)
 	}
 }
 
+// TestTCPClientRetryClientOverFaultyLink: every trip's first attempt
+// meets a downed handler and the retrier's backoff revives it, so each
+// trip recovers on its second attempt.
 func TestTCPClientRetryClientOverFaultyLink(t *testing.T) {
-	srv := listen(t, echo, nil)
-	inner := dial(srv.Addr(), daemon.ClientConfig{
-		Timeout: 5 * time.Second,
-		Faults:  netsim.FaultConfig{Seed: 29, DropRate: 0.3},
-	})
-	r := netsim.NewRetrier(1)
+	down := netsim.NewDownableHandler(echo)
+	srv := listen(t, down, nil)
+	inner := dial(srv.Addr(), daemon.ClientConfig{Timeout: 5 * time.Second})
+	r := transport.NewRetrier(1)
 	r.MaxAttempts = 10
-	r.Sleep = func(ctx context.Context, d time.Duration) error { return ctx.Err() }
-	client := netsim.NewRetryClient(inner, r)
+	r.Sleep = func(ctx context.Context, d time.Duration) error {
+		down.SetDown(false)
+		return ctx.Err()
+	}
+	client := transport.NewRetryClient(inner, r)
 	defer func() { _ = client.Close() }()
 
-	for i := 0; i < 30; i++ {
+	const trips = 30
+	for i := 0; i < trips; i++ {
+		down.SetDown(true)
 		if _, err := client.RoundTripContext(context.Background(), &wire.ChallengeRequest{JobID: "j"}); err != nil {
-			t.Fatalf("retrying client failed over 30%% lossy TCP link: %v", err)
+			t.Fatalf("retrying client failed over a link that drops every first attempt: %v", err)
 		}
 	}
-	if inner.Stats().Faults.Drops == 0 {
-		t.Fatal("no drops injected; test is vacuous")
+	if st := inner.Pool().Stats(); st.Evictions != trips {
+		t.Fatalf("%d conns evicted, want one per trip (%d): the handler never dropped a request", st.Evictions, trips)
 	}
 }
 
@@ -296,7 +302,7 @@ func TestTCPServerReadTimeoutDisconnectsStalledPeer(t *testing.T) {
 func TestTCPMaxConnsReturnsTypedOverload(t *testing.T) {
 	srv := listen(t, echo, func(cfg *daemon.ServerConfig) {
 		cfg.MaxConns = 1
-		cfg.Admission = netsim.NewAdmission(netsim.AdmissionConfig{MaxInflight: 1, RetryAfter: 50 * time.Millisecond})
+		cfg.Admission = transport.NewAdmission(transport.AdmissionConfig{MaxInflight: 1, RetryAfter: 50 * time.Millisecond})
 	})
 
 	c1 := dial(srv.Addr(), daemon.ClientConfig{})
@@ -309,10 +315,10 @@ func TestTCPMaxConnsReturnsTypedOverload(t *testing.T) {
 	c2 := dial(srv.Addr(), daemon.ClientConfig{})
 	defer c2.Close()
 	_, rerr := c2.RoundTripContext(context.Background(), &wire.StoreRequest{UserID: "b"})
-	if !netsim.IsOverloaded(rerr) {
+	if !transport.IsOverloaded(rerr) {
 		t.Fatalf("refused conn round trip = %v, want typed overload", rerr)
 	}
-	var oe *netsim.OverloadedError
+	var oe *transport.OverloadedError
 	if !errors.As(rerr, &oe) || oe.RetryAfter != 50*time.Millisecond {
 		t.Fatalf("refusal lost the retry-after hint: %v", rerr)
 	}
@@ -360,14 +366,14 @@ func TestTCPMaxConnsClosesSilentRefusedConn(t *testing.T) {
 
 // TestTCPAdmissionSheds drives the gate through real sockets.
 func TestTCPAdmissionSheds(t *testing.T) {
-	gate := netsim.NewAdmission(netsim.AdmissionConfig{MaxInflight: 1, MaxQueue: 0, RetryAfter: 25 * time.Millisecond})
+	gate := transport.NewAdmission(transport.AdmissionConfig{MaxInflight: 1, MaxQueue: 0, RetryAfter: 25 * time.Millisecond})
 	if err := gate.Acquire(context.Background()); err != nil {
 		t.Fatalf("Acquire: %v", err)
 	}
 	srv := listen(t, echo, func(cfg *daemon.ServerConfig) { cfg.Admission = gate })
 	c := dial(srv.Addr(), daemon.ClientConfig{})
 	defer c.Close()
-	if _, err := c.RoundTripContext(context.Background(), &wire.StoreRequest{UserID: "a"}); !netsim.IsOverloaded(err) {
+	if _, err := c.RoundTripContext(context.Background(), &wire.StoreRequest{UserID: "a"}); !transport.IsOverloaded(err) {
 		t.Fatalf("round trip under full gate = %v, want overloaded", err)
 	}
 	gate.Release()
@@ -442,7 +448,7 @@ func TestTCPServerShutdownDrainsInFlightAuditRound(t *testing.T) {
 	// moves on — it never accuses).
 	if _, err := client.RoundTripContext(context.Background(), &wire.ChallengeRequest{JobID: "drain-job"}); err == nil {
 		t.Fatal("round trip after Shutdown succeeded")
-	} else if !netsim.IsRetryable(err) {
+	} else if !transport.IsRetryable(err) {
 		t.Fatalf("post-shutdown error is not retryable: %v", err)
 	}
 	_ = client.Close()
@@ -498,7 +504,7 @@ func TestTCPServerShutdownStreamedRoundsNoDropNoLeak(t *testing.T) {
 					// request never entered the handler, and the error is
 					// a classifiable transport fault — never a success
 					// that went missing.
-					if !netsim.IsRetryable(err) && !netsim.IsTimeout(err) {
+					if !transport.IsRetryable(err) && !transport.IsTimeout(err) {
 						t.Errorf("drain produced a non-transport error: %v", err)
 					}
 					return
@@ -575,7 +581,7 @@ func TestTCPServerShutdownWakesFreshlyArmedReader(t *testing.T) {
 	}
 	if _, err := c.RoundTripContext(context.Background(), &wire.StoreResponse{OK: true}); err == nil {
 		t.Fatal("round trip succeeded on a drained server")
-	} else if !netsim.IsRetryable(err) && !netsim.IsTimeout(err) && !errors.Is(err, context.DeadlineExceeded) {
+	} else if !transport.IsRetryable(err) && !transport.IsTimeout(err) && !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("post-drain round trip error is not a classifiable transport fault: %v", err)
 	}
 }
@@ -583,7 +589,7 @@ func TestTCPServerShutdownWakesFreshlyArmedReader(t *testing.T) {
 // relisten binds addr again for a restarted incarnation. It retries
 // briefly: after a kill from inside a handler the old listener's close
 // may still be in flight.
-func relisten(t *testing.T, addr string, h netsim.Handler) *daemon.Server {
+func relisten(t *testing.T, addr string, h transport.Handler) *daemon.Server {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for {
@@ -604,7 +610,7 @@ func relisten(t *testing.T, addr string, h netsim.Handler) *daemon.Server {
 // handler (recovery), and the pooled client redials transparently.
 func TestRestartableServerKillRestartRedial(t *testing.T) {
 	var incarnations atomic.Int32
-	recoverHandler := func() netsim.Handler {
+	recoverHandler := func() transport.Handler {
 		incarnations.Add(1)
 		return echo
 	}
@@ -624,7 +630,7 @@ func TestRestartableServerKillRestartRedial(t *testing.T) {
 	}
 	if _, err := client.RoundTripContext(context.Background(), &wire.StoreResponse{OK: true}); err == nil {
 		t.Fatal("round trip against a dead server succeeded")
-	} else if !netsim.IsRetryable(err) {
+	} else if !transport.IsRetryable(err) {
 		t.Fatalf("dead-server error is not retryable: %v", err)
 	}
 
@@ -670,7 +676,7 @@ func TestRestartableServerInHandlerKill(t *testing.T) {
 	h.armed.Store(true)
 	if _, err := client.RoundTripContext(context.Background(), &wire.ChallengeRequest{JobID: "j"}); err == nil {
 		t.Fatal("round trip survived an in-handler crash")
-	} else if !netsim.IsRetryable(err) {
+	} else if !transport.IsRetryable(err) {
 		t.Fatalf("in-handler crash error is not retryable: %v", err)
 	}
 	h.srv.Store(relisten(t, addr, h))

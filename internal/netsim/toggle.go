@@ -3,6 +3,7 @@ package netsim
 import (
 	"sync/atomic"
 
+	"seccloud/internal/transport"
 	"seccloud/internal/wire"
 )
 
@@ -18,12 +19,12 @@ import (
 // epoch simulations can down and revive servers every epoch without
 // bind/port churn.
 type DownableHandler struct {
-	inner Handler
+	inner transport.Handler
 	down  atomic.Bool
 }
 
 // NewDownableHandler wraps h, initially up.
-func NewDownableHandler(h Handler) *DownableHandler {
+func NewDownableHandler(h transport.Handler) *DownableHandler {
 	return &DownableHandler{inner: h}
 }
 

@@ -4,11 +4,12 @@ import (
 	"context"
 	"testing"
 
+	"seccloud/internal/transport"
 	"seccloud/internal/wire"
 )
 
 func TestDownableHandler(t *testing.T) {
-	echo := HandlerFunc(func(m wire.Message) wire.Message {
+	echo := transport.HandlerFunc(func(m wire.Message) wire.Message {
 		return m
 	})
 	dh := NewDownableHandler(echo)
@@ -29,7 +30,7 @@ func TestDownableHandler(t *testing.T) {
 	// A downed server must look like a dead process — a retryable
 	// transport fault — not a protocol error the caller could blame on
 	// the peer's logic.
-	if !IsRetryable(err) {
+	if !transport.IsRetryable(err) {
 		t.Fatalf("down error not retryable: %v", err)
 	}
 

@@ -86,6 +86,7 @@ type Log struct {
 	fs        FS
 	dir       string
 	f         File   // active WAL segment
+	walPath   string // path of the active WAL segment
 	lsn       uint64 // last assigned LSN
 	sinceSnap int
 	dead      bool
@@ -124,7 +125,7 @@ func Open(cfg Config) (*Log, *Recovered, error) {
 		if err != nil {
 			return nil, nil, fmt.Errorf("store: reopening WAL: %w", err)
 		}
-		l.f = f
+		l.f, l.walPath = f, walPath
 	}
 	l.sinceSnap = len(rec.Records)
 	return l, rec, nil
@@ -156,7 +157,7 @@ func (l *Log) createSegment(path string) error {
 		}
 		l.obs.fsync()
 	}
-	l.f = f
+	l.f, l.walPath = f, path
 	return nil
 }
 
@@ -292,21 +293,26 @@ func (l *Log) Snapshot(payload []byte) error {
 	}
 	l.obs.fsync()
 	// The snapshot is durable; rotate the WAL and drop superseded files.
-	old := l.f
-	if err := l.createSegment(filepath.Join(l.dir, walName(l.lsn))); err != nil {
-		l.f = old
-		return err
+	// A live segment that already starts at l.lsn holds no record (none
+	// was appended since it was created) and stays live.
+	live := filepath.Join(l.dir, walName(l.lsn))
+	if l.walPath != live {
+		old := l.f
+		if err := l.createSegment(live); err != nil {
+			return err
+		}
+		// Close result deliberately dropped: the segment was fsync'd on
+		// every append (or the owner opted out via NoSync), so close has
+		// nothing left to make durable, and the replacement segment is
+		// already live.
+		_ = old.Close()
 	}
-	// Close result deliberately dropped: the segment was fsync'd on every
-	// append (or the owner opted out via NoSync), so close has nothing
-	// left to make durable, and the replacement segment is already live.
-	_ = old.Close()
 	l.sinceSnap = 0
 	if l.obs != nil {
 		l.obs.snapBytes.Set(float64(len(data)))
 		l.obs.compactions.Inc()
 	}
-	l.removeSuperseded(final, filepath.Join(l.dir, walName(l.lsn)))
+	l.removeSuperseded(final, live)
 	return nil
 }
 

@@ -131,6 +131,36 @@ func TestSnapshotCompaction(t *testing.T) {
 	}
 }
 
+// TestSnapshotWithoutAppends: a snapshot right after Open of an empty
+// directory, and a second one with no append in between, keep the live
+// WAL segment instead of re-creating it under the same name; a reopen
+// recovers the last payload and the records appended after it.
+func TestSnapshotWithoutAppends(t *testing.T) {
+	dir := t.TempDir()
+	l, _ := mustOpen(t, Config{Dir: dir, NoSync: true})
+	for _, p := range []string{"first", "second"} {
+		if err := l.Snapshot([]byte(p)); err != nil {
+			t.Fatalf("Snapshot(%q): %v", p, err)
+		}
+	}
+	if _, err := l.Append(1, []byte("after")); err != nil {
+		t.Fatal(err)
+	}
+	l.Close()
+
+	_, rec := mustOpen(t, Config{Dir: dir, NoSync: true})
+	if string(rec.Snapshot) != "second" || rec.SnapshotLSN != 0 {
+		t.Fatalf("snapshot %q @ %d, want \"second\" @ 0", rec.Snapshot, rec.SnapshotLSN)
+	}
+	if len(rec.Records) != 1 || string(rec.Records[0].Payload) != "after" {
+		t.Fatalf("post-snapshot records: %+v", rec.Records)
+	}
+	entries, _ := os.ReadDir(dir)
+	if len(entries) != 2 {
+		t.Fatalf("dir has %d files, want exactly one snapshot + one WAL", len(entries))
+	}
+}
+
 func TestCrashBeforeLogLosesNothingButTheMutation(t *testing.T) {
 	dir := t.TempDir()
 	crash := &Crasher{}

@@ -10,7 +10,7 @@ import (
 	"seccloud/internal/wire"
 )
 
-// AuditorShare is one share-holder process: a netsim.Handler that answers
+// AuditorShare is one share-holder process: a transport.Handler that answers
 // PartialRequests with partial designated verifications for its share.
 // Safe for concurrent use. It is the network-facing face of a Prover —
 // the share itself never leaves the process; only partials (which reveal

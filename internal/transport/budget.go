@@ -1,4 +1,4 @@
-package netsim
+package transport
 
 import (
 	"sync"

@@ -1,4 +1,4 @@
-package netsim
+package transport
 
 import (
 	"errors"
@@ -9,8 +9,8 @@ import (
 
 // RPCObs holds pre-resolved instrument cells for one transport, so the
 // per-round-trip cost with observability enabled is two atomic adds and a
-// histogram insert. Every client transport — the Loopback here and the
-// daemon's pooled socket client — records through it, so one error maps
+// histogram insert. Every client transport — the simulator's Loopback and
+// the daemon's pooled socket client — records through it, so one error maps
 // to one fault label whichever link carried it. A nil *RPCObs (the
 // default) no-ops everywhere, keeping uninstrumented links
 // allocation-free.

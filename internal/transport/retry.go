@@ -1,110 +1,13 @@
-package netsim
+package transport
 
 import (
 	"context"
-	"errors"
-	"fmt"
 	"math/rand"
-	"net"
 	"sync"
 	"time"
 
 	"seccloud/internal/wire"
 )
-
-// Error taxonomy. A failed round trip is either *transport* (the message
-// may never have reached an honest peer — retry it) or *terminal* (the
-// peer answered and the answer is the problem — retrying cannot help, and
-// for audits the failure is evidence, not noise).
-
-// TransportError wraps a retryable transport-layer failure: socket
-// errors, timeouts, injected faults, corrupted frames.
-type TransportError struct {
-	// Op names the failing operation ("dial", "write", "read", …).
-	Op string
-	// Timeout marks deadline-induced failures.
-	Timeout bool
-	// Err is the underlying cause.
-	Err error
-}
-
-// Error implements error.
-func (e *TransportError) Error() string {
-	return fmt.Sprintf("netsim: transport %s: %v", e.Op, e.Err)
-}
-
-// Unwrap exposes the cause.
-func (e *TransportError) Unwrap() error { return e.Err }
-
-// transportErr wraps err unless it already carries taxonomy information.
-func transportErr(op string, err error) error {
-	var te *TransportError
-	var fe *FaultError
-	if errors.As(err, &te) || errors.As(err, &fe) {
-		return err
-	}
-	timeout := errors.Is(err, context.DeadlineExceeded)
-	var ne net.Error
-	if errors.As(err, &ne) && ne.Timeout() {
-		timeout = true
-	}
-	return &TransportError{Op: op, Timeout: timeout, Err: err}
-}
-
-// IsRetryable reports whether err is a transport-layer failure that a
-// retry might fix. Terminal protocol errors (a decoded but invalid
-// response, a refused challenge) are not retryable.
-func IsRetryable(err error) bool {
-	var te *TransportError
-	if errors.As(err, &te) {
-		return true
-	}
-	var fe *FaultError
-	if errors.As(err, &fe) {
-		return true
-	}
-	// Frame-level damage (truncated/corrupted bytes) means the link, not
-	// the peer's logic, failed: a resend gets a fresh encoding.
-	if errors.Is(err, wire.ErrCorrupt) || errors.Is(err, wire.ErrTruncated) {
-		return true
-	}
-	var ne net.Error
-	return errors.As(err, &ne)
-}
-
-// IsTimeout reports whether err is a deadline-induced transport failure.
-func IsTimeout(err error) bool {
-	var te *TransportError
-	if errors.As(err, &te) && te.Timeout {
-		return true
-	}
-	return errors.Is(err, context.DeadlineExceeded)
-}
-
-// ExhaustedError reports that a Retrier ran out of attempts. It unwraps
-// to the last attempt's error, so taxonomy checks (IsRetryable,
-// IsTimeout) still classify the underlying failure.
-type ExhaustedError struct {
-	// Attempts is how many times the operation ran.
-	Attempts int
-	// BudgetDenied marks exhaustion caused by a drained RetryBudget
-	// rather than by MaxAttempts: further attempts were available but the
-	// shared budget refused to amplify load.
-	BudgetDenied bool
-	// Err is the final attempt's error.
-	Err error
-}
-
-// Error implements error.
-func (e *ExhaustedError) Error() string {
-	if e.BudgetDenied {
-		return fmt.Sprintf("netsim: retry budget drained after %d attempts: %v", e.Attempts, e.Err)
-	}
-	return fmt.Sprintf("netsim: %d attempts exhausted: %v", e.Attempts, e.Err)
-}
-
-// Unwrap exposes the last error.
-func (e *ExhaustedError) Unwrap() error { return e.Err }
 
 // Retrier runs an operation with capped exponential backoff and
 // deterministic jitter, retrying only transport-class failures. The zero
@@ -249,7 +152,7 @@ func (r *Retrier) Do(ctx context.Context, op func(ctx context.Context) error) er
 			if lastErr != nil {
 				return &ExhaustedError{Attempts: attempt - 1, Err: lastErr}
 			}
-			return transportErr("retry", err)
+			return Wrap("retry", err)
 		}
 		attemptCtx, cancel := ctx, context.CancelFunc(nil)
 		if r != nil && r.AttemptTimeout > 0 {

@@ -1,4 +1,4 @@
-package netsim
+package transport
 
 import (
 	"sync"
@@ -9,8 +9,8 @@ import (
 // SwappableHandler is one server slot's stable network identity: a crash
 // or restart swaps the Handler behind it while every client keeps its
 // existing connection object, exactly as a process restart behind a
-// fixed address looks to the rest of the fleet. Both the epoch simulator
-// and the chaos harness model restarts through it.
+// fixed address looks to the rest of the fleet. The chaos harness models
+// restarts through it, and every daemon listener serves through one.
 type SwappableHandler struct {
 	mu sync.Mutex
 	h  Handler

@@ -47,6 +47,7 @@ import (
 	"seccloud/internal/obs"
 	"seccloud/internal/pairing"
 	"seccloud/internal/sampling"
+	"seccloud/internal/transport"
 	"seccloud/internal/wire"
 	"seccloud/internal/workload"
 )
@@ -101,7 +102,7 @@ type (
 	// SubJob is one server's slice of a distributed job.
 	SubJob = core.SubJob
 	// Client is a transport link to one server.
-	Client = netsim.Client
+	Client = transport.Client
 	// LinkConfig models loopback link latency/bandwidth.
 	LinkConfig = netsim.LinkConfig
 	// Dataset is a user's ordered block collection.
