@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: check build test race vet loc fuzz fuzz-decoders fuzz-crypto cover-crypto bench bench-pairs bench-audit bench-chaos
+.PHONY: check build test race vet loc fuzz fuzz-decoders fuzz-crypto cover-crypto bench bench-pairs bench-audit bench-chaos chaos-diff
 
 check: vet build race
 
@@ -59,7 +59,8 @@ loc:
 # Short fuzz pass over the wire codec (the corruption injector's attack
 # surface; FuzzRoundtrip also re-encodes what it accepts), the WAL record
 # framing (what a torn or bit-rotted log feeds into recovery), the
-# snapshot framing (what a FaultFS-rotted snapshot file feeds into it),
+# snapshot framing (what a netsim.FaultFS-rotted snapshot file feeds
+# into it),
 # the record and snapshot payloads behind a valid CRC (FuzzReplayState),
 # the evidence decoder and the chaos schedule grammar (what every printed
 # repro line replays through); extend -fuzztime locally for deeper runs.
@@ -125,3 +126,12 @@ bench-audit:
 # must be convicted. Any miss exits nonzero.
 bench-chaos:
 	GO=$(GO) sh scripts/bench-chaos.sh
+
+# The parent as the simulator's oracle: seccloud-sim built at PARENT and
+# at the working tree runs a 40-seed clean and a 20-seed tampered chaos
+# sweep on each side, and any difference in the outputs fails. A change
+# meant to leave the simulator's behaviour as it was is held to it.
+#   make chaos-diff PARENT=<rev>
+chaos-diff:
+	@test -n "$(PARENT)" || { echo "usage: make chaos-diff PARENT=<rev>"; exit 2; }
+	GO=$(GO) sh scripts/chaos-diff.sh $(PARENT)

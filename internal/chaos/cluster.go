@@ -17,7 +17,6 @@ import (
 	"seccloud/internal/ibc"
 	"seccloud/internal/netsim"
 	"seccloud/internal/obs"
-	"seccloud/internal/store"
 	"seccloud/internal/threshold"
 	"seccloud/internal/transport"
 	"seccloud/internal/wire"
@@ -141,8 +140,7 @@ type cluster struct {
 	policies []*cheatPolicy
 	gates    []*transport.Admission
 	downs    []*netsim.DownableHandler
-	crashers []*store.Crasher
-	disks    []*store.FaultFS
+	disks    []*netsim.FaultFS // each server's disk; crash points fire here
 	links    []*netsim.Loopback
 	clocks   []*netsim.Clock
 	daClock  *netsim.Clock
@@ -407,8 +405,7 @@ func newCluster(cfg Config, dir string, reference bool, sched Schedule) (*cluste
 	c.policies = make([]*cheatPolicy, cfg.Servers)
 	c.gates = make([]*transport.Admission, cfg.Servers)
 	c.downs = make([]*netsim.DownableHandler, cfg.Servers)
-	c.crashers = make([]*store.Crasher, cfg.Servers)
-	c.disks = make([]*store.FaultFS, cfg.Servers)
+	c.disks = make([]*netsim.FaultFS, cfg.Servers)
 	c.links = make([]*netsim.Loopback, cfg.Servers)
 	c.clocks = make([]*netsim.Clock, cfg.Servers)
 	c.daClients = make([]transport.Client, cfg.Servers)
@@ -417,10 +414,9 @@ func newCluster(cfg Config, dir string, reference bool, sched Schedule) (*cluste
 	noSleep := func(context.Context, time.Duration) error { return nil }
 
 	for i := 0; i < cfg.Servers; i++ {
-		c.crashers[i] = &store.Crasher{}
 		// The disk persists across restarts — a sick disk stays sick when
 		// the process comes back, which is exactly why recovery must cope.
-		c.disks[i] = store.NewFaultFS(store.FaultFSConfig{Seed: subSeed(cfg.Seed, "disk", i, 0)})
+		c.disks[i] = netsim.NewFaultFS(netsim.FaultFSConfig{Seed: subSeed(cfg.Seed, "disk", i, 0)})
 		c.clocks[i] = netsim.NewClock()
 		c.policies[i] = &cheatPolicy{seed: cfg.Seed, server: i, forged: map[uint64]bool{}}
 		c.gates[i] = transport.NewAdmission(transport.AdmissionConfig{MaxInflight: admissionSlots}).
@@ -431,7 +427,8 @@ func newCluster(cfg Config, dir string, reference bool, sched Schedule) (*cluste
 			return nil, err
 		}
 		c.handlers[i] = transport.NewSwappableHandler(srv)
-		c.downs[i] = netsim.NewDownableHandler(c.handlers[i])
+		gate := netsim.NewCrashGate(c.disks[i], c.handlers[i], func() { c.server(i).Crash() })
+		c.downs[i] = netsim.NewDownableHandler(gate)
 		c.links[i] = netsim.NewLoopback(c.downs[i], netsim.LinkConfig{}).
 			WithObs(c.hub).
 			WithClock(c.clocks[i]).
@@ -559,7 +556,6 @@ func (c *cluster) newServer(i int) (*core.Server, error) {
 			// Real syncs: the chaos disk's fsync faults need an fsync to
 			// fail, and torn-tail recovery needs real write ordering.
 			NoSync: false,
-			Crash:  c.crashers[i],
 			FS:     c.disks[i],
 			Obs:    c.hub,
 		},
@@ -574,7 +570,7 @@ func (c *cluster) newServer(i int) (*core.Server, error) {
 // rotting snapshots — in which case the caller leaves the server down
 // and tries again later.
 func (c *cluster) restart(i int) error {
-	c.crashers[i] = &store.Crasher{}
+	c.disks[i].Restart()
 	srv, err := c.newServer(i)
 	if err != nil {
 		return err

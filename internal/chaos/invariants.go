@@ -6,8 +6,8 @@ import (
 	"strings"
 
 	"seccloud/internal/core"
+	"seccloud/internal/netsim"
 	"seccloud/internal/obs"
-	"seccloud/internal/store"
 )
 
 // violationLog collects invariant violations in deterministic order —
@@ -72,8 +72,8 @@ func (c *cluster) checkRecovery() {
 	for i := 0; i < c.cfg.Servers; i++ {
 		// The chaos is over: the operator fixed the disk. What must NOT
 		// need fixing is the data.
-		c.disks[i].SetRates(store.FaultFSConfig{})
-		c.crashers[i] = &store.Crasher{}
+		c.disks[i].SetRates(netsim.FaultFSConfig{})
+		c.disks[i].Restart()
 		srv, err := c.newServer(i)
 		if err != nil {
 			c.violations.addf("durability", "final recovery server %d refused on healthy disk: %v", i, err)

@@ -6,7 +6,6 @@ import (
 	"strconv"
 
 	"seccloud/internal/netsim"
-	"seccloud/internal/store"
 )
 
 // applyStep executes one nemesis move against the cluster. In reference
@@ -43,9 +42,9 @@ func (c *cluster) applyStep(s Step) error {
 			c.clocks[idx].SetSkew(s.Skew)
 		}
 	case StepCrash:
-		point, _ := store.CrashPointByName(s.Point)
+		point, _ := netsim.CrashPointByName(s.Point)
 		if !c.crashPending[s.Target] {
-			c.crashers[s.Target].Arm(point)
+			c.disks[s.Target].Arm(point)
 		}
 	case StepKill:
 		if !c.killed[s.Target] {
@@ -60,7 +59,7 @@ func (c *cluster) applyStep(s Step) error {
 			}
 		}
 	case StepDisk:
-		c.disks[s.Target].SetRates(store.FaultFSConfig{
+		c.disks[s.Target].SetRates(netsim.FaultFSConfig{
 			SyncErrRate:    s.Sync,
 			ShortWriteRate: s.Short,
 			ReadRotRate:    s.Rot,
@@ -68,7 +67,7 @@ func (c *cluster) applyStep(s Step) error {
 		})
 		c.sickEver[s.Target] = true
 	case StepDiskHeal:
-		c.disks[s.Target].SetRates(store.FaultFSConfig{})
+		c.disks[s.Target].SetRates(netsim.FaultFSConfig{})
 	case StepRestart:
 		if err := c.restart(s.Target); err != nil {
 			// Recovery refused (rotting snapshots, wedged WAL …): the
@@ -171,7 +170,7 @@ func (c *cluster) applyPlant(s Step) error {
 // off the network until the next epoch boundary restarts it.
 func (c *cluster) reapCrashes() {
 	for i := 0; i < c.cfg.Servers; i++ {
-		if c.crashers[i].Fired() && !c.crashPending[i] {
+		if c.disks[i].Fired() && !c.crashPending[i] {
 			c.crashPending[i] = true
 			c.downs[i].SetDown(true)
 		}
@@ -221,9 +220,7 @@ func (c *cluster) runEpoch(ep int, sched Schedule) error {
 			for i := 0; i < c.cfg.Servers; i++ {
 				// The nemesis retires: leftover armed crash points must
 				// not fire into the healing horizon.
-				c.crashers[i].Arm(store.CrashNone)
-			}
-			for i := 0; i < c.cfg.Servers; i++ {
+				c.disks[i].Arm(netsim.CrashNone)
 				if c.sickEver[i] && !c.crashPending[i] {
 					if err := c.restart(i); err != nil {
 						c.crashPending[i] = true

@@ -22,7 +22,7 @@ import (
 	"strings"
 	"time"
 
-	"seccloud/internal/store"
+	"seccloud/internal/netsim"
 )
 
 // StepKind enumerates the nemesis's moves.
@@ -41,9 +41,10 @@ const (
 	StepHeal
 	// StepSkew sets a node's clock offset from real time.
 	StepSkew
-	// StepCrash arms a crash point on a server; the next WAL operation
-	// that reaches the point kills the process, and the nemesis restarts
-	// it (running full recovery) at the next epoch boundary.
+	// StepCrash arms a crash point on a server's disk; the next write
+	// the point matches kills the process (its reply and every later
+	// request are dropped), and the nemesis restarts it, running full
+	// recovery, at the next epoch boundary.
 	StepCrash
 	// StepKill takes a server off the network for whole epochs (state
 	// and WAL intact) until StepRevive.
@@ -126,7 +127,7 @@ type Step struct {
 	Node string
 	// From and To are the directed cut groups (node names).
 	From, To []string
-	// Point is the crash point name (store.CrashPointByName).
+	// Point is the crash point name (netsim.CrashPointByName).
 	Point string
 	// Skew is the clock offset to install.
 	Skew time.Duration
@@ -310,7 +311,7 @@ func (sc Schedule) validate() error {
 				return fmt.Errorf("chaos: %s: a tamper rots 1..%d blocks", s, tamperReserve)
 			}
 		case StepCrash:
-			if _, ok := store.CrashPointByName(s.Point); !ok {
+			if _, ok := netsim.CrashPointByName(s.Point); !ok {
 				return fmt.Errorf("chaos: %s: unknown crash point %q", s, s.Point)
 			}
 		}
@@ -575,7 +576,7 @@ func Generate(seed int64, servers, activeEpochs, maxPerEpoch int, tamper bool) S
 	}
 
 	nodeName := func(i int) string { return strconv.Itoa(i) }
-	crashPoints := []string{"before-log", "after-log", "mid-snapshot", "torn-tail"}
+	crashPoints := netsim.CrashPoints()
 
 	for ep := 1; ep <= activeEpochs; ep++ {
 		if ep == tamperEpoch {
@@ -673,7 +674,7 @@ func Generate(seed int64, servers, activeEpochs, maxPerEpoch int, tamper bool) S
 			case StepCrash:
 				sched = append(sched, Step{
 					Epoch: ep, Kind: StepCrash, Target: rng.Intn(servers),
-					Point: crashPoints[rng.Intn(len(crashPoints))],
+					Point: crashPoints[rng.Intn(len(crashPoints))].String(),
 				})
 			case StepKill:
 				// Keep a majority of replicas reachable so quorum

@@ -132,13 +132,11 @@ func (s *Server) handleUpdate(req *wire.UpdateRequest) wire.Message {
 		pb.Data = data
 	}
 	w := &walUpdate{UserID: req.UserID, Seq: req.Seq, Digest: digest, Block: pb}
-	if msg, ok := s.persistLocked(recUpdate, s.walRecord(w)); !ok {
+	if msg := s.persistLocked(recUpdate, s.walRecord(w)); msg != nil {
 		return msg
 	}
 	s.applyUpdateLocked(w)
-	if !s.maybeSnapshotLocked() {
-		return nil
-	}
+	s.maybeSnapshotLocked()
 	return &wire.StoreResponse{OK: true}
 }
 
@@ -170,12 +168,10 @@ func (s *Server) handleDelete(req *wire.DeleteRequest) wire.Message {
 			Error: fmt.Sprintf("no block at position %d", req.Position)}
 	}
 	w := &walDelete{UserID: req.UserID, Pos: req.Position, Seq: req.Seq, Digest: digest}
-	if msg, ok := s.persistLocked(recDelete, s.walRecord(w)); !ok {
+	if msg := s.persistLocked(recDelete, s.walRecord(w)); msg != nil {
 		return msg
 	}
 	s.applyDeleteLocked(w)
-	if !s.maybeSnapshotLocked() {
-		return nil
-	}
+	s.maybeSnapshotLocked()
 	return &wire.StoreResponse{OK: true}
 }

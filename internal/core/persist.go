@@ -37,15 +37,13 @@ type DurabilityConfig struct {
 	// Dir is the WAL/snapshot directory, owned exclusively by one server.
 	Dir string
 	// FS is the filesystem backend the log writes through; nil means the
-	// real one. The chaos harness injects a store.FaultFS here.
+	// real one. The chaos harness injects a netsim.FaultFS here.
 	FS store.FS
 	// SnapshotEvery compacts the log after this many appended records;
 	// 0 disables automatic snapshots.
 	SnapshotEvery int
 	// NoSync skips fsync (tests only; a real deployment wants syncs).
 	NoSync bool
-	// Crash is the crash-point injector shared with the test harness.
-	Crash *store.Crasher
 	// Obs wires the WAL's instruments (append latency, fsync and record
 	// counters, snapshot size) into an observability hub; nil disables.
 	Obs *obs.Hub
@@ -131,7 +129,6 @@ func (s *Server) initDurability() error {
 		FS:            d.FS,
 		SnapshotEvery: d.SnapshotEvery,
 		NoSync:        d.NoSync,
-		Crash:         d.Crash,
 		Obs:           d.Obs,
 	})
 	if err != nil {
@@ -193,35 +190,24 @@ func (s *Server) walRecord(p statePayload) []byte {
 }
 
 // persistLocked appends one mutation record encoded by walRecord. Callers
-// hold s.mu and must not apply the mutation unless ok. On an injected
-// crash the returned message is nil — the handler propagates it and the
-// transport turns it into a dead connection.
-func (s *Server) persistLocked(kind uint8, payload []byte) (wire.Message, bool) {
+// hold s.mu; a non-nil result is the error to answer with, and the
+// mutation must not be applied.
+func (s *Server) persistLocked(kind uint8, payload []byte) wire.Message {
 	if s.log == nil {
-		return nil, true
+		return nil
 	}
 	if _, err := s.log.Append(kind, payload); err != nil {
-		if errors.Is(err, store.ErrCrashed) {
-			s.crashed.Store(true)
-			return nil, false
-		}
-		return &wire.ErrorResponse{Code: "persist_failed", Msg: err.Error()}, false
+		return &wire.ErrorResponse{Code: "persist_failed", Msg: err.Error()}
 	}
-	return nil, true
+	return nil
 }
 
-// maybeSnapshotLocked compacts the log when due. Returns false only when a
-// crash point fired mid-snapshot (the mutation is durable but unacked —
-// the handler must answer with a dead connection, not an ack).
-func (s *Server) maybeSnapshotLocked() bool {
-	if s.log == nil || !s.log.SnapshotDue() {
-		return true
+// maybeSnapshotLocked compacts the log when due. A failed snapshot is
+// dropped: the WAL it would have compacted stays authoritative.
+func (s *Server) maybeSnapshotLocked() {
+	if s.log != nil && s.log.SnapshotDue() {
+		_ = s.log.Snapshot(s.marshalStateLocked())
 	}
-	if err := s.log.Snapshot(s.marshalStateLocked()); err != nil && errors.Is(err, store.ErrCrashed) {
-		s.crashed.Store(true)
-		return false
-	}
-	return true
 }
 
 // marshalStateLocked serializes the full server state for a snapshot.

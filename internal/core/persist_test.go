@@ -24,24 +24,28 @@ import (
 	"seccloud/internal/workload"
 )
 
-// Crashed reports whether an injected crash has "killed" this process.
+// Crashed reports whether Crash has "killed" this process.
 func (s *Server) Crashed() bool { return s.crashed.Load() }
 
 // durableServer builds (or rebuilds, for an existing dir) the durable
 // server "cs:durable" over the given WAL directory. Rebuilding runs the
 // full recovery path: snapshot load, WAL replay, Merkle cross-checks.
-func durableServer(t testing.TB, sys *system, dir string, crash *store.Crasher) (*Server, transport.Client) {
+// A non-nil disk carries the log, with syncs: the after-log crash point
+// fires at a record's sync.
+func durableServer(t testing.TB, sys *system, dir string, disk *netsim.FaultFS) (*Server, transport.Client) {
 	t.Helper()
 	key, err := sys.sio.Extract("cs:durable")
 	if err != nil {
 		t.Fatal(err)
 	}
+	d := &DurabilityConfig{Dir: dir, SnapshotEvery: 3, NoSync: true}
+	if disk != nil {
+		d.FS, d.NoSync = disk, false
+	}
 	srv, err := NewServer(sys.sio.Params(), key, ServerConfig{
 		VerifyOnStore: true,
 		Random:        rand.Reader,
-		Durability: &DurabilityConfig{
-			Dir: dir, SnapshotEvery: 3, NoSync: true, Crash: crash,
-		},
+		Durability:    d,
 	})
 	if err != nil {
 		t.Fatalf("NewServer(durable): %v", err)
@@ -216,13 +220,15 @@ func TestDuplicateDeliveryIsByteIdentical(t *testing.T) {
 }
 
 func TestCrashMatrix(t *testing.T) {
-	for _, p := range store.CrashPoints() {
-		p := p
+	for _, p := range netsim.CrashPoints() {
 		t.Run(p.String(), func(t *testing.T) {
 			sys := newSystem(t)
 			dir := t.TempDir()
-			crash := &store.Crasher{}
-			srv, client := durableServer(t, sys, dir, crash)
+			disk := netsim.NewFaultFS(netsim.FaultFSConfig{Seed: 1})
+			srv, client := durableServer(t, sys, dir, disk)
+			// The process the disk's crash kills: the gate drops the
+			// reply of the request the crash fired in, and every later one.
+			gate := netsim.NewCrashGate(disk, srv, srv.Crash)
 
 			gen := workload.NewGenerator(64)
 			ds := gen.GenDataset(sys.user.ID(), 10, 4)
@@ -245,15 +251,15 @@ func TestCrashMatrix(t *testing.T) {
 			// WAL append 3, which also makes the snapshot due
 			// (SnapshotEvery=3) so CrashMidSnapshot can fire.
 			upd := buildUpdate(t, sys, srv.ID(), 9, 1, funcs.EncodeBlock([]int64{5, 5, 5, 5}))
-			crash.Arm(p)
-			if r := srv.Handle(upd); r != nil {
+			disk.Arm(p)
+			if r := gate.Handle(upd); r != nil {
 				t.Fatalf("crashed server answered: %#v", r)
 			}
-			if !crash.Fired() || !srv.Crashed() {
-				t.Fatalf("crash did not fire (fired=%v crashed=%v)", crash.Fired(), srv.Crashed())
+			if !disk.Fired() || !srv.Crashed() {
+				t.Fatalf("crash did not fire (fired=%v crashed=%v)", disk.Fired(), srv.Crashed())
 			}
 			// The dead "process" answers nothing at all.
-			if r := srv.Handle(&wire.ChallengeRequest{JobID: "cm-job"}); r != nil {
+			if r := gate.Handle(&wire.ChallengeRequest{JobID: "cm-job"}); r != nil {
 				t.Fatalf("dead server answered a challenge: %#v", r)
 			}
 
@@ -263,10 +269,10 @@ func TestCrashMatrix(t *testing.T) {
 			if !info.Recovered {
 				t.Fatalf("nothing recovered: %+v", info)
 			}
-			if (p == store.CrashTornTail) != info.TornTail {
+			if (p == netsim.CrashTornTail) != info.TornTail {
 				t.Fatalf("torn tail reported %v for crash point %v", info.TornTail, p)
 			}
-			applied := p == store.CrashAfterLog || p == store.CrashMidSnapshot
+			applied := p == netsim.CrashAfterLog || p == netsim.CrashMidSnapshot
 			if applied && info.WALRecords != 3 {
 				t.Fatalf("want the mutation durable, recovered %d records", info.WALRecords)
 			}

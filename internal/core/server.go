@@ -130,7 +130,7 @@ type Server struct {
 	cfg    ServerConfig
 
 	log      *store.Log  // write-ahead log; nil for an in-memory server
-	crashed  atomic.Bool // an injected crash fired: the "process" is dead
+	crashed  atomic.Bool // Crash ran: the "process" is dead
 	recovery RecoveryInfo
 
 	sigs sigMemo // warrant signatures that already verified
@@ -180,9 +180,9 @@ func (s *Server) ID() string { return s.id }
 // PolicyName reports the active cheating policy (for experiment logs).
 func (s *Server) PolicyName() string { return s.cfg.Policy.Name() }
 
-// Handle dispatches one protocol message. A nil return means the server
-// "process" is dead (crash injection): the transport drops the connection
-// instead of replying.
+// Handle dispatches one protocol message. After Crash it returns nil,
+// the "process" is dead: the transport drops the connection instead of
+// replying.
 func (s *Server) Handle(m wire.Message) wire.Message {
 	if s.crashed.Load() {
 		return nil
@@ -260,13 +260,11 @@ func (s *Server) handleStore(req *wire.StoreRequest) wire.Message {
 	}
 	// Log before ack: the mutation is not acknowledged unless it is
 	// durable (or the server runs without a WAL).
-	if msg, ok := s.persistLocked(recStore, s.walRecord(&walStore{UserID: req.UserID, Digest: digest, Blocks: blocks})); !ok {
+	if msg := s.persistLocked(recStore, s.walRecord(&walStore{UserID: req.UserID, Digest: digest, Blocks: blocks})); msg != nil {
 		return msg
 	}
 	s.applyStoreLocked(req.UserID, digest, blocks)
-	if !s.maybeSnapshotLocked() {
-		return nil
-	}
+	s.maybeSnapshotLocked()
 	return &wire.StoreResponse{OK: true}
 }
 
@@ -404,7 +402,7 @@ func (s *Server) handleCompute(req *wire.ComputeRequest) wire.Message {
 	if resp, dup := s.dupComputeLocked(req, digest); dup {
 		return resp // lost the race to a concurrent duplicate
 	}
-	if msg, ok := s.persistLocked(recCompute, rec); !ok {
+	if msg := s.persistLocked(recCompute, rec); msg != nil {
 		return msg
 	}
 	s.jobs[req.JobID] = &jobRecord{
@@ -416,9 +414,7 @@ func (s *Server) handleCompute(req *wire.ComputeRequest) wire.Message {
 		rootSig: rootSig,
 		digest:  digest,
 	}
-	if !s.maybeSnapshotLocked() {
-		return nil
-	}
+	s.maybeSnapshotLocked()
 	return &wire.ComputeResponse{
 		JobID:    req.JobID,
 		ServerID: s.id,

@@ -646,9 +646,10 @@ func TestRestartableServerKillRestartRedial(t *testing.T) {
 	}
 }
 
-// killOnChallenge dies "inside" the request handler, the way a
-// store.Crasher hook does: it kills the server it is serving under and
-// returns nil, so no response ever leaves the dying process.
+// killOnChallenge dies "inside" the request handler, the way a crash
+// point a FaultFS fires mid-request does behind a CrashGate: it kills the
+// server it is serving under and returns nil, so no response ever leaves
+// the dying process.
 type killOnChallenge struct {
 	srv   atomic.Pointer[daemon.Server]
 	armed atomic.Bool

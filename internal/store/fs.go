@@ -8,9 +8,9 @@ import (
 
 // FS is the filesystem surface the log touches. Every byte the WAL and
 // snapshot code reads or writes flows through one of these methods, so a
-// fault-injecting implementation (FaultFS) can model a sick disk — fsync
-// errors, short writes, read-path bit-rot, torn renames — without the log
-// knowing. The default implementation (OSFS) delegates straight to the
+// fault-injecting implementation (netsim.FaultFS) can model a sick disk —
+// fsync errors, short writes, read-path bit-rot, torn renames, a process
+// crash mid-write — without the log knowing. The default implementation (OSFS) delegates straight to the
 // os package.
 type FS interface {
 	MkdirAll(path string, perm os.FileMode) error

@@ -48,7 +48,8 @@ type Config struct {
 	// Dir is the log directory (created if missing).
 	Dir string
 	// FS is the filesystem backend; nil means the real one (OSFS). Tests
-	// and the chaos harness substitute a FaultFS to model a sick disk.
+	// and the chaos harness substitute netsim.FaultFS to model a sick or
+	// crashing disk.
 	FS FS
 	// SnapshotEvery makes SnapshotDue return true after this many records
 	// appended since the last snapshot; 0 disables the hint (the owner
@@ -57,8 +58,6 @@ type Config struct {
 	// NoSync skips the fsync after each append. Tests and simulations
 	// set it for speed; a deployment wanting crash-durability must not.
 	NoSync bool
-	// Crash is the crash-point injector; nil never crashes.
-	Crash *Crasher
 	// Obs attaches WAL instruments (append latency, record/fsync
 	// counters, snapshot size and compaction gauges); nil leaves the log
 	// uninstrumented with zero overhead.
@@ -89,7 +88,7 @@ type Log struct {
 	walPath   string // path of the active WAL segment
 	lsn       uint64 // last assigned LSN
 	sinceSnap int
-	dead      bool
+	closed    bool
 	wedge     error // first write/fsync failure; non-nil refuses all writes
 	obs       *walObs
 }
@@ -165,16 +164,12 @@ func walName(lsn uint64) string  { return fmt.Sprintf("wal-%016x.log", lsn) }
 func snapName(lsn uint64) string { return fmt.Sprintf("snap-%016x.snap", lsn) }
 
 // Append assigns the next LSN, frames the record, and writes it durably.
-// It returns the assigned LSN. Crash points: CrashBeforeLog fires before
-// any byte is written; CrashTornTail writes roughly half the record then
-// dies; CrashAfterLog fires after the record is durable but before the
-// caller regains control — in every case the error is ErrCrashed and the
-// Log is dead until recovered by a fresh Open.
+// It returns the assigned LSN.
 func (l *Log) Append(kind uint8, payload []byte) (uint64, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.dead {
-		return 0, ErrCrashed
+	if l.closed {
+		return 0, ErrClosed
 	}
 	if l.wedge != nil {
 		return 0, fmt.Errorf("%w (first failure: %v)", ErrWedged, l.wedge)
@@ -183,25 +178,10 @@ func (l *Log) Append(kind uint8, payload []byte) (uint64, error) {
 	if l.obs != nil {
 		start = time.Now()
 	}
-	if l.cfg.Crash.at(CrashBeforeLog) {
-		l.dead = true
-		return 0, ErrCrashed
-	}
 	rec := &Record{LSN: l.lsn + 1, Kind: kind, Payload: payload}
 	frame, err := EncodeRecord(rec)
 	if err != nil {
 		return 0, err
-	}
-	if l.cfg.Crash.at(CrashTornTail) {
-		// The process dies mid-write: half a record reaches the disk. The
-		// write and sync results are deliberately discarded — this models
-		// a power cut, where nobody is left to observe them. Recovery's
-		// torn-tail truncation is what handles the artifact.
-		l.dead = true
-		if _, werr := l.f.Write(frame[:len(frame)/2]); werr == nil {
-			_ = l.f.Sync()
-		}
-		return 0, ErrCrashed
 	}
 	if _, err := l.f.Write(frame); err != nil {
 		// The frame may be partially on disk (short write). Wedge: any
@@ -228,10 +208,6 @@ func (l *Log) Append(kind uint8, payload []byte) (uint64, error) {
 		l.obs.records.Inc()
 		l.obs.appendLat.Observe(time.Since(start).Seconds())
 	}
-	if l.cfg.Crash.at(CrashAfterLog) {
-		l.dead = true
-		return 0, ErrCrashed
-	}
 	return rec.LSN, nil
 }
 
@@ -240,7 +216,7 @@ func (l *Log) Append(kind uint8, payload []byte) (uint64, error) {
 func (l *Log) SnapshotDue() bool {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return !l.dead && l.wedge == nil && l.cfg.SnapshotEvery > 0 && l.sinceSnap >= l.cfg.SnapshotEvery
+	return !l.closed && l.wedge == nil && l.cfg.SnapshotEvery > 0 && l.sinceSnap >= l.cfg.SnapshotEvery
 }
 
 // Wedged returns the first write/fsync failure that wedged the log, or
@@ -253,31 +229,20 @@ func (l *Log) Wedged() error {
 
 // Snapshot writes a snapshot covering every record appended so far, then
 // compacts: a fresh WAL segment replaces the old one and superseded files
-// are deleted. The snapshot becomes visible atomically (temp + rename);
-// the CrashMidSnapshot point dies with the temp file half-written, which
-// recovery ignores.
+// are deleted. The snapshot becomes visible atomically (temp + rename):
+// a crash leaves at most a half-written temp file, which recovery
+// ignores.
 func (l *Log) Snapshot(payload []byte) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.dead {
-		return ErrCrashed
+	if l.closed {
+		return ErrClosed
 	}
 	if l.wedge != nil {
 		return fmt.Errorf("%w (first failure: %v)", ErrWedged, l.wedge)
 	}
 	tmp := filepath.Join(l.dir, snapName(l.lsn)+".tmp")
 	data := encodeSnapshot(l.lsn, payload)
-	if l.cfg.Crash.at(CrashMidSnapshot) {
-		// Another power-cut injection: the half-written temp file's write
-		// result is deliberately discarded (the process is "dead"), and
-		// recovery ignores *.tmp files entirely.
-		l.dead = true
-		if tf, terr := l.fs.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644); terr == nil {
-			_, _ = tf.Write(data[:len(data)/2])
-			_ = tf.Close()
-		}
-		return ErrCrashed
-	}
 	if err := writeFileSync(l.fs, tmp, data); err != nil {
 		// A snapshot failure does not wedge the log: the temp file is
 		// scratch, the WAL stays authoritative, and appends continue.
@@ -346,20 +311,14 @@ func (l *Log) LSN() uint64 {
 	return l.lsn
 }
 
-// Dead reports whether an injected crash killed this log.
-func (l *Log) Dead() bool {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.dead
-}
-
 // Kill simulates an out-of-band SIGKILL between operations: the log is
-// marked dead without touching the files. Recovery via Open rebuilds
-// everything that was acknowledged.
+// closed without touching the files, and every later operation fails
+// with ErrClosed. Recovery via Open rebuilds everything that was
+// acknowledged.
 func (l *Log) Kill() {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.dead = true
+	l.closed = true
 }
 
 // Close releases the active segment (a clean shutdown, not a crash).
@@ -371,7 +330,7 @@ func (l *Log) Close() error {
 	}
 	err := l.f.Close()
 	l.f = nil
-	l.dead = true
+	l.closed = true
 	return err
 }
 

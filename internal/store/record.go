@@ -37,9 +37,9 @@ var (
 	ErrCorrupt = errors.New("store: corrupted record")
 	// ErrRecordTooLarge marks a record exceeding MaxRecordLen.
 	ErrRecordTooLarge = errors.New("store: record exceeds maximum length")
-	// ErrCrashed is returned by every operation after an injected crash
-	// point fired: the "process" is dead and must be recovered via Open.
-	ErrCrashed = errors.New("store: simulated process crash")
+	// ErrClosed is returned by every operation on a log after Kill or
+	// Close; its directory is recovered through a fresh Open.
+	ErrClosed = errors.New("store: log closed")
 )
 
 // Record is one logged mutation. The payload is opaque to this package;

@@ -161,127 +161,13 @@ func TestSnapshotWithoutAppends(t *testing.T) {
 	}
 }
 
-func TestCrashBeforeLogLosesNothingButTheMutation(t *testing.T) {
-	dir := t.TempDir()
-	crash := &Crasher{}
-	l, _ := mustOpen(t, Config{Dir: dir, NoSync: true, Crash: crash})
-	if _, err := l.Append(1, []byte("kept")); err != nil {
-		t.Fatal(err)
-	}
-	crash.Arm(CrashBeforeLog)
-	if _, err := l.Append(1, []byte("lost")); !errors.Is(err, ErrCrashed) {
-		t.Fatalf("armed append: %v", err)
-	}
-	if _, err := l.Append(1, []byte("dead")); !errors.Is(err, ErrCrashed) {
-		t.Fatalf("post-crash append: %v", err)
-	}
-	_, rec := mustOpen(t, Config{Dir: dir, NoSync: true})
-	if len(rec.Records) != 1 || string(rec.Records[0].Payload) != "kept" {
-		t.Fatalf("recovered %+v", rec.Records)
-	}
-}
-
-func TestCrashAfterLogKeepsTheMutation(t *testing.T) {
-	dir := t.TempDir()
-	crash := &Crasher{}
-	hooked := false
-	crash.OnCrash = func() { hooked = true }
-	l, _ := mustOpen(t, Config{Dir: dir, NoSync: true, Crash: crash})
-	crash.Arm(CrashAfterLog)
-	if _, err := l.Append(1, []byte("durable-but-unacked")); !errors.Is(err, ErrCrashed) {
-		t.Fatalf("armed append: %v", err)
-	}
-	if !hooked {
-		t.Fatal("OnCrash hook did not run")
-	}
-	_, rec := mustOpen(t, Config{Dir: dir, NoSync: true})
-	if len(rec.Records) != 1 || string(rec.Records[0].Payload) != "durable-but-unacked" {
-		t.Fatalf("recovered %+v", rec.Records)
-	}
-}
-
-func TestCrashTornTailTruncates(t *testing.T) {
-	dir := t.TempDir()
-	crash := &Crasher{}
-	l, _ := mustOpen(t, Config{Dir: dir, NoSync: true, Crash: crash})
-	if _, err := l.Append(1, []byte("whole")); err != nil {
-		t.Fatal(err)
-	}
-	crash.Arm(CrashTornTail)
-	if _, err := l.Append(1, []byte("torn-in-half")); !errors.Is(err, ErrCrashed) {
-		t.Fatalf("armed append: %v", err)
-	}
-	l2, rec := mustOpen(t, Config{Dir: dir, NoSync: true})
-	if !rec.TornTail {
-		t.Fatal("torn tail not reported")
-	}
-	if len(rec.Records) != 1 || string(rec.Records[0].Payload) != "whole" {
-		t.Fatalf("recovered %+v", rec.Records)
-	}
-	// The truncated log appends cleanly and the LSN sequence stays whole.
-	lsn, err := l2.Append(1, []byte("after-repair"))
-	if err != nil || lsn != 2 {
-		t.Fatalf("append after repair: lsn=%d err=%v", lsn, err)
-	}
-	l2.Close()
-	_, rec = mustOpen(t, Config{Dir: dir, NoSync: true})
-	if len(rec.Records) != 2 || rec.TornTail {
-		t.Fatalf("post-repair recovery: %d records torn=%v", len(rec.Records), rec.TornTail)
-	}
-}
-
-func TestCrashMidSnapshotFallsBackToWAL(t *testing.T) {
-	dir := t.TempDir()
-	crash := &Crasher{}
-	l, _ := mustOpen(t, Config{Dir: dir, NoSync: true, Crash: crash})
-	for i := 0; i < 4; i++ {
-		if _, err := l.Append(1, []byte{byte(i)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	crash.Arm(CrashMidSnapshot)
-	if err := l.Snapshot([]byte("half-written")); !errors.Is(err, ErrCrashed) {
-		t.Fatalf("armed snapshot: %v", err)
-	}
-	_, rec := mustOpen(t, Config{Dir: dir, NoSync: true})
-	if rec.Snapshot != nil {
-		t.Fatalf("recovered a snapshot that was never published: %q", rec.Snapshot)
-	}
-	if len(rec.Records) != 4 {
-		t.Fatalf("recovered %d records, want the full WAL", len(rec.Records))
-	}
-}
-
-func TestMidSnapshotCrashAfterPriorSnapshot(t *testing.T) {
-	// old snapshot + WAL tail must survive a crash during the NEXT snapshot.
-	dir := t.TempDir()
-	crash := &Crasher{}
-	l, _ := mustOpen(t, Config{Dir: dir, NoSync: true, Crash: crash})
-	l.Append(1, []byte("a"))
-	if err := l.Snapshot([]byte("gen1")); err != nil {
-		t.Fatal(err)
-	}
-	l.Append(1, []byte("b"))
-	crash.Arm(CrashMidSnapshot)
-	if err := l.Snapshot([]byte("gen2")); !errors.Is(err, ErrCrashed) {
-		t.Fatalf("armed snapshot: %v", err)
-	}
-	_, rec := mustOpen(t, Config{Dir: dir, NoSync: true})
-	if string(rec.Snapshot) != "gen1" || len(rec.Records) != 1 || string(rec.Records[0].Payload) != "b" {
-		t.Fatalf("recovered snap=%q records=%+v", rec.Snapshot, rec.Records)
-	}
-}
-
 func TestKillBetweenOperations(t *testing.T) {
 	dir := t.TempDir()
 	l, _ := mustOpen(t, Config{Dir: dir, NoSync: true})
 	l.Append(1, []byte("acked"))
 	l.Kill()
-	if _, err := l.Append(1, []byte("post-kill")); !errors.Is(err, ErrCrashed) {
+	if _, err := l.Append(1, []byte("post-kill")); !errors.Is(err, ErrClosed) {
 		t.Fatalf("append after Kill: %v", err)
-	}
-	if !l.Dead() {
-		t.Fatal("log not dead after Kill")
 	}
 	_, rec := mustOpen(t, Config{Dir: dir, NoSync: true})
 	if len(rec.Records) != 1 || string(rec.Records[0].Payload) != "acked" {
@@ -308,17 +194,5 @@ func TestInteriorCorruptionIsFatalNotTruncated(t *testing.T) {
 	}
 	if _, _, err := Open(Config{Dir: dir, NoSync: true}); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("interior corruption: want ErrCorrupt, got %v", err)
-	}
-}
-
-func TestCrashPointNames(t *testing.T) {
-	for _, p := range CrashPoints() {
-		got, ok := CrashPointByName(p.String())
-		if !ok || got != p {
-			t.Errorf("CrashPointByName(%q) = %v, %v", p.String(), got, ok)
-		}
-	}
-	if _, ok := CrashPointByName("bogus"); ok {
-		t.Error("bogus crash point parsed")
 	}
 }
