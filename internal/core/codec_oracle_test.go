@@ -140,7 +140,7 @@ func TestWireCodecMatchesGob(t *testing.T) {
 }
 
 func TestStateCodecMatchesGob(t *testing.T) {
-	payloads := []statePayload{new(walStore), new(walCompute), new(walUpdate), new(walDelete), new(snapState)}
+	payloads := []statePayload{new(walStore), new(walCompute), new(walUpdate), new(walDelete), new(snapState), new(snapRefs)}
 	rng := rand.New(rand.NewSource(2))
 	for _, proto := range payloads {
 		typ := reflect.TypeOf(proto).Elem()

@@ -132,10 +132,11 @@ func (s *Server) handleUpdate(req *wire.UpdateRequest) wire.Message {
 		pb.Data = data
 	}
 	w := &walUpdate{UserID: req.UserID, Seq: req.Seq, Digest: digest, Block: pb}
-	if msg := s.persistLocked(recUpdate, s.walRecord(w)); msg != nil {
+	lsn, msg := s.persistLocked(recUpdate, s.walRecord(w))
+	if msg != nil {
 		return msg
 	}
-	s.applyUpdateLocked(w)
+	s.applyUpdateLocked(w, lsn)
 	s.maybeSnapshotLocked()
 	return &wire.StoreResponse{OK: true}
 }
@@ -168,7 +169,7 @@ func (s *Server) handleDelete(req *wire.DeleteRequest) wire.Message {
 			Error: fmt.Sprintf("no block at position %d", req.Position)}
 	}
 	w := &walDelete{UserID: req.UserID, Pos: req.Position, Seq: req.Seq, Digest: digest}
-	if msg := s.persistLocked(recDelete, s.walRecord(w)); msg != nil {
+	if _, msg := s.persistLocked(recDelete, s.walRecord(w)); msg != nil {
 		return msg
 	}
 	s.applyDeleteLocked(w)

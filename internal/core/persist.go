@@ -2,10 +2,13 @@ package core
 
 import (
 	"bytes"
+	"cmp"
+	"crypto/sha256"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash"
-	"hash/fnv"
+	"slices"
 	"sort"
 
 	"seccloud/internal/merkle"
@@ -22,6 +25,15 @@ import (
 // recomputed root is cross-checked against the root the server *signed*
 // before the crash. A mismatch means the local log is corrupt — recovery
 // fails loudly instead of serving state the DA would rightly flag.
+//
+// A snapshot copies no block and no job: it refers to the WAL records
+// that logged them, by LSN, and holds only the dedupe and sequence
+// tables. The log keeps every record from the oldest one referred to on
+// (store.Log.SnapshotKeep). Overwrites and deletes leave dead records
+// behind in that range; when the retained log outgrows baseFactor times
+// the live state, the live state is logged whole as one base record,
+// every reference moves to it, and the snapshot lets everything before it
+// go.
 
 // WAL record kinds (the Kind byte of store.Record).
 const (
@@ -29,7 +41,16 @@ const (
 	recCompute uint8 = 2
 	recUpdate  uint8 = 3
 	recDelete  uint8 = 4
+	recBase    uint8 = 5 // the whole live state, a snapState
 )
+
+// baseFactor bounds the log a snapshot retains at this many times the
+// live state's bytes. Logging a base costs one live state's bytes and
+// frees the retained log, so the disk holds at most about baseFactor live
+// states, and each written byte is written about baseFactor times: once
+// in its own record, once in the base that replaces it. A smaller factor
+// writes bases more often for less disk; a larger one the reverse.
+const baseFactor = 2
 
 // DurabilityConfig attaches a write-ahead log to a server. Nil (the
 // default) keeps the server purely in-memory, exactly as before.
@@ -39,8 +60,11 @@ type DurabilityConfig struct {
 	// FS is the filesystem backend the log writes through; nil means the
 	// real one. The chaos harness injects a netsim.FaultFS here.
 	FS store.FS
-	// SnapshotEvery compacts the log after this many appended records;
-	// 0 disables automatic snapshots.
+	// SnapshotEvery writes a snapshot after this many appended records;
+	// 0 disables automatic snapshots. A snapshot refers to the records
+	// that logged the live state instead of copying it, and frees the
+	// records no live block or job needs; a base record logs the live
+	// state whole when the log it retains outgrows baseFactor times it.
 	SnapshotEvery int
 	// NoSync skips fsync (tests only; a real deployment wants syncs).
 	NoSync bool
@@ -55,7 +79,8 @@ type RecoveryInfo struct {
 	Recovered bool
 	// SnapshotLSN is the LSN the loaded snapshot covers (0 if none).
 	SnapshotLSN uint64
-	// WALRecords is how many log records replayed on top of the snapshot.
+	// WALRecords is how many log records replayed on top of the snapshot,
+	// past the ones it retains.
 	WALRecords int
 	// TornTail is true when a half-written final record was detected by
 	// CRC and truncated away.
@@ -108,13 +133,29 @@ type walDelete struct {
 	Digest uint64
 }
 
-// snapState is the full-server snapshot payload.
+// snapState is the whole live state, as a base record logs it.
 type snapState struct {
 	Storage   map[string][]persistedBlock
 	Jobs      []walCompute
 	MutSeq    map[string]uint64
 	LastStore map[string]uint64
 	LastMut   map[string]uint64
+}
+
+// snapRefs is the snapshot payload: for each user, each live block's
+// position and the LSN of the record holding its live copy, in position
+// order; for each job, the LSN of its compute record; and the tables.
+type snapRefs struct {
+	Blocks    map[string][]blockRef
+	Jobs      map[string]uint64
+	MutSeq    map[string]uint64
+	LastStore map[string]uint64
+	LastMut   map[string]uint64
+}
+
+type blockRef struct {
+	Pos uint64
+	LSN uint64
 }
 
 // initDurability opens the WAL (if configured) and rebuilds state from it.
@@ -136,7 +177,7 @@ func (s *Server) initDurability() error {
 	}
 	s.log = l
 	if rec.Snapshot != nil {
-		if err := s.restoreSnapshot(rec.Snapshot); err != nil {
+		if err := s.restoreSnapshot(rec.Snapshot, rec.Retained); err != nil {
 			l.Close()
 			return fmt.Errorf("core: restoring snapshot for %q: %w", s.id, err)
 		}
@@ -189,28 +230,98 @@ func (s *Server) walRecord(p statePayload) []byte {
 	return encodeState(p)
 }
 
-// persistLocked appends one mutation record encoded by walRecord. Callers
-// hold s.mu; a non-nil result is the error to answer with, and the
-// mutation must not be applied.
-func (s *Server) persistLocked(kind uint8, payload []byte) wire.Message {
+// persistLocked appends one mutation record encoded by walRecord and
+// returns its LSN (0 for a server without a log). Callers hold s.mu; a
+// non-nil message is the error to answer with, and the mutation must not
+// be applied.
+func (s *Server) persistLocked(kind uint8, payload []byte) (uint64, wire.Message) {
 	if s.log == nil {
-		return nil
+		return 0, nil
 	}
-	if _, err := s.log.Append(kind, payload); err != nil {
-		return &wire.ErrorResponse{Code: "persist_failed", Msg: err.Error()}
+	lsn, err := s.log.Append(kind, payload)
+	if err != nil {
+		return 0, &wire.ErrorResponse{Code: "persist_failed", Msg: err.Error()}
 	}
-	return nil
+	return lsn, nil
 }
 
-// maybeSnapshotLocked compacts the log when due. A failed snapshot is
-// dropped: the WAL it would have compacted stays authoritative.
+// maybeSnapshotLocked snapshots the log when due. A failed snapshot or
+// base is dropped: the WAL it would have compacted stays authoritative.
+// A base too large for one record is refused before it is written, and
+// the snapshot keeps referring to the records it would have replaced.
 func (s *Server) maybeSnapshotLocked() {
-	if s.log != nil && s.log.SnapshotDue() {
-		_ = s.log.Snapshot(s.marshalStateLocked())
+	if s.log == nil || !s.log.SnapshotDue() {
+		return
 	}
+	refs, keep, live := s.refsLocked()
+	if keep <= s.log.LSN() && s.log.RetainedBytes(keep) > baseFactor*live {
+		if lsn, err := s.log.Append(recBase, s.marshalStateLocked()); err == nil {
+			for _, blocks := range s.storage {
+				for _, sb := range blocks {
+					sb.lsn = lsn
+				}
+			}
+			for _, j := range s.jobs {
+				j.lsn = lsn
+			}
+			refs, keep, _ = s.refsLocked()
+		}
+	}
+	_ = s.log.SnapshotKeep(keep, encodeState(refs))
 }
 
-// marshalStateLocked serializes the full server state for a snapshot.
+// refsLocked builds the snapshot payload, the lowest LSN it refers to
+// (one past the log's last when it refers to none), and about how many
+// bytes the live state it describes takes.
+func (s *Server) refsLocked() (refs *snapRefs, keep uint64, live int64) {
+	refs = &snapRefs{
+		Blocks:    make(map[string][]blockRef, len(s.storage)),
+		Jobs:      make(map[string]uint64, len(s.jobs)),
+		MutSeq:    s.mutSeq,
+		LastStore: s.lastStore,
+		LastMut:   s.lastMut,
+	}
+	keep = s.log.LSN() + 1
+	for user, blocks := range s.storage {
+		brs := make([]blockRef, 0, len(blocks))
+		for pos, sb := range blocks {
+			brs = append(brs, blockRef{Pos: pos, LSN: sb.lsn})
+			keep = min(keep, sb.lsn)
+			live += sb.loggedLen()
+		}
+		slices.SortFunc(brs, func(a, b blockRef) int { return cmp.Compare(a.Pos, b.Pos) })
+		refs.Blocks[user] = brs
+	}
+	for id, j := range s.jobs {
+		refs.Jobs[id] = j.lsn
+		keep = min(keep, j.lsn)
+		live += j.loggedLen()
+	}
+	return refs, keep, live
+}
+
+// loggedLen is about how many bytes the block takes in a WAL record.
+func (sb *storedBlock) loggedLen() int64 {
+	n := 16 + len(sb.data) + len(sb.sig.SignerID) + len(sb.sig.U)
+	for k, v := range sb.sig.Sigma {
+		n += len(k) + len(v)
+	}
+	return int64(n)
+}
+
+// loggedLen is about how many bytes the job takes in a WAL record.
+func (j *jobRecord) loggedLen() int64 {
+	n := 64 + len(j.userID) + len(j.rootSig.U) + len(j.rootSig.V)
+	for i := range j.tasks {
+		n += len(j.tasks[i].FuncName) + 10 + 8*len(j.tasks[i].Positions)
+	}
+	for _, r := range j.results {
+		n += 1 + len(r)
+	}
+	return int64(n)
+}
+
+// marshalStateLocked serializes the whole live state for a base record.
 func (s *Server) marshalStateLocked() []byte {
 	st := snapState{
 		Storage:   make(map[string][]persistedBlock, len(s.storage)),
@@ -244,33 +355,85 @@ func (s *Server) marshalStateLocked() []byte {
 	return encodeState(&st)
 }
 
-// restoreSnapshot rebuilds state from a snapshot payload.
-func (s *Server) restoreSnapshot(payload []byte) error {
-	var st snapState
-	if err := decodeState(payload, &st); err != nil {
-		return fmt.Errorf("decoding snapshot: %w", err)
-	}
+// restoreBase replaces the whole state with a base record's.
+func (s *Server) restoreBase(st *snapState, lsn uint64) error {
+	s.storage = make(map[string]map[uint64]*storedBlock, len(st.Storage))
+	s.jobs = make(map[string]*jobRecord, len(st.Jobs))
 	for user, pbs := range st.Storage {
 		userStore := make(map[uint64]*storedBlock, len(pbs))
 		for _, pb := range pbs {
-			userStore[pb.Pos] = pb.toStored()
+			userStore[pb.Pos] = pb.toStored(lsn)
 		}
 		s.storage[user] = userStore
 	}
 	for i := range st.Jobs {
-		if err := s.installJob(&st.Jobs[i]); err != nil {
+		if err := s.installJob(&st.Jobs[i], lsn); err != nil {
 			return err
 		}
 	}
-	if st.MutSeq != nil {
-		s.mutSeq = st.MutSeq
+	s.setTables(st.MutSeq, st.LastStore, st.LastMut)
+	return nil
+}
+
+// setTables installs recovered dedupe and sequence tables.
+func (s *Server) setTables(mutSeq, lastStore, lastMut map[string]uint64) {
+	orEmpty := func(m map[string]uint64) map[string]uint64 {
+		if m == nil {
+			return map[string]uint64{}
+		}
+		return m
 	}
-	if st.LastStore != nil {
-		s.lastStore = st.LastStore
+	s.mutSeq, s.lastStore, s.lastMut = orEmpty(mutSeq), orEmpty(lastStore), orEmpty(lastMut)
+}
+
+// restoreSnapshot rebuilds the state a snapshot describes: it replays
+// the records the snapshot retains, requires every live block and job
+// they leave behind to be the very copy the snapshot refers to and
+// nothing else, and takes the tables from the snapshot. A reference to
+// a record that is missing, of the wrong kind, or not the live copy of
+// its block — a superseded or deleted one — is refused.
+func (s *Server) restoreSnapshot(payload []byte, retained []*store.Record) error {
+	var st snapRefs
+	if err := decodeState(payload, &st); err != nil {
+		return fmt.Errorf("decoding snapshot: %w", err)
 	}
-	if st.LastMut != nil {
-		s.lastMut = st.LastMut
+	for _, r := range retained {
+		if err := s.replayRecord(r); err != nil {
+			return fmt.Errorf("replaying retained WAL record %d: %w", r.LSN, err)
+		}
 	}
+	for user := range s.storage {
+		if _, ok := st.Blocks[user]; !ok {
+			return fmt.Errorf("retained records hold blocks of user %q, the snapshot none", user)
+		}
+	}
+	for user, refs := range st.Blocks {
+		blocks := s.storage[user]
+		if blocks == nil {
+			blocks = make(map[uint64]*storedBlock)
+			s.storage[user] = blocks
+		}
+		if len(refs) != len(blocks) {
+			return fmt.Errorf("snapshot refers to %d blocks of user %q, the retained records hold %d", len(refs), user, len(blocks))
+		}
+		for i, ref := range refs {
+			if i > 0 && ref.Pos <= refs[i-1].Pos {
+				return fmt.Errorf("snapshot refers to block %d of user %q out of order", ref.Pos, user)
+			}
+			if sb, ok := blocks[ref.Pos]; !ok || sb.lsn != ref.LSN {
+				return fmt.Errorf("snapshot refers to block %d of user %q at LSN %d, which does not hold its live copy", ref.Pos, user, ref.LSN)
+			}
+		}
+	}
+	if len(st.Jobs) != len(s.jobs) {
+		return fmt.Errorf("snapshot refers to %d jobs, the retained records hold %d", len(st.Jobs), len(s.jobs))
+	}
+	for id, lsn := range st.Jobs {
+		if j, ok := s.jobs[id]; !ok || j.lsn != lsn {
+			return fmt.Errorf("snapshot refers to job %s at LSN %d, which does not hold it", id, lsn)
+		}
+	}
+	s.setTables(st.MutSeq, st.LastStore, st.LastMut)
 	return nil
 }
 
@@ -282,13 +445,13 @@ func (s *Server) replayRecord(r *store.Record) error {
 		if err := decodeState(r.Payload, &w); err != nil {
 			return err
 		}
-		s.applyStoreLocked(w.UserID, w.Digest, w.Blocks)
+		s.applyStoreLocked(w.UserID, w.Digest, w.Blocks, r.LSN)
 	case recCompute:
 		var w walCompute
 		if err := decodeState(r.Payload, &w); err != nil {
 			return err
 		}
-		if err := s.installJob(&w); err != nil {
+		if err := s.installJob(&w, r.LSN); err != nil {
 			return err
 		}
 	case recUpdate:
@@ -296,13 +459,19 @@ func (s *Server) replayRecord(r *store.Record) error {
 		if err := decodeState(r.Payload, &w); err != nil {
 			return err
 		}
-		s.applyUpdateLocked(&w)
+		s.applyUpdateLocked(&w, r.LSN)
 	case recDelete:
 		var w walDelete
 		if err := decodeState(r.Payload, &w); err != nil {
 			return err
 		}
 		s.applyDeleteLocked(&w)
+	case recBase:
+		var st snapState
+		if err := decodeState(r.Payload, &st); err != nil {
+			return err
+		}
+		return s.restoreBase(&st, r.LSN)
 	default:
 		return fmt.Errorf("unknown WAL record kind %d", r.Kind)
 	}
@@ -313,8 +482,8 @@ func (s *Server) replayRecord(r *store.Record) error {
 // results and cross-checks the re-derived root against the root the
 // server signed before the crash. Any mismatch is local corruption: the
 // server refuses to come up rather than serve state it cannot stand
-// behind under audit.
-func (s *Server) installJob(w *walCompute) error {
+// behind under audit. lsn is the record the job was logged in.
+func (s *Server) installJob(w *walCompute, lsn uint64) error {
 	leaves, err := CommitmentLeaves(w.Tasks, w.Results)
 	if err != nil {
 		return fmt.Errorf("job %s: %w", w.JobID, err)
@@ -344,39 +513,41 @@ func (s *Server) installJob(w *walCompute) error {
 		root:    root,
 		rootSig: w.RootSig,
 		digest:  w.Digest,
+		lsn:     lsn,
 	}
 	return nil
 }
 
-func (pb *persistedBlock) toStored() *storedBlock {
-	sb := &storedBlock{size: pb.Size, sig: pb.Sig}
+func (pb *persistedBlock) toStored(lsn uint64) *storedBlock {
+	sb := &storedBlock{size: pb.Size, sig: pb.Sig, lsn: lsn}
 	if pb.Kept {
 		sb.data = pb.Data
 	}
 	return sb
 }
 
-// applyStoreLocked commits a (policy-transformed) upload to memory.
-func (s *Server) applyStoreLocked(userID string, digest uint64, blocks []persistedBlock) {
+// applyStoreLocked commits a (policy-transformed) upload, logged at lsn,
+// to memory.
+func (s *Server) applyStoreLocked(userID string, digest uint64, blocks []persistedBlock, lsn uint64) {
 	userStore, ok := s.storage[userID]
 	if !ok {
 		userStore = make(map[uint64]*storedBlock, len(blocks))
 		s.storage[userID] = userStore
 	}
 	for i := range blocks {
-		userStore[blocks[i].Pos] = blocks[i].toStored()
+		userStore[blocks[i].Pos] = blocks[i].toStored(lsn)
 	}
 	s.lastStore[userID] = digest
 }
 
-// applyUpdateLocked commits a block replacement to memory.
-func (s *Server) applyUpdateLocked(w *walUpdate) {
+// applyUpdateLocked commits a block replacement, logged at lsn, to memory.
+func (s *Server) applyUpdateLocked(w *walUpdate, lsn uint64) {
 	userStore, ok := s.storage[w.UserID]
 	if !ok {
 		userStore = make(map[uint64]*storedBlock, 1)
 		s.storage[w.UserID] = userStore
 	}
-	userStore[w.Block.Pos] = w.Block.toStored()
+	userStore[w.Block.Pos] = w.Block.toStored(lsn)
 	s.mutSeq[w.UserID] = w.Seq
 	s.lastMut[w.UserID] = w.Digest
 }
@@ -398,9 +569,10 @@ func (s *Server) applyDeleteLocked(w *walDelete) {
 // payload's end.
 
 // stateFormat opens every WAL record and snapshot payload written by this
-// build. Directories written by earlier builds hold gob streams, whose
-// first byte is the length of a type descriptor and never 3.
-const stateFormat byte = 3
+// build. Format 3 held whole-state snapshots and FNV-1a request digests;
+// directories written before it hold gob streams, whose first byte is the
+// length of a type descriptor and never 4.
+const stateFormat byte = 4
 
 // ErrStateFormat marks a WAL record or snapshot whose payload does not
 // open with stateFormat: a directory written by an older build, which
@@ -545,90 +717,154 @@ func (p *snapState) decode(r *wire.Reader) {
 	p.LastMut = wire.ReadMap(r, 8, r.Uint64)
 }
 
+func (p *snapRefs) encode(w *wire.Writer) {
+	wire.WriteMap(w, p.Blocks, func(refs []blockRef) {
+		w.Uvarint(uint64(len(refs)))
+		for _, ref := range refs {
+			w.Uvarint(ref.Pos)
+			w.Uvarint(ref.LSN)
+		}
+	})
+	wire.WriteMap(w, p.Jobs, w.Uvarint)
+	wire.WriteMap(w, p.MutSeq, w.Uvarint)
+	wire.WriteMap(w, p.LastStore, w.Uint64)
+	wire.WriteMap(w, p.LastMut, w.Uint64)
+}
+
+func (p *snapRefs) decode(r *wire.Reader) {
+	p.Blocks = wire.ReadMap(r, 1, func() []blockRef {
+		n := r.Count(2)
+		if n == 0 {
+			return nil
+		}
+		refs := make([]blockRef, n)
+		for i := range refs {
+			refs[i] = blockRef{Pos: r.Uvarint(), LSN: r.Uvarint()}
+		}
+		return refs
+	})
+	p.Jobs = wire.ReadMap(r, 1, r.Uvarint)
+	p.MutSeq = wire.ReadMap(r, 1, r.Uvarint)
+	p.LastStore = wire.ReadMap(r, 8, r.Uint64)
+	p.LastMut = wire.ReadMap(r, 8, r.Uint64)
+}
+
 // --- request digests --------------------------------------------------------
 //
 // Digests identify a request's full content so a redelivered copy (client
 // retry after a crash-before-ack, duplicated frame on the wire) can be
-// answered idempotently instead of re-applied. FNV-1a over a canonical,
-// length-prefixed encoding; the map inside BlockSig is folded in sorted
-// key order so the digest is stable across encodings.
+// answered idempotently instead of re-applied. SHA-256 over a canonical,
+// length-prefixed encoding, truncated to its first 8 bytes; the map
+// inside BlockSig is folded in sorted key order so the digest is stable
+// across encodings.
 
-func digestStr(h hash.Hash64, s string) {
-	digestU64(h, uint64(len(s)))
-	h.Write([]byte(s))
+// digest accumulates one request's canonical encoding. Small fields
+// collect in buf and reach the hash together, so a block costs two hash
+// writes, not a dozen.
+type digest struct {
+	h   hash.Hash
+	buf []byte
 }
 
-func digestBytes(h hash.Hash64, b []byte) {
-	digestU64(h, uint64(len(b)))
-	h.Write(b)
+// digestBuf is buf's capacity; it is hashed once it is nearly full.
+const digestBuf = 512
+
+func newDigest(kind string) *digest {
+	d := &digest{h: sha256.New(), buf: make([]byte, 0, digestBuf)}
+	d.str(kind)
+	return d
 }
 
-func digestU64(h hash.Hash64, v uint64) {
-	var b [8]byte
-	for i := 0; i < 8; i++ {
-		b[i] = byte(v >> (56 - 8*i))
+func (d *digest) sum() uint64 {
+	d.h.Write(d.buf)
+	var b [sha256.Size]byte
+	return binary.BigEndian.Uint64(d.h.Sum(b[:0]))
+}
+
+// flush hashes buf when it is nearly full, or when a field of n bytes
+// that follows would not fit in it.
+func (d *digest) flush(n int) {
+	if len(d.buf)+n > digestBuf-64 {
+		d.h.Write(d.buf)
+		d.buf = d.buf[:0]
 	}
-	h.Write(b[:])
 }
 
-func digestBlockSig(h hash.Hash64, sig *wire.BlockSig) {
-	digestStr(h, sig.SignerID)
-	digestBytes(h, sig.U)
-	keys := make([]string, 0, len(sig.Sigma))
+func (d *digest) u64(v uint64) {
+	d.flush(0)
+	d.buf = binary.BigEndian.AppendUint64(d.buf, v)
+}
+
+func (d *digest) bytes(b []byte) {
+	d.u64(uint64(len(b)))
+	if d.flush(len(b)); len(b) > digestBuf/2 {
+		d.h.Write(b)
+		return
+	}
+	d.buf = append(d.buf, b...)
+}
+
+func (d *digest) str(s string) {
+	d.u64(uint64(len(s)))
+	d.flush(len(s))
+	d.buf = append(d.buf, s...)
+}
+
+func (d *digest) blockSig(sig *wire.BlockSig) {
+	d.str(sig.SignerID)
+	d.bytes(sig.U)
+	var arr [4]string
+	keys := arr[:0]
 	for k := range sig.Sigma {
 		keys = append(keys, k)
 	}
-	sort.Strings(keys)
+	slices.Sort(keys)
 	for _, k := range keys {
-		digestStr(h, k)
-		digestBytes(h, sig.Sigma[k])
+		d.str(k)
+		d.bytes(sig.Sigma[k])
 	}
 }
 
 func digestStoreReq(req *wire.StoreRequest) uint64 {
-	h := fnv.New64a()
-	digestStr(h, "store")
-	digestStr(h, req.UserID)
+	d := newDigest("store")
+	d.str(req.UserID)
 	for i := range req.Blocks {
-		digestU64(h, req.Positions[i])
-		digestBytes(h, req.Blocks[i])
-		digestBlockSig(h, &req.Sigs[i])
+		d.u64(req.Positions[i])
+		d.bytes(req.Blocks[i])
+		d.blockSig(&req.Sigs[i])
 	}
-	return h.Sum64()
+	return d.sum()
 }
 
 func digestComputeReq(req *wire.ComputeRequest) uint64 {
-	h := fnv.New64a()
-	digestStr(h, "compute")
-	digestStr(h, req.UserID)
-	digestStr(h, req.JobID)
+	d := newDigest("compute")
+	d.str(req.UserID)
+	d.str(req.JobID)
 	for i := range req.Tasks {
-		digestStr(h, req.Tasks[i].FuncName)
-		digestU64(h, uint64(req.Tasks[i].Arg))
-		digestU64(h, uint64(len(req.Tasks[i].Positions)))
+		d.str(req.Tasks[i].FuncName)
+		d.u64(uint64(req.Tasks[i].Arg))
+		d.u64(uint64(len(req.Tasks[i].Positions)))
 		for _, p := range req.Tasks[i].Positions {
-			digestU64(h, p)
+			d.u64(p)
 		}
 	}
-	return h.Sum64()
+	return d.sum()
 }
 
 func digestUpdateReq(req *wire.UpdateRequest) uint64 {
-	h := fnv.New64a()
-	digestStr(h, "update")
-	digestStr(h, req.UserID)
-	digestU64(h, req.Position)
-	digestU64(h, req.Seq)
-	digestBytes(h, req.Block)
-	digestBlockSig(h, &req.Sig)
-	return h.Sum64()
+	d := newDigest("update")
+	d.str(req.UserID)
+	d.u64(req.Position)
+	d.u64(req.Seq)
+	d.bytes(req.Block)
+	d.blockSig(&req.Sig)
+	return d.sum()
 }
 
 func digestDeleteReq(req *wire.DeleteRequest) uint64 {
-	h := fnv.New64a()
-	digestStr(h, "delete")
-	digestStr(h, req.UserID)
-	digestU64(h, req.Position)
-	digestU64(h, req.Seq)
-	return h.Sum64()
+	d := newDigest("delete")
+	d.str(req.UserID)
+	d.u64(req.Position)
+	d.u64(req.Seq)
+	return d.sum()
 }

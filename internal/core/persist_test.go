@@ -351,18 +351,19 @@ func TestRecoveryRejectsTamperedLog(t *testing.T) {
 		t.Fatal(err)
 	}
 	const magicLen = 8 // "SECWAL01"
-	rd := bytes.NewReader(raw[magicLen:])
+	rest := raw[magicLen:]
 	var out bytes.Buffer
 	out.Write(raw[:magicLen])
 	tampered := false
 	for {
-		rec, _, err := store.ReadRecord(rd)
+		rec, n, err := store.ReadRecord(rest)
 		if err == io.EOF {
 			break
 		}
 		if err != nil {
 			t.Fatalf("reading WAL record: %v", err)
 		}
+		rest = rest[n:]
 		if rec.Kind == recCompute && !tampered {
 			var w walCompute
 			if err := decodeState(rec.Payload, &w); err != nil {
@@ -479,21 +480,21 @@ func TestStateCodecRefusesOutOfRangeBlockSize(t *testing.T) {
 	}
 }
 
-// FuzzReplayState feeds payloads that passed the WAL's CRC to recovery:
-// kind 0 to the snapshot restore path, the four record kinds to replay.
-// Neither may panic, decoding may not allocate more than a small multiple
-// of the payload's length, and a payload the decoder accepts must
-// re-encode to the same bytes. Every block the payload restores is then
-// served once, which reaches readBlock's allocation for a dropped one.
-func FuzzReplayState(f *testing.F) {
-	sys := newSystem(f)
+// refsFixture is a server without a log and the records a snapshot of
+// it retains: user u's upload of blocks 0 and 1 at LSN 1, job j over
+// block 0 at LSN 2, the replacement of block 1 at LSN 3 and the deletion
+// of block 0 at LSN 4. What they leave live is block 1 from LSN 3 and
+// the job from LSN 2, which goodRefs refers to.
+func refsFixture(tb testing.TB) (*Server, []*store.Record) {
+	tb.Helper()
+	sys := newSystem(tb)
 	key, err := sys.sio.Extract("cs:fuzz")
 	if err != nil {
-		f.Fatal(err)
+		tb.Fatal(err)
 	}
 	srv, err := NewServer(sys.sio.Params(), key, ServerConfig{Random: rand.Reader})
 	if err != nil {
-		f.Fatal(err)
+		tb.Fatal(err)
 	}
 	// A real compute record, whose root and signature check out, over a
 	// stored block.
@@ -503,12 +504,96 @@ func FuzzReplayState(f *testing.F) {
 		Tasks: []wire.TaskSpec{{FuncName: "sum", Positions: []uint64{0}}, {FuncName: "digest", Positions: []uint64{0}}}}).(*wire.ComputeResponse)
 	job := srv.jobs["j"]
 	if job == nil {
-		f.Fatalf("seed job refused: %s", resp.Error)
+		tb.Fatalf("fixture job refused: %s", resp.Error)
 	}
-	f.Add(recCompute, encodeState(&walCompute{JobID: "j", UserID: "u", Digest: job.digest,
-		Tasks: job.tasks, Results: resp.Results, Root: resp.Root, RootSig: resp.RootSig}))
+	block := func(pos uint64, fill byte) persistedBlock {
+		return persistedBlock{Pos: pos, Data: bytes.Repeat([]byte{fill}, 16), Kept: true, Size: 16, Sig: wire.BlockSig{SignerID: "u"}}
+	}
+	payloads := []statePayload{
+		&walStore{UserID: "u", Digest: 1, Blocks: []persistedBlock{block(0, 0), block(1, 1)}},
+		&walCompute{JobID: "j", UserID: "u", Digest: job.digest,
+			Tasks: job.tasks, Results: resp.Results, Root: resp.Root, RootSig: resp.RootSig},
+		&walUpdate{UserID: "u", Seq: 1, Digest: 2, Block: block(1, 2)},
+		&walDelete{UserID: "u", Pos: 0, Seq: 2, Digest: 3},
+	}
+	kinds := []uint8{recStore, recCompute, recUpdate, recDelete}
+	retained := make([]*store.Record, len(payloads))
+	for i, p := range payloads {
+		retained[i] = &store.Record{LSN: uint64(i + 1), Kind: kinds[i], Payload: encodeState(p)}
+	}
+	resetState(srv)
+	return srv, retained
+}
+
+// resetState empties a server's state.
+func resetState(srv *Server) {
+	srv.storage = make(map[string]map[uint64]*storedBlock)
+	srv.jobs = make(map[string]*jobRecord)
+	srv.mutSeq, srv.lastStore, srv.lastMut = map[string]uint64{}, map[string]uint64{}, map[string]uint64{}
+}
+
+// refsPayload is a snapshot of refsFixture's records referring to
+// user u's blocks and job j as given.
+func refsPayload(blocks []blockRef, jobLSN uint64) []byte {
+	return encodeState(&snapRefs{
+		Blocks: map[string][]blockRef{"u": blocks}, Jobs: map[string]uint64{"j": jobLSN},
+		MutSeq: map[string]uint64{"u": 2}, LastStore: map[string]uint64{"u": 1}, LastMut: map[string]uint64{"u": 3},
+	})
+}
+
+var goodRefs = []blockRef{{Pos: 1, LSN: 3}}
+
+// badRefs are snapshots of refsFixture's records that refer to
+// something other than the live state.
+var badRefs = map[string][]byte{
+	"missing LSN":              refsPayload([]blockRef{{Pos: 1, LSN: 9}}, 2),
+	"record of the wrong kind": refsPayload([]blockRef{{Pos: 1, LSN: 2}}, 2),
+	"position not held":        refsPayload([]blockRef{{Pos: 1, LSN: 3}, {Pos: 5, LSN: 3}}, 2),
+	"superseded copy":          refsPayload([]blockRef{{Pos: 1, LSN: 1}}, 2),
+	"deleted block":            refsPayload([]blockRef{{Pos: 0, LSN: 1}, {Pos: 1, LSN: 3}}, 2),
+	"live block left out":      refsPayload(nil, 2),
+	"repeated position":        refsPayload([]blockRef{{Pos: 1, LSN: 3}, {Pos: 1, LSN: 3}}, 2),
+	"job at the wrong LSN":     refsPayload(goodRefs, 1),
+	"job that is not there": encodeState(&snapRefs{
+		Blocks: map[string][]blockRef{"u": goodRefs}, Jobs: map[string]uint64{"j": 2, "k": 3}}),
+}
+
+// TestRestoreRefusesBadReferences: a snapshot whose references do not
+// name exactly the live copies the retained records leave is refused.
+func TestRestoreRefusesBadReferences(t *testing.T) {
+	srv, retained := refsFixture(t)
+	if err := srv.restoreSnapshot(refsPayload(goodRefs, 2), retained); err != nil {
+		t.Fatalf("the live state's references refused: %v", err)
+	}
+	if sb := srv.storage["u"][1]; len(srv.storage["u"]) != 1 || sb.data[0] != 2 || srv.jobs["j"] == nil || srv.mutSeq["u"] != 2 {
+		t.Fatalf("restored %d blocks of u and job %v", len(srv.storage["u"]), srv.jobs["j"] != nil)
+	}
+	for name, payload := range badRefs {
+		resetState(srv)
+		if err := srv.restoreSnapshot(payload, retained); err == nil {
+			t.Errorf("%s: restored", name)
+		}
+	}
+}
+
+// FuzzReplayState feeds payloads that passed the WAL's CRC to recovery:
+// kind 0 to the snapshot restore path, over refsFixture's retained
+// records, the five record kinds to replay. Neither may panic, decoding
+// may not allocate more than a small multiple of the payload's length,
+// and a payload the decoder accepts must re-encode to the same bytes.
+// Every block the payload restores is then served once, which reaches
+// readBlock's allocation for a dropped one.
+func FuzzReplayState(f *testing.F) {
+	srv, retained := refsFixture(f)
+	for _, r := range retained {
+		f.Add(r.Kind, r.Payload)
+	}
+	f.Add(uint8(0), refsPayload(goodRefs, 2))
+	for _, payload := range badRefs {
+		f.Add(uint8(0), payload)
+	}
 	rng := mrand.New(mrand.NewSource(3))
-	for kind, proto := range []statePayload{new(snapState), new(walStore), new(walCompute), new(walUpdate), new(walDelete)} {
+	for kind, proto := range []statePayload{new(snapRefs), new(walStore), new(walCompute), new(walUpdate), new(walDelete), new(snapState)} {
 		for i := 0; i < 4; i++ {
 			p := reflect.New(reflect.TypeOf(proto).Elem())
 			fillRandom(rng, p.Elem())
@@ -518,11 +603,12 @@ func FuzzReplayState(f *testing.F) {
 	f.Add(recStore, []byte{stateFormat})
 	f.Add(uint8(0), []byte{0x3a, 0xff})
 	payloadFor := map[uint8]func() statePayload{
-		0:          func() statePayload { return new(snapState) },
+		0:          func() statePayload { return new(snapRefs) },
 		recStore:   func() statePayload { return new(walStore) },
 		recCompute: func() statePayload { return new(walCompute) },
 		recUpdate:  func() statePayload { return new(walUpdate) },
 		recDelete:  func() statePayload { return new(walDelete) },
+		recBase:    func() statePayload { return new(snapState) },
 	}
 	f.Fuzz(func(t *testing.T, kind uint8, payload []byte) {
 		mk, ok := payloadFor[kind]
@@ -548,11 +634,9 @@ func FuzzReplayState(f *testing.F) {
 		if err == nil && !bytes.Equal(encodeState(p), payload) {
 			t.Fatalf("accepted payload re-encodes differently:\n  in  %x\n  out %x", payload, encodeState(p))
 		}
-		srv.storage = make(map[string]map[uint64]*storedBlock)
-		srv.jobs = make(map[string]*jobRecord)
-		srv.mutSeq, srv.lastStore, srv.lastMut = map[string]uint64{}, map[string]uint64{}, map[string]uint64{}
+		resetState(srv)
 		if kind == 0 {
-			_ = srv.restoreSnapshot(payload)
+			_ = srv.restoreSnapshot(payload, retained)
 		} else {
 			_ = srv.replayRecord(&store.Record{LSN: 1, Kind: kind, Payload: payload})
 		}

@@ -65,6 +65,7 @@ type storedBlock struct {
 	data []byte
 	size int
 	sig  wire.BlockSig
+	lsn  uint64 // the WAL record that logged this copy; a snapshot refers to it
 }
 
 // jobRecord remembers a committed computing job so challenges can be
@@ -80,6 +81,7 @@ type jobRecord struct {
 	root    [merkle.HashLen]byte
 	rootSig wire.IBSig
 	digest  uint64 // request digest, for duplicate-delivery detection
+	lsn     uint64 // the WAL record that logged the job; a snapshot refers to it
 }
 
 // response rebuilds the byte-identical ComputeResponse for this job.
@@ -260,10 +262,11 @@ func (s *Server) handleStore(req *wire.StoreRequest) wire.Message {
 	}
 	// Log before ack: the mutation is not acknowledged unless it is
 	// durable (or the server runs without a WAL).
-	if msg := s.persistLocked(recStore, s.walRecord(&walStore{UserID: req.UserID, Digest: digest, Blocks: blocks})); msg != nil {
+	lsn, msg := s.persistLocked(recStore, s.walRecord(&walStore{UserID: req.UserID, Digest: digest, Blocks: blocks}))
+	if msg != nil {
 		return msg
 	}
-	s.applyStoreLocked(req.UserID, digest, blocks)
+	s.applyStoreLocked(req.UserID, digest, blocks, lsn)
 	s.maybeSnapshotLocked()
 	return &wire.StoreResponse{OK: true}
 }
@@ -402,7 +405,8 @@ func (s *Server) handleCompute(req *wire.ComputeRequest) wire.Message {
 	if resp, dup := s.dupComputeLocked(req, digest); dup {
 		return resp // lost the race to a concurrent duplicate
 	}
-	if msg := s.persistLocked(recCompute, rec); msg != nil {
+	lsn, msg := s.persistLocked(recCompute, rec)
+	if msg != nil {
 		return msg
 	}
 	s.jobs[req.JobID] = &jobRecord{
@@ -413,6 +417,7 @@ func (s *Server) handleCompute(req *wire.ComputeRequest) wire.Message {
 		root:    root,
 		rootSig: rootSig,
 		digest:  digest,
+		lsn:     lsn,
 	}
 	s.maybeSnapshotLocked()
 	return &wire.ComputeResponse{

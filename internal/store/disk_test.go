@@ -8,6 +8,10 @@ package store_test
 import (
 	"errors"
 	"fmt"
+	"math"
+	"os"
+	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -320,47 +324,64 @@ func TestMidSnapshotCrashAfterPriorSnapshot(t *testing.T) {
 	}
 }
 
-// sweepSteps is the crash sweep's script length: seven appends under
-// SnapshotEvery 3, so a snapshot follows the third and the sixth, with a
-// clean close and reopen before the fifth.
-const sweepSteps = 7
+// sweepScript is one script of the crash sweep: steps appends under
+// SnapshotEvery 3, so a snapshot follows every third, with a clean close
+// and reopen before the fifth. Each snapshot retains the records from
+// keep(lsn) on and copies, as its payload, those below.
+type sweepScript struct {
+	name  string
+	steps int
+	keep  func(lsn uint64) uint64
+}
 
-// TestCrashSweep arms each crash point before every step of the sweep
+var sweepScripts = []sweepScript{
+	// Every snapshot copies the whole state: keep is LSN+1.
+	{name: "copying", steps: 7, keep: func(lsn uint64) uint64 { return lsn + 1 }},
+	// Every snapshot retains its last three records, so the snapshot at 3
+	// retains the whole first segment, and the one at 6 deletes it while
+	// retaining the second, which the one at 9 then deletes.
+	{name: "retaining", steps: 10, keep: func(lsn uint64) uint64 { return lsn - 2 }},
+}
+
+// TestCrashSweep arms each crash point before every step of each sweep
 // script, so each point fires at every write it matches rather than
 // only the first, and checks the image each crash leaves: recovery on
 // the restarted disk succeeds, every acked record is back in LSN order,
 // and no unacked record appears except the one in flight.
 func TestCrashSweep(t *testing.T) {
-	images := 0
-	for _, p := range netsim.CrashPoints() {
-		for k := 0; k < sweepSteps; k++ {
-			if crashImage(t, p, k) {
-				images++
+	for _, sc := range sweepScripts {
+		images := 0
+		for _, p := range netsim.CrashPoints() {
+			for k := 0; k < sc.steps; k++ {
+				if crashImage(t, sc, p, k) {
+					images++
+				}
 			}
 		}
-	}
-	t.Logf("%d crash images checked", images)
-	// Seven record writes each for before-log, after-log and torn-tail,
-	// and the two snapshots for mid-snapshot.
-	if images != 3*sweepSteps+2 {
-		t.Fatalf("checked %d crash images, want %d", images, 3*sweepSteps+2)
+		t.Logf("%s: %d crash images checked", sc.name, images)
+		// One per record write each for before-log, after-log and
+		// torn-tail, and one per snapshot for mid-snapshot.
+		if want := 3*sc.steps + sc.steps/3; images != want {
+			t.Fatalf("%s: checked %d crash images, want %d", sc.name, images, want)
+		}
 	}
 }
 
-// crashImage runs the sweep script with p armed for step k only, and
-// checks the image if the crash fired there. A snapshot's payload is its
-// records' payloads, newline-joined.
-func crashImage(t *testing.T, p netsim.CrashPoint, k int) bool {
+// crashImage runs script sc with p armed for step k only, and checks the
+// image if the crash fired there. A snapshot's payload is the payloads of
+// the records it copies, newline-joined. After every snapshot, each
+// snapshot file on disk must still find the records it retains.
+func crashImage(t *testing.T, sc sweepScript, p netsim.CrashPoint, k int) bool {
 	t.Helper()
 	disk := crashDisk()
 	cfg := store.Config{Dir: t.TempDir(), FS: disk, SnapshotEvery: 3}
 	l, _ := mustOpen(t, cfg)
 	var acked []string
 	inFlight := ""
-	for i := 0; i < sweepSteps && !disk.Fired(); i++ {
+	for i := 0; i < sc.steps && !disk.Fired(); i++ {
 		if i == 4 {
 			if err := l.Close(); err != nil {
-				t.Fatalf("%v step %d: close: %v", p, k, err)
+				t.Fatalf("%s %v step %d: close: %v", sc.name, p, k, err)
 			}
 			l, _ = mustOpen(t, cfg)
 		}
@@ -370,15 +391,20 @@ func crashImage(t *testing.T, p netsim.CrashPoint, k int) bool {
 		payload := fmt.Sprintf("record-%d", i)
 		if _, err := l.Append(1, []byte(payload)); err != nil {
 			if !disk.Fired() {
-				t.Fatalf("%v step %d: append %d: %v", p, k, i, err)
+				t.Fatalf("%s %v step %d: append %d: %v", sc.name, p, k, i, err)
 			}
 			inFlight = payload
 			break
 		}
 		acked = append(acked, payload)
 		if l.SnapshotDue() {
-			if err := l.Snapshot([]byte(strings.Join(acked, "\n"))); err != nil && !disk.Fired() {
-				t.Fatalf("%v step %d: snapshot after %d: %v", p, k, i, err)
+			keep := sc.keep(uint64(len(acked)))
+			err := l.SnapshotKeep(keep, []byte(strings.Join(acked[:keep-1], "\n")))
+			if err != nil && !disk.Fired() {
+				t.Fatalf("%s %v step %d: snapshot after %d: %v", sc.name, p, k, i, err)
+			}
+			if err == nil {
+				checkSnapshotsFindTheirRecords(t, cfg.Dir)
 			}
 		}
 		disk.Arm(netsim.CrashNone)
@@ -390,29 +416,151 @@ func crashImage(t *testing.T, p netsim.CrashPoint, k int) bool {
 	disk.Restart()
 	l, rec, err := store.Open(cfg)
 	if err != nil {
-		t.Errorf("%v at step %d: recovery refused a crash image: %v", p, k, err)
+		t.Errorf("%s %v at step %d: recovery refused a crash image: %v", sc.name, p, k, err)
 		return true
 	}
 	defer l.Close()
 	var got []string
-	if rec.Snapshot != nil {
+	if len(rec.Snapshot) > 0 {
 		got = strings.Split(string(rec.Snapshot), "\n")
 	}
-	if uint64(len(got)) != rec.SnapshotLSN {
-		t.Errorf("%v at step %d: snapshot at LSN %d holds %d records", p, k, rec.SnapshotLSN, len(got))
+	if uint64(len(got)+len(rec.Retained)) != rec.SnapshotLSN {
+		t.Errorf("%s %v at step %d: snapshot at LSN %d copies %d records and retains %d",
+			sc.name, p, k, rec.SnapshotLSN, len(got), len(rec.Retained))
 	}
-	for i, r := range rec.Records {
-		if want := rec.SnapshotLSN + uint64(i) + 1; r.LSN != want {
-			t.Errorf("%v at step %d: record %d has LSN %d, want %d", p, k, i, r.LSN, want)
+	for i, r := range append(rec.Retained, rec.Records...) {
+		if want := uint64(len(got)) + 1; r.LSN != want {
+			t.Errorf("%s %v at step %d: record %d has LSN %d, want %d", sc.name, p, k, i, r.LSN, want)
 		}
 		got = append(got, string(r.Payload))
 	}
 	want := strings.Join(acked, ",")
 	if g := strings.Join(got, ","); g != want && (inFlight == "" || g != strings.Join(append(acked, inFlight), ",")) {
-		t.Errorf("%v at step %d: recovered [%s], want the acked [%s] (in flight: %q)", p, k, g, want, inFlight)
+		t.Errorf("%s %v at step %d: recovered [%s], want the acked [%s] (in flight: %q)", sc.name, p, k, g, want, inFlight)
 	}
 	if lsn, err := l.Append(1, []byte("after")); err != nil || lsn != uint64(len(got)+1) {
-		t.Errorf("%v at step %d: append after recovery: lsn=%d err=%v, want lsn %d", p, k, lsn, err, len(got)+1)
+		t.Errorf("%s %v at step %d: append after recovery: lsn=%d err=%v, want lsn %d", sc.name, p, k, lsn, err, len(got)+1)
 	}
 	return true
+}
+
+// checkSnapshotsFindTheirRecords fails t when a snapshot file in dir
+// retains a record no segment in dir holds. Segments are deleted oldest
+// first, so the records on disk are those after the oldest segment's
+// start.
+func checkSnapshotsFindTheirRecords(t *testing.T, dir string) {
+	t.Helper()
+	oldest := uint64(math.MaxUint64)
+	walNames, _ := filepath.Glob(filepath.Join(dir, "wal-*.log"))
+	for _, name := range walNames {
+		start, err := strconv.ParseUint(strings.TrimSuffix(strings.TrimPrefix(filepath.Base(name), "wal-"), ".log"), 16, 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		oldest = min(oldest, start)
+	}
+	snapNames, _ := filepath.Glob(filepath.Join(dir, "snap-*.snap"))
+	for _, name := range snapNames {
+		data, err := os.ReadFile(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lsn, keep, err := store.SnapshotRange(data)
+		if err != nil {
+			t.Fatalf("%s: %v", filepath.Base(name), err)
+		}
+		if keep <= lsn && keep <= oldest {
+			t.Errorf("%s retains records from LSN %d, but the oldest segment on disk starts after %d",
+				filepath.Base(name), keep, oldest)
+		}
+	}
+}
+
+// undeletableSnapshots is a disk on which snapshot files cannot be
+// deleted.
+type undeletableSnapshots struct{ store.FS }
+
+func (u undeletableSnapshots) Remove(path string) error {
+	if strings.HasPrefix(filepath.Base(path), "snap-") {
+		return errors.New("remove refused")
+	}
+	return u.FS.Remove(path)
+}
+
+// TestUndeletableSnapshotKeepsItsSegments: compaction deletes a segment
+// only once every older snapshot file is gone, since such a file may
+// retain records in it. When the older snapshot cannot be deleted, its
+// segments stay, and recovery can fall back to it when the newest one
+// rots.
+func TestUndeletableSnapshotKeepsItsSegments(t *testing.T) {
+	dir := t.TempDir()
+	disk := netsim.NewFaultFS(netsim.FaultFSConfig{Seed: 5})
+	cfg := store.Config{Dir: dir, FS: undeletableSnapshots{disk}}
+	l, _ := mustOpen(t, cfg)
+	appendN(t, l, 3, 'e')
+	if err := l.SnapshotKeep(1, nil); err != nil {
+		t.Fatal(err)
+	}
+	appendN(t, l, 3, 'f')
+	// Nothing below LSN 6 is needed, but the snapshot at 3, which retains
+	// the first segment, is still on disk.
+	if err := l.SnapshotKeep(6, []byte("e0 e1 e2 f0 f1")); err != nil {
+		t.Fatal(err)
+	}
+	checkSnapshotsFindTheirRecords(t, dir)
+	if n := l.RetainedBytes(1); n == l.RetainedBytes(7) {
+		t.Fatalf("the first segment is gone: %d bytes retained either way", n)
+	}
+	l.Kill()
+
+	// The newest snapshot rots; the one at 3 and its segments recover
+	// every record.
+	newest := filepath.Join(dir, "snap-0000000000000006.snap")
+	data, err := os.ReadFile(newest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[len(data)-1] ^= 1
+	if err := os.WriteFile(newest, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	l2, rec, err := store.Open(store.Config{Dir: dir, FS: disk})
+	if err != nil {
+		t.Fatalf("falling back to the older snapshot: %v", err)
+	}
+	defer l2.Close()
+	if rec.SnapshotLSN != 3 || len(rec.Retained) != 3 || len(rec.Records) != 3 {
+		t.Fatalf("recovered snapshot at %d, %d retained, %d after", rec.SnapshotLSN, len(rec.Retained), len(rec.Records))
+	}
+}
+
+// TestOpenRefusesMissingRetainedSegment: a directory whose snapshot
+// retains records that no segment holds any more is refused as corrupt,
+// not recovered without them.
+func TestOpenRefusesMissingRetainedSegment(t *testing.T) {
+	dir := t.TempDir()
+	l, _ := mustOpen(t, store.Config{Dir: dir, NoSync: true, SnapshotEvery: 2})
+	appendN(t, l, 2, 'g')
+	if err := l.Snapshot([]byte("g0 g1")); err != nil {
+		t.Fatal(err)
+	}
+	appendN(t, l, 2, 'h')
+	if err := l.SnapshotKeep(3, []byte("g0 g1")); err != nil {
+		t.Fatal(err)
+	}
+	appendN(t, l, 1, 'i')
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	_, rec := mustOpen(t, store.Config{Dir: dir, NoSync: true})
+	if rec.SnapshotLSN != 4 || len(rec.Retained) != 2 || rec.Retained[0].LSN != 3 || len(rec.Records) != 1 {
+		t.Fatalf("recovered snapshot at %d with %d retained from %v, %d after",
+			rec.SnapshotLSN, len(rec.Retained), rec.Retained, len(rec.Records))
+	}
+	if err := os.Remove(filepath.Join(dir, "wal-0000000000000002.log")); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := store.Open(store.Config{Dir: dir, NoSync: true}); !errors.Is(err, store.ErrCorrupt) {
+		t.Fatalf("missing retained segment: got %v, want ErrCorrupt", err)
+	}
 }

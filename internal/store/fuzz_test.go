@@ -4,32 +4,42 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"math"
 	"testing"
 )
 
 // FuzzDecodeSnapshot drives arbitrary bytes through the snapshot decoder
 // — the exact path a FaultFS read-rot fault attacks. Damage of any shape
 // must surface as a typed ErrCorrupt (never a panic, never a silently
-// wrong payload), and intact snapshots must round-trip.
+// wrong payload), a retention floor outside [1, lsn+1] is refused, and
+// intact snapshots must round-trip.
 func FuzzDecodeSnapshot(f *testing.F) {
-	good := encodeSnapshot(42, []byte("snapshot payload"))
+	good := encodeSnapshot(42, 7, []byte("snapshot payload"))
 	f.Add(good)
+	f.Add(encodeSnapshot(42, 0, []byte("keeps LSN 0")))
+	f.Add(encodeSnapshot(42, 43, []byte("retains nothing")))
+	f.Add(encodeSnapshot(42, 44, []byte("keeps past its LSN")))
+	f.Add(encodeSnapshot(math.MaxUint64, math.MaxUint64, nil))
 	f.Add(good[:len(good)/2]) // truncated
 	rot := append([]byte(nil), good...)
 	rot[len(rot)-1] ^= 0x01 // single-bit rot in the payload
 	f.Add(rot)
 	f.Add([]byte{})
-	f.Add([]byte("SECSNAP1 but then garbage"))
+	f.Add([]byte("SECSNAP2 but then garbage"))
+	f.Add(encodeSnapshot(42, 7, nil)[:24]) // a pre-keep header's length
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		lsn, payload, err := decodeSnapshot(data)
+		lsn, keep, payload, err := decodeSnapshot(data)
 		if err != nil {
 			if !errors.Is(err, ErrCorrupt) {
 				t.Fatalf("untyped snapshot decode error: %v", err)
 			}
 			return
 		}
-		again := encodeSnapshot(lsn, payload)
+		if keep == 0 || keep-1 > lsn {
+			t.Fatalf("accepted keep %d at LSN %d", keep, lsn)
+		}
+		again := encodeSnapshot(lsn, keep, payload)
 		if !bytes.Equal(again, data) {
 			t.Fatal("snapshot round trip not stable")
 		}
@@ -51,7 +61,7 @@ func FuzzReadRecord(f *testing.F) {
 	f.Add(long)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		rec, n, err := ReadRecord(bytes.NewReader(data))
+		rec, n, err := ReadRecord(data)
 		if err != nil {
 			if !errors.Is(err, ErrTorn) && !errors.Is(err, ErrCorrupt) &&
 				!errors.Is(err, io.EOF) {
@@ -67,7 +77,7 @@ func FuzzReadRecord(f *testing.F) {
 		if err != nil {
 			t.Fatalf("re-encoding decoded record: %v", err)
 		}
-		again, _, err := ReadRecord(bytes.NewReader(frame))
+		again, _, err := ReadRecord(frame)
 		if err != nil {
 			t.Fatalf("re-decoding: %v", err)
 		}

@@ -1,7 +1,6 @@
 package store
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -10,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -23,16 +23,25 @@ import (
 //	wal-<%016x>.log     WAL segment whose records all have LSN > <hex>
 //	*.tmp               in-progress snapshot (ignored by recovery)
 //
+// A snapshot need not copy what the WAL already holds: its header names
+// a retention floor keep, and the records in [keep, snapshot LSN] stay
+// part of the state it describes. Recovery hands them back (Retained)
+// beside the records after the snapshot, and refuses the directory when
+// any of them is missing. A snapshot that copies everything has keep =
+// LSN+1.
+//
 // Compaction order is the recovery invariant: the new snapshot is written
 // to a temp file, synced, and atomically renamed BEFORE any old file is
-// deleted, so a crash at any point leaves either (old snapshot + full WAL)
-// or (new snapshot + tail WAL) — both replayable. Records carry globally
-// monotonic LSNs, so a replay that sees both an overlapping snapshot and
-// pre-snapshot WAL records simply skips the records the snapshot covers.
+// deleted, so a crash at any point leaves either (old snapshot + the WAL
+// it retains) or (new snapshot + the WAL it retains) — both replayable.
+// A segment is deleted only once every record in it lies below the new
+// snapshot's keep and every older snapshot file, which may refer into
+// it, is gone. Records carry globally monotonic LSNs, so a replay that
+// meets records below keep (a deletion the crash cut short) skips them.
 
 const (
 	walMagic  = "SECWAL01"
-	snapMagic = "SECSNAP1"
+	snapMagic = "SECSNAP2"
 )
 
 // ErrWedged marks a log that refused further writes after an earlier
@@ -70,6 +79,9 @@ type Recovered struct {
 	Snapshot []byte
 	// SnapshotLSN is the LSN the snapshot covers through.
 	SnapshotLSN uint64
+	// Retained are the records the snapshot refers into rather than
+	// copies, those in [keep, SnapshotLSN], in LSN order.
+	Retained []*Record
 	// Records are the WAL records after the snapshot, in LSN order.
 	Records []*Record
 	// TornTail reports that a torn final record was detected and
@@ -84,13 +96,20 @@ type Log struct {
 	cfg       Config
 	fs        FS
 	dir       string
-	f         File   // active WAL segment
-	walPath   string // path of the active WAL segment
-	lsn       uint64 // last assigned LSN
+	f         File      // active WAL segment
+	segs      []segment // every segment on disk, oldest first; the last is live
+	lsn       uint64    // last assigned LSN
 	sinceSnap int
 	closed    bool
 	wedge     error // first write/fsync failure; non-nil refuses all writes
 	obs       *walObs
+}
+
+// segment is one WAL segment file: it holds the records with LSN in
+// (start, the next segment's start], and size bytes.
+type segment struct {
+	start uint64
+	size  int64
 }
 
 // Open opens (or creates) the log directory, recovers its contents, and
@@ -109,30 +128,30 @@ func Open(cfg Config) (*Log, *Recovered, error) {
 	if err := fsys.MkdirAll(cfg.Dir, 0o755); err != nil {
 		return nil, nil, fmt.Errorf("store: creating log dir: %w", err)
 	}
-	rec, maxLSN, walPath, err := recoverDir(fsys, cfg.Dir)
+	rec, maxLSN, segs, err := recoverDir(fsys, cfg.Dir)
 	if err != nil {
 		return nil, nil, err
 	}
-	l := &Log{cfg: cfg, fs: fsys, dir: cfg.Dir, lsn: maxLSN, obs: newWALObs(cfg.Obs)}
-	if walPath == "" {
-		walPath = filepath.Join(cfg.Dir, walName(maxLSN))
-		if err := l.createSegment(walPath); err != nil {
+	l := &Log{cfg: cfg, fs: fsys, dir: cfg.Dir, segs: segs, lsn: maxLSN, obs: newWALObs(cfg.Obs)}
+	if len(segs) == 0 {
+		if err := l.createSegment(maxLSN); err != nil {
 			return nil, nil, err
 		}
 	} else {
-		f, err := fsys.OpenFile(walPath, os.O_WRONLY|os.O_APPEND, 0o644)
+		f, err := fsys.OpenFile(filepath.Join(cfg.Dir, walName(segs[len(segs)-1].start)), os.O_WRONLY|os.O_APPEND, 0o644)
 		if err != nil {
 			return nil, nil, fmt.Errorf("store: reopening WAL: %w", err)
 		}
-		l.f, l.walPath = f, walPath
+		l.f = f
 	}
 	l.sinceSnap = len(rec.Records)
 	return l, rec, nil
 }
 
-// createSegment starts a fresh WAL segment at path. Callers must hold l.mu
-// (or own l exclusively).
-func (l *Log) createSegment(path string) error {
+// createSegment starts a fresh WAL segment for the records after start.
+// Callers must hold l.mu (or own l exclusively).
+func (l *Log) createSegment(start uint64) error {
+	path := filepath.Join(l.dir, walName(start))
 	f, err := l.fs.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_EXCL, 0o644)
 	if err != nil {
 		return fmt.Errorf("store: creating WAL segment: %w", err)
@@ -156,7 +175,8 @@ func (l *Log) createSegment(path string) error {
 		}
 		l.obs.fsync()
 	}
-	l.f, l.walPath = f, path
+	l.f = f
+	l.segs = append(l.segs, segment{start: start, size: int64(len(walMagic))})
 	return nil
 }
 
@@ -203,6 +223,7 @@ func (l *Log) Append(kind uint8, payload []byte) (uint64, error) {
 		l.obs.fsync()
 	}
 	l.lsn = rec.LSN
+	l.segs[len(l.segs)-1].size += int64(len(frame))
 	l.sinceSnap++
 	if l.obs != nil {
 		l.obs.records.Inc()
@@ -227,25 +248,55 @@ func (l *Log) Wedged() error {
 	return l.wedge
 }
 
-// Snapshot writes a snapshot covering every record appended so far, then
-// compacts: a fresh WAL segment replaces the old one and superseded files
-// are deleted. The snapshot becomes visible atomically (temp + rename):
-// a crash leaves at most a half-written temp file, which recovery
-// ignores.
+// Snapshot writes a snapshot that copies the whole state: it covers
+// every record appended so far and retains none of them. It is
+// SnapshotKeep with keep one past the last LSN.
 func (l *Log) Snapshot(payload []byte) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	return l.snapshotLocked(l.lsn+1, payload)
+}
+
+// SnapshotKeep writes a snapshot covering every record appended so far
+// that still needs the records from LSN keep on: recovery returns them
+// as Retained. Then it compacts: a fresh WAL segment replaces the live
+// one, every older snapshot file is deleted and, once they all are, so
+// is every sealed segment whose records all lie below keep. The snapshot
+// becomes visible atomically (temp + rename): a crash leaves at most a
+// half-written temp file, which recovery ignores. A failed snapshot does
+// not wedge the log; the WAL it would have compacted stays
+// authoritative. keep must lie in [first LSN still on disk, LSN+1], and
+// the payload must fit MaxRecordLen, or nothing is written.
+func (l *Log) SnapshotKeep(keep uint64, payload []byte) error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if keep <= l.lsn && keep <= l.segs[0].start {
+		return fmt.Errorf("store: snapshot keeps records from LSN %d, but the log holds none before %d",
+			keep, l.segs[0].start+1)
+	}
+	if keep > l.lsn+1 {
+		return fmt.Errorf("store: snapshot keeps records from LSN %d, past the last LSN %d", keep, l.lsn)
+	}
+	return l.snapshotLocked(keep, payload)
+}
+
+func (l *Log) snapshotLocked(keep uint64, payload []byte) error {
 	if l.closed {
 		return ErrClosed
 	}
 	if l.wedge != nil {
 		return fmt.Errorf("%w (first failure: %v)", ErrWedged, l.wedge)
 	}
+	// The decoder refuses a longer payload, so publishing one would
+	// replace the WAL with a snapshot no Open can read.
+	if len(payload) > MaxRecordLen {
+		return fmt.Errorf("store: %d-byte snapshot: %w", len(payload), ErrRecordTooLarge)
+	}
 	tmp := filepath.Join(l.dir, snapName(l.lsn)+".tmp")
-	data := encodeSnapshot(l.lsn, payload)
+	data := encodeSnapshot(l.lsn, keep, payload)
 	if err := writeFileSync(l.fs, tmp, data); err != nil {
-		// A snapshot failure does not wedge the log: the temp file is
-		// scratch, the WAL stays authoritative, and appends continue.
+		// The temp file is scratch, the WAL stays authoritative, and
+		// appends continue.
 		return fmt.Errorf("store: writing snapshot: %w", err)
 	}
 	l.obs.fsync()
@@ -257,13 +308,12 @@ func (l *Log) Snapshot(payload []byte) error {
 		return err
 	}
 	l.obs.fsync()
-	// The snapshot is durable; rotate the WAL and drop superseded files.
-	// A live segment that already starts at l.lsn holds no record (none
-	// was appended since it was created) and stays live.
-	live := filepath.Join(l.dir, walName(l.lsn))
-	if l.walPath != live {
+	// The snapshot is durable; rotate the WAL and drop what it no longer
+	// needs. A live segment that already starts at l.lsn holds no record
+	// (none was appended since it was created) and stays live.
+	if l.segs[len(l.segs)-1].start != l.lsn {
 		old := l.f
-		if err := l.createSegment(live); err != nil {
+		if err := l.createSegment(l.lsn); err != nil {
 			return err
 		}
 		// Close result deliberately dropped: the segment was fsync'd on
@@ -277,31 +327,53 @@ func (l *Log) Snapshot(payload []byte) error {
 		l.obs.snapBytes.Set(float64(len(data)))
 		l.obs.compactions.Inc()
 	}
-	l.removeSuperseded(final, live)
+	l.compact(final, keep)
 	return nil
 }
 
-// removeSuperseded deletes every snapshot/WAL file other than the two
-// just published. Best-effort by design — the ReadDir and Remove results
-// are deliberately ignored: leftovers are harmless (recovery skips
-// covered records) and vanish at the next compaction, whereas failing
-// the snapshot over an undeletable stale file would trade durability for
-// tidiness.
-func (l *Log) removeSuperseded(keepSnap, keepWAL string) {
+// compact deletes every snapshot file but keepSnap, then every sealed
+// segment whose records all lie below keep. Segments go only once every
+// older snapshot is gone, since any of them may refer into them. (An
+// unlink the crash undoes can bring an older snapshot back, but
+// recovery reads one only when the newest is unreadable, and then
+// refuses the records it lacks.) Best-effort by design — failures are
+// deliberately ignored, and only stop the deletion: leftovers are
+// harmless (recovery skips records below keep) and go at the next
+// compaction, whereas failing the snapshot over an undeletable stale
+// file would trade durability for tidiness.
+func (l *Log) compact(keepSnap string, keep uint64) {
 	entries, err := l.fs.ReadDir(l.dir)
 	if err != nil {
 		return
 	}
 	for _, e := range entries {
-		name := e.Name()
-		p := filepath.Join(l.dir, name)
-		if p == keepSnap || p == keepWAL {
-			continue
-		}
-		if strings.HasPrefix(name, "snap-") || strings.HasPrefix(name, "wal-") {
-			_ = l.fs.Remove(p)
+		p := filepath.Join(l.dir, e.Name())
+		if strings.HasPrefix(e.Name(), "snap-") && p != keepSnap && l.fs.Remove(p) != nil {
+			return
 		}
 	}
+	n := 0
+	for n < len(l.segs)-1 && l.segs[n+1].start < keep {
+		if l.fs.Remove(filepath.Join(l.dir, walName(l.segs[n].start))) != nil {
+			break
+		}
+		n++
+	}
+	l.segs = l.segs[n:]
+}
+
+// RetainedBytes is the size of the segments a snapshot retaining the
+// records from LSN keep on would leave on disk, the live one included.
+func (l *Log) RetainedBytes(keep uint64) int64 {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	var n int64
+	for i, s := range l.segs {
+		if i == len(l.segs)-1 || l.segs[i+1].start >= keep {
+			n += s.size
+		}
+	}
+	return n
 }
 
 // LSN returns the last assigned log sequence number.
@@ -336,52 +408,64 @@ func (l *Log) Close() error {
 
 // --- snapshot codec ---------------------------------------------------------
 
-// encodeSnapshot frames a snapshot: magic(8) ‖ lsn(8) ‖ len(4) ‖ crc(4) ‖
-// payload. The CRC covers lsn ‖ len ‖ payload so a truncated or damaged
-// snapshot is detected as a unit.
-func encodeSnapshot(lsn uint64, payload []byte) []byte {
-	buf := make([]byte, 24+len(payload))
+// snapHeaderLen is a snapshot's framing: magic(8) ‖ lsn(8) ‖ keep(8) ‖
+// len(4) ‖ crc(4).
+const snapHeaderLen = 32
+
+// encodeSnapshot frames a snapshot: magic ‖ lsn ‖ keep ‖ len ‖ crc ‖
+// payload. The CRC covers lsn ‖ keep ‖ len ‖ payload so a truncated or
+// damaged snapshot is detected as a unit.
+func encodeSnapshot(lsn, keep uint64, payload []byte) []byte {
+	buf := make([]byte, snapHeaderLen+len(payload))
 	copy(buf[0:8], snapMagic)
 	binary.BigEndian.PutUint64(buf[8:16], lsn)
-	binary.BigEndian.PutUint32(buf[16:20], uint32(len(payload)))
-	copy(buf[24:], payload)
+	binary.BigEndian.PutUint64(buf[16:24], keep)
+	binary.BigEndian.PutUint32(buf[24:28], uint32(len(payload)))
+	copy(buf[snapHeaderLen:], payload)
 	crc := crc32.NewIEEE()
-	crc.Write(buf[8:20])
-	crc.Write(buf[24:])
-	binary.BigEndian.PutUint32(buf[20:24], crc.Sum32())
+	crc.Write(buf[8:28])
+	crc.Write(buf[snapHeaderLen:])
+	binary.BigEndian.PutUint32(buf[28:32], crc.Sum32())
 	return buf
 }
 
-// decodeSnapshot parses a snapshot file's bytes.
-func decodeSnapshot(data []byte) (lsn uint64, payload []byte, err error) {
-	if len(data) < 24 || string(data[0:8]) != snapMagic {
-		return 0, nil, fmt.Errorf("store: bad snapshot header: %w", ErrCorrupt)
+// decodeSnapshot parses a snapshot file's bytes. keep lies in
+// [1, lsn+1]: no record has LSN 0, and a snapshot cannot retain records
+// it does not cover.
+func decodeSnapshot(data []byte) (lsn, keep uint64, payload []byte, err error) {
+	if len(data) < snapHeaderLen || string(data[0:8]) != snapMagic {
+		return 0, 0, nil, fmt.Errorf("store: bad snapshot header: %w", ErrCorrupt)
 	}
 	lsn = binary.BigEndian.Uint64(data[8:16])
-	n := int(binary.BigEndian.Uint32(data[16:20]))
-	if n > MaxRecordLen || len(data) != 24+n {
-		return 0, nil, fmt.Errorf("store: snapshot length mismatch: %w", ErrCorrupt)
+	keep = binary.BigEndian.Uint64(data[16:24])
+	n := int(binary.BigEndian.Uint32(data[24:28]))
+	if n > MaxRecordLen || len(data) != snapHeaderLen+n {
+		return 0, 0, nil, fmt.Errorf("store: snapshot length mismatch: %w", ErrCorrupt)
 	}
 	crc := crc32.NewIEEE()
-	crc.Write(data[8:20])
-	crc.Write(data[24:])
-	if got, want := crc.Sum32(), binary.BigEndian.Uint32(data[20:24]); got != want {
-		return 0, nil, fmt.Errorf("store: snapshot checksum mismatch (got %08x, want %08x): %w",
+	crc.Write(data[8:28])
+	crc.Write(data[snapHeaderLen:])
+	if got, want := crc.Sum32(), binary.BigEndian.Uint32(data[28:32]); got != want {
+		return 0, 0, nil, fmt.Errorf("store: snapshot checksum mismatch (got %08x, want %08x): %w",
 			got, want, ErrCorrupt)
 	}
-	return lsn, data[24:], nil
+	if keep == 0 || keep-1 > lsn {
+		return 0, 0, nil, fmt.Errorf("store: snapshot at LSN %d keeps records from %d: %w", lsn, keep, ErrCorrupt)
+	}
+	return lsn, keep, data[snapHeaderLen:], nil
 }
 
 // --- recovery ---------------------------------------------------------------
 
-// recoverDir reads the newest intact snapshot and replays every WAL
-// record after it. It returns the recovered contents, the highest LSN
-// seen, and the path of the WAL segment to keep appending to ("" when a
-// fresh segment must be created).
-func recoverDir(fsys FS, dir string) (*Recovered, uint64, string, error) {
+// recoverDir reads the newest intact snapshot and the WAL records it
+// retains and those after it. It returns the recovered contents, the
+// highest LSN seen, and the segments on disk, oldest first; the last of
+// them is the one to keep appending to (none: a fresh one must be
+// created).
+func recoverDir(fsys FS, dir string) (*Recovered, uint64, []segment, error) {
 	entries, err := fsys.ReadDir(dir)
 	if err != nil {
-		return nil, 0, "", fmt.Errorf("store: reading log dir: %w", err)
+		return nil, 0, nil, fmt.Errorf("store: reading log dir: %w", err)
 	}
 	var snaps, wals []string
 	for _, e := range entries {
@@ -400,13 +484,14 @@ func recoverDir(fsys FS, dir string) (*Recovered, uint64, string, error) {
 	sort.Strings(wals)
 
 	rec := &Recovered{}
+	keep := uint64(1)
 	// Newest intact snapshot wins; older ones are compaction leftovers.
 	for i := len(snaps) - 1; i >= 0; i-- {
 		data, err := fsys.ReadFile(filepath.Join(dir, snaps[i]))
 		if err != nil {
-			return nil, 0, "", fmt.Errorf("store: reading snapshot: %w", err)
+			return nil, 0, nil, fmt.Errorf("store: reading snapshot: %w", err)
 		}
-		lsn, payload, err := decodeSnapshot(data)
+		lsn, k, payload, err := decodeSnapshot(data)
 		if err != nil {
 			if i == len(snaps)-1 && len(snaps) > 1 {
 				// The newest snapshot is damaged but an older one exists:
@@ -415,82 +500,87 @@ func recoverDir(fsys FS, dir string) (*Recovered, uint64, string, error) {
 				// LSNs below, which is reported as corruption).
 				continue
 			}
-			return nil, 0, "", err
+			return nil, 0, nil, err
 		}
-		rec.Snapshot = payload
-		rec.SnapshotLSN = lsn
+		rec.Snapshot, rec.SnapshotLSN, keep = payload, lsn, k
 		break
 	}
 
-	maxLSN := rec.SnapshotLSN
-	lastWAL := ""
+	// last is the highest LSN recovered so far: the record after it must
+	// come next. Below keep, nothing is needed.
+	last := keep - 1
+	segs := make([]segment, 0, len(wals))
 	for wi, name := range wals {
-		path := filepath.Join(dir, name)
-		final := wi == len(wals)-1
-		records, torn, err := readSegment(fsys, path, final)
+		start, err := strconv.ParseUint(strings.TrimSuffix(strings.TrimPrefix(name, "wal-"), ".log"), 16, 64)
 		if err != nil {
-			return nil, 0, "", fmt.Errorf("store: segment %s: %w", name, err)
+			return nil, 0, nil, fmt.Errorf("store: segment name %s: %w", name, ErrCorrupt)
 		}
+		path := filepath.Join(dir, name)
+		records, size, torn, err := readSegment(fsys, path, wi == len(wals)-1)
+		if err != nil {
+			return nil, 0, nil, fmt.Errorf("store: segment %s: %w", name, err)
+		}
+		segs = append(segs, segment{start: start, size: size})
 		rec.TornTail = rec.TornTail || torn
 		for _, r := range records {
+			if r.LSN < keep {
+				continue // below what the snapshot needs
+			}
+			if r.LSN != last+1 {
+				return nil, 0, nil, fmt.Errorf("store: segment %s: LSN %d after %d: %w",
+					name, r.LSN, last, ErrCorrupt)
+			}
+			last = r.LSN
 			if r.LSN <= rec.SnapshotLSN {
-				continue // already covered by the snapshot
+				rec.Retained = append(rec.Retained, r)
+			} else {
+				rec.Records = append(rec.Records, r)
 			}
-			if r.LSN != maxLSN+1 {
-				return nil, 0, "", fmt.Errorf("store: segment %s: LSN %d after %d: %w",
-					name, r.LSN, maxLSN, ErrCorrupt)
-			}
-			maxLSN = r.LSN
-			rec.Records = append(rec.Records, r)
-		}
-		if final && !torn {
-			lastWAL = path
 		}
 	}
-	// A torn tail was truncated; appending continues in a fresh segment is
-	// not needed — readSegment already truncated the file, so reuse it.
-	if rec.TornTail && len(wals) > 0 {
-		lastWAL = filepath.Join(dir, wals[len(wals)-1])
+	if last < rec.SnapshotLSN {
+		return nil, 0, nil, fmt.Errorf("store: snapshot at LSN %d retains records from %d, the log holds them only through %d: %w",
+			rec.SnapshotLSN, keep, last, ErrCorrupt)
 	}
-	return rec, maxLSN, lastWAL, nil
+	return rec, last, segs, nil
 }
 
-// readSegment reads every record of one WAL segment. In the final
-// segment, a record that ends mid-frame or fails its CRC *at the tail* is
-// truncated away and reported; the same damage followed by further intact
-// bytes — or in a non-final segment — is corruption.
-func readSegment(fsys FS, path string, final bool) ([]*Record, bool, error) {
+// readSegment reads every record of one WAL segment and the segment's
+// size after any repair. In the final segment, a record that ends
+// mid-frame or fails its CRC *at the tail* is truncated away and
+// reported; the same damage followed by further intact bytes — or in a
+// non-final segment — is corruption.
+func readSegment(fsys FS, path string, final bool) ([]*Record, int64, bool, error) {
 	data, err := fsys.ReadFile(path)
 	if err != nil {
-		return nil, false, fmt.Errorf("store: reading WAL: %w", err)
+		return nil, 0, false, fmt.Errorf("store: reading WAL: %w", err)
 	}
 	if len(data) < len(walMagic) || string(data[:len(walMagic)]) != walMagic {
-		return nil, false, fmt.Errorf("store: bad WAL magic: %w", ErrCorrupt)
+		return nil, 0, false, fmt.Errorf("store: bad WAL magic: %w", ErrCorrupt)
 	}
 	var records []*Record
-	r := bytes.NewReader(data[len(walMagic):])
 	offset := len(walMagic)
 	for {
-		rec, n, err := ReadRecord(r)
+		rec, n, err := ReadRecord(data[offset:])
 		switch {
 		case err == nil:
 			records = append(records, rec)
 			offset += n
 			continue
 		case errors.Is(err, io.EOF):
-			return records, false, nil
+			return records, int64(offset), false, nil
 		case errors.Is(err, ErrTorn), errors.Is(err, ErrCorrupt):
-			if !final || r.Len() > 0 {
+			if !final || offset+n < len(data) {
 				// Damage with live data after it (or in an already-sealed
 				// segment) cannot be a torn tail: report, don't repair.
-				return nil, false, err
+				return nil, 0, false, err
 			}
 			if terr := fsys.Truncate(path, int64(offset)); terr != nil {
-				return nil, false, fmt.Errorf("store: truncating torn tail: %w", terr)
+				return nil, 0, false, fmt.Errorf("store: truncating torn tail: %w", terr)
 			}
-			return records, true, nil
+			return records, int64(offset), true, nil
 		default:
-			return nil, false, err
+			return nil, 0, false, err
 		}
 	}
 }

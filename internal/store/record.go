@@ -74,38 +74,37 @@ func EncodeRecord(rec *Record) ([]byte, error) {
 	return buf, nil
 }
 
-// ReadRecord reads one framed record from r. It returns the record and
-// the total bytes consumed. A reader that ends cleanly before any length
-// byte returns io.EOF untouched; one that dies mid-record returns ErrTorn;
-// checksum or structural damage returns ErrCorrupt.
-func ReadRecord(r io.Reader) (*Record, int, error) {
-	var head [recordHeaderLen]byte
-	if _, err := io.ReadFull(r, head[:]); err != nil {
-		if errors.Is(err, io.EOF) && !errors.Is(err, io.ErrUnexpectedEOF) {
-			return nil, 0, io.EOF
-		}
-		return nil, 0, fmt.Errorf("store: reading record header (%v): %w", err, ErrTorn)
+// ReadRecord parses the framed record at the start of b. It returns the
+// record, whose payload aliases b, and the bytes consumed. An empty b
+// returns io.EOF; a frame b ends inside returns ErrTorn, having consumed
+// all of b; checksum or structural damage returns ErrCorrupt.
+func ReadRecord(b []byte) (*Record, int, error) {
+	if len(b) == 0 {
+		return nil, 0, io.EOF
 	}
-	bodyLen := int(binary.BigEndian.Uint32(head[0:4]))
+	if len(b) < recordHeaderLen {
+		return nil, len(b), fmt.Errorf("store: %d-byte record header: %w", len(b), ErrTorn)
+	}
+	bodyLen := int(binary.BigEndian.Uint32(b[0:4]))
 	if bodyLen > MaxRecordLen {
 		return nil, recordHeaderLen, fmt.Errorf("store: advertised %d-byte record: %w", bodyLen, ErrCorrupt)
 	}
 	if bodyLen < 9 {
 		return nil, recordHeaderLen, fmt.Errorf("store: %d-byte record body too short: %w", bodyLen, ErrCorrupt)
 	}
-	body := make([]byte, bodyLen)
-	if _, err := io.ReadFull(r, body); err != nil {
-		return nil, recordHeaderLen, fmt.Errorf("store: reading record body (%v): %w", err, ErrTorn)
+	n := recordHeaderLen + bodyLen
+	if len(b) < n {
+		return nil, len(b), fmt.Errorf("store: %d of a %d-byte record: %w", len(b), n, ErrTorn)
 	}
-	sum := binary.BigEndian.Uint32(head[4:8])
+	body := b[recordHeaderLen:n:n]
+	sum := binary.BigEndian.Uint32(b[4:8])
 	if got := crc32.ChecksumIEEE(body); got != sum {
-		return nil, recordHeaderLen + bodyLen,
-			fmt.Errorf("store: record checksum mismatch (got %08x, want %08x): %w", got, sum, ErrCorrupt)
+		return nil, n, fmt.Errorf("store: record checksum mismatch (got %08x, want %08x): %w", got, sum, ErrCorrupt)
 	}
 	rec := &Record{
 		LSN:     binary.BigEndian.Uint64(body[0:8]),
 		Kind:    body[8],
 		Payload: body[9:],
 	}
-	return rec, recordHeaderLen + bodyLen, nil
+	return rec, n, nil
 }

@@ -24,7 +24,7 @@ func TestRecordRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("EncodeRecord: %v", err)
 	}
-	got, n, err := ReadRecord(bytes.NewReader(frame))
+	got, n, err := ReadRecord(frame)
 	if err != nil {
 		t.Fatalf("ReadRecord: %v", err)
 	}
@@ -41,7 +41,7 @@ func TestRecordDetectsCorruption(t *testing.T) {
 	for _, i := range []int{8, 12, len(frame) - 1} {
 		bad := append([]byte(nil), frame...)
 		bad[i] ^= 0xff
-		if _, _, err := ReadRecord(bytes.NewReader(bad)); !errors.Is(err, ErrCorrupt) {
+		if _, _, err := ReadRecord(bad); !errors.Is(err, ErrCorrupt) {
 			t.Errorf("flip at %d: want ErrCorrupt, got %v", i, err)
 		}
 	}
@@ -50,11 +50,11 @@ func TestRecordDetectsCorruption(t *testing.T) {
 func TestRecordDetectsTruncation(t *testing.T) {
 	frame, _ := EncodeRecord(&Record{LSN: 1, Kind: 1, Payload: []byte("payload")})
 	for _, n := range []int{1, 7, 10, len(frame) - 1} {
-		if _, _, err := ReadRecord(bytes.NewReader(frame[:n])); !errors.Is(err, ErrTorn) {
+		if _, _, err := ReadRecord(frame[:n]); !errors.Is(err, ErrTorn) {
 			t.Errorf("truncate at %d: want ErrTorn, got %v", n, err)
 		}
 	}
-	if _, _, err := ReadRecord(bytes.NewReader(nil)); err == nil || errors.Is(err, ErrTorn) {
+	if _, _, err := ReadRecord(nil); err == nil || errors.Is(err, ErrTorn) {
 		// clean end-of-stream is EOF, not a torn record
 		t.Errorf("empty stream: want io.EOF, got %v", err)
 	}
@@ -194,5 +194,64 @@ func TestInteriorCorruptionIsFatalNotTruncated(t *testing.T) {
 	}
 	if _, _, err := Open(Config{Dir: dir, NoSync: true}); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("interior corruption: want ErrCorrupt, got %v", err)
+	}
+}
+
+// TestSnapshotRefusesOversizePayload: a payload the snapshot decoder
+// would refuse is refused before anything is written, so the WAL that
+// covers the state survives and a reopen recovers every record.
+func TestSnapshotRefusesOversizePayload(t *testing.T) {
+	dir := t.TempDir()
+	l, _ := mustOpen(t, Config{Dir: dir, NoSync: true})
+	if _, err := l.Append(1, []byte("acked")); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Snapshot(make([]byte, MaxRecordLen+1)); !errors.Is(err, ErrRecordTooLarge) {
+		t.Fatalf("oversize snapshot: got %v, want ErrRecordTooLarge", err)
+	}
+	if _, err := l.Append(1, []byte("after")); err != nil {
+		t.Fatalf("append after a refused snapshot: %v", err)
+	}
+	l.Close()
+	_, rec := mustOpen(t, Config{Dir: dir, NoSync: true})
+	if rec.Snapshot != nil || len(rec.Records) != 2 {
+		t.Fatalf("recovered snapshot %v and %d records, want the whole WAL", rec.Snapshot != nil, len(rec.Records))
+	}
+}
+
+// TestSnapshotKeepBounds: a snapshot may retain records from any LSN
+// still on disk up to one past the last, and no other.
+func TestSnapshotKeepBounds(t *testing.T) {
+	dir := t.TempDir()
+	l, _ := mustOpen(t, Config{Dir: dir, NoSync: true})
+	for i := 0; i < 4; i++ {
+		if _, err := l.Append(1, []byte{byte(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := l.SnapshotKeep(6, nil); err == nil {
+		t.Fatal("a snapshot at LSN 4 retained records from 6")
+	}
+	if err := l.SnapshotKeep(3, []byte("0 1")); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := l.Append(1, []byte{4}); err != nil {
+		t.Fatal(err)
+	}
+	// The snapshot at 4 retains 3 and 4, so their segment, which also
+	// holds 1 and 2, stays, and a floor of 1 is still allowed.
+	if err := l.SnapshotKeep(1, nil); err != nil {
+		t.Fatalf("keep 1 with the first segment on disk: %v", err)
+	}
+	if err := l.SnapshotKeep(6, []byte("0 1 2 3 4")); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.SnapshotKeep(3, nil); err == nil {
+		t.Fatal("a snapshot retained records whose segment was deleted")
+	}
+	l.Close()
+	_, rec := mustOpen(t, Config{Dir: dir, NoSync: true})
+	if string(rec.Snapshot) != "0 1 2 3 4" || rec.SnapshotLSN != 5 || len(rec.Retained)+len(rec.Records) != 0 {
+		t.Fatalf("recovered %q at %d, %d retained, %d after", rec.Snapshot, rec.SnapshotLSN, len(rec.Retained), len(rec.Records))
 	}
 }
